@@ -80,7 +80,7 @@ def span_cost_s() -> float:
 
     tracer = Tracer()
     noop = lambda: None  # noqa: E731
-    wrapped = tracer._wrapper(noop, Target("calibration", "noop", "calibration"))
+    wrapped = tracer.wrap(noop, Target("calibration", "noop", "calibration"))
     calls = 20000
     start = time.perf_counter()
     for _ in range(calls):

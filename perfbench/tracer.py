@@ -120,7 +120,8 @@ class Tracer:
                 Span(sid, name, start, end, parent, threading.get_ident(), self._local.rid)
             )
 
-    def _wrapper(self, fn: Callable, target: Target) -> Callable:
+    def wrap(self, fn: Callable, target: Target) -> Callable:
+        """``fn`` recording a span named ``target.span`` on every call."""
         tracer, name, hook = self, target.span, target.hook
 
         @functools.wraps(fn)
@@ -171,13 +172,13 @@ class Tracer:
                 raise AttributeError(f"{owner.__name__} defines no {attr!r}")
             raw = vars(owner)[attr]
             if isinstance(raw, (classmethod, staticmethod)):
-                wrapped: Any = type(raw)(self._wrapper(raw.__func__, target))
+                wrapped: Any = type(raw)(self.wrap(raw.__func__, target))
             else:
-                wrapped = self._wrapper(raw, target)
+                wrapped = self.wrap(raw, target)
             self._patch(owner, attr, wrapped)
             return
         original = getattr(module, attr)
-        wrapped = self._wrapper(original, target)
+        wrapped = self.wrap(original, target)
         for name, loaded in list(sys.modules.items()):
             if loaded is None or name.split(".")[0] not in self.packages:
                 continue
