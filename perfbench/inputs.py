@@ -1,18 +1,18 @@
-"""Seeded inputs of the three workloads.
+"""Seeded inputs of the two workloads.
 
-Everything here is a pure function of the seed: camera poses, key
-orders and the open-loop arrival schedule come from this module's own
-generator (``random.Random`` seeded with a string, which is stable across
-platforms), never from the program under test.  Scene geometry and the
-paper-default voxel sizes are written out here for the same reason.
+Everything here is a pure function of the seed: camera poses and key
+orders come from this module's own generator (``random.Random`` seeded
+with a string, which is stable across platforms), never from the program
+under test.  Scene geometry and the paper-default voxel sizes are written
+out here for the same reason.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 Vec3 = Tuple[float, float, float]
 
@@ -56,9 +56,7 @@ def _rng(seed: int, workload: str) -> random.Random:
     return random.Random(f"perfbench:{workload}:{seed}")
 
 
-def _orbit_pose(
-    scene: str, azimuth: float, elevation: float, radius_scale: float, scale: float = 1.0
-) -> Pose:
+def _orbit_pose(scene: str, azimuth: float, elevation: float, radius_scale: float) -> Pose:
     view = SCENES[scene]
     radius = view.radius * radius_scale
     cx, cy, cz = view.center
@@ -67,14 +65,10 @@ def _orbit_pose(
         cy + radius * math.sin(azimuth) * math.cos(elevation),
         cz + radius * math.sin(elevation),
     )
-    width = max(16, int(round(view.width * scale)))
-    height = max(16, int(round(view.height * scale)))
-    return Pose(scene, eye, view.center, width, height)
+    return Pose(scene, eye, view.center, view.width, view.height)
 
 
-def _arc(
-    rng: random.Random, scene: str, length: int, scale: float = 1.0
-) -> List[Pose]:
+def _arc(rng: random.Random, scene: str, length: int) -> List[Pose]:
     """A smooth camera pan: ``length`` poses along a jittered orbit arc."""
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
     step = math.radians(rng.uniform(2.0, 5.0)) * rng.choice((-1.0, 1.0))
@@ -82,7 +76,7 @@ def _arc(
     climb = math.radians(rng.uniform(-0.5, 0.5))
     radius_scale = rng.uniform(0.9, 1.1)
     return [
-        _orbit_pose(scene, azimuth + i * step, elevation + i * climb, radius_scale, scale)
+        _orbit_pose(scene, azimuth + i * step, elevation + i * climb, radius_scale)
         for i in range(length)
     ]
 
@@ -143,134 +137,3 @@ def cold_start_keys(seed: int) -> List[Tuple[str, str]]:
 def check_index(seed: int, workload: str, count: int) -> int:
     """Seeded index of the op whose result is re-derived in process."""
     return _rng(seed, f"{workload}-check").randrange(count)
-
-
-# ----------------------------------------------------------------------
-# service-mix
-# ----------------------------------------------------------------------
-#: Scene contexts the mix's render, point and sweep requests hit (the
-#: compacted variants, whose smaller codebooks keep set-up short).
-MIX_CONTEXTS = (("lego", "mini_splatting"), ("train", "light_gaussian"))
-#: Scenes the mix's trajectories fly through (one, so rendering
-#: trajectories form a single latency mode).
-MIX_TRAJECTORY_SCENES = ("train",)
-#: Resolution scale of the mix's scene contexts.
-MIX_SCALE = 0.5
-#: Frames and resolution scale of a trajectory request: light, so the
-#: render threads seldom hold up the small requests running beside them.
-MIX_FRAMES = 2
-MIX_TRAJECTORY_SCALE = 0.25
-#: Trajectories rendered during set-up; repeats in the window reuse them.
-MIX_WARM_TRAJECTORIES = 2
-
-#: Accelerator design axes of point and sweep requests.
-ARCH_AXES: Dict[str, Tuple[Any, ...]] = {
-    "num_hfu": (2, 4, 8),
-    "cfus_per_hfu": (2, 4, 8),
-    "ffus_per_hfu": (1, 2),
-    "num_sort_units": (1, 2, 4),
-    "num_render_units": (32, 64, 128),
-    "sram_scale": (0.5, 1.0),
-    "dram_channels": (2, 4, 8),
-}
-
-#: One block of the mix: how many requests of each kind each client
-#: sends.  Client 0 is interactive (renders and points); client 1 also
-#: runs the trajectories and sweeps, so no small request of client 0
-#: waits behind a render on its connection.  Rendering trajectories make
-#: a fifth, so p50 falls among the small requests and p90 among the
-#: rendering ones.
-MIX_BLOCK = (
-    ("render", 5, 3),
-    ("point", 5, 1),
-    ("sweep", 0, 1),
-    ("trajectory", 0, 4),
-    ("trajectory-repeat", 0, 1),
-)
-MIX_BLOCK_SIZE = sum(a + b for _, a, b in MIX_BLOCK)
-
-#: Distinct sweeps the mix draws from, so later sweeps hit the store.
-MIX_SWEEP_POOL = 8
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """One open-loop request: when it is due, who sends it, what it asks."""
-
-    due_s: float
-    client: int
-    kind: str
-    scene: str
-    algorithm: str
-    #: render: ``{}``; point: ``{"arch_options": {...}}``; sweep:
-    #: ``{"arch_options": {...}, "grid": {axis: [a, b]}}``; trajectory:
-    #: ``{"poses": [...]}`` (new) or ``{"repeat": i}`` (a set-up one).
-    params: Dict[str, Any]
-
-
-def _arch_options(rng: random.Random, count: int) -> Dict[str, Any]:
-    axes = rng.sample(sorted(ARCH_AXES), count)
-    return {axis: rng.choice(ARCH_AXES[axis]) for axis in sorted(axes)}
-
-
-def _trajectory_poses(rng: random.Random, scene: str) -> List[Dict[str, Any]]:
-    return [asdict(pose) for pose in _arc(rng, scene, MIX_FRAMES, MIX_TRAJECTORY_SCALE)]
-
-
-def mix_warm_trajectories(seed: int) -> List[Tuple[str, List[Dict[str, Any]]]]:
-    """The trajectories rendered in set-up, per scene, in a fixed order."""
-    rng = _rng(seed, "service-mix-warm")
-    return [
-        (scene, _trajectory_poses(rng, scene))
-        for scene in MIX_TRAJECTORY_SCENES
-        for _ in range(MIX_WARM_TRAJECTORIES)
-    ]
-
-
-def service_mix_schedule(seed: int, blocks: int, seconds: float) -> List[Arrival]:
-    """Poisson arrivals over ``seconds`` from two clients.
-
-    Arrival times are sorted uniform draws on ``[0, seconds)``, which is a
-    Poisson process conditioned on its count, so every seed offers the
-    same rate over the same window.  The requests come in ``blocks``
-    consecutive blocks of ``MIX_BLOCK``, shuffled within each block, so the
-    mix is the same for every seed and evenly spread over the window.
-    """
-    rng = _rng(seed, "service-mix")
-    count = blocks * MIX_BLOCK_SIZE
-    sends: List[Tuple[str, int]] = []
-    for _ in range(blocks):
-        block = [
-            (kind, client)
-            for kind, *per_client in MIX_BLOCK
-            for client, n in enumerate(per_client)
-            for _ in range(n)
-        ]
-        rng.shuffle(block)
-        sends.extend(block)
-    dues = sorted(rng.uniform(0.0, seconds) for _ in range(count))
-    sweeps = []
-    for _ in range(MIX_SWEEP_POOL):
-        axis = rng.choice(sorted(ARCH_AXES))
-        values = sorted(rng.sample(ARCH_AXES[axis], 2))
-        base = _arch_options(rng, 1)
-        base.pop(axis, None)
-        scene, algorithm = rng.choice(MIX_CONTEXTS)
-        sweeps.append((scene, algorithm, {"arch_options": base, "grid": {axis: values}}))
-    warm = mix_warm_trajectories(seed)
-    arrivals = []
-    for due, (kind, client) in zip(dues, sends):
-        if kind in ("render", "point"):
-            scene, algorithm = rng.choice(MIX_CONTEXTS)
-            params = {"arch_options": _arch_options(rng, 2)} if kind == "point" else {}
-        elif kind == "sweep":
-            scene, algorithm, params = rng.choice(sweeps)
-        elif kind == "trajectory":
-            scene, algorithm = rng.choice(MIX_TRAJECTORY_SCENES), ""
-            params = {"poses": _trajectory_poses(rng, scene)}
-        else:
-            index = rng.randrange(len(warm))
-            scene, algorithm, kind = warm[index][0], "", "trajectory"
-            params = {"repeat": index}
-        arrivals.append(Arrival(round(due, 6), client, kind, scene, algorithm, params))
-    return arrivals

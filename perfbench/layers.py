@@ -2,22 +2,23 @@
 
 Conventions of the derived metrics:
 
-* ``*_ms``: summed self time of a span name inside the timed window,
-  divided by the ops of the window (per frame in ``viewer``, per request
-  otherwise; ``service.execute_ms.<kind>`` divides by the ops of that
-  kind), so the layer times of one op add up to the part of its latency
-  the spans cover;
-* ``*_p50`` / ``*_p90``: percentiles over the window's requests;
+* ``*_ms``: summed self time of a span name inside the timed windows,
+  divided by the ops of the windows (per frame in ``viewer``, per request
+  in ``cold-start``), so the layer times of one op add up to the part of
+  its latency the spans cover;
+* ``*_p50`` / ``*_p90``: percentiles over the windows' requests;
 * ratios: hits over lookups, or useful outcomes over attempts (``0``
   when nothing was looked up);
-* other counts: per op of the window, except the ``*_alive`` gauges,
-  read at the end of the window.
+* other counts: per op of the windows, except the ``*_alive`` gauges,
+  read at the end of the last window.
+
+The metric names and units are the ``per_layer`` list of ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from perfbench.stats import percentile
 from perfbench.tracer import Span, Target, Tracer, self_times
@@ -32,26 +33,18 @@ OP_SPAN = "op"
 def _frame_counts(tracer: Tracer, args, kwargs, output) -> None:
     if output is None:
         return
-    stats, telemetry, counts = output.stats, output.telemetry, tracer.counts
+    stats, counts = output.stats, tracer.counts
     counts["frames"] += 1
     counts["gaussians_streamed"] += stats.gaussians_streamed
     counts["fragments_blended"] += stats.blended_fragments
     counts["dram_bytes_modelled"] += stats.traffic.total_bytes
     counts["filter_in"] += stats.filter.gaussians_in
     counts["filter_passed"] += stats.filter.fine_passed
-    if telemetry.get("temporal_mode") == "carry":
-        counts["carry_frames"] += 1
-        counts["cold_frames"] += int(bool(telemetry.get("cold_frame")))
 
 
 def _frame_cache_counts(tracer: Tracer, args, kwargs, prepared) -> None:
     tracer.counts["frame_cache_lookups"] += 1
     tracer.counts["frame_cache_hits"] += int(prepared is not None)
-
-
-def _store_get_counts(tracer: Tracer, args, kwargs, result) -> None:
-    tracer.counts["store_gets"] += 1
-    tracer.counts["store_hits"] += int(result is not None)
 
 
 def _rid_of_request(tracer: Tracer, args, kwargs, result) -> Optional[str]:
@@ -63,14 +56,21 @@ def _rid_of_record(tracer: Tracer, args, kwargs, result) -> Optional[str]:
 
 
 def _rid_of_message(tracer: Tracer, args, kwargs, frame) -> Optional[str]:
-    rid = args[0].get("id") or None
-    # The sending thread's op span adopts the id it just put on the wire.
-    tracer.note_rid(rid)
-    return rid
+    return args[0].get("id") or None
 
 
 def _rid_of_decoded(tracer: Tracer, args, kwargs, message) -> Optional[str]:
     return message.get("id") or None if isinstance(message, dict) else None
+
+
+def _rid_of_response(tracer: Tracer, args, kwargs, response) -> Optional[str]:
+    # A wire response carries the id of the request it answers; an
+    # in-process render has none.
+    return getattr(response, "id", None) or None
+
+
+#: The benchmark's own span around each timed op (see ``workloads.py``).
+OP_TARGET = Target("perfbench.workloads", "op", OP_SPAN, _rid_of_response)
 
 
 #: Every wrapped boundary, grouped by the layer it belongs to.
@@ -82,10 +82,8 @@ TARGETS: Tuple[Target, ...] = (
     Target("repro.core.data_layout", "DataLayout.voxel_stream_traffic_batch", "core.traffic"),
     Target("repro.core.pipeline", "StreamingRenderer.render", "core.frame_self", _frame_counts),
     Target("repro.core.voxel_grid", "VoxelGrid.build", "core.grid_build"),
-    # engine: blend kernels, carry path, render service
+    # engine: blend kernel, frame cache, render service
     Target("repro.engine.kernels", "blend_streaming", "engine.blend"),
-    Target("repro.engine.temporal", "prepare_frame_carry", "engine.carry_prepare"),
-    Target("repro.engine.temporal", "render_frame_carry", "engine.carry_blend"),
     Target("repro.engine.service", "RenderService.render", "engine.lookup"),
     Target("repro.engine.cache", "FrameCache.get", None, _frame_cache_counts),
     # compression: VQ codebooks
@@ -101,17 +99,8 @@ TARGETS: Tuple[Target, ...] = (
     Target("repro.variants.light_gaussian", "LightGaussian.transform", "variants.transform"),
     Target("repro.scenes.fitting", "fit_trained_model", "scenes.fit"),
     Target("repro.analysis.context", "build_scene_context", "analysis.context"),
-    # arch: workload and hardware models
+    # arch: workload model
     Target("repro.arch.workload", "build_workload", "arch.workload"),
-    Target("repro.arch.accelerator", "StreamingGSAccelerator.evaluate", "arch.evaluate"),
-    Target("repro.arch.gpu", "OrinNXModel.evaluate", "arch.evaluate"),
-    Target("repro.arch.gscore", "GSCoreModel.evaluate", "arch.evaluate"),
-    # api: sessions, store, sweeps, trajectories
-    Target("repro.api.session", "Session.context", "api.context"),
-    Target("repro.api.store", "ResultStore.get", "api.store_get", _store_get_counts),
-    Target("repro.api.store", "ResultStore.put", "api.store_put"),
-    Target("repro.api.executor", "SweepExecutor.run", "api.sweep"),
-    Target("repro.api.session", "Session.run_trajectory", "api.trajectory"),
     # service: admission, dispatch, execution, wire codec
     Target("repro.service.daemon", "ServiceDaemon.admit", "service.admit", _rid_of_request),
     Target("repro.service.actors", "WorkerActor.submit", "service.submit", _rid_of_record),
@@ -129,8 +118,6 @@ SELF_TIME_METRICS: Dict[str, Tuple[str, ...]] = {
     "core.frame_self_ms": ("core.frame_self",),
     "core.grid_build_ms": ("core.grid_build",),
     "engine.blend_ms": ("engine.blend",),
-    "engine.carry_prepare_ms": ("engine.carry_prepare",),
-    "engine.carry_blend_ms": ("engine.carry_blend",),
     "engine.lookup_ms": ("engine.lookup",),
     "compression.kmeans_ms": ("compression.kmeans",),
     "compression.encode_ms": ("compression.encode",),
@@ -141,85 +128,10 @@ SELF_TIME_METRICS: Dict[str, Tuple[str, ...]] = {
     "scenes.fit_ms": ("scenes.fit",),
     "analysis.context_ms": ("analysis.context",),
     "arch.workload_ms": ("arch.workload",),
-    "arch.evaluate_ms": ("arch.evaluate",),
-    "api.store_get_ms": ("api.store_get",),
-    "api.store_put_ms": ("api.store_put",),
-    "api.sweep_ms": ("api.sweep",),
-    "api.trajectory_ms": ("api.trajectory",),
     "service.admit_ms": ("service.admit",),
+    "service.execute_ms.render": ("service.execute",),
     "service.codec_ms": ("service.encode", "service.decode"),
 }
-
-#: Request kinds whose execution time is reported separately.
-EXECUTE_KINDS = ("render", "point", "sweep", "trajectory")
-
-#: Counts that depend on how the daemon's two actors interleave, so they
-#: may differ between runs of the same seed.
-INTERLEAVING_DEPENDENT = (
-    "engine.cold_frame_ratio",
-    "engine.renderer_hit_ratio",
-    "engine.frame_cache_hit_ratio",
-)
-
-#: (name, unit) of every per-layer metric, in report order.
-PER_LAYER: Tuple[Tuple[str, str], ...] = (
-    ("core.traversal_ms", "ms"),
-    ("core.voxel_order_ms", "ms"),
-    ("core.filter_ms", "ms"),
-    ("core.traffic_ms", "ms"),
-    ("core.frame_self_ms", "ms"),
-    ("core.grid_build_ms", "ms"),
-    ("core.gaussians_streamed", "count"),
-    ("core.fragments_blended", "count"),
-    ("core.dram_bytes_modelled", "bytes"),
-    ("core.filter_pass_ratio", "ratio"),
-    ("engine.blend_ms", "ms"),
-    ("engine.carry_prepare_ms", "ms"),
-    ("engine.carry_blend_ms", "ms"),
-    ("engine.lookup_ms", "ms"),
-    ("engine.frame_cache_hit_ratio", "ratio"),
-    ("engine.renderer_hit_ratio", "ratio"),
-    ("engine.renderers_alive", "count"),
-    ("engine.cold_frame_ratio", "ratio"),
-    ("compression.kmeans_ms", "ms"),
-    ("compression.kmeans_calls", "count"),
-    ("compression.encode_ms", "ms"),
-    ("gaussians.raster_ms", "ms"),
-    ("gaussians.binning_ms", "ms"),
-    ("scenes.build_ms", "ms"),
-    ("variants.transform_ms", "ms"),
-    ("scenes.fit_ms", "ms"),
-    ("analysis.context_ms", "ms"),
-    ("analysis.contexts_built", "count"),
-    ("arch.workload_ms", "ms"),
-    ("arch.evaluate_ms", "ms"),
-    ("api.context_hit_ratio", "ratio"),
-    ("api.contexts_alive", "count"),
-    ("api.store_hit_ratio", "ratio"),
-    ("api.store_get_ms", "ms"),
-    ("api.store_put_ms", "ms"),
-    ("api.sweep_ms", "ms"),
-    ("api.trajectory_ms", "ms"),
-    ("service.admit_ms", "ms"),
-    ("service.queue_wait_ms_p50", "ms"),
-    ("service.queue_wait_ms_p90", "ms"),
-    ("service.execute_ms.render", "ms"),
-    ("service.execute_ms.point", "ms"),
-    ("service.execute_ms.sweep", "ms"),
-    ("service.execute_ms.trajectory", "ms"),
-    ("service.codec_ms", "ms"),
-    ("service.overhead_ms_p50", "ms"),
-    ("service.rejected", "count"),
-    ("service.degraded", "count"),
-    ("service.retried", "count"),
-    ("setup.import_s", "s"),
-    ("setup.boot_s", "s"),
-    ("setup.warm_s", "s"),
-    ("load.lateness_ms_p90", "ms"),
-    ("trace.span_coverage", "ratio"),
-    ("trace.overhead_ms", "ms"),
-)
-
 
 def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
@@ -231,27 +143,25 @@ def _pct_ms(values: Sequence[float], q: float) -> float:
 
 def derive(
     tracer: Tracer,
-    window: Tuple[float, float],
-    ops: Sequence[Mapping[str, Any]],
+    windows: Sequence[Tuple[float, float]],
+    n_ops: int,
     counts: Mapping[str, float],
     probe: Mapping[str, float],
     setup: Mapping[str, float],
-    lateness_ms_p90: float,
     span_cost_s: float,
-) -> Tuple[Dict[str, float], Dict[str, Any]]:
-    """Per-layer metrics of one traced window.
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Per-layer metrics of the traced timed windows.
 
-    ``ops`` are the window's op records (``rid``, ``kind``); ``counts``
-    the hook counters gathered inside the window; ``probe`` the program's
-    own counters over the window (renderer and context caches, daemon
-    metrics, gauges at the window's end).  Returns the metrics and a
-    summary of span coverage and tracing overhead.  Metrics whose spans
-    were never wrapped (see :attr:`Tracer.missing`) are left out.
+    ``n_ops`` counts the windows' ops; ``counts`` are the hook counters
+    gathered inside the windows; ``probe`` the program's own counters over
+    the windows (renderer and context caches, daemon metrics, gauges at
+    the last window's end).  Returns the metrics and a summary of span
+    coverage and tracing overhead.  Metrics whose spans were never wrapped
+    (see :attr:`Tracer.missing`) are left out.
     """
-    lo, hi = window
-    spans = [s for s in tracer.spans if lo <= s.start <= hi]
+    spans = [s for s in tracer.spans if any(lo <= s.start <= hi for lo, hi in windows)]
     selfs = self_times(spans, op_names=(OP_SPAN,))
-    n_ops = max(1, len(ops))
+    n_ops = max(1, n_ops)
     by_name: Dict[str, List[Span]] = defaultdict(list)
     for span in spans:
         by_name[span.name].append(span)
@@ -263,35 +173,20 @@ def derive(
             total = sum(selfs[s.sid] for n in span_names for s in by_name[n])
             metrics[name] = 1e3 * total / n_ops
 
-    kind_of = {op["rid"]: op["kind"] for op in ops if op.get("rid")}
-    ops_of_kind = defaultdict(int)
-    for op in ops:
-        ops_of_kind[op["kind"]] += 1
-    if "service.execute" in wrapped:
-        per_kind: Dict[str, float] = defaultdict(float)
-        for span in by_name["service.execute"]:
-            per_kind[kind_of.get(span.rid, "")] += selfs[span.sid]
-        for kind in EXECUTE_KINDS:
-            metrics[f"service.execute_ms.{kind}"] = 1e3 * _ratio(
-                per_kind[kind], ops_of_kind[kind]
-            )
-
     def first_by_rid(name: str) -> Dict[str, Span]:
         return {s.rid: s for s in reversed(by_name[name]) if s.rid}
 
-    admitted = first_by_rid("service.admit")
-    submitted = first_by_rid("service.submit")
-    executed = first_by_rid("service.execute")
     if {"service.admit", "service.submit"} <= wrapped:
+        admitted, submitted = first_by_rid("service.admit"), first_by_rid("service.submit")
         waits = [submitted[r].start - admitted[r].end for r in admitted if r in submitted]
         metrics["service.queue_wait_ms_p50"] = _pct_ms(waits, 0.5)
         metrics["service.queue_wait_ms_p90"] = _pct_ms(waits, 0.9)
-    op_spans = {s.rid: s for s in by_name[OP_SPAN] if s.rid}
     if "service.execute" in wrapped:
+        executed = first_by_rid("service.execute")
         overheads = [
-            span.duration - executed[rid].duration
-            for rid, span in op_spans.items()
-            if rid in executed
+            span.duration - executed[span.rid].duration
+            for span in by_name[OP_SPAN]
+            if span.rid in executed
         ]
         metrics["service.overhead_ms_p50"] = _pct_ms(overheads, 0.5)
 
@@ -302,26 +197,14 @@ def derive(
         metrics["core.filter_pass_ratio"] = _ratio(
             counts.get("filter_passed", 0), counts.get("filter_in", 0)
         )
-        metrics["engine.cold_frame_ratio"] = _ratio(
-            counts.get("cold_frames", 0), counts.get("carry_frames", 0)
-        )
     if "FrameCache.get" in wrapped:
         metrics["engine.frame_cache_hit_ratio"] = _ratio(
             counts.get("frame_cache_hits", 0), counts.get("frame_cache_lookups", 0)
-        )
-    if "api.store_get" in wrapped:
-        metrics["api.store_hit_ratio"] = _ratio(
-            counts.get("store_hits", 0), counts.get("store_gets", 0)
         )
     if "compression.kmeans" in wrapped:
         metrics["compression.kmeans_calls"] = len(by_name["compression.kmeans"]) / n_ops
     if "analysis.context" in wrapped:
         metrics["analysis.contexts_built"] = len(by_name["analysis.context"]) / n_ops
-    if {"api.context", "analysis.context"} <= wrapped:
-        builds = {s.parent for s in by_name["analysis.context"]}
-        lookups = by_name["api.context"]
-        hits = sum(1 for s in lookups if s.sid not in builds)
-        metrics["api.context_hit_ratio"] = _ratio(hits, len(lookups))
 
     metrics["engine.renderer_hit_ratio"] = _ratio(
         probe.get("renderer_hits", 0),
@@ -334,7 +217,6 @@ def derive(
     metrics["setup.import_s"] = setup["import_s"]
     metrics["setup.boot_s"] = setup["boot_s"]
     metrics["setup.warm_s"] = setup["warm_s"]
-    metrics["load.lateness_ms_p90"] = lateness_ms_p90
 
     op_time = sum(s.duration for s in by_name[OP_SPAN])
     op_self = sum(selfs[s.sid] for s in by_name[OP_SPAN])

@@ -1,34 +1,37 @@
 """Turn a workload outcome into printed metrics, a run record and a result.
 
-Also keeps the count ledger: counts that must repeat exactly for a given
-(workload, seed, trace) are stored on the first run and every later run
-is compared with them, so nondeterminism shows as a flagged drift.
+The metric names and units are read from ``BENCHMARK.json``.  Also keeps
+the count ledger: counts that must repeat exactly for a given (workload,
+seed, trace, seconds) and source tree are stored on the first run and
+every later run is compared with them, so nondeterminism shows as a
+flagged drift.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from perfbench import layers
 from perfbench.stats import beyond, format_quantile, highest_supported, mode_boundary, percentile
-from perfbench.workloads import MAX_LATENESS_P90_S, Outcome, setup_summary
+from perfbench.workloads import Outcome, setup_summary
 
-#: End-to-end metrics: (name, unit) in report order.
-END_TO_END = (
-    ("latency_ms_p50", "ms"),
-    ("latency_ms_p90", "ms"),
-    ("throughput_per_s", "1/s"),
-    ("setup_s", "s"),
-    ("peak_rss_mb", "MB"),
-)
+ROOT = Path(__file__).resolve().parent.parent
 
-#: Per-layer counts that do not depend on actor interleaving; they join
-#: the drift ledger of traced runs.
+
+def declared(section: str) -> Tuple[Tuple[str, str], ...]:
+    """``(name, unit)`` of each metric of a ``BENCHMARK.json`` section."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return tuple((metric["name"], metric["unit"]) for metric in spec[section])
+
+
+#: Per-layer counts that repeat exactly for a seed; they join the drift
+#: ledger of traced runs.
 LEDGER_LAYER_COUNTS = (
     "core.gaussians_streamed",
     "core.fragments_blended",
@@ -63,15 +66,10 @@ def end_to_end(outcome: Outcome, warnings: List[str]) -> Dict[str, float]:
         if text:
             warnings.append(f"latency {text}")
     ok = sum(1 for op in outcome.ops if op.ok)
-    lo, hi = outcome.window
-    metrics["throughput_per_s"] = ok / (hi - lo) if hi > lo else 0.0
+    metrics["throughput_per_s"] = ok / sum(hi - lo for lo, hi in outcome.windows)
     metrics["setup_s"] = setup_summary(outcome.setups)["setup_s"]
     metrics["peak_rss_mb"] = outcome.peak_rss_mb
     return metrics
-
-
-def lateness_ms_p90(outcome: Outcome) -> float:
-    return 1e3 * percentile([op.lateness for op in outcome.ops], 0.9)
 
 
 def span_cost_s() -> float:
@@ -90,6 +88,16 @@ def span_cost_s() -> float:
     for _ in range(calls):
         wrapped()
     return max(0.0, (time.perf_counter() - start - bare) / calls)
+
+
+def source_digest(root: Path = ROOT) -> str:
+    """Hash of the program's and the benchmark's Python sources."""
+    digest = hashlib.sha256()
+    for tree in ("src", "perfbench"):
+        for path in sorted((root / tree).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:12]
 
 
 def check_ledger(path: Path, counts: Dict[str, Any]) -> List[str]:
@@ -112,16 +120,9 @@ def build(args, outcome: Outcome, tracer, environment: Dict[str, Any], work: Pat
     warnings: List[str] = []
     attempted = len(outcome.ops)
     failed = sum(1 for op in outcome.ops if not op.ok)
-    late = lateness_ms_p90(outcome)
-    if late > 1e3 * MAX_LATENESS_P90_S:
-        warnings.append(f"INVALID RUN: load generator lateness p90 {late:.2f} ms")
-    if workload == "service-mix" and outcome.probe.get("contexts_built"):
-        warnings.append(
-            f"service-mix built {outcome.probe['contexts_built']} scene context(s) inside its window"
-        )
-    lo, hi = outcome.window
     print(f"perfbench {workload} seed={args.seed} seconds={args.seconds:g} trace={args.trace}")
-    print(f"ops: {attempted} attempted, {failed} failed, window {hi - lo:.2f} s")
+    windows = ", ".join(f"{hi - lo:.2f}" for lo, hi in outcome.windows)
+    print(f"ops: {attempted} attempted, {failed} failed, windows {windows} s")
     setup = setup_summary(outcome.setups)
     print(
         "setup: {setup_s:.3f} s, median of {n} set-ups (import {import_s:.3f} once, "
@@ -131,20 +132,18 @@ def build(args, outcome: Outcome, tracer, environment: Dict[str, Any], work: Pat
     e2e = end_to_end(outcome, warnings)
     counts = dict(outcome.counts)
     if tracer is None:
-        metrics = e2e
-        units = dict(END_TO_END)
+        metrics, declared_metrics = e2e, declared("end_to_end")
     else:
         metrics, summary = layers.derive(
             tracer,
-            outcome.window,
-            [{"rid": op.rid, "kind": op.kind} for op in outcome.ops],
+            outcome.windows,
+            attempted,
             outcome.trace_counts,
             outcome.probe,
             setup,
-            late,
             span_cost_s(),
         )
-        units = dict(layers.PER_LAYER)
+        declared_metrics = declared("per_layer")
         for name, reason in sorted(tracer.missing.items()):
             warnings.append(f"MISSING wrapped name {name}: {reason}")
         print(
@@ -155,16 +154,10 @@ def build(args, outcome: Outcome, tracer, environment: Dict[str, Any], work: Pat
             f"{e2e['latency_ms_p50']:.2f} ms here with the untraced run)"
         )
         counts.update({k: metrics[k] for k in LEDGER_LAYER_COUNTS if k in metrics})
-        for name in layers.INTERLEAVING_DEPENDENT:
-            if name in metrics and workload == "service-mix":
-                print(f"note: {name} depends on how the two actors interleave")
-    if workload == "service-mix":
-        counts = {k: counts[k] for k in ("ops", "contexts_built_in_window") if k in counts}
-    warnings.extend(
-        check_ledger(work / "ledger" / f"{workload}-s{args.seed}-t{args.trace}.json", counts)
-    )
+    ledger = f"{workload}-s{args.seed}-t{args.trace}-{args.seconds:g}s-{source_digest()}.json"
+    warnings.extend(check_ledger(work / "ledger" / ledger, counts))
 
-    for name, unit in (END_TO_END if tracer is None else layers.PER_LAYER):
+    for name, unit in declared_metrics:
         if name in metrics:
             print(f"  {name:34s} {metrics[name]:14.4f} {unit}")
     for note in outcome.notes:
@@ -181,7 +174,6 @@ def build(args, outcome: Outcome, tracer, environment: Dict[str, Any], work: Pat
         "trace": args.trace,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         **environment,
-        "load_lateness_ms_p90": late,
         "setups": outcome.setups,
         "end_to_end": e2e,
         "counts": counts,
@@ -193,9 +185,7 @@ def build(args, outcome: Outcome, tracer, environment: Dict[str, Any], work: Pat
     runs = work / "runs"
     runs.mkdir(parents=True, exist_ok=True)
     stem = f"{workload}-s{args.seed}-t{args.trace}-{os.getpid()}"
-    record["ops"] = [
-        [op.kind, op.ok, _finite(1e3 * op.latency), 1e3 * op.lateness] for op in outcome.ops
-    ]
+    record["ops"] = [[op.kind, op.ok, _finite(1e3 * op.latency)] for op in outcome.ops]
     (runs / f"{stem}.json").write_text(json.dumps(record, indent=1, sort_keys=True, default=str))
     if tracer is not None:
         spans = [
@@ -209,8 +199,8 @@ def build(args, outcome: Outcome, tracer, environment: Dict[str, Any], work: Pat
         "attempted": attempted,
         "failed": failed,
         "metrics": {
-            name: {"value": _finite(metrics[name]), "unit": units[name]}
-            for name in units
+            name: {"value": _finite(metrics[name]), "unit": unit}
+            for name, unit in declared_metrics
             if name in metrics
         },
     }

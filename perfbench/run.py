@@ -3,12 +3,11 @@
 
     python3 perfbench/run.py --workload viewer --seed 1 --seconds 45 --trace 0
 
-Workloads: ``viewer`` and ``cold-start`` (the two ``BENCHMARK.json``
-lists) and ``service-mix`` (see ``workloads.py``).  ``--trace 0``
-measures the end-to-end metrics with nothing wrapped; ``--trace 1`` wraps
-each layer boundary (``layers.py``) and reports the per-layer metrics
-instead.  The program is imported from
-``src/`` of the checkout this file sits in.
+Workloads: ``viewer`` and ``cold-start`` (see ``workloads.py``).
+``--trace 0`` measures the end-to-end metrics with nothing wrapped;
+``--trace 1`` wraps each layer boundary (``layers.py``) and reports the
+per-layer metrics instead.  The program is imported from ``src/`` of the
+checkout this file sits in.
 
 Standard output ends with one JSON line::
 
@@ -17,9 +16,9 @@ Standard output ends with one JSON line::
 Lines before it give a readable summary, warnings, and a ``record:`` line
 with the fields that help tell a slow host from a slow change (host-speed
 probe before and after, CPU count, BLAS thread settings, Python and NumPy
-versions, generator lateness).  Run records, traced spans and the count
-ledger go to ``.perfbench/`` in the checkout.  The exit code is 1 when an
-output check fails, 2 when the program cannot be found.
+versions).  Run records, traced spans and the count ledger go to
+``.perfbench/`` in the checkout.  The exit code is 1 when an output check
+fails, 2 when the program cannot be found.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def main(argv: List[str]) -> int:
         tracer.install(TARGETS)
     WORK.mkdir(exist_ok=True)
     try:
-        outcome = run_workload(args.workload, args.seed, args.seconds, WORK, tracer, import_s)
+        outcome = run_workload(args.workload, args.seed, args.seconds, tracer, import_s)
     finally:
         if tracer is not None:
             tracer.uninstall()

@@ -9,7 +9,7 @@ Percentiles use the nearest-rank rule: the value at 1-based rank
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 #: Percentiles a run may report, lowest first.
 CANDIDATE_PERCENTILES = (0.5, 0.9, 0.99, 0.999)
@@ -93,14 +93,3 @@ def mode_boundary(
 def format_quantile(q: float) -> str:
     """``0.9`` -> ``"90"``, ``0.999`` -> ``"99.9"``."""
     return f"{q * 100:.10g}"
-
-
-def median(values: Sequence[float]) -> float:
-    """Median of a non-empty sequence (mean of the middle pair)."""
-    ordered: List[float] = sorted(values)
-    if not ordered:
-        raise ValueError("median of an empty sequence")
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])

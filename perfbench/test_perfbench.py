@@ -10,9 +10,10 @@ from dataclasses import asdict
 
 import pytest
 
-from perfbench import inputs
+from perfbench import inputs, layers, report
 from perfbench.stats import beyond, highest_supported, mode_boundary, percentile
 from perfbench.tracer import Span, Target, Tracer, covered, self_times
+from perfbench.workloads import Op, Outcome
 
 
 # ----------------------------------------------------------------------
@@ -113,24 +114,6 @@ def test_viewer_mix_is_the_same_for_every_seed():
     assert {pose.scene for pose, _ in frames} == set(inputs.VIEWER_SCENES)
 
 
-def test_service_mix_schedule_is_byte_identical_per_seed():
-    first = _dump([asdict(a) for a in inputs.service_mix_schedule(5, 5, 20.0)])
-    again = _dump([asdict(a) for a in inputs.service_mix_schedule(5, 5, 20.0)])
-    other = _dump([asdict(a) for a in inputs.service_mix_schedule(6, 5, 20.0)])
-    assert first == again
-    assert first != other
-
-
-def test_service_mix_schedule_shape():
-    arrivals = inputs.service_mix_schedule(5, 5, 20.0)
-    assert len(arrivals) == 5 * inputs.MIX_BLOCK_SIZE
-    dues = [a.due_s for a in arrivals]
-    assert dues == sorted(dues) and 0.0 <= dues[0] and dues[-1] < 20.0
-    new = [a for a in arrivals if a.kind == "trajectory" and "poses" in a.params]
-    assert len(new) == len(arrivals) // 5
-    assert sum(a.client for a in arrivals) == len(arrivals) // 2
-
-
 def test_cold_start_order_covers_every_key():
     keys = inputs.cold_start_keys(11)
     assert len(keys) == 18 == len(set(keys))
@@ -203,3 +186,55 @@ def test_tracer_wraps_by_value_imports_and_methods(fake_package):
     assert "build" in vars(lib.Grid) and isinstance(vars(lib.Grid)["build"], classmethod)
     user.call(1)
     assert len(tracer.spans) == 4
+
+
+# ----------------------------------------------------------------------
+# metrics against BENCHMARK.json
+# ----------------------------------------------------------------------
+def _names(section):
+    return [name for name, _ in report.declared(section)]
+
+
+def test_end_to_end_metrics_are_the_declared_ones():
+    outcome = Outcome(
+        ops=[Op("render", float(i), float(i) + 0.5, True) for i in range(4)],
+        windows=[(0.0, 1.5), (2.0, 3.5)],
+        setups=[{"import_s": 0.5, "boot_s": 0.1, "warm_s": 1.0}],
+        peak_rss_mb=100.0,
+    )
+    metrics = report.end_to_end(outcome, [])
+    assert sorted(metrics) == sorted(_names("end_to_end"))
+    # Four ops over two 1.5-s windows; the gap between them does not count.
+    assert metrics["throughput_per_s"] == pytest.approx(4 / 3.0)
+    assert metrics["setup_s"] == pytest.approx(1.6)
+
+
+def test_derive_gives_the_declared_per_layer_metrics_inside_the_windows():
+    tracer = Tracer()
+    tracer.spans = [
+        _span(1, "op", 0.0, 1.0),
+        _span(2, "engine.blend", 0.2, 0.6, parent=1),
+        _span(3, "op", 2.0, 3.0),
+        _span(4, "engine.blend", 2.1, 2.3, parent=3),
+        # Between the windows (a daemon booting for the next pass).
+        _span(5, "engine.blend", 1.2, 1.9),
+    ]
+    probe = {"renderer_hits": 1, "renderer_misses": 1}
+    setup = {"import_s": 0.5, "boot_s": 0.1, "warm_s": 1.0}
+    metrics, summary = layers.derive(tracer, [(0.0, 1.0), (2.0, 3.0)], 2, {}, probe, setup, 0.0)
+    assert sorted(metrics) == sorted(_names("per_layer"))
+    assert metrics["engine.blend_ms"] == pytest.approx(300.0)
+    assert metrics["engine.renderer_hit_ratio"] == 0.5
+    assert summary["coverage"] == pytest.approx(0.3)
+
+
+def test_source_digest_follows_the_python_sources(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    module = tmp_path / "src" / "mod.py"
+    module.write_text("x = 1\n")
+    first = report.source_digest(tmp_path)
+    (tmp_path / "src" / "notes.txt").write_text("not code")
+    assert report.source_digest(tmp_path) == first
+    module.write_text("x = 2\n")
+    assert report.source_digest(tmp_path) != first

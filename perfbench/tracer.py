@@ -2,9 +2,9 @@
 
 The traced run wraps the functions at each layer boundary (see
 ``layers.py``); every call becomes a :class:`Span` with a name, start and
-end on the tracer's own clock, the span that caused it (the enclosing
-span on the same thread) and, for service spans, the request id.  Spans
-stay in memory and are written out when the run ends.
+end on ``time.perf_counter``, the span that caused it (the enclosing span
+on the same thread) and, for service spans, the request id.  Spans stay
+in memory and are written out when the run ends.
 
 A function is wrapped at every name its callers look it up by: a module
 that imported it by value holds its own binding, so the tracer replaces
@@ -72,12 +72,7 @@ class Tracer:
     """Records spans of wrapped calls; ``packages`` are the module trees
     whose by-value bindings of a wrapped function are replaced too."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        packages: Sequence[str] = ("repro",),
-    ) -> None:
-        self.clock = clock
+    def __init__(self, packages: Sequence[str] = ("repro",)) -> None:
         self.packages = tuple(packages)
         self.spans: List[Span] = []
         self.counts: Counter = Counter()
@@ -95,33 +90,11 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def note_rid(self, rid: Optional[str]) -> None:
-        """Remember the request id this thread just sent (see :meth:`record`)."""
-        self._local.rid = rid
-
-    def record(self, name: str, fn: Callable[[], Any]) -> Any:
-        """Run ``fn()`` inside a span named ``name``.
-
-        The span takes the last request id its thread noted while inside
-        it, so a client-side op span carries the id of the request it sent.
-        """
-        stack = self._stack()
-        sid = next(self._ids)
-        parent = stack[-1] if stack else 0
-        stack.append(sid)
-        self._local.rid = None
-        start = self.clock()
-        try:
-            return fn()
-        finally:
-            end = self.clock()
-            stack.pop()
-            self.spans.append(
-                Span(sid, name, start, end, parent, threading.get_ident(), self._local.rid)
-            )
-
     def wrap(self, fn: Callable, target: Target) -> Callable:
-        """``fn`` recording a span named ``target.span`` on every call."""
+        """``fn`` recording a span named ``target.span`` on every call.
+
+        The span's request id is what ``target.hook`` returns for the call.
+        """
         tracer, name, hook = self, target.span, target.hook
 
         @functools.wraps(fn)
@@ -135,13 +108,13 @@ class Tracer:
             sid = next(tracer._ids)
             parent = stack[-1] if stack else 0
             stack.append(sid)
-            start = tracer.clock()
+            start = time.perf_counter()
             result = None
             try:
                 result = fn(*args, **kwargs)
                 return result
             finally:
-                end = tracer.clock()
+                end = time.perf_counter()
                 stack.pop()
                 rid = hook(tracer, args, kwargs, result) if hook is not None else None
                 tracer.spans.append(

@@ -1,40 +1,31 @@
-"""The three workloads: set-up, timed window and output checks.
+"""The two workloads: set-up, timed windows and output checks.
 
 * ``viewer`` — in-process closed loop of single-frame
   ``Session.render(scene, camera)`` calls over seeded camera paths of
   ``train`` and ``lego`` at full simulated resolution;
 * ``cold-start`` — closed loop over one connection to an embedded daemon,
-  one ``render`` request per (scene, algorithm) key, every key new;
-* ``service-mix`` — open loop over two connections with seeded Poisson
-  arrivals of warm renders, points, sweeps and trajectories.  Runnable by
-  name but not listed in ``BENCHMARK.json``: on a 2-CPU host whose speed
-  shifts between stretches, its p50 and p90 spread by 35-55% across
-  seeds, because render threads amplify every slowdown for the small
-  requests beside them.
+  one ``render`` request per (scene, algorithm) key, every key new.
 
-Every run does a fixed amount of work (``viewer`` and ``service-mix``
-sized from ``--seconds`` by a nominal per-op cost, ``cold-start`` always
-all 18 keys), so two runs of one seed do the same thing however fast the
-host is at the moment.  ``repro`` is imported
-inside the functions here (NumPy too): ``run.py`` times that import as
-set-up.
+Every run does a fixed amount of work sized from ``--seconds`` by a
+nominal cost (``viewer``: frames; ``cold-start``: passes over all 18
+keys, each on a freshly booted daemon), so two runs of one seed do the
+same thing however fast the host is at the moment.  ``repro`` is
+imported inside the functions here (NumPy too): ``run.py`` times that
+import as set-up.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
-import os
-import shutil
-import threading
+import statistics
 import time
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from perfbench import inputs
-from perfbench.layers import OP_SPAN
-from perfbench.stats import median
+from perfbench.layers import OP_TARGET
 from perfbench.tracer import Tracer
 
 clock = time.perf_counter
@@ -48,37 +39,36 @@ IMAGE_ATOL = 1e-9
 
 @dataclass
 class Op:
-    """One timed op: from when it was due (or issued) to its response."""
+    """One timed op, from its call to its response."""
 
     kind: str
-    due: float
+    start: float
     end: float
     ok: bool
-    rid: Optional[str] = None
-    #: How late the load generator issued the op (open loop only).
-    lateness: float = 0.0
 
     @property
     def latency(self) -> float:
-        return self.end - self.due if self.ok else math.inf
+        return self.end - self.start if self.ok else math.inf
 
 
 @dataclass
 class Outcome:
     """Everything a workload reports back to ``run.py``."""
 
-    ops: List[Op]
-    window: Tuple[float, float]
+    ops: List[Op] = field(default_factory=list)
+    #: ``(start, end)`` of each timed window (one per pass).
+    windows: List[Tuple[float, float]] = field(default_factory=list)
     #: Set-up samples: dicts of ``import_s``, ``boot_s``, ``warm_s``.
-    setups: List[Dict[str, float]]
-    peak_rss_mb: float
+    setups: List[Dict[str, float]] = field(default_factory=list)
+    peak_rss_mb: float = 0.0
     #: Output-check failures (empty when every output matched).
     failures: List[str] = field(default_factory=list)
     #: Counts that must repeat exactly for a seed, for the drift ledger.
     counts: Dict[str, Any] = field(default_factory=dict)
-    #: The program's own counters over the window (and gauges at its end).
+    #: The program's own counters summed over the windows (and gauges at
+    #: the end of the last one).
     probe: Dict[str, float] = field(default_factory=dict)
-    #: Hook counters gathered inside the window (traced run only).
+    #: Hook counters gathered inside the windows (traced run only).
     trace_counts: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
@@ -109,7 +99,7 @@ def _timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
 
 
 def _op_call(tracer: Optional[Tracer], fn: Callable[[], Any]) -> Any:
-    return tracer.record(OP_SPAN, fn) if tracer is not None else fn()
+    return tracer.wrap(fn, OP_TARGET)() if tracer is not None else fn()
 
 
 def stats_mismatch(a: Any, b: Any) -> Optional[str]:
@@ -140,8 +130,9 @@ VIEWER_FRAME_S = 0.3
 class Viewer:
     name = "viewer"
     imports = ("repro",)
+    passes = 1
 
-    def __init__(self, seed: int, seconds: float, work: Path) -> None:
+    def __init__(self, seed: int, seconds: float) -> None:
         from repro import StreamingConfig
 
         self.seed = seed
@@ -224,321 +215,170 @@ class Viewer:
 
 
 # ----------------------------------------------------------------------
-# daemon workloads
+# cold-start
 # ----------------------------------------------------------------------
-def _daemon_probe(daemon) -> Dict[str, float]:
-    engine = daemon.service.stats()
-    sessions = [actor.session for actor in daemon.actors if actor.session is not None]
-    return {
-        "renderer_hits": engine["renderer_hits"],
-        "renderer_misses": engine["renderer_misses"],
-        "renderers_alive": engine["renderers_alive"],
-        "contexts_alive": sum(s.stats()["contexts_alive"] for s in sessions),
-        "contexts_built": sum(s.context_misses for s in sessions),
-        "rejected": daemon.metrics["rejected"] + daemon.metrics["breaker_rejected"],
-        "degraded": daemon.metrics["degraded"],
-        "retried": daemon.supervisor.retried,
-    }
-
-
-def _boot(config_kwargs: Dict[str, Any], clients: int):
-    from repro.service import ServiceClient, ServiceConfig, ServiceDaemon
-
-    def boot():
-        handle = ServiceDaemon(ServiceConfig(port=0, **config_kwargs)).start_in_thread()
-        conns = [
-            ServiceClient.connect(handle.address, client=f"client-{i}", timeout=300.0)
-            for i in range(clients)
-        ]
-        for conn in conns:
-            conn.ping()
-        return handle, conns
-
-    return _timed(boot)
-
-
-def _shutdown(handle, conns) -> None:
-    for conn in conns:
-        conn.close()
-    handle.stop(drain=True)
-    handle.join(timeout=60.0)
-
-
-def _compare_render(result: Dict[str, Any], context, label: str, outcome: Outcome) -> None:
-    expected = {
-        "baseline_psnr": float(context.baseline_psnr),
-        "streaming_psnr": float(context.streaming_psnr),
-        "image_sha256": image_sha(context.streaming_output.image),
-        "width": int(context.streaming_output.image.shape[1]),
-        "height": int(context.streaming_output.image.shape[0]),
-    }
-    for key, value in expected.items():
-        if result.get(key) != value:
-            outcome.failures.append(f"{label}: {key} {result.get(key)!r} != in-process {value!r}")
-
-
 #: Resolution scale of the cold-start renders.
 COLD_SCALE = 0.5
+#: Nominal seconds of one pass over the 18 keys (sizes the run from
+#: ``--seconds``).
+COLD_PASS_S = 28.0
 
 
 class ColdStart:
+    """Passes over every key, each on a daemon booted for it.
+
+    A daemon owns its render service and its actors' sessions, and the
+    program keeps no process-wide cache, so every pass builds every scene
+    context, renderer and codebook again.
+    """
+
     name = "cold-start"
     imports = ("repro", "repro.service")
 
-    def __init__(self, seed: int, seconds: float, work: Path) -> None:
+    def __init__(self, seed: int, seconds: float) -> None:
         self.seed = seed
         self.keys = inputs.cold_start_keys(seed)
+        self.passes = max(1, round(seconds / COLD_PASS_S))
+        self.results: Dict[Tuple[str, str], Dict[str, Any]] = {}
 
     def setup(self):
         """Daemon boot with default ``ServiceConfig``, one connection."""
-        (handle, conns), boot_s = _boot({}, 1)
-        return (handle, conns), {"boot_s": boot_s, "warm_s": 0.0}
+        from repro.service import ServiceClient, ServiceConfig, ServiceDaemon
+
+        def boot():
+            handle = ServiceDaemon(ServiceConfig(port=0)).start_in_thread()
+            conn = ServiceClient.connect(handle.address, client="client-0", timeout=300.0)
+            conn.ping()
+            return handle, conn
+
+        state, boot_s = _timed(boot)
+        return state, {"boot_s": boot_s, "warm_s": 0.0}
 
     def teardown(self, state) -> None:
-        _shutdown(*state)
+        handle, conn = state
+        conn.close()
+        handle.stop(drain=True)
+        handle.join(timeout=60.0)
 
     def probe(self, state) -> Dict[str, float]:
-        return _daemon_probe(state[0].daemon)
+        daemon = state[0].daemon
+        engine = daemon.service.stats()
+        sessions = [actor.session for actor in daemon.actors if actor.session is not None]
+        return {
+            "renderer_hits": engine["renderer_hits"],
+            "renderer_misses": engine["renderer_misses"],
+            "renderers_alive": engine["renderers_alive"],
+            "contexts_alive": sum(s.stats()["contexts_alive"] for s in sessions),
+            "contexts_built": sum(s.context_misses for s in sessions),
+            "rejected": daemon.metrics["rejected"] + daemon.metrics["breaker_rejected"],
+            "degraded": daemon.metrics["degraded"],
+            "retried": daemon.supervisor.retried,
+        }
 
     def window(self, state, tracer: Optional[Tracer], outcome: Outcome) -> None:
-        (conn,) = state[1]
-        self.results = []
-        for scene, algorithm in self.keys:
+        _, conn = state
+        for key in self.keys:
+            scene, algorithm = key
             start = clock()
             response = _op_call(
                 tracer, lambda: conn.render(scene, algorithm=algorithm, resolution_scale=COLD_SCALE)
             )
             end = clock()
-            outcome.ops.append(Op("render", start, end, response.ok, response.id))
+            outcome.ops.append(Op("render", start, end, response.ok))
             if not response.ok:
                 outcome.failures.append(f"render {scene}/{algorithm}: [{response.code}] {response.error}")
-            self.results.append(response.result if response.ok else None)
+                continue
+            # Everything but the telemetry (which holds timings) must
+            # repeat exactly on every pass.
+            result = {k: v for k, v in response.result.items() if k != "telemetry"}
+            if self.results.setdefault(key, result) != result:
+                outcome.failures.append(f"render {scene}/{algorithm}: result differs between passes")
         outcome.counts["images"] = {
-            f"{scene}/{algorithm}": (result or {}).get("image_sha256")
-            for (scene, algorithm), result in zip(self.keys, self.results)
+            f"{scene}/{algorithm}": result.get("image_sha256")
+            for (scene, algorithm), result in sorted(self.results.items())
         }
 
     def check(self, state, outcome: Outcome) -> None:
+        """One seeded key's result against an in-process evaluation."""
         from repro import Session
 
-        index = inputs.check_index(self.seed, self.name, len(self.keys))
-        scene, algorithm = self.keys[index]
-        result = self.results[index]
-        if result is None:
-            return
+        key = self.keys[inputs.check_index(self.seed, self.name, len(self.keys))]
+        scene, algorithm = key
+        result = self.results[key]
         with Session() as session:
             context = session.context(scene, algorithm=algorithm, resolution_scale=COLD_SCALE)
-            _compare_render(result, context, f"render {scene}/{algorithm}", outcome)
+        expected = {
+            "baseline_psnr": float(context.baseline_psnr),
+            "streaming_psnr": float(context.streaming_psnr),
+            "image_sha256": image_sha(context.streaming_output.image),
+            "width": int(context.streaming_output.image.shape[1]),
+            "height": int(context.streaming_output.image.shape[0]),
+        }
+        for name, value in expected.items():
+            if result.get(name) != value:
+                outcome.failures.append(
+                    f"render {scene}/{algorithm}: {name} {result.get(name)!r} != in-process {value!r}"
+                )
         outcome.notes.append(f"in-process check of render {scene}/{algorithm}")
 
 
-#: Offered rate of the service mix (requests per second).
-MIX_RATE = 4.0
-#: Lateness p90 beyond which the open-loop generator was not keeping time.
-MAX_LATENESS_P90_S = 0.02
+WORKLOADS = {cls.name: cls for cls in (Viewer, ColdStart)}
 
-
-class ServiceMix:
-    name = "service-mix"
-    imports = ("repro", "repro.service")
-
-    def __init__(self, seed: int, seconds: float, work: Path) -> None:
-        self.seed = seed
-        self.work = work
-        blocks = math.ceil(max(100, MIX_RATE * seconds) / inputs.MIX_BLOCK_SIZE)
-        count = blocks * inputs.MIX_BLOCK_SIZE
-        self.arrivals = inputs.service_mix_schedule(seed, blocks, count / MIX_RATE)
-        self.warm_specs = [
-            self._trajectory_spec(scene, poses) for scene, poses in inputs.mix_warm_trajectories(seed)
-        ]
-        self.payloads = [self._payload(a) for a in self.arrivals]
-        self._stores = 0
-
-    # -- payloads ------------------------------------------------------
-    @staticmethod
-    def _trajectory_spec(scene: str, poses: List[Dict[str, Any]]) -> Dict[str, Any]:
-        from repro.api.spec import TrajectorySpec
-
-        cameras = [_camera(inputs.Pose(**pose)) for pose in poses]
-        return TrajectorySpec(scene=scene, path=cameras).to_dict()
-
-    def _payload(self, arrival: inputs.Arrival) -> Dict[str, Any]:
-        base = {
-            "scene": arrival.scene,
-            "algorithm": arrival.algorithm,
-            "resolution_scale": inputs.MIX_SCALE,
-        }
-        params = arrival.params
-        if arrival.kind == "render":
-            return base
-        if arrival.kind == "point":
-            return {"spec": dict(base, arch_options=params["arch_options"])}
-        if arrival.kind == "sweep":
-            return {"base": dict(base, arch_options=params["arch_options"]), "grid": params["grid"]}
-        if "repeat" in params:
-            return {"spec": self.warm_specs[params["repeat"]]}
-        return {"spec": self._trajectory_spec(arrival.scene, params["poses"])}
-
-    # -- set-up --------------------------------------------------------
-    def setup(self):
-        """Daemon with a fresh store; every key warmed on both actors."""
-        self._stores += 1
-        store = self.work / f"store-{os.getpid()}-{self._stores}"
-        (handle, conns), boot_s = _boot({"cache_dir": str(store)}, 2)
-        state = (handle, conns, store)
-        _, warm_s = _timed(lambda: self._warm(handle.daemon, conns[0]))
-        return state, {"boot_s": boot_s, "warm_s": warm_s}
-
-    def _warm(self, daemon, conn) -> None:
-        # The dispatcher hands sequential requests to the two actors in
-        # turn, so sending each request twice warms it on both.
-        def both(kind: str, payload: Dict[str, Any]) -> None:
-            for _ in range(2):
-                response = conn.submit(kind, payload)
-                if not response.ok:
-                    raise RuntimeError(f"warm-up {kind} failed: [{response.code}] {response.error}")
-
-        for scene, algorithm in inputs.MIX_CONTEXTS:
-            both("render", {"scene": scene, "algorithm": algorithm, "resolution_scale": inputs.MIX_SCALE})
-        for spec in self.warm_specs:
-            response = conn.submit("trajectory", {"spec": spec})
-            if not response.ok:
-                raise RuntimeError(f"warm-up trajectory failed: {response.error}")
-        scene, algorithm = inputs.MIX_CONTEXTS[0]
-        base = {"scene": scene, "algorithm": algorithm, "resolution_scale": inputs.MIX_SCALE}
-        both("point", {"spec": base})
-        both("sweep", {"base": base, "grid": {"num_hfu": [2, 4]}})
-        missing = [
-            actor.name
-            for actor in daemon.actors
-            if actor.session is None
-            or actor.session.stats()["contexts_alive"] < len(inputs.MIX_CONTEXTS)
-        ]
-        if missing:
-            raise RuntimeError(f"warm-up left actors without every context: {missing}")
-
-    def teardown(self, state) -> None:
-        handle, conns, store = state
-        _shutdown(handle, conns)
-        shutil.rmtree(store, ignore_errors=True)
-
-    def probe(self, state) -> Dict[str, float]:
-        return _daemon_probe(state[0].daemon)
-
-    # -- window --------------------------------------------------------
-    def window(self, state, tracer: Optional[Tracer], outcome: Outcome) -> None:
-        _, conns, _ = state
-        start_at = clock() + 0.05
-        per_client: List[List[Op]] = [[], []]
-        self.responses: Dict[int, Any] = {}
-        errors: List[BaseException] = []
-
-        def drive(client: int) -> None:
-            conn, ops = conns[client], per_client[client]
-            ready = start_at
-            try:
-                for index, arrival in enumerate(self.arrivals):
-                    if arrival.client != client:
-                        continue
-                    due = start_at + arrival.due_s
-                    pause = due - clock()
-                    if pause > 0:
-                        time.sleep(pause)
-                    sent = clock()
-                    kind = arrival.kind
-                    payload = self.payloads[index]
-                    response = _op_call(tracer, lambda: conn.submit(kind, payload))
-                    end = clock()
-                    # Lateness: how long after the op could have gone out
-                    # (due, and the connection free) it actually did.
-                    ops.append(Op(kind, due, end, response.ok, response.id, sent - max(due, ready)))
-                    ready = end
-                    self.responses[index] = response
-            except BaseException as error:  # reported below; never lost
-                errors.append(error)
-
-        threads = [threading.Thread(target=drive, args=(c,), name=f"load-{c}") for c in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=600.0)
-        if errors:
-            raise errors[0]
-        outcome.ops.extend(sorted(per_client[0] + per_client[1], key=lambda op: op.due))
-        for index, response in sorted(self.responses.items()):
-            if not response.ok:
-                arrival = self.arrivals[index]
-                outcome.failures.append(f"{arrival.kind} #{index}: [{response.code}] {response.error}")
-
-    def check(self, state, outcome: Outcome) -> None:
-        from repro import Session
-        from repro.api.spec import ExperimentSpec
-
-        def pick(kind: str) -> Optional[int]:
-            indices = [i for i, a in enumerate(self.arrivals) if a.kind == kind and self.responses[i].ok]
-            return indices[inputs.check_index(self.seed, f"{self.name}-{kind}", len(indices))] if indices else None
-
-        render, point = pick("render"), pick("point")
-        with Session() as session:
-            if render is not None:
-                arrival = self.arrivals[render]
-                context = session.context(
-                    arrival.scene, algorithm=arrival.algorithm, resolution_scale=inputs.MIX_SCALE
-                )
-                _compare_render(self.responses[render].result, context, f"render #{render}", outcome)
-            if point is not None:
-                spec = ExperimentSpec.from_dict(self.payloads[point]["spec"])
-                expected = session.run(spec).metrics
-                got = self.responses[point].result["metrics"]
-                if got != expected:
-                    outcome.failures.append(f"point #{point}: metrics differ from in-process run")
-        outcome.notes.append(f"in-process check of render #{render} and point #{point}")
-
-
-WORKLOADS = {cls.name: cls for cls in (Viewer, ColdStart, ServiceMix)}
+#: Probe keys that are gauges (read at the end of the last window); the
+#: rest are counters, summed over the windows.
+GAUGES = ("renderers_alive", "contexts_alive")
 
 
 def run_workload(
-    name: str,
-    seed: int,
-    seconds: float,
-    work: Path,
-    tracer: Optional[Tracer],
-    import_s: float,
+    name: str, seed: int, seconds: float, tracer: Optional[Tracer], import_s: float
 ) -> Outcome:
-    """Set up (``SETUP_REPEATS`` times), run the timed window, check outputs."""
-    workload = WORKLOADS[name](seed, seconds, work)
-    setups: List[Dict[str, float]] = []
-    # Extra set-ups first, each torn down; the last one serves the window.
-    state = None
-    for _ in range(SETUP_REPEATS):
-        if state is not None:
-            workload.teardown(state)
+    """Set up, run each pass's timed window, check outputs.
+
+    Every pass gets its own set-up; extra set-ups, each torn down at once,
+    bring the set-up samples to at least ``SETUP_REPEATS``.  The outputs
+    are checked after the last window, before its state is torn down.
+    """
+    workload = WORKLOADS[name](seed, seconds)
+    outcome = Outcome()
+
+    def setup():
         state, timings = workload.setup()
-        setups.append(dict(timings, import_s=import_s))
-    outcome = Outcome(ops=[], window=(0.0, 0.0), setups=setups, peak_rss_mb=0.0)
-    try:
-        before = workload.probe(state)
-        counts_before = dict(tracer.counts) if tracer is not None else {}
-        workload.window(state, tracer, outcome)
-        outcome.peak_rss_mb = peak_rss_mb()
-        after = workload.probe(state)
-        if tracer is not None:
-            outcome.trace_counts = {
-                key: value - counts_before.get(key, 0) for key, value in tracer.counts.items()
-            }
-        outcome.window = (outcome.ops[0].due, max(op.end for op in outcome.ops))
-        gauges = ("renderers_alive", "contexts_alive")
-        outcome.probe = {
-            key: after[key] if key in gauges else after[key] - before.get(key, 0) for key in after
-        }
-        outcome.counts["renderer_builds"] = after["renderer_misses"]
-        outcome.counts["contexts_built_in_window"] = outcome.probe["contexts_built"]
-        outcome.counts["ops"] = len(outcome.ops)
-        if not outcome.failures:
-            workload.check(state, outcome)
-    finally:
+        outcome.setups.append(dict(timings, import_s=import_s))
+        return state
+
+    def teardown(state) -> None:
         workload.teardown(state)
+        gc.collect()
+
+    for _ in range(SETUP_REPEATS - workload.passes):
+        teardown(setup())
+    for index in range(workload.passes):
+        state = setup()
+        try:
+            before = workload.probe(state)
+            counts_before = dict(tracer.counts) if tracer is not None else {}
+            first = len(outcome.ops)
+            workload.window(state, tracer, outcome)
+            outcome.windows.append((outcome.ops[first].start, outcome.ops[-1].end))
+            after = workload.probe(state)
+            for key, value in after.items():
+                if key in GAUGES:
+                    outcome.probe[key] = value
+                else:
+                    outcome.probe[key] = outcome.probe.get(key, 0) + value - before[key]
+            if tracer is not None:
+                for key, value in tracer.counts.items():
+                    delta = value - counts_before.get(key, 0)
+                    outcome.trace_counts[key] = outcome.trace_counts.get(key, 0) + delta
+            if index == workload.passes - 1:
+                outcome.peak_rss_mb = peak_rss_mb()
+                if not outcome.failures:
+                    workload.check(state, outcome)
+        finally:
+            teardown(state)
+    outcome.counts["renderer_builds"] = outcome.probe["renderer_misses"]
+    outcome.counts["contexts_built_in_window"] = outcome.probe["contexts_built"]
+    outcome.counts["ops"] = len(outcome.ops)
     return outcome
 
 
@@ -546,8 +386,8 @@ def setup_summary(setups: Sequence[Dict[str, float]]) -> Dict[str, float]:
     """Median set-up time and its parts over the repeated set-ups."""
     totals = [s["import_s"] + s["boot_s"] + s["warm_s"] for s in setups]
     return {
-        "setup_s": median(totals),
-        "import_s": median([s["import_s"] for s in setups]),
-        "boot_s": median([s["boot_s"] for s in setups]),
-        "warm_s": median([s["warm_s"] for s in setups]),
+        "setup_s": statistics.median(totals),
+        "import_s": statistics.median([s["import_s"] for s in setups]),
+        "boot_s": statistics.median([s["boot_s"] for s in setups]),
+        "warm_s": statistics.median([s["warm_s"] for s in setups]),
     }
