@@ -34,7 +34,6 @@ def _frame_counts(tracer: Tracer, args, kwargs, output) -> None:
     if output is None:
         return
     stats, counts = output.stats, tracer.counts
-    counts["frames"] += 1
     counts["gaussians_streamed"] += stats.gaussians_streamed
     counts["fragments_blended"] += stats.blended_fragments
     counts["dram_bytes_modelled"] += stats.traffic.total_bytes
