@@ -2,7 +2,7 @@
 
 Run one workload in a fresh process::
 
-    python3 perfbench/run.py --workload viewer --seed 1 --seconds 45 --trace 0
+    python3 perfbench/run.py --workload viewer --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` wraps the
 public functions at each layer boundary and prints the per-layer metrics.

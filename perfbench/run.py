@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one benchmark workload in this process and print its metrics.
 
-    python3 perfbench/run.py --workload viewer --seed 1 --seconds 45 --trace 0
+    python3 perfbench/run.py --workload viewer --seed 1 --seconds 30 --trace 0
 
 Workloads: ``viewer`` and ``cold-start`` (see ``workloads.py``).
 ``--trace 0`` measures the end-to-end metrics with nothing wrapped;

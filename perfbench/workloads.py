@@ -7,9 +7,9 @@
   one ``render`` request per (scene, algorithm) key, every key new.
 
 Every run does a fixed amount of work sized from ``--seconds`` by a
-nominal cost (``viewer``: frames; ``cold-start``: passes over all 18
-keys, each on a freshly booted daemon), so two runs of one seed do the
-same thing however fast the host is at the moment.  ``repro`` is
+nominal cost (``viewer``: frames; ``cold-start``: at least two passes
+over all 18 keys, each on a freshly booted daemon), so two runs of one
+seed do the same thing however fast the host is at the moment.  ``repro`` is
 imported inside the functions here (NumPy too): ``run.py`` times that
 import as set-up.
 """
@@ -222,6 +222,9 @@ COLD_SCALE = 0.5
 #: Nominal seconds of one pass over the 18 keys (sizes the run from
 #: ``--seconds``).
 COLD_PASS_S = 28.0
+#: Passes a run makes at least: a pass cannot be cut short, and every
+#: key's result is compared across passes.
+COLD_MIN_PASSES = 2
 
 
 class ColdStart:
@@ -238,7 +241,7 @@ class ColdStart:
     def __init__(self, seed: int, seconds: float) -> None:
         self.seed = seed
         self.keys = inputs.cold_start_keys(seed)
-        self.passes = max(1, round(seconds / COLD_PASS_S))
+        self.passes = max(COLD_MIN_PASSES, round(seconds / COLD_PASS_S))
         self.results: Dict[Tuple[str, str], Dict[str, Any]] = {}
 
     def setup(self):
