@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.kmeans import kmeans
+from repro.compression.kmeans import kmeans, nearest_centroids
 
 
 @dataclass(frozen=True)
@@ -82,18 +82,7 @@ class Codebook:
                 f"expected vectors of shape (n, {self.spec.vector_dim}), "
                 f"got {vectors.shape}"
             )
-        cent_sq = np.sum(self.centroids * self.centroids, axis=1)
-        indices = np.empty(len(vectors), dtype=np.int64)
-        chunk = 8192
-        for start in range(0, len(vectors), chunk):
-            block = vectors[start : start + chunk]
-            d2 = (
-                np.sum(block * block, axis=1)[:, None]
-                - 2.0 * block @ self.centroids.T
-                + cent_sq[None, :]
-            )
-            indices[start : start + chunk] = np.argmin(d2, axis=1)
-        return indices
+        return nearest_centroids(vectors, self.centroids)[0]
 
     def decode(self, indices: np.ndarray) -> np.ndarray:
         """Centroid vectors for the given indices."""

@@ -17,6 +17,16 @@ from repro.core.voxel_grid import VoxelGrid
 from repro.gaussians.camera import Camera
 
 
+def _reciprocal(direction: np.ndarray) -> np.ndarray:
+    """``1 / direction`` per component, ``inf`` for axis-parallel ones.
+
+    Only the non-parallel components are divided, so no divide-by-zero
+    warning is raised.
+    """
+    parallel = np.abs(direction) < 1e-12
+    return np.divide(1.0, direction, out=np.full(direction.shape, np.inf), where=~parallel)
+
+
 def _ray_box_intersection(
     origin: np.ndarray, direction: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> Tuple[float, float]:
@@ -25,7 +35,7 @@ def _ray_box_intersection(
     Returns ``(t_enter, t_exit)``; the ray misses the box when
     ``t_enter > t_exit`` or ``t_exit < 0``.
     """
-    inv = np.where(np.abs(direction) < 1e-12, np.inf, 1.0 / direction)
+    inv = _reciprocal(direction)
     t0 = (lo - origin) * inv
     t1 = (hi - origin) * inv
     t_near = np.minimum(t0, t1)
@@ -78,8 +88,7 @@ def traverse_ray(
     coords = np.clip(coords, 0, grid.dims - 1)
 
     step = np.where(direction > 0, 1, np.where(direction < 0, -1, 0)).astype(np.int64)
-    with np.errstate(divide="ignore"):
-        inv_dir = np.where(np.abs(direction) < 1e-12, np.inf, 1.0 / direction)
+    inv_dir = _reciprocal(direction)
     next_boundary = grid_lo + (coords + (step > 0)) * grid.voxel_size
     t_max = np.where(
         step == 0, np.inf, (next_boundary - origin) * inv_dir
@@ -135,7 +144,7 @@ def traverse_rays(
 
     grid_lo = grid.origin
     grid_hi = grid.origin + grid.dims * grid.voxel_size
-    inv = np.where(np.abs(directions) < 1e-12, np.inf, 1.0 / directions)
+    inv = _reciprocal(directions)
     t0 = (grid_lo[None, :] - origins) * inv
     t1 = (grid_hi[None, :] - origins) * inv
     t_enter = np.max(np.minimum(t0, t1), axis=1)

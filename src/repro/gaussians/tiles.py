@@ -130,26 +130,35 @@ def bin_gaussians_to_tiles(
 
     Only Gaussians with ``projected.valid`` set participate.  This mirrors
     the duplication step of the reference tile-centric pipeline; the
-    resulting duplicate count feeds the sorting-traffic model.
+    resulting duplicate count feeds the sorting-traffic model.  Tiles appear
+    in the order the (Gaussian, tile row, tile column) walk first reaches
+    them, and each tile's Gaussian ids ascend, because callers accumulate
+    across tiles in that order.
     """
     valid_idx = np.flatnonzero(projected.valid)
-    tile_lists: Dict[int, List[int]] = {}
-    num_duplicates = 0
     if len(valid_idx) == 0:
         return TileBinning(tile_lists={}, num_duplicates=0)
-    ranges = grid.gaussian_tile_range(
+    tx_min, ty_min, tx_max, ty_max = grid.gaussian_tile_range(
         projected.means2d[valid_idx], projected.radii[valid_idx]
+    ).T
+    overlaps = (tx_max >= tx_min) & (ty_max >= ty_min)
+    gids = valid_idx[overlaps]
+    tx_min, ty_min = tx_min[overlaps], ty_min[overlaps]
+    span_x = tx_max[overlaps] - tx_min + 1
+    counts = span_x * (ty_max[overlaps] - ty_min + 1)
+    num_duplicates = int(counts.sum())
+    # One entry per (Gaussian, tile) pair, in (Gaussian, row, column) order.
+    owner = np.repeat(np.arange(len(gids)), counts)
+    offset = np.arange(num_duplicates) - np.repeat(np.cumsum(counts) - counts, counts)
+    tile_ids = (ty_min[owner] + offset // span_x[owner]) * grid.tiles_x + (
+        tx_min[owner] + offset % span_x[owner]
     )
-    for local, gid in enumerate(valid_idx):
-        tx_min, ty_min, tx_max, ty_max = ranges[local]
-        if tx_max < tx_min or ty_max < ty_min:
-            continue
-        for ty in range(ty_min, ty_max + 1):
-            for tx in range(tx_min, tx_max + 1):
-                tid = grid.tile_id(tx, ty)
-                tile_lists.setdefault(tid, []).append(int(gid))
-                num_duplicates += 1
+    order = np.argsort(tile_ids, kind="stable")
+    tiles, first_seen, sizes = np.unique(
+        tile_ids, return_index=True, return_counts=True
+    )
+    members = np.split(gids[owner[order]], np.cumsum(sizes)[:-1])
     return TileBinning(
-        tile_lists={tid: np.asarray(lst, dtype=np.int64) for tid, lst in tile_lists.items()},
+        tile_lists={int(tiles[i]): members[i] for i in np.argsort(first_seen)},
         num_duplicates=num_duplicates,
     )
