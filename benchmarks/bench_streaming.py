@@ -2,7 +2,7 @@
 """Streaming render-path micro-benchmark.
 
 Times the memory-centric streaming render of a seeded synthetic scene under
-the voxel-at-a-time reference loop and the batched/vectorized fast path
+the voxel-at-a-time reference loop and the frame path
 (``StreamingConfig.streaming_kernel``), verifies the images agree within
 1e-9 and the workload statistics are exactly equal, and appends the result
 to the ``BENCH_streaming.json`` trajectory next to this script::
@@ -10,13 +10,13 @@ to the ``BENCH_streaming.json`` trajectory next to this script::
     PYTHONPATH=src python benchmarks/bench_streaming.py
     PYTHONPATH=src python benchmarks/bench_streaming.py --check   # assert >= 3x
 
-``--check`` exits non-zero when the vectorized streaming path is less than
-the required speedup over the reference loop, the images disagree, or any
-statistic differs, which makes the script usable as a CI gate.  With
-``--tile-workers N`` (N > 1) the vectorized path is additionally timed
-with process-parallel tile rendering over shared memory: parallel/serial
-parity (images within 1e-9, statistics exactly equal) is always gated,
-and the parallel speedup bar (``--min-parallel-speedup``) is enforced on
+``--check`` exits non-zero when the frame path is less than the required
+speedup over the reference loop, the images disagree, or any statistic
+differs, which makes the script usable as a CI gate.  With
+``--tile-workers N`` (N > 1) the frame path is additionally timed split
+across N processes over shared memory: parallel/one-process parity
+(images within 1e-9, statistics exactly equal) is always gated, and the
+parallel speedup bar (``--min-parallel-speedup``) is enforced on
 multi-core hosts and recorded-but-skipped on single-CPU ones.
 """
 
@@ -57,22 +57,15 @@ def main(argv=None) -> int:
         "--tile-workers",
         type=int,
         default=0,
-        help="additionally time the vectorized path with this many parallel "
-        "tile workers (parity always gated under --check; the parallel "
+        help="additionally time the frame path split across this many "
+        "processes (parity always gated under --check; the parallel "
         "speedup is gated on multi-core hosts and recorded otherwise)",
-    )
-    parser.add_argument(
-        "--tile-mode",
-        choices=("auto", "process", "thread"),
-        default="auto",
-        help="parallel tile path: process-based over shared memory "
-        "(default; degrades to threads when unavailable) or threads",
     )
     parser.add_argument(
         "--min-parallel-speedup",
         type=float,
         default=1.0,
-        help="parallel-over-serial-tiles bar for --check with "
+        help="parallel-over-one-process bar for --check with "
         "--tile-workers > 1 on multi-core hosts (default 1.0x)",
     )
     parser.add_argument(
@@ -104,7 +97,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         voxel_size=args.voxel_size,
         tile_workers=args.tile_workers,
-        tile_mode=args.tile_mode,
     )
     print(result.format())
 
@@ -142,20 +134,20 @@ def main(argv=None) -> int:
             return 1
         print(f"OK: speedup {result.speedup:.2f}x >= {args.min_speedup}x")
         if args.tile_workers > 1:
-            # Parity between the parallel and serial tile paths is
+            # Parity between the parallel and one-process frames is
             # host-independent and always enforced; the parallel speedup
-            # needs cores to overlap tiles, so it is gated only on
+            # needs cores to overlap work, so it is gated only on
             # multi-core hosts and recorded (in the trajectory) otherwise.
             if not result.parallel_stats_equal:
                 print(
-                    "FAIL: parallel-tile statistics differ "
+                    "FAIL: parallel-frame statistics differ "
                     f"({result.parallel_stats_detail})",
                     file=sys.stderr,
                 )
                 return 1
             if result.parallel_image_delta > REQUIRED_ATOL:
                 print(
-                    "FAIL: parallel-tile image deviates (max delta "
+                    "FAIL: parallel-frame image deviates (max delta "
                     f"{result.parallel_image_delta:.3g} > {REQUIRED_ATOL})",
                     file=sys.stderr,
                 )

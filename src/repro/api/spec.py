@@ -435,14 +435,12 @@ class TrajectorySpec:
         is derived from the list (the field is overwritten to match).
     config:
         :class:`StreamingConfig` field overrides applied on top of the
-        trajectory base config — the scene's paper-default voxel size with
-        ``temporal_mode="carry"`` (trajectories default to the coherence
-        fast path; override ``temporal_mode="off"`` to force cold frames).
+        trajectory base config, the scene's paper-default voxel size.
     options:
         :class:`~repro.engine.service.RenderOptions` field overrides
-        (``tile_workers``, ``tile_mode``, ``streaming_kernel``,
-        ``temporal_mode``).  ``resolution_scale`` is reserved — set it on
-        the spec, where it shapes the generated cameras.
+        (``tile_workers``, ``streaming_kernel``).  ``resolution_scale`` is
+        reserved — set it on the spec, where it shapes the generated
+        cameras.
     resolution_scale:
         Scale factor on the trajectory's camera resolution.
     tag:
@@ -520,15 +518,13 @@ class TrajectorySpec:
 
     # ------------------------------------------------------------------
     def _base_config(self) -> StreamingConfig:
-        return StreamingConfig(
-            voxel_size=self.descriptor.default_voxel_size, temporal_mode="carry"
-        )
+        return StreamingConfig(voxel_size=self.descriptor.default_voxel_size)
 
     def streaming_config(self) -> StreamingConfig:
         """The resolved :class:`StreamingConfig` of this trajectory.
 
-        Starts from the scene's paper-default voxel size with the temporal
-        carry path on, then applies the explicit config overrides.
+        Starts from the scene's paper-default voxel size, then applies the
+        explicit config overrides.
         """
         overrides = self.config_overrides
         base = self._base_config()
@@ -585,8 +581,8 @@ class TrajectorySpec:
         """The spec reduced to what actually selects its workload.
 
         Mirrors :meth:`ExperimentSpec.canonical_dict`: config overrides
-        that restate the trajectory base config (scene default voxel size,
-        ``temporal_mode="carry"``) and option overrides that restate the
+        that restate the trajectory base config (scene default voxel size)
+        and option overrides that restate the
         :class:`RenderOptions` defaults are dropped, numeric values are
         normalized to floats, and ``tag`` is kept.  The result-store hash
         (:func:`repro.api.store.spec_key`) is built on this form.

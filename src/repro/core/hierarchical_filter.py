@@ -20,7 +20,7 @@ and traffic models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.gaussians.projection import (
     coarse_project_centers,
     project_gaussians,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.voxel_grid import VoxelGrid
 
 #: MACs per Gaussian in the coarse-grained filter (paper, Sec. IV-C).
 COARSE_FILTER_MACS = 55
@@ -92,7 +95,11 @@ def _overlaps_tile(
     tile_bounds: Tuple[int, int, int, int],
     near: float,
 ) -> np.ndarray:
-    """AABB test of Gaussian footprints against a pixel-tile rectangle."""
+    """AABB test of Gaussian footprints against a pixel-tile rectangle.
+
+    ``tile_bounds`` is one ``(x0, y0, x1, y1)`` rectangle, or four arrays
+    holding one rectangle per footprint.
+    """
     x0, y0, x1, y1 = tile_bounds
     in_front = depths > near
     overlap_x = (means2d[:, 0] + radii >= x0) & (means2d[:, 0] - radii < x1)
@@ -110,68 +117,55 @@ class FilterResult:
 
 
 @dataclass
-class BatchedFilterResult:
-    """Outcome of filtering *all* voxels of one tile in one batched pass.
+class FrameFilterResult:
+    """Outcome of filtering every streamed voxel of many tiles in one pass.
 
-    Survivors of every voxel are concatenated in voxel-stream order
-    (``segment_ids`` maps each survivor row to its position in the input
-    voxel list); the per-voxel accounting is held as parallel arrays so the
-    pipeline can accumulate statistics for exactly the voxel prefix the
-    reference loop would have processed before early termination.
+    Tile ``t`` streams the voxels ``voxels[voxel_offsets[t]:voxel_offsets[t + 1]]``
+    (its voxel order); the per-voxel accounting arrays are parallel to
+    ``voxels``, so the pipeline can accumulate statistics for exactly the
+    voxel prefix the reference loop would have processed before early
+    termination.  Survivors are rows of one projection of the union of
+    every tile's coarse survivors, listed tile by tile in streaming order:
+    voxel by voxel, each voxel's survivors depth-sorted (stable), which is
+    the order the reference loop blends them in.
     """
 
-    #: (S,) model indices of the survivors, concatenated voxel by voxel.
-    indices: np.ndarray
-    #: Precise projection of the survivors (rows parallel to ``indices``).
-    projected: ProjectedGaussians
-    #: (S,) position of each survivor's voxel in the input voxel list.
-    segment_ids: np.ndarray
-    #: (V,) per-voxel accounting, parallel to the input voxel list.
+    #: (V,) streamed voxel ids, tile after tile.
+    voxels: np.ndarray
+    #: (T + 1,) first voxel slot of each tile.
+    voxel_offsets: np.ndarray
+    #: (V,) per-voxel accounting, parallel to ``voxels``.
     gaussians_in: np.ndarray
     coarse_tested: np.ndarray
     coarse_passed: np.ndarray
     fine_tested: np.ndarray
     fine_passed: np.ndarray
+    #: (U,) model indices of the fine-projected Gaussians, ascending.
+    union: np.ndarray
+    #: Precise projection of ``union`` (rows parallel to it).
+    projected: ProjectedGaussians
+    #: (S,) survivor rows of ``projected`` in streaming order, tile by tile.
+    stream_rows: np.ndarray
+    #: (T + 1,) first stream position of each tile.
+    stream_offsets: np.ndarray
 
-    @property
-    def num_voxels(self) -> int:
-        return len(self.gaussians_in)
-
-    @property
-    def survivor_counts(self) -> np.ndarray:
-        """Alias of ``fine_passed``: survivors per voxel."""
-        return self.fine_passed
-
-    def prefix_stats(self, num_voxels: int) -> FilterStats:
-        """Accumulated :class:`FilterStats` of the first ``num_voxels`` voxels.
+    def stats_of(self, slots) -> FilterStats:
+        """Accumulated :class:`FilterStats` of the selected voxel slots.
 
         Identical to merging the serial loop's per-voxel stats over the
-        same prefix — every field is an integer sum, so the accumulation is
+        same voxels — every field is an integer sum, so the accumulation is
         exact and associative.
         """
-        k = num_voxels
-        coarse_tested = int(self.coarse_tested[:k].sum())
-        fine_tested = int(self.fine_tested[:k].sum())
+        coarse_tested = int(self.coarse_tested[slots].sum())
+        fine_tested = int(self.fine_tested[slots].sum())
         return FilterStats(
-            gaussians_in=int(self.gaussians_in[:k].sum()),
+            gaussians_in=int(self.gaussians_in[slots].sum()),
             coarse_tested=coarse_tested,
-            coarse_passed=int(self.coarse_passed[:k].sum()),
+            coarse_passed=int(self.coarse_passed[slots].sum()),
             fine_tested=fine_tested,
-            fine_passed=int(self.fine_passed[:k].sum()),
+            fine_passed=int(self.fine_passed[slots].sum()),
             coarse_macs=COARSE_FILTER_MACS * coarse_tested,
             fine_macs=FINE_FILTER_MACS * fine_tested,
-        )
-
-    def voxel_stats(self, voxel: int) -> FilterStats:
-        """The :class:`FilterStats` one serial ``filter_voxel`` call would report."""
-        return FilterStats(
-            gaussians_in=int(self.gaussians_in[voxel]),
-            coarse_tested=int(self.coarse_tested[voxel]),
-            coarse_passed=int(self.coarse_passed[voxel]),
-            fine_tested=int(self.fine_tested[voxel]),
-            fine_passed=int(self.fine_passed[voxel]),
-            coarse_macs=COARSE_FILTER_MACS * int(self.coarse_tested[voxel]),
-            fine_macs=FINE_FILTER_MACS * int(self.fine_tested[voxel]),
         )
 
 
@@ -269,48 +263,58 @@ class HierarchicalFilter:
     def filter_voxel_batch(
         self,
         model: GaussianModel,
-        voxel_lists: Sequence[np.ndarray],
+        grid: "VoxelGrid",
+        orders: Sequence[np.ndarray],
+        tile_bounds: Sequence[Tuple[int, int, int, int]],
         camera: Camera,
-        tile_bounds: Tuple[int, int, int, int],
-    ) -> BatchedFilterResult:
-        """Filter many voxels' Gaussians against one tile in one pass.
+    ) -> FrameFilterResult:
+        """Filter every streamed voxel of many tiles in one frame-level pass.
 
-        Equivalent to calling :meth:`filter_voxel` once per entry of
-        ``voxel_lists`` (the per-voxel survivor sets, projections and
-        statistics are identical), but the coarse AABB rejection runs over
-        the concatenation of every voxel's candidates in a single NumPy
-        pass and the fine phase projects only the compacted coarse
-        survivors in one call — the per-voxel Python and small-array
-        overhead of the serial loop is gone.
+        Equivalent to calling :meth:`filter_voxel` for every voxel of every
+        tile's order (``orders[t]`` against ``tile_bounds[t]``): the
+        per-voxel survivor sets and statistics are identical.  But the
+        coarse phase projects the model once, both AABB tests run over all
+        (tile, candidate) pairs at once, and the fine phase projects every
+        Gaussian that survives any tile's coarse test once per frame instead
+        of once per tile.
         """
-        num_voxels = len(voxel_lists)
-        counts = np.array([len(voxel) for voxel in voxel_lists], dtype=np.int64)
-        if num_voxels and counts.sum():
-            candidates = np.concatenate(
-                [np.asarray(voxel, dtype=np.int64) for voxel in voxel_lists]
-            )
-        else:
-            candidates = np.zeros(0, dtype=np.int64)
+        num_tiles = len(orders)
+        order_lens = np.array([len(order) for order in orders], dtype=np.int64)
+        voxel_offsets = np.concatenate(([0], np.cumsum(order_lens)))
+        voxels = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [np.asarray(o, dtype=np.int64) for o in orders]
+        )
+        num_voxels = len(voxels)
+        counts = grid.voxel_counts[voxels].astype(np.int64)
+        # CSR gather of every streamed voxel's Gaussians, voxel after voxel.
+        skip = np.cumsum(counts) - counts
+        flat = np.repeat(grid.voxel_starts[voxels] - skip, counts) + np.arange(
+            int(counts.sum()), dtype=np.int64
+        )
+        candidates = grid.gaussian_order[flat].astype(np.int64)
         segments = np.repeat(np.arange(num_voxels, dtype=np.int64), counts)
+        bounds = np.asarray(tile_bounds, dtype=np.int64).reshape(num_tiles, 4)
+        voxel_tile = np.repeat(np.arange(num_tiles, dtype=np.int64), order_lens)
 
-        if self.use_coarse_filter and len(candidates):
-            means2d, depths, coarse_radii = coarse_project_centers(
-                model.positions[candidates],
-                model.max_scales[candidates],
-                camera,
-            )
-            passed = _overlaps_tile(
-                means2d, coarse_radii, depths, tile_bounds, camera.near
-            )
+        def candidate_bounds() -> Tuple[np.ndarray, ...]:
+            tiles = voxel_tile[segments]
+            return tuple(bounds[tiles, i] for i in range(4))
+
+        if self.use_coarse_filter:
             coarse_tested = counts.copy()
-            coarse_passed = np.bincount(
-                segments[passed], minlength=num_voxels
-            ).astype(np.int64)
-            candidates = candidates[passed]
-            segments = segments[passed]
-        elif self.use_coarse_filter:
-            coarse_tested = counts.copy()
-            coarse_passed = np.zeros(num_voxels, dtype=np.int64)
+            if len(candidates):
+                means2d, depths, coarse_radii = coarse_project_centers(
+                    model.positions, model.max_scales, camera
+                )
+                passed = _overlaps_tile(
+                    means2d[candidates],
+                    coarse_radii[candidates],
+                    depths[candidates],
+                    candidate_bounds(),
+                    camera.near,
+                )
+                candidates, segments = candidates[passed], segments[passed]
+            coarse_passed = np.bincount(segments, minlength=num_voxels).astype(np.int64)
         else:
             # Matches the serial path: with the coarse phase disabled both
             # coarse counters stay zero and every candidate goes fine.
@@ -318,38 +322,42 @@ class HierarchicalFilter:
             coarse_passed = np.zeros(num_voxels, dtype=np.int64)
 
         fine_tested = np.bincount(segments, minlength=num_voxels).astype(np.int64)
+        union = np.unique(candidates)
+        if len(union) == 1:
+            # BLAS rounds a one-row projection differently in the last bit;
+            # projecting two copies keeps each row's bits independent of how
+            # many Gaussians a frame (or one worker's share of it) projects.
+            union = np.repeat(union, 2)
         projected = project_gaussians(
-            model, camera, sh_degree=self.sh_degree, indices=candidates
+            model, camera, sh_degree=self.sh_degree, indices=union
         )
-        fine_pass = projected.valid & _overlaps_tile(
-            projected.means2d,
-            projected.radii,
-            projected.depths,
-            tile_bounds,
+        rows = np.searchsorted(union, candidates)
+        fine_pass = projected.valid[rows] & _overlaps_tile(
+            projected.means2d[rows],
+            projected.radii[rows],
+            projected.depths[rows],
+            candidate_bounds(),
             camera.near,
         )
-        fine_passed = np.bincount(
-            segments[fine_pass], minlength=num_voxels
-        ).astype(np.int64)
-
-        survivors = ProjectedGaussians(
-            means2d=projected.means2d[fine_pass],
-            depths=projected.depths[fine_pass],
-            conics=projected.conics[fine_pass],
-            radii=projected.radii[fine_pass],
-            colors=projected.colors[fine_pass],
-            opacities=projected.opacities[fine_pass],
-            valid=projected.valid[fine_pass],
-        )
-        return BatchedFilterResult(
-            indices=candidates[fine_pass],
-            projected=survivors,
-            segment_ids=segments[fine_pass],
+        rows, segments = rows[fine_pass], segments[fine_pass]
+        fine_passed = np.bincount(segments, minlength=num_voxels).astype(np.int64)
+        # Voxel slots are tile-major, so one stable sort by (slot, depth)
+        # lists every tile's survivors voxel by voxel, each voxel in the
+        # order of the reference loop's per-voxel stable argsort.
+        stream_rows = rows[np.lexsort((projected.depths[rows], segments))]
+        stream_offsets = np.concatenate(([0], np.cumsum(fine_passed)))[voxel_offsets]
+        return FrameFilterResult(
+            voxels=voxels,
+            voxel_offsets=voxel_offsets,
             gaussians_in=counts,
             coarse_tested=coarse_tested,
             coarse_passed=coarse_passed,
             fine_tested=fine_tested,
             fine_passed=fine_passed,
+            union=union,
+            projected=projected,
+            stream_rows=stream_rows,
+            stream_offsets=stream_offsets,
         )
 
     # ------------------------------------------------------------------

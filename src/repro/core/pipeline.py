@@ -17,6 +17,26 @@ renders of the same view (benchmark sweeps, fine-tuning probes, batched
 service requests) skip the traversal and topological sort entirely while
 producing identical statistics.
 
+The default path runs steps 3 and 4 for the whole frame at once rather
+than tile by tile, in four stages whose wall times land in
+``telemetry["stages_s"]``:
+
+* ``prepare`` — steps 1 and 2 (or a frame-cache hit) plus every tile's
+  ordering-table and DAG accounting;
+* ``filter`` — :meth:`HierarchicalFilter.filter_voxel_batch` over every
+  tile: one coarse projection of the model, one fine projection of the
+  union of all tiles' coarse survivors, and the per-voxel depth sort;
+* ``blend`` — :func:`~repro.engine.kernels.blend_streaming` over the
+  stacked pixel columns of all tiles, in fixed column blocks;
+* ``account`` — each tile's early-termination voxel prefix, its
+  statistics, and the final pixel writes.
+
+The voxel-at-a-time loop (``streaming_kernel="reference"`` or
+``blend_kernel="reference"``) is the oracle the frame path is held to:
+statistics exactly equal, images within 1e-9.  With ``tile_workers > 1``
+processes render disjoint runs of whole column blocks
+(:mod:`repro.engine.tile_parallel`), bit for bit like one process.
+
 Besides the image, the renderer produces :class:`StreamingStats` — the
 complete workload description (Gaussians streamed, filter pass rates, DRAM
 bytes by category, per-voxel sort lengths, depth-order violations) that the
@@ -28,16 +48,19 @@ by the blending kernels.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compression.vq import VectorQuantizer
 from repro.core.config import StreamingConfig
 from repro.core.data_layout import DataLayout, LayoutTraffic, render_model
-from repro.core.hierarchical_filter import FilterStats, HierarchicalFilter
+from repro.core.hierarchical_filter import (
+    FilterStats,
+    FrameFilterResult,
+    HierarchicalFilter,
+)
 from repro.core.ray_voxel import ordering_tables_for_tiles
 from repro.core.voxel_grid import VoxelGrid
 from repro.core.voxel_order import (
@@ -47,23 +70,22 @@ from repro.core.voxel_order import (
 from repro.engine.cache import FrameCache, FramePreparation, frame_key
 from repro.engine.kernels import (
     TRANSMITTANCE_EPSILON,
+    StreamingBlend,
     blend_streaming,
+    column_blocks,
     get_kernel,
 )
 from repro.engine.state import BlendState
-from repro.engine.temporal import TemporalContext, render_frame_carry
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RenderOutput
 from repro.gaussians.tiles import TileGrid
 
-#: Registered streaming per-voxel render paths (``StreamingConfig.streaming_kernel``).
+#: Registered streaming render paths (``StreamingConfig.streaming_kernel``).
 STREAMING_KERNELS = ("reference", "vectorized")
 
-#: How parallel tiles execute: ``auto`` picks processes (zero-copy shared
-#: memory, real core scaling) and degrades to threads when processes are
-#: unusable; the explicit modes force one path.
-TILE_MODES = ("auto", "process", "thread")
+#: Pixel rectangle ``(x0, y0, x1, y1)`` of one tile.
+Bounds = Tuple[int, int, int, int]
 
 
 @dataclass
@@ -106,14 +128,13 @@ class StreamingStats:
             self.gaussian_violation_weight = np.zeros(num_gaussians, dtype=np.float64)
 
     def absorb(self, tile: "StreamingStats") -> None:
-        """Accumulate one tile's statistics into this frame-level record.
+        """Accumulate another record's statistics into this one.
 
-        Used by the parallel tile path: every worker renders into a private
-        per-tile :class:`StreamingStats` and the frame merges them in tile
-        id order, so the result is deterministic regardless of thread
-        scheduling.  All integer fields are exact sums; the per-Gaussian
-        weight arrays are added tile by tile (within 1e-9 of the serial
-        in-place accumulation).
+        Used by the process-parallel path: every worker renders a run of
+        tiles into a private :class:`StreamingStats` and the frame absorbs
+        the runs in tile order, so the result does not depend on worker
+        scheduling.  All integer fields are exact sums, sort lists are
+        appended, and per-Gaussian weight arrays, when present, are added.
         """
         self.num_tile_voxel_pairs += tile.num_tile_voxel_pairs
         self.rays_sampled += tile.rays_sampled
@@ -216,10 +237,13 @@ class StreamingStats:
 class StreamingRenderOutput:
     """Image plus streaming workload statistics.
 
-    ``telemetry`` carries per-frame execution metadata (wall time, the
-    streaming kernel used, tile worker count) — deliberately outside
-    :class:`StreamingStats` so workload statistics stay comparable across
-    render paths.
+    ``telemetry`` carries per-frame execution metadata — deliberately
+    outside :class:`StreamingStats` so workload statistics stay comparable
+    across render paths: ``path`` (``"frame"`` or ``"reference"``),
+    ``streaming_kernel``, ``tile_workers``, ``tiles``, ``tile_mode``
+    (``"serial"`` or ``"process"``, plus ``tile_mode_degraded`` with the
+    reason when processes could not be used), ``stages_s`` (wall seconds
+    per stage, see the module docstring) and ``seconds``.
     """
 
     image: np.ndarray
@@ -245,8 +269,9 @@ class StreamingRenderer:
         The trained (and optionally boundary-fine-tuned) Gaussian model.
     config:
         Streaming configuration; ``StreamingConfig()`` by default.  Selects
-        the blending kernel (``config.blend_kernel``) and the size of the
-        frame-preparation cache (``config.frame_cache_size``).
+        the render path (``config.streaming_kernel`` /
+        ``config.blend_kernel``) and the size of the frame-preparation cache
+        (``config.frame_cache_size``).
     quantizer:
         Optional pre-fitted :class:`VectorQuantizer`.  When ``config.use_vq``
         is True and no quantizer is given, one is fitted on ``model``.
@@ -278,9 +303,6 @@ class StreamingRenderer:
         self.background = np.asarray(self.config.background, dtype=np.float64)
         self.kernel = get_kernel(self.config.blend_kernel)
         self.frame_cache = FrameCache(capacity=self.config.frame_cache_size)
-        # Carried trajectory state (content-keyed caches, pose tracking) of
-        # the temporal-coherence path; idle unless ``temporal_mode="carry"``.
-        self.temporal = TemporalContext()
 
     # ------------------------------------------------------------------
     def prepare_frame(self, camera: Camera) -> FramePreparation:
@@ -322,140 +344,64 @@ class StreamingRenderer:
         return preparation
 
     # ------------------------------------------------------------------
-    def render(
-        self,
-        camera: Camera,
-        tile_workers: int = 1,
-        tile_mode: str = "auto",
-    ) -> StreamingRenderOutput:
-        """Render one frame voxel-by-voxel.
+    @property
+    def frame_path(self) -> bool:
+        """Whether frames render through the frame path (else the oracle).
+
+        The frame path is built on the broadcast blend machinery, so a
+        reference *blend* kernel selection routes through the per-voxel
+        loop (which blends through ``self.kernel``) instead of being
+        silently ignored.
+        """
+        return (
+            self.config.streaming_kernel == "vectorized"
+            and self.config.blend_kernel == "vectorized"
+        )
+
+    def render(self, camera: Camera, tile_workers: int = 1) -> StreamingRenderOutput:
+        """Render one frame.
 
         Parameters
         ----------
         camera:
             The rendering camera.
         tile_workers:
-            Number of workers rendering independent tiles concurrently.
-            ``1`` (default) renders tiles in order on the calling thread.
-            With more workers each tile accumulates into a private
-            statistics record and the frame merges them in tile id order,
-            so images are identical and statistics deterministic
-            regardless of worker scheduling.
-        tile_mode:
-            How parallel tiles execute (ignored with one worker).
-            ``"auto"`` (default) uses a process pool over shared memory —
-            the path that actually scales with cores — and silently
-            degrades to threads when processes are unusable (daemonic
-            caller, no shared memory, pool failure); the telemetry records
-            the mode taken and the degradation reason.  ``"process"`` and
-            ``"thread"`` force the respective path (a forced process path
-            still degrades rather than failing the render).
+            Processes rendering disjoint runs of whole column blocks
+            concurrently; ``1`` (default) renders the frame in this process.
+            Images are identical and statistics deterministic for any
+            worker count.  When processes cannot be used (daemonic caller,
+            no shared memory, pool failure) the frame renders in this
+            process and ``telemetry["tile_mode_degraded"]`` records why.
         """
         if tile_workers < 1:
             raise ValueError(f"tile_workers must be >= 1, got {tile_workers}")
-        if tile_mode not in TILE_MODES:
-            raise ValueError(
-                f"tile_mode must be one of {TILE_MODES}, got {tile_mode!r}"
-            )
-        config = self.config
         started = time.perf_counter()
-        tile_grid = TileGrid(camera.width, camera.height, config.tile_size)
+        tile_grid = TileGrid(camera.width, camera.height, self.config.tile_size)
         image = np.zeros((camera.height, camera.width, 3), dtype=np.float64)
         alpha_img = np.zeros((camera.height, camera.width), dtype=np.float64)
         stats = StreamingStats(num_tiles=tile_grid.num_tiles)
         stats.ensure_weight_arrays(len(self.source_model))
-        # The fast path is built on the broadcast blend machinery; a
-        # reference *blend* kernel selection is honoured by falling back to
-        # the per-voxel loop (which blends through ``self.kernel``), so
-        # ``blend_kernel="reference"`` keeps validating the blend
-        # recurrence end to end instead of being silently ignored.
-        vectorized_path = (
-            config.streaming_kernel == "vectorized"
-            and config.blend_kernel == "vectorized"
-        )
-        workers = min(tile_workers, tile_grid.num_tiles)
-        # The temporal carry path is built on the vectorized serial-tile
-        # machinery; other configurations fall back to the cold path and
-        # record why in the telemetry.
-        carry_path = (
-            config.temporal_mode == "carry" and vectorized_path and workers == 1
-        )
-        if carry_path:
-            parallel_telemetry = render_frame_carry(
-                self, camera, image, alpha_img, stats
-            )
-            stats.traffic = stats.traffic.merge(
-                DataLayout.pixel_write_traffic(camera.num_pixels)
-            )
-            return StreamingRenderOutput(
-                image=np.clip(image, 0.0, 1.0),
-                alpha=alpha_img,
-                stats=stats,
-                telemetry={
-                    "streaming_kernel": "vectorized",
-                    "tile_workers": workers,
-                    "tiles": tile_grid.num_tiles,
-                    **parallel_telemetry,
-                    "seconds": time.perf_counter() - started,
-                },
-            )
+        tile_bounds = [
+            tile_grid.tile_pixel_bounds(tile_id) for tile_id in range(tile_grid.num_tiles)
+        ]
+        orders = self._tile_headers(self.prepare_frame(camera), stats)
+        stages: Dict[str, float] = {"prepare": time.perf_counter() - started}
+        blocks = column_blocks([(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in tile_bounds])
+        workers = min(tile_workers, len(blocks) - 1)
 
-        preparation = self.prepare_frame(camera)
-        render_tile = (
-            self._render_tile_vectorized
-            if vectorized_path
-            else self._render_tile_reference
-        )
-
-        parallel_telemetry: Dict[str, object] = {"tile_mode": "serial"}
         if workers > 1:
-            mode = "process" if tile_mode == "auto" else tile_mode
-            if mode == "process":
-                from repro.engine.tile_parallel import (
-                    TileParallelUnavailable,
-                    render_tiles_process,
-                )
+            from repro.engine.tile_parallel import render_tiles_process
 
-                try:
-                    parallel_telemetry = render_tiles_process(
-                        self, camera, tile_grid, image, alpha_img, stats,
-                        render_tile.__name__, workers,
-                    )
-                except TileParallelUnavailable as error:
-                    # The process attempt mutates nothing until every
-                    # worker has returned, so the thread path starts from
-                    # pristine buffers and statistics.
-                    parallel_telemetry = {
-                        "tile_mode": "thread",
-                        "tile_mode_degraded": str(error),
-                    }
-                    self._render_tiles_parallel(
-                        camera, tile_grid, preparation, image, alpha_img, stats,
-                        render_tile, workers,
-                    )
-            else:
-                parallel_telemetry = {"tile_mode": "thread"}
-                self._render_tiles_parallel(
-                    camera, tile_grid, preparation, image, alpha_img, stats,
-                    render_tile, workers,
-                )
+            parallel = render_tiles_process(
+                self, camera, tile_bounds, orders, blocks, workers,
+                image, alpha_img, stats, stages,
+            )
         else:
-            for tile_id in range(tile_grid.num_tiles):
-                bounds = tile_grid.tile_pixel_bounds(tile_id)
-                render_tile(
-                    camera, tile_id, bounds, preparation, image, alpha_img, stats
-                )
+            parallel = {"tile_mode": "serial"}
+            self._render_tiles(
+                camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages
+            )
 
-        if config.temporal_mode == "carry":
-            # A requested carry that could not run (reference kernels,
-            # parallel tiles) renders cold; the telemetry records why.
-            parallel_telemetry = {
-                **parallel_telemetry,
-                "temporal_mode": "off",
-                "temporal_fallback": (
-                    "reference-kernel" if not vectorized_path else "tile-workers"
-                ),
-            }
         # Final pixel writes are the only off-chip writes of the pipeline.
         stats.traffic = stats.traffic.merge(
             DataLayout.pixel_write_traffic(camera.num_pixels)
@@ -465,101 +411,172 @@ class StreamingRenderer:
             alpha=alpha_img,
             stats=stats,
             telemetry={
-                # The path actually taken (a reference blend-kernel
-                # selection routes through the reference loop).
-                "streaming_kernel": "vectorized" if vectorized_path else "reference",
+                "path": "frame" if self.frame_path else "reference",
+                "streaming_kernel": "vectorized" if self.frame_path else "reference",
                 "tile_workers": workers,
                 "tiles": tile_grid.num_tiles,
-                **parallel_telemetry,
+                **parallel,
+                "stages_s": stages,
                 "seconds": time.perf_counter() - started,
             },
         )
 
-    def _render_tiles_parallel(
+    def _tile_headers(
+        self, preparation: FramePreparation, stats: StreamingStats
+    ) -> List[np.ndarray]:
+        """Record every tile's ordering-table/DAG accounting.
+
+        Returns the tiles' voxel orders (the streams both render paths
+        walk), indexed by tile id.
+        """
+        orders: List[np.ndarray] = []
+        entries = 0
+        for tile_id in range(preparation.num_tiles):
+            table = preparation.tile_tables[tile_id]
+            stats.rays_sampled += table.rays_sampled
+            entries += table.total_entries
+            order_result = preparation.tile_orders[tile_id]
+            stats.dag_edges += order_result.num_edges
+            stats.dag_nodes += order_result.num_nodes
+            stats.cycles_broken += order_result.cycles_broken
+            orders.append(np.asarray(order_result.order, dtype=np.int64))
+        stats.ordering_table_entries += entries
+        stats.traffic = stats.traffic.merge(DataLayout.ordering_metadata_traffic(entries))
+        return orders
+
+    def _render_tiles(
         self,
         camera: Camera,
-        tile_grid: TileGrid,
-        preparation: FramePreparation,
+        tile_bounds: Sequence[Bounds],
+        orders: Sequence[np.ndarray],
+        blocks: np.ndarray,
         image: np.ndarray,
         alpha_img: np.ndarray,
         stats: StreamingStats,
-        render_tile,
-        workers: int,
+        stages: Dict[str, float],
     ) -> None:
-        """Fan independent tiles over a thread pool, merging in tile order.
+        """Render the tiles of a run of whole column blocks.
 
-        Tiles write disjoint image regions directly; statistics go into
-        private per-tile records merged deterministically afterwards.  The
-        shared renderer state read by workers (grid, layout, filter,
-        prepared frame) is immutable during a render.
+        ``blocks`` holds tile offsets (see
+        :func:`~repro.engine.kernels.column_blocks`); the tiles
+        ``blocks[0]:blocks[-1]`` are rendered into ``image`` /
+        ``alpha_img`` and accounted into ``stats`` (their headers already
+        are), and each stage's wall time is added to ``stages``.
         """
-        num_gaussians = len(self.source_model)
+        clock = time.perf_counter
+        lo, hi = int(blocks[0]), int(blocks[-1])
+        if not self.frame_path:
+            started = clock()
+            for tile_id in range(lo, hi):
+                self._render_tile_reference(
+                    camera, tile_bounds[tile_id], orders[tile_id], image, alpha_img, stats
+                )
+            stages["reference"] = stages.get("reference", 0.0) + clock() - started
+            return
 
-        def run(tile_id: int) -> StreamingStats:
-            local = StreamingStats()
-            local.ensure_weight_arrays(num_gaussians)
-            render_tile(
-                camera,
-                tile_id,
-                tile_grid.tile_pixel_bounds(tile_id),
-                preparation,
-                image,
-                alpha_img,
-                local,
-            )
-            return local
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # ``map`` yields in tile id order; absorbing as results arrive
-            # keeps the merge deterministic while holding only the
-            # in-flight tiles' private weight arrays alive.
-            for local in pool.map(run, range(tile_grid.num_tiles)):
-                stats.absorb(local)
-
-    # ------------------------------------------------------------------
-    def _tile_header_stats(
-        self,
-        tile_id: int,
-        bounds,
-        preparation: FramePreparation,
-        image: np.ndarray,
-        stats: StreamingStats,
-    ):
-        """Record per-tile table/DAG accounting; returns the voxel order.
-
-        Returns ``None`` (after painting the background) when the tile has
-        no voxels to stream — shared prologue of both render paths.
-        """
-        x0, y0, x1, y1 = bounds
-        table = preparation.tile_tables[tile_id]
-        stats.rays_sampled += table.rays_sampled
-        stats.ordering_table_entries += table.total_entries
-        stats.traffic = stats.traffic.merge(
-            DataLayout.ordering_metadata_traffic(table.total_entries)
+        started = clock()
+        bounds = tile_bounds[lo:hi]
+        filtered = self.filter.filter_voxel_batch(
+            self.render_model, self.grid, orders[lo:hi], bounds, camera
         )
-        order_result = preparation.tile_orders[tile_id]
-        stats.dag_edges += order_result.num_edges
-        stats.dag_nodes += order_result.num_nodes
-        stats.cycles_broken += order_result.cycles_broken
-        if not order_result.order:
-            image[y0:y1, x0:x1] = self.background
-            return None
-        return order_result.order
+        filtered_at = clock()
+        xs, ys, column_offsets = _tile_columns(bounds)
+        blend = blend_streaming(
+            xs,
+            ys,
+            column_offsets,
+            filtered.projected,
+            filtered.stream_rows,
+            filtered.stream_offsets,
+            blocks - lo,
+            filtered.union,
+            stats.gaussian_blend_weight,
+            stats.gaussian_violation_weight,
+        )
+        blended_at = clock()
+        self._account(filtered, blend, column_offsets, stats)
+        final = blend.color + blend.transmittance[:, None] * self.background[None, :]
+        image[ys, xs] = final
+        alpha_img[ys, xs] = 1.0 - blend.transmittance
+        for stage, seconds in (
+            ("filter", filtered_at - started),
+            ("blend", blended_at - filtered_at),
+            ("account", clock() - blended_at),
+        ):
+            stages[stage] = stages.get(stage, 0.0) + seconds
+
+    def _account(
+        self,
+        filtered: FrameFilterResult,
+        blend: StreamingBlend,
+        column_offsets: np.ndarray,
+        stats: StreamingStats,
+    ) -> None:
+        """Accumulate the statistics of the voxels the reference loop streams.
+
+        The reference loop stops a tile after the first voxel whose blend
+        saturates every pixel; voxels past that point contribute nothing to
+        the blend (their contribution gate is closed), so only the
+        accounting has to be truncated to each tile's voxel prefix.
+        """
+        voxel_offsets = filtered.voxel_offsets
+        order_lens = np.diff(voxel_offsets)
+        processed = order_lens.copy()
+        last_saturation = np.maximum.reduceat(blend.saturation, column_offsets[:-1])
+        stopped = np.flatnonzero(last_saturation < np.diff(filtered.stream_offsets))
+        if len(stopped):
+            # A tile's survivors are contiguous in slot order, so the voxel
+            # holding its last saturating survivor is found among the
+            # frame-wide cumulative survivor counts.
+            slot = np.searchsorted(
+                np.cumsum(filtered.fine_passed),
+                filtered.stream_offsets[stopped] + last_saturation[stopped],
+                side="right",
+            )
+            processed[stopped] = slot - voxel_offsets[stopped] + 1
+        position = np.arange(len(filtered.voxels)) - np.repeat(voxel_offsets[:-1], order_lens)
+        streamed = position < np.repeat(processed, order_lens)
+
+        stats.num_tile_voxel_pairs += int(processed.sum())
+        stats.gaussians_streamed += int(filtered.gaussians_in[streamed].sum())
+        stats.filter = stats.filter.merge(filtered.stats_of(streamed))
+        coarse_passed = (
+            filtered.coarse_passed
+            if self.config.use_coarse_filter
+            else filtered.gaussians_in
+        )
+        stats.traffic = stats.traffic.merge(
+            self.layout.voxel_stream_traffic_batch(
+                filtered.voxels[streamed], coarse_passed[streamed]
+            )
+        )
+        survivors = filtered.fine_passed[streamed]
+        survivors = survivors[survivors > 0]
+        stats.sorted_gaussians += int(survivors.sum())
+        stats.sort_list_lengths.extend(survivors.tolist())
+        if len(survivors):
+            stats.max_voxel_list_length = max(
+                stats.max_voxel_list_length, int(survivors.max())
+            )
+        stats.rendered_gaussian_slots += int(survivors.sum())
+        fragments = int(blend.fragments.sum())
+        stats.blended_fragments += fragments
+        stats.blended_fragment_slots += fragments
+        stats.depth_order_errors += int(blend.violations.sum())
 
     def _render_tile_reference(
         self,
         camera: Camera,
-        tile_id: int,
-        bounds,
-        preparation: FramePreparation,
+        bounds: Bounds,
+        order: np.ndarray,
         image: np.ndarray,
         alpha_img: np.ndarray,
         stats: StreamingStats,
     ) -> None:
         """Render one pixel group voxel by voxel (the reference loop)."""
         x0, y0, x1, y1 = bounds
-        order = self._tile_header_stats(tile_id, bounds, preparation, image, stats)
-        if order is None:
+        if len(order) == 0:
+            image[y0:y1, x0:x1] = self.background
             return
 
         xs, ys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
@@ -622,100 +639,25 @@ class StreamingRenderer:
         image[y0:y1, x0:x1] = final.reshape(h, w, 3)
         alpha_img[y0:y1, x0:x1] = (1.0 - state.transmittance).reshape(h, w)
 
-    def _render_tile_vectorized(
-        self,
-        camera: Camera,
-        tile_id: int,
-        bounds,
-        preparation: FramePreparation,
-        image: np.ndarray,
-        alpha_img: np.ndarray,
-        stats: StreamingStats,
-    ) -> None:
-        """Render one pixel group through the batched streaming fast path.
 
-        The hierarchical filter runs over *all* voxels of the tile in one
-        pass, the survivors are depth-sorted segment-wise (one stable
-        lexsort replaces the per-voxel argsorts) and the whole voxel
-        stream is blended through a single call of the broadcast kernel.
-        The reference loop's voxel-granular early termination is
-        reproduced exactly in the statistics from the kernel's per-pixel
-        saturation positions: voxels past the last pixel's saturation
-        contribute nothing to the blend (their contribution gate is
-        closed), so only the accounting has to be truncated.
-        """
-        x0, y0, x1, y1 = bounds
-        order = self._tile_header_stats(tile_id, bounds, preparation, image, stats)
-        if order is None:
-            return
-        order = np.asarray(order, dtype=np.int64)
-        batch = self.filter.filter_voxel_batch(
-            self.render_model,
-            [self.grid.gaussians_in_voxel(voxel_id) for voxel_id in order],
-            camera,
-            bounds,
-        )
+def _tile_columns(bounds: Sequence[Bounds]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked pixel coordinates of many tiles, tile after tile.
 
+    Returns ``(xs, ys, column_offsets)``: each tile's pixels in row-major
+    order, and the first column of each tile.
+    """
+    xs_parts: List[np.ndarray] = []
+    ys_parts: List[np.ndarray] = []
+    for x0, y0, x1, y1 in bounds:
         xs, ys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
-        xs = xs.reshape(-1)
-        ys = ys.reshape(-1)
-        state = BlendState.fresh(len(xs))
-        state.bind_weight_arrays(
-            stats.gaussian_blend_weight, stats.gaussian_violation_weight
-        )
-
-        # Segment-wise stable depth sort: identical to the per-voxel
-        # ``argsort(..., kind="stable")`` of the reference loop.
-        stream_order = np.lexsort((batch.projected.depths, batch.segment_ids))
-        state, saturation = blend_streaming(
-            xs,
-            ys,
-            batch.projected,
-            stream_order,
-            state,
-            model_indices=batch.indices,
-            track_depth_order=True,
-        )
-
-        # The voxel prefix the reference loop would have processed: it
-        # breaks after the first voxel that saturates every pixel.
-        segment_ends = np.cumsum(batch.survivor_counts)
-        total = len(stream_order)
-        if total and len(saturation) and int(saturation.max()) < total:
-            last_saturating = int(saturation.max())
-            processed = int(np.searchsorted(segment_ends, last_saturating, side="right")) + 1
-        else:
-            processed = len(order)
-
-        stats.num_tile_voxel_pairs += processed
-        stats.gaussians_streamed += int(batch.gaussians_in[:processed].sum())
-        stats.filter = stats.filter.merge(batch.prefix_stats(processed))
-        coarse_passed = (
-            batch.coarse_passed
-            if self.config.use_coarse_filter
-            else batch.gaussians_in
-        )
-        stats.traffic = stats.traffic.merge(
-            self.layout.voxel_stream_traffic_batch(
-                order[:processed], coarse_passed[:processed]
-            )
-        )
-        survivors = batch.survivor_counts[:processed]
-        survivors = survivors[survivors > 0]
-        stats.sorted_gaussians += int(survivors.sum())
-        stats.sort_list_lengths.extend(int(n) for n in survivors)
-        if len(survivors):
-            stats.max_voxel_list_length = max(
-                stats.max_voxel_list_length, int(survivors.max())
-            )
-        stats.rendered_gaussian_slots += int(survivors.sum())
-        stats.blended_fragments += state.blended_fragments
-        stats.depth_order_errors += state.depth_violations
-        stats.blended_fragment_slots += state.blended_fragments
-        final = state.color + state.transmittance[:, None] * self.background[None, :]
-        h, w = y1 - y0, x1 - x0
-        image[y0:y1, x0:x1] = final.reshape(h, w, 3)
-        alpha_img[y0:y1, x0:x1] = (1.0 - state.transmittance).reshape(h, w)
+        xs_parts.append(xs.reshape(-1))
+        ys_parts.append(ys.reshape(-1))
+    counts = [len(part) for part in xs_parts]
+    return (
+        np.concatenate(xs_parts),
+        np.concatenate(ys_parts),
+        np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+    )
 
 
 def tile_centric_reference(

@@ -7,17 +7,16 @@ loop (``benchmarks/bench_engine.py`` → ``BENCH_engine.json``; the runner's
 ``engine`` experiment).
 
 :func:`run_streaming_benchmark` does the same for the memory-centric
-streaming pipeline's per-voxel render paths: the voxel-at-a-time reference
-loop against the batched/vectorized fast path
-(``StreamingConfig.streaming_kernel``), checking that images agree within
+streaming pipeline's render paths: the voxel-at-a-time reference loop
+against the frame path (``StreamingConfig.streaming_kernel``), checking that images agree within
 1e-9 and that every workload statistic — fragments, filter reductions,
 depth-order violation sets — is exactly equal
 (``benchmarks/bench_streaming.py`` → ``BENCH_streaming.json``).
 
 :func:`run_trajectory_benchmark` times a registered camera trajectory
-under the temporal-coherence carry path (``temporal_mode="carry"``)
-against cold per-frame rendering (``"off"``), with the same parity
-contract — images within 1e-9, statistics exactly equal, frame by frame
+frame by frame (milliseconds per frame and per stage) and checks one
+sampled frame against the reference path under the same contract —
+image within 1e-9, statistics exactly equal
 (``benchmarks/bench_trajectory.py`` → ``BENCH_trajectory.json``).
 """
 
@@ -216,9 +215,9 @@ class StreamingBenchResult:
     blended_fragments: int = 0
     filtering_reduction: float = 0.0
     #: Parallel-path execution record (populated when ``tile_workers > 1``):
-    #: the mode that actually ran (process / thread after degradation), the
-    #: parity of the parallel frame against the serial vectorized one, and
-    #: the zero-copy accounting of the process path.
+    #: the mode that actually ran (``process``, or ``serial`` after a
+    #: degradation), the parity of the parallel frame against the
+    #: one-process frame, and the zero-copy accounting of the process path.
     tile_mode: str = ""
     parallel_image_delta: float = 0.0
     parallel_stats_equal: bool = True
@@ -235,7 +234,7 @@ class StreamingBenchResult:
 
     @property
     def parallel_speedup(self) -> float:
-        """Vectorized serial-tile time over parallel-tile time (0 when unmeasured)."""
+        """Vectorized one-process time over parallel time (0 when unmeasured)."""
         vectorized = self.seconds.get("vectorized", 0.0)
         parallel = self.seconds.get("vectorized_parallel", 0.0)
         return vectorized / parallel if parallel else 0.0
@@ -279,9 +278,9 @@ class StreamingBenchResult:
         )
         if self.tile_workers > 1:
             lines.append(
-                f"  parallel tiles ({self.tile_workers} workers, "
+                f"  parallel frame ({self.tile_workers} workers, "
                 f"{self.tile_mode or 'unmeasured'} mode): "
-                f"{self.parallel_speedup:.2f}x over serial tiles; "
+                f"{self.parallel_speedup:.2f}x over one process; "
                 f"max |image delta| = {self.parallel_image_delta:.3g}; "
                 f"stats {'EQUAL' if self.parallel_stats_equal else 'DIFFER: ' + self.parallel_stats_detail}"
             )
@@ -294,16 +293,17 @@ class StreamingBenchResult:
 
 
 # ----------------------------------------------------------------------
-# Trajectory (temporal-coherence) benchmark.
+# Trajectory benchmark.
 # ----------------------------------------------------------------------
 @dataclass
 class TrajectoryBenchResult:
-    """Timings and parity check of one carry-vs-off trajectory comparison.
+    """Per-frame cost of a camera trajectory and one frame's parity.
 
-    ``seconds`` holds the best full-trajectory wall time of each temporal
-    mode; the *warm ratio* is the amortized carry-path time over the cold
-    path's.  Parity (images within 1e-9, statistics exactly equal, frame
-    by frame) is recorded from a dedicated untimed pass.
+    ``seconds`` is the best full-trajectory wall time over the repeats and
+    ``stages_ms`` the mean per-frame stage times of that pass.  The parity
+    of the sampled frame ``checked_frame`` against the reference path
+    (image within 1e-9, statistics exactly equal) is recorded from an
+    untimed render.
     """
 
     scene: str
@@ -312,18 +312,16 @@ class TrajectoryBenchResult:
     resolution_scale: float
     repeats: int
     voxel_size: float = 0.0
-    seconds: Dict[str, float] = field(default_factory=dict)
+    seconds: float = 0.0
+    stages_ms: Dict[str, float] = field(default_factory=dict)
+    checked_frame: int = 0
     max_image_delta: float = 0.0
     stats_equal: bool = False
     stats_detail: str = ""
-    temporal: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def warm_ratio(self) -> float:
-        """Amortized carry-trajectory time over the cold trajectory's."""
-        off = self.seconds.get("off", 0.0)
-        carry = self.seconds.get("carry", 0.0)
-        return carry / off if off else 0.0
+    def ms_per_frame(self) -> float:
+        return 1e3 * self.seconds / max(1, self.frames)
 
     def as_dict(self) -> dict:
         return {
@@ -333,41 +331,30 @@ class TrajectoryBenchResult:
             "resolution_scale": self.resolution_scale,
             "repeats": self.repeats,
             "voxel_size": self.voxel_size,
-            "seconds": dict(self.seconds),
-            "warm_ratio": self.warm_ratio,
+            "seconds": self.seconds,
+            "ms_per_frame": self.ms_per_frame,
+            "stages_ms": dict(self.stages_ms),
+            "checked_frame": self.checked_frame,
             "max_image_delta": self.max_image_delta,
             "stats_equal": self.stats_equal,
             "stats_detail": self.stats_detail,
-            "temporal": dict(self.temporal),
         }
 
     def format(self) -> str:
-        lines = [
-            "trajectory temporal-coherence benchmark "
-            f"({self.scene}/{self.path}, {self.frames} frames @ "
-            f"{self.resolution_scale:g}x, voxel {self.voxel_size:g}, "
-            f"{self.repeats} repeat(s))"
-        ]
-        for name in sorted(self.seconds):
-            per_frame = self.seconds[name] / max(1, self.frames)
-            lines.append(
-                f"  temporal_mode={name:<6} {self.seconds[name] * 1e3:9.1f} ms "
-                f"({per_frame * 1e3:7.1f} ms/frame)"
-            )
-        lines.append(
-            f"  warm ratio (carry / off): {self.warm_ratio:.3f}; "
-            f"max |image delta| = {self.max_image_delta:.3g}; "
-            f"stats {'EQUAL' if self.stats_equal else 'DIFFER: ' + self.stats_detail}"
+        stages = ", ".join(f"{name} {ms:.1f}" for name, ms in self.stages_ms.items())
+        return "\n".join(
+            [
+                "trajectory benchmark "
+                f"({self.scene}/{self.path}, {self.frames} frames @ "
+                f"{self.resolution_scale:g}x, voxel {self.voxel_size:g}, "
+                f"{self.repeats} repeat(s))",
+                f"  {self.seconds * 1e3:9.1f} ms ({self.ms_per_frame:7.1f} ms/frame; "
+                f"per frame: {stages} ms)",
+                f"  frame {self.checked_frame} against the reference path: "
+                f"max |image delta| = {self.max_image_delta:.3g}; "
+                f"stats {'EQUAL' if self.stats_equal else 'DIFFER: ' + self.stats_detail}",
+            ]
         )
-        if self.temporal:
-            lines.append(
-                "  carry telemetry: "
-                f"{self.temporal.get('cold_frames', 0)} cold / "
-                f"{self.temporal.get('frames', 0)} frames, "
-                f"hit rate {float(self.temporal.get('coherence_hit_rate', 0.0)):.3f}, "
-                f"orders carried {self.temporal.get('orders_carried', 0)}"
-            )
-        return "\n".join(lines)
 
 
 def run_trajectory_benchmark(
@@ -378,15 +365,12 @@ def run_trajectory_benchmark(
     repeats: int = 3,
     config: Optional[StreamingConfig] = None,
 ) -> TrajectoryBenchResult:
-    """Time a trajectory under ``temporal_mode="carry"`` against ``"off"``.
+    """Time a registered camera trajectory, frame by frame.
 
-    Both paths render the identical camera path on fresh renderers with
-    the frame-preparation cache disabled (it would replay whole frames and
-    hide the comparison).  An untimed first pass checks frame-by-frame
-    parity — images within 1e-9, statistics exactly equal — and warms the
-    carry context's content-keyed caches; the timed passes then measure
-    the amortized steady-state trajectory, interleaving the two modes so
-    machine-load drift biases neither side of the ratio.
+    The frame-preparation cache is disabled (a repeat pass would replay
+    whole frames), so every frame pays its traversal and topological sort.
+    The middle frame is then rendered once more, untimed, and checked
+    against the reference path.
     """
     from repro.scenes.registry import SCENE_REGISTRY, build_scene, trajectory_cameras
 
@@ -394,16 +378,10 @@ def run_trajectory_benchmark(
     base = config or StreamingConfig(
         voxel_size=SCENE_REGISTRY[scene].default_voxel_size
     )
-    if base.frame_cache_size:
-        base = base.with_options(frame_cache_size=0)
-    renderers = {
-        mode: StreamingRenderer(model, base.with_options(temporal_mode=mode))
-        for mode in ("off", "carry")
-    }
+    renderer = StreamingRenderer(model, base.with_options(frame_cache_size=0))
     cameras = trajectory_cameras(
         scene, path, frames, resolution_scale=resolution_scale
     )
-
     result = TrajectoryBenchResult(
         scene=scene,
         path=path,
@@ -411,28 +389,33 @@ def run_trajectory_benchmark(
         resolution_scale=resolution_scale,
         repeats=repeats,
         voxel_size=base.voxel_size,
+        seconds=float("inf"),
     )
-    result.stats_equal = True
-    for index, camera in enumerate(cameras):
-        off_out = renderers["off"].render(camera)
-        carry_out = renderers["carry"].render(camera)
-        result.max_image_delta = max(
-            result.max_image_delta,
-            float(np.max(np.abs(carry_out.image - off_out.image))),
-        )
-        ok, detail = streaming_stats_equal(off_out.stats, carry_out.stats)
-        if not ok and result.stats_equal:
-            result.stats_equal = False
-            result.stats_detail = f"frame {index}: {detail}"
-    best = {mode: float("inf") for mode in renderers}
     for _ in range(repeats):
-        for mode, renderer in renderers.items():
-            start = time.perf_counter()
-            for camera in cameras:
-                renderer.render(camera)
-            best[mode] = min(best[mode], time.perf_counter() - start)
-    result.seconds = dict(best)
-    result.temporal = dict(renderers["carry"].temporal.snapshot())
+        stages: Dict[str, float] = {}
+        start = time.perf_counter()
+        for camera in cameras:
+            for name, seconds in renderer.render(camera).telemetry["stages_s"].items():
+                stages[name] = stages.get(name, 0.0) + seconds
+        elapsed = time.perf_counter() - start
+        if elapsed < result.seconds:
+            result.seconds = elapsed
+            result.stages_ms = {
+                name: 1e3 * total / len(cameras) for name, total in stages.items()
+            }
+
+    result.checked_frame = len(cameras) // 2
+    camera = cameras[result.checked_frame]
+    output = renderer.render(camera)
+    reference = StreamingRenderer(
+        model,
+        renderer.config.with_options(streaming_kernel="reference"),
+        quantizer=renderer.quantizer,
+    ).render(camera)
+    result.max_image_delta = float(np.max(np.abs(output.image - reference.image)))
+    result.stats_equal, result.stats_detail = streaming_stats_equal(
+        reference.stats, output.stats
+    )
     return result
 
 
@@ -444,19 +427,17 @@ def run_streaming_benchmark(
     seed: int = 7,
     voxel_size: float = 0.5,
     tile_workers: int = 0,
-    tile_mode: str = "auto",
     config: Optional[StreamingConfig] = None,
 ) -> StreamingBenchResult:
-    """Time the streaming reference loop against the vectorized fast path.
+    """Time the streaming reference loop against the frame path.
 
     Frame preparation (ray traversal, topological sort) is warmed first so
     the timings isolate the per-voxel render path the two kernels differ
-    in.  ``tile_workers > 1`` additionally times the vectorized path with
-    parallel tile rendering (process-based over shared memory by default;
-    ``tile_mode`` selects the path) and records the parallel frame's
-    parity against the serial one plus the zero-copy transport accounting.
-    A warm-up parallel render runs untimed first so pool start-up and the
-    one-time frame publication do not bias the steady-state timing.
+    in.  ``tile_workers > 1`` additionally times the vectorized path split
+    across that many processes over shared memory and records the
+    parallel frame's parity against the one-process frame plus the
+    zero-copy transport accounting.  A warm-up parallel render runs untimed
+    first so pool start-up does not bias the steady-state timing.
     """
     model = benchmark_scene(num_gaussians=num_gaussians, seed=seed)
     camera = benchmark_camera(width=width, height=height)
@@ -490,7 +471,7 @@ def run_streaming_benchmark(
             best[name] = min(best[name], time.perf_counter() - start)
     if tile_workers > 1:
         parallel_output = renderers["vectorized"].render(
-            camera, tile_workers=tile_workers, tile_mode=tile_mode
+            camera, tile_workers=tile_workers
         )
         result.tile_mode = str(parallel_output.telemetry.get("tile_mode", ""))
         result.shm_segments = int(parallel_output.telemetry.get("shm_segments", 0))
@@ -498,9 +479,7 @@ def run_streaming_benchmark(
         best["vectorized_parallel"] = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            renderers["vectorized"].render(
-                camera, tile_workers=tile_workers, tile_mode=tile_mode
-            )
+            renderers["vectorized"].render(camera, tile_workers=tile_workers)
             best["vectorized_parallel"] = min(
                 best["vectorized_parallel"], time.perf_counter() - start
             )

@@ -1,6 +1,6 @@
 """Interchangeable alpha-blending kernels.
 
-Both renderers funnel every pixel they produce through one of these kernels:
+Both renderers funnel every pixel they produce through these kernels:
 
 * :func:`blend_reference` — the per-Gaussian reference loop (vectorised over
   the pixels of a tile, sequential over the depth-sorted Gaussian list), a
@@ -9,25 +9,28 @@ Both renderers funnel every pixel they produce through one of these kernels:
   (gaussian, pixel) powers in one broadcast and derives per-step
   transmittance with an exclusive cumulative product, reproducing the
   reference recurrence (including the early-termination gate) exactly;
-* :func:`blend_streaming` — the same machinery exposed to the streaming
-  per-voxel path: blends a whole tile's concatenated voxel stream in one
-  call and additionally reports, per pixel, the stream position at which
-  the pixel saturated, so the pipeline can reproduce the reference loop's
-  voxel-granular early termination in its statistics.
+* :func:`blend_streaming` — the streaming renderer's frame-level blend: the
+  same recurrence run over the stacked pixel columns of many tiles, each
+  column blending its own tile's voxel stream, in column blocks of
+  :data:`STREAM_BLOCK_COLUMNS`.  Besides colour and transmittance it
+  reports, per pixel, the stream position at which the pixel saturated, so
+  the pipeline can reproduce the reference loop's voxel-granular early
+  termination in its statistics.
 
-Kernels share one signature::
+``blend_reference`` and ``blend_vectorized`` share one signature::
 
     kernel(pixel_x, pixel_y, projected, sorted_indices, state,
            model_indices=None, track_depth_order=False) -> BlendState
 
-``model_indices`` maps rows of ``projected`` to model Gaussian ids; the
-streaming pipeline passes the surviving-voxel indices so per-Gaussian weight
-attribution lands directly in the frame-level arrays bound into ``state``.
+``model_indices`` maps rows of ``projected`` to model Gaussian ids, so
+per-Gaussian weight attribution lands directly in the frame-level arrays
+bound into ``state``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,6 +53,20 @@ DEPTH_VIOLATION_EPSILON = 1e-9
 #: (gaussians x pixels) working set to a cache-resident block and sets the
 #: granularity of the active-pixel compaction and early-termination checks.
 VECTORIZED_CHUNK = 64
+
+#: Minimum Gaussians (rows) per chunk of the streaming blend.
+STREAM_CHUNK_ROWS = 32
+
+#: Element budget (chunk rows x active pixel columns) of one streaming-blend
+#: chunk: chunks start at :data:`STREAM_CHUNK_ROWS` rows and grow as pixel
+#: columns saturate and drop out of the active set.
+STREAM_CHUNK_ELEMENTS = 1 << 14
+
+#: Pixel columns per streaming-blend block.  The blend walks whole tiles
+#: grouped into blocks of at most this many columns, so its chunk
+#: temporaries and stream matrix stay one block's worth however large the
+#: frame is; larger blocks cost peak memory without making frames faster.
+STREAM_BLOCK_COLUMNS = 512
 
 BlendKernel = Callable[..., BlendState]
 
@@ -144,72 +161,13 @@ def blend_vectorized(
     Depth-order tracking uses an exclusive running maximum of contributing
     depths along the same axis.
     """
-    state, _ = _blend_batched(
-        pixel_x,
-        pixel_y,
-        projected,
-        sorted_indices,
-        state,
-        model_indices=model_indices,
-        track_depth_order=track_depth_order,
-    )
-    return state
-
-
-def blend_streaming(
-    pixel_x: np.ndarray,
-    pixel_y: np.ndarray,
-    projected: ProjectedGaussians,
-    sorted_indices: np.ndarray,
-    state: BlendState,
-    model_indices: Optional[np.ndarray] = None,
-    track_depth_order: bool = False,
-) -> "Tuple[BlendState, np.ndarray]":
-    """Streaming-order blend: the vectorized kernel plus saturation steps.
-
-    Blends exactly like :func:`blend_vectorized` (same chunks, same
-    cumulative products, bit-identical state) and additionally returns, per
-    pixel, the position in ``sorted_indices`` of the Gaussian whose blend
-    saturated that pixel (transmittance fell to or below
-    :data:`TRANSMITTANCE_EPSILON`), or ``len(sorted_indices)`` when the
-    pixel never saturated.  The streaming per-voxel path uses the maximum
-    over pixels to reproduce the reference loop's voxel-granular early
-    termination in its statistics without blending voxel by voxel.
-    """
-    return _blend_batched(
-        pixel_x,
-        pixel_y,
-        projected,
-        sorted_indices,
-        state,
-        model_indices=model_indices,
-        track_depth_order=track_depth_order,
-        record_saturation=True,
-    )
-
-
-def _blend_batched(
-    pixel_x: np.ndarray,
-    pixel_y: np.ndarray,
-    projected: ProjectedGaussians,
-    sorted_indices: np.ndarray,
-    state: BlendState,
-    model_indices: Optional[np.ndarray] = None,
-    track_depth_order: bool = False,
-    record_saturation: bool = False,
-) -> "Tuple[BlendState, Optional[np.ndarray]]":
-    """Shared chunked broadcast machinery of the vectorized kernels."""
     if track_depth_order:
         state.ensure_weight_arrays(_tracking_size(projected, model_indices))
     sorted_indices = np.asarray(sorted_indices, dtype=np.int64)
-    valid_positions = np.flatnonzero(projected.valid[sorted_indices])
-    sel = sorted_indices[valid_positions]
+    sel = sorted_indices[projected.valid[sorted_indices]]
     num_pixels = len(pixel_x)
-    saturation: Optional[np.ndarray] = None
-    if record_saturation:
-        saturation = np.full(num_pixels, len(sorted_indices), dtype=np.int64)
     if len(sel) == 0:
-        return state, saturation
+        return state
     px = pixel_x.astype(np.float64) + 0.5
     py = pixel_y.astype(np.float64) + 0.5
 
@@ -292,22 +250,6 @@ def _blend_batched(
             else:
                 state.max_depth = prior_max[-1]
 
-        if record_saturation:
-            # Pixels enter a chunk active (T > epsilon), so the first chunk
-            # row whose running product crosses the threshold is the global
-            # first crossing — and up to that crossing the ungated product
-            # equals the reference transmittance bit for bit.
-            saturated = running[1:] <= TRANSMITTANCE_EPSILON
-            any_saturated = np.any(saturated, axis=0)
-            if np.any(any_saturated):
-                first_row = np.argmax(saturated, axis=0)
-                hit_pixels = (active if compact else np.arange(num_pixels))[
-                    any_saturated
-                ]
-                saturation[hit_pixels] = valid_positions[
-                    start + first_row[any_saturated]
-                ]
-
         # Transmittance after the last contributing Gaussian: the running
         # product only decreases on contributing steps, so the masked
         # minimum recovers it; pixels without contributions keep their
@@ -320,7 +262,245 @@ def _blend_batched(
             state.transmittance[active] = transmittance_out
         else:
             state.transmittance = transmittance_out
-    return state, saturation
+    return state
+
+
+def column_blocks(pixel_counts: np.ndarray) -> np.ndarray:
+    """Tile offsets of the streaming blend's column blocks.
+
+    Consecutive tiles are grouped greedily into blocks of at most
+    :data:`STREAM_BLOCK_COLUMNS` pixel columns (a larger tile is a block of
+    its own).  Returns ``(B + 1,)`` offsets: block ``b`` holds tiles
+    ``offsets[b]:offsets[b + 1]``.  The blocks depend on the tiles' pixel
+    counts only, so any split of a frame into runs of whole blocks blends
+    every block, and therefore every pixel, bit for bit alike.
+    """
+    offsets = [0]
+    columns = 0
+    for tile, count in enumerate(np.asarray(pixel_counts, dtype=np.int64)):
+        if tile > offsets[-1] and columns + count > STREAM_BLOCK_COLUMNS:
+            offsets.append(tile)
+            columns = 0
+        columns += int(count)
+    offsets.append(len(pixel_counts))
+    return np.asarray(offsets, dtype=np.int64)
+
+
+@dataclass
+class StreamingBlend:
+    """Per-column and per-tile outcome of :func:`blend_streaming`."""
+
+    #: (P,) accumulated premultiplied colour per stacked pixel column.
+    color: np.ndarray
+    #: (P,) remaining transmittance per column.
+    transmittance: np.ndarray
+    #: (P,) position, in its tile's stream, of the Gaussian whose blend
+    #: saturated the column; the stream length when it never saturated.
+    saturation: np.ndarray
+    #: (T,) contributing (Gaussian, pixel) pairs per tile.
+    fragments: np.ndarray
+    #: (T,) contributions that arrived out of depth order, per tile.
+    violations: np.ndarray
+
+
+def blend_streaming(
+    pixel_x: np.ndarray,
+    pixel_y: np.ndarray,
+    column_offsets: np.ndarray,
+    projected: ProjectedGaussians,
+    stream_rows: np.ndarray,
+    stream_offsets: np.ndarray,
+    block_offsets: np.ndarray,
+    model_indices: np.ndarray,
+    weights: np.ndarray,
+    violation_weights: np.ndarray,
+) -> StreamingBlend:
+    """Blend many tiles' voxel streams over their stacked pixel columns.
+
+    Tile ``t`` owns columns ``column_offsets[t]:column_offsets[t + 1]`` of
+    ``pixel_x`` / ``pixel_y`` and blends, front to back, the rows
+    ``stream_rows[stream_offsets[t]:stream_offsets[t + 1]]`` of
+    ``projected`` (every row valid, in streaming order).  Tiles are blended
+    in the column blocks ``block_offsets`` (see :func:`column_blocks`),
+    each block through one chunk loop over its stacked columns.
+    Per-Gaussian blended and out-of-order weights are added in place into
+    ``weights`` / ``violation_weights`` at ``model_indices[row]``.
+
+    Per column the arithmetic is that of :func:`blend_vectorized` on the
+    tile's stream: the transmittance chain, the contribution gates, the
+    saturation positions and every integer count are bit-identical under
+    any chunking of the stream (non-contributing factors are exactly 1.0).
+    Only the accumulation order of colours and per-Gaussian weights
+    depends on the chunking, which the 1e-9 tolerances cover; the chunking
+    itself depends on a block's own tiles only.
+    """
+    num_tiles = len(column_offsets) - 1
+    num_columns = int(column_offsets[-1])
+    stream_lens = np.diff(stream_offsets)
+    col_tile = np.repeat(np.arange(num_tiles), np.diff(column_offsets))
+    px = pixel_x.astype(np.float64) + 0.5
+    py = pixel_y.astype(np.float64) + 0.5
+    transmittance = np.ones(num_columns, dtype=np.float64)
+    color = np.zeros((num_columns, 3), dtype=np.float64)
+    max_depth = np.full(num_columns, -np.inf, dtype=np.float64)
+    saturation = stream_lens[col_tile].astype(np.int64)
+    fragments = np.zeros(num_tiles, dtype=np.int64)
+    violations = np.zeros(num_tiles, dtype=np.int64)
+
+    # Projection rows padded with one sentinel row whose zero opacity,
+    # conic and mean make it an exact no-op (alpha 0, factor exactly 1.0);
+    # the per-parameter 1-D copies make the chunk gathers contiguous takes.
+    sentinel = len(projected)
+
+    def padded(values: np.ndarray) -> np.ndarray:
+        return np.append(values.astype(np.float64), 0.0)
+
+    mean_x, mean_y = padded(projected.means2d[:, 0]), padded(projected.means2d[:, 1])
+    conic_a, conic_b, conic_c = (padded(projected.conics[:, i]) for i in range(3))
+    opacities, depths = padded(projected.opacities), padded(projected.depths)
+    colors = np.vstack([projected.colors, np.zeros((1, 3))])
+    # Pad rows attribute exactly 0.0 to model id 0, a no-op.
+    keys = np.append(np.asarray(model_indices, dtype=np.int64), 0)
+
+    for lo, hi in zip(block_offsets[:-1], block_offsets[1:]):
+        lens = stream_lens[lo:hi]
+        max_len = int(lens.max()) if hi > lo else 0
+        if max_len == 0:
+            continue
+        # Column j of the block's stream matrix holds tile lo + j's stream,
+        # sentinel-padded past its end; row-major chunks (chunk rows x
+        # active columns) keep every accumulate/cumprod step one
+        # contiguous vectorized row operation.
+        first = stream_offsets[lo]
+        block_tile = np.repeat(np.arange(hi - lo), lens)
+        position = np.arange(stream_offsets[hi] - first) - (
+            stream_offsets[lo:hi] - first
+        ).repeat(lens)
+        matrix = np.full((max_len, hi - lo), sentinel, dtype=np.int64)
+        matrix[position, block_tile] = stream_rows[first : stream_offsets[hi]]
+
+        c0, c1 = column_offsets[lo], column_offsets[hi]
+        tile_of = col_tile[c0:c1] - lo
+        col_t, col_color = transmittance[c0:c1], color[c0:c1]
+        col_depth, col_saturation = max_depth[c0:c1], saturation[c0:c1]
+        start = 0
+        while start < max_len:
+            active = np.flatnonzero(
+                (col_t > TRANSMITTANCE_EPSILON) & (lens[tile_of] > start)
+            )
+            if len(active) == 0:
+                break
+            # Columns are tile-major, so each present tile's active columns
+            # are one contiguous run: segment reductions (reduceat) recover
+            # per-tile sums.
+            present, runs = np.unique(tile_of[active], return_counts=True)
+            boundaries = np.cumsum(runs) - runs
+            # Chunks grow as columns saturate (amortising the per-chunk call
+            # overhead over the long-stream tail) and the last chunk shrinks
+            # to the longest remaining stream so finished tiles do not pay
+            # for sentinel rows.
+            rows_k = max(STREAM_CHUNK_ROWS, STREAM_CHUNK_ELEMENTS // len(active))
+            rows_k = int(min(rows_k, lens[present].max() - start))
+            stop = start + rows_k
+
+            # Every column of a tile shares the tile's stream, so Gaussian
+            # parameters vary per (chunk row, tile) only: gather them per
+            # present tile, then spread to columns with a sequential take.
+            chunk = matrix[start:stop].take(present, axis=1)
+            spread = np.repeat(np.arange(len(present)), runs)
+
+            def gather(values: np.ndarray) -> np.ndarray:
+                return values.take(chunk).take(spread, axis=1)
+
+            transmittance_in = col_t[active]
+            dx = px[c0:c1][active][None, :] - gather(mean_x)
+            dy = py[c0:c1][active][None, :] - gather(mean_y)
+            power = gather(conic_a)
+            power *= dx * dx
+            power += gather(conic_c) * (dy * dy)
+            power *= -0.5
+            dx *= dy
+            dx *= gather(conic_b)
+            power -= dx
+
+            positive = power > 0.0
+            np.minimum(power, 0.0, out=power)
+            a = np.exp(power, out=power)
+            a *= gather(opacities)
+            np.minimum(a, ALPHA_MAX, out=a)
+            positive |= a <= ALPHA_EPSILON
+            np.copyto(a, 0.0, where=positive)
+
+            factors = 1.0 - a
+            factors[0] *= transmittance_in
+            running = np.empty((rows_k + 1, len(active)), dtype=np.float64)
+            running[0] = transmittance_in
+            np.cumprod(factors, axis=0, out=running[1:])
+            contributes = (a > 0.0) & (running[:-1] > TRANSMITTANCE_EPSILON)
+            weight = np.where(contributes, a * running[:-1], 0.0)
+
+            # Colour as one small matmul per present tile: the colour block
+            # varies per (chunk row, tile) only, so the per-column weighted
+            # sum is (columns x rows) @ (rows x 3).
+            ends = boundaries + runs
+            for i in range(len(present)):
+                cs, ce = boundaries[i], ends[i]
+                col_color[active[cs:ce]] += weight[:, cs:ce].T @ colors[chunk[:, i]]
+
+            counts = np.count_nonzero(contributes, axis=0)
+            fragments[lo + present] += np.add.reduceat(counts, boundaries)
+
+            chunk_depths = gather(depths)
+            prior_max = np.empty((rows_k + 1, len(active)), dtype=np.float64)
+            prior_max[0] = col_depth[active]
+            prior_max[1:] = np.where(contributes, chunk_depths, -np.inf)
+            np.maximum.accumulate(prior_max, axis=0, out=prior_max)
+            violated = contributes & (
+                prior_max[:-1] > chunk_depths + DEPTH_VIOLATION_EPSILON
+            )
+            col_depth[active] = prior_max[-1]
+
+            # Per-(chunk row, tile) weight sums scattered into the
+            # per-Gaussian attribution arrays.
+            chunk_keys = keys.take(chunk)
+            np.add.at(weights, chunk_keys, np.add.reduceat(weight, boundaries, axis=1))
+            if violated.any():
+                violations[lo + present] += np.add.reduceat(
+                    np.count_nonzero(violated, axis=0), boundaries
+                )
+                np.add.at(
+                    violation_weights,
+                    chunk_keys,
+                    np.add.reduceat(np.where(violated, weight, 0.0), boundaries, axis=1),
+                )
+
+            # The running product is non-increasing (factors lie in [0, 1]),
+            # so a column saturated in this chunk iff its final value is at
+            # or below the epsilon; only those columns pay for the scan.
+            saturated = running[-1] <= TRANSMITTANCE_EPSILON
+            if saturated.any():
+                hit = np.flatnonzero(saturated)
+                first_row = np.argmax(running[1:, hit] <= TRANSMITTANCE_EPSILON, axis=0)
+                col_saturation[active[hit]] = start + first_row
+
+            # Transmittance after the column's last contributing row (by
+            # monotonicity the minimum the reference recurrence reaches);
+            # columns without a contribution keep their incoming value.
+            last_row = rows_k - 1 - np.argmax(contributes[::-1], axis=0)
+            col_t[active] = np.where(
+                counts > 0,
+                running[last_row + 1, np.arange(len(active))],
+                transmittance_in,
+            )
+            start = stop
+
+    return StreamingBlend(
+        color=color,
+        transmittance=transmittance,
+        saturation=saturation,
+        fragments=fragments,
+        violations=violations,
+    )
 
 
 #: Registry of the interchangeable blending kernels.

@@ -15,17 +15,15 @@ within one run.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.config import TEMPORAL_MODES, StreamingConfig
+from repro.core.config import StreamingConfig
 from repro.core.pipeline import (
     STREAMING_KERNELS,
-    TILE_MODES,
     StreamingRenderer,
     StreamingRenderOutput,
 )
@@ -84,44 +82,30 @@ class RenderResponse:
 class RenderOptions:
     """How a render request executes — scheduling and kernel knobs.
 
-    The first-class replacement for the loose ``tile_workers=`` /
-    ``tile_mode=`` keywords :meth:`RenderService.render` used to take:
-    everything about *how* a frame renders (as opposed to *what* renders,
+    Everything about *how* a frame renders (as opposed to *what* renders,
     which stays on :class:`RenderRequest`) lives here, so new execution
-    knobs never widen the service signatures again.
+    knobs never widen the service signatures.
 
     Attributes
     ----------
     tile_workers:
-        Workers rendering independent tiles concurrently (``1`` = serial).
-    tile_mode:
-        Parallel-tile path: ``"auto"`` (processes, degrading to threads),
-        ``"process"`` or ``"thread"``; ignored with one worker.
+        Processes rendering the frame's column blocks concurrently
+        (``1`` = in the calling process).
     streaming_kernel:
         Override of :attr:`StreamingConfig.streaming_kernel` for this call
         (``None`` keeps the config's kernel).
-    temporal_mode:
-        Override of :attr:`StreamingConfig.temporal_mode` for this call
-        (``None`` keeps the config's mode) — ``"carry"`` turns the
-        temporal-coherence fast path on for trajectory renders.
     resolution_scale:
         Scale factor applied to the request camera's resolution (and
         focal lengths); ``1.0`` renders at the camera's native size.
     """
 
     tile_workers: int = 1
-    tile_mode: str = "auto"
     streaming_kernel: Optional[str] = None
-    temporal_mode: Optional[str] = None
     resolution_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.tile_workers < 1:
             raise ValueError(f"tile_workers must be >= 1, got {self.tile_workers}")
-        if self.tile_mode not in TILE_MODES:
-            raise ValueError(
-                f"tile_mode must be one of {TILE_MODES}, got {self.tile_mode!r}"
-            )
         if (
             self.streaming_kernel is not None
             and self.streaming_kernel not in STREAMING_KERNELS
@@ -130,11 +114,6 @@ class RenderOptions:
                 f"unknown streaming_kernel {self.streaming_kernel!r}; "
                 f"available: {sorted(STREAMING_KERNELS)}"
             )
-        if self.temporal_mode is not None and self.temporal_mode not in TEMPORAL_MODES:
-            raise ValueError(
-                f"unknown temporal_mode {self.temporal_mode!r}; "
-                f"available: {sorted(TEMPORAL_MODES)}"
-            )
         if not self.resolution_scale > 0:
             raise ValueError(
                 f"resolution_scale must be positive, got {self.resolution_scale!r}"
@@ -142,13 +121,10 @@ class RenderOptions:
 
     # ------------------------------------------------------------------
     def resolved_config(self, config: StreamingConfig) -> StreamingConfig:
-        """``config`` with this call's kernel/temporal overrides applied."""
-        overrides: Dict[str, Any] = {}
-        if self.streaming_kernel is not None:
-            overrides["streaming_kernel"] = self.streaming_kernel
-        if self.temporal_mode is not None:
-            overrides["temporal_mode"] = self.temporal_mode
-        return config.with_options(**overrides) if overrides else config
+        """``config`` with this call's kernel override applied."""
+        if self.streaming_kernel is None:
+            return config
+        return config.with_options(streaming_kernel=self.streaming_kernel)
 
     def resolved_camera(self, camera: Camera) -> Camera:
         """``camera`` scaled to this call's resolution."""
@@ -171,45 +147,6 @@ class RenderOptions:
                 f"unknown RenderOptions fields {sorted(unknown)}; known: {sorted(known)}"
             )
         return cls(**dict(data))
-
-
-#: One-shot flag of the deprecated-keyword shim: the first caller still
-#: passing ``tile_workers=``/``tile_mode=`` gets a DeprecationWarning, the
-#: rest of the process stays quiet.
-_DEPRECATED_KWARGS_WARNED = False
-
-
-def _resolve_options(
-    options: Optional[RenderOptions],
-    tile_workers: Optional[int],
-    tile_mode: Optional[str],
-) -> RenderOptions:
-    """Fold the deprecated loose keywords into a :class:`RenderOptions`.
-
-    Warns (once per process) when the old keywords are used; mixing them
-    with ``options`` is an error because the intent is ambiguous.
-    """
-    global _DEPRECATED_KWARGS_WARNED
-    if tile_workers is None and tile_mode is None:
-        return options if options is not None else RenderOptions()
-    if options is not None:
-        raise TypeError(
-            "pass options=RenderOptions(...) or the deprecated "
-            "tile_workers=/tile_mode= keywords, not both"
-        )
-    if not _DEPRECATED_KWARGS_WARNED:
-        _DEPRECATED_KWARGS_WARNED = True
-        warnings.warn(
-            "the tile_workers=/tile_mode= keywords of RenderService.render and "
-            "render_batch are deprecated; pass "
-            "options=RenderOptions(tile_workers=..., tile_mode=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return RenderOptions(
-        tile_workers=1 if tile_workers is None else tile_workers,
-        tile_mode="auto" if tile_mode is None else tile_mode,
-    )
 
 
 class RenderService:
@@ -243,8 +180,8 @@ class RenderService:
         #: worker count, tiles, wall seconds) — per-frame observability for
         #: the runner's ``--telemetry-json`` dump.
         self.last_frame: Optional[dict] = None
-        #: Aggregated telemetry of the most recent :meth:`render_trajectory`
-        #: (frame counts, carried/revalidated voxels, coherence hit rate).
+        #: Telemetry of the most recent :meth:`render_trajectory` (frame
+        #: count and each frame's telemetry).
         self.last_trajectory: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -301,26 +238,21 @@ class RenderService:
         request: RenderRequest,
         options: Optional[RenderOptions] = None,
         _fingerprint: Optional[str] = None,
-        tile_workers: Optional[int] = None,
-        tile_mode: Optional[str] = None,
     ) -> RenderResponse:
         """Serve one request.
 
         ``options`` (:class:`RenderOptions`) says how the frame executes:
-        tile workers and their mode, per-call streaming-kernel / temporal
-        overrides, and the resolution scale.  Images are identical and
-        statistics deterministic regardless of scheduling, with the
-        per-frame telemetry (including the mode actually taken) recorded
-        in :attr:`last_frame`.
+        tile workers, a per-call streaming-kernel override, and the
+        resolution scale.  Images are identical and statistics
+        deterministic regardless of scheduling, with the per-frame
+        telemetry (including the path and tile mode actually taken)
+        recorded in :attr:`last_frame`.
 
-        ``tile_workers=`` / ``tile_mode=`` remain accepted as deprecated
-        keywords (one DeprecationWarning per process) and fold into an
-        equivalent :class:`RenderOptions`.  ``_fingerprint`` is internal:
-        :meth:`render_batch` passes the model hash it already computed for
-        grouping, so a batch hashes each model once instead of once per
-        request.
+        ``_fingerprint`` is internal: :meth:`render_batch` passes the model
+        hash it already computed for grouping, so a batch hashes each model
+        once instead of once per request.
         """
-        options = _resolve_options(options, tile_workers, tile_mode)
+        options = options if options is not None else RenderOptions()
         config = options.resolved_config(request.config or StreamingConfig())
         camera = options.resolved_camera(request.camera)
         if request.mode == "tile":
@@ -330,11 +262,7 @@ class RenderService:
         else:
             output = self.streaming_renderer(
                 request.model, config, fingerprint=_fingerprint
-            ).render(
-                camera,
-                tile_workers=options.tile_workers,
-                tile_mode=options.tile_mode,
-            )
+            ).render(camera, tile_workers=options.tile_workers)
             self.last_frame = dict(output.telemetry)
             if output.telemetry.get("tile_workers", 1) > 1:
                 self.parallel_tile_frames += 1
@@ -345,18 +273,14 @@ class RenderService:
         self,
         requests: Iterable[RenderRequest],
         options: Optional[RenderOptions] = None,
-        tile_workers: Optional[int] = None,
-        tile_mode: Optional[str] = None,
     ) -> List[RenderResponse]:
         """Serve many requests, sharing renderers and prepared frames.
 
         Requests are grouped by (model, config) so each streaming renderer
         is built once and its frame-preparation cache sees every camera of
         the group back to back.  ``options`` applies to every streaming
-        render of the batch (see :meth:`render`; the loose keywords are the
-        same deprecated shim).
+        render of the batch (see :meth:`render`).
         """
-        options = _resolve_options(options, tile_workers, tile_mode)
         indexed = list(enumerate(requests))
         responses: List[Optional[RenderResponse]] = [None] * len(indexed)
         streaming = [(i, r) for i, r in indexed if r.mode == "streaming"]
@@ -397,13 +321,9 @@ class RenderService:
         """Render a camera trajectory frame by frame through one renderer.
 
         The frames share a single streaming renderer (the model is hashed
-        once) and run in trajectory order, which is what the temporal
-        carry path needs: with ``options.temporal_mode="carry"`` (or a
-        config whose ``temporal_mode`` is already ``"carry"``) each frame
-        revalidates the previous frame's carried per-tile state instead of
-        rebuilding it.  Per-frame telemetry is aggregated into
-        :attr:`last_trajectory` (frame counts, carried/revalidated voxel
-        totals, overall coherence hit rate).
+        once, and revisited poses hit its frame cache) and run in
+        trajectory order.  Every frame's telemetry is collected in
+        :attr:`last_trajectory`.
         """
         options = options if options is not None else RenderOptions()
         fingerprint = model.content_fingerprint()
@@ -421,22 +341,7 @@ class RenderService:
                 self.render(request, options=options, _fingerprint=fingerprint)
             )
             frames.append(dict(self.last_frame or {}))
-        carried = sum(int(f.get("carried_voxels", 0)) for f in frames)
-        revalidated = sum(int(f.get("revalidated", 0)) for f in frames)
-        reused = carried + revalidated
-        self.last_trajectory = {
-            "frames": len(frames),
-            "warm_frames": sum(
-                1
-                for f in frames
-                if f.get("temporal_mode") == "carry" and not f.get("cold_frame")
-            ),
-            "cold_frames": sum(1 for f in frames if f.get("cold_frame", True)),
-            "carried_voxels": carried,
-            "revalidated": revalidated,
-            "coherence_hit_rate": carried / reused if reused else 0.0,
-            "per_frame": frames,
-        }
+        self.last_trajectory = {"frames": len(frames), "per_frame": frames}
         return responses
 
     # ------------------------------------------------------------------
@@ -458,31 +363,8 @@ class RenderService:
         return tile.output, streaming.output  # type: ignore[return-value]
 
     def stats(self) -> dict:
-        """Counter snapshot (requests served, renderer cache, temporal reuse).
-
-        The ``temporal`` block aggregates every live renderer's
-        :class:`~repro.engine.temporal.TemporalContext` counters, so the
-        service daemon's ``/metrics`` endpoint exposes trajectory-coherence
-        behaviour without reaching into individual renderers.
-        """
+        """Counter snapshot (requests served, renderer cache, last frames)."""
         with self._lock:
-            temporal = {
-                "frames": 0,
-                "cold_frames": 0,
-                "teleports": 0,
-                "carried_voxels": 0,
-                "revalidated_voxels": 0,
-                "orders_carried": 0,
-                "orders_computed": 0,
-            }
-            for renderer in self._renderers.values():
-                snap = renderer.temporal.snapshot()
-                for key in temporal:
-                    temporal[key] += int(snap.get(key, 0))
-            reused = temporal["carried_voxels"] + temporal["revalidated_voxels"]
-            temporal["coherence_hit_rate"] = (
-                temporal["carried_voxels"] / reused if reused else 0.0
-            )
             return {
                 "requests_served": self.requests_served,
                 "renderer_hits": self.renderer_hits,
@@ -490,7 +372,6 @@ class RenderService:
                 "renderers_alive": len(self._renderers),
                 "peak_renderers": self.peak_renderers,
                 "parallel_tile_frames": self.parallel_tile_frames,
-                "temporal": temporal,
                 "last_frame": dict(self.last_frame) if self.last_frame else None,
                 "last_trajectory": (
                     dict(self.last_trajectory) if self.last_trajectory else None

@@ -1,45 +1,52 @@
-"""Process-based parallel tile rendering over shared memory.
+"""Process-parallel frame rendering over shared memory.
 
-The PR 5 tile pool fanned tiles over *threads*; the per-tile work is pure
-NumPy/Python, so the GIL serialised it (~0.97x).  This module renders the
-same disjoint tiles in *processes* while keeping every byte-parity
-guarantee, by making all large transfers zero-copy:
+With ``tile_workers = N > 1`` the renderer cuts the frame's column blocks
+(:func:`~repro.engine.kernels.column_blocks`) into ``N`` contiguous runs
+of equally many whole blocks and renders the runs concurrently: the
+calling process renders the first run itself while a process pool renders
+the others.  Every
+block blends identically whatever else its process renders, and the frame
+path's projections do not depend on the batch they are computed in, so
+the frame is bit-identical to a one-process render (images and integer
+statistics exactly equal; per-Gaussian weights within 1e-9, summed in a
+different order).
 
-* the renderer, camera and prepared frame (3D-DDA ordering tables,
-  topological voxel orders) are packaged **once per render** with
-  :class:`~repro.api.shm.ShmPackage` — model and frame arrays go into
-  shared-memory segments, workers attach them read-only;
+All large transfers are zero-copy:
+
+* the renderer (without its frame cache), the camera and the current
+  frame's tile rectangles and voxel orders are packaged **once per render**
+  with :class:`~repro.api.shm.ShmPackage` — model and grid arrays go into
+  shared-memory segments that workers attach read-only, and no worker
+  repeats the traversal or the topological sort;
 * the image, alpha and per-Gaussian weight accumulators are **writable
-  shared buffers**: workers write their disjoint tile regions (and their
-  private weight rows) in place, so no render output is ever pickled;
-* per-tile :class:`~repro.core.pipeline.StreamingStats` come back as
-  compact int64 arrays (one row of scalar counters plus the ragged
-  sort-length lists) and the frame absorbs them **in tile id order** —
-  bit-identical integer statistics and deterministic float accumulation
-  regardless of worker scheduling.
+  shared buffers**: workers write their tiles' pixels and their private
+  weight row in place, so no render output is ever pickled;
+* each worker returns one int64 row of summed scalar statistics plus its
+  sort-length list, and the frame absorbs the runs **in order**, which is
+  tile order.
 
-Tiles are assigned round-robin (worker ``w`` renders tiles ``w, w+N,
-w+2N, ...``) so adjacent expensive tiles spread across workers.  The
-worker pool is a lazily created, process-wide ``ProcessPoolExecutor``
+The worker pool is a lazily created, process-wide ``ProcessPoolExecutor``
 (fork start method when the platform offers it — the cheap path; spawn
-works too since everything a worker needs arrives via the package),
-grown on demand and shut down at interpreter exit.  Anything that stops
-the process path — no usable shared memory, daemonic caller, pool
-creation failure, worker death — raises :class:`TileParallelUnavailable`
-and the renderer degrades to the thread path, recording the reason in
-the frame telemetry.
+works too since everything a worker needs arrives via the package), grown
+on demand and shut down at interpreter exit.  Anything that stops the
+process path before dispatch — daemonic caller, no usable shared memory,
+publish failure — leaves the whole frame to the calling process; a pool
+that fails after dispatch (worker death) is discarded and the caller
+renders the other runs too.  The frame telemetry records the reason
+either way.
 """
 
 from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import copy
 import multiprocessing
 import os
 import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,11 +59,12 @@ from repro.api.shm import (
 )
 from repro.core.hierarchical_filter import FilterStats
 from repro.core.data_layout import LayoutTraffic
+from repro.engine.cache import FrameCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle)
     from repro.core.pipeline import StreamingRenderer, StreamingStats
 
-#: Scalar int64 columns of one tile's statistics row, in absorb order:
+#: Scalar int64 columns of one run's statistics row, in absorb order:
 #: the plain counters of ``StreamingStats`` followed by the fields of its
 #: nested ``FilterStats`` and ``LayoutTraffic`` records.
 STAT_COLUMNS: Tuple[str, ...] = (
@@ -93,11 +101,11 @@ ROW_WIDTH = len(STAT_COLUMNS) + len(FILTER_COLUMNS) + len(TRAFFIC_COLUMNS)
 
 
 class TileParallelUnavailable(RuntimeError):
-    """The process tile path cannot run here; degrade to threads."""
+    """The process path cannot run here; the frame renders in-process."""
 
 
 def stats_to_row(stats: "StreamingStats") -> np.ndarray:
-    """Flatten one tile's scalar statistics into an int64 row."""
+    """Flatten a record's scalar statistics into an int64 row."""
     values = [getattr(stats, name) for name in STAT_COLUMNS]
     values.extend(getattr(stats.filter, name) for name in FILTER_COLUMNS)
     values.extend(getattr(stats.traffic, name) for name in TRAFFIC_COLUMNS)
@@ -105,7 +113,7 @@ def stats_to_row(stats: "StreamingStats") -> np.ndarray:
 
 
 def row_to_stats(row: np.ndarray, sort_lengths: np.ndarray) -> "StreamingStats":
-    """Rebuild a (weight-array-free) per-tile ``StreamingStats`` record."""
+    """Rebuild a (weight-array-free) ``StreamingStats`` record from a row."""
     from repro.core.pipeline import StreamingStats
 
     stats = StreamingStats()
@@ -127,62 +135,40 @@ def row_to_stats(row: np.ndarray, sort_lengths: np.ndarray) -> "StreamingStats":
 # ----------------------------------------------------------------------
 # Worker side.
 # ----------------------------------------------------------------------
-def _render_tile_block(
+def _render_run(
     package: ShmPackage,
     image_handle: SharedArrayHandle,
     alpha_handle: SharedArrayHandle,
     blend_handle: SharedArrayHandle,
     violation_handle: SharedArrayHandle,
-    worker_index: int,
-    num_workers: int,
-    render_path: str,
+    weight_row: int,
+    blocks: np.ndarray,
 ) -> Dict[str, np.ndarray]:
-    """Render this worker's round-robin tile subset into the shared buffers.
+    """Render one run of blocks into the shared buffers.
 
-    Returns only compact arrays: one scalar row and one sort-length list
-    per rendered tile (plus the tile ids).  Images, alpha and per-Gaussian
-    weights were already written into shared memory in place.
+    Returns only compact arrays: one row of summed scalar statistics and
+    the run's sort-length list.  Pixels and per-Gaussian weights were
+    already written into shared memory in place.
     """
     from repro.core.pipeline import StreamingStats
-    from repro.gaussians.tiles import TileGrid
 
-    renderer, camera = package.unpack()
-    render_tile = getattr(renderer, render_path)
-    preparation = renderer.prepare_frame(camera)
-    tile_grid = TileGrid(camera.width, camera.height, renderer.config.tile_size)
-
-    image = image_handle.array(writable=True)
-    alpha = alpha_handle.array(writable=True)
-    # Private accumulator rows: every tile of this worker adds into the
-    # same pair of arrays, mirroring the serial frame-level accumulation.
-    blend_row = blend_handle.array(writable=True)[worker_index]
-    violation_row = violation_handle.array(writable=True)[worker_index]
-
-    tile_ids = list(range(worker_index, tile_grid.num_tiles, num_workers))
-    rows = np.zeros((len(tile_ids), ROW_WIDTH), dtype=np.int64)
-    lengths: List[int] = []
-    counts = np.zeros(len(tile_ids), dtype=np.int64)
-    for position, tile_id in enumerate(tile_ids):
-        local = StreamingStats()
-        local.gaussian_blend_weight = blend_row
-        local.gaussian_violation_weight = violation_row
-        render_tile(
-            camera,
-            tile_id,
-            tile_grid.tile_pixel_bounds(tile_id),
-            preparation,
-            image,
-            alpha,
-            local,
-        )
-        rows[position] = stats_to_row(local)
-        counts[position] = len(local.sort_list_lengths)
-        lengths.extend(local.sort_list_lengths)
+    renderer, camera, tile_bounds, orders = package.unpack()
+    local = StreamingStats()
+    local.gaussian_blend_weight = blend_handle.array(writable=True)[weight_row]
+    local.gaussian_violation_weight = violation_handle.array(writable=True)[weight_row]
+    renderer._render_tiles(
+        camera,
+        tile_bounds,
+        orders,
+        blocks,
+        image_handle.array(writable=True),
+        alpha_handle.array(writable=True),
+        local,
+        {},
+    )
     return {
-        "tile_ids": np.asarray(tile_ids, dtype=np.int64),
-        "rows": rows,
-        "sort_lengths": np.asarray(lengths, dtype=np.int64),
-        "sort_counts": counts,
+        "row": stats_to_row(local),
+        "sort_lengths": np.asarray(local.sort_list_lengths, dtype=np.int64),
     }
 
 
@@ -193,7 +179,7 @@ _POOL: Optional[concurrent.futures.ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 _POOL_PID = 0
 
-#: Pool-level failures that degrade the render to the thread path.
+#: Pool-level failures that send the render back to the calling process.
 _PROCESS_FAILURES = (
     BrokenProcessPool,
     OSError,
@@ -248,40 +234,78 @@ atexit.register(shutdown_tile_pool)
 def render_tiles_process(
     renderer: "StreamingRenderer",
     camera,
-    tile_grid,
+    tile_bounds: Sequence[Tuple[int, int, int, int]],
+    orders: Sequence[np.ndarray],
+    blocks: np.ndarray,
+    workers: int,
     image: np.ndarray,
     alpha_img: np.ndarray,
     stats: "StreamingStats",
-    render_path: str,
-    workers: int,
+    stages: Dict[str, float],
 ) -> Dict[str, object]:
-    """Render every tile of the frame across a process pool.
+    """Render a frame's tiles in ``workers`` runs, all but the first in a pool.
 
-    Mutates ``image`` / ``alpha_img`` / ``stats`` exactly like the serial
-    tile loop and returns the telemetry of the parallel execution.  Raises
-    :class:`TileParallelUnavailable` when processes cannot be used; the
-    caller degrades to threads.  ``KeyboardInterrupt`` propagates — the
-    shared segments are unlinked on the way out either way.
+    Mutates ``image`` / ``alpha_img`` / ``stats`` / ``stages`` exactly like
+    the renderer's in-process tile loop (``stages`` gains ``dispatch``:
+    the wall time not spent rendering in this process) and returns the
+    telemetry of the execution.  Whatever processes cannot render, this
+    process renders, and the telemetry records why.
+    ``KeyboardInterrupt`` propagates — the shared segments are unlinked on
+    the way out either way.
+    """
+    try:
+        return _render_runs(
+            renderer, camera, tile_bounds, orders, blocks, workers,
+            image, alpha_img, stats, stages,
+        )
+    except TileParallelUnavailable as error:
+        # Raised before anything was rendered: the whole frame renders here.
+        renderer._render_tiles(
+            camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages
+        )
+        return {"tile_mode": "serial", "tile_mode_degraded": str(error)}
+
+
+def _render_runs(
+    renderer: "StreamingRenderer",
+    camera,
+    tile_bounds: Sequence[Tuple[int, int, int, int]],
+    orders: Sequence[np.ndarray],
+    blocks: np.ndarray,
+    workers: int,
+    image: np.ndarray,
+    alpha_img: np.ndarray,
+    stats: "StreamingStats",
+    stages: Dict[str, float],
+) -> Dict[str, object]:
+    """The process path of :func:`render_tiles_process`.
+
+    Raises :class:`TileParallelUnavailable`, having rendered nothing, when
+    processes cannot be used here.
     """
     if multiprocessing.current_process().daemon:
         raise TileParallelUnavailable("daemonic process cannot fork tile workers")
     if not shm_available():
         raise TileParallelUnavailable("no usable shared memory on this host")
 
-    num_gaussians = len(renderer.source_model)
     started = time.perf_counter()
+    # Runs of (give or take one) equally many whole blocks; there are at
+    # least as many blocks as workers.
+    cuts = [(len(blocks) - 1) * run // workers for run in range(workers + 1)]
+    runs = [blocks[lo : hi + 1] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    num_gaussians = len(stats.gaussian_blend_weight)
     registry = ShmRegistry(fallback_inline=False)
     try:
         try:
             image_handle = registry.allocate(image.shape, image.dtype)
             alpha_handle = registry.allocate(alpha_img.shape, alpha_img.dtype)
-            blend_handle = registry.allocate((workers, num_gaussians), np.float64)
-            violation_handle = registry.allocate((workers, num_gaussians), np.float64)
-            # The renderer's frame cache was warmed by ``prepare_frame``
-            # just before dispatch, so the package carries the prepared
-            # frame (ordering tables, topological orders) — published
-            # once, attached by every worker.
-            package = ShmPackage.pack((renderer, camera), registry)
+            blend_handle = registry.allocate((workers - 1, num_gaussians), np.float64)
+            violation_handle = registry.allocate((workers - 1, num_gaussians), np.float64)
+            # Only the current frame travels: a copy of the renderer without
+            # its frame cache, plus the frame's tile rectangles and orders.
+            shipped = copy.copy(renderer)
+            shipped.frame_cache = FrameCache(capacity=0)
+            package = ShmPackage.pack((shipped, camera, tile_bounds, orders), registry)
         except (
             SharedMemoryUnavailable,
             OSError,
@@ -293,62 +317,76 @@ def render_tiles_process(
             raise TileParallelUnavailable(f"shm publish failed: {error}") from error
         publish_s = time.perf_counter() - started
 
+        futures = []
+        failure: Optional[BaseException] = None
         try:
-            pool = _tile_pool(workers)
-            futures = [
-                pool.submit(
-                    _render_tile_block,
-                    package,
-                    image_handle,
-                    alpha_handle,
-                    blend_handle,
-                    violation_handle,
-                    worker_index,
-                    workers,
-                    render_path,
+            pool = _tile_pool(workers - 1)
+            for weight_row, run in enumerate(runs[1:]):
+                futures.append(
+                    pool.submit(
+                        _render_run,
+                        package,
+                        image_handle,
+                        alpha_handle,
+                        blend_handle,
+                        violation_handle,
+                        weight_row,
+                        run,
+                    )
                 )
-                for worker_index in range(workers)
-            ]
-            payloads = [future.result() for future in futures]
-        except (KeyboardInterrupt, SystemExit):
-            raise
         except _PROCESS_FAILURES as error:
+            failure = error
+
+        shared_image = image_handle.array(writable=True)
+        shared_alpha = alpha_handle.array(writable=True)
+        rendering_before = sum(stages.values())
+        renderer._render_tiles(
+            camera, tile_bounds, orders, runs[0], shared_image, shared_alpha, stats, stages
+        )
+        payloads = []
+        for future in futures:
+            try:
+                payloads.append(future.result())
+            except _PROCESS_FAILURES as error:
+                failure = failure or error
+        if failure is None:
+            # Runs are contiguous tile ranges, so absorbing them in run
+            # order keeps the sort lists in tile order.
+            for payload in payloads:
+                stats.absorb(row_to_stats(payload["row"], payload["sort_lengths"]))
+            # Weight rows summed in run order: deterministic for a fixed
+            # worker count, within 1e-9 of the serial accumulation.
+            for blend_row, violation_row in zip(
+                blend_handle.array(), violation_handle.array()
+            ):
+                stats.gaussian_blend_weight += blend_row
+                stats.gaussian_violation_weight += violation_row
+        else:
+            # Nothing a failed pool wrote is kept: its runs render here,
+            # over whatever pixels the workers left behind.
             _discard_tile_pool()
-            raise TileParallelUnavailable(
-                f"tile worker pool failed: {type(error).__name__}: {error}"
-            ) from error
-
-        # Merge in tile id order: rebuild each tile's compact stats row and
-        # absorb exactly as the serial loop would have.
-        per_tile: Dict[int, "StreamingStats"] = {}
-        for payload in payloads:
-            offsets = np.concatenate(([0], np.cumsum(payload["sort_counts"])))
-            for position, tile_id in enumerate(payload["tile_ids"]):
-                lengths = payload["sort_lengths"][
-                    offsets[position] : offsets[position + 1]
-                ]
-                per_tile[int(tile_id)] = row_to_stats(payload["rows"][position], lengths)
-        for tile_id in range(tile_grid.num_tiles):
-            stats.absorb(per_tile[tile_id])
-
-        # Weight rows summed in worker order: deterministic for a fixed
-        # worker count, within 1e-9 of the serial in-place accumulation.
-        stats.ensure_weight_arrays(num_gaussians)
-        blend_rows = blend_handle.array()
-        violation_rows = violation_handle.array()
-        for worker_index in range(workers):
-            stats.gaussian_blend_weight += blend_rows[worker_index]
-            stats.gaussian_violation_weight += violation_rows[worker_index]
-
-        image[...] = image_handle.array()
-        alpha_img[...] = alpha_handle.array()
+            for run in runs[1:]:
+                renderer._render_tiles(
+                    camera, tile_bounds, orders, run, shared_image, shared_alpha,
+                    stats, stages,
+                )
+        image[...] = shared_image
+        alpha_img[...] = shared_alpha
+        rendering = sum(stages.values()) - rendering_before
+        stages["dispatch"] = time.perf_counter() - started - rendering
         shm_stats = registry.stats()
-        return {
+        telemetry: Dict[str, object] = {
             "tile_mode": "process",
             "shm_segments": shm_stats["segments_created"],
             "shm_bytes": shm_stats["bytes_published"],
             "pickled_bytes": package.pickled_bytes,
             "publish_seconds": publish_s,
         }
+        if failure is not None:
+            telemetry["tile_mode"] = "serial"
+            telemetry["tile_mode_degraded"] = (
+                f"tile worker pool failed: {type(failure).__name__}: {failure}"
+            )
+        return telemetry
     finally:
         registry.close()

@@ -239,8 +239,7 @@ def orbit_trajectory(
     procedural scenes (stand-in for the datasets' test splits).  With the
     default full-circle arc the views are spread over the whole orbit; a
     smaller ``arc_deg`` produces the closely spaced poses of a smooth
-    camera pan, the bread-and-butter workload of the temporal-coherence
-    fast path.
+    camera pan, the bread-and-butter trajectory workload.
     """
     center = np.asarray(center, dtype=np.float64)
     elevation = np.deg2rad(elevation_deg)
@@ -353,21 +352,3 @@ def dolly_trajectory(
             )
         )
     return cameras
-
-
-def pose_delta(a: Camera, b: Camera) -> tuple:
-    """Pose difference between two cameras.
-
-    Returns
-    -------
-    (rotation_deg, translation):
-        Geodesic rotation angle in degrees and Euclidean distance between
-        the camera centres.  The temporal-coherence path uses this to
-        detect teleports (pose jumps too large for carried state to be
-        worth revalidating).
-    """
-    relative = a.rotation @ b.rotation.T
-    cos_angle = np.clip((np.trace(relative) - 1.0) / 2.0, -1.0, 1.0)
-    rotation_deg = float(np.rad2deg(np.arccos(cos_angle)))
-    translation = float(np.linalg.norm(a.translation - b.translation))
-    return rotation_deg, translation

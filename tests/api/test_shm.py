@@ -240,16 +240,16 @@ class TestRenderFaults:
     def test_successful_parallel_render_leaves_no_segments(self, shm_baseline):
         renderer, camera = make_renderer()
         output = renderer.render(camera, tile_workers=2)
-        assert output.telemetry["tile_mode"] in ("process", "thread")
+        assert output.telemetry["tile_mode"] == "process"
         assert_no_new_segments(shm_baseline)
 
-    def test_worker_death_degrades_to_threads_without_leaks(self, monkeypatch, shm_baseline):
+    def test_worker_death_degrades_to_serial_without_leaks(self, monkeypatch, shm_baseline):
         renderer, camera = make_renderer()
         serial = renderer.render(camera)
         monkeypatch.setattr(tile_parallel, "_tile_pool", lambda workers: _DyingPool())
         degraded = renderer.render(camera, tile_workers=2)
-        assert degraded.telemetry["tile_mode"] == "thread"
-        assert "tile_mode_degraded" in degraded.telemetry
+        assert degraded.telemetry["tile_mode"] == "serial"
+        assert "worker died" in degraded.telemetry["tile_mode_degraded"]
         np.testing.assert_array_equal(degraded.image, serial.image)
         equal, detail = streaming_stats_equal(serial.stats, degraded.stats)
         assert equal, detail
@@ -265,6 +265,29 @@ class TestRenderFaults:
         assert_no_new_segments(shm_baseline)
         # The renderer is still usable afterwards on the serial path.
         renderer.render(camera)
+
+
+@needs_shm
+class TestFrameShipping:
+    def test_pickled_bytes_do_not_grow_with_cached_frames(self, shm_baseline):
+        """A dispatch ships the current frame, never the frame cache."""
+        renderer, camera = make_renderer()
+        first = renderer.render(camera, tile_workers=2)
+        assert first.telemetry["tile_mode"] == "process"
+        for step in range(1, 8):
+            renderer.render(
+                make_camera(width=48, height=32, distance=6.0 + 0.25 * step)
+            )
+        assert len(renderer.frame_cache) == renderer.frame_cache.capacity
+        later = renderer.render(camera, tile_workers=2)
+        assert later.telemetry["pickled_bytes"] == first.telemetry["pickled_bytes"]
+        assert later.telemetry["shm_bytes"] == first.telemetry["shm_bytes"]
+        # The calling process renders one share itself; the rest of its
+        # wall time is dispatch.
+        stages = later.telemetry["stages_s"]
+        assert list(stages) == ["prepare", "filter", "blend", "account", "dispatch"]
+        assert sum(stages.values()) <= later.telemetry["seconds"]
+        assert_no_new_segments(shm_baseline)
 
 
 @needs_shm

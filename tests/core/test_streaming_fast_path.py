@@ -1,14 +1,15 @@
 """Golden-equivalence suite for the vectorized streaming render path.
 
-The acceptance bar of the streaming fast path (PR 5): across scenes,
-compression variants and filter configurations, the batched per-voxel path
+The acceptance bar of the streaming frame path: across scenes,
+compression variants and filter configurations, the frame path
 (``StreamingConfig.streaming_kernel="vectorized"``) must produce images
 within 1e-9 of the voxel-at-a-time reference loop and *exactly* equal
 workload statistics — fragment counts, hierarchical-filter reductions,
 DRAM traffic, sort-list shapes and depth-order violation sets.  The same
-bar applies to the batched building blocks (hierarchical filter, DDA
-traversal, traffic accounting) against their serial counterparts, and to
-parallel tile rendering against the serial tile loop.
+bar applies to the batched building blocks (frame-level hierarchical
+filter, DDA traversal, traffic accounting) against their serial
+counterparts, and to process-parallel frames against one-process frames.
+Randomized and degenerate inputs live in ``test_frame_path_differential``.
 """
 
 import numpy as np
@@ -125,84 +126,125 @@ class TestStreamingGoldenEquivalence:
         )
 
 
+class TestFrameTelemetry:
+    """What path ran and where its time went, without a profiler."""
+
+    def test_stages_cover_the_frame(self):
+        model = make_model(num_gaussians=1500, extent=5.0, scale=0.1, seed=21)
+        camera = make_camera(width=160, height=96, distance=7.0)
+        renderer = StreamingRenderer(
+            model, StreamingConfig(voxel_size=0.6, use_vq=False)
+        )
+        telemetry = renderer.render(camera).telemetry
+        assert telemetry["path"] == "frame"
+        assert telemetry["tile_mode"] == "serial"
+        stages = telemetry["stages_s"]
+        assert list(stages) == ["prepare", "filter", "blend", "account"]
+        assert all(seconds > 0.0 for seconds in stages.values())
+        assert 0.95 * telemetry["seconds"] <= sum(stages.values()) <= telemetry["seconds"]
+
+    def test_reference_path_reports_its_loop(self):
+        model = make_model(num_gaussians=120, extent=4.0, seed=2)
+        renderer = StreamingRenderer(
+            model,
+            StreamingConfig(voxel_size=1.0, use_vq=False, streaming_kernel="reference"),
+        )
+        telemetry = renderer.render(make_camera(width=32, height=24)).telemetry
+        assert telemetry["path"] == "reference"
+        assert list(telemetry["stages_s"]) == ["prepare", "reference"]
+
+
 class TestBatchedHierarchicalFilter:
+    """The frame-level filter against one ``filter_voxel`` call per voxel."""
+
+    #: Three tiles with overlapping voxel orders (every voxel, the odd
+    #: ones reversed, and a short prefix) over different pixel rectangles.
+    TILE_BOUNDS = [(16, 0, 48, 32), (0, 16, 32, 48), (40, 8, 64, 24)]
+
     @pytest.fixture
     def scene(self):
         model = make_model(num_gaussians=400, extent=6.0, seed=8)
         grid = VoxelGrid.build(model, voxel_size=1.2)
         camera = make_camera(width=64, height=48, distance=7.0)
-        return model, grid, camera
+        voxels = np.arange(grid.num_voxels, dtype=np.int64)
+        orders = [voxels, voxels[1::2][::-1].copy(), voxels[:5]]
+        return model, grid, camera, orders
 
     @pytest.mark.parametrize("use_coarse_filter", [False, True])
     def test_batch_matches_serial_per_voxel(self, scene, use_coarse_filter):
-        model, grid, camera = scene
+        model, grid, camera, orders = scene
         hfilter = HierarchicalFilter(use_coarse_filter=use_coarse_filter)
-        bounds = (16, 0, 48, 32)
-        voxel_ids = list(range(grid.num_voxels))
-        voxel_lists = [grid.gaussians_in_voxel(v) for v in voxel_ids]
-        batch = hfilter.filter_voxel_batch(model, voxel_lists, camera, bounds)
-
-        offset = 0
-        for position, indices in enumerate(voxel_lists):
-            serial = hfilter.filter_voxel(model, indices, camera, bounds)
-            assert batch.voxel_stats(position) == serial.stats
-            count = int(batch.survivor_counts[position])
-            assert count == len(serial.indices)
-            segment = slice(offset, offset + count)
-            np.testing.assert_array_equal(batch.indices[segment], serial.indices)
-            np.testing.assert_array_equal(
-                batch.segment_ids[segment], np.full(count, position)
-            )
-            # Projection math is row-independent but BLAS kernels may pick
-            # different instruction paths per batch size, so survivor
-            # projections agree to the last few ulps, not bit-for-bit.
-            np.testing.assert_allclose(
-                batch.projected.depths[segment],
-                serial.projected.depths,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                batch.projected.means2d[segment],
-                serial.projected.means2d,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                batch.projected.conics[segment],
-                serial.projected.conics,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                batch.projected.colors[segment],
-                serial.projected.colors,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            offset += count
+        batch = hfilter.filter_voxel_batch(
+            model, grid, orders, self.TILE_BOUNDS, camera
+        )
+        stream_starts = np.concatenate(([0], np.cumsum(batch.fine_passed)))
+        slot = 0
+        for tile, (order, bounds) in enumerate(zip(orders, self.TILE_BOUNDS)):
+            assert batch.voxel_offsets[tile] == slot
+            assert batch.stream_offsets[tile] == stream_starts[slot]
+            for voxel in order:
+                serial = hfilter.filter_voxel(
+                    model, grid.gaussians_in_voxel(voxel), camera, bounds
+                )
+                assert batch.voxels[slot] == voxel
+                assert batch.stats_of(slice(slot, slot + 1)) == serial.stats
+                count = int(batch.fine_passed[slot])
+                assert count == len(serial.indices)
+                # Survivors stream in the reference loop's per-voxel
+                # stable depth order.
+                depth_order = np.argsort(serial.projected.depths, kind="stable")
+                rows = batch.stream_rows[stream_starts[slot] : stream_starts[slot] + count]
+                np.testing.assert_array_equal(
+                    batch.union[rows], serial.indices[depth_order]
+                )
+                # Projection math is row-independent but BLAS kernels may
+                # pick different instruction paths per batch size, so
+                # survivor projections agree to the last few ulps.
+                for name in ("depths", "means2d", "conics", "colors"):
+                    np.testing.assert_allclose(
+                        getattr(batch.projected, name)[rows],
+                        getattr(serial.projected, name)[depth_order],
+                        rtol=1e-12,
+                        atol=1e-12,
+                    )
+                slot += 1
+        assert slot == len(batch.voxels)
 
     def test_prefix_stats_matches_serial_accumulation(self, scene):
-        model, grid, camera = scene
+        model, grid, camera, orders = scene
         hfilter = HierarchicalFilter()
-        bounds = (0, 0, 32, 32)
-        voxel_lists = [grid.gaussians_in_voxel(v) for v in range(grid.num_voxels)]
-        batch = hfilter.filter_voxel_batch(model, voxel_lists, camera, bounds)
-        accumulated = FilterStats()
-        for position, indices in enumerate(voxel_lists):
-            accumulated = accumulated.merge(
-                hfilter.filter_voxel(model, indices, camera, bounds).stats
-            )
-            assert batch.prefix_stats(position + 1) == accumulated
+        batch = hfilter.filter_voxel_batch(
+            model, grid, orders, self.TILE_BOUNDS, camera
+        )
+        for tile, (order, bounds) in enumerate(zip(orders, self.TILE_BOUNDS)):
+            first = int(batch.voxel_offsets[tile])
+            accumulated = FilterStats()
+            assert batch.stats_of(slice(first, first)) == accumulated
+            for position, voxel in enumerate(order):
+                accumulated = accumulated.merge(
+                    hfilter.filter_voxel(
+                        model, grid.gaussians_in_voxel(voxel), camera, bounds
+                    ).stats
+                )
+                assert batch.stats_of(slice(first, first + position + 1)) == accumulated
 
     def test_empty_batch(self, scene):
-        model, grid, camera = scene
-        batch = HierarchicalFilter().filter_voxel_batch(
-            model, [], camera, (0, 0, 16, 16)
+        model, grid, camera, _ = scene
+        hfilter = HierarchicalFilter()
+        batch = hfilter.filter_voxel_batch(model, grid, [], [], camera)
+        assert list(batch.voxel_offsets) == [0]
+        assert len(batch.voxels) == 0
+        assert len(batch.stream_rows) == 0
+        empty_tiles = hfilter.filter_voxel_batch(
+            model,
+            grid,
+            [np.zeros(0, dtype=np.int64)] * 2,
+            [(0, 0, 16, 16), (16, 0, 32, 16)],
+            camera,
         )
-        assert batch.num_voxels == 0
-        assert len(batch.indices) == 0
-        assert batch.prefix_stats(0) == FilterStats()
+        assert len(empty_tiles.projected) == 0
+        assert list(empty_tiles.stream_offsets) == [0, 0, 0]
+        assert empty_tiles.stats_of(slice(0, 0)) == FilterStats()
 
 
 #: Strategy for one random-but-valid FilterStats record.

@@ -129,23 +129,25 @@ def test_frame_telemetry_recorded_per_streaming_render(scene):
 
 
 # ----------------------------------------------------------------------
-# RenderOptions and the deprecated-keyword shim.
+# RenderOptions.
 # ----------------------------------------------------------------------
 def test_render_options_validation():
     with pytest.raises(ValueError, match="tile_workers"):
         RenderOptions(tile_workers=0)
-    with pytest.raises(ValueError, match="tile_mode"):
-        RenderOptions(tile_mode="bogus")
     with pytest.raises(ValueError, match="streaming_kernel"):
         RenderOptions(streaming_kernel="bogus")
-    with pytest.raises(ValueError, match="temporal_mode"):
-        RenderOptions(temporal_mode="bogus")
     with pytest.raises(ValueError, match="resolution_scale"):
         RenderOptions(resolution_scale=0.0)
+    # One frame path: there is no tile mode or temporal mode to choose.
+    for removed in ("tile_mode", "temporal_mode"):
+        with pytest.raises(ValueError, match="unknown RenderOptions fields"):
+            RenderOptions.from_dict({removed: "process"})
 
 
 def test_render_options_dict_roundtrip():
-    options = RenderOptions(tile_workers=2, temporal_mode="carry", resolution_scale=0.5)
+    options = RenderOptions(
+        tile_workers=2, streaming_kernel="reference", resolution_scale=0.5
+    )
     assert RenderOptions.from_dict(options.to_dict()) == options
     with pytest.raises(ValueError, match="unknown RenderOptions fields"):
         RenderOptions.from_dict({"tile_worker": 2})
@@ -156,55 +158,35 @@ def test_render_options_overrides(scene):
     service = RenderService()
     request = RenderRequest(model=model, camera=camera, config=config)
     plain = service.render(request)
+    assert service.last_frame["path"] == "frame"
     scaled = service.render(request, options=RenderOptions(resolution_scale=0.5))
     assert scaled.image.shape == (camera.height // 2, camera.width // 2, 3)
     assert plain.image.shape == (camera.height, camera.width, 3)
-    # A per-call temporal override renders through a carry-mode config
+    # A per-call kernel override renders through the reference loop
     # without touching the request's own config object.
-    carried = service.render(request, options=RenderOptions(temporal_mode="carry"))
-    assert service.last_frame["temporal_mode"] == "carry"
-    np.testing.assert_allclose(carried.image, plain.image, atol=1e-9)
-    assert request.config.temporal_mode == "off"
-
-
-def test_deprecated_kwargs_warn_exactly_once(scene, monkeypatch):
-    from repro.engine import service as service_module
-
-    monkeypatch.setattr(service_module, "_DEPRECATED_KWARGS_WARNED", False)
-    model, camera, config = scene
-    service = RenderService()
-    request = RenderRequest(model=model, camera=camera, config=config)
-    with pytest.warns(DeprecationWarning, match="tile_workers"):
-        first = service.render(request, tile_workers=2)
-    # The shim warns once per process; later loose-keyword calls are quiet.
-    import warnings as warnings_module
-
-    with warnings_module.catch_warnings():
-        warnings_module.simplefilter("error")
-        second = service.render(request, tile_workers=2, tile_mode="thread")
-    np.testing.assert_array_equal(first.image, second.image)
-    with pytest.raises(TypeError, match="not both"):
-        service.render(request, options=RenderOptions(), tile_workers=2)
-
-
-def test_trajectory_telemetry_and_temporal_stats(scene):
-    model, camera, config = scene
-    service = RenderService()
-    cameras = [camera, camera, camera]
-    responses = service.render_trajectory(
-        model, cameras, config=config, options=RenderOptions(temporal_mode="carry")
+    reference = service.render(
+        request, options=RenderOptions(streaming_kernel="reference")
     )
+    assert service.last_frame["path"] == "reference"
+    np.testing.assert_allclose(reference.image, plain.image, atol=1e-9)
+    assert request.config.streaming_kernel == "vectorized"
+
+
+def test_trajectory_telemetry(scene):
+    model, camera, config = scene
+    service = RenderService()
+    cameras = [camera, camera.scaled(0.5), camera]
+    responses = service.render_trajectory(model, cameras, config=config)
     assert len(responses) == 3
+    np.testing.assert_array_equal(responses[0].image, responses[2].image)
     summary = service.last_trajectory
     assert summary["frames"] == 3
-    # Identical poses after the cold first frame carry everything: the
-    # warm frames hit 100%, the overall rate dilutes only by the cold
-    # frame's revalidations.
-    assert summary["warm_frames"] == 2
-    warm = [f for f in summary["per_frame"] if not f.get("cold_frame")]
-    assert all(f["coherence_hit_rate"] == 1.0 for f in warm)
-    assert summary["coherence_hit_rate"] == pytest.approx(2.0 / 3.0)
-    temporal = service.stats()["temporal"]
-    assert temporal["frames"] == 3
-    assert temporal["cold_frames"] == 1
-    assert temporal["carried_voxels"] == summary["carried_voxels"] > 0
+    assert [f["path"] for f in summary["per_frame"]] == ["frame"] * 3
+    for frame in summary["per_frame"]:
+        assert set(frame["stages_s"]) == {"prepare", "filter", "blend", "account"}
+    # The repeated pose reuses its prepared frame.
+    renderer = service.streaming_renderer(model, config)
+    assert renderer.frame_cache.hits >= 1
+    stats = service.stats()
+    assert "temporal" not in stats
+    assert stats["last_trajectory"]["frames"] == 3
