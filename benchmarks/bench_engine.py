@@ -1,22 +1,24 @@
 #!/usr/bin/env python
 """Engine blending-kernel micro-benchmark.
 
-Times the tile-centric render of a seeded synthetic scene under the
-reference and the vectorized blending kernels, verifies they agree, and
+Times the tile-centric render of a seeded synthetic scene through the
+per-tile reference loop and the frame blend, verifies they agree, and
 appends the result to the ``BENCH_engine.json`` trajectory next to this
 script::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
     PYTHONPATH=src python benchmarks/bench_engine.py --check   # assert >= 3x
 
-``--check`` exits non-zero when the vectorized kernel is less than the
-required speedup over the reference kernel or the outputs disagree, which
-makes the script usable as a CI gate.
+``--check`` exits non-zero when the frame blend is less than the required
+speedup over the reference loop, when any ``RenderStats`` field differs,
+or when the image or alpha map differs by more than 1e-9, which makes the
+script usable as a CI gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -24,10 +26,10 @@ from pathlib import Path
 from repro.api.store import append_trajectory
 from repro.engine.bench import run_kernel_benchmark
 
-#: Acceptance bar: vectorized kernel speedup over the reference loop.
+#: Acceptance bar: frame-blend speedup over the reference loop.
 REQUIRED_SPEEDUP = 3.0
 
-#: Acceptance bar: maximum image deviation between the kernels.
+#: Acceptance bar: maximum image and alpha deviation between the paths.
 REQUIRED_ATOL = 1e-9
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -43,7 +45,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail unless speedup >= --min-speedup and outputs agree",
+        help="fail unless speedup >= --min-speedup, statistics are equal and "
+        "images and alpha maps agree",
     )
     parser.add_argument(
         "--min-speedup",
@@ -70,6 +73,7 @@ def main(argv=None) -> int:
     print(result.format())
 
     entry = result.as_dict()
+    entry["cpu_count"] = os.cpu_count()
     entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     # Atomic write-temp-then-rename append: concurrent or interrupted CI
     # jobs cannot truncate the trajectory.
@@ -77,13 +81,19 @@ def main(argv=None) -> int:
     print(f"appended trajectory entry to {args.output}")
 
     if args.check:
-        if result.max_image_delta > REQUIRED_ATOL:
-            print(
-                f"FAIL: kernels disagree (max delta {result.max_image_delta:.3g} "
-                f"> {REQUIRED_ATOL})",
-                file=sys.stderr,
-            )
+        if not result.stats_equal:
+            print(f"FAIL: RenderStats differ: {result.stats_detail}", file=sys.stderr)
             return 1
+        for name, delta in (
+            ("image", result.max_image_delta),
+            ("alpha", result.max_alpha_delta),
+        ):
+            if delta > REQUIRED_ATOL:
+                print(
+                    f"FAIL: {name} differs (max delta {delta:.3g} > {REQUIRED_ATOL})",
+                    file=sys.stderr,
+                )
+                return 1
         if result.speedup < args.min_speedup:
             print(
                 f"FAIL: speedup {result.speedup:.2f}x < {args.min_speedup}x",

@@ -26,11 +26,12 @@ architectural support.  The package is organised as:
     NumPy optimizers and the boundary-aware fine-tuning loss (Sec. III-B).
 
 ``repro.engine``
-    The unified render-engine layer both renderers sit on: interchangeable
-    alpha-blending kernels (the per-Gaussian reference loop and a fully
-    vectorized broadcast kernel, selected via
-    ``StreamingConfig.blend_kernel`` / ``TileRasterizer(kernel=...)``),
-    dense array-based per-Gaussian statistics accumulation, the frame
+    The unified render-engine layer both renderers sit on: one vectorized
+    alpha-blending kernel both renderers run over stacked tile columns,
+    plus the per-Gaussian reference loop it is held to (the path is chosen
+    via ``StreamingConfig.streaming_kernel`` /
+    ``TileRasterizer(kernel=...)``), dense array-based per-Gaussian
+    statistics accumulation, the frame
     preparation cache memoizing view geometry per camera pose, and the
     batched :class:`~repro.engine.service.RenderService` front-end the
     analysis harness renders through.

@@ -11,7 +11,7 @@ The public surface:
   frame by frame via ``Session.render`` /
   ``Session.run_trajectory``.
 * :class:`~repro.engine.service.RenderOptions` — how a render executes
-  (tile workers, kernel override, resolution scale).
+  (tile workers, resolution scale).
 * :func:`~repro.api.spec.sweep` — expands parameter grids into spec lists
   (Fig. 12 / Fig. 13-style sensitivity studies).
 * :class:`~repro.api.result.ExperimentResult` /

@@ -188,7 +188,7 @@ class Session:
           :class:`~repro.api.spec.TrajectorySpec` workload.
 
         ``options`` (:class:`~repro.engine.service.RenderOptions`) controls
-        execution — tile workers, kernel override, resolution scale.
+        execution — tile workers and resolution scale.
         Trajectory forms leave their per-frame telemetry in
         ``session.service.last_trajectory``; named trajectories render with
         :meth:`TrajectorySpec.streaming_config`, explicit camera lists with
@@ -550,7 +550,7 @@ class Session:
                 "config": {
                     "voxel_size": config.voxel_size,
                     "tile_size": config.tile_size,
-                    "blend_kernel": config.blend_kernel,
+                    "streaming_kernel": config.streaming_kernel,
                     "use_vq": config.use_vq,
                     "use_coarse_filter": config.use_coarse_filter,
                 },

@@ -78,7 +78,7 @@ class ExperimentSpec:
         ``wo_cgf``, ``wo_vq_cgf`` ablations).
     config:
         :class:`StreamingConfig` field overrides (``voxel_size``,
-        ``blend_kernel``, ``tile_size``, ...).  ``use_vq`` is reserved —
+        ``streaming_kernel``, ``tile_size``, ...).  ``use_vq`` is reserved —
         select it through ``compression`` instead.
     arch_options:
         :class:`AcceleratorConfig` unit-count overrides (``cfus_per_hfu``,
@@ -268,7 +268,7 @@ def sweep(base: Optional[ExperimentSpec] = None, **grid: Any) -> List[Experiment
 
     * spec axes (``scene``, ``algorithm``, ``compression``, ``arch``,
       ``resolution_scale``, ``tag``) replace the base spec's field;
-    * :class:`StreamingConfig` fields (``voxel_size``, ``blend_kernel``,
+    * :class:`StreamingConfig` fields (``voxel_size``, ``streaming_kernel``,
       ``tile_size``, ...) become config overrides;
     * :class:`AcceleratorConfig` unit counts (``cfus_per_hfu``,
       ``ffus_per_hfu``, ...) become arch options.
@@ -438,7 +438,7 @@ class TrajectorySpec:
         trajectory base config, the scene's paper-default voxel size.
     options:
         :class:`~repro.engine.service.RenderOptions` field overrides
-        (``tile_workers``, ``streaming_kernel``).  ``resolution_scale`` is
+        (``tile_workers``).  ``resolution_scale`` is
         reserved — set it on the spec, where it shapes the generated
         cameras.
     resolution_scale:

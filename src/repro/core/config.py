@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.engine.kernels import check_render_path
+
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -38,22 +40,17 @@ class StreamingConfig:
         Safety bound on traversal length.
     background:
         Background colour composited behind the accumulated radiance.
-    blend_kernel:
-        Name of the engine blending kernel (``"vectorized"`` by default;
-        ``"reference"`` selects the per-Gaussian loop — both are
-        numerically equivalent, see :mod:`repro.engine.kernels`).
     streaming_kernel:
-        Render path of the streaming pipeline.  ``"vectorized"`` (default)
-        is the frame path: it filters every voxel of every tile in one
-        frame-level pass (each Gaussian projected once per frame),
-        depth-sorts the survivors voxel by voxel, and blends all tiles'
-        streams over their stacked pixel columns (see
-        :mod:`repro.core.pipeline`).  ``"reference"`` is the
+        Render path, one of :data:`repro.engine.kernels.RENDER_PATHS`.
+        ``"vectorized"`` (default) is the streaming frame path: it filters
+        every voxel of every tile in one frame-level pass (each Gaussian
+        projected once per frame), depth-sorts the survivors voxel by
+        voxel, and blends all tiles' streams over their stacked pixel
+        columns (see :mod:`repro.core.pipeline`).  ``"reference"`` is the
         voxel-at-a-time loop kept as the oracle.  Both produce identical
-        :class:`StreamingStats` and images within 1e-9.  The frame path is
-        built on the broadcast blend machinery, so selecting
-        ``blend_kernel="reference"`` also routes streaming renders through
-        the voxel-at-a-time loop.
+        :class:`StreamingStats` and images within 1e-9.  Tile-centric
+        renderers built from the configuration
+        (:meth:`RenderService.tile_rasterizer`) take the same path.
     frame_cache_size:
         Number of prepared frames (voxel depth map, per-tile ordering
         tables, topological orders) memoized per camera pose; 0 disables
@@ -69,7 +66,6 @@ class StreamingConfig:
     use_vq: bool = True
     max_voxels_per_ray: int = 512
     background: tuple = (0.0, 0.0, 0.0)
-    blend_kernel: str = "vectorized"
     streaming_kernel: str = "vectorized"
     frame_cache_size: int = 8
 
@@ -90,20 +86,7 @@ class StreamingConfig:
             raise ValueError(
                 f"max_voxels_per_ray must be positive, got {self.max_voxels_per_ray!r}"
             )
-        from repro.engine.kernels import KERNELS
-
-        if self.blend_kernel not in KERNELS:
-            raise ValueError(
-                f"unknown blend_kernel {self.blend_kernel!r}; "
-                f"available: {sorted(KERNELS)}"
-            )
-        from repro.core.pipeline import STREAMING_KERNELS
-
-        if self.streaming_kernel not in STREAMING_KERNELS:
-            raise ValueError(
-                f"unknown streaming_kernel {self.streaming_kernel!r}; "
-                f"available: {sorted(STREAMING_KERNELS)}"
-            )
+        check_render_path(self.streaming_kernel, "streaming_kernel")
         if self.frame_cache_size < 0:
             raise ValueError(
                 f"frame_cache_size must be non-negative, got {self.frame_cache_size!r}"

@@ -31,11 +31,11 @@ than tile by tile, in four stages whose wall times land in
 * ``account`` — each tile's early-termination voxel prefix, its
   statistics, and the final pixel writes.
 
-The voxel-at-a-time loop (``streaming_kernel="reference"`` or
-``blend_kernel="reference"``) is the oracle the frame path is held to:
-statistics exactly equal, images within 1e-9.  With ``tile_workers > 1``
-processes render disjoint runs of whole column blocks
-(:mod:`repro.engine.tile_parallel`), bit for bit like one process.
+The voxel-at-a-time loop (``streaming_kernel="reference"``), blending
+through :func:`~repro.engine.kernels.blend_reference`, is the oracle the
+frame path is held to: statistics exactly equal, images within 1e-9.
+With ``tile_workers > 1`` processes render disjoint runs of whole column
+blocks (:mod:`repro.engine.tile_parallel`), bit for bit like one process.
 
 Besides the image, the renderer produces :class:`StreamingStats` — the
 complete workload description (Gaussians streamed, filter pass rates, DRAM
@@ -71,18 +71,15 @@ from repro.engine.cache import FrameCache, FramePreparation, frame_key
 from repro.engine.kernels import (
     TRANSMITTANCE_EPSILON,
     StreamingBlend,
+    blend_reference,
     blend_streaming,
     column_blocks,
-    get_kernel,
+    tile_columns,
 )
 from repro.engine.state import BlendState
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.rasterizer import RenderOutput
 from repro.gaussians.tiles import TileGrid
-
-#: Registered streaming render paths (``StreamingConfig.streaming_kernel``).
-STREAMING_KERNELS = ("reference", "vectorized")
 
 #: Pixel rectangle ``(x0, y0, x1, y1)`` of one tile.
 Bounds = Tuple[int, int, int, int]
@@ -240,7 +237,7 @@ class StreamingRenderOutput:
     ``telemetry`` carries per-frame execution metadata — deliberately
     outside :class:`StreamingStats` so workload statistics stay comparable
     across render paths: ``path`` (``"frame"`` or ``"reference"``),
-    ``streaming_kernel``, ``tile_workers``, ``tiles``, ``tile_mode``
+    ``tile_workers``, ``tiles``, ``tile_mode``
     (``"serial"`` or ``"process"``, plus ``tile_mode_degraded`` with the
     reason when processes could not be used), ``stages_s`` (wall seconds
     per stage, see the module docstring) and ``seconds``.
@@ -269,9 +266,8 @@ class StreamingRenderer:
         The trained (and optionally boundary-fine-tuned) Gaussian model.
     config:
         Streaming configuration; ``StreamingConfig()`` by default.  Selects
-        the render path (``config.streaming_kernel`` /
-        ``config.blend_kernel``) and the size of the frame-preparation cache
-        (``config.frame_cache_size``).
+        the render path (``config.streaming_kernel``) and the size of the
+        frame-preparation cache (``config.frame_cache_size``).
     quantizer:
         Optional pre-fitted :class:`VectorQuantizer`.  When ``config.use_vq``
         is True and no quantizer is given, one is fitted on ``model``.
@@ -301,7 +297,6 @@ class StreamingRenderer:
             sh_degree=self.config.sh_degree,
         )
         self.background = np.asarray(self.config.background, dtype=np.float64)
-        self.kernel = get_kernel(self.config.blend_kernel)
         self.frame_cache = FrameCache(capacity=self.config.frame_cache_size)
 
     # ------------------------------------------------------------------
@@ -346,17 +341,8 @@ class StreamingRenderer:
     # ------------------------------------------------------------------
     @property
     def frame_path(self) -> bool:
-        """Whether frames render through the frame path (else the oracle).
-
-        The frame path is built on the broadcast blend machinery, so a
-        reference *blend* kernel selection routes through the per-voxel
-        loop (which blends through ``self.kernel``) instead of being
-        silently ignored.
-        """
-        return (
-            self.config.streaming_kernel == "vectorized"
-            and self.config.blend_kernel == "vectorized"
-        )
+        """Whether frames render through the frame path (else the oracle)."""
+        return self.config.streaming_kernel == "vectorized"
 
     def render(self, camera: Camera, tile_workers: int = 1) -> StreamingRenderOutput:
         """Render one frame.
@@ -412,7 +398,6 @@ class StreamingRenderer:
             stats=stats,
             telemetry={
                 "path": "frame" if self.frame_path else "reference",
-                "streaming_kernel": "vectorized" if self.frame_path else "reference",
                 "tile_workers": workers,
                 "tiles": tile_grid.num_tiles,
                 **parallel,
@@ -480,7 +465,7 @@ class StreamingRenderer:
             self.render_model, self.grid, orders[lo:hi], bounds, camera
         )
         filtered_at = clock()
-        xs, ys, column_offsets = _tile_columns(bounds)
+        xs, ys, column_offsets = tile_columns(bounds)
         blend = blend_streaming(
             xs,
             ys,
@@ -619,7 +604,7 @@ class StreamingRenderer:
             stats.rendered_gaussian_slots += len(depth_order)
 
             fragments_before = state.blended_fragments
-            state = self.kernel(
+            state = blend_reference(
                 xs,
                 ys,
                 result.projected,
@@ -638,37 +623,3 @@ class StreamingRenderer:
         h, w = y1 - y0, x1 - x0
         image[y0:y1, x0:x1] = final.reshape(h, w, 3)
         alpha_img[y0:y1, x0:x1] = (1.0 - state.transmittance).reshape(h, w)
-
-
-def _tile_columns(bounds: Sequence[Bounds]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked pixel coordinates of many tiles, tile after tile.
-
-    Returns ``(xs, ys, column_offsets)``: each tile's pixels in row-major
-    order, and the first column of each tile.
-    """
-    xs_parts: List[np.ndarray] = []
-    ys_parts: List[np.ndarray] = []
-    for x0, y0, x1, y1 in bounds:
-        xs, ys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
-        xs_parts.append(xs.reshape(-1))
-        ys_parts.append(ys.reshape(-1))
-    counts = [len(part) for part in xs_parts]
-    return (
-        np.concatenate(xs_parts),
-        np.concatenate(ys_parts),
-        np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
-    )
-
-
-def tile_centric_reference(
-    model: GaussianModel, camera: Camera, config: Optional[StreamingConfig] = None
-) -> RenderOutput:
-    """Convenience wrapper: the tile-centric reference render of ``model``.
-
-    Uses the same tile size, SH degree, background and blending kernel as
-    the streaming configuration so streaming-vs-reference comparisons are
-    apples to apples.
-    """
-    from repro.engine.service import RenderService
-
-    return RenderService.tile_rasterizer(config).render(model, camera)

@@ -4,10 +4,10 @@ The paper compares two renderers — the tile-centric 3DGS baseline
 (Fig. 1a) and the memory-centric streaming pipeline (Fig. 1b).  Both sit on
 top of this subsystem:
 
-* :mod:`repro.engine.kernels` — interchangeable alpha-blending kernels: the
-  per-Gaussian reference loop and a fully vectorized broadcast kernel that
-  derives transmittance via exclusive cumulative products (numerically
-  equivalent, selected through ``StreamingConfig.blend_kernel`` /
+* :mod:`repro.engine.kernels` — the alpha-blending kernels: the
+  per-Gaussian reference loop (the oracle) and ``blend_streaming``, the one
+  vectorized blend both renderers run over stacked tile columns (the path
+  is chosen by ``StreamingConfig.streaming_kernel`` /
   ``TileRasterizer(kernel=...)``; vectorized is the default);
 * :mod:`repro.engine.state` — the resumable :class:`BlendState` with dense
   array-based per-Gaussian weight/violation accumulators;
@@ -25,13 +25,10 @@ from repro.engine.state import BlendState
 from repro.engine.kernels import (
     ALPHA_EPSILON,
     ALPHA_MAX,
-    DEFAULT_KERNEL,
-    KERNELS,
+    RENDER_PATHS,
     TRANSMITTANCE_EPSILON,
-    available_kernels,
     blend_reference,
-    blend_vectorized,
-    get_kernel,
+    blend_streaming,
 )
 from repro.engine.cache import FrameCache, FramePreparation, frame_key
 
@@ -60,13 +57,10 @@ __all__ = [
     "BlendState",
     "ALPHA_EPSILON",
     "ALPHA_MAX",
-    "DEFAULT_KERNEL",
-    "KERNELS",
+    "RENDER_PATHS",
     "TRANSMITTANCE_EPSILON",
-    "available_kernels",
     "blend_reference",
-    "blend_vectorized",
-    "get_kernel",
+    "blend_streaming",
     "FrameCache",
     "FramePreparation",
     "frame_key",

@@ -1,10 +1,11 @@
 """Micro-benchmarks of the blending kernels and the streaming render path.
 
 :func:`run_kernel_benchmark` times the tile-centric render of a seeded
-synthetic scene under each registered blending kernel, verifies the outputs
-agree, and reports the speedup of the vectorized kernel over the reference
-loop (``benchmarks/bench_engine.py`` → ``BENCH_engine.json``; the runner's
-``engine`` experiment).
+synthetic scene through the per-tile reference loop and the frame blend
+(``TileRasterizer(kernel=...)``), checks that statistics are exactly equal
+and images and alpha maps agree within 1e-9, and reports the speedup of
+the frame blend over the reference loop (``benchmarks/bench_engine.py`` →
+``BENCH_engine.json``; the runner's ``engine`` experiment).
 
 :func:`run_streaming_benchmark` does the same for the memory-centric
 streaming pipeline's render paths: the voxel-at-a-time reference loop
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer, StreamingStats
-from repro.engine.kernels import DEFAULT_KERNEL, available_kernels
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import TileRasterizer
@@ -69,6 +69,10 @@ def benchmark_camera(width: int = 160, height: int = 120) -> Camera:
     )
 
 
+#: The kernel benchmark's contenders: display name -> ``TileRasterizer`` path.
+KERNEL_CONTENDERS = {"reference loop": "reference", "frame blend": "vectorized"}
+
+
 @dataclass
 class KernelBenchResult:
     """Timings and equivalence check of one kernel-comparison run."""
@@ -78,14 +82,17 @@ class KernelBenchResult:
     repeats: int
     seconds: Dict[str, float] = field(default_factory=dict)
     max_image_delta: float = 0.0
+    max_alpha_delta: float = 0.0
+    stats_equal: bool = False
+    stats_detail: str = ""
     blended_fragments: Dict[str, int] = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
-        """Reference-kernel time over vectorized-kernel time."""
-        reference = self.seconds.get("reference", 0.0)
-        vectorized = self.seconds.get("vectorized", 0.0)
-        return reference / vectorized if vectorized else 0.0
+        """Reference-loop time over frame-blend time."""
+        reference = self.seconds.get("reference loop", 0.0)
+        frame = self.seconds.get("frame blend", 0.0)
+        return reference / frame if frame else 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -95,8 +102,10 @@ class KernelBenchResult:
             "seconds": dict(self.seconds),
             "speedup": self.speedup,
             "max_image_delta": self.max_image_delta,
+            "max_alpha_delta": self.max_alpha_delta,
+            "stats_equal": self.stats_equal,
+            "stats_detail": self.stats_detail,
             "blended_fragments": dict(self.blended_fragments),
-            "default_kernel": DEFAULT_KERNEL,
         }
 
     def format(self) -> str:
@@ -107,12 +116,14 @@ class KernelBenchResult:
         ]
         for name in sorted(self.seconds):
             lines.append(
-                f"  {name:<12} {self.seconds[name] * 1e3:9.1f} ms  "
+                f"  {name:<14} {self.seconds[name] * 1e3:9.1f} ms  "
                 f"fragments={self.blended_fragments[name]}"
             )
         lines.append(
-            f"  speedup (reference / vectorized): {self.speedup:.2f}x; "
-            f"max |image delta| = {self.max_image_delta:.3g}"
+            f"  speedup (reference loop / frame blend): {self.speedup:.2f}x; "
+            f"max |image delta| = {self.max_image_delta:.3g}; "
+            f"max |alpha delta| = {self.max_alpha_delta:.3g}; "
+            f"stats {'EQUAL' if self.stats_equal else 'DIFFER: ' + self.stats_detail}"
         )
         return "\n".join(lines)
 
@@ -124,30 +135,32 @@ def run_kernel_benchmark(
     repeats: int = 3,
     seed: int = 7,
 ) -> KernelBenchResult:
-    """Time every registered kernel on the tile-centric render of one scene."""
+    """Time both tile-centric render paths on one scene and compare them."""
     model = benchmark_scene(num_gaussians=num_gaussians, seed=seed)
     camera = benchmark_camera(width=width, height=height)
     result = KernelBenchResult(
         num_gaussians=num_gaussians, resolution=(width, height), repeats=repeats
     )
-    images: Dict[str, np.ndarray] = {}
-    rasterizers = {name: TileRasterizer(kernel=name) for name in available_kernels()}
+    outputs = {}
+    rasterizers = {
+        name: TileRasterizer(kernel=kernel) for name, kernel in KERNEL_CONTENDERS.items()
+    }
     best: Dict[str, float] = {name: float("inf") for name in rasterizers}
     # Rounds are interleaved across kernels so machine-load drift during the
     # benchmark biases neither side of the speedup ratio.
     for _ in range(repeats):
         for name, rasterizer in rasterizers.items():
             start = time.perf_counter()
-            output = rasterizer.render(model, camera)
+            outputs[name] = rasterizer.render(model, camera)
             best[name] = min(best[name], time.perf_counter() - start)
-            result.blended_fragments[name] = output.stats.num_blended_fragments
-            images[name] = output.image
+            result.blended_fragments[name] = outputs[name].stats.num_blended_fragments
     result.seconds = dict(best)
-    deltas: List[float] = [
-        float(np.max(np.abs(images[name] - images["reference"])))
-        for name in images
-    ]
-    result.max_image_delta = max(deltas)
+    reference, frame = outputs["reference loop"], outputs["frame blend"]
+    result.max_image_delta = float(np.max(np.abs(frame.image - reference.image)))
+    result.max_alpha_delta = float(np.max(np.abs(frame.alpha - reference.alpha)))
+    result.stats_equal = frame.stats == reference.stats
+    if not result.stats_equal:
+        result.stats_detail = f"{frame.stats!r} != {reference.stats!r}"
     return result
 
 

@@ -1,36 +1,33 @@
-"""Interchangeable alpha-blending kernels.
-
-Both renderers funnel every pixel they produce through these kernels:
+"""The alpha-blending kernels both renderers share.
 
 * :func:`blend_reference` — the per-Gaussian reference loop (vectorised over
   the pixels of a tile, sequential over the depth-sorted Gaussian list), a
-  direct transcription of the reference 3DGS blending recurrence;
-* :func:`blend_vectorized` — a fully batched kernel that evaluates all
-  (gaussian, pixel) powers in one broadcast and derives per-step
-  transmittance with an exclusive cumulative product, reproducing the
-  reference recurrence (including the early-termination gate) exactly;
-* :func:`blend_streaming` — the streaming renderer's frame-level blend: the
-  same recurrence run over the stacked pixel columns of many tiles, each
-  column blending its own tile's voxel stream, in column blocks of
-  :data:`STREAM_BLOCK_COLUMNS`.  Besides colour and transmittance it
+  direct transcription of the reference 3DGS blending recurrence and the
+  oracle every faster path is held to;
+* :func:`blend_streaming` — the vectorized blend: the same recurrence run
+  over the stacked pixel columns of many tiles (:func:`tile_columns`), each
+  column blending its own tile's stream, in column blocks of
+  :data:`STREAM_BLOCK_COLUMNS`.  The streaming renderer's streams are its
+  tiles' filtered voxel streams, the tile-centric rasterizer's its tiles'
+  depth-sorted Gaussian lists.  Besides colour and transmittance it
   reports, per pixel, the stream position at which the pixel saturated, so
-  the pipeline can reproduce the reference loop's voxel-granular early
-  termination in its statistics.
+  the streaming pipeline can reproduce the reference loop's voxel-granular
+  early termination in its statistics.
 
-``blend_reference`` and ``blend_vectorized`` share one signature::
+Per column, :func:`blend_streaming` is :func:`blend_reference`'s
+arithmetic: the same Gaussian exponent, alpha, contribution gates and
+transmittance chain, so every transmittance, saturation position and
+integer count is bit-identical.  Only the summation order of colours and
+per-Gaussian weights differs, which the 1e-9 tolerances cover.
 
-    kernel(pixel_x, pixel_y, projected, sorted_indices, state,
-           model_indices=None, track_depth_order=False) -> BlendState
-
-``model_indices`` maps rows of ``projected`` to model Gaussian ids, so
-per-Gaussian weight attribution lands directly in the frame-level arrays
-bound into ``state``.
+Renderers choose between the two by a path name from
+:data:`RENDER_PATHS`, checked by :func:`check_render_path`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,11 +46,6 @@ ALPHA_MAX = 0.99
 #: Depth slack below which an out-of-order contribution is not counted.
 DEPTH_VIOLATION_EPSILON = 1e-9
 
-#: Gaussians per broadcast batch of the vectorized kernel.  Bounds the
-#: (gaussians x pixels) working set to a cache-resident block and sets the
-#: granularity of the active-pixel compaction and early-termination checks.
-VECTORIZED_CHUNK = 64
-
 #: Minimum Gaussians (rows) per chunk of the streaming blend.
 STREAM_CHUNK_ROWS = 32
 
@@ -68,7 +60,41 @@ STREAM_CHUNK_ELEMENTS = 1 << 14
 #: frame is; larger blocks cost peak memory without making frames faster.
 STREAM_BLOCK_COLUMNS = 512
 
-BlendKernel = Callable[..., BlendState]
+#: Render paths: ``"vectorized"`` blends through :func:`blend_streaming`,
+#: ``"reference"`` through the :func:`blend_reference` oracle loop.
+RENDER_PATHS = ("reference", "vectorized")
+
+
+def check_render_path(name: str, knob: str) -> str:
+    """``name`` if it is one of :data:`RENDER_PATHS`, else ``ValueError``.
+
+    ``knob`` names the argument in the message.
+    """
+    if name not in RENDER_PATHS:
+        raise ValueError(f"unknown {knob} {name!r}; available: {list(RENDER_PATHS)}")
+    return name
+
+
+def tile_columns(
+    bounds: Sequence[Tuple[int, int, int, int]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked pixel coordinates of many tiles, tile after tile.
+
+    ``bounds`` holds each tile's pixel rectangle ``(x0, y0, x1, y1)``.
+    Returns ``(xs, ys, column_offsets)``: each tile's pixels in row-major
+    order, and the first column of each tile followed by the column count.
+    """
+    x0, y0, x1, y1 = np.asarray(bounds, dtype=np.int64).reshape(-1, 4).T
+    widths = x1 - x0
+    counts = widths * (y1 - y0)
+    column_offsets = np.concatenate(([0], np.cumsum(counts)))
+    local = np.arange(column_offsets[-1]) - np.repeat(column_offsets[:-1], counts)
+    width = np.repeat(widths, counts)
+    return (
+        np.repeat(x0, counts) + local % width,
+        np.repeat(y0, counts) + local // width,
+        column_offsets,
+    )
 
 
 def _tracking_size(
@@ -102,7 +128,7 @@ def blend_reference(
         dx = px - projected.means2d[gid, 0]
         dy = py - projected.means2d[gid, 1]
         a, b, c = projected.conics[gid]
-        power = -0.5 * (a * dx * dx + c * dy * dy) - b * dx * dy
+        power = -0.5 * (a * (dx * dx) + c * (dy * dy)) - b * (dx * dy)
         alpha = projected.opacities[gid] * np.exp(np.minimum(power, 0.0))
         alpha = np.minimum(alpha, ALPHA_MAX)
         contributes = active & (alpha > ALPHA_EPSILON) & (power <= 0.0)
@@ -127,141 +153,6 @@ def blend_reference(
             state.max_depth = np.where(
                 contributes, np.maximum(state.max_depth, depth), state.max_depth
             )
-    return state
-
-
-def blend_vectorized(
-    pixel_x: np.ndarray,
-    pixel_y: np.ndarray,
-    projected: ProjectedGaussians,
-    sorted_indices: np.ndarray,
-    state: BlendState,
-    model_indices: Optional[np.ndarray] = None,
-    track_depth_order: bool = False,
-) -> BlendState:
-    """Broadcast-batched blending kernel.
-
-    For a batch of Gaussians the kernel evaluates the full (gaussian, pixel)
-    power matrix at once and recovers the sequential transmittance
-    recurrence through one exclusive cumulative product along the Gaussian
-    axis, seeded with the incoming per-pixel transmittance.  The recurrence
-    is reproduced *bit for bit*:
-
-    * non-contributing Gaussians (tiny alpha, positive power) have their
-      blending factor replaced by exactly 1.0, so the sequential product is
-      unchanged by them;
-    * the early-termination gate (``T > epsilon``) evaluates identically on
-      the ungated product because transmittance is non-increasing: past the
-      first saturation crossing both the gated and ungated products sit at
-      or below the threshold;
-    * the post-batch transmittance is the running product just after the
-      last contributing Gaussian (recovered as a masked minimum, since the
-      product is non-increasing), where gated and ungated products agree.
-
-    Depth-order tracking uses an exclusive running maximum of contributing
-    depths along the same axis.
-    """
-    if track_depth_order:
-        state.ensure_weight_arrays(_tracking_size(projected, model_indices))
-    sorted_indices = np.asarray(sorted_indices, dtype=np.int64)
-    sel = sorted_indices[projected.valid[sorted_indices]]
-    num_pixels = len(pixel_x)
-    if len(sel) == 0:
-        return state
-    px = pixel_x.astype(np.float64) + 0.5
-    py = pixel_y.astype(np.float64) + 0.5
-
-    for start in range(0, len(sel), VECTORIZED_CHUNK):
-        # Active-pixel compaction: transmittance is non-increasing, so
-        # saturated pixels can never contribute again and their columns are
-        # dropped from the broadcast batch entirely (the reference loop can
-        # only mask them, not skip their arithmetic).
-        active = np.flatnonzero(state.transmittance > TRANSMITTANCE_EPSILON)
-        if len(active) == 0:
-            break
-        compact = len(active) < num_pixels
-        if compact:
-            apx, apy = px[active], py[active]
-            transmittance_in = state.transmittance[active]
-        else:
-            apx, apy = px, py
-            transmittance_in = state.transmittance
-        chunk = sel[start : start + VECTORIZED_CHUNK]
-
-        dx = apx[None, :] - projected.means2d[chunk, 0][:, None]      # (G, A)
-        dy = apy[None, :] - projected.means2d[chunk, 1][:, None]
-        conics = projected.conics[chunk]
-        power = conics[:, 0][:, None] * (dx * dx)
-        power += conics[:, 2][:, None] * (dy * dy)
-        power *= -0.5
-        dx *= dy
-        dx *= conics[:, 1][:, None]
-        power -= dx
-
-        opacities = projected.opacities[chunk][:, None]
-        positive = power > 0.0
-        np.minimum(power, 0.0, out=power)
-        a = np.exp(power, out=power)                                  # reuse buffer
-        a *= opacities
-        np.minimum(a, ALPHA_MAX, out=a)
-        a[positive] = 0.0
-        a[a <= ALPHA_EPSILON] = 0.0
-
-        # Sequential transmittance: running[k] is the transmittance Gaussian
-        # k observes; scaling the first factor by the incoming state keeps
-        # the multiplication order of the reference loop.
-        factors = 1.0 - a
-        factors[0] *= transmittance_in
-        running = np.empty((len(chunk) + 1, len(transmittance_in)), dtype=np.float64)
-        running[0] = transmittance_in
-        np.cumprod(factors, axis=0, out=running[1:])
-        contributes = (a > 0.0) & (running[:-1] > TRANSMITTANCE_EPSILON)
-
-        weight = np.where(contributes, a * running[:-1], 0.0)         # (G, A)
-
-        color_delta = np.einsum("gp,gc->pc", weight, projected.colors[chunk])
-        if compact:
-            state.color[active] += color_delta
-        else:
-            state.color += color_delta
-        state.blended_fragments += int(np.count_nonzero(contributes))
-
-        if track_depth_order:
-            depths = projected.depths[chunk].astype(np.float64)
-            max_depth_in = state.max_depth[active] if compact else state.max_depth
-            contributed_depth = np.where(contributes, depths[:, None], -np.inf)
-            # Exclusive running max of contributing depths, seeded by state.
-            prior_max = np.maximum.accumulate(
-                np.vstack([max_depth_in[None, :], contributed_depth]), axis=0
-            )
-            violated = contributes & (
-                prior_max[:-1] > depths[:, None] + DEPTH_VIOLATION_EPSILON
-            )
-            state.depth_violations += int(np.count_nonzero(violated))
-            keys = chunk if model_indices is None else model_indices[chunk]
-            np.add.at(state.gaussian_weights, keys, weight.sum(axis=1))
-            np.add.at(
-                state.gaussian_violation_weights,
-                keys,
-                np.where(violated, weight, 0.0).sum(axis=1),
-            )
-            if compact:
-                state.max_depth[active] = prior_max[-1]
-            else:
-                state.max_depth = prior_max[-1]
-
-        # Transmittance after the last contributing Gaussian: the running
-        # product only decreases on contributing steps, so the masked
-        # minimum recovers it; pixels without contributions keep their
-        # incoming value.
-        after = np.min(
-            np.where(contributes, running[1:], np.inf), axis=0, initial=np.inf
-        )
-        transmittance_out = np.where(np.isfinite(after), after, transmittance_in)
-        if compact:
-            state.transmittance[active] = transmittance_out
-        else:
-            state.transmittance = transmittance_out
     return state
 
 
@@ -311,28 +202,35 @@ def blend_streaming(
     stream_rows: np.ndarray,
     stream_offsets: np.ndarray,
     block_offsets: np.ndarray,
-    model_indices: np.ndarray,
-    weights: np.ndarray,
-    violation_weights: np.ndarray,
+    model_indices: Optional[np.ndarray] = None,
+    weights: Optional[np.ndarray] = None,
+    violation_weights: Optional[np.ndarray] = None,
 ) -> StreamingBlend:
-    """Blend many tiles' voxel streams over their stacked pixel columns.
+    """Blend many tiles' streams over their stacked pixel columns.
 
     Tile ``t`` owns columns ``column_offsets[t]:column_offsets[t + 1]`` of
     ``pixel_x`` / ``pixel_y`` and blends, front to back, the rows
     ``stream_rows[stream_offsets[t]:stream_offsets[t + 1]]`` of
-    ``projected`` (every row valid, in streaming order).  Tiles are blended
-    in the column blocks ``block_offsets`` (see :func:`column_blocks`),
-    each block through one chunk loop over its stacked columns.
-    Per-Gaussian blended and out-of-order weights are added in place into
-    ``weights`` / ``violation_weights`` at ``model_indices[row]``.
+    ``projected`` (every row valid; an empty stream leaves the tile's
+    columns untouched).  Tiles are blended in the column blocks
+    ``block_offsets`` (see :func:`column_blocks`), each block through one
+    chunk loop over its stacked columns.
 
-    Per column the arithmetic is that of :func:`blend_vectorized` on the
-    tile's stream: the transmittance chain, the contribution gates, the
-    saturation positions and every integer count are bit-identical under
-    any chunking of the stream (non-contributing factors are exactly 1.0).
+    With ``model_indices``, contributions that arrive out of depth order
+    are counted per tile, and per-Gaussian blended and out-of-order weights
+    are added in place into ``weights`` / ``violation_weights`` at
+    ``model_indices[row]``.  Without it neither is tracked (a depth-sorted
+    stream has no out-of-order contributions) and ``violations`` is zero.
+
+    Transmittance comes from one cumulative product per chunk, seeded with
+    the incoming transmittance.  The transmittance chain, the contribution
+    gates, the saturation positions and every integer count are
+    bit-identical under any chunking of the stream: non-contributing
+    factors are exactly 1.0, and because transmittance never increases,
+    the early-termination gate reads the same on the ungated product.
     Only the accumulation order of colours and per-Gaussian weights
-    depends on the chunking, which the 1e-9 tolerances cover; the chunking
-    itself depends on a block's own tiles only.
+    depends on the chunking, which itself depends on a block's own tiles
+    only.
     """
     num_tiles = len(column_offsets) - 1
     num_columns = int(column_offsets[-1])
@@ -342,25 +240,26 @@ def blend_streaming(
     py = pixel_y.astype(np.float64) + 0.5
     transmittance = np.ones(num_columns, dtype=np.float64)
     color = np.zeros((num_columns, 3), dtype=np.float64)
-    max_depth = np.full(num_columns, -np.inf, dtype=np.float64)
     saturation = stream_lens[col_tile].astype(np.int64)
     fragments = np.zeros(num_tiles, dtype=np.int64)
     violations = np.zeros(num_tiles, dtype=np.int64)
+    track = model_indices is not None
 
-    # Projection rows padded with one sentinel row whose zero opacity,
-    # conic and mean make it an exact no-op (alpha 0, factor exactly 1.0);
-    # the per-parameter 1-D copies make the chunk gathers contiguous takes.
+    # One row per Gaussian parameter (mean x, mean y, conic a, b, c,
+    # opacity), so a chunk gathers all six in one take, padded with one
+    # sentinel column whose zero opacity, conic and mean make it an exact
+    # no-op (alpha 0, factor exactly 1.0).
     sentinel = len(projected)
-
-    def padded(values: np.ndarray) -> np.ndarray:
-        return np.append(values.astype(np.float64), 0.0)
-
-    mean_x, mean_y = padded(projected.means2d[:, 0]), padded(projected.means2d[:, 1])
-    conic_a, conic_b, conic_c = (padded(projected.conics[:, i]) for i in range(3))
-    opacities, depths = padded(projected.opacities), padded(projected.depths)
+    params = np.zeros((6, sentinel + 1), dtype=np.float64)
+    params[0:2, :sentinel] = projected.means2d.T
+    params[2:5, :sentinel] = projected.conics.T
+    params[5, :sentinel] = projected.opacities
     colors = np.vstack([projected.colors, np.zeros((1, 3))])
-    # Pad rows attribute exactly 0.0 to model id 0, a no-op.
-    keys = np.append(np.asarray(model_indices, dtype=np.int64), 0)
+    if track:
+        max_depth = np.full(num_columns, -np.inf, dtype=np.float64)
+        depths = np.append(projected.depths.astype(np.float64), 0.0)
+        # Pad rows attribute exactly 0.0 to model id 0, a no-op.
+        keys = np.append(np.asarray(model_indices, dtype=np.int64), 0)
 
     for lo, hi in zip(block_offsets[:-1], block_offsets[1:]):
         lens = stream_lens[lo:hi]
@@ -381,8 +280,11 @@ def blend_streaming(
 
         c0, c1 = column_offsets[lo], column_offsets[hi]
         tile_of = col_tile[c0:c1] - lo
+        col_px, col_py = px[c0:c1], py[c0:c1]
         col_t, col_color = transmittance[c0:c1], color[c0:c1]
-        col_depth, col_saturation = max_depth[c0:c1], saturation[c0:c1]
+        col_saturation = saturation[c0:c1]
+        if track:
+            col_depth = max_depth[c0:c1]
         start = 0
         while start < max_len:
             active = np.flatnonzero(
@@ -393,7 +295,9 @@ def blend_streaming(
             # Columns are tile-major, so each present tile's active columns
             # are one contiguous run: segment reductions (reduceat) recover
             # per-tile sums.
-            present, runs = np.unique(tile_of[active], return_counts=True)
+            per_tile = np.bincount(tile_of[active], minlength=hi - lo)
+            present = np.flatnonzero(per_tile)
+            runs = per_tile[present]
             boundaries = np.cumsum(runs) - runs
             # Chunks grow as columns saturate (amortising the per-chunk call
             # overhead over the long-stream tail) and the last chunk shrinks
@@ -405,31 +309,32 @@ def blend_streaming(
 
             # Every column of a tile shares the tile's stream, so Gaussian
             # parameters vary per (chunk row, tile) only: gather them per
-            # present tile, then spread to columns with a sequential take.
+            # present tile, then repeat each over the tile's column run.
             chunk = matrix[start:stop].take(present, axis=1)
-            spread = np.repeat(np.arange(len(present)), runs)
-
-            def gather(values: np.ndarray) -> np.ndarray:
-                return values.take(chunk).take(spread, axis=1)
+            mean_x, mean_y, conic_a, conic_b, conic_c, opacity = params.take(
+                chunk, axis=1
+            ).repeat(runs, axis=2)
 
             transmittance_in = col_t[active]
-            dx = px[c0:c1][active][None, :] - gather(mean_x)
-            dy = py[c0:c1][active][None, :] - gather(mean_y)
-            power = gather(conic_a)
+            dx = col_px[active] - mean_x
+            dy = col_py[active] - mean_y
+            power = conic_a
             power *= dx * dx
-            power += gather(conic_c) * (dy * dy)
+            power += conic_c * (dy * dy)
             power *= -0.5
             dx *= dy
-            dx *= gather(conic_b)
+            dx *= conic_b
             power -= dx
 
-            positive = power > 0.0
+            # Alpha is kept (times 1.0) only where the exponent is not
+            # positive and alpha exceeds the epsilon, else zeroed (times 0.0).
+            keep = power <= 0.0
             np.minimum(power, 0.0, out=power)
             a = np.exp(power, out=power)
-            a *= gather(opacities)
+            a *= opacity
             np.minimum(a, ALPHA_MAX, out=a)
-            positive |= a <= ALPHA_EPSILON
-            np.copyto(a, 0.0, where=positive)
+            keep &= a > ALPHA_EPSILON
+            a *= keep
 
             factors = 1.0 - a
             factors[0] *= transmittance_in
@@ -437,7 +342,10 @@ def blend_streaming(
             running[0] = transmittance_in
             np.cumprod(factors, axis=0, out=running[1:])
             contributes = (a > 0.0) & (running[:-1] > TRANSMITTANCE_EPSILON)
-            weight = np.where(contributes, a * running[:-1], 0.0)
+            # Zero the weights past saturation; a product of non-negative
+            # finite factors is kept exactly by 1.0 and zeroed by 0.0.
+            weight = a * running[:-1]
+            weight *= contributes
 
             # Colour as one small matmul per present tile: the colour block
             # varies per (chunk row, tile) only, so the per-column weighted
@@ -450,29 +358,34 @@ def blend_streaming(
             counts = np.count_nonzero(contributes, axis=0)
             fragments[lo + present] += np.add.reduceat(counts, boundaries)
 
-            chunk_depths = gather(depths)
-            prior_max = np.empty((rows_k + 1, len(active)), dtype=np.float64)
-            prior_max[0] = col_depth[active]
-            prior_max[1:] = np.where(contributes, chunk_depths, -np.inf)
-            np.maximum.accumulate(prior_max, axis=0, out=prior_max)
-            violated = contributes & (
-                prior_max[:-1] > chunk_depths + DEPTH_VIOLATION_EPSILON
-            )
-            col_depth[active] = prior_max[-1]
+            if track:
+                chunk_depths = depths.take(chunk).repeat(runs, axis=1)
+                prior_max = np.empty((rows_k + 1, len(active)), dtype=np.float64)
+                prior_max[0] = col_depth[active]
+                prior_max[1:] = np.where(contributes, chunk_depths, -np.inf)
+                np.maximum.accumulate(prior_max, axis=0, out=prior_max)
+                violated = contributes & (
+                    prior_max[:-1] > chunk_depths + DEPTH_VIOLATION_EPSILON
+                )
+                col_depth[active] = prior_max[-1]
 
-            # Per-(chunk row, tile) weight sums scattered into the
-            # per-Gaussian attribution arrays.
-            chunk_keys = keys.take(chunk)
-            np.add.at(weights, chunk_keys, np.add.reduceat(weight, boundaries, axis=1))
-            if violated.any():
-                violations[lo + present] += np.add.reduceat(
-                    np.count_nonzero(violated, axis=0), boundaries
-                )
+                # Per-(chunk row, tile) weight sums scattered into the
+                # per-Gaussian attribution arrays.
+                chunk_keys = keys.take(chunk)
                 np.add.at(
-                    violation_weights,
-                    chunk_keys,
-                    np.add.reduceat(np.where(violated, weight, 0.0), boundaries, axis=1),
+                    weights, chunk_keys, np.add.reduceat(weight, boundaries, axis=1)
                 )
+                if violated.any():
+                    violations[lo + present] += np.add.reduceat(
+                        np.count_nonzero(violated, axis=0), boundaries
+                    )
+                    np.add.at(
+                        violation_weights,
+                        chunk_keys,
+                        np.add.reduceat(
+                            np.where(violated, weight, 0.0), boundaries, axis=1
+                        ),
+                    )
 
             # The running product is non-increasing (factors lie in [0, 1]),
             # so a column saturated in this chunk iff its final value is at
@@ -501,28 +414,3 @@ def blend_streaming(
         fragments=fragments,
         violations=violations,
     )
-
-
-#: Registry of the interchangeable blending kernels.
-KERNELS = {
-    "reference": blend_reference,
-    "vectorized": blend_vectorized,
-}
-
-#: Kernel used when no explicit selection is made.
-DEFAULT_KERNEL = "vectorized"
-
-
-def available_kernels() -> tuple:
-    """Names of the registered blending kernels."""
-    return tuple(KERNELS)
-
-
-def get_kernel(name: Optional[str] = None) -> BlendKernel:
-    """Resolve a kernel name (``None`` means the default) to its callable."""
-    key = name or DEFAULT_KERNEL
-    if key not in KERNELS:
-        raise KeyError(
-            f"unknown blending kernel {key!r}; available: {sorted(KERNELS)}"
-        )
-    return KERNELS[key]

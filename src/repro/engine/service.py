@@ -22,11 +22,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import StreamingConfig
-from repro.core.pipeline import (
-    STREAMING_KERNELS,
-    StreamingRenderer,
-    StreamingRenderOutput,
-)
+from repro.core.pipeline import StreamingRenderer, StreamingRenderOutput
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RenderOutput, TileRasterizer
@@ -80,7 +76,7 @@ class RenderResponse:
 
 @dataclass(frozen=True)
 class RenderOptions:
-    """How a render request executes — scheduling and kernel knobs.
+    """How a render request executes — scheduling and resolution.
 
     Everything about *how* a frame renders (as opposed to *what* renders,
     which stays on :class:`RenderRequest`) lives here, so new execution
@@ -91,41 +87,23 @@ class RenderOptions:
     tile_workers:
         Processes rendering the frame's column blocks concurrently
         (``1`` = in the calling process).
-    streaming_kernel:
-        Override of :attr:`StreamingConfig.streaming_kernel` for this call
-        (``None`` keeps the config's kernel).
     resolution_scale:
         Scale factor applied to the request camera's resolution (and
         focal lengths); ``1.0`` renders at the camera's native size.
     """
 
     tile_workers: int = 1
-    streaming_kernel: Optional[str] = None
     resolution_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.tile_workers < 1:
             raise ValueError(f"tile_workers must be >= 1, got {self.tile_workers}")
-        if (
-            self.streaming_kernel is not None
-            and self.streaming_kernel not in STREAMING_KERNELS
-        ):
-            raise ValueError(
-                f"unknown streaming_kernel {self.streaming_kernel!r}; "
-                f"available: {sorted(STREAMING_KERNELS)}"
-            )
         if not self.resolution_scale > 0:
             raise ValueError(
                 f"resolution_scale must be positive, got {self.resolution_scale!r}"
             )
 
     # ------------------------------------------------------------------
-    def resolved_config(self, config: StreamingConfig) -> StreamingConfig:
-        """``config`` with this call's kernel override applied."""
-        if self.streaming_kernel is None:
-            return config
-        return config.with_options(streaming_kernel=self.streaming_kernel)
-
     def resolved_camera(self, camera: Camera) -> Camera:
         """``camera`` scaled to this call's resolution."""
         if self.resolution_scale == 1.0:
@@ -229,7 +207,7 @@ class RenderService:
             tile_size=config.tile_size,
             background=config.background,
             sh_degree=config.sh_degree,
-            kernel=config.blend_kernel,
+            kernel=config.streaming_kernel,
         )
 
     # ------------------------------------------------------------------
@@ -242,8 +220,7 @@ class RenderService:
         """Serve one request.
 
         ``options`` (:class:`RenderOptions`) says how the frame executes:
-        tile workers, a per-call streaming-kernel override, and the
-        resolution scale.  Images are identical and statistics
+        tile workers and the resolution scale.  Images are identical and statistics
         deterministic regardless of scheduling, with the per-frame
         telemetry (including the path and tile mode actually taken)
         recorded in :attr:`last_frame`.
@@ -253,7 +230,7 @@ class RenderService:
         once instead of once per request.
         """
         options = options if options is not None else RenderOptions()
-        config = options.resolved_config(request.config or StreamingConfig())
+        config = request.config or StreamingConfig()
         camera = options.resolved_camera(request.camera)
         if request.mode == "tile":
             output: Union[RenderOutput, StreamingRenderOutput] = self.tile_rasterizer(

@@ -1,8 +1,9 @@
 """Per-pixel blending state with array-based per-Gaussian statistics.
 
-:class:`BlendState` is the resumable accumulator both renderers blend into:
-the tile-centric rasterizer blends one tile's full sorted list into a fresh
-state, while the memory-centric streaming pipeline resumes the same state
+:class:`BlendState` is the resumable accumulator of the reference blending
+loop (:func:`~repro.engine.kernels.blend_reference`): the tile-centric
+rasterizer's reference path blends one tile's full sorted list into a fresh
+state, while the streaming pipeline's reference loop resumes the same state
 voxel by voxel (the partial pixel values that stay on-chip in Fig. 1b).
 
 The per-Gaussian weight bookkeeping is held in dense NumPy arrays indexed by

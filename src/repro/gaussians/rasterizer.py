@@ -4,10 +4,13 @@ This is the rendering paradigm of Fig. 1a: project every Gaussian, duplicate
 it into the tiles it overlaps, sort each tile's list by depth, then
 alpha-blend every pixel of each tile front-to-back over the full sorted
 list.  The alpha blending itself lives in the shared render-engine layer
-(:mod:`repro.engine.kernels`) and is selectable between the per-Gaussian
-reference loop and the vectorized broadcast kernel; the rasterizer also
-records the workload statistics (Gaussian loads, blended fragments,
-duplicated pairs) that drive the GPU / GSCore architecture models.
+(:mod:`repro.engine.kernels`): by default every tile's sorted list is one
+stream of :func:`~repro.engine.kernels.blend_streaming` over the frame's
+stacked tile columns, and ``kernel="reference"`` blends tile by tile
+through the :func:`~repro.engine.kernels.blend_reference` oracle.  The
+rasterizer also records the workload statistics (Gaussian loads, blended
+fragments, duplicated pairs) that drive the GPU / GSCore architecture
+models.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ from repro.engine.kernels import (
     ALPHA_EPSILON,
     ALPHA_MAX,
     TRANSMITTANCE_EPSILON,
-    get_kernel,
+    blend_reference,
+    blend_streaming,
+    check_render_path,
+    column_blocks,
+    tile_columns,
 )
 from repro.engine.state import BlendState
 from repro.gaussians.camera import Camera
@@ -37,7 +44,6 @@ __all__ = [
     "BlendState",
     "RenderStats",
     "RenderOutput",
-    "blend_tile",
     "TileRasterizer",
 ]
 
@@ -87,60 +93,6 @@ class RenderOutput:
         return int(self.image.shape[1])
 
 
-def blend_tile(
-    pixel_x: np.ndarray,
-    pixel_y: np.ndarray,
-    projected: ProjectedGaussians,
-    sorted_indices: np.ndarray,
-    state: Optional[BlendState] = None,
-    *,
-    model_indices: Optional[np.ndarray] = None,
-    track_depth_order: bool = False,
-    kernel: Optional[str] = None,
-) -> BlendState:
-    """Alpha-blend a depth-sorted Gaussian list over a block of pixels.
-
-    Thin front-end over the engine's blending kernels.  It supports
-    *resuming* from a previous partial state, which is exactly the partial
-    pixel-value accumulation the memory-centric pipeline performs
-    voxel-by-voxel (Fig. 1b).
-
-    Parameters
-    ----------
-    pixel_x, pixel_y:
-        Integer pixel coordinates of the block.
-    projected:
-        Projection results the ``sorted_indices`` point into.
-    sorted_indices:
-        Depth-sorted Gaussian indices (front to back).
-    state:
-        A :class:`BlendState` to resume from (created fresh otherwise).
-    model_indices:
-        Optional mapping from rows of ``projected`` to model Gaussian ids;
-        per-Gaussian weight attribution is keyed by it when given.
-    track_depth_order:
-        When True, count per-pixel fragments blended out of depth order.
-    kernel:
-        Blending-kernel name (:data:`repro.engine.kernels.DEFAULT_KERNEL`
-        when omitted).
-
-    Returns
-    -------
-    The updated :class:`BlendState`.
-    """
-    if state is None:
-        state = BlendState.fresh(len(pixel_x))
-    return get_kernel(kernel)(
-        pixel_x,
-        pixel_y,
-        projected,
-        sorted_indices,
-        state,
-        model_indices=model_indices,
-        track_depth_order=track_depth_order,
-    )
-
-
 class TileRasterizer:
     """The tile-centric reference renderer.
 
@@ -153,8 +105,11 @@ class TileRasterizer:
     sh_degree:
         SH degree used for view-dependent colour.
     kernel:
-        Name of the blending kernel (``None`` selects the engine default,
-        the vectorized kernel).
+        Render path (:data:`repro.engine.kernels.RENDER_PATHS`):
+        ``"vectorized"`` (default) blends the frame through
+        :func:`~repro.engine.kernels.blend_streaming`, ``"reference"``
+        through the per-tile :func:`~repro.engine.kernels.blend_reference`
+        loop.  Both give equal statistics and images within 1e-9.
     """
 
     def __init__(
@@ -162,15 +117,14 @@ class TileRasterizer:
         tile_size: int = DEFAULT_TILE_SIZE,
         background=(0.0, 0.0, 0.0),
         sh_degree: int = 3,
-        kernel: Optional[str] = None,
+        kernel: str = "vectorized",
     ) -> None:
         if tile_size <= 0:
             raise ValueError("tile_size must be positive")
         self.tile_size = tile_size
         self.background = np.asarray(background, dtype=np.float64).reshape(3)
         self.sh_degree = sh_degree
-        self.kernel_name = kernel
-        self._kernel = get_kernel(kernel)
+        self.kernel = check_render_path(kernel, "kernel")
 
     # ------------------------------------------------------------------
     def render(self, model: GaussianModel, camera: Camera) -> RenderOutput:
@@ -180,9 +134,6 @@ class TileRasterizer:
         binning = bin_gaussians_to_tiles(projected, grid)
         sorted_lists = sort_tile_gaussians(projected, binning)
         sort_stats = global_sort_statistics(binning)
-
-        image = np.zeros((camera.height, camera.width, 3), dtype=np.float64)
-        alpha_img = np.zeros((camera.height, camera.width), dtype=np.float64)
         stats = RenderStats(
             num_gaussians=len(model),
             num_projected=projected.num_valid,
@@ -193,33 +144,44 @@ class TileRasterizer:
             sort_bytes=sort_stats.total_bytes,
         )
 
-        covered = set()
-        for tile_id, indices in sorted_lists.items():
-            if len(indices) == 0:
-                continue
-            covered.add(tile_id)
-            xs, ys = grid.tile_pixel_centers(tile_id)
-            state = BlendState.fresh(len(xs))
-            state = self._kernel(xs, ys, projected, indices, state)
-            stats.num_blended_fragments += state.blended_fragments
-            final = state.color + state.transmittance[:, None] * self.background[None, :]
-            x0, y0, x1, y1 = grid.tile_pixel_bounds(tile_id)
-            h, w = y1 - y0, x1 - x0
-            image[y0:y1, x0:x1] = final.reshape(h, w, 3)
-            alpha_img[y0:y1, x0:x1] = (1.0 - state.transmittance).reshape(h, w)
+        # Each tile's depth-sorted list is its stream over the tile's
+        # stacked pixel columns; tiles without candidates get empty streams
+        # and keep transmittance 1, i.e. the background.
+        empty = np.zeros(0, dtype=np.int64)
+        streams = [sorted_lists.get(tile, empty) for tile in range(grid.num_tiles)]
+        xs, ys, column_offsets = tile_columns(
+            [grid.tile_pixel_bounds(tile) for tile in range(grid.num_tiles)]
+        )
+        if self.kernel == "reference":
+            color = np.zeros((len(xs), 3), dtype=np.float64)
+            transmittance = np.ones(len(xs), dtype=np.float64)
+            for tile, stream in enumerate(streams):
+                c0, c1 = column_offsets[tile], column_offsets[tile + 1]
+                state = blend_reference(
+                    xs[c0:c1], ys[c0:c1], projected, stream, BlendState.fresh(c1 - c0)
+                )
+                color[c0:c1], transmittance[c0:c1] = state.color, state.transmittance
+                stats.num_blended_fragments += state.blended_fragments
+        else:
+            blend = blend_streaming(
+                xs,
+                ys,
+                column_offsets,
+                projected,
+                np.concatenate([empty, *streams]),
+                np.concatenate(([0], np.cumsum([len(s) for s in streams]))),
+                column_blocks(np.diff(column_offsets)),
+            )
+            color, transmittance = blend.color, blend.transmittance
+            stats.num_blended_fragments = int(blend.fragments.sum())
 
-        # Tiles the binning produced no candidate Gaussians for are painted
-        # with the background explicitly (inferring them from pixel sums
-        # misfires for black backgrounds or blended pixels summing to zero).
-        for tile_id in range(grid.num_tiles):
-            if tile_id in covered:
-                continue
-            x0, y0, x1, y1 = grid.tile_pixel_bounds(tile_id)
-            image[y0:y1, x0:x1] = self.background
-
+        image = np.empty((camera.height, camera.width, 3), dtype=np.float64)
+        alpha = np.empty((camera.height, camera.width), dtype=np.float64)
+        image[ys, xs] = color + transmittance[:, None] * self.background[None, :]
+        alpha[ys, xs] = 1.0 - transmittance
         return RenderOutput(
             image=np.clip(image, 0.0, 1.0),
-            alpha=alpha_img,
+            alpha=alpha,
             stats=stats,
             projected=projected,
         )

@@ -35,9 +35,9 @@ class TestContexts:
 
     def test_context_accepts_config_mapping(self, session):
         context = session.context(
-            "lego", resolution_scale=SCALE, config={"blend_kernel": "reference"}
+            "lego", resolution_scale=SCALE, config={"streaming_kernel": "reference"}
         )
-        assert context.streaming_config.blend_kernel == "reference"
+        assert context.streaming_config.streaming_kernel == "reference"
         assert context.streaming_config.voxel_size == 0.4  # scene default
 
     def test_context_accepts_full_config(self, session):

@@ -31,7 +31,7 @@ CONFIG_POOL = {
     "tile_size": (8, 16, 32),
     "ray_stride": (2, 4),
     "sh_degree": (1, 2, 3),
-    "blend_kernel": ("reference", "vectorized"),
+    "streaming_kernel": ("reference", "vectorized"),
     "max_voxels_per_ray": (256, 512),
     "frame_cache_size": (4, 8),
 }

@@ -60,12 +60,12 @@ class TestExperimentSpec:
         spec = ExperimentSpec(
             scene="train",
             compression="none",
-            config={"voxel_size": 1.5, "blend_kernel": "reference"},
+            config={"voxel_size": 1.5, "streaming_kernel": "reference"},
         )
         config = spec.streaming_config()
         assert isinstance(config, StreamingConfig)
         assert config.voxel_size == 1.5
-        assert config.blend_kernel == "reference"
+        assert config.streaming_kernel == "reference"
         assert config.use_vq is False
 
     def test_accelerator_config_variant_and_options(self):

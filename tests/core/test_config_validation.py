@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.config import StreamingConfig
+from repro.engine.kernels import RENDER_PATHS
+from repro.gaussians.rasterizer import TileRasterizer
 
 
 @pytest.mark.parametrize(
@@ -27,12 +29,22 @@ def test_invalid_fields_report_offending_value(kwargs, message):
     assert str(excinfo.value) == message
 
 
-def test_unknown_blend_kernel_lists_available():
+def test_unknown_streaming_kernel_lists_available():
     with pytest.raises(ValueError) as excinfo:
-        StreamingConfig(blend_kernel="cuda")
-    text = str(excinfo.value)
-    assert "unknown blend_kernel 'cuda'" in text
-    assert "reference" in text and "vectorized" in text
+        StreamingConfig(streaming_kernel="cuda")
+    assert str(excinfo.value) == (
+        "unknown streaming_kernel 'cuda'; available: ['reference', 'vectorized']"
+    )
+
+
+def test_unknown_rasterizer_kernel_lists_available():
+    """Both renderers validate path names against one tuple, one message."""
+    with pytest.raises(ValueError) as excinfo:
+        TileRasterizer(kernel="nope")
+    assert str(excinfo.value) == (
+        "unknown kernel 'nope'; available: ['reference', 'vectorized']"
+    )
+    assert RENDER_PATHS == ("reference", "vectorized")
 
 
 def test_with_options_revalidates():

@@ -14,8 +14,9 @@ from repro.core.data_layout import (
     RAW_SECOND_HALF_BYTES,
     render_model,
 )
-from repro.core.pipeline import StreamingRenderer, tile_centric_reference
+from repro.core.pipeline import StreamingRenderer
 from repro.core.voxel_grid import VoxelGrid
+from repro.engine.service import RenderService
 from repro.gaussians.metrics import psnr
 from repro.gaussians.model import GaussianModel
 from tests.conftest import make_camera, make_model
@@ -155,7 +156,7 @@ def test_streaming_output_shape(streaming_setup):
 def test_streaming_matches_tile_centric_reference(streaming_setup):
     """The memory-centric renderer approximates the tile-centric image."""
     model, camera, config, _, output = streaming_setup
-    reference = tile_centric_reference(model, camera, config)
+    reference = RenderService.tile_rasterizer(config).render(model, camera)
     assert psnr(reference.image, output.image) > 25.0
 
 

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from repro.core.config import StreamingConfig
 from repro.core.data_layout import DataLayout, LayoutTraffic
 from repro.core.hierarchical_filter import FilterStats, HierarchicalFilter
-from repro.core.pipeline import STREAMING_KERNELS, StreamingRenderer
+from repro.core.pipeline import StreamingRenderer
 from repro.core.ray_voxel import _tile_ray_pixels, traverse_ray, traverse_rays
 from repro.core.voxel_grid import VoxelGrid
 from repro.engine.bench import streaming_stats_equal
+from repro.engine.kernels import RENDER_PATHS
 from repro.gaussians.tiles import TileGrid
 from tests.conftest import make_camera, make_model
 
@@ -51,7 +52,7 @@ def render_pair(scene: str, **config_options):
         voxel_size=SCENE_SETUP[scene]["voxel_size"], **config_options
     )
     outputs = {}
-    for kernel in STREAMING_KERNELS:
+    for kernel in RENDER_PATHS:
         renderer = StreamingRenderer(
             model, base.with_options(streaming_kernel=kernel)
         )
@@ -105,25 +106,7 @@ class TestStreamingGoldenEquivalence:
 
     def test_default_streaming_kernel_is_vectorized(self):
         assert StreamingConfig().streaming_kernel == "vectorized"
-        assert set(STREAMING_KERNELS) == {"reference", "vectorized"}
-
-    def test_reference_blend_kernel_routes_through_reference_path(self):
-        """The blend-kernel escape hatch still covers streaming renders."""
-        model = make_model(num_gaussians=120, extent=4.0, seed=2)
-        camera = make_camera(width=32, height=32)
-        renderer = StreamingRenderer(
-            model,
-            StreamingConfig(voxel_size=1.0, use_vq=False, blend_kernel="reference"),
-        )
-        output = renderer.render(camera)
-        assert output.telemetry["streaming_kernel"] == "reference"
-        vectorized = StreamingRenderer(
-            model, StreamingConfig(voxel_size=1.0, use_vq=False)
-        ).render(camera)
-        assert vectorized.telemetry["streaming_kernel"] == "vectorized"
-        np.testing.assert_allclose(
-            vectorized.image, output.image, atol=GOLDEN_ATOL
-        )
+        assert set(RENDER_PATHS) == {"reference", "vectorized"}
 
 
 class TestFrameTelemetry:
@@ -341,7 +324,7 @@ class TestBatchedTraffic:
 
 
 class TestParallelTileRendering:
-    @pytest.mark.parametrize("streaming_kernel", STREAMING_KERNELS)
+    @pytest.mark.parametrize("streaming_kernel", RENDER_PATHS)
     def test_parallel_tiles_match_serial(self, streaming_kernel):
         model = make_model(num_gaussians=350, extent=5.0, scale=0.12, seed=5)
         camera = make_camera(width=64, height=48, distance=6.0)

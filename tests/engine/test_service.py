@@ -37,7 +37,7 @@ def test_service_matches_direct_renders(scene):
         tile_size=config.tile_size,
         background=config.background,
         sh_degree=config.sh_degree,
-        kernel=config.blend_kernel,
+        kernel=config.streaming_kernel,
     ).render(model, camera)
     direct_streaming = StreamingRenderer(model, config).render(camera)
     np.testing.assert_array_equal(tile_out.image, direct_tile.image)
@@ -108,7 +108,9 @@ def test_parallel_tile_rendering_through_service(scene):
     stats = service.stats()
     assert stats["parallel_tile_frames"] == 1
     assert stats["last_frame"]["tile_workers"] == 3
-    assert stats["last_frame"]["streaming_kernel"] == config.streaming_kernel
+    # The telemetry names the path once.
+    assert stats["last_frame"]["path"] == "frame"
+    assert "streaming_kernel" not in stats["last_frame"]
     assert stats["last_frame"]["seconds"] > 0.0
 
 
@@ -134,20 +136,17 @@ def test_frame_telemetry_recorded_per_streaming_render(scene):
 def test_render_options_validation():
     with pytest.raises(ValueError, match="tile_workers"):
         RenderOptions(tile_workers=0)
-    with pytest.raises(ValueError, match="streaming_kernel"):
-        RenderOptions(streaming_kernel="bogus")
     with pytest.raises(ValueError, match="resolution_scale"):
         RenderOptions(resolution_scale=0.0)
-    # One frame path: there is no tile mode or temporal mode to choose.
-    for removed in ("tile_mode", "temporal_mode"):
+    # One frame path: there is no tile mode or temporal mode to choose, and
+    # the render path is chosen on the config only.
+    for removed in ("tile_mode", "temporal_mode", "streaming_kernel"):
         with pytest.raises(ValueError, match="unknown RenderOptions fields"):
             RenderOptions.from_dict({removed: "process"})
 
 
 def test_render_options_dict_roundtrip():
-    options = RenderOptions(
-        tile_workers=2, streaming_kernel="reference", resolution_scale=0.5
-    )
+    options = RenderOptions(tile_workers=2, resolution_scale=0.5)
     assert RenderOptions.from_dict(options.to_dict()) == options
     with pytest.raises(ValueError, match="unknown RenderOptions fields"):
         RenderOptions.from_dict({"tile_worker": 2})
@@ -162,14 +161,16 @@ def test_render_options_overrides(scene):
     scaled = service.render(request, options=RenderOptions(resolution_scale=0.5))
     assert scaled.image.shape == (camera.height // 2, camera.width // 2, 3)
     assert plain.image.shape == (camera.height, camera.width, 3)
-    # A per-call kernel override renders through the reference loop
-    # without touching the request's own config object.
+    # The reference loop is chosen on the config, the one path knob.
     reference = service.render(
-        request, options=RenderOptions(streaming_kernel="reference")
+        RenderRequest(
+            model=model,
+            camera=camera,
+            config=config.with_options(streaming_kernel="reference"),
+        )
     )
     assert service.last_frame["path"] == "reference"
     np.testing.assert_allclose(reference.image, plain.image, atol=1e-9)
-    assert request.config.streaming_kernel == "vectorized"
 
 
 def test_trajectory_telemetry(scene):

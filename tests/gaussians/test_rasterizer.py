@@ -5,7 +5,8 @@ import pytest
 
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.projection import project_gaussians
-from repro.gaussians.rasterizer import BlendState, TileRasterizer, blend_tile
+from repro.engine.kernels import blend_reference
+from repro.gaussians.rasterizer import BlendState, TileRasterizer
 from repro.gaussians.sh import rgb_to_sh_dc
 from tests.conftest import make_camera, make_model
 
@@ -82,7 +83,9 @@ def test_blend_state_transmittance_bounds(small_model, camera):
     order = np.argsort(projected.depths)
     xs = np.arange(0, 16)
     ys = np.zeros(16, dtype=int) + camera.height // 2
-    state = blend_tile(xs, ys, projected, order, track_depth_order=True)
+    state = blend_reference(
+        xs, ys, projected, order, BlendState.fresh(len(xs)), track_depth_order=True
+    )
     assert np.all(state.transmittance >= 0.0)
     assert np.all(state.transmittance <= 1.0)
     assert state.blended_fragments >= 0
@@ -95,11 +98,11 @@ def test_blend_resume_matches_single_pass(small_model, camera):
     xs, ys = np.meshgrid(np.arange(16, 32), np.arange(16, 32))
     xs, ys = xs.reshape(-1), ys.reshape(-1)
 
-    full = blend_tile(xs, ys, projected, order)
+    full = blend_reference(xs, ys, projected, order, BlendState.fresh(len(xs)))
 
     half = len(order) // 2
-    state = blend_tile(xs, ys, projected, order[:half])
-    state = blend_tile(xs, ys, projected, order[half:], state=state)
+    state = blend_reference(xs, ys, projected, order[:half], BlendState.fresh(len(xs)))
+    state = blend_reference(xs, ys, projected, order[half:], state)
 
     np.testing.assert_allclose(state.color, full.color, atol=1e-9)
     np.testing.assert_allclose(state.transmittance, full.transmittance, atol=1e-9)
@@ -116,14 +119,20 @@ def test_depth_order_violations_detected():
     projected = project_gaussians(model, camera)
     xs, ys = np.meshgrid(np.arange(32), np.arange(32))
     xs, ys = xs.reshape(-1), ys.reshape(-1)
-    correct = blend_tile(
-        xs, ys, projected, np.argsort(projected.depths), track_depth_order=True
+    correct = blend_reference(
+        xs,
+        ys,
+        projected,
+        np.argsort(projected.depths),
+        BlendState.fresh(len(xs)),
+        track_depth_order=True,
     )
-    wrong = blend_tile(
+    wrong = blend_reference(
         xs,
         ys,
         projected,
         np.argsort(-projected.depths),
+        BlendState.fresh(len(xs)),
         track_depth_order=True,
     )
     assert correct.depth_violations == 0
