@@ -240,7 +240,10 @@ class StreamingRenderOutput:
     ``tile_workers``, ``tiles``, ``tile_mode``
     (``"serial"`` or ``"process"``, plus ``tile_mode_degraded`` with the
     reason when processes could not be used), ``stages_s`` (wall seconds
-    per stage, see the module docstring) and ``seconds``.
+    per stage, see the module docstring), ``seconds`` and, on the frame
+    path, ``blend_pairs``: the (Gaussian, pixel) pairs the tiles' streams
+    ``offered`` the blend and the pairs it ``kept`` after footprint
+    culling (see :func:`~repro.engine.kernels.blend_streaming`).
     """
 
     image: np.ndarray
@@ -372,6 +375,7 @@ class StreamingRenderer:
         ]
         orders = self._tile_headers(self.prepare_frame(camera), stats)
         stages: Dict[str, float] = {"prepare": time.perf_counter() - started}
+        pairs = {"offered": 0, "kept": 0}
         blocks = column_blocks([(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in tile_bounds])
         workers = min(tile_workers, len(blocks) - 1)
 
@@ -380,12 +384,13 @@ class StreamingRenderer:
 
             parallel = render_tiles_process(
                 self, camera, tile_bounds, orders, blocks, workers,
-                image, alpha_img, stats, stages,
+                image, alpha_img, stats, stages, pairs,
             )
         else:
             parallel = {"tile_mode": "serial"}
             self._render_tiles(
-                camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages
+                camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages,
+                pairs,
             )
 
         # Final pixel writes are the only off-chip writes of the pipeline.
@@ -402,6 +407,7 @@ class StreamingRenderer:
                 "tiles": tile_grid.num_tiles,
                 **parallel,
                 "stages_s": stages,
+                **({"blend_pairs": pairs} if self.frame_path else {}),
                 "seconds": time.perf_counter() - started,
             },
         )
@@ -439,6 +445,7 @@ class StreamingRenderer:
         alpha_img: np.ndarray,
         stats: StreamingStats,
         stages: Dict[str, float],
+        pairs: Dict[str, int],
     ) -> None:
         """Render the tiles of a run of whole column blocks.
 
@@ -446,7 +453,9 @@ class StreamingRenderer:
         :func:`~repro.engine.kernels.column_blocks`); the tiles
         ``blocks[0]:blocks[-1]`` are rendered into ``image`` /
         ``alpha_img`` and accounted into ``stats`` (their headers already
-        are), and each stage's wall time is added to ``stages``.
+        are), each stage's wall time is added to ``stages``, and the
+        frame path adds the (Gaussian, pixel) pairs its blend was offered
+        and kept to ``pairs``.
         """
         clock = time.perf_counter
         lo, hi = int(blocks[0]), int(blocks[-1])
@@ -479,6 +488,8 @@ class StreamingRenderer:
             stats.gaussian_violation_weight,
         )
         blended_at = clock()
+        pairs["offered"] += blend.pairs_offered
+        pairs["kept"] += blend.pairs_kept
         self._account(filtered, blend, column_offsets, stats)
         final = blend.color + blend.transmittance[:, None] * self.background[None, :]
         image[ys, xs] = final

@@ -6,8 +6,9 @@ top of this subsystem:
 
 * :mod:`repro.engine.kernels` — the alpha-blending kernels: the
   per-Gaussian reference loop (the oracle) and ``blend_streaming``, the one
-  vectorized blend both renderers run over stacked tile columns (the path
-  is chosen by ``StreamingConfig.streaming_kernel`` /
+  vectorized blend both renderers run over stacked tile columns, skipping
+  per 8x8 subtile the Gaussians whose opacity-aware box misses it (the
+  path is chosen by ``StreamingConfig.streaming_kernel`` /
   ``TileRasterizer(kernel=...)``; vectorized is the default);
 * :mod:`repro.engine.state` — the resumable :class:`BlendState` with dense
   array-based per-Gaussian weight/violation accumulators;

@@ -20,6 +20,13 @@ transmittance chain, so every transmittance, saturation position and
 integer count is bit-identical.  Only the summation order of colours and
 per-Gaussian weights differs, which the 1e-9 tolerances cover.
 
+:func:`blend_streaming` also culls exactly: each tile splits into 8x8
+subtiles, and a subtile blends only the stream entries whose opacity-aware
+box (:func:`footprint_boxes`) meets its pixel centres.  Outside the box the
+blend's own alpha is at most :data:`ALPHA_EPSILON`, so a skipped pair's
+factor would have been exactly 1.0: skipping it changes no transmittance,
+saturation, count or depth maximum.
+
 Renderers choose between the two by a path name from
 :data:`RENDER_PATHS`, checked by :func:`check_render_path`.
 """
@@ -27,7 +34,7 @@ Renderers choose between the two by a path name from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +67,20 @@ STREAM_CHUNK_ELEMENTS = 1 << 14
 #: frame is; larger blocks cost peak memory without making frames faster.
 STREAM_BLOCK_COLUMNS = 512
 
+#: Edge, in pixels, of the aligned square cells the streaming blend culls
+#: against: each tile's columns split into subtiles, one per cell, and a
+#: subtile blends only the stream entries whose footprint box reaches it.
+SUBTILE_SIZE = 8
+
+#: Rounding margins of :func:`footprint_boxes`: slack added to the bound on
+#: the exponent, and pixels added to every side of the box.
+FOOTPRINT_EXPONENT_SLACK = 1e-6
+FOOTPRINT_PIXEL_MARGIN = 1e-3
+
+#: Conics with ``a * c - b * b`` at or below this fraction of ``a * c`` are
+#: too close to degenerate for the footprint margins and are never culled.
+CONIC_DET_FLOOR = 1e-6
+
 #: Render paths: ``"vectorized"`` blends through :func:`blend_streaming`,
 #: ``"reference"`` through the :func:`blend_reference` oracle loop.
 RENDER_PATHS = ("reference", "vectorized")
@@ -81,20 +102,22 @@ def tile_columns(
     """Stacked pixel coordinates of many tiles, tile after tile.
 
     ``bounds`` holds each tile's pixel rectangle ``(x0, y0, x1, y1)``.
-    Returns ``(xs, ys, column_offsets)``: each tile's pixels in row-major
-    order, and the first column of each tile followed by the column count.
+    Returns ``(xs, ys, column_offsets)``: each tile's pixels, and the first
+    column of each tile followed by the column count.  Within a tile the
+    pixels run cell by cell over the aligned :data:`SUBTILE_SIZE` cells
+    (cells in row-major order, each cell's pixels row-major), so every
+    cell is one subtile of :func:`blend_streaming`.
     """
     x0, y0, x1, y1 = np.asarray(bounds, dtype=np.int64).reshape(-1, 4).T
     widths = x1 - x0
     counts = widths * (y1 - y0)
     column_offsets = np.concatenate(([0], np.cumsum(counts)))
-    local = np.arange(column_offsets[-1]) - np.repeat(column_offsets[:-1], counts)
-    width = np.repeat(widths, counts)
-    return (
-        np.repeat(x0, counts) + local % width,
-        np.repeat(y0, counts) + local // width,
-        column_offsets,
-    )
+    tile = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(column_offsets[-1]) - column_offsets[tile]
+    xs = x0[tile] + local % widths[tile]
+    ys = y0[tile] + local // widths[tile]
+    order = np.lexsort((xs // SUBTILE_SIZE, ys // SUBTILE_SIZE, tile))
+    return xs[order], ys[order], column_offsets
 
 
 def _tracking_size(
@@ -177,6 +200,45 @@ def column_blocks(pixel_counts: np.ndarray) -> np.ndarray:
     return np.asarray(offsets, dtype=np.int64)
 
 
+def footprint_boxes(projected: ProjectedGaussians) -> np.ndarray:
+    """Opacity-aware screen boxes of every row of ``projected``.
+
+    Returns a ``(4, N)`` array of ``x_lo, x_hi, y_lo, y_hi`` in pixel
+    coordinates.  A Gaussian's alpha exceeds :data:`ALPHA_EPSILON` only
+    inside the ellipse where ``o * exp(power) > ALPHA_EPSILON``, i.e. where
+    the conic's quadratic form stays below ``tau = 2 ln(o / ALPHA_EPSILON)``.
+    That ellipse spans ``sqrt(tau * Sxx)`` and ``sqrt(tau * Syy)`` about the
+    mean, with ``Sxx = c / det`` and ``Syy = a / det`` the covariance
+    diagonal recovered from the conic ``(a, b, c)``, ``det = a c - b^2``.
+    The box is that ellipse's bounding box, widened by two rounding
+    margins: :data:`FOOTPRINT_EXPONENT_SLACK` on ``tau`` (which bounds the
+    blend's own rounding of the exponent at any scale) and
+    :data:`FOOTPRINT_PIXEL_MARGIN` pixels on every side (which bounds the
+    rounding of coordinates).  Rows with ``o <= ALPHA_EPSILON`` get an
+    empty box, since their alpha never exceeds their opacity; rows whose
+    conic is not safely positive definite (``a <= 0`` or
+    ``det <= CONIC_DET_FLOOR * a * c``) get an unbounded one.
+    """
+    a, b, c = projected.conics.T
+    opacity = projected.opacities
+    det = a * c - b * b
+    bounded = (a > 0.0) & (det > CONIC_DET_FLOOR * a * c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = 2.0 * np.log(opacity / ALPHA_EPSILON) + FOOTPRINT_EXPONENT_SLACK
+        half_x = np.where(bounded, np.sqrt(tau * c / det), np.inf)
+        half_y = np.where(bounded, np.sqrt(tau * a / det), np.inf)
+        half_x += FOOTPRINT_PIXEL_MARGIN
+        half_y += FOOTPRINT_PIXEL_MARGIN
+        mean_x, mean_y = projected.means2d.T
+        boxes = np.stack(
+            [mean_x - half_x, mean_x + half_x, mean_y - half_y, mean_y + half_y]
+        )
+    # A NaN bound (from NaN parameters) fails every comparison, so it never
+    # culls; a faint Gaussian's box is empty.
+    boxes[:, opacity <= ALPHA_EPSILON] = [[np.inf], [-np.inf], [np.inf], [-np.inf]]
+    return boxes
+
+
 @dataclass
 class StreamingBlend:
     """Per-column and per-tile outcome of :func:`blend_streaming`."""
@@ -192,6 +254,92 @@ class StreamingBlend:
     fragments: np.ndarray
     #: (T,) contributions that arrived out of depth order, per tile.
     violations: np.ndarray
+    #: (Gaussian, pixel) pairs the tile streams offered: each tile's stream
+    #: length times its column count, summed.
+    pairs_offered: int
+    #: Pairs left after footprint culling: each subtile's culled stream
+    #: length times its column count, summed.
+    pairs_kept: int
+
+
+@dataclass
+class SubtileStreams:
+    """Stacked tile columns split into subtiles, each with a culled stream.
+
+    A subtile is a maximal run of consecutive columns of one tile whose
+    pixels lie in one aligned :data:`SUBTILE_SIZE` cell.  Its stream is the
+    subsequence of its tile's stream whose :func:`footprint_boxes` box
+    meets the bounding box of the subtile's pixel centres.
+    """
+
+    #: (S + 1,) first column of each subtile, then the column count.
+    column_offsets: np.ndarray
+    #: (T + 1,) first subtile of each tile, then ``S``: tile ``t`` holds
+    #: subtiles ``tile_offsets[t]:tile_offsets[t + 1]``.
+    tile_offsets: np.ndarray
+    #: (S + 1,) offsets of each subtile's stream in ``rows``/``positions``.
+    stream_offsets: np.ndarray
+    #: Rows of ``projected``, subtile after subtile, each in stream order.
+    rows: np.ndarray
+    #: Each entry's position in its tile's stream.
+    positions: np.ndarray
+
+
+def subtile_streams(
+    pixel_x: np.ndarray,
+    pixel_y: np.ndarray,
+    column_offsets: np.ndarray,
+    projected: ProjectedGaussians,
+    stream_rows: np.ndarray,
+    stream_offsets: np.ndarray,
+) -> SubtileStreams:
+    """The subtiles of :func:`blend_streaming`'s tiles and their streams.
+
+    Arguments as for :func:`blend_streaming`.  An entry is kept unless its
+    box misses the bounding box of the subtile's pixel centres (a box that
+    ends exactly on a pixel centre meets it).
+    """
+    num_tiles = len(column_offsets) - 1
+    num_columns = int(column_offsets[-1])
+    cell_x = pixel_x // SUBTILE_SIZE
+    cell_y = pixel_y // SUBTILE_SIZE
+    boundary = np.ones(num_columns, dtype=bool)
+    boundary[1:] = (cell_x[1:] != cell_x[:-1]) | (cell_y[1:] != cell_y[:-1])
+    tile_starts = column_offsets[:-1]
+    boundary[tile_starts[tile_starts < num_columns]] = True
+    starts = np.flatnonzero(boundary)
+    tile_offsets = np.searchsorted(starts, column_offsets)
+    num_subtiles = len(starts)
+
+    # Pair p offers the entry at position positions[p] of its tile's
+    # stream to subtile subtile[p].
+    subtile_tile = np.repeat(np.arange(num_tiles), np.diff(tile_offsets))
+    offered = np.diff(stream_offsets)[subtile_tile]
+    subtile = np.repeat(np.arange(num_subtiles), offered)
+    positions = np.arange(len(subtile)) - np.repeat(
+        np.cumsum(offered) - offered, offered
+    )
+    rows = stream_rows.take(
+        np.repeat(stream_offsets[subtile_tile], offered) + positions
+    )
+    if len(rows):
+        px = pixel_x + 0.5
+        py = pixel_y + 0.5
+        x_lo, x_hi, y_lo, y_hi = footprint_boxes(projected)
+        missed = np.maximum.reduceat(px, starts).take(subtile) < x_lo.take(rows)
+        missed |= np.minimum.reduceat(px, starts).take(subtile) > x_hi.take(rows)
+        missed |= np.maximum.reduceat(py, starts).take(subtile) < y_lo.take(rows)
+        missed |= np.minimum.reduceat(py, starts).take(subtile) > y_hi.take(rows)
+        kept = np.flatnonzero(~missed)
+        subtile, positions, rows = subtile[kept], positions[kept], rows[kept]
+    lens = np.bincount(subtile, minlength=num_subtiles)
+    return SubtileStreams(
+        column_offsets=np.append(starts, num_columns),
+        tile_offsets=tile_offsets,
+        stream_offsets=np.concatenate(([0], np.cumsum(lens))),
+        rows=rows,
+        positions=positions,
+    )
 
 
 def blend_streaming(
@@ -216,6 +364,17 @@ def blend_streaming(
     ``block_offsets`` (see :func:`column_blocks`), each block through one
     chunk loop over its stacked columns.
 
+    Each tile's columns split into subtiles, and each subtile blends only
+    the subsequence of its tile's stream whose :func:`footprint_boxes` box
+    meets its pixel centres (:func:`subtile_streams`; :func:`tile_columns`
+    orders a tile's pixels so that its subtiles are whole 8x8 cells).  A
+    skipped pair's alpha is at most :data:`ALPHA_EPSILON`, so the blend
+    would have zeroed it: its factor is exactly 1.0 and it neither
+    contributes nor saturates.  Saturation positions map back to positions
+    in the tile's stream, and fragments and violations are summed per
+    tile, so skipping changes no transmittance, saturation, count or depth
+    maximum.
+
     With ``model_indices``, contributions that arrive out of depth order
     are counted per tile, and per-Gaussian blended and out-of-order weights
     are added in place into ``weights`` / ``violation_weights`` at
@@ -229,20 +388,25 @@ def blend_streaming(
     factors are exactly 1.0, and because transmittance never increases,
     the early-termination gate reads the same on the ungated product.
     Only the accumulation order of colours and per-Gaussian weights
-    depends on the chunking, which itself depends on a block's own tiles
-    only.
+    depends on the subtiles and the chunking, which depend on a block's
+    own tiles only.
     """
-    num_tiles = len(column_offsets) - 1
     num_columns = int(column_offsets[-1])
-    stream_lens = np.diff(stream_offsets)
-    col_tile = np.repeat(np.arange(num_tiles), np.diff(column_offsets))
     px = pixel_x.astype(np.float64) + 0.5
     py = pixel_y.astype(np.float64) + 0.5
+    subtiles = subtile_streams(
+        pixel_x, pixel_y, column_offsets, projected, stream_rows, stream_offsets
+    )
+    subtile_offsets = subtiles.column_offsets
+    culled_offsets = subtiles.stream_offsets
+    stream_lens = np.diff(culled_offsets)
+    num_subtiles = len(stream_lens)
+    col_subtile = np.repeat(np.arange(num_subtiles), np.diff(subtile_offsets))
     transmittance = np.ones(num_columns, dtype=np.float64)
     color = np.zeros((num_columns, 3), dtype=np.float64)
-    saturation = stream_lens[col_tile].astype(np.int64)
-    fragments = np.zeros(num_tiles, dtype=np.int64)
-    violations = np.zeros(num_tiles, dtype=np.int64)
+    saturation = stream_lens[col_subtile].astype(np.int64)
+    fragments = np.zeros(num_subtiles, dtype=np.int64)
+    violations = np.zeros(num_subtiles, dtype=np.int64)
     track = model_indices is not None
 
     # One row per Gaussian parameter (mean x, mean y, conic a, b, c,
@@ -261,25 +425,32 @@ def blend_streaming(
         # Pad rows attribute exactly 0.0 to model id 0, a no-op.
         keys = np.append(np.asarray(model_indices, dtype=np.int64), 0)
 
-    for lo, hi in zip(block_offsets[:-1], block_offsets[1:]):
+    # A block of tiles is the block of their subtiles.
+    tile_offsets = subtiles.tile_offsets
+    block_subtiles = tile_offsets[block_offsets]
+    for lo, hi in zip(block_subtiles[:-1], block_subtiles[1:]):
         lens = stream_lens[lo:hi]
         max_len = int(lens.max()) if hi > lo else 0
         if max_len == 0:
             continue
-        # Column j of the block's stream matrix holds tile lo + j's stream,
-        # sentinel-padded past its end; row-major chunks (chunk rows x
-        # active columns) keep every accumulate/cumprod step one
-        # contiguous vectorized row operation.
-        first = stream_offsets[lo]
-        block_tile = np.repeat(np.arange(hi - lo), lens)
-        position = np.arange(stream_offsets[hi] - first) - (
-            stream_offsets[lo:hi] - first
+        # Column j of the block's stream matrix holds subtile lo + j's
+        # culled stream, sentinel-padded past its end; row-major chunks
+        # (chunk rows x active columns) keep every accumulate/cumprod step
+        # one contiguous vectorized row operation.
+        first = culled_offsets[lo]
+        block_subtile = np.repeat(np.arange(hi - lo), lens)
+        position = np.arange(culled_offsets[hi] - first) - (
+            culled_offsets[lo:hi] - first
         ).repeat(lens)
         matrix = np.full((max_len, hi - lo), sentinel, dtype=np.int64)
-        matrix[position, block_tile] = stream_rows[first : stream_offsets[hi]]
+        matrix[position, block_subtile] = subtiles.rows[first : culled_offsets[hi]]
 
-        c0, c1 = column_offsets[lo], column_offsets[hi]
-        tile_of = col_tile[c0:c1] - lo
+        c0, c1 = subtile_offsets[lo], subtile_offsets[hi]
+        subtile_of = col_subtile[c0:c1] - lo
+        # (model ids, weight sums) per chunk and present subtile, scattered
+        # into the attribution arrays once per block.
+        blended: List[Tuple[np.ndarray, np.ndarray]] = []
+        out_of_order: List[Tuple[np.ndarray, np.ndarray]] = []
         col_px, col_py = px[c0:c1], py[c0:c1]
         col_t, col_color = transmittance[c0:c1], color[c0:c1]
         col_saturation = saturation[c0:c1]
@@ -288,28 +459,28 @@ def blend_streaming(
         start = 0
         while start < max_len:
             active = np.flatnonzero(
-                (col_t > TRANSMITTANCE_EPSILON) & (lens[tile_of] > start)
+                (col_t > TRANSMITTANCE_EPSILON) & (lens[subtile_of] > start)
             )
             if len(active) == 0:
                 break
-            # Columns are tile-major, so each present tile's active columns
-            # are one contiguous run: segment reductions (reduceat) recover
-            # per-tile sums.
-            per_tile = np.bincount(tile_of[active], minlength=hi - lo)
-            present = np.flatnonzero(per_tile)
-            runs = per_tile[present]
+            # Columns are subtile-major, so each present subtile's active
+            # columns are one contiguous run: segment reductions (reduceat)
+            # recover per-subtile sums.
+            per_subtile = np.bincount(subtile_of[active], minlength=hi - lo)
+            present = np.flatnonzero(per_subtile)
+            runs = per_subtile[present]
             boundaries = np.cumsum(runs) - runs
             # Chunks grow as columns saturate (amortising the per-chunk call
             # overhead over the long-stream tail) and the last chunk shrinks
-            # to the longest remaining stream so finished tiles do not pay
-            # for sentinel rows.
+            # to the longest remaining stream so finished subtiles do not
+            # pay for sentinel rows.
             rows_k = max(STREAM_CHUNK_ROWS, STREAM_CHUNK_ELEMENTS // len(active))
             rows_k = int(min(rows_k, lens[present].max() - start))
             stop = start + rows_k
 
-            # Every column of a tile shares the tile's stream, so Gaussian
-            # parameters vary per (chunk row, tile) only: gather them per
-            # present tile, then repeat each over the tile's column run.
+            # Every column of a subtile shares the subtile's stream, so
+            # Gaussian parameters vary per (chunk row, subtile) only: gather
+            # them per present subtile, then repeat each over its run.
             chunk = matrix[start:stop].take(present, axis=1)
             mean_x, mean_y, conic_a, conic_b, conic_c, opacity = params.take(
                 chunk, axis=1
@@ -347,9 +518,9 @@ def blend_streaming(
             weight = a * running[:-1]
             weight *= contributes
 
-            # Colour as one small matmul per present tile: the colour block
-            # varies per (chunk row, tile) only, so the per-column weighted
-            # sum is (columns x rows) @ (rows x 3).
+            # Colour as one small matmul per present subtile: the colour
+            # block varies per (chunk row, subtile) only, so the per-column
+            # weighted sum is (columns x rows) @ (rows x 3).
             ends = boundaries + runs
             for i in range(len(present)):
                 cs, ce = boundaries[i], ends[i]
@@ -369,22 +540,21 @@ def blend_streaming(
                 )
                 col_depth[active] = prior_max[-1]
 
-                # Per-(chunk row, tile) weight sums scattered into the
-                # per-Gaussian attribution arrays.
-                chunk_keys = keys.take(chunk)
-                np.add.at(
-                    weights, chunk_keys, np.add.reduceat(weight, boundaries, axis=1)
+                chunk_keys = keys.take(chunk).ravel()
+                blended.append(
+                    (chunk_keys, np.add.reduceat(weight, boundaries, axis=1).ravel())
                 )
                 if violated.any():
                     violations[lo + present] += np.add.reduceat(
                         np.count_nonzero(violated, axis=0), boundaries
                     )
-                    np.add.at(
-                        violation_weights,
-                        chunk_keys,
-                        np.add.reduceat(
-                            np.where(violated, weight, 0.0), boundaries, axis=1
-                        ),
+                    out_of_order.append(
+                        (
+                            chunk_keys,
+                            np.add.reduceat(
+                                np.where(violated, weight, 0.0), boundaries, axis=1
+                            ).ravel(),
+                        )
                     )
 
             # The running product is non-increasing (factors lie in [0, 1]),
@@ -407,10 +577,27 @@ def blend_streaming(
             )
             start = stop
 
+        for target, parts in ((weights, blended), (violation_weights, out_of_order)):
+            if parts:
+                ids, sums = zip(*parts)
+                np.add.at(target, np.concatenate(ids), np.concatenate(sums))
+
+    # Back from subtiles to tiles: a saturation position in a culled stream
+    # names an entry of the tile's stream, and counts sum over subtiles.
+    tile_lens = np.diff(stream_offsets).astype(np.int64)
+    tile_saturation = np.repeat(tile_lens, np.diff(column_offsets))
+    hit = np.flatnonzero(saturation < stream_lens[col_subtile])
+    tile_saturation[hit] = subtiles.positions[
+        culled_offsets[col_subtile[hit]] + saturation[hit]
+    ]
+    fragment_sums = np.concatenate(([0], np.cumsum(fragments)))[tile_offsets]
+    violation_sums = np.concatenate(([0], np.cumsum(violations)))[tile_offsets]
     return StreamingBlend(
         color=color,
         transmittance=transmittance,
-        saturation=saturation,
-        fragments=fragments,
-        violations=violations,
+        saturation=tile_saturation,
+        fragments=np.diff(fragment_sums),
+        violations=np.diff(violation_sums),
+        pairs_offered=int(tile_lens @ np.diff(column_offsets)),
+        pairs_kept=int(stream_lens @ np.diff(subtile_offsets)),
     )

@@ -22,8 +22,8 @@ All large transfers are zero-copy:
   shared buffers**: workers write their tiles' pixels and their private
   weight row in place, so no render output is ever pickled;
 * each worker returns one int64 row of summed scalar statistics plus its
-  sort-length list, and the frame absorbs the runs **in order**, which is
-  tile order.
+  sort-length list and its blend's pair counts, and the frame absorbs the
+  runs **in order**, which is tile order.
 
 The worker pool is a lazily created, process-wide ``ProcessPoolExecutor``
 (fork start method when the platform offers it — the cheap path; spawn
@@ -146,9 +146,10 @@ def _render_run(
 ) -> Dict[str, np.ndarray]:
     """Render one run of blocks into the shared buffers.
 
-    Returns only compact arrays: one row of summed scalar statistics and
-    the run's sort-length list.  Pixels and per-Gaussian weights were
-    already written into shared memory in place.
+    Returns only compact arrays: one row of summed scalar statistics, the
+    run's sort-length list and its blend's offered and kept pair counts.
+    Pixels and per-Gaussian weights were already written into shared
+    memory in place.
     """
     from repro.core.pipeline import StreamingStats
 
@@ -156,6 +157,7 @@ def _render_run(
     local = StreamingStats()
     local.gaussian_blend_weight = blend_handle.array(writable=True)[weight_row]
     local.gaussian_violation_weight = violation_handle.array(writable=True)[weight_row]
+    pairs = {"offered": 0, "kept": 0}
     renderer._render_tiles(
         camera,
         tile_bounds,
@@ -165,10 +167,12 @@ def _render_run(
         alpha_handle.array(writable=True),
         local,
         {},
+        pairs,
     )
     return {
         "row": stats_to_row(local),
         "sort_lengths": np.asarray(local.sort_list_lengths, dtype=np.int64),
+        "pairs": pairs,
     }
 
 
@@ -242,12 +246,14 @@ def render_tiles_process(
     alpha_img: np.ndarray,
     stats: "StreamingStats",
     stages: Dict[str, float],
+    pairs: Dict[str, int],
 ) -> Dict[str, object]:
     """Render a frame's tiles in ``workers`` runs, all but the first in a pool.
 
-    Mutates ``image`` / ``alpha_img`` / ``stats`` / ``stages`` exactly like
-    the renderer's in-process tile loop (``stages`` gains ``dispatch``:
-    the wall time not spent rendering in this process) and returns the
+    Mutates ``image`` / ``alpha_img`` / ``stats`` / ``stages`` / ``pairs``
+    exactly like the renderer's in-process tile loop (``stages`` gains
+    ``dispatch``: the wall time not spent rendering in this process; the
+    workers' blend pair counts are summed into ``pairs``) and returns the
     telemetry of the execution.  Whatever processes cannot render, this
     process renders, and the telemetry records why.
     ``KeyboardInterrupt`` propagates — the shared segments are unlinked on
@@ -256,12 +262,12 @@ def render_tiles_process(
     try:
         return _render_runs(
             renderer, camera, tile_bounds, orders, blocks, workers,
-            image, alpha_img, stats, stages,
+            image, alpha_img, stats, stages, pairs,
         )
     except TileParallelUnavailable as error:
         # Raised before anything was rendered: the whole frame renders here.
         renderer._render_tiles(
-            camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages
+            camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages, pairs
         )
         return {"tile_mode": "serial", "tile_mode_degraded": str(error)}
 
@@ -277,6 +283,7 @@ def _render_runs(
     alpha_img: np.ndarray,
     stats: "StreamingStats",
     stages: Dict[str, float],
+    pairs: Dict[str, int],
 ) -> Dict[str, object]:
     """The process path of :func:`render_tiles_process`.
 
@@ -341,7 +348,8 @@ def _render_runs(
         shared_alpha = alpha_handle.array(writable=True)
         rendering_before = sum(stages.values())
         renderer._render_tiles(
-            camera, tile_bounds, orders, runs[0], shared_image, shared_alpha, stats, stages
+            camera, tile_bounds, orders, runs[0], shared_image, shared_alpha,
+            stats, stages, pairs,
         )
         payloads = []
         for future in futures:
@@ -354,6 +362,8 @@ def _render_runs(
             # order keeps the sort lists in tile order.
             for payload in payloads:
                 stats.absorb(row_to_stats(payload["row"], payload["sort_lengths"]))
+                for name, count in payload["pairs"].items():
+                    pairs[name] += count
             # Weight rows summed in run order: deterministic for a fixed
             # worker count, within 1e-9 of the serial accumulation.
             for blend_row, violation_row in zip(
@@ -368,7 +378,7 @@ def _render_runs(
             for run in runs[1:]:
                 renderer._render_tiles(
                     camera, tile_bounds, orders, run, shared_image, shared_alpha,
-                    stats, stages,
+                    stats, stages, pairs,
                 )
         image[...] = shared_image
         alpha_img[...] = shared_alpha

@@ -135,6 +135,19 @@ class TestFrameTelemetry:
         telemetry = renderer.render(make_camera(width=32, height=24)).telemetry
         assert telemetry["path"] == "reference"
         assert list(telemetry["stages_s"]) == ["prepare", "reference"]
+        assert "blend_pairs" not in telemetry
+
+    def test_blend_pairs_bound_the_fragments(self):
+        """Culling keeps a subset of the offered pairs, whatever the workers."""
+        model = make_model(num_gaussians=350, extent=5.0, scale=0.12, seed=5)
+        camera = make_camera(width=64, height=48, distance=6.0)
+        renderer = StreamingRenderer(
+            model, StreamingConfig(voxel_size=1.0, use_vq=False)
+        )
+        serial = renderer.render(camera)
+        pairs = serial.telemetry["blend_pairs"]
+        assert serial.stats.blended_fragments <= pairs["kept"] < pairs["offered"]
+        assert renderer.render(camera, tile_workers=2).telemetry["blend_pairs"] == pairs
 
 
 class TestBatchedHierarchicalFilter:
