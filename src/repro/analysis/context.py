@@ -17,8 +17,9 @@ module-level entry point and delegates to that default session.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.arch.workload import FullScaleWorkload, build_workload
 from repro.core.config import StreamingConfig
@@ -40,7 +41,15 @@ from repro.variants.base import get_algorithm
 
 @dataclass
 class SceneContext:
-    """Everything the experiments need for one (scene, algorithm) pair."""
+    """Everything the experiments need for one (scene, algorithm) pair.
+
+    ``tile_output`` is the calibration render of ``trained`` that the fit
+    chose (:attr:`~repro.scenes.fitting.FittedScene.trained_output`).
+    ``stages_s`` holds the build's wall seconds per stage: ``scene`` (scene
+    build and algorithm transform), ``fit`` (ground-truth and calibration
+    renders), ``renderer`` (voxel grid, VQ fit and decode, or a renderer
+    cache hit), ``streaming`` (the frame) and ``workload``.
+    """
 
     descriptor: SceneDescriptor
     algorithm: str
@@ -55,6 +64,7 @@ class SceneContext:
     streaming_output: StreamingRenderOutput
     streaming_psnr: float
     workload: FullScaleWorkload
+    stages_s: Dict[str, float]
 
     @property
     def scene(self) -> str:
@@ -88,13 +98,14 @@ def build_scene_context(
     if scene not in SCENE_REGISTRY:
         raise KeyError(f"unknown scene {scene!r}; available: {sorted(SCENE_REGISTRY)}")
     service = service if service is not None else get_default_service()
+    marks = [time.perf_counter()]
     descriptor = SCENE_REGISTRY[scene]
     config = config or StreamingConfig(voxel_size=descriptor.default_voxel_size)
     camera = default_eval_camera(scene, resolution_scale=resolution_scale)
     reference = build_scene(scene)
-
     algo = get_algorithm(algorithm)
     reference_variant = algo.transform(reference, cameras=[camera])
+    marks.append(time.perf_counter())
 
     target = descriptor.target_psnr.get(algorithm, descriptor.target_psnr["3dgs"])
     fitted: FittedScene = fit_trained_model(
@@ -105,19 +116,19 @@ def build_scene_context(
     )
     trained = fitted.trained
     ground_truth = fitted.ground_truth
-
-    tile_response, streaming_response = service.render_batch(
-        [
-            RenderRequest(model=trained, camera=camera, config=config, mode="tile"),
-            RenderRequest(model=trained, camera=camera, config=config, mode="streaming"),
-        ]
-    )
-    tile_output = tile_response.output
-    baseline_psnr = psnr(ground_truth, tile_output.image)
+    # The fit's chosen calibration render is the tile-centric reference:
+    # same rasterizer, model and camera.
+    tile_output = fitted.trained_output
+    baseline_psnr = fitted.achieved_psnr
+    marks.append(time.perf_counter())
 
     streaming_renderer = service.streaming_renderer(trained, config)
-    streaming_output = streaming_response.output
+    marks.append(time.perf_counter())
+    streaming_output = service.render(
+        RenderRequest(model=trained, camera=camera, config=config, mode="streaming")
+    ).output
     streaming_psnr = psnr(ground_truth, streaming_output.image)
+    marks.append(time.perf_counter())
 
     workload = build_workload(
         descriptor=descriptor,
@@ -130,6 +141,8 @@ def build_scene_context(
         use_vq=config.use_vq,
         second_half_bytes_vq=streaming_renderer.layout.second_half_bytes_per_gaussian,
     )
+    marks.append(time.perf_counter())
+    stages = ("scene", "fit", "renderer", "streaming", "workload")
     return SceneContext(
         descriptor=descriptor,
         algorithm=algorithm,
@@ -144,6 +157,9 @@ def build_scene_context(
         streaming_output=streaming_output,
         streaming_psnr=streaming_psnr,
         workload=workload,
+        stages_s={
+            stage: end - start for stage, start, end in zip(stages, marks, marks[1:])
+        },
     )
 
 

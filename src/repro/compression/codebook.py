@@ -10,6 +10,7 @@ storage footprint, which the SRAM sizing and traffic models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -63,6 +64,25 @@ class Codebook:
         seed: int = 0,
     ) -> "Codebook":
         """Train a codebook on ``(n, vector_dim)`` feature vectors."""
+        return cls.train_encode(spec, vectors, max_iterations, seed)[0]
+
+    @classmethod
+    def train_encode(
+        cls,
+        spec: CodebookSpec,
+        vectors: np.ndarray,
+        max_iterations: int = 20,
+        seed: int = 0,
+    ) -> Tuple["Codebook", np.ndarray]:
+        """Train a codebook and return it with the training vectors' indices.
+
+        The indices are k-means' final assignment, handed over so callers
+        skip a second nearest-centroid search.  With fewer entries than
+        vectors they equal ``encode(vectors)`` bit for bit.  Otherwise each
+        vector keeps its own (padded) entry, which holds the vector's exact
+        bits, like the entry ``encode`` picks unless another vector lies
+        within rounding error of it.
+        """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != spec.vector_dim:
             raise ValueError(
@@ -71,7 +91,7 @@ class Codebook:
         result = kmeans(
             vectors, spec.num_entries, max_iterations=max_iterations, seed=seed
         )
-        return cls(spec, result.centroids)
+        return cls(spec, result.centroids), result.assignments
 
     # ------------------------------------------------------------------
     def encode(self, vectors: np.ndarray) -> np.ndarray:

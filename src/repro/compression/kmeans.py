@@ -25,6 +25,18 @@ update), under these rules:
 * for ``d < 8`` the seeding distances accumulate column by column, which
   is the order NumPy sums a row of fewer than 8 terms in; wider rows keep
   the row reduction, which NumPy sums pairwise;
+* wider rows prune each draw after the first with a lower bound: one
+  matrix-vector product gives ``||x||^2 - 2 x.c + ||c||^2`` for every row,
+  less ``(d + 3) eps (||x|| + ||c||)^2`` (more than the rounding error of
+  that expansion plus that of the row sum) and a floor of ``d + 3``
+  smallest normal numbers (more than underflow can add).  Only rows whose
+  bound is below their ``closest_d2``, or is not finite, get the row sum.
+  A pruned row is exact: its row sum, as NumPy rounds it, cannot fall
+  below the bound, which is at least ``closest_d2``, so
+  ``minimum(closest_d2, distance)`` would have kept ``closest_d2``.  A
+  subset of rows sums like the whole array only in C order, so other
+  layouts, like narrow rows (where the bound costs more than it saves),
+  keep the full evaluation;
 * the Lloyd update sums each cluster per column with ``np.bincount``,
   which adds rows in member order exactly as ``mean(axis=0)`` does for
   ``d >= 2``; NumPy reduces an ``(m, 1)`` block pairwise, so ``d == 1``
@@ -93,6 +105,36 @@ def _squared_distances_to(vectors: np.ndarray):
     return squared_distances
 
 
+def _distance_lower_bounds(vectors: np.ndarray):
+    """Lower bounds on squared distances to one row: ``index -> bound``.
+
+    Every row's ``np.sum((x - vectors[index]) ** 2)`` is at least its entry
+    of ``bound`` (the margin is in the module docstring).
+    """
+    d = vectors.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum(vectors * vectors, axis=1)
+        # radii[i] + radii[j] is sqrt((d + 3) eps) (||x_i|| + ||x_j||).
+        radii = np.sqrt(squares * ((d + 3) * np.finfo(np.float64).eps))
+    floor = (d + 3) * np.finfo(np.float64).tiny
+
+    def lower_bound(index: int) -> np.ndarray:
+        # Huge rows overflow the bound, not the distance: a non-finite bound
+        # proves nothing, and the caller evaluates those rows exactly.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = vectors @ vectors[index]
+            bound *= -2.0
+            bound += squares
+            bound += squares[index]
+            margin = radii + radii[index]
+            margin *= margin
+            margin += floor
+            bound -= margin
+        return bound
+
+    return lower_bound
+
+
 def _kmeans_plus_plus_init(
     vectors: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -103,6 +145,12 @@ def _kmeans_plus_plus_init(
     first = rng.integers(0, n)
     centroids[0] = vectors[first]
     closest_d2 = squared_distances(centroids[0])
+    # A row subset sums like the whole array only in C order.
+    lower_bound = (
+        _distance_lower_bounds(vectors)
+        if d >= 8 and vectors.flags.c_contiguous
+        else None
+    )
     for i in range(1, k):
         total = closest_d2.sum()
         if total <= 1e-18:
@@ -115,7 +163,13 @@ def _kmeans_plus_plus_init(
         cdf /= cdf[-1]
         choice = cdf.searchsorted(rng.random(), side="right")
         centroids[i] = vectors[choice]
-        np.minimum(closest_d2, squared_distances(centroids[i]), out=closest_d2)
+        if lower_bound is None:
+            np.minimum(closest_d2, squared_distances(centroids[i]), out=closest_d2)
+            continue
+        bound = lower_bound(choice)
+        rows = np.flatnonzero((bound < closest_d2) | ~np.isfinite(bound))
+        exact = np.sum((vectors[rows] - centroids[i]) ** 2, axis=1)
+        closest_d2[rows] = np.minimum(closest_d2[rows], exact)
     return centroids
 
 

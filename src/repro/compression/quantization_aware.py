@@ -18,6 +18,7 @@ relies on).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -35,7 +36,7 @@ class QATResult:
     """Outcome of quantization-aware fine-tuning."""
 
     model: GaussianModel                 # fine-tuned (un-quantised) model
-    quantizer: VectorQuantizer           # refined codebooks
+    quantizer: VectorQuantizer           # refined copy of the input's codebooks
     quantized_model: GaussianModel       # decode(encode(model)) after QAT
     psnr_before: float
     psnr_after: float
@@ -65,8 +66,8 @@ def quantization_aware_finetune(
     model:
         The trained (optionally boundary-fine-tuned) model.
     quantizer:
-        A fitted :class:`VectorQuantizer` (its codebooks are refined in place
-        on a copy).
+        A fitted :class:`VectorQuantizer`.  Its codebooks stay as they are:
+        the rounds refine a deep copy, returned as :attr:`QATResult.quantizer`.
     iterations:
         Number of alternating refinement rounds (each round stands in for a
         block of the paper's 5 000 gradient iterations).
@@ -83,6 +84,7 @@ def quantization_aware_finetune(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     work = model.copy()
+    quantizer = copy.deepcopy(quantizer)
     rasterizer = rasterizer or TileRasterizer()
 
     def _render_psnr(m: GaussianModel) -> float:

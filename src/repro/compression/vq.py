@@ -74,7 +74,20 @@ class VectorQuantizer:
     # ------------------------------------------------------------------
     def fit(self, model: GaussianModel) -> "VectorQuantizer":
         """Train all codebooks on ``model``'s second-half features."""
+        self.fit_encode(model)
+        return self
+
+    def fit_encode(self, model: GaussianModel) -> QuantizedGaussians:
+        """Train all codebooks on ``model`` and return ``model``'s encoding.
+
+        The indices are each group's k-means final assignment, handed to
+        the caller instead of searched again by :meth:`encode` (see
+        :meth:`Codebook.train_encode` for how the two agree).  The quantizer
+        keeps no copy of them: :meth:`encode` always searches the codebooks
+        as they are.
+        """
         groups = _feature_groups(model)
+        indices = {}
         for spec in self.specs:
             if spec.name not in groups:
                 raise KeyError(f"no feature group named {spec.name!r}")
@@ -84,10 +97,14 @@ class VectorQuantizer:
                     f"group {spec.name!r} has dim {vectors.shape[1]}, "
                     f"spec expects {spec.vector_dim}"
                 )
-            self.codebooks[spec.name] = Codebook.train(
+            self.codebooks[spec.name], indices[spec.name] = Codebook.train_encode(
                 spec, vectors, max_iterations=self.kmeans_iterations, seed=self.seed
             )
-        return self
+        return QuantizedGaussians(
+            indices=indices,
+            opacities=model.opacities.copy(),
+            num_gaussians=len(model),
+        )
 
     @property
     def is_fitted(self) -> bool:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compression.vq import VectorQuantizer
+from repro.compression.vq import QuantizedGaussians, VectorQuantizer
 from repro.core.voxel_grid import VoxelGrid
 from repro.gaussians.model import (
     COARSE_PARAMS_PER_GAUSSIAN,
@@ -216,13 +216,19 @@ class DataLayout:
 
 
 def render_model(
-    model: GaussianModel, layout: DataLayout
+    model: GaussianModel,
+    layout: DataLayout,
+    quantized: Optional[QuantizedGaussians] = None,
 ) -> GaussianModel:
     """The model the accelerator actually renders under this layout.
 
     With VQ enabled the second half is reconstructed from the codebooks
     (quantisation error included); without VQ the model is returned as is.
+    ``quantized`` is ``model``'s encoding when the caller already has it
+    (the quantizer fit's hand-off); otherwise the model is encoded here.
     """
     if layout.use_vq and layout.quantizer is not None:
-        return layout.quantizer.roundtrip(model)
+        if quantized is None:
+            return layout.quantizer.roundtrip(model)
+        return layout.quantizer.decode(quantized, model)
     return model

@@ -273,7 +273,9 @@ class StreamingRenderer:
         frame-preparation cache (``config.frame_cache_size``).
     quantizer:
         Optional pre-fitted :class:`VectorQuantizer`.  When ``config.use_vq``
-        is True and no quantizer is given, one is fitted on ``model``.
+        is True and no quantizer is given, one is fitted on ``model``, and
+        the render model decodes the fit's own encoding of ``model``
+        (:meth:`VectorQuantizer.fit_encode`) instead of encoding it again.
     """
 
     def __init__(
@@ -287,14 +289,15 @@ class StreamingRenderer:
         self.config = config or StreamingConfig()
         self.source_model = model
         self.grid = VoxelGrid.build(model, self.config.voxel_size)
-        if self.config.use_vq:
-            self.quantizer = quantizer or VectorQuantizer(seed=0).fit(model)
-        else:
-            self.quantizer = quantizer
+        quantized = None
+        if self.config.use_vq and quantizer is None:
+            quantizer = VectorQuantizer(seed=0)
+            quantized = quantizer.fit_encode(model)
+        self.quantizer = quantizer
         self.layout = DataLayout(
             grid=self.grid, quantizer=self.quantizer, use_vq=self.config.use_vq
         )
-        self.render_model = render_model(model, self.layout)
+        self.render_model = render_model(model, self.layout, quantized)
         self.filter = HierarchicalFilter(
             use_coarse_filter=self.config.use_coarse_filter,
             sh_degree=self.config.sh_degree,

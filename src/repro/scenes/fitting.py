@@ -26,12 +26,18 @@ import numpy as np
 from repro.gaussians.camera import Camera
 from repro.gaussians.metrics import psnr
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.rasterizer import TileRasterizer
+from repro.gaussians.rasterizer import RenderOutput, TileRasterizer
 
 
 @dataclass
 class FittedScene:
-    """A reference model, its calibrated trained model and ground-truth image."""
+    """A reference model, its calibrated trained model and ground-truth image.
+
+    ``trained_output`` is the calibration render of ``trained`` (the one
+    ``achieved_psnr`` measures), so callers that need the trained model's
+    tile-centric render through the same rasterizer and camera reuse it
+    instead of rendering it again.
+    """
 
     reference: GaussianModel
     trained: GaussianModel
@@ -40,6 +46,7 @@ class FittedScene:
     achieved_psnr: float
     target_psnr: float
     noise_scale: float
+    trained_output: RenderOutput
 
 
 def perturb_model(
@@ -95,6 +102,9 @@ def fit_trained_model(
     with noise, and MSE is approximately quadratic in the noise scale, so
     each update rescales the noise by ``10**((measured - target) / 20)``.
 
+    Returns the candidate whose PSNR came closest to the target, with its
+    render (:attr:`FittedScene.trained_output`).
+
     Parameters
     ----------
     reference:
@@ -123,8 +133,8 @@ def fit_trained_model(
     best: Optional[FittedScene] = None
     for _ in range(max_iterations):
         trained = perturb_model(reference, noise, seed=seed)
-        rendered = rasterizer.render(trained, camera).image
-        achieved = psnr(ground_truth, rendered)
+        rendered = rasterizer.render(trained, camera)
+        achieved = psnr(ground_truth, rendered.image)
         candidate = FittedScene(
             reference=reference,
             trained=trained,
@@ -133,6 +143,7 @@ def fit_trained_model(
             achieved_psnr=achieved,
             target_psnr=target_psnr,
             noise_scale=noise,
+            trained_output=rendered,
         )
         if best is None or abs(achieved - target_psnr) < abs(
             best.achieved_psnr - target_psnr

@@ -138,7 +138,12 @@ def _execute(
             "baseline_psnr": float(context.baseline_psnr),
             "streaming_psnr": float(context.streaming_psnr),
             "image_sha256": _image_checksum(image),
-            "telemetry": dict(getattr(context.streaming_output, "telemetry", {}) or {}),
+            "telemetry": {
+                **(getattr(context.streaming_output, "telemetry", {}) or {}),
+                # Where the context build's time went (repeated when a
+                # cached context serves the request).
+                "context_stages_s": dict(context.stages_s),
+            },
         }
 
     if kind == "trajectory":

@@ -113,3 +113,30 @@ def test_codebook_quantization_error_nonnegative():
     spec = CodebookSpec(name="test", num_entries=16, vector_dim=3)
     codebook = Codebook.train(spec, vectors)
     assert codebook.quantization_error(vectors) >= 0.0
+
+
+@pytest.mark.parametrize("dim,entries", [(3, 64), (4, 500), (45, 32)])
+def test_train_encode_hands_off_the_encoding(dim, entries):
+    # Fewer entries than vectors: the hand-off is the search encode runs.
+    vectors, _ = clustered_vectors(num_clusters=7, per_cluster=90, dim=dim, seed=dim)
+    spec = CodebookSpec(name="test", num_entries=entries, vector_dim=dim)
+    codebook, indices = Codebook.train_encode(spec, vectors, seed=5)
+    assert indices.dtype == np.int64
+    assert indices.tobytes() == codebook.encode(vectors).tobytes()
+    assert Codebook.train(spec, vectors, seed=5).centroids.tobytes() == codebook.centroids.tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 45])
+def test_padded_train_encode_decodes_like_encode(dim):
+    # As many entries as vectors or more, with exact duplicate rows: each
+    # vector keeps its own entry, which holds the same bits as the entry
+    # encode picks.
+    rng = np.random.default_rng(dim)
+    distinct = rng.normal(size=(40, dim))
+    vectors = np.vstack([distinct, distinct[rng.integers(0, 40, size=60)]])
+    for entries in (len(vectors), 4096):
+        spec = CodebookSpec(name="test", num_entries=entries, vector_dim=dim)
+        codebook, indices = Codebook.train_encode(spec, vectors)
+        decoded = codebook.decode(indices)
+        assert decoded.tobytes() == codebook.decode(codebook.encode(vectors)).tobytes()
+        assert decoded.tobytes() == vectors.tobytes()

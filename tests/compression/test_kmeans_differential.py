@@ -14,6 +14,8 @@ from repro.compression.codebook import Codebook, CodebookSpec
 from repro.compression.kmeans import (
     BLOCK_ELEMENTS,
     MIN_BLOCK_ROWS,
+    _distance_lower_bounds,
+    _kmeans_plus_plus_init,
     _squared_distances_to,
     kmeans,
     nearest_centroids,
@@ -238,3 +240,124 @@ def test_nan_input_still_raises():
         _oracle_kmeans(vectors, 8)
     with pytest.raises(ValueError):
         kmeans(vectors, 8)
+
+
+# ----------------------------------------------------------------------
+# wide rows: seeding prunes each draw with a rounding-safe lower bound
+# ----------------------------------------------------------------------
+WIDE = [8, 9, 45, 129]
+
+
+def assert_seeding_matches_oracle(vectors, k, seed):
+    """Seeding alone (no Lloyd), so inputs Lloyd cannot take stay testable."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _oracle_init(vectors, k, np.random.default_rng(seed))
+        actual = _kmeans_plus_plus_init(vectors, k, np.random.default_rng(seed))
+    assert_same_bits(actual, expected)
+
+
+def assert_seeding_raises_like_oracle(vectors, k, seed):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            _oracle_init(vectors, k, np.random.default_rng(seed))
+        with pytest.raises(ValueError):
+            _kmeans_plus_plus_init(vectors, k, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("d", WIDE)
+@pytest.mark.parametrize("case", ["normal", "tiny", "huge", "far", "duplicates"])
+def test_wide_bounds_never_exceed_the_row_sums(d, case):
+    # The pruning is exact only if no bound exceeds the row sum the oracle
+    # computes.  Seeding stops before subnormal distances matter (their
+    # total is under 1e-18), so the underflow floor is checked here.
+    rng = np.random.default_rng(10 * d + len(case))
+    vectors = {
+        "normal": lambda: rng.normal(size=(400, d)),
+        "tiny": lambda: rng.normal(size=(400, d)) * 1e-160,
+        "huge": lambda: rng.normal(size=(400, d)) * 1e150,
+        "far": lambda: 1e6 + rng.normal(0.0, 1e-3, size=(400, d)),
+        "duplicates": lambda: rng.normal(size=(8, d))[rng.integers(0, 8, size=400)],
+    }[case]()
+    lower_bound = _distance_lower_bounds(vectors)
+    for index in range(0, len(vectors), 23):
+        row_sums = np.sum((vectors - vectors[index]) ** 2, axis=1)
+        assert np.all(lower_bound(index) <= row_sums)
+
+
+@pytest.mark.parametrize("d", WIDE)
+def test_wide_kmeans_matches_oracle(d):
+    rng = np.random.default_rng(300 + d)
+    vectors = rng.normal(size=(900, d))
+    for k in (64, 300):
+        result = assert_kmeans_matches_oracle(vectors, k, max_iterations=12, seed=k + d)
+        assert_encode_matches_oracle(result.centroids, vectors)
+
+
+@pytest.mark.parametrize("d", WIDE)
+@pytest.mark.parametrize("scale", [1e-160, 1e150])
+def test_wide_seeding_at_extreme_scales_matches_oracle(d, scale):
+    # 1e-160: every square underflows into subnormals, where rounding
+    # error is absolute and only the floor keeps the bound below the row
+    # sum.  1e150: squares near the top of the range, still finite.
+    vectors = np.random.default_rng(d).normal(size=(700, d)) * scale
+    for k, seed in ((64, 1), (256, 2)):
+        assert_seeding_matches_oracle(vectors, k, seed)
+    assert_kmeans_matches_oracle(vectors, 64, seed=3)
+
+
+@pytest.mark.parametrize("d", WIDE)
+def test_wide_overflowing_rows_raise_like_oracle(d):
+    vectors = np.random.default_rng(d).normal(size=(300, d)) * 1e160
+    assert_seeding_raises_like_oracle(vectors, 16, seed=4)
+
+
+@pytest.mark.parametrize("d", WIDE)
+def test_wide_tight_far_cluster_matches_oracle(d):
+    # ||x||^2 and 2 x.c cancel to noise far above the distances: the bound
+    # proves nothing and every row takes the exact sum.
+    rng = np.random.default_rng(50 + d)
+    vectors = 1e6 + rng.normal(0.0, 1e-3, size=(700, d))
+    for k, seed in ((64, 5), (256, 6)):
+        assert_seeding_matches_oracle(vectors, k, seed)
+    assert_kmeans_matches_oracle(vectors, 64, seed=7)
+
+
+@pytest.mark.parametrize("d", WIDE)
+def test_wide_rows_whose_norms_overflow_match_oracle(d):
+    # Squared norms overflow to inf (bounds are NaN) while the distances
+    # stay finite, so non-finite bounds must count as candidates.
+    rng = np.random.default_rng(70 + d)
+    vectors = 1e154 * (1.0 + rng.normal(0.0, 1e-3, size=(500, d)))
+    for k, seed in ((32, 8), (128, 9)):
+        assert_seeding_matches_oracle(vectors, k, seed)
+
+
+@pytest.mark.parametrize("d", WIDE)
+def test_wide_duplicate_and_zero_rows_match_oracle(d):
+    rng = np.random.default_rng(90 + d)
+    distinct = rng.normal(size=(12, d))
+    duplicates = distinct[rng.integers(0, 12, size=600)]
+    assert_kmeans_matches_oracle(duplicates, 64, seed=10)
+    zeros = np.zeros((400, d))
+    assert_kmeans_matches_oracle(zeros, 16, seed=11)
+    mixed = np.vstack([zeros, rng.normal(size=(300, d)), duplicates[:200]])
+    for k, seed in ((64, 12), (500, 13)):
+        assert_seeding_matches_oracle(mixed, k, seed)
+    assert_kmeans_matches_oracle(mixed, 64, seed=14)
+
+
+@pytest.mark.parametrize("d", WIDE)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wide_non_finite_rows_raise_like_oracle(d, bad):
+    vectors = np.random.default_rng(d).normal(size=(200, d))
+    vectors[[17, 150], d // 2] = bad
+    for seed in (15, 16):
+        assert_seeding_raises_like_oracle(vectors, 8, seed)
+
+
+def test_wide_fortran_ordered_rows_match_oracle():
+    # A row subset sums like the whole array only in C order, so other
+    # layouts take the full evaluation.  (Pruned sums would differ from the
+    # oracle's in the last bit only, which a draw almost never sees.)
+    vectors = np.asfortranarray(np.random.default_rng(17).normal(size=(600, 45)))
+    assert_seeding_matches_oracle(vectors, 128, seed=17)

@@ -46,6 +46,43 @@ def test_fit_encode_decode_preserves_first_half(small_model):
     assert np.all(roundtrip.scales > 0)
 
 
+@pytest.mark.parametrize("num_gaussians", [20, 200])
+def test_fit_encode_hands_off_what_encode_finds(num_gaussians):
+    # 20 Gaussians: every codebook has more entries than vectors.
+    model = make_model(num_gaussians, seed=num_gaussians)
+    quantizer = small_quantizer()
+    quantized = quantizer.fit_encode(model)
+    encoded = quantizer.encode(model)
+    for name, book in quantizer.codebooks.items():
+        if book.spec.num_entries < num_gaussians:
+            assert quantized.indices[name].tobytes() == encoded.indices[name].tobytes()
+    assert quantized.opacities.tobytes() == encoded.opacities.tobytes()
+    handed_off = quantizer.decode(quantized, model)
+    searched = quantizer.roundtrip(model)
+    for name in ("positions", "scales", "rotations", "opacities", "sh_dc", "sh_rest"):
+        assert getattr(handed_off, name).tobytes() == getattr(searched, name).tobytes()
+
+
+def test_streaming_renderer_decodes_the_fit_encoding(small_model, monkeypatch):
+    from repro.compression.codebook import Codebook
+    from repro.core.config import StreamingConfig
+    from repro.core.pipeline import StreamingRenderer
+
+    searches = []
+    monkeypatch.setattr(
+        Codebook, "encode", lambda self, vectors: searches.append(len(vectors))
+    )
+    renderer = StreamingRenderer(small_model, StreamingConfig(voxel_size=1.0))
+    assert searches == []
+    monkeypatch.undo()
+    expected = renderer.quantizer.roundtrip(small_model)
+    for name in ("positions", "scales", "rotations", "opacities", "sh_dc", "sh_rest"):
+        assert (
+            getattr(renderer.render_model, name).tobytes()
+            == getattr(expected, name).tobytes()
+        )
+
+
 def test_quantized_subset(small_model):
     quantizer = small_quantizer().fit(small_model)
     quantized = quantizer.encode(small_model)
@@ -93,6 +130,19 @@ def test_qat_reduces_quantization_error(small_model):
     history = result.quantization_error_history
     assert len(history) == 4
     assert history[-1] <= history[0]
+
+
+def test_qat_leaves_the_callers_quantizer_alone(small_model):
+    quantizer = small_quantizer().fit(small_model)
+    before = {name: book.centroids.copy() for name, book in quantizer.codebooks.items()}
+    result = quantization_aware_finetune(small_model, quantizer, iterations=2)
+    for name, book in quantizer.codebooks.items():
+        assert book.centroids.tobytes() == before[name].tobytes()
+    assert result.quantizer is not quantizer
+    refined = result.quantizer.codebooks
+    assert any(
+        refined[name].centroids.tobytes() != before[name].tobytes() for name in before
+    )
 
 
 def test_qat_improves_or_preserves_render_quality():

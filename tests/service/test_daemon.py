@@ -293,6 +293,10 @@ class TestProtocolOverSockets:
                 assert (
                     first.result["image_sha256"] == second.result["image_sha256"]
                 )
+                # Both are served by one context, built for the first.
+                stages = first.result["telemetry"]["context_stages_s"]
+                assert list(stages) == ["scene", "fit", "renderer", "streaming", "workload"]
+                assert second.result["telemetry"]["context_stages_s"] == stages
                 assert client.health()["status"] == "healthy"
                 assert client.metrics()["requests"]["completed"] == 2
         finally:
