@@ -2,22 +2,22 @@
 """Sweep-executor benchmark: serial vs sharded-parallel evaluation.
 
 Expands a seeded voxel-size grid (every point needs its own scene context,
-so the shards are independent), times it three ways —
+so the shards are independent), times it several ways —
 
 * **serial** — one fresh :class:`~repro.api.session.Session`, ``jobs=1``;
 * **parallel** — a fresh :class:`~repro.api.executor.SweepExecutor` with
-  ``--jobs N`` process workers;
+  ``--jobs N``, whose shards run on an ephemeral process pool;
 * **warm** — the same grid against a cold then warm
   :class:`~repro.api.store.ResultStore`, asserting the warm run hits the
   store for every spec and performs **zero** renders;
 * **warm pool** — two consecutive ``run_sweep`` calls on one
-  :class:`Session`, asserting the second reuses the persistent worker
+  :class:`Session`, asserting the second reuses the persistent process
   pool (``ExecutionReport.worker_reuse >= 1``) instead of paying pool
   startup again;
-* **warm contexts** — a single-context grid run twice through one
-  session's process pool, asserting the second run adopts the zero-copy
-  shm-broadcast context (``ExecutionReport.context_rebuilds == 0``)
-  instead of rebuilding it in every worker
+* **Fig. 13 shape** — the Fig. 13 CFU x FFU grid (one scene context, 16
+  points) on a fresh ``Session(jobs=1)`` and a fresh
+  ``Session(jobs=N)``, asserting the parallel session runs the one shard
+  serially in the caller (``ExecutionReport.mode == "serial"``)
 
 — verifies they produce bit-identical :class:`SweepResult` tables
 (``meta`` carries run telemetry and legitimately differs), and appends the
@@ -28,8 +28,9 @@ measurements to the ``BENCH_sweep.json`` trajectory next to
     PYTHONPATH=src python benchmarks/bench_sweep.py --check --min-speedup 1.05
 
 ``--check`` exits non-zero when results diverge, the store misbehaves, the
-warm pool is not reused (or is drastically slower than the cold one), or
-(on multi-core hosts) the parallel run fails the speedup bar; on a
+warm pool is not reused (or is drastically slower than the cold one), the
+one-shard grid leaves the caller, or (on multi-core hosts) the parallel
+run fails the speedup bar; on a
 single-CPU host the speedup gate is skipped — the hardware cannot overlap
 the shards — while every correctness assertion still applies.
 """
@@ -43,6 +44,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.analysis.sensitivity import FIG13_CFUS, FIG13_FFUS
 from repro.api import ExperimentSpec, ResultStore, Session, SweepExecutor, append_trajectory, sweep
 
 #: Default acceptance bar: parallel speedup over serial (loose — CI runners
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
     print(f"serial           : {serial_s:6.2f}s")
 
     # Sharded parallel run: fresh process pool, nothing warm, no store.
-    executor = SweepExecutor(jobs=args.jobs, mode="process")
+    executor = SweepExecutor(jobs=args.jobs)
     start = time.perf_counter()
     parallel = executor.run(specs, swept=["voxel_size"])
     parallel_s = time.perf_counter() - start
@@ -137,25 +139,28 @@ def main(argv=None) -> int:
         f"(reuse={pool_reuse}, {'ok' if pool_ok else 'FAIL'})"
     )
 
-    # Warm-context behaviour: a single-context grid run twice through one
-    # session's persistent process pool.  The first run broadcasts the
-    # scene context as a zero-copy shm package; the second must adopt warm
-    # worker contexts (or the broadcast package) and rebuild **nothing**.
-    ctx_specs = sweep(base, num_hfu=(1, 2, 3, 4, 5, 6, 7, 8))
-    with Session(jobs=args.jobs) as ctx_session:
-        ctx_cold = SweepExecutor(jobs=args.jobs, mode="process", split_threshold=8)
-        ctx_cold.run(ctx_specs, swept=["num_hfu"], session=ctx_session)
-        ctx_warm = SweepExecutor(jobs=args.jobs, mode="process", split_threshold=8)
-        ctx_warm.run(ctx_specs, swept=["num_hfu"], session=ctx_session)
-        ctx_rebuilds = ctx_warm.report.context_rebuilds
-        ctx_mode = ctx_warm.report.mode
-        shm_segments = ctx_warm.report.shm_segments
-        pickled_bytes = ctx_warm.report.pickled_bytes
-    warm_ctx_ok = ctx_mode != "process" or ctx_rebuilds == 0
+    # Fig. 13 shape: one scene context, many cheap points.  Once the
+    # context exists a point is an analytic hardware-model evaluation, so
+    # the one shard must run in the caller under any job count.
+    fig13_specs = sweep(base, cfus_per_hfu=list(FIG13_CFUS), ffus_per_hfu=list(FIG13_FFUS))
+    fig13_swept = ["cfus_per_hfu", "ffus_per_hfu"]
+    with Session(jobs=1) as fig13_session:
+        start = time.perf_counter()
+        fig13_serial = fig13_session.run_sweep(fig13_specs, swept=fig13_swept, cache=False)
+        fig13_serial_s = time.perf_counter() - start
+    with Session(jobs=args.jobs) as fig13_session:
+        start = time.perf_counter()
+        fig13_parallel = fig13_session.run_sweep(fig13_specs, swept=fig13_swept, cache=False)
+        fig13_parallel_s = time.perf_counter() - start
+        fig13_mode = fig13_session.last_execution.mode
+    fig13_ok = (
+        fig13_mode == "serial"
+        and fig13_parallel.table_dict() == fig13_serial.table_dict()
+    )
     print(
-        f"warm contexts    : mode={ctx_mode} rebuilds={ctx_rebuilds} "
-        f"shm_segments={shm_segments} pickled={pickled_bytes} B "
-        f"({'ok' if warm_ctx_ok else 'FAIL'})"
+        f"fig13 shape      : {fig13_serial_s:6.2f}s jobs=1, {fig13_parallel_s:6.2f}s "
+        f"jobs={args.jobs} ({len(fig13_specs)} specs, mode={fig13_mode}, "
+        f"{'ok' if fig13_ok else 'FAIL'})"
     )
 
     # Result-store behaviour: cold run misses and populates, warm run hits
@@ -201,11 +206,11 @@ def main(argv=None) -> int:
         "pool_ok": pool_ok,
         "parallel_mode": executor.report.mode,
         "pickled_bytes": executor.report.pickled_bytes,
-        "warm_ctx_mode": ctx_mode,
-        "warm_ctx_rebuilds": ctx_rebuilds,
-        "warm_ctx_shm_segments": shm_segments,
-        "warm_ctx_pickled_bytes": pickled_bytes,
-        "warm_ctx_ok": warm_ctx_ok,
+        "fig13_specs": len(fig13_specs),
+        "fig13_serial_s": fig13_serial_s,
+        "fig13_parallel_s": fig13_parallel_s,
+        "fig13_mode": fig13_mode,
+        "fig13_ok": fig13_ok,
         "speedup_gate": "enforced" if (os.cpu_count() or 1) >= 2 else "skipped",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -220,10 +225,10 @@ def main(argv=None) -> int:
         if not (cold_ok and warm_ok):
             print("FAIL: result-store cold/warm behaviour is wrong", file=sys.stderr)
             failed = True
-        if not warm_ctx_ok:
+        if not fig13_ok:
             print(
-                "FAIL: warm process workers rebuilt broadcast contexts "
-                f"(mode={ctx_mode}, rebuilds={ctx_rebuilds})",
+                "FAIL: the one-shard Fig. 13 grid left the caller or changed "
+                f"its table (mode={fig13_mode})",
                 file=sys.stderr,
             )
             failed = True

@@ -5,7 +5,8 @@ measured series/rows and the paper's reported values; the API layer
 (:mod:`repro.api.experiments`) adapts them into uniform
 :class:`~repro.api.result.ExperimentResult` objects.
 
-Experiment index (see DESIGN.md for the full mapping):
+Experiment index (README's "Regenerate paper artifacts" shows how to run
+them by name):
 
 * :func:`repro.analysis.characterization.run_fig2` — DRAM traffic breakdown
 * :func:`repro.analysis.characterization.run_fig3` — GPU FPS per scene
@@ -32,8 +33,6 @@ from repro.analysis.report import format_series, format_table
 _LAZY = {
     "SceneContext": "repro.analysis.context",
     "build_scene_context": "repro.analysis.context",
-    "get_scene_context": "repro.analysis.context",
-    "clear_context_cache": "repro.analysis.context",
     "run_fig2": "repro.analysis.characterization",
     "run_fig3": "repro.analysis.characterization",
     "run_fig4": "repro.analysis.characterization",

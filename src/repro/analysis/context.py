@@ -11,8 +11,7 @@ reference, runs the streaming pipeline and derives the paper-scale workload.
 Caching lives in :class:`repro.api.session.Session`, which memoises
 contexts per (scene, algorithm, config, resolution scale) — the
 figure/table experiments and the benchmark suite share them through the
-process-wide default session.  :func:`get_scene_context` is the historical
-module-level entry point and delegates to that default session.
+process-wide default session (``get_default_session().context(...)``).
 """
 
 from __future__ import annotations
@@ -161,47 +160,3 @@ def build_scene_context(
             stage: end - start for stage, start, end in zip(stages, marks, marks[1:])
         },
     )
-
-
-def get_scene_context(
-    scene: str,
-    algorithm: str = "3dgs",
-    voxel_size: Optional[float] = None,
-    resolution_scale: float = 1.0,
-) -> SceneContext:
-    """The memoised evaluation context of one (scene, algorithm) pair.
-
-    Delegates to the process-wide default
-    :class:`~repro.api.session.Session`, so contexts are shared with every
-    experiment running through it.
-
-    Parameters
-    ----------
-    scene:
-        Registered scene name.
-    algorithm:
-        Base algorithm (``3dgs``, ``mini_splatting``, ``light_gaussian``).
-    voxel_size:
-        Streaming voxel size; ``None`` uses the paper's default for the
-        scene's category (2.0 real-world, 0.4 synthetic).
-    resolution_scale:
-        Scale factor on the simulated evaluation resolution (1.0 keeps the
-        registry default).
-    """
-    from repro.api.session import get_default_session
-
-    return get_default_session().context(
-        scene,
-        algorithm=algorithm,
-        voxel_size=voxel_size,
-        resolution_scale=resolution_scale,
-    )
-
-
-def clear_context_cache() -> None:
-    """Drop all memoised contexts and shared renderers (used by tests)."""
-    from repro.api.session import reset_default_session
-    from repro.engine.service import reset_default_service
-
-    reset_default_session()
-    reset_default_service()

@@ -140,7 +140,7 @@ def run_fig13(
 
     Runs on the session's sweep executor like :func:`run_fig12`; every
     point shares one scene context (only accelerator options vary), so the
-    grid collapses into a single shard.
+    grid is a single shard and runs in the calling session.
     """
     session = session or get_default_session()
     specs = sweep(

@@ -20,12 +20,13 @@ The public surface:
 * ``repro.api.experiments`` — the registry of the paper's regenerable
   artifacts (``fig2`` ... ``engine``), reachable via ``Session.run(name)``
   and the CLI runner.
-* :class:`~repro.api.executor.SweepExecutor` — sharded parallel sweep
-  evaluation (``session.sweep(..., jobs=4)``) with deterministic merge
-  order, shard-splitting for single-context grids (broadcast scene
-  contexts), and an :class:`~repro.api.executor.ExecutionReport` in
+* :class:`~repro.api.executor.SweepExecutor` — sharded sweep evaluation
+  (``session.sweep(..., jobs=4)``): specs grouped by scene context, whole
+  shards run in the caller (one job or one shard) or on a process pool,
+  merged in input order, with an
+  :class:`~repro.api.executor.ExecutionReport` in
   ``SweepResult.meta["execution"]``.
-* :class:`~repro.api.pool.WorkerPool` — the persistent worker pool a
+* :class:`~repro.api.pool.WorkerPool` — the persistent process pool a
   session keeps warm across sweeps (``Session.close()`` / ``atexit`` shut
   it down).
 * :func:`~repro.api.executor.schedule_experiments` — whole registry

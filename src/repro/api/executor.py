@@ -11,24 +11,28 @@
    config) — the expensive part of a point is building that context, and
    every spec in a shard shares it through
    :meth:`~repro.api.session.Session.run_many`,
-3. **splitting** shards whose spec count crosses a threshold into
-   sub-shards: the caller builds the shared scene context once, and every
-   sub-shard worker receives it via the context-broadcast path
-   (:meth:`Session.adopt_context`), so a Fig. 13-shaped grid — one scene
-   context, dozens of cheap per-spec accelerator evaluations — fans out
-   across all workers instead of collapsing onto one,
-4. fanning the dispatch units out over the calling session's **persistent
-   worker pool** (:class:`~repro.api.pool.WorkerPool`; an ephemeral pool
-   when no session is given), and
-5. merging the per-unit outputs back into one
+3. running the shards whole: serially in the calling session when
+   ``jobs == 1`` or the grid has one shard, otherwise on the calling
+   session's **persistent process pool**
+   (:class:`~repro.api.pool.WorkerPool`; an ephemeral pool when no
+   session is given) — if that pool cannot be built or breaks, the shards
+   it did not finish run serially in the caller and the reason is
+   recorded, and
+4. merging the per-shard outputs back into one
    :class:`~repro.api.result.SweepResult` in the original spec order —
    the tables are byte-identical to a serial run regardless of worker
    scheduling, because every evaluation is deterministic and results are
    placed by input index, never by completion order.
 
-What one run actually did — mode, shards, sub-shards, per-unit wall
-times, store hits, pool reuse — is recorded in an :class:`ExecutionReport`
-and surfaced as ``SweepResult.meta["execution"]``.
+A shard is never split across workers: once its context exists, a point
+is an analytic hardware-model evaluation (16 Fig. 13 points take ~3 ms in
+total), while shipping the context to another process costs tens of
+milliseconds each way, so a one-context grid runs fastest where the
+context is built.
+
+What one run actually did — mode, shards, per-shard wall times, store
+hits, pool reuse — is recorded in an :class:`ExecutionReport` and surfaced
+as ``SweepResult.meta["execution"]``.
 
 :func:`schedule_experiments` applies the same machinery one level up:
 whole registry experiments (``fig2`` ... ``engine``) are dispatched across
@@ -42,8 +46,6 @@ from __future__ import annotations
 
 import concurrent.futures
 from concurrent.futures.process import BrokenProcessPool
-from concurrent.futures.thread import BrokenThreadPool
-import math
 import pickle
 import time
 from collections import OrderedDict
@@ -58,68 +60,24 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
 
 from repro.api.result import ExperimentResult, SweepResult
-from repro.api.shm import ShmPackage, ShmRegistry
 from repro.api.spec import ExperimentSpec
 from repro.api.store import ResultStore, resolve_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.analysis.context import SceneContext
     from repro.api.session import Session
 
-#: Execution strategies (``auto`` picks per grid, see
-#: :meth:`SweepExecutor.choose_mode`).
-EXECUTOR_MODES = ("auto", "serial", "thread", "process")
-
-#: Below this many pending specs, ``auto`` prefers a thread pool — process
-#: startup and re-import cost more than the grid itself on small sweeps.
-PROCESS_MIN_SPECS = 6
-
-#: Shards with at least this many specs are split into sub-shards that
-#: share one broadcast scene context (the static default; sessions adapt
-#: it from observed per-spec cost, see :func:`adaptive_split_threshold`).
-SHARD_SPLIT_THRESHOLD = 8
-
-#: A split never produces sub-shards smaller than this — below it the
-#: dispatch overhead outweighs the per-spec work.
-SUB_SHARD_MIN_SPECS = 4
-
-#: A shard is worth splitting when its estimated evaluation time crosses
-#: this, so the adaptive threshold is ~this many seconds of observed
-#: per-spec cost.
-SPLIT_MIN_SHARD_SECONDS = 0.25
-
-
-def adaptive_split_threshold(per_spec_seconds: Optional[float]) -> int:
-    """Shard-split threshold seeded from observed per-spec evaluation cost.
-
-    The static cutoff (:data:`SHARD_SPLIT_THRESHOLD` specs) under-splits
-    grids of expensive points: a 6-spec shard of 2-second evaluations is
-    12 seconds of serial work that five idle workers could share.  Given
-    the mean per-spec seconds observed in a previous run
-    (:attr:`ExecutionReport.shard_times_s` over its cache misses), the
-    threshold becomes the spec count at which a shard crosses
-    :data:`SPLIT_MIN_SHARD_SECONDS` of estimated work — clamped to
-    ``[SUB_SHARD_MIN_SPECS, SHARD_SPLIT_THRESHOLD]`` so cheap grids never
-    split below the dispatch-overhead floor and the policy is never more
-    conservative than the static default.  ``None`` (nothing observed
-    yet) returns the static default.
-    """
-    if per_spec_seconds is None or per_spec_seconds <= 0.0:
-        return SHARD_SPLIT_THRESHOLD
-    threshold = math.ceil(SPLIT_MIN_SHARD_SECONDS / per_spec_seconds)
-    return max(SUB_SHARD_MIN_SPECS, min(SHARD_SPLIT_THRESHOLD, threshold))
-
-#: Pool-level failures that trigger graceful degradation to a cheaper
-#: mode.  ``RuntimeError`` covers thread-spawn exhaustion; user errors are
-#: wrapped in :class:`SpecEvaluationError` and always re-raised first.
+#: Pool-level failures that send the unfinished work back to the caller.
+#: ``RuntimeError`` covers thread-spawn exhaustion in the pool's manager
+#: and submits to a pool that was shut down; user errors are wrapped in
+#: :class:`SpecEvaluationError` and always re-raised first.
 _POOL_FAILURES = (
     BrokenProcessPool,
-    BrokenThreadPool,
     OSError,
     ValueError,
     NotImplementedError,
@@ -179,25 +137,6 @@ def group_by_context(
     return groups
 
 
-@dataclass
-class ShardUnit:
-    """One dispatch unit: a whole shard, or a sub-shard of a split one.
-
-    Sub-shards carry the scene context the caller built (``context``); the
-    worker adopts it instead of rebuilding, which is what makes splitting a
-    single-context grid profitable.  For process dispatch the context
-    additionally travels as a shared-memory ``package``
-    (:class:`~repro.api.shm.ShmPackage`) — the pickled payload is metadata
-    plus small fields, the model/image arrays stay in shared segments — so
-    broadcasting never copies the heavy state per task.
-    """
-
-    members: List[Tuple[int, ExperimentSpec]]
-    is_sub_shard: bool = False
-    context: Optional["SceneContext"] = None
-    package: Optional[ShmPackage] = None
-
-
 def _worker_id() -> str:
     """Identity of the executing worker (process id / thread id)."""
     import os
@@ -206,36 +145,20 @@ def _worker_id() -> str:
     return f"{os.getpid()}:{threading.get_ident()}"
 
 
-def _evaluate_shard(
-    specs: Sequence[ExperimentSpec],
-    seed: int,
-    context: Optional["SceneContext"] = None,
-    package: Optional[ShmPackage] = None,
-) -> Dict[str, Any]:
-    """Worker entry point: evaluate one dispatch unit.
+def _evaluate_shard(specs: Sequence[ExperimentSpec], seed: int) -> Dict[str, Any]:
+    """Worker entry point: evaluate one shard.
 
-    Runs in a pool worker.  Process workers keep one **warm session**
-    alive across tasks and sweeps (:func:`repro.api.pool.worker_session`),
-    so a context already built or adopted by an earlier task is a cache
-    hit — no rebuild per task; thread workers get a private session so no
-    state is shared with the caller.  A broadcast context arrives either
-    by reference (``context``, thread dispatch) or as a shared-memory
-    package (``package``, process dispatch) and is adopted only when the
-    warm session does not already hold it.  Returns plain ``to_dict()``
-    payloads (cheap to pickle, lossless to reconstruct) plus unit
+    Runs in a pool worker, which keeps one **warm session** alive across
+    tasks and sweeps (:func:`repro.api.pool.worker_session`), so a context
+    an earlier task built is a cache hit.  Returns plain ``to_dict()``
+    payloads (cheap to pickle, lossless to reconstruct) plus shard
     telemetry, including how many contexts this task actually built
-    (``context_builds`` — the rebuild accounting of the zero-copy claim).
+    (``context_builds``).
     """
     from repro.api.pool import worker_session
 
     start = time.perf_counter()
     session = worker_session(seed)
-    warm = session.has_context(specs[0])
-    if not warm:
-        if context is None and package is not None:
-            context = package.unpack()
-        if context is not None:
-            session.adopt_context(specs[0], context)
     builds_before = session.context_misses
     payloads = [result.to_dict() for result in session.run_many(list(specs))]
     return {
@@ -243,7 +166,6 @@ def _evaluate_shard(
         "elapsed_s": time.perf_counter() - start,
         "worker": _worker_id(),
         "context_builds": session.context_misses - builds_before,
-        "warm_context": warm,
     }
 
 
@@ -251,18 +173,17 @@ def _evaluate_shard(
 class ExecutionReport:
     """What one :meth:`SweepExecutor.run` actually did.
 
-    ``shards`` counts context groups, ``sub_shards`` the dispatch units
-    after splitting (equal when nothing was split).  ``worker_reuse`` is
-    the session pool's cumulative reuse counter — how many times a sweep
-    got handed an already-warm pool instead of paying startup.
+    ``mode`` is ``serial`` or ``process`` — ``serial`` also when a broken
+    pool sent its unfinished shards back to the caller, in which case
+    ``degraded_reason`` says why.  ``shards`` counts context groups, each
+    one dispatch unit.  ``worker_reuse`` is the session pool's cumulative
+    reuse counter — how many times a sweep got handed an already-warm
+    pool instead of paying startup.
     """
 
     mode: str = "serial"
     jobs: int = 1
     shards: int = 0
-    sub_shards: int = 0
-    split_shards: int = 0
-    broadcast_contexts: int = 0
     specs: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -273,39 +194,11 @@ class ExecutionReport:
     pool: str = "none"
     worker_reuse: int = 0
     wall_time_s: float = 0.0
-    split_threshold: int = SHARD_SPLIT_THRESHOLD
-    #: Zero-copy transport accounting: shared-memory segments referenced by
-    #: dispatched context packages, bytes actually pickled across the
-    #: process boundary (specs + package payloads — not the arrays), and
-    #: how many scene contexts pool workers *built* rather than received
-    #: via broadcast or warm-session reuse (0 = fully zero-rebuild).
-    shm_segments: int = 0
-    shm_bytes: int = 0
+    #: Bytes of specs pickled to pool workers, and how many scene contexts
+    #: the run built (in the caller or in workers without a warm copy).
     pickled_bytes: int = 0
-    #: Small-array remainder bundled into one consolidated segment per
-    #: context package — bytes that used to inflate ``pickled_bytes``.
-    consolidated_arrays: int = 0
-    consolidated_bytes: int = 0
     context_rebuilds: int = 0
-    warm_contexts: int = 0
-    #: Degradation bookkeeping: the mode the run started in (empty when it
-    #: never degraded), why it degraded, and the mode each dispatch unit
-    #: actually executed in.  ``mode`` reports the majority unit mode.
-    degraded_from: str = ""
     degraded_reason: str = ""
-    unit_modes: List[str] = field(default_factory=list)
-
-    @property
-    def per_spec_seconds(self) -> Optional[float]:
-        """Mean observed evaluation seconds per rendered (non-cached) spec.
-
-        The signal the adaptive split policy feeds on; ``None`` when the
-        run evaluated nothing (every point was a store hit) or recorded no
-        unit timings.
-        """
-        if self.cache_misses <= 0 or not self.shard_times_s:
-            return None
-        return sum(self.shard_times_s) / self.cache_misses
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-native form (stored in ``SweepResult.meta["execution"]``)."""
@@ -313,10 +206,6 @@ class ExecutionReport:
             "mode": self.mode,
             "jobs": self.jobs,
             "shards": self.shards,
-            "sub_shards": self.sub_shards,
-            "split_shards": self.split_shards,
-            "split_threshold": self.split_threshold,
-            "broadcast_contexts": self.broadcast_contexts,
             "specs": self.specs,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -327,35 +216,24 @@ class ExecutionReport:
             "pool": self.pool,
             "worker_reuse": self.worker_reuse,
             "wall_time_s": round(self.wall_time_s, 6),
-            "shm_segments": self.shm_segments,
-            "shm_bytes": self.shm_bytes,
             "pickled_bytes": self.pickled_bytes,
-            "consolidated_arrays": self.consolidated_arrays,
-            "consolidated_bytes": self.consolidated_bytes,
             "context_rebuilds": self.context_rebuilds,
-            "warm_contexts": self.warm_contexts,
-            "degraded_from": self.degraded_from,
             "degraded_reason": self.degraded_reason,
-            "unit_modes": list(self.unit_modes),
         }
 
     def summary(self) -> str:
         """One-line telemetry (the runner's ``[execution]`` line)."""
         line = (
             f"mode={self.mode} jobs={self.jobs} shards={self.shards} "
-            f"sub_shards={self.sub_shards} specs={self.specs} "
+            f"specs={self.specs} "
             f"store_hits={self.cache_hits} store_misses={self.cache_misses} "
             f"pool={self.pool} reuse={self.worker_reuse} "
-            f"shm_segments={self.shm_segments} "
             f"pickled_bytes={self.pickled_bytes} "
             f"context_rebuilds={self.context_rebuilds} "
             f"wall={self.wall_time_s:.2f}s"
         )
-        if self.degraded_from:
-            line += (
-                f" degraded_from={self.degraded_from}"
-                f" degraded_reason={self.degraded_reason!r}"
-            )
+        if self.degraded_reason:
+            line += f" degraded_reason={self.degraded_reason!r}"
         return line
 
 
@@ -365,49 +243,29 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Worker count; ``1`` evaluates serially through the calling
-        session.
+        Worker count.  ``1`` — or a grid with one shard — evaluates
+        serially in the calling session; otherwise whole shards run on a
+        process pool of ``min(jobs, shards)`` workers.
     store:
         Optional :class:`ResultStore` (or a directory path for one)
         consulted before evaluation and updated after it.
-    mode:
-        ``auto`` (default), ``serial``, ``thread`` or ``process``.
-        ``auto`` picks serially for one dispatch unit or one job, threads
-        for small grids, processes otherwise; a pool that cannot be
-        created degrades to the next cheaper mode instead of failing.
     seed:
-        Seed of the private worker sessions.
-    split_threshold:
-        Shards with at least this many specs are split into sub-shards
-        sharing a broadcast context (0 disables splitting).  Sessions pass
-        an adaptive value derived from observed per-spec cost
-        (:func:`adaptive_split_threshold`).
+        Seed of the private sessions (workers, and serial runs without a
+        session).
     """
 
     def __init__(
         self,
         jobs: int = 1,
         store: Optional[Union[ResultStore, str, Path]] = None,
-        mode: str = "auto",
         seed: int = 0,
-        split_threshold: int = SHARD_SPLIT_THRESHOLD,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if mode not in EXECUTOR_MODES:
-            raise ValueError(f"unknown mode {mode!r}; available: {list(EXECUTOR_MODES)}")
-        if split_threshold < 0:
-            raise ValueError(f"split_threshold must be >= 0, got {split_threshold}")
         self.jobs = jobs
         self.store = resolve_store(store)
-        self.mode = mode
         self.seed = seed
-        self.split_threshold = split_threshold
         self.report = ExecutionReport()
-        #: Registry backing broadcast packages of session-less runs,
-        #: created on demand and unlinked at the end of :meth:`run`.
-        self._local_registry: Optional[ShmRegistry] = None
-        self._unit_done: List[bool] = []
 
     # ------------------------------------------------------------------
     def shard(
@@ -415,44 +273,6 @@ class SweepExecutor:
     ) -> "OrderedDict[Tuple, List[Tuple[int, ExperimentSpec]]]":
         """Group (index, spec) pairs by shared scene context, in first-seen order."""
         return group_by_context(enumerate(specs))
-
-    def split(
-        self, shards: List[List[Tuple[int, ExperimentSpec]]]
-    ) -> List[ShardUnit]:
-        """Split oversized shards into sub-shards for context broadcast.
-
-        A shard of at least ``split_threshold`` specs becomes
-        ``min(jobs, ceil(size / SUB_SHARD_MIN_SPECS))`` contiguous
-        sub-shards; everything else dispatches whole.  Splitting never
-        reorders members, so the input-order merge is unaffected.
-        """
-        units: List[ShardUnit] = []
-        for members in shards:
-            size = len(members)
-            pieces = (
-                min(self.jobs, math.ceil(size / SUB_SHARD_MIN_SPECS))
-                if self.split_threshold and size >= self.split_threshold
-                else 1
-            )
-            if pieces <= 1:
-                units.append(ShardUnit(members))
-                continue
-            chunk = math.ceil(size / pieces)
-            units.extend(
-                ShardUnit(members[start : start + chunk], is_sub_shard=True)
-                for start in range(0, size, chunk)
-            )
-        return units
-
-    def choose_mode(self, num_units: int, num_specs: int) -> str:
-        """Resolve ``auto`` against the pending dispatch units."""
-        if self.mode != "auto":
-            return self.mode
-        if self.jobs <= 1 or num_units <= 1:
-            return "serial"
-        if num_specs < PROCESS_MIN_SPECS:
-            return "thread"
-        return "process"
 
     # ------------------------------------------------------------------
     def run(
@@ -463,17 +283,14 @@ class SweepExecutor:
     ) -> SweepResult:
         """Evaluate every spec and return results in input order.
 
-        ``session`` is used for serial evaluation (so warm contexts are
-        reused), supplies the worker seed, builds the broadcast contexts
-        of split shards, and provides the persistent worker pool; a
-        private session (and an ephemeral pool) is used when omitted.
+        ``session`` evaluates serial shards (so warm contexts are reused),
+        supplies the worker seed and provides the persistent worker pool;
+        a private session (and an ephemeral pool) is used when omitted.
         """
         started = time.perf_counter()
         specs = list(specs)
         results: List[Optional[ExperimentResult]] = [None] * len(specs)
-        self.report = ExecutionReport(
-            jobs=self.jobs, specs=len(specs), split_threshold=self.split_threshold
-        )
+        self.report = ExecutionReport(jobs=self.jobs, specs=len(specs))
 
         pending: List[Tuple[int, ExperimentSpec]] = []
         for index, spec in enumerate(specs):
@@ -488,33 +305,15 @@ class SweepExecutor:
         if pending:
             shards = list(group_by_context(pending).values())
             self.report.shards = len(shards)
-            units = self.split(shards) if self.jobs > 1 else [ShardUnit(m) for m in shards]
-            self.report.sub_shards = len(units)
-            self.report.split_shards = len(shards) - sum(
-                1 for unit in units if not unit.is_sub_shard
-            )
-            self.report.shard_sizes = [len(unit.members) for unit in units]
-            mode = self.choose_mode(len(units), len(pending))
-            self.report.mode = mode
-
-            try:
-                if mode == "serial":
-                    # Serial never splits: one session walks the shards whole.
-                    units = [ShardUnit(m) for m in shards]
-                    self.report.sub_shards = len(units)
-                    self.report.split_shards = 0
-                    self.report.shard_sizes = [len(unit.members) for unit in units]
-                    self.report.unit_modes = ["serial"] * len(units)
-                    self._run_serial(units, results, session)
-                else:
-                    self._run_pool(units, results, mode, session)
-            finally:
-                # Segments published for an ephemeral (session-less) run
-                # are unlinked here — session-owned registries live until
-                # ``Session.close()`` so later sweeps reuse the packages.
-                if self._local_registry is not None:
-                    self._local_registry.close()
-                    self._local_registry = None
+            self.report.shard_sizes = [len(members) for members in shards]
+            self.report.shard_times_s = [0.0] * len(shards)
+            done = [False] * len(shards)
+            ran_on: Set[str] = set()
+            if self.jobs > 1 and len(shards) > 1:
+                self.report.mode = "process"
+                self._run_pool(shards, results, done, ran_on, session)
+            self._run_serial(shards, results, done, ran_on, session)
+            self.report.workers_used = len(ran_on)
 
             if self.store is not None:
                 for index, spec in pending:
@@ -538,233 +337,115 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     def _run_serial(
         self,
-        units: List[ShardUnit],
+        shards: List[List[Tuple[int, ExperimentSpec]]],
         results: List[Optional[ExperimentResult]],
+        done: List[bool],
+        ran_on: Set[str],
         session: Optional["Session"],
     ) -> None:
-        if session is None:
-            from repro.api.session import Session
-
-            session = Session(seed=self.seed)
-        self.report.shard_times_s = []
-        self.report.workers = 1
-        self.report.workers_used = 1
-        builds_before = session.context_misses
-        for unit in units:
-            start = time.perf_counter()
-            evaluated = session.run_many([spec for _, spec in unit.members])
-            self.report.shard_times_s.append(time.perf_counter() - start)
-            for (index, _), result in zip(unit.members, evaluated):
-                results[index] = result
-        self.report.context_rebuilds += session.context_misses - builds_before
-
-    def _broadcast_contexts(
-        self, units: List[ShardUnit], session: Optional["Session"], mode: str
-    ) -> None:
-        """Build each split shard's scene context once and attach it.
-
-        Sub-shards of one shard share a single context object: threads get
-        it by reference; process workers receive a shared-memory package
-        (heavy arrays in shm segments, pickled payload is metadata-sized),
-        so a split shard costs one context build — in the calling session,
-        where both the context *and* its package stay cached for later
-        sweeps — and near-zero pickling per dispatch.
-        """
-        if not any(unit.is_sub_shard for unit in units):
+        """Evaluate, in the calling process, every shard no pool finished."""
+        if all(done):
             return
         if session is None:
             from repro.api.session import Session
 
             session = Session(seed=self.seed)
-            if mode == "process":
-                # Session-less runs own their segments for just this run.
-                self._local_registry = ShmRegistry()
-        contexts: Dict[Tuple, "SceneContext"] = {}
-        packages: Dict[Tuple, ShmPackage] = {}
-        for unit in units:
-            if not unit.is_sub_shard:
+        self.report.workers = max(self.report.workers, 1)
+        ran_on.add(_worker_id())
+        builds_before = session.context_misses
+        for position, members in enumerate(shards):
+            if done[position]:
                 continue
-            first_spec = unit.members[0][1]
-            key = context_group_key(first_spec)
-            if key not in contexts:
-                contexts[key] = session.spec_context(first_spec)
-            unit.context = contexts[key]
-            if mode == "process":
-                if key not in packages:
-                    if self._local_registry is not None:
-                        packages[key] = ShmPackage.pack(
-                            contexts[key], self._local_registry
-                        )
-                    else:
-                        packages[key] = session.context_package(first_spec)
-                unit.package = packages[key]
-        self.report.broadcast_contexts = len(contexts)
-        distinct = {id(p): p for p in packages.values()}
-        self.report.shm_segments = sum(
-            len(p.segments) for p in distinct.values()
-        )
-        self.report.shm_bytes = sum(
-            p.shared_bytes + p.consolidated_bytes for p in distinct.values()
-        )
-        self.report.consolidated_arrays = sum(
-            p.consolidated_arrays for p in distinct.values()
-        )
-        self.report.consolidated_bytes = sum(
-            p.consolidated_bytes for p in distinct.values()
-        )
+            start = time.perf_counter()
+            evaluated = session.run_many([spec for _, spec in members])
+            self.report.shard_times_s[position] = time.perf_counter() - start
+            for (index, _), result in zip(members, evaluated):
+                results[index] = result
+            done[position] = True
+        self.report.context_rebuilds += session.context_misses - builds_before
 
     def _run_pool(
         self,
-        units: List[ShardUnit],
+        shards: List[List[Tuple[int, ExperimentSpec]]],
         results: List[Optional[ExperimentResult]],
-        mode: str,
+        done: List[bool],
+        ran_on: Set[str],
         session: Optional["Session"],
     ) -> None:
+        """Run whole shards on a process pool: the session's persistent
+        one, or an ephemeral one created and torn down here.
+
+        Pools can fail lazily — construction succeeds but the workers die
+        at submit or fork time (rlimits, sandboxes).  Either way the pool
+        is dropped and the run degrades to serial: shards the pool
+        finished stand as they are (evaluation is deterministic), and
+        :meth:`_run_serial` evaluates the rest in the caller.
+        """
         seed = session.seed if session is not None else self.seed
-        workers = min(self.jobs, len(units))
+        workers = min(self.jobs, len(shards))
         self.report.workers = workers
-        self._broadcast_contexts(units, session, mode)
         owner = session.worker_pool() if session is not None else None
         self.report.pool = "persistent" if owner is not None else "ephemeral"
-        self._unit_done = [False] * len(units)
-        self.report.unit_modes = [""] * len(units)
-        self.report.shard_times_s = [0.0] * len(units)
-        self._seen_workers: set = set()
-
-        degraded = False
-        if mode == "process":
-            # Process pools can fail lazily: construction succeeds but the
-            # workers die at submit/fork time (rlimits, sandboxes, missing
-            # /dev/shm).  Either way, degrade to threads — recomputing only
-            # the units that never completed; unit evaluation is
-            # deterministic, so completed process units stand as-is.
-            try:
-                self._collect_on(owner, "process", workers, units, results, seed)
-            except SpecEvaluationError:
-                raise  # a grid point failed — that is the caller's error
-            except _POOL_FAILURES as error:
-                if owner is not None:
-                    owner.discard("process")
-                self.report.degraded_from = "process"
-                self.report.degraded_reason = f"{type(error).__name__}: {error}"
-                degraded = True
-        if mode == "thread" or degraded:
-            try:
-                self._collect_on(owner, "thread", workers, units, results, seed)
-            except SpecEvaluationError:
-                raise
-            except _POOL_FAILURES as error:
-                # Even threads cannot be spawned: finish the job serially.
-                if owner is not None:
-                    owner.discard("thread")
-                if not self.report.degraded_from:
-                    self.report.degraded_from = mode
-                self.report.degraded_reason = f"{type(error).__name__}: {error}"
-                self.report.pool = "none"
-                self._run_units_serial(units, results, session)
-        if owner is not None:
-            self.report.worker_reuse = owner.reuse_count
-        self.report.workers_used = max(
-            self.report.workers_used, len(self._seen_workers)
-        )
-        self.report.mode = self._majority_mode(self.report.mode)
-
-    def _majority_mode(self, fallback: str) -> str:
-        """The mode that executed most dispatch units (ties: heavier mode)."""
-        modes = [m for m in self.report.unit_modes if m]
-        if not modes:
-            return fallback
-        priority = {"process": 2, "thread": 1, "serial": 0}
-        counts: Dict[str, int] = {}
-        for m in modes:
-            counts[m] = counts.get(m, 0) + 1
-        return max(counts, key=lambda m: (counts[m], priority.get(m, -1)))
-
-    def _run_units_serial(
-        self,
-        units: List[ShardUnit],
-        results: List[Optional[ExperimentResult]],
-        session: Optional["Session"],
-    ) -> None:
-        """Serial last-resort pass over the units no pool completed."""
-        if session is None:
-            from repro.api.session import Session
-
-            session = Session(seed=self.seed)
-        builds_before = session.context_misses
-        for position, unit in enumerate(units):
-            if self._unit_done[position]:
-                continue
-            start = time.perf_counter()
-            evaluated = session.run_many([spec for _, spec in unit.members])
-            self.report.shard_times_s[position] = time.perf_counter() - start
-            for (index, _), result in zip(unit.members, evaluated):
-                results[index] = result
-            self._unit_done[position] = True
-            self.report.unit_modes[position] = "serial"
-        self.report.context_rebuilds += session.context_misses - builds_before
-
-    def _collect_on(
-        self,
-        owner,
-        mode: str,
-        workers: int,
-        units: List[ShardUnit],
-        results: List[Optional[ExperimentResult]],
-        seed: int,
-    ) -> None:
-        """Run the units on a pool of ``mode``: persistent when a session
-        owns one, ephemeral (created and torn down here) otherwise."""
-        if owner is not None:
-            pool = owner.executor(mode, workers)
-            self._collect(pool, units, results, seed, mode)
-            self.report.worker_reuse = owner.reuse_count
-        elif mode == "process":
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                self._collect(pool, units, results, seed, mode)
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                self._collect(pool, units, results, seed, mode)
+        try:
+            if owner is not None:
+                pool = owner.executor(workers)
+                self.report.worker_reuse = owner.reuse_count
+                self._collect(pool, shards, results, done, ran_on, seed)
+            else:
+                with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                    self._collect(pool, shards, results, done, ran_on, seed)
+        except SpecEvaluationError:
+            raise  # a grid point failed — that is the caller's error
+        except _POOL_FAILURES as error:
+            if owner is not None:
+                owner.discard()
+            self.report.mode = "serial"
+            self.report.pool = "none"
+            self.report.degraded_reason = f"{type(error).__name__}: {error}"
 
     def _collect(
         self,
         pool: concurrent.futures.Executor,
-        units: List[ShardUnit],
+        shards: List[List[Tuple[int, ExperimentSpec]]],
         results: List[Optional[ExperimentResult]],
+        done: List[bool],
+        ran_on: Set[str],
         seed: int,
-        mode: str,
     ) -> None:
+        """Submit every shard to ``pool`` and keep each one that finishes.
+
+        A pool failure, at submit or in a future, is raised only after
+        every finished shard has been collected, so the serial fallback
+        recomputes just the shards the pool did not finish.
+        """
         futures = {}
-        for position, unit in enumerate(units):
-            if self._unit_done[position]:
-                continue
-            specs = [spec for _, spec in unit.members]
-            # Threads share the caller's address space: the context rides
-            # by reference and nothing is pickled.  Processes get the
-            # shared-memory package (or nothing, for unsplit shards whose
-            # workers build — and then keep — the context themselves).
-            context = unit.context if mode == "thread" else None
-            package = unit.package if mode == "process" else None
-            if mode == "process":
+        failure: Optional[BaseException] = None
+        try:
+            for position, members in enumerate(shards):
+                specs = [spec for _, spec in members]
                 self.report.pickled_bytes += len(
                     pickle.dumps(specs, protocol=pickle.HIGHEST_PROTOCOL)
                 )
-                if package is not None:
-                    self.report.pickled_bytes += package.pickled_bytes
-            futures[
-                pool.submit(_evaluate_shard, specs, seed, context, package)
-            ] = (position, unit)
+                futures[pool.submit(_evaluate_shard, specs, seed)] = position
+        except _POOL_FAILURES as error:
+            failure = error
         for future in concurrent.futures.as_completed(futures):
-            position, unit = futures[future]
-            payload = future.result()
+            position = futures[future]
+            try:
+                payload = future.result()
+            except SpecEvaluationError:
+                raise
+            except _POOL_FAILURES as error:
+                failure = failure or error
+                continue
             self.report.shard_times_s[position] = payload["elapsed_s"]
-            self._seen_workers.add(payload["worker"])
-            for (index, _), result in zip(unit.members, payload["results"]):
+            ran_on.add(payload["worker"])
+            for (index, _), result in zip(shards[position], payload["results"]):
                 results[index] = ExperimentResult.from_dict(result)
-            self._unit_done[position] = True
-            self.report.unit_modes[position] = mode
-            self.report.context_rebuilds += int(payload.get("context_builds", 0))
-            self.report.warm_contexts += int(bool(payload.get("warm_context")))
+            done[position] = True
+            self.report.context_rebuilds += int(payload["context_builds"])
+        if failure is not None:
+            raise failure
 
 
 # ----------------------------------------------------------------------
@@ -871,7 +552,7 @@ def schedule_experiments(
 
         try:
             if owner is not None:
-                _fan_out(owner.executor("process", workers))
+                _fan_out(owner.executor(workers))
             else:
                 with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers
@@ -884,7 +565,7 @@ def schedule_experiments(
         except _POOL_FAILURES as error:
             # Keep whatever completed; the serial pass below fills the rest.
             if owner is not None:
-                owner.discard("process")
+                owner.discard()
             report.pool = "none"
             report.degraded_reason = f"{type(error).__name__}: {error}"
 

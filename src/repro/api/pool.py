@@ -1,15 +1,15 @@
-"""Persistent worker pools shared across sweeps.
+"""The persistent process pool shared across sweeps.
 
-PR 3's executor built a fresh process pool for every sweep, so repeated
-``run_sweep`` calls in one process paid worker startup (interpreter spawn,
-NumPy import) each time.  :class:`WorkerPool` keeps one
-``concurrent.futures`` executor per mode (``process`` / ``thread``) alive
-between sweeps; :class:`~repro.api.session.Session` owns one lazily and
-hands it to every :class:`~repro.api.executor.SweepExecutor` run, so the
-second sweep of a session reuses warm workers.
+:class:`WorkerPool` keeps one ``concurrent.futures.ProcessPoolExecutor``
+alive between sweeps, so repeated ``run_sweep`` calls in one process pay
+worker startup (process start, imports) once and keep each worker's warm
+scene contexts;
+:class:`~repro.api.session.Session` owns one lazily and hands it to every
+parallel :class:`~repro.api.executor.SweepExecutor` run and to
+:func:`~repro.api.executor.schedule_experiments`.
 
 Lifecycle: the pool is created on first use, grown (recreated larger) when
-a sweep asks for more workers than it holds, discarded when a pool breaks
+a sweep asks for more workers than it holds, discarded when it breaks
 mid-run, and shut down by ``Session.close()`` — or by the ``atexit`` hook
 the session registers, so leaked sessions never hang interpreter exit.
 """
@@ -23,18 +23,13 @@ from typing import TYPE_CHECKING, Dict, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.api.session import Session
 
-#: Pool modes a :class:`WorkerPool` can serve.
-POOL_MODES = ("process", "thread")
-
 # ----------------------------------------------------------------------
 # Warm per-worker sessions.
 # ----------------------------------------------------------------------
 #: The warm session of *this* process when it is a pool worker: one
 #: session per worker process, kept across tasks and sweeps, so scene
-#: contexts built (or adopted from a broadcast package) by an earlier task
-#: are cache hits — the "no rebuild of non-broadcast contexts per task"
-#: half of the zero-copy execution layer.  Never populated in the main
-#: process.
+#: contexts built by an earlier task are cache hits.  Never populated in
+#: the main process.
 _WORKER_SESSION: Optional["Session"] = None
 
 
@@ -44,9 +39,9 @@ def worker_session(seed: int) -> "Session":
     In a worker *process* (anything with a parent process) this returns a
     warm session kept for the process's lifetime — rebuilt only when the
     requested seed changes, so repeated sweeps with one seed share every
-    context the worker ever built.  In the main process (thread-pool
-    workers, direct calls) it returns a fresh private session: threads
-    must not share mutable session state with each other or the caller.
+    context the worker ever built.  In the main process (direct calls) it
+    returns a fresh private session, so no state is shared with the
+    caller's sessions.
     """
     global _WORKER_SESSION
     from repro.api.session import Session
@@ -65,60 +60,46 @@ def reset_worker_session() -> None:
 
 
 class WorkerPool:
-    """Lazily created, reusable executor pools keyed by mode.
+    """A lazily created, reusable process pool.
 
-    ``executor(mode, workers)`` returns a live
-    :class:`concurrent.futures.Executor`; an existing pool of the same mode
-    with at least ``workers`` workers is reused (``reuse_count`` increments),
-    a smaller one is transparently replaced by a bigger one.  Callers never
+    ``executor(workers)`` returns a live
+    :class:`concurrent.futures.ProcessPoolExecutor`; the existing one is
+    reused when it has at least ``workers`` workers (``reuse_count``
+    increments), a smaller one is replaced by a bigger one.  Callers never
     shut the returned executor down — the pool owns it; a broken pool is
     dropped with :meth:`discard` and the next request creates a fresh one.
     """
 
     def __init__(self) -> None:
-        self._executors: Dict[str, concurrent.futures.Executor] = {}
-        self._sizes: Dict[str, int] = {}
+        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        #: Worker count of the live executor (0 when none exists).
+        self.size = 0
         self.created = 0
         self.reuse_count = 0
         self.closed = False
 
     # ------------------------------------------------------------------
-    def executor(self, mode: str, workers: int) -> concurrent.futures.Executor:
-        """A live executor of ``mode`` with capacity for ``workers`` tasks."""
-        if mode not in POOL_MODES:
-            raise ValueError(f"unknown pool mode {mode!r}; available: {list(POOL_MODES)}")
+    def executor(self, workers: int) -> concurrent.futures.ProcessPoolExecutor:
+        """A live process pool with capacity for ``workers`` tasks."""
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if self.closed:
             raise RuntimeError("worker pool is closed")
-        existing = self._executors.get(mode)
-        if existing is not None:
-            if self._sizes[mode] >= workers:
-                self.reuse_count += 1
-                return existing
-            # Too small for this sweep: replace with a bigger pool.  The old
-            # workers finish nothing (the pool is only handed out between
-            # sweeps), so a non-waiting shutdown is safe.
-            existing.shutdown(wait=False)
-        if mode == "process":
-            pool: concurrent.futures.Executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers
-            )
-        else:
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-        self._executors[mode] = pool
-        self._sizes[mode] = workers
+        if self._executor is not None and self.size >= workers:
+            self.reuse_count += 1
+            return self._executor
+        # Too small for this sweep (or absent): the old workers finish
+        # nothing — the pool is only handed out between sweeps — so a
+        # non-waiting shutdown is safe.
+        self.discard()
+        self._executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        self.size = workers
         self.created += 1
-        return pool
+        return self._executor
 
-    def size(self, mode: str) -> int:
-        """Worker count of the live pool of ``mode`` (0 when none exists)."""
-        return self._sizes.get(mode, 0)
-
-    def discard(self, mode: str) -> None:
-        """Drop the pool of ``mode`` (used after a pool breaks mid-run)."""
-        pool = self._executors.pop(mode, None)
-        self._sizes.pop(mode, None)
+    def discard(self) -> None:
+        """Drop the live executor (used after it breaks mid-run)."""
+        pool, self._executor, self.size = self._executor, None, 0
         if pool is not None:
             try:
                 pool.shutdown(wait=False)
@@ -126,9 +107,8 @@ class WorkerPool:
                 pass
 
     def shutdown(self) -> None:
-        """Shut every pool down; the pool object is unusable afterwards."""
-        for mode in list(self._executors):
-            self.discard(mode)
+        """Shut the executor down; the pool object is unusable afterwards."""
+        self.discard()
         self.closed = True
 
     # ------------------------------------------------------------------
@@ -137,9 +117,11 @@ class WorkerPool:
         return {
             "created": self.created,
             "reuse_count": self.reuse_count,
-            "alive": len(self._executors),
+            "alive": int(self._executor is not None),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        live = {mode: self._sizes[mode] for mode in self._executors}
-        return f"WorkerPool(live={live}, created={self.created}, reuses={self.reuse_count})"
+        return (
+            f"WorkerPool(size={self.size}, created={self.created}, "
+            f"reuses={self.reuse_count})"
+        )

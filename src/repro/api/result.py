@@ -143,7 +143,7 @@ class SweepResult:
 
     ``meta`` carries run telemetry — notably ``meta["execution"]``, the
     :class:`~repro.api.executor.ExecutionReport` of the sweep that produced
-    the results (mode, shards, sub-shards, worker reuse, store hits).  It
+    the results (mode, shards, worker reuse, store hits).  It
     describes *how* the sweep ran, never *what* it computed: tables and
     metrics are byte-identical across serial and parallel runs while their
     ``meta`` legitimately differs, so parity checks compare

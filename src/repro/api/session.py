@@ -26,12 +26,14 @@ from it:
   :class:`~repro.api.executor.SweepExecutor` and the disk-backed
   :class:`~repro.api.store.ResultStore`.
 
-Parallel sweeps run on the session's persistent
-:class:`~repro.api.pool.WorkerPool`: created lazily by the first sweep,
-reused by every later one, shut down by :meth:`Session.close` (sessions
-are context managers: ``with Session(jobs=4) as s: ...``) or at
-interpreter exit.  Each sweep's telemetry lands in
-``SweepResult.meta["execution"]`` and ``session.last_execution``.
+A sweep with ``jobs == 1`` or a single shard (one scene context) runs in
+this session; any other runs its shards whole on the session's persistent
+process pool (:class:`~repro.api.pool.WorkerPool`): created lazily by the
+first such sweep, reused by every later one, shut down by
+:meth:`Session.close` (sessions are context managers:
+``with Session(jobs=4) as s: ...``) or at interpreter exit.  Each sweep's
+telemetry lands in ``SweepResult.meta["execution"]`` and
+``session.last_execution``.
 
 A process-wide default session is available via
 :func:`get_default_session`; the analysis harness and the CLI runner go
@@ -139,10 +141,6 @@ class Session:
         #: to a full SceneContext, but not free — one build per scene).
         self._scene_models: Dict[str, GaussianModel] = {}
         self._pool: Optional[WorkerPool] = None
-        #: Shared-memory registry + per-context-key package cache backing
-        #: zero-copy context broadcast (created lazily by parallel sweeps).
-        self._shm_registry = None
-        self._context_packages: Dict[Tuple, Any] = {}
         #: :class:`~repro.api.executor.ExecutionReport` of the most recent
         #: :meth:`run_sweep` (telemetry; also in ``SweepResult.meta``).
         self.last_execution = None
@@ -405,81 +403,6 @@ class Session:
             config=spec.streaming_config(),
         )
 
-    def has_context(self, spec: ExperimentSpec) -> bool:
-        """Whether ``spec``'s scene context is already cached (no counters).
-
-        Pool workers use this to decide if a broadcast context even needs
-        unpacking: a warm worker session that evaluated the same context
-        group before skips both the unpack and the adopt.
-        """
-        key = (
-            spec.scene,
-            spec.algorithm,
-            spec.streaming_config(),
-            float(spec.resolution_scale),
-        )
-        return key in self._contexts
-
-    def context_package(self, spec: ExperimentSpec) -> "ShmPackage":
-        """The shared-memory package of ``spec``'s scene context, cached.
-
-        Packs the context once per context key into the session's
-        :class:`~repro.api.shm.ShmRegistry` — model parameters, images and
-        workload arrays land in shared segments; the package payload that
-        gets pickled per pool dispatch is metadata-sized.  Cached, so
-        repeated sweeps over the same context republish nothing.  The
-        backing segments are unlinked by :meth:`close` (or at interpreter
-        exit).
-        """
-        from repro.api.shm import ShmPackage
-
-        key = (
-            spec.scene,
-            spec.algorithm,
-            spec.streaming_config(),
-            float(spec.resolution_scale),
-        )
-        package = self._context_packages.get(key)
-        if package is None:
-            package = ShmPackage.pack(self.spec_context(spec), self.shm_registry())
-            self._context_packages[key] = package
-        return package
-
-    def shm_registry(self) -> "ShmRegistry":
-        """The session's shared-memory registry, created lazily.
-
-        Owns every segment the session publishes (context packages,
-        broadcast payloads); :meth:`close` unlinks them all, with an
-        ``atexit`` backstop inside the registry itself for forgotten
-        sessions.
-        """
-        from repro.api.shm import ShmRegistry
-
-        if self._shm_registry is None or self._shm_registry.closed:
-            self._shm_registry = ShmRegistry()
-        return self._shm_registry
-
-    def adopt_context(self, spec: ExperimentSpec, context: SceneContext) -> None:
-        """Seed the context cache with an externally built context.
-
-        The context-broadcast path of sub-shard execution: the sweep
-        executor builds a split shard's scene context once in the calling
-        session and every worker session adopts it (threads by reference,
-        processes as a pickled copy), so :meth:`spec_context` hits the
-        cache instead of re-rendering.  The caller vouches that ``context``
-        is the one ``spec`` would build.
-        """
-        key = (
-            spec.scene,
-            spec.algorithm,
-            spec.streaming_config(),
-            float(spec.resolution_scale),
-        )
-        self._contexts[key] = context
-        self._contexts.move_to_end(key)
-        while len(self._contexts) > self.max_contexts:
-            self._contexts.popitem(last=False)
-
     # ------------------------------------------------------------------
     # Experiments.
     # ------------------------------------------------------------------
@@ -608,8 +531,9 @@ class Session:
         specs, swept:
             The grid points and the names of the swept axes.
         jobs:
-            Worker count; ``None`` uses the session default (``self.jobs``),
-            ``1`` evaluates serially through this session's shared state.
+            Worker count; ``None`` uses the session default (``self.jobs``).
+            ``1``, or a grid whose specs share one scene context, evaluates
+            serially through this session's shared state.
         cache:
             ``None`` uses the session default store, ``False`` disables
             caching for this sweep, a path or :class:`ResultStore` selects
@@ -622,28 +546,10 @@ class Session:
             jobs=self.jobs if jobs is None else jobs,
             store=store,
             seed=self.seed,
-            split_threshold=self.split_threshold(),
         )
         result = executor.run(specs, swept=swept, session=self)
         self.last_execution = executor.report
         return result
-
-    def split_threshold(self) -> int:
-        """The shard-split threshold the next sweep will run with.
-
-        Adaptive: seeded from the mean per-spec evaluation seconds the
-        previous sweep observed (``last_execution.shard_times_s``), so
-        grids of expensive points split earlier than the static default
-        while cheap grids keep the overhead floor — see
-        :func:`repro.api.executor.adaptive_split_threshold`.  Splitting
-        only changes scheduling, never results (parallel output stays
-        byte-identical to serial).
-        """
-        from repro.api.executor import adaptive_split_threshold
-
-        report = self.last_execution
-        observed = report.per_spec_seconds if report is not None else None
-        return adaptive_split_threshold(observed)
 
     def sweep(
         self,
@@ -713,13 +619,6 @@ class Session:
             self._pool = None
         self._contexts.clear()
         self._scene_models.clear()
-        self._context_packages.clear()
-        if self._shm_registry is not None:
-            # Unlink every shared segment the session published; workers
-            # of the (just shut down) pool held only attachments, which
-            # never block an unlink.
-            self._shm_registry.close()
-            self._shm_registry = None
         if self._owns_service:
             self.service.close()
 
@@ -776,9 +675,9 @@ def reset_default_session() -> None:
     """Replace the process-wide session (used by tests).
 
     The outgoing session is closed, not orphaned: its worker pool and
-    any shared-memory segments its registry published are released now
-    rather than at interpreter exit (the shared engine service is left
-    untouched, as for any :meth:`Session.close`).
+    cached contexts are released now rather than at interpreter exit (the
+    shared engine service is left untouched, as for any
+    :meth:`Session.close`).
     """
     global _DEFAULT_SESSION
     outgoing, _DEFAULT_SESSION = _DEFAULT_SESSION, None

@@ -1,12 +1,11 @@
 """Zero-copy shared-memory transport for large arrays.
 
-Process-based parallelism in this repository moves two kinds of payloads
-between the caller and its workers: *scene state* (model parameter arrays,
-ground-truth images, prepared frames, 3D-DDA traversal outputs) and
-*render outputs* (image / alpha buffers, per-Gaussian weight
-accumulators).  Pickling them per task is what made the PR 4 process pool
-lose to serial — a scene context is tens of megabytes and every shard
-paid the copy twice (serialize + deserialize).
+Process-parallel frames (:mod:`repro.engine.tile_parallel`) move two kinds
+of payloads between the caller and its workers: *frame state* (the
+renderer's model and grid arrays, the frame's tile rectangles and voxel
+orders) and *render outputs* (image / alpha buffers, per-Gaussian weight
+accumulators).  Pickling them per task would copy every array twice
+(serialize + deserialize).
 
 This module makes those transfers metadata-only:
 
@@ -14,9 +13,9 @@ This module makes those transfers metadata-only:
   ``multiprocessing.shared_memory`` segment.  It pickles as *metadata*
   (segment name, shape, dtype) and reattaches lazily in the receiving
   process; attaching maps the same physical pages, so the bytes are never
-  copied.  When shared memory is unavailable (no ``/dev/shm``, sandboxed
-  hosts) the handle degrades to carrying the array inline — callers keep
-  working, and the fallback is visible in the accounting.
+  copied.  Hosts without usable shared memory (no ``/dev/shm``, sandboxed
+  hosts) raise :class:`SharedMemoryUnavailable`, and callers render
+  in-process instead.
 * :class:`ShmRegistry` — owns the segments a process creates: publishes
   read-only arrays, allocates writable output buffers, guarantees
   ``unlink`` on :meth:`ShmRegistry.close` / interpreter exit (``atexit``),
@@ -25,11 +24,11 @@ This module makes those transfers metadata-only:
   inheriting one never unlinks the parent's segments.
 * :class:`ShmPackage` — shm-aware pickling of *arbitrary* objects.  A
   custom pickler routes every large ndarray inside the object graph
-  (scene contexts, frame preparations, whole renderers) through the
-  registry and replaces it with a handle; everything else pickles
-  normally.  ``pack`` returns a package whose pickled size is what
-  actually crosses the process boundary — the zero-copy claim is
-  measurable, not asserted (``ExecutionReport.pickled_bytes``).
+  (whole renderers, frame state) through the registry and replaces it
+  with a handle; everything else pickles normally.  ``pack`` returns a
+  package whose pickled size is what actually crosses the process
+  boundary — the zero-copy claim is measurable, not asserted (the
+  frame telemetry's ``pickled_bytes``).
 
 Attached arrays are **read-only views**: mutating shared scene state from
 a worker would be a cross-process data race, so NumPy's writeable flag is
@@ -53,7 +52,7 @@ import os
 import pickle
 import secrets
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -100,7 +99,7 @@ class SharedMemoryUnavailable(RuntimeError):
 # One SharedMemory object per attached segment per process: the mapping
 # must stay alive as long as any array view into it does, and re-attaching
 # per handle would mmap the same pages repeatedly.  Guarded by a lock —
-# thread-pool workers attach concurrently.
+# threads of one process may attach concurrently.
 _ATTACHMENTS: Dict[str, "_shared_memory.SharedMemory"] = {}
 _ATTACH_LOCK = threading.Lock()
 _ATTACH_PID = os.getpid()
@@ -113,7 +112,7 @@ def _attach_segment(name: str) -> "_shared_memory.SharedMemory":
         raise SharedMemoryUnavailable("multiprocessing.shared_memory is unavailable")
     if _chaos_fault("shm.attach_fail") is not None:
         # Simulated attach failure (e.g. the segment's creator is gone or
-        # /dev/shm is exhausted); callers fall back to inline payloads.
+        # /dev/shm is exhausted).
         raise SharedMemoryUnavailable(f"injected: cannot attach segment {name!r}")
     with _ATTACH_LOCK:
         # A forked child inherits the parent's cache; its SharedMemory
@@ -216,29 +215,20 @@ class SharedArrayHandle:
 
     The handle is pure metadata — pickling it costs ~100 bytes no matter
     how large the array is.  :meth:`array` reattaches lazily in whatever
-    process unpickles it.  ``segment is None`` marks the inline fallback:
-    the array rides along pickled (``_inline``), used when the publishing
-    host has no working shared memory so callers never have to branch.
+    process unpickles it.
     """
 
-    segment: Optional[str]
+    segment: str
     shape: Tuple[int, ...]
     dtype: str
     nbytes: int
-    _inline: Optional[np.ndarray] = field(default=None, compare=False)
-
-    @property
-    def is_shared(self) -> bool:
-        return self.segment is not None
 
     def array(self, writable: bool = False) -> np.ndarray:
         """The referenced array: a zero-copy view of the segment.
 
-        Shared handles return a view of the mapped pages — read-only by
-        default; ``writable=True`` is for output buffers whose disjoint
-        regions the caller owns.  Inline-fallback handles return the
-        carried array (a private copy per unpickle, so writability is
-        harmless).
+        The view maps the segment's pages — read-only by default;
+        ``writable=True`` is for output buffers whose disjoint regions the
+        caller owns.
 
         Lifetime: the view stays valid only while the segment is mapped
         in this process — until the owning registry's :meth:`close` in
@@ -246,10 +236,6 @@ class SharedArrayHandle:
         Copy (``view.copy()``) anything that must outlive the registry;
         numpy cannot pin the mapping for you.
         """
-        if self.segment is None:
-            if self._inline is None:
-                raise ValueError("inline handle carries no array")
-            return self._inline
         segment = _attach_segment(self.segment)
         view = np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=segment.buf)
         view.flags.writeable = bool(writable)
@@ -270,10 +256,7 @@ class ShmRegistry:
     process, so worker exits can never reap the parent's segments.
     """
 
-    def __init__(self, fallback_inline: bool = True) -> None:
-        #: Degrade to inline (pickled) handles when segments cannot be
-        #: created; ``False`` raises :class:`SharedMemoryUnavailable`.
-        self.fallback_inline = fallback_inline
+    def __init__(self) -> None:
         self._segments: Dict[str, "_shared_memory.SharedMemory"] = {}
         self._owner_pid = os.getpid()
         self._lock = threading.Lock()
@@ -281,7 +264,6 @@ class ShmRegistry:
         self.segments_created = 0
         self.segments_unlinked = 0
         self.bytes_published = 0
-        self.inline_fallbacks = 0
         self.closed = False
         atexit.register(self._atexit_close)
 
@@ -309,17 +291,18 @@ class ShmRegistry:
 
         The one copy of the array's life: every worker that attaches the
         handle afterwards maps the same pages.  Non-contiguous input is
-        compacted first; object-dtype arrays cannot be shared and use the
-        inline fallback.
+        compacted first.  Raises :class:`SharedMemoryUnavailable` when the
+        host has no usable shared memory, ``ValueError`` for object-dtype
+        arrays (which cannot be shared) and ``OSError`` when a segment
+        cannot be created.
         """
         array = np.asarray(array)
-        if array.dtype.hasobject or not shm_available():
-            return self._inline_handle(array)
+        if array.dtype.hasobject:
+            raise ValueError("object-dtype arrays cannot be shared")
+        if not shm_available():
+            raise SharedMemoryUnavailable("cannot publish shared arrays on this host")
         contiguous = np.ascontiguousarray(array)
-        try:
-            segment = self._new_segment(contiguous.nbytes)
-        except (OSError, ValueError, SharedMemoryUnavailable):
-            return self._inline_handle(array)
+        segment = self._new_segment(contiguous.nbytes)
         view = np.ndarray(contiguous.shape, dtype=contiguous.dtype, buffer=segment.buf)
         view[...] = contiguous
         return SharedArrayHandle(
@@ -332,10 +315,8 @@ class ShmRegistry:
     def allocate(self, shape: Tuple[int, ...], dtype: Any = np.float64) -> SharedArrayHandle:
         """A zero-initialised writable shared buffer (render outputs).
 
-        Unlike :meth:`publish` there is no inline fallback — a writable
-        buffer that is not actually shared cannot collect worker output —
-        so failure raises :class:`SharedMemoryUnavailable` for the caller
-        to degrade on.
+        Raises :class:`SharedMemoryUnavailable` when the host has no usable
+        shared memory, for the caller to degrade on.
         """
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
@@ -349,20 +330,6 @@ class ShmRegistry:
             shape=tuple(shape),
             dtype=dtype.str,
             nbytes=nbytes,
-        )
-
-    def _inline_handle(self, array: np.ndarray) -> SharedArrayHandle:
-        if not self.fallback_inline:
-            raise SharedMemoryUnavailable(
-                "shared memory unavailable and inline fallback disabled"
-            )
-        self.inline_fallbacks += 1
-        return SharedArrayHandle(
-            segment=None,
-            shape=tuple(array.shape),
-            dtype=np.dtype(array.dtype).str,
-            nbytes=int(array.nbytes) if not array.dtype.hasobject else 0,
-            _inline=array,
         )
 
     # -- cleanup -------------------------------------------------------
@@ -443,7 +410,6 @@ class ShmRegistry:
                 "segments_unlinked": self.segments_unlinked,
                 "segments_active": len(self._segments),
                 "bytes_published": self.bytes_published,
-                "inline_fallbacks": self.inline_fallbacks,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -497,7 +463,7 @@ class _ShmPickler(pickle.Pickler):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._registry = registry
         self._threshold = threshold
-        #: ``None`` disables consolidation (no shm on this host).
+        #: ``None`` disables consolidation.
         self._consolidate_min = consolidate_min
         self.shared_arrays = 0
         self.shared_bytes = 0
@@ -515,13 +481,9 @@ class _ShmPickler(pickle.Pickler):
             return None
         if obj.nbytes >= self._threshold:
             handle = self._registry.publish(obj)
-            if handle.is_shared:
-                self.shared_arrays += 1
-                self.shared_bytes += handle.nbytes
-                return (_PICKLE_TAG, handle)
-            # Inline fallback: let normal pickling carry the array so the
-            # payload stays self-contained (counted by the registry).
-            return None
+            self.shared_arrays += 1
+            self.shared_bytes += handle.nbytes
+            return (_PICKLE_TAG, handle)
         if (
             self._consolidate_min is not None
             and obj.nbytes >= self._consolidate_min
@@ -610,10 +572,8 @@ class ShmPackage:
 
     Large arrays (>= threshold) each get their own segment; the long tail
     of *small* arrays is bundled into one ``consolidated`` segment whose
-    layout lives in ``consolidated_entries`` — a scene context's payload
-    used to carry ~0.5 MB of pickled small arrays, now replaced by
-    index-sized references.  On hosts without shared memory the
-    consolidated handle rides inline, so :meth:`unpack` never branches.
+    layout lives in ``consolidated_entries``, so the payload carries
+    index-sized references instead of their pickled bytes.
     """
 
     payload: bytes
@@ -643,12 +603,10 @@ class ShmPackage:
 
         ``consolidate_min`` sets the floor for the consolidated-segment
         bundle (``None`` disables it — every sub-threshold array pickles
-        into the payload as before).
+        into the payload).  Raises :class:`SharedMemoryUnavailable` when
+        ``obj`` holds an array to share and the host has no usable shared
+        memory.
         """
-        if not shm_available():
-            # Without segments the consolidated bundle would ride inline
-            # next to the payload — all copy, no savings; skip staging.
-            consolidate_min = None
         before = set(registry.active_segments())
         buffer = io.BytesIO()
         pickler = _ShmPickler(buffer, registry, threshold, consolidate_min)

@@ -72,7 +72,7 @@ class FrameCache:
         if self.capacity < 0:
             raise ValueError("capacity must be non-negative")
 
-    # Renderers travel inside pickled scene contexts (worker broadcast);
+    # Renderers travel pickled to process-parallel frame workers;
     # locks are not picklable, so rebuild one on the receiving side.
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)

@@ -301,7 +301,7 @@ def _render_runs(
     cuts = [(len(blocks) - 1) * run // workers for run in range(workers + 1)]
     runs = [blocks[lo : hi + 1] for lo, hi in zip(cuts[:-1], cuts[1:])]
     num_gaussians = len(stats.gaussian_blend_weight)
-    registry = ShmRegistry(fallback_inline=False)
+    registry = ShmRegistry()
     try:
         try:
             image_handle = registry.allocate(image.shape, image.dtype)

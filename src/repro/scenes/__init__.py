@@ -6,7 +6,7 @@ checkpoints of those scenes are not redistributable and training them
 requires the CUDA 3DGS stack, so this package synthesises Gaussian clouds
 procedurally with per-scene statistics (Gaussian count at full scale, scene
 extent, synthetic vs. real-world layout) matched to the published
-workloads.  See DESIGN.md ("What we could not use and what we substituted").
+workloads.
 """
 
 from repro.scenes.synthetic import (

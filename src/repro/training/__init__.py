@@ -10,8 +10,7 @@ The paper fine-tunes every trained scene twice before deployment:
 
 PyTorch autograd is unavailable in this environment, so the boundary-aware
 stage is realised with analytic gradients of the cross-boundary penalty and
-a parameter-space trust region standing in for the photometric loss — see
-DESIGN.md for the substitution rationale.
+a parameter-space trust region standing in for the photometric loss.
 """
 
 from repro.training.optimizer import Adam, SGD

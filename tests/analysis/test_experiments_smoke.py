@@ -10,25 +10,31 @@ import pytest
 
 from repro.analysis.characterization import run_fig2, run_fig3, run_fig4
 from repro.analysis.claims import run_supporting_claims
-from repro.analysis.context import clear_context_cache, get_scene_context
 from repro.analysis.performance import run_fig11
 from repro.analysis.quality import PAPER_TABLE2, run_table2
 from repro.analysis.sensitivity import run_fig13
+from repro.api import get_default_session, reset_default_session
+from repro.engine.service import reset_default_service
 
 #: A reduced evaluation resolution keeps each context under ~2 seconds.
 SCALE = 0.5
 
 
+def _reset_default_state():
+    reset_default_session()
+    reset_default_service()
+
+
 @pytest.fixture(scope="module", autouse=True)
 def warm_context():
-    clear_context_cache()
+    _reset_default_state()
     yield
-    clear_context_cache()
+    _reset_default_state()
 
 
 @pytest.fixture(scope="module")
 def lego_context():
-    return get_scene_context("lego", resolution_scale=SCALE)
+    return get_default_session().context("lego", resolution_scale=SCALE)
 
 
 def test_context_fields(lego_context):
@@ -41,13 +47,13 @@ def test_context_fields(lego_context):
 
 
 def test_context_cache_returns_same_object(lego_context):
-    again = get_scene_context("lego", resolution_scale=SCALE)
+    again = get_default_session().context("lego", resolution_scale=SCALE)
     assert again is lego_context
 
 
 def test_context_unknown_scene():
     with pytest.raises(KeyError):
-        get_scene_context("not-a-scene")
+        get_default_session().context("not-a-scene")
 
 
 def test_fig2_single_scene():

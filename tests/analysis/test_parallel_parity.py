@@ -83,15 +83,16 @@ class TestStreamingKernelParity:
         assert tables["vectorized"] == tables["reference"]
 
 
-class TestSingleContextFanOut:
+class TestSingleContextGrid:
     """The fig13 shape: one scene context, a large cheap grid.
 
-    Before shard-splitting this collapsed to one shard and ran on one
-    worker; now it must split into sub-shards over a shared broadcast
-    context — and still produce the exact serial table.
+    Once the context exists, a point is an analytic hardware-model
+    evaluation, so the grid is one shard that runs in the calling session
+    whatever ``jobs`` says: no pool, one context build, and the exact
+    serial table.
     """
 
-    def test_split_grid_fans_out_and_stays_byte_identical(self):
+    def test_grid_runs_in_the_caller_and_stays_byte_identical(self):
         kwargs = dict(
             scene="lego", cfus=(1, 2, 3, 4, 5, 6, 7, 8), ffus=(1, 2, 3, 4),
             resolution_scale=SCALE,
@@ -102,13 +103,12 @@ class TestSingleContextFanOut:
         with Session(jobs=2) as parallel_session:
             parallel = run_fig13(session=parallel_session, **kwargs)
             report = parallel_session.last_execution
-        # One scene context, >= 32 specs, fanned out over > 1 worker ...
+            assert parallel_session.stats()["pool"] is None
+            assert parallel_session.context_misses == 1
         assert report.specs == 32
         assert report.shards == 1
-        assert report.sub_shards >= 2
-        assert report.workers > 1
-        assert report.broadcast_contexts == 1
-        # ... with the table byte-identical to the serial path.
+        assert report.mode == "serial"
+        assert report.pool == "none"
         assert parallel.format() == serial.format()
         assert parallel.speedup == serial.speedup
         assert parallel.area_mm2 == serial.area_mm2

@@ -166,8 +166,8 @@ def test_cli_single_experiment_keeps_sweep_level_jobs(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "Fig. 13" in captured.out
-    assert "[execution] fig13:" in captured.err
-    assert "sub_shards=" in captured.err
+    # One scene context: the sweep runs in the calling session.
+    assert "[execution] fig13: mode=serial jobs=2 shards=1" in captured.err
 
 
 def test_cli_options_routed_to_unselected_experiment_is_clean_error(capsys):
@@ -198,7 +198,8 @@ def test_cli_telemetry_json_dump(capsys, tmp_path):
     execution = payload["experiments"]["fig12"]
     assert execution["specs"] == 2
     assert execution["jobs"] == 2
-    assert "split_threshold" in execution
+    assert execution["mode"] == "process"
+    assert execution["shards"] == 2
     assert payload["scheduler"] is None
     assert payload["session"]["service"]["requests_served"] >= 0
     assert payload["store"] is None

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.api import ExperimentSpec, ResultStore, Session, SweepExecutor, sweep
-from repro.api.executor import (
-    PROCESS_MIN_SPECS,
-    SHARD_SPLIT_THRESHOLD,
-    ShardUnit,
-    context_group_key,
-)
+from repro.api.executor import context_group_key
 
 
 #: Reduced evaluation resolution keeps each scene context cheap.
@@ -78,41 +73,44 @@ class TestRunMany:
 
 
 class TestModeSelection:
-    def test_explicit_modes_win(self):
-        assert SweepExecutor(jobs=4, mode="serial").choose_mode(8, 80) == "serial"
-        assert SweepExecutor(jobs=4, mode="process").choose_mode(2, 2) == "process"
+    """The mode is derived from the inputs: serial in the caller for one job
+    or one shard, whole shards on a process pool otherwise."""
 
-    def test_auto_serial_for_one_job_or_one_shard(self):
-        assert SweepExecutor(jobs=1).choose_mode(8, 80) == "serial"
-        assert SweepExecutor(jobs=4).choose_mode(1, 80) == "serial"
-
-    def test_auto_threads_for_small_grids(self):
-        assert SweepExecutor(jobs=2).choose_mode(2, PROCESS_MIN_SPECS - 1) == "thread"
-
-    def test_auto_processes_for_large_grids(self):
-        assert SweepExecutor(jobs=2).choose_mode(4, PROCESS_MIN_SPECS) == "process"
+    def test_auto_serial_for_one_job_or_one_shard(self, specs):
+        session = Session()
+        one_job = SweepExecutor(jobs=1)
+        one_job.run(specs, session=session)
+        assert one_job.report.mode == "serial"
+        assert one_job.report.shards == 2
+        one_shard = SweepExecutor(jobs=2)
+        one_shard.run(
+            sweep(ExperimentSpec(scene="lego", resolution_scale=SCALE), num_hfu=(2, 4)),
+            session=session,
+        )
+        assert one_shard.report.mode == "serial"
+        assert one_shard.report.shards == 1
+        assert one_shard.report.pool == "none"
+        assert session.stats()["pool"] is None
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="jobs"):
             SweepExecutor(jobs=0)
-        with pytest.raises(ValueError, match="mode"):
-            SweepExecutor(mode="fleet")
+        with pytest.raises(TypeError, match="mode"):
+            SweepExecutor(mode="process")
 
 
 class TestParallelEquality:
-    def test_thread_pool_matches_serial(self, specs, serial):
-        executor = SweepExecutor(jobs=2, mode="thread")
-        result = executor.run(specs, swept=["voxel_size"])
-        assert result.table_dict() == serial.table_dict()
-        assert executor.report.mode == "thread"
-        assert executor.report.shards == 2
-
     def test_process_pool_matches_serial(self, specs, serial):
-        executor = SweepExecutor(jobs=2, mode="process")
+        # Two one-spec shards and two jobs: the shards run on a process pool.
+        executor = SweepExecutor(jobs=2)
         result = executor.run(specs, swept=["voxel_size"])
         assert result.table_dict() == serial.table_dict()
+        assert executor.report.mode == "process"
+        assert executor.report.shards == 2
+        assert executor.report.workers == 2
+        assert executor.report.degraded_reason == ""
 
-    def test_broken_process_pool_degrades_to_threads(self, specs, serial, monkeypatch):
+    def test_broken_process_pool_degrades_to_serial(self, specs, serial, monkeypatch):
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
@@ -130,13 +128,14 @@ class TestParallelEquality:
                 raise BrokenProcessPool("workers cannot be spawned")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
-        executor = SweepExecutor(jobs=2, mode="process")
+        executor = SweepExecutor(jobs=2)
         result = executor.run(specs, swept=["voxel_size"])
         assert result.table_dict() == serial.table_dict()
-        assert executor.report.mode == "thread"
+        assert executor.report.mode == "serial"
+        assert "cannot be spawned" in executor.report.degraded_reason
 
     def test_merge_order_is_input_order(self, specs, serial):
-        reversed_result = SweepExecutor(jobs=2, mode="thread").run(
+        reversed_result = SweepExecutor(jobs=2).run(
             list(reversed(specs)), swept=["voxel_size"]
         )
         assert [r.meta["tag"] for r in reversed_result] == [
@@ -209,66 +208,6 @@ class TestSessionSweepParams:
             Session(jobs=0)
 
 
-class TestShardSplitting:
-    def make_grid(self, n=32):
-        base = ExperimentSpec(scene="lego", resolution_scale=SCALE)
-        return sweep(
-            base, cfus_per_hfu=list(range(1, 9)), ffus_per_hfu=list(range(1, 5))
-        )[:n]
-
-    def test_split_produces_sub_shards_with_broadcast_flag(self):
-        executor = SweepExecutor(jobs=4)
-        members = list(enumerate(self.make_grid(32)))
-        units = executor.split([members])
-        assert len(units) == 4
-        assert all(unit.is_sub_shard for unit in units)
-        assert [len(unit.members) for unit in units] == [8, 8, 8, 8]
-        # Contiguous split: concatenation reproduces the original order.
-        flattened = [pair for unit in units for pair in unit.members]
-        assert flattened == members
-
-    def test_small_shards_are_not_split(self):
-        executor = SweepExecutor(jobs=4)
-        members = list(enumerate(self.make_grid(SHARD_SPLIT_THRESHOLD - 1)))
-        units = executor.split([members])
-        assert len(units) == 1
-        assert not units[0].is_sub_shard
-
-    def test_split_never_exceeds_jobs(self):
-        executor = SweepExecutor(jobs=2)
-        units = executor.split([list(enumerate(self.make_grid(32)))])
-        assert len(units) == 2
-
-    def test_split_disabled_by_zero_threshold(self):
-        executor = SweepExecutor(jobs=4, split_threshold=0)
-        units = executor.split([list(enumerate(self.make_grid(32)))])
-        assert len(units) == 1
-
-    def test_single_context_grid_fans_out(self):
-        """A fig13-shaped grid (one scene context, many cheap specs) must
-        not collapse onto one worker."""
-        specs = self.make_grid(32)
-        serial = Session().run_sweep(specs)
-        executor = SweepExecutor(jobs=2, mode="thread")
-        result = executor.run(specs)
-        assert result.table_dict() == serial.table_dict()
-        report = result.meta["execution"]
-        assert report["shards"] == 1
-        assert report["sub_shards"] >= 2
-        assert report["split_shards"] == 1
-        assert report["broadcast_contexts"] == 1
-        assert report["workers"] == 2
-
-    def test_broadcast_context_is_built_once_in_the_calling_session(self):
-        session = Session(jobs=2)
-        specs = self.make_grid(32)
-        session.run_sweep(specs)
-        # The split shard's context was built by the caller (broadcast),
-        # not once per sub-shard worker.
-        assert session.context_misses == 1
-        session.close()
-
-
 class TestPersistentPool:
     def test_second_sweep_reuses_the_pool(self, specs, serial):
         with Session(jobs=2) as session:
@@ -282,7 +221,7 @@ class TestPersistentPool:
             assert session.worker_pool().created == 1
 
     def test_executor_without_session_uses_ephemeral_pool(self, specs):
-        executor = SweepExecutor(jobs=2, mode="thread")
+        executor = SweepExecutor(jobs=2)
         result = executor.run(specs, swept=["voxel_size"])
         assert result.meta["execution"]["pool"] == "ephemeral"
 
@@ -300,7 +239,7 @@ class TestExecutionReport:
         assert report["mode"] == "serial"
         assert report["specs"] == len(specs)
         assert report["shards"] == 2
-        assert len(report["shard_times_s"]) == report["sub_shards"]
+        assert len(report["shard_times_s"]) == report["shards"]
         assert report["wall_time_s"] > 0
         assert session.last_execution.to_dict() == report
 
@@ -308,7 +247,7 @@ class TestExecutionReport:
         session = Session()
         session.run_sweep(specs, swept=["voxel_size"])
         summary = session.last_execution.summary()
-        for token in ("mode=", "shards=", "sub_shards=", "pool=", "reuse=", "wall="):
+        for token in ("mode=", "shards=", "pool=", "reuse=", "wall="):
             assert token in summary
 
     def test_store_counters_in_report(self, tmp_path, specs):
@@ -319,69 +258,3 @@ class TestExecutionReport:
         assert cold.meta["execution"]["cache_misses"] == len(specs)
         assert warm.meta["execution"]["cache_hits"] == len(specs)
         assert warm.meta["execution"]["shards"] == 0
-
-
-class TestAdaptiveSplitThreshold:
-    def test_no_observation_uses_static_default(self):
-        from repro.api.executor import adaptive_split_threshold
-
-        assert adaptive_split_threshold(None) == SHARD_SPLIT_THRESHOLD
-        assert adaptive_split_threshold(0.0) == SHARD_SPLIT_THRESHOLD
-
-    def test_expensive_specs_lower_the_threshold(self):
-        from repro.api.executor import SUB_SHARD_MIN_SPECS, adaptive_split_threshold
-
-        # 2 s per spec: even tiny shards are worth splitting, down to the
-        # dispatch-overhead floor.
-        assert adaptive_split_threshold(2.0) == SUB_SHARD_MIN_SPECS
-
-    def test_cheap_specs_keep_the_static_cutoff(self):
-        from repro.api.executor import adaptive_split_threshold
-
-        # Microsecond specs: splitting would be pure overhead; the policy
-        # never exceeds the static default.
-        assert adaptive_split_threshold(1e-6) == SHARD_SPLIT_THRESHOLD
-
-    def test_threshold_scales_with_observed_cost(self):
-        from repro.api.executor import (
-            SPLIT_MIN_SHARD_SECONDS,
-            SUB_SHARD_MIN_SPECS,
-            adaptive_split_threshold,
-        )
-
-        mid = adaptive_split_threshold(SPLIT_MIN_SHARD_SECONDS / 6)
-        assert SUB_SHARD_MIN_SPECS <= mid <= SHARD_SPLIT_THRESHOLD
-        assert adaptive_split_threshold(10.0) <= mid
-
-    def test_session_seeds_threshold_from_last_execution(self):
-        from repro.api.executor import ExecutionReport, SUB_SHARD_MIN_SPECS
-
-        session = Session()
-        assert session.split_threshold() == SHARD_SPLIT_THRESHOLD
-        session.last_execution = ExecutionReport(
-            cache_misses=4, shard_times_s=[4.0, 4.0]
-        )
-        assert session.split_threshold() == SUB_SHARD_MIN_SPECS
-        # A warm run that evaluated nothing carries no cost signal.
-        session.last_execution = ExecutionReport(cache_misses=0, shard_times_s=[])
-        assert session.split_threshold() == SHARD_SPLIT_THRESHOLD
-
-    def test_report_records_split_threshold(self, specs):
-        session = Session()
-        result = session.run_sweep(specs, swept=["voxel_size"])
-        assert (
-            result.meta["execution"]["split_threshold"] == SHARD_SPLIT_THRESHOLD
-        )
-        assert session.last_execution.per_spec_seconds is not None
-
-    def test_sweep_after_expensive_run_uses_adapted_threshold(self, specs):
-        from repro.api.executor import ExecutionReport, SUB_SHARD_MIN_SPECS
-
-        session = Session()
-        session.last_execution = ExecutionReport(
-            cache_misses=2, shard_times_s=[3.0, 3.0]
-        )
-        result = session.run_sweep(specs, swept=["voxel_size"])
-        assert (
-            result.meta["execution"]["split_threshold"] == SUB_SHARD_MIN_SPECS
-        )

@@ -2,10 +2,11 @@
 
 Every failure mode the scheduling layer promises to survive is simulated
 here: a worker raising mid-shard (the offending spec must be named), pool
-creation failing (graceful degradation process -> thread -> serial), a
-worker dying mid-run (degrade and recompute), and a persistent pool
-breaking (discarded, not reused).  After any failure the result store must
-hold no orphaned temporary files — atomic writes either land or vanish.
+creation failing (the shards run serially in the caller), a worker dying
+mid-run (only the unfinished shards are recomputed in the caller), and a
+persistent pool breaking (discarded, not reused).  After any failure the
+result store must hold no orphaned temporary files — atomic writes either
+land or vanish.
 """
 
 import concurrent.futures
@@ -73,6 +74,21 @@ class _DyingPool:
         pass
 
 
+class _HalfDyingPool(_DyingPool):
+    """A process pool that finishes the first shard, then loses its workers."""
+
+    def __init__(self, max_workers=None):
+        self.submitted = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        if self.submitted > 1:
+            return super().submit(fn, *args, **kwargs)
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class _UnbuildablePool:
     """A pool class whose construction itself fails (rlimits, sandboxes)."""
 
@@ -97,22 +113,23 @@ class TestWorkerRaisesMidShard:
         grid = list(specs) + [
             ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
         ]
-        executor = SweepExecutor(jobs=2, mode="thread")
+        executor = SweepExecutor(jobs=2)
         with pytest.raises(SpecEvaluationError, match="boom"):
             executor.run(grid)
 
     def test_spec_errors_are_not_mistaken_for_pool_failures(
         self, poisoned_run_point, specs
     ):
-        """A ValueError from user code must not trigger thread degradation
+        """A ValueError from user code must not trigger serial degradation
         (which would re-run the failing grid and raise late)."""
         grid = list(specs) + [
             ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
         ]
-        executor = SweepExecutor(jobs=2, mode="thread")
+        executor = SweepExecutor(jobs=2)
         with pytest.raises(SpecEvaluationError):
             executor.run(grid)
-        assert executor.report.mode == "thread"  # never degraded
+        assert executor.report.mode == "process"  # never degraded
+        assert executor.report.degraded_reason == ""
 
     def test_failed_sweep_leaves_no_orphaned_store_files(
         self, poisoned_run_point, specs, tmp_path
@@ -121,7 +138,7 @@ class TestWorkerRaisesMidShard:
         grid = list(specs) + [
             ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
         ]
-        executor = SweepExecutor(jobs=2, mode="thread", store=store)
+        executor = SweepExecutor(jobs=2, store=store)
         with pytest.raises(SpecEvaluationError):
             executor.run(grid)
         # Atomic writes either landed or vanished; nothing half-written.
@@ -132,29 +149,16 @@ class TestWorkerRaisesMidShard:
 
 
 class TestPoolCreationFailure:
-    def test_process_pool_failure_degrades_to_threads(
-        self, specs, serial, monkeypatch
-    ):
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _UnbuildablePool
-        )
-        executor = SweepExecutor(jobs=2, mode="process")
-        result = executor.run(specs, swept=["voxel_size"])
-        assert result.table_dict() == serial.table_dict()
-        assert executor.report.mode == "thread"
-
     def test_total_pool_failure_degrades_to_serial(self, specs, serial, monkeypatch):
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", _UnbuildablePool
         )
-        monkeypatch.setattr(
-            concurrent.futures, "ThreadPoolExecutor", _UnbuildablePool
-        )
-        executor = SweepExecutor(jobs=2, mode="process")
+        executor = SweepExecutor(jobs=2)
         result = executor.run(specs, swept=["voxel_size"])
         assert result.table_dict() == serial.table_dict()
         assert executor.report.mode == "serial"
         assert executor.report.pool == "none"
+        assert "no more processes" in executor.report.degraded_reason
 
     def test_session_pool_failure_also_reaches_serial(
         self, specs, serial, monkeypatch
@@ -163,40 +167,56 @@ class TestPoolCreationFailure:
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", _UnbuildablePool
         )
-        monkeypatch.setattr(
-            concurrent.futures, "ThreadPoolExecutor", _UnbuildablePool
-        )
         with Session(jobs=2) as session:
             result = session.run_sweep(specs, swept=["voxel_size"])
             assert result.table_dict() == serial.table_dict()
             assert session.last_execution.mode == "serial"
+            assert "no more processes" in session.last_execution.degraded_reason
+            assert session.worker_pool().size == 0
 
 
 class TestWorkerDeath:
-    def test_dying_workers_degrade_to_threads_and_recompute(
+    def test_dying_workers_degrade_to_serial_and_recompute(
         self, specs, serial, monkeypatch
     ):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _DyingPool)
-        executor = SweepExecutor(jobs=2, mode="process")
+        executor = SweepExecutor(jobs=2)
         result = executor.run(specs, swept=["voxel_size"])
         assert result.table_dict() == serial.table_dict()
-        assert executor.report.mode == "thread"
+        assert executor.report.mode == "serial"
+        assert "worker died" in executor.report.degraded_reason
 
-    def test_broken_persistent_pool_is_discarded(self, serial, monkeypatch):
-        # A fig13-shaped grid large enough to pick process mode.
-        grid = sweep(
-            ExperimentSpec(scene="lego", resolution_scale=SCALE),
-            cfus_per_hfu=(1, 2, 3, 4),
-            ffus_per_hfu=(1, 2),
+    def test_only_unfinished_shards_are_recomputed(self, specs, serial, monkeypatch):
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _HalfDyingPool
         )
+        with Session(jobs=2) as session:
+            result = session.run_sweep(specs, swept=["voxel_size"])
+            report = session.last_execution
+            assert result.table_dict() == serial.table_dict()
+            assert report.mode == "serial"
+            assert "worker died" in report.degraded_reason
+            # The pool finished the first shard; the caller evaluated only
+            # the second, building its context and nothing else.
+            assert session.context_misses == 1
+            assert session.points_run == 1
+            assert all(seconds > 0 for seconds in report.shard_times_s)
+
+    def test_broken_persistent_pool_is_discarded(self, specs, serial, monkeypatch):
         with Session(jobs=2) as session:
             with monkeypatch.context() as patched:
                 patched.setattr(
                     concurrent.futures, "ProcessPoolExecutor", _DyingPool
                 )
-                session.run_sweep(grid)
-            assert session.last_execution.mode == "thread"
+                session.run_sweep(specs, swept=["voxel_size"])
+            assert session.last_execution.mode == "serial"
+            assert session.last_execution.degraded_reason
             pool = session.worker_pool()
-            # The broken process pool was discarded, the thread pool kept.
-            assert pool.size("process") == 0
-            assert pool.size("thread") >= 1
+            assert pool.size == 0
+            assert pool.stats()["alive"] == 0
+            # The next sweep builds a fresh, working pool instead of
+            # reusing the broken one.
+            result = session.run_sweep(specs, swept=["voxel_size"])
+            assert session.last_execution.mode == "process"
+            assert pool.created == 2
+            assert result.table_dict() == serial.table_dict()

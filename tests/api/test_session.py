@@ -149,12 +149,12 @@ class TestLifecycle:
     def test_close_shuts_the_pool_down(self):
         session = Session()
         pool = session.worker_pool()
-        executor = pool.executor("thread", 2)
+        executor = pool.executor(2)
         assert executor.submit(int, "7").result() == 7
         session.close()
         assert pool.closed
         with pytest.raises(RuntimeError, match="closed"):
-            pool.executor("thread", 2)
+            pool.executor(2)
 
     def test_close_drops_contexts_and_renderers(self):
         session = Session()
@@ -175,13 +175,6 @@ class TestLifecycle:
         with Session() as session:
             pool = session.worker_pool()
         assert pool.closed
-
-    def test_adopt_context_feeds_spec_context(self, session, lego_spec):
-        donor = session.spec_context(lego_spec)
-        other = Session()
-        other.adopt_context(lego_spec, donor)
-        assert other.spec_context(lego_spec) is donor
-        assert other.context_misses == 0
 
 
 class TestDefaultSession:

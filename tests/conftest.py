@@ -76,12 +76,11 @@ def shm_leak_audit():
     """Fail the run if the suite leaks shared-memory segments.
 
     Snapshot ``/dev/shm`` before any test runs, close the process-default
-    session at teardown (its registry legitimately holds segments while
-    tests share it), then require that every repro-created segment visible
-    at the end already existed at the start — segments left behind by
-    *other* processes (a crashed earlier run, a concurrently running
-    daemon) must not fail this suite, but segments this run created and
-    lost must.
+    session at teardown (shutting its worker pool down), then require that
+    every repro-created segment visible at the end already existed at the
+    start — segments left behind by *other* processes (a crashed earlier
+    run, a concurrently running daemon) must not fail this suite, but
+    segments this run created and lost must.
     """
     from repro.api.shm import leaked_segments
 
@@ -96,5 +95,5 @@ def shm_leak_audit():
     leaked = sorted(set(leaked_segments()) - before)
     assert not leaked, (
         f"test run leaked {len(leaked)} shared-memory segment(s): {leaked}; "
-        "some registry was not closed (Session.close/ShmRegistry.close)"
+        "some registry was not closed (ShmRegistry.close)"
     )

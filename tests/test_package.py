@@ -42,9 +42,8 @@ def test_api_surface_exported():
 
 def test_legacy_import_paths_still_work():
     # Thin aliases kept for pre-API consumers.
-    from repro.analysis import clear_context_cache, get_scene_context, run_fig12
+    from repro.analysis import run_fig12
     from repro.analysis.runner import EXPERIMENTS, run_experiment
 
-    assert callable(get_scene_context) and callable(clear_context_cache)
     assert callable(run_fig12)
     assert "fig12" in EXPERIMENTS and callable(run_experiment)
