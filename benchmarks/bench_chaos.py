@@ -17,7 +17,7 @@ one terminal outcome.  ``--check`` gates on:
 * the journal drains empty after graceful shutdown;
 * the daemon's ``healthz`` returns to ``healthy`` within a bounded
   recovery window (quarantined actors retired, breakers closed);
-* no leaked shared-memory segments, no orphaned store temp files;
+* no orphaned store temp files;
 * at least four distinct fault points actually fired (the run really
   was chaotic, not a vacuous pass);
 * the disabled injector's fast path stays under a microsecond-scale
@@ -40,7 +40,6 @@ from pathlib import Path
 
 from repro import chaos
 from repro.api import append_trajectory
-from repro.api.shm import leaked_segments
 from repro.chaos import FaultPlan, FaultRule
 from repro.fleet import RequestClass, generate_trace, replay_trace, summarize_replay
 from repro.service import ServiceClient, ServiceConfig, ServiceDaemon
@@ -176,7 +175,6 @@ def main(argv=None) -> int:
     )
 
     overhead_s = measure_disabled_overhead()
-    shm_before = set(leaked_segments())
 
     with tempfile.TemporaryDirectory(prefix="bench-chaos-") as workdir:
         cache_dir = str(Path(workdir) / "store")
@@ -218,7 +216,6 @@ def main(argv=None) -> int:
         ]
         healed_entries = len(list(Path(workdir).rglob("*.corrupt")))
 
-    leaked = sorted(set(leaked_segments()) - shm_before)
     summary = summarize_replay(report, window_s=trace.duration_s / args.speed)
     overall = summary["overall"]
     chaos_stats = metrics.get("chaos") or {}
@@ -250,7 +247,7 @@ def main(argv=None) -> int:
     )
     print(
         f"recovery={recovery_s:.2f}s journal_left={journal_left} "
-        f"healed_store_entries={healed_entries} leaked_shm={leaked} "
+        f"healed_store_entries={healed_entries} "
         f"orphaned_tmp={orphaned_tmp} "
         f"disabled_overhead={overhead_s * 1e9:.0f} ns/call"
     )
@@ -259,7 +256,6 @@ def main(argv=None) -> int:
     ok_none_lost = not lost
     ok_journal_drained = journal_left == 0
     ok_recovered = 0.0 <= recovery_s <= RECOVERY_BOUND_S
-    ok_no_leaks = not leaked
     ok_no_orphans = not orphaned_tmp
     ok_chaotic = len(fired) >= 4
     ok_overhead = overhead_s < DISABLED_OVERHEAD_BUDGET_S
@@ -269,7 +265,6 @@ def main(argv=None) -> int:
             ok_none_lost,
             ok_journal_drained,
             ok_recovered,
-            ok_no_leaks,
             ok_no_orphans,
             ok_chaotic,
             ok_overhead,
@@ -304,7 +299,6 @@ def main(argv=None) -> int:
         "supervision": metrics["supervision"],
         "journal_left": journal_left,
         "healed_store_entries": healed_entries,
-        "leaked_shm": len(leaked),
         "orphaned_store_tmp": len(orphaned_tmp),
         "disabled_overhead_ns": round(overhead_s * 1e9, 1),
         "clean": clean,
@@ -341,9 +335,6 @@ def main(argv=None) -> int:
                 f"{RECOVERY_BOUND_S}s (recovery_s={recovery_s})",
                 file=sys.stderr,
             )
-            failed = True
-        if not ok_no_leaks:
-            print(f"FAIL: leaked shared-memory segments: {leaked}", file=sys.stderr)
             failed = True
         if not ok_no_orphans:
             print(f"FAIL: orphaned store temp files: {orphaned_tmp}", file=sys.stderr)

@@ -23,8 +23,8 @@ Appends one entry to the ``BENCH_fleet.json`` trajectory::
     PYTHONPATH=src python benchmarks/bench_fleet.py --check --speed 5
 
 ``--check`` exits non-zero when any gate fails: full replay completion,
-no leaked shared-memory segments, no orphaned store temp files, frontier
-parity, evaluation savings, warm-resume zero renders.  Latency bars are
+no orphaned store temp files, frontier parity, evaluation savings,
+warm-resume zero renders.  Latency bars are
 deliberately absent: CI hosts are too noisy for wall-clock gates; the
 trajectory records the curve instead.
 """
@@ -40,7 +40,6 @@ from pathlib import Path
 
 from repro.api import append_trajectory
 from repro.api.session import Session
-from repro.api.shm import leaked_segments
 from repro.api.spec import ExperimentSpec
 from repro.fleet import (
     default_classes,
@@ -87,8 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true", help="fail on any gate")
     parser.add_argument("--output", default=str(TRAJECTORY_PATH))
     args = parser.parse_args(argv)
-
-    shm_before = set(leaked_segments())
 
     # ------------------------------------------------------------------
     # Phase 1: trace replay over the wire.
@@ -205,9 +202,7 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------
     # Gates and trajectory entry.
     # ------------------------------------------------------------------
-    leaked = sorted(set(leaked_segments()) - shm_before)
     ok_all_completed = overall["completed"] == len(trace)
-    ok_no_leaks = not leaked
     ok_no_orphans = not orphaned_tmp
 
     entry = {
@@ -246,11 +241,9 @@ def main(argv=None) -> int:
             "mean_power_w": round(fleet["mean_power_w"], 6),
             "devices_required": round(fleet["devices_required"], 4),
         },
-        "leaked_shm": len(leaked),
         "orphaned_store_tmp": len(orphaned_tmp),
         "clean": all(
-            (ok_all_completed, ok_no_leaks, ok_no_orphans, ok_frontier,
-             ok_savings, ok_warm)
+            (ok_all_completed, ok_no_orphans, ok_frontier, ok_savings, ok_warm)
         ),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -266,9 +259,6 @@ def main(argv=None) -> int:
                 "complete over the wire",
                 file=sys.stderr,
             )
-            failed = True
-        if not ok_no_leaks:
-            print(f"FAIL: leaked shared-memory segments: {leaked}", file=sys.stderr)
             failed = True
         if not ok_no_orphans:
             print(f"FAIL: orphaned store temp files: {orphaned_tmp}", file=sys.stderr)

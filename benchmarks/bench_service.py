@@ -12,7 +12,7 @@ cache, the fair queue and the actor fleet together.
 Reports per-request latency (p50/p95), aggregate throughput and the
 daemon's own metrics (rejects, degradations, retries), asserts the run
 was clean — zero rejects with the default sizing, graceful drain, no
-leaked shared-memory segments, no orphaned store temp files — and
+orphaned store temp files — and
 appends the measurement to the ``BENCH_service.json`` trajectory::
 
     PYTHONPATH=src python benchmarks/bench_service.py
@@ -35,7 +35,6 @@ import time
 from pathlib import Path
 
 from repro.api import append_trajectory
-from repro.api.shm import leaked_segments
 from repro.service import ServiceClient, ServiceConfig, ServiceDaemon
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -97,7 +96,6 @@ def main(argv=None) -> int:
 
     scenes = [s for s in args.scenes.split(",") if s]
     scales = [float(s) for s in args.scales.split(",") if s]
-    shm_before = set(leaked_segments())
 
     with tempfile.TemporaryDirectory(prefix="bench-service-store-") as cache_dir:
         daemon = ServiceDaemon(
@@ -143,7 +141,6 @@ def main(argv=None) -> int:
             str(p) for p in Path(cache_dir).rglob("*") if p.name.endswith(".tmp")
         ]
 
-    leaked = sorted(set(leaked_segments()) - shm_before)
     total = args.clients * args.requests
     requests_meta = metrics["requests"]
     p50 = percentile(latencies, 0.50)
@@ -164,13 +161,12 @@ def main(argv=None) -> int:
     )
     print(
         f"supervision: {metrics['supervision']}  "
-        f"store: {metrics['store']}  leaked_shm={leaked} "
+        f"store: {metrics['store']}  "
         f"orphaned_tmp={orphaned_tmp}"
     )
 
     ok_all_completed = len(latencies) == total and not errors
     ok_zero_rejects = requests_meta["rejected"] == 0
-    ok_no_leaks = not leaked
     ok_no_orphans = not orphaned_tmp
 
     entry = {
@@ -196,9 +192,8 @@ def main(argv=None) -> int:
         "supervision": metrics["supervision"],
         "store_hits": (metrics["store"] or {}).get("hits", 0),
         "engine_renderer_hits": metrics["engine"]["renderer_hits"],
-        "leaked_shm": len(leaked),
         "orphaned_store_tmp": len(orphaned_tmp),
-        "clean": ok_all_completed and ok_zero_rejects and ok_no_leaks and ok_no_orphans,
+        "clean": ok_all_completed and ok_zero_rejects and ok_no_orphans,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     append_trajectory(args.output, entry)
@@ -219,9 +214,6 @@ def main(argv=None) -> int:
                 "despite retry backoff headroom",
                 file=sys.stderr,
             )
-            failed = True
-        if not ok_no_leaks:
-            print(f"FAIL: leaked shared-memory segments: {leaked}", file=sys.stderr)
             failed = True
         if not ok_no_orphans:
             print(f"FAIL: orphaned store temp files: {orphaned_tmp}", file=sys.stderr)

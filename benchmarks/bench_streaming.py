@@ -14,10 +14,14 @@ to the ``BENCH_streaming.json`` trajectory next to this script::
 speedup over the reference loop, the images disagree, or any statistic
 differs, which makes the script usable as a CI gate.  With
 ``--tile-workers N`` (N > 1) the frame path is additionally timed split
-across N processes over shared memory: parallel/one-process parity
-(images within 1e-9, statistics exactly equal) is always gated, and the
-parallel speedup bar (``--min-parallel-speedup``) is enforced on
-multi-core hosts and recorded-but-skipped on single-CPU ones.
+across N processes on warm tile workers, after one untimed first frame
+that starts the workers and ships them the renderer (its cost is recorded
+on its own): parallel/one-process parity (images within 1e-9, statistics
+exactly equal) is always gated, and the parallel speedup bar
+(``--min-parallel-speedup``, read on the median of back-to-back
+one-process/parallel frame pairs) is enforced on multi-core hosts and
+recorded-but-skipped on single-CPU ones.  Every run also records the
+process count ``tile_workers=None`` chooses for the frame.
 """
 
 from __future__ import annotations

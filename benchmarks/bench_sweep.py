@@ -7,6 +7,10 @@ so the shards are independent), times it several ways —
 * **serial** — one fresh :class:`~repro.api.session.Session`, ``jobs=1``;
 * **parallel** — a fresh :class:`~repro.api.executor.SweepExecutor` with
   ``--jobs N``, whose shards run on an ephemeral process pool;
+
+  serial and parallel each run :data:`REPEATS` times, alternating which
+  goes first, and the recorded times and the gated speedup are the
+  medians (one run of each is a noisy sample);
 * **warm** — the same grid against a cold then warm
   :class:`~repro.api.store.ResultStore`, asserting the warm run hits the
   store for every spec and performs **zero** renders;
@@ -29,8 +33,8 @@ measurements to the ``BENCH_sweep.json`` trajectory next to
 
 ``--check`` exits non-zero when results diverge, the store misbehaves, the
 warm pool is not reused (or is drastically slower than the cold one), the
-one-shard grid leaves the caller, or (on multi-core hosts) the parallel
-run fails the speedup bar; on a
+one-shard grid leaves the caller, or (on multi-core hosts) the median
+parallel speedup fails the bar; on a
 single-CPU host the speedup gate is skipped — the hardware cannot overlap
 the shards — while every correctness assertion still applies.
 """
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -47,9 +52,12 @@ from pathlib import Path
 from repro.analysis.sensitivity import FIG13_CFUS, FIG13_FFUS
 from repro.api import ExperimentSpec, ResultStore, Session, SweepExecutor, append_trajectory, sweep
 
-#: Default acceptance bar: parallel speedup over serial (loose — CI runners
-#: are shared and noisy; the real curve lives in the trajectory).
+#: Default acceptance bar: parallel speedup over serial, both medians (loose
+#: — CI runners are shared and noisy; the real curve lives in the trajectory).
 REQUIRED_SPEEDUP = 1.05
+
+#: Runs of the serial and of the parallel phase (the gate reads their medians).
+REPEATS = 5
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
@@ -74,13 +82,13 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="fail on result divergence, store misbehaviour, or (multi-core "
-        "hosts) speedup < --min-speedup",
+        "hosts) median speedup < --min-speedup",
     )
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=REQUIRED_SPEEDUP,
-        help=f"parallel-over-serial bar for --check (default {REQUIRED_SPEEDUP}x)",
+        help=f"median parallel-over-serial bar for --check (default {REQUIRED_SPEEDUP}x)",
     )
     parser.add_argument(
         "--output",
@@ -98,25 +106,32 @@ def main(argv=None) -> int:
         f"{args.resolution_scale}, voxel sizes {voxel_sizes})"
     )
 
-    # Serial reference: one session, shared in-process state, no store.
-    start = time.perf_counter()
-    serial = Session().run_sweep(specs, swept=["voxel_size"], cache=False)
-    serial_s = time.perf_counter() - start
-    print(f"serial           : {serial_s:6.2f}s")
-
-    # Sharded parallel run: fresh process pool, nothing warm, no store.
-    executor = SweepExecutor(jobs=args.jobs)
-    start = time.perf_counter()
-    parallel = executor.run(specs, swept=["voxel_size"])
-    parallel_s = time.perf_counter() - start
+    # Serial reference (one session, shared in-process state, no store)
+    # against the sharded parallel run (fresh process pool, nothing warm,
+    # no store), each run REPEATS times in alternating order.
+    samples: dict = {"serial": [], "parallel": []}
+    tables = []
+    for index in range(REPEATS):
+        for phase in ("serial", "parallel")[:: 1 if index % 2 == 0 else -1]:
+            start = time.perf_counter()
+            if phase == "serial":
+                serial = result = Session().run_sweep(specs, swept=["voxel_size"], cache=False)
+            else:
+                executor = SweepExecutor(jobs=args.jobs)
+                result = executor.run(specs, swept=["voxel_size"])
+            samples[phase].append(time.perf_counter() - start)
+            tables.append(result.table_dict())
+    serial_s = statistics.median(samples["serial"])
+    parallel_s = statistics.median(samples["parallel"])
     speedup = serial_s / parallel_s if parallel_s > 0 else 0.0
+    print(f"serial           : {serial_s:6.2f}s (median of {REPEATS})")
     print(
-        f"parallel jobs={args.jobs}  : {parallel_s:6.2f}s "
-        f"({executor.report.shards} shards, mode={executor.report.mode}, "
+        f"parallel jobs={args.jobs}  : {parallel_s:6.2f}s (median of {REPEATS}; "
+        f"{executor.report.shards} shards, mode={executor.report.mode}, "
         f"speedup {speedup:.2f}x, pickled {executor.report.pickled_bytes} B)"
     )
 
-    parity_ok = parallel.table_dict() == serial.table_dict()
+    parity_ok = all(table == tables[0] for table in tables)
     print(f"serial/parallel results identical: {parity_ok}")
 
     # Persistent-pool behaviour: two sweeps on one session — the second
@@ -195,9 +210,12 @@ def main(argv=None) -> int:
         "specs": len(specs),
         "jobs": args.jobs,
         "cpu_count": os.cpu_count(),
+        "repeats": REPEATS,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
         "speedup": speedup,
+        "serial_samples_s": samples["serial"],
+        "parallel_samples_s": samples["parallel"],
         "pool_cold_s": pool_cold_s,
         "pool_warm_s": pool_warm_s,
         "pool_reuse": pool_reuse,
@@ -259,12 +277,12 @@ def main(argv=None) -> int:
             )
         elif speedup < args.min_speedup:
             print(
-                f"FAIL: parallel speedup {speedup:.2f}x < {args.min_speedup}x",
+                f"FAIL: median parallel speedup {speedup:.2f}x < {args.min_speedup}x",
                 file=sys.stderr,
             )
             failed = True
         else:
-            print(f"OK: parallel speedup {speedup:.2f}x >= {args.min_speedup}x")
+            print(f"OK: median parallel speedup {speedup:.2f}x >= {args.min_speedup}x")
         if failed:
             return 1
     return 0

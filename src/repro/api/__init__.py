@@ -60,14 +60,6 @@ from repro.api.spec import (
 )
 from repro.api.store import ResultStore, append_trajectory, spec_key
 from repro.api.pool import WorkerPool
-from repro.api.shm import (
-    SharedArrayHandle,
-    SharedMemoryUnavailable,
-    ShmPackage,
-    ShmRegistry,
-    leaked_segments,
-    shm_available,
-)
 from repro.api.executor import (
     ExecutionReport,
     ScheduleReport,
@@ -92,10 +84,6 @@ __all__ = [
     "ResultStore",
     "ScheduleReport",
     "Session",
-    "SharedArrayHandle",
-    "SharedMemoryUnavailable",
-    "ShmPackage",
-    "ShmRegistry",
     "SpecEvaluationError",
     "SweepExecutor",
     "SweepResult",
@@ -104,10 +92,8 @@ __all__ = [
     "append_trajectory",
     "get_default_session",
     "jsonify",
-    "leaked_segments",
     "reset_default_session",
     "schedule_experiments",
-    "shm_available",
     "spec_key",
     "sweep",
 ]

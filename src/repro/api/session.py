@@ -6,7 +6,9 @@ ground truths and paper-scale workloads), and a seeded RNG, so repeated
 runs share prepared state.  Everything the repository can do is reachable
 from it:
 
-* ``session.render(model, camera)`` — one render through the shared engine;
+* ``session.render(model, camera)`` — one render through the shared engine
+  (a renderer's later frames on one process per CPU, see
+  :mod:`repro.engine.tile_parallel`);
 * ``session.render("train", "orbit", frames=24)`` — a whole trajectory
   workload (named path or explicit camera list, or a full
   :class:`~repro.api.spec.TrajectorySpec`) rendered frame by frame, with
@@ -186,8 +188,13 @@ class Session:
           :class:`~repro.api.spec.TrajectorySpec` workload.
 
         ``options`` (:class:`~repro.engine.service.RenderOptions`) controls
-        execution — tile workers and resolution scale.
-        Trajectory forms leave their per-frame telemetry in
+        execution — tile workers and resolution scale.  By default the
+        renderer chooses the process count: from a renderer's second frame
+        on, a large frame rendered on the main thread runs on one process
+        per CPU available (see :mod:`repro.engine.tile_parallel`).  The
+        output, per-Gaussian weights included, is bit-identical to a
+        one-process frame whatever the count.  Trajectory forms leave
+        their per-frame telemetry in
         ``session.service.last_trajectory``; named trajectories render with
         :meth:`TrajectorySpec.streaming_config`, explicit camera lists with
         ``config`` as passed.

@@ -1,9 +1,9 @@
 """Seeded, deterministic fault injection for the service stack.
 
-The service daemon, actors, supervisor, result store and shm registry
-each expose *named fault points* — ``chaos.fault("journal.torn_write")``
-calls at the exact spots where real systems tear, wedge, and run out of
-disk.  With no injector installed (the default, and the production
+The service daemon, actors, supervisor and result store each expose
+*named fault points* — ``chaos.fault("journal.torn_write")`` calls at the
+exact spots where real systems tear, wedge, and run out of disk.  With no
+injector installed (the default, and the production
 state) ``fault()`` is a single global-``None`` check: zero overhead, no
 locks, no counters.  Tests and the chaos benchmark install a
 :class:`ChaosInjector` built from a :class:`FaultPlan`

@@ -60,9 +60,6 @@ FAULT_POINTS: Dict[str, str] = {
         "raise ENOSPC from a result-store put (cache fills degrade to "
         "best-effort, never fail the request)"
     ),
-    "shm.attach_fail": (
-        "fail a shared-memory segment attach with SharedMemoryUnavailable"
-    ),
 }
 
 

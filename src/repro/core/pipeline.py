@@ -34,8 +34,10 @@ than tile by tile, in four stages whose wall times land in
 The voxel-at-a-time loop (``streaming_kernel="reference"``), blending
 through :func:`~repro.engine.kernels.blend_reference`, is the oracle the
 frame path is held to: statistics exactly equal, images within 1e-9.
-With ``tile_workers > 1`` processes render disjoint runs of whole column
-blocks (:mod:`repro.engine.tile_parallel`), bit for bit like one process.
+Several processes can render disjoint runs of whole column blocks
+(:mod:`repro.engine.tile_parallel`): ``tile_workers`` asks for a count,
+and by default the renderer chooses one.  The frame equals one process's
+bit for bit.
 
 Besides the image, the renderer produces :class:`StreamingStats` — the
 complete workload description (Gaussians streamed, filter pass rates, DRAM
@@ -237,10 +239,14 @@ class StreamingRenderOutput:
     ``telemetry`` carries per-frame execution metadata — deliberately
     outside :class:`StreamingStats` so workload statistics stay comparable
     across render paths: ``path`` (``"frame"`` or ``"reference"``),
-    ``tile_workers``, ``tiles``, ``tile_mode``
+    ``tile_workers`` (the process count used; ``tile_auto`` says why when
+    the renderer chose it), ``tiles``, ``tile_mode``
     (``"serial"`` or ``"process"``, plus ``tile_mode_degraded`` with the
-    reason when processes could not be used), ``stages_s`` (wall seconds
-    per stage, see the module docstring), ``seconds`` and, on the frame
+    reason when processes could not be used; process frames add
+    ``shipped_bytes``, ``ship_s`` and each tile worker's telemetry in
+    ``workers``, see :mod:`repro.engine.tile_parallel`), ``stages_s``
+    (wall seconds per stage of this process, see the module docstring),
+    ``seconds`` and, on the frame
     path, ``blend_pairs``: the (Gaussian, pixel) pairs the tiles' streams
     ``offered`` the blend and the pairs it ``kept`` after footprint
     culling (see :func:`~repro.engine.kernels.blend_streaming`).
@@ -306,29 +312,36 @@ class StreamingRenderer:
         self.frame_cache = FrameCache(capacity=self.config.frame_cache_size)
 
     # ------------------------------------------------------------------
-    def prepare_frame(self, camera: Camera) -> FramePreparation:
+    def prepare_frame(
+        self, camera: Camera, tiles: Optional[Tuple[int, int]] = None
+    ) -> FramePreparation:
         """View geometry of one camera pose, memoized in the frame cache.
 
         Builds (or reuses) the per-voxel depth map, the per-tile voxel
-        ordering tables and the topologically sorted global voxel orders.
-        The preparation depends only on the voxel grid and the camera, never
-        on the Gaussian parameters, so it is safe to share across renders.
+        ordering tables and the topologically sorted global voxel orders
+        of the tiles ``tiles = (lo, hi)`` — every tile by default.  A
+        tile's table and order depend only on its own rays, so the
+        preparation of a run of tiles is the whole frame's restricted to
+        the run.  The preparation depends only on the voxel grid and the
+        camera, never on the Gaussian parameters, so it is safe to share
+        across renders.
         """
         config = self.config
+        tile_grid = TileGrid(camera.width, camera.height, config.tile_size)
+        lo, hi = tiles or (0, tile_grid.num_tiles)
         key = frame_key(
             camera,
             tile_size=config.tile_size,
             ray_stride=config.ray_stride,
             max_voxels_per_ray=config.max_voxels_per_ray,
+            tiles=None if (lo, hi) == (0, tile_grid.num_tiles) else (lo, hi),
         )
         cached = self.frame_cache.get(key)
         if cached is not None:
             return cached
-        tile_grid = TileGrid(camera.width, camera.height, config.tile_size)
         depth_map = voxel_depth_values(self.grid, camera)
         tile_bounds = {
-            tile_id: tile_grid.tile_pixel_bounds(tile_id)
-            for tile_id in range(tile_grid.num_tiles)
+            tile_id: tile_grid.tile_pixel_bounds(tile_id) for tile_id in range(lo, hi)
         }
         tables = ordering_tables_for_tiles(
             self.grid,
@@ -350,7 +363,9 @@ class StreamingRenderer:
         """Whether frames render through the frame path (else the oracle)."""
         return self.config.streaming_kernel == "vectorized"
 
-    def render(self, camera: Camera, tile_workers: int = 1) -> StreamingRenderOutput:
+    def render(
+        self, camera: Camera, tile_workers: Optional[int] = None
+    ) -> StreamingRenderOutput:
         """Render one frame.
 
         Parameters
@@ -359,13 +374,19 @@ class StreamingRenderer:
             The rendering camera.
         tile_workers:
             Processes rendering disjoint runs of whole column blocks
-            concurrently; ``1`` (default) renders the frame in this process.
-            Images are identical and statistics deterministic for any
-            worker count.  When processes cannot be used (daemonic caller,
-            no shared memory, pool failure) the frame renders in this
-            process and ``telemetry["tile_mode_degraded"]`` records why.
+            concurrently: this one and ``tile_workers - 1`` warm tile
+            workers (:mod:`repro.engine.tile_parallel`), capped by the
+            frame's block count; ``1`` renders the frame in this process.
+            ``None`` (default) lets
+            :func:`~repro.engine.tile_parallel.auto_tile_workers` choose
+            (``telemetry["tile_auto"]`` says why): one process per CPU for
+            large frames of a renderer used before, one process otherwise.
+            The image, alpha and statistics are bit-identical for any
+            worker count.  What a tile worker cannot render (daemonic
+            caller, a worker that died) renders in this process, and
+            ``telemetry["tile_mode_degraded"]`` records why.
         """
-        if tile_workers < 1:
+        if tile_workers is not None and tile_workers < 1:
             raise ValueError(f"tile_workers must be >= 1, got {tile_workers}")
         started = time.perf_counter()
         tile_grid = TileGrid(camera.width, camera.height, self.config.tile_size)
@@ -376,25 +397,15 @@ class StreamingRenderer:
         tile_bounds = [
             tile_grid.tile_pixel_bounds(tile_id) for tile_id in range(tile_grid.num_tiles)
         ]
-        orders = self._tile_headers(self.prepare_frame(camera), stats)
+        blocks = column_blocks([(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in tile_bounds])
         stages: Dict[str, float] = {"prepare": time.perf_counter() - started}
         pairs = {"offered": 0, "kept": 0}
-        blocks = column_blocks([(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in tile_bounds])
-        workers = min(tile_workers, len(blocks) - 1)
+        from repro.engine.tile_parallel import render_tiles
 
-        if workers > 1:
-            from repro.engine.tile_parallel import render_tiles_process
-
-            parallel = render_tiles_process(
-                self, camera, tile_bounds, orders, blocks, workers,
-                image, alpha_img, stats, stages, pairs,
-            )
-        else:
-            parallel = {"tile_mode": "serial"}
-            self._render_tiles(
-                camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages,
-                pairs,
-            )
+        parallel = render_tiles(
+            self, camera, tile_bounds, blocks, tile_workers,
+            image, alpha_img, stats, stages, pairs,
+        )
 
         # Final pixel writes are the only off-chip writes of the pipeline.
         stats.traffic = stats.traffic.merge(
@@ -406,7 +417,7 @@ class StreamingRenderer:
             stats=stats,
             telemetry={
                 "path": "frame" if self.frame_path else "reference",
-                "tile_workers": workers,
+                "tile_workers": parallel.pop("tile_workers"),
                 "tiles": tile_grid.num_tiles,
                 **parallel,
                 "stages_s": stages,
@@ -415,18 +426,43 @@ class StreamingRenderer:
             },
         )
 
+    def _render_run(
+        self,
+        camera: Camera,
+        tile_bounds: Sequence[Bounds],
+        blocks: np.ndarray,
+        image: np.ndarray,
+        alpha_img: np.ndarray,
+        stats: StreamingStats,
+        stages: Dict[str, float],
+        pairs: Dict[str, int],
+    ) -> None:
+        """Prepare, render and account the tiles of a run of whole column blocks.
+
+        The run's tiles ``blocks[0]:blocks[-1]`` are prepared on their own
+        (:meth:`prepare_frame` with ``tiles``), their ordering-table and
+        DAG headers accounted, and rendered by :meth:`_render_tiles`; the
+        preparation's wall time is added to ``stages["prepare"]``.
+        """
+        started = time.perf_counter()
+        preparation = self.prepare_frame(camera, (int(blocks[0]), int(blocks[-1])))
+        orders = self._tile_headers(preparation, stats)
+        stages["prepare"] = stages.get("prepare", 0.0) + time.perf_counter() - started
+        self._render_tiles(
+            camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages, pairs
+        )
+
     def _tile_headers(
         self, preparation: FramePreparation, stats: StreamingStats
     ) -> List[np.ndarray]:
-        """Record every tile's ordering-table/DAG accounting.
+        """Record the ordering-table/DAG accounting of the prepared tiles.
 
         Returns the tiles' voxel orders (the streams both render paths
-        walk), indexed by tile id.
+        walk), in tile order.
         """
         orders: List[np.ndarray] = []
         entries = 0
-        for tile_id in range(preparation.num_tiles):
-            table = preparation.tile_tables[tile_id]
+        for tile_id, table in preparation.tile_tables.items():
             stats.rays_sampled += table.rays_sampled
             entries += table.total_entries
             order_result = preparation.tile_orders[tile_id]
@@ -453,12 +489,12 @@ class StreamingRenderer:
         """Render the tiles of a run of whole column blocks.
 
         ``blocks`` holds tile offsets (see
-        :func:`~repro.engine.kernels.column_blocks`); the tiles
-        ``blocks[0]:blocks[-1]`` are rendered into ``image`` /
-        ``alpha_img`` and accounted into ``stats`` (their headers already
-        are), each stage's wall time is added to ``stages``, and the
-        frame path adds the (Gaussian, pixel) pairs its blend was offered
-        and kept to ``pairs``.
+        :func:`~repro.engine.kernels.column_blocks`) and ``orders`` the
+        voxel orders of the run's tiles; the tiles ``blocks[0]:blocks[-1]``
+        are rendered into ``image`` / ``alpha_img`` and accounted into
+        ``stats`` (their headers already are), each stage's wall time is
+        added to ``stages``, and the frame path adds the (Gaussian, pixel)
+        pairs its blend was offered and kept to ``pairs``.
         """
         clock = time.perf_counter
         lo, hi = int(blocks[0]), int(blocks[-1])
@@ -466,7 +502,8 @@ class StreamingRenderer:
             started = clock()
             for tile_id in range(lo, hi):
                 self._render_tile_reference(
-                    camera, tile_bounds[tile_id], orders[tile_id], image, alpha_img, stats
+                    camera, tile_bounds[tile_id], orders[tile_id - lo],
+                    image, alpha_img, stats,
                 )
             stages["reference"] = stages.get("reference", 0.0) + clock() - started
             return
@@ -474,7 +511,7 @@ class StreamingRenderer:
         started = clock()
         bounds = tile_bounds[lo:hi]
         filtered = self.filter.filter_voxel_batch(
-            self.render_model, self.grid, orders[lo:hi], bounds, camera
+            self.render_model, self.grid, orders, bounds, camera
         )
         filtered_at = clock()
         xs, ys, column_offsets = tile_columns(bounds)

@@ -18,6 +18,9 @@ top of this subsystem:
 * :mod:`repro.engine.service` — :class:`RenderService`, the batched
   front-end that shares renderers and prepared frames across many
   (model, camera, config) requests;
+* :mod:`repro.engine.tile_parallel` — warm tile workers: forked
+  processes that each hold the renderers sent to them once and render
+  runs of a frame's column blocks;
 * :mod:`repro.engine.bench` — the kernel micro-benchmark behind the
   ``engine`` analysis experiment and ``benchmarks/bench_engine.py``.
 """

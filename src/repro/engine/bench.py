@@ -72,6 +72,16 @@ def benchmark_camera(width: int = 160, height: int = 120) -> Camera:
 #: The kernel benchmark's contenders: display name -> ``TileRasterizer`` path.
 KERNEL_CONTENDERS = {"reference loop": "reference", "frame blend": "vectorized"}
 
+#: Back-to-back (one process, parallel) frame pairs behind the streaming
+#: benchmark's ``parallel_speedup``.
+PARALLEL_PAIRS = 9
+
+#: Seconds of parallel frames rendered before the pairs are timed.  On a
+#: 2-vCPU host, a second CPU that sat idle (the reference loop renders in
+#: one process) ran parallel frames at 0.74-1.05x of one process for the
+#: first ~2 s of load and at 1.5-1.9x after.
+PARALLEL_WARMUP_S = 2.0
+
 
 @dataclass
 class KernelBenchResult:
@@ -230,13 +240,27 @@ class StreamingBenchResult:
     #: Parallel-path execution record (populated when ``tile_workers > 1``):
     #: the mode that actually ran (``process``, or ``serial`` after a
     #: degradation), the parity of the parallel frame against the
-    #: one-process frame, and the zero-copy accounting of the process path.
+    #: one-process frame, the untimed first parallel frame (wall seconds,
+    #: including starting the workers, and the pickled renderer it
+    #: shipped with the time to pickle it) and the largest request a warm
+    #: frame sent a worker.
     tile_mode: str = ""
     parallel_image_delta: float = 0.0
     parallel_stats_equal: bool = True
     parallel_stats_detail: str = ""
-    shm_segments: int = 0
-    pickled_bytes: int = 0
+    first_parallel_seconds: float = 0.0
+    shipped_bytes: int = 0
+    ship_seconds: float = 0.0
+    request_bytes: int = 0
+    #: Median, over :data:`PARALLEL_PAIRS` back-to-back pairs, of the
+    #: one-process frame's time over the parallel frame's (0 when
+    #: unmeasured); ``seconds["vectorized_parallel"]`` is the median
+    #: parallel frame.
+    parallel_speedup: float = 0.0
+    #: The process count ``tile_workers=None`` chooses for the frame of a
+    #: renderer in use, and why.
+    auto_tile_workers: int = 0
+    tile_auto: str = ""
 
     @property
     def speedup(self) -> float:
@@ -245,12 +269,6 @@ class StreamingBenchResult:
         vectorized = self.seconds.get("vectorized", 0.0)
         return reference / vectorized if vectorized else 0.0
 
-    @property
-    def parallel_speedup(self) -> float:
-        """Vectorized one-process time over parallel time (0 when unmeasured)."""
-        vectorized = self.seconds.get("vectorized", 0.0)
-        parallel = self.seconds.get("vectorized_parallel", 0.0)
-        return vectorized / parallel if parallel else 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -272,8 +290,12 @@ class StreamingBenchResult:
             "parallel_image_delta": self.parallel_image_delta,
             "parallel_stats_equal": self.parallel_stats_equal,
             "parallel_stats_detail": self.parallel_stats_detail,
-            "shm_segments": self.shm_segments,
-            "pickled_bytes": self.pickled_bytes,
+            "first_parallel_seconds": self.first_parallel_seconds,
+            "shipped_bytes": self.shipped_bytes,
+            "ship_seconds": self.ship_seconds,
+            "request_bytes": self.request_bytes,
+            "auto_tile_workers": self.auto_tile_workers,
+            "tile_auto": self.tile_auto,
         }
 
     def format(self) -> str:
@@ -289,6 +311,10 @@ class StreamingBenchResult:
             f"max |image delta| = {self.max_image_delta:.3g}; "
             f"stats {'EQUAL' if self.stats_equal else 'DIFFER: ' + self.stats_detail}"
         )
+        lines.append(
+            f"  tile_workers=None chooses {self.auto_tile_workers} process(es) "
+            f"({self.tile_auto})"
+        )
         if self.tile_workers > 1:
             lines.append(
                 f"  parallel frame ({self.tile_workers} workers, "
@@ -299,8 +325,10 @@ class StreamingBenchResult:
             )
             if self.tile_mode == "process":
                 lines.append(
-                    f"  zero-copy transport: {self.shm_segments} shm segment(s), "
-                    f"{self.pickled_bytes} pickled bytes per dispatch"
+                    f"  first parallel frame {self.first_parallel_seconds * 1e3:.1f} ms "
+                    f"(shipped a {self.shipped_bytes}-byte renderer, pickled in "
+                    f"{self.ship_seconds * 1e3:.1f} ms); warm frames send "
+                    f"{self.request_bytes} bytes per worker"
                 )
         return "\n".join(lines)
 
@@ -380,8 +408,10 @@ def run_trajectory_benchmark(
 ) -> TrajectoryBenchResult:
     """Time a registered camera trajectory, frame by frame.
 
-    The frame-preparation cache is disabled (a repeat pass would replay
-    whole frames), so every frame pays its traversal and topological sort.
+    Frames render in one process (``tile_workers=1``), so rows stay
+    comparable whatever the host.  The frame-preparation cache is disabled
+    (a repeat pass would replay whole frames), so every frame pays its
+    traversal and topological sort.
     The middle frame is then rendered once more, untimed, and checked
     against the reference path.
     """
@@ -408,7 +438,8 @@ def run_trajectory_benchmark(
         stages: Dict[str, float] = {}
         start = time.perf_counter()
         for camera in cameras:
-            for name, seconds in renderer.render(camera).telemetry["stages_s"].items():
+            telemetry = renderer.render(camera, tile_workers=1).telemetry
+            for name, seconds in telemetry["stages_s"].items():
                 stages[name] = stages.get(name, 0.0) + seconds
         elapsed = time.perf_counter() - start
         if elapsed < result.seconds:
@@ -419,7 +450,7 @@ def run_trajectory_benchmark(
 
     result.checked_frame = len(cameras) // 2
     camera = cameras[result.checked_frame]
-    output = renderer.render(camera)
+    output = renderer.render(camera, tile_workers=1)
     reference = StreamingRenderer(
         model,
         renderer.config.with_options(streaming_kernel="reference"),
@@ -446,11 +477,15 @@ def run_streaming_benchmark(
 
     Frame preparation (ray traversal, topological sort) is warmed first so
     the timings isolate the per-voxel render path the two kernels differ
-    in.  ``tile_workers > 1`` additionally times the vectorized path split
-    across that many processes over shared memory and records the
-    parallel frame's parity against the one-process frame plus the
-    zero-copy transport accounting.  A warm-up parallel render runs untimed
-    first so pool start-up does not bias the steady-state timing.
+    in; both render in one process.  Two untimed frames record what
+    ``tile_workers=None`` chooses for the frame of a renderer in use
+    (``auto_tile_workers``, ``tile_auto``).  ``tile_workers > 1`` additionally times the
+    vectorized path split across that many processes (warm tile workers)
+    in :data:`PARALLEL_PAIRS` back-to-back pairs with a one-process frame,
+    after :data:`PARALLEL_WARMUP_S` of untimed parallel frames, and records
+    the parallel frame's parity against the one-process frame.  The first
+    parallel frame starts the workers and ships them the renderer; its
+    wall time and shipping cost are recorded on their own.
     """
     model = benchmark_scene(num_gaussians=num_gaussians, seed=seed)
     camera = benchmark_camera(width=width, height=height)
@@ -480,22 +515,43 @@ def run_streaming_benchmark(
     for _ in range(repeats):
         for name, renderer in renderers.items():
             start = time.perf_counter()
-            outputs[name] = renderer.render(camera)
+            outputs[name] = renderer.render(camera, tile_workers=1)
             best[name] = min(best[name], time.perf_counter() - start)
     if tile_workers > 1:
-        parallel_output = renderers["vectorized"].render(
-            camera, tile_workers=tile_workers
+        vectorized = renderers["vectorized"]
+        start = time.perf_counter()
+        parallel_output = vectorized.render(camera, tile_workers=tile_workers)
+        result.first_parallel_seconds = time.perf_counter() - start
+        telemetry = parallel_output.telemetry
+        result.shipped_bytes = int(telemetry.get("shipped_bytes", 0))
+        result.ship_seconds = float(telemetry.get("ship_s", 0.0))
+        warm_until = time.perf_counter() + PARALLEL_WARMUP_S
+        while time.perf_counter() < warm_until:
+            vectorized.render(camera, tile_workers=tile_workers)
+        # Back-to-back (one process, parallel) pairs, order alternated; the
+        # speedup is the median of the pairs' ratios, since a best-of on
+        # each side reads a moment's scheduling as speed.
+        pairs = []
+        for index in range(PARALLEL_PAIRS):
+            seconds: Dict[int, float] = {}
+            for workers in (1, tile_workers)[:: 1 if index % 2 == 0 else -1]:
+                start = time.perf_counter()
+                frame = vectorized.render(camera, tile_workers=workers)
+                seconds[workers] = time.perf_counter() - start
+                if workers > 1:
+                    telemetry = frame.telemetry
+            pairs.append(seconds)
+        best["vectorized_parallel"] = float(
+            np.median([pair[tile_workers] for pair in pairs])
         )
-        result.tile_mode = str(parallel_output.telemetry.get("tile_mode", ""))
-        result.shm_segments = int(parallel_output.telemetry.get("shm_segments", 0))
-        result.pickled_bytes = int(parallel_output.telemetry.get("pickled_bytes", 0))
-        best["vectorized_parallel"] = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            renderers["vectorized"].render(camera, tile_workers=tile_workers)
-            best["vectorized_parallel"] = min(
-                best["vectorized_parallel"], time.perf_counter() - start
-            )
+        result.parallel_speedup = float(
+            np.median([pair[1] / pair[tile_workers] for pair in pairs])
+        )
+        result.tile_mode = str(telemetry.get("tile_mode", ""))
+        result.request_bytes = max(
+            (int(worker["request_bytes"]) for worker in telemetry.get("workers", [])),
+            default=0,
+        )
         serial_vectorized = outputs["vectorized"]
         result.parallel_image_delta = float(
             np.max(np.abs(parallel_output.image - serial_vectorized.image))
@@ -504,6 +560,12 @@ def run_streaming_benchmark(
             streaming_stats_equal(serial_vectorized.stats, parallel_output.stats)
         )
     result.seconds = dict(best)
+    # What ``tile_workers=None`` picks for this frame of a renderer in
+    # use (its first such frame may only mark the renderer as in use).
+    for _ in range(2):
+        telemetry = renderers["vectorized"].render(camera).telemetry
+    result.auto_tile_workers = int(telemetry["tile_workers"])
+    result.tile_auto = str(telemetry["tile_auto"])
 
     reference, vectorized = outputs["reference"], outputs["vectorized"]
     result.max_image_delta = float(

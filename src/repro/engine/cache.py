@@ -8,10 +8,12 @@ parameters being blended.  Repeated renders of the same view (benchmark
 sweeps, fine-tuning probes, batched service requests) can therefore reuse
 one :class:`FramePreparation`.
 
-The cache is a small LRU keyed by ``(camera pose, traversal parameters)``;
-the owning renderer holds one cache per voxel grid, so grid changes can
-never alias.  Statistics recorded from cached preparations are identical to
-freshly computed ones — the cache memoizes work, not accounting.
+The cache is a small LRU keyed by ``(camera pose, traversal parameters)``,
+plus the tile range for the preparation of one run of tiles (a
+process-parallel frame prepares each process's run on its own); the owning
+renderer holds one cache per voxel grid, so grid changes can never alias.
+Statistics recorded from cached preparations are identical to freshly
+computed ones — the cache memoizes work, not accounting.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class FrameCache:
         if self.capacity < 0:
             raise ValueError("capacity must be non-negative")
 
-    # Renderers travel pickled to process-parallel frame workers;
-    # locks are not picklable, so rebuild one on the receiving side.
+    # Renderers travel pickled to tile workers; locks are not picklable,
+    # so rebuild one on the receiving side.
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         state.pop("_lock", None)
@@ -123,11 +125,23 @@ class FrameCache:
         return self.hits / total if total else 0.0
 
 
-def frame_key(camera, *, tile_size: int, ray_stride: int, max_voxels_per_ray: int) -> Tuple:
-    """Cache key of a prepared frame: camera pose plus traversal parameters."""
-    return (
+def frame_key(
+    camera,
+    *,
+    tile_size: int,
+    ray_stride: int,
+    max_voxels_per_ray: int,
+    tiles: Optional[Tuple[int, int]] = None,
+) -> Tuple:
+    """Cache key of a prepared frame: camera pose plus traversal parameters.
+
+    ``tiles = (lo, hi)`` keys the preparation of tiles ``lo:hi`` only;
+    ``None`` keys the whole frame.
+    """
+    key = (
         camera.pose_key(),
         int(tile_size),
         int(ray_stride),
         int(max_voxels_per_ray),
     )
+    return key if tiles is None else key + ((int(tiles[0]), int(tiles[1])),)

@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.state import BlendState
+from repro.engine.state import BlendState, add_weights
 from repro.gaussians.projection import ProjectedGaussians
 
 #: Alpha-blending terminates a pixel once its transmittance drops below this.
@@ -170,9 +170,11 @@ def blend_reference(
             )
             state.depth_violations += int(np.count_nonzero(violated))
             key = int(gid) if model_indices is None else int(model_indices[gid])
-            state.gaussian_weights[key] += float(weight.sum())
+            add_weights(state.gaussian_weights, key, float(weight.sum()))
             if np.any(violated):
-                state.gaussian_violation_weights[key] += float(weight[violated].sum())
+                add_weights(
+                    state.gaussian_violation_weights, key, float(weight[violated].sum())
+                )
             state.max_depth = np.where(
                 contributes, np.maximum(state.max_depth, depth), state.max_depth
             )
@@ -378,8 +380,10 @@ def blend_streaming(
     With ``model_indices``, contributions that arrive out of depth order
     are counted per tile, and per-Gaussian blended and out-of-order weights
     are added in place into ``weights`` / ``violation_weights`` at
-    ``model_indices[row]``.  Without it neither is tracked (a depth-sorted
-    stream has no out-of-order contributions) and ``violations`` is zero.
+    ``model_indices[row]`` (recorded instead when they are
+    :class:`~repro.engine.state.WeightLog` objects).  Without it neither is
+    tracked (a depth-sorted stream has no out-of-order contributions) and
+    ``violations`` is zero.
 
     Transmittance comes from one cumulative product per chunk, seeded with
     the incoming transmittance.  The transmittance chain, the contribution
@@ -580,7 +584,7 @@ def blend_streaming(
         for target, parts in ((weights, blended), (violation_weights, out_of_order)):
             if parts:
                 ids, sums = zip(*parts)
-                np.add.at(target, np.concatenate(ids), np.concatenate(sums))
+                add_weights(target, np.concatenate(ids), np.concatenate(sums))
 
     # Back from subtiles to tiles: a saturation position in a culled stream
     # names an entry of the tile's stream, and counts sum over subtiles.

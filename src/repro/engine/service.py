@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer, StreamingRenderOutput
+from repro.engine.tile_parallel import release_renderers
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RenderOutput, TileRasterizer
@@ -85,18 +86,25 @@ class RenderOptions:
     Attributes
     ----------
     tile_workers:
-        Processes rendering the frame's column blocks concurrently
-        (``1`` = in the calling process).
+        Processes rendering the frame's column blocks concurrently: the
+        calling process and ``tile_workers - 1`` warm tile workers
+        (:mod:`repro.engine.tile_parallel`); ``1`` renders in the calling
+        process.  ``None``, the default, lets the renderer choose
+        (:func:`~repro.engine.tile_parallel.auto_tile_workers`): one
+        process per CPU for large frames of a renderer used before, one
+        process for a renderer's first frame (context builds, fine-tuning
+        probes), off the main thread (daemon actors) and in pool workers
+        (sweep shards).
     resolution_scale:
         Scale factor applied to the request camera's resolution (and
         focal lengths); ``1.0`` renders at the camera's native size.
     """
 
-    tile_workers: int = 1
+    tile_workers: Optional[int] = None
     resolution_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.tile_workers < 1:
+        if self.tile_workers is not None and self.tile_workers < 1:
             raise ValueError(f"tile_workers must be >= 1, got {self.tile_workers}")
         if not self.resolution_scale > 0:
             raise ValueError(
@@ -135,7 +143,9 @@ class RenderService:
     max_renderers:
         Number of streaming renderers kept alive; building one is the
         expensive part (voxel grid, layout, optional VQ fit), so requests
-        that revisit a (model, config) pair reuse it.
+        that revisit a (model, config) pair reuse it.  A renderer the
+        service evicts (or drops on :meth:`clear`) leaves the tile workers
+        too.
     """
 
     def __init__(self, max_renderers: int = DEFAULT_RENDERER_CACHE_SIZE) -> None:
@@ -192,11 +202,13 @@ class RenderService:
         # keys are not serialized.  A racing duplicate build of the same
         # key is rare and harmless: last writer wins.
         renderer = StreamingRenderer(model, config)
+        evicted = []
         with self._lock:
             self._renderers[key] = renderer
             self.peak_renderers = max(self.peak_renderers, len(self._renderers))
             while len(self._renderers) > self.max_renderers:
-                self._renderers.popitem(last=False)
+                evicted.append(self._renderers.popitem(last=False)[1])
+        release_renderers(evicted)
         return renderer
 
     @staticmethod
@@ -356,16 +368,18 @@ class RenderService:
             }
 
     def clear(self) -> None:
-        """Drop every cached renderer (counters are kept)."""
+        """Drop every cached renderer, from the tile workers too (counters are kept)."""
         with self._lock:
+            renderers = list(self._renderers.values())
             self._renderers.clear()
+        release_renderers(renderers)
 
     def close(self) -> None:
         """Release held state; alias of :meth:`clear` for lifecycle symmetry.
 
         :meth:`Session.close` calls this so shutting a session down frees
-        renderer memory (voxel grids, layouts, codebooks) along with the
-        worker pool.
+        renderer memory (voxel grids, layouts, codebooks), in this process
+        and in the tile workers, along with the worker pool.
         """
         self.clear()
 

@@ -11,14 +11,67 @@ The per-Gaussian weight bookkeeping is held in dense NumPy arrays indexed by
 the frame-level statistics arrays of :class:`repro.core.pipeline.StreamingStats`
 directly into the state, so kernels accumulate attribution in place and the
 O(voxels x gaussians) dict copies of the old per-voxel diffing are gone.
+A :class:`WeightLog` bound in their place records the additions instead,
+to be made on the frame's arrays later in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Union
 
 import numpy as np
+
+
+class WeightLog:
+    """Per-Gaussian weight additions recorded in order instead of made.
+
+    The blend kernels take a log wherever they take a weight array
+    (:func:`add_weights`).  :meth:`replay` then makes the additions on an
+    array in the order they were recorded, which leaves it bit for bit as
+    making them there would have: a tile worker renders its run into logs,
+    and the calling process replays them after its own run, so the frame's
+    weights equal a one-process frame's.  Additions of ``0.0`` are dropped;
+    they change no weight (weights are sums of non-negative terms).
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._ids: List[np.ndarray] = []
+        self._sums: List[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return self.size
+
+    def add(self, ids, sums) -> None:
+        sums = np.atleast_1d(np.asarray(sums, dtype=np.float64))
+        kept = sums != 0.0
+        self._ids.append(np.atleast_1d(np.asarray(ids, dtype=np.int64))[kept])
+        self._sums.append(sums[kept])
+
+    def replay(self, target: np.ndarray) -> None:
+        """Make the recorded additions on ``target``, in order."""
+        if self._ids:
+            np.add.at(target, np.concatenate(self._ids), np.concatenate(self._sums))
+
+    def __getstate__(self) -> dict:
+        # One pair of arrays travels, not one pair per recorded block.
+        ids = np.concatenate(self._ids) if self._ids else np.zeros(0, dtype=np.int64)
+        sums = np.concatenate(self._sums) if self._sums else np.zeros(0)
+        return {"size": self.size, "_ids": [ids], "_sums": [sums]}
+
+
+def add_weights(target: Union[np.ndarray, WeightLog], ids, sums) -> None:
+    """``np.add.at(target, ids, sums)``, or recorded when ``target`` is a log.
+
+    ``ids`` is an array of Gaussian ids (repeats add up in order) or one id.
+    """
+    if isinstance(target, WeightLog):
+        target.add(ids, sums)
+    elif isinstance(ids, (int, np.integer)):
+        target[ids] += sums
+    else:
+        np.add.at(target, ids, sums)
 
 
 @dataclass

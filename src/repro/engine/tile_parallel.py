@@ -1,245 +1,439 @@
-"""Process-parallel frame rendering over shared memory.
+"""Process-parallel frames on warm tile workers.
 
-With ``tile_workers = N > 1`` the renderer cuts the frame's column blocks
+A frame renders on ``N`` processes: the renderer cuts its column blocks
 (:func:`~repro.engine.kernels.column_blocks`) into ``N`` contiguous runs
-of equally many whole blocks and renders the runs concurrently: the
-calling process renders the first run itself while a process pool renders
-the others.  Every
-block blends identically whatever else its process renders, and the frame
-path's projections do not depend on the batch they are computed in, so
-the frame is bit-identical to a one-process render (images and integer
-statistics exactly equal; per-Gaussian weights within 1e-9, summed in a
-different order).
+of equally many whole blocks, the calling process renders the first run
+and ``N - 1`` tile workers render the others.  Each process prepares its
+own run — ray traversal, voxel order and header accounting of the run's
+tiles only (:meth:`StreamingRenderer.prepare_frame` with ``tiles``) — and
+then filters, blends and accounts it.  A tile's preparation depends only
+on its own rays and every block blends identically whatever else its
+process renders; a worker records its run's per-Gaussian weight
+additions (:class:`~repro.engine.state.WeightLog`) and the caller makes
+them after its own run, in the order one process would have.  So images,
+alpha and every statistic, weights included, equal a one-process frame
+bit for bit, whatever ``N`` is.
 
-All large transfers are zero-copy:
+``tile_workers=N`` asks for ``N`` (capped by the frame's blocks);
+``tile_workers=None``, the default of :class:`StreamingRenderer.render`
+and :class:`~repro.engine.service.RenderOptions`, lets
+:func:`auto_tile_workers` choose from what it can see: one process per CPU
+(:func:`available_cpus`) and per :data:`AUTO_PIXELS_PER_PROCESS` pixels,
+but one process for a renderer's first frame (a renderer that renders
+once — a context build, a fine-tuning probe — never pays to travel), off
+the main thread (daemon actors and other threads already render
+concurrently) and in a daemonic process (a pool worker cannot fork).
 
-* the renderer (without its frame cache), the camera and the current
-  frame's tile rectangles and voxel orders are packaged **once per render**
-  with :class:`~repro.api.shm.ShmPackage` — model and grid arrays go into
-  shared-memory segments that workers attach read-only, and no worker
-  repeats the traversal or the topological sort;
-* the image, alpha and per-Gaussian weight accumulators are **writable
-  shared buffers**: workers write their tiles' pixels and their private
-  weight row in place, so no render output is ever pickled;
-* each worker returns one int64 row of summed scalar statistics plus its
-  sort-length list and its blend's pair counts, and the frame absorbs the
-  runs **in order**, which is tile order.
+Tile workers are forked processes with one pipe each, started by the
+first parallel frame and kept for the life of the process.  No shared
+memory is involved; what travels is:
 
-The worker pool is a lazily created, process-wide ``ProcessPoolExecutor``
-(fork start method when the platform offers it — the cheap path; spawn
-works too since everything a worker needs arrives via the package), grown
-on demand and shut down at interpreter exit.  Anything that stops the
-process path before dispatch — daemonic caller, no usable shared memory,
-publish failure — leaves the whole frame to the calling process; a pool
-that fails after dispatch (worker death) is discarded and the caller
-renders the other runs too.  The frame telemetry records the reason
-either way.
+* **once per renderer and worker**: the renderer, pickled without the
+  entries of its frame cache, with the first frame that needs it there
+  (``telemetry["shipped_bytes"]``).  The worker keeps it, with a frame
+  cache of its own, until :func:`release_renderers` drops it — the owning
+  :class:`~repro.engine.service.RenderService` calls it when it evicts the
+  renderer or closes — or the renderer is garbage-collected;
+* **per frame, to each worker**: the camera, the tile rectangles and the
+  worker's run (``request_bytes`` in the worker's telemetry);
+* **per frame, back**: the run's pixels, its ``StreamingStats`` (summed
+  counters and sort lengths), its weight logs and blend pair counts, by
+  value.  The frame absorbs the runs in run order, which is tile order.
+
+Each worker also reports its ``stages_s``, CPU seconds, peak RSS and
+whether the renderer travelled with the frame (``telemetry["workers"]``).
+A worker that cannot be started or fails mid-frame (killed, broken pipe)
+is discarded and its run renders in the calling process, with
+``telemetry["tile_mode_degraded"]`` saying why; the next parallel frame
+starts a fresh worker.  So is a worker whose exchange the caller cut
+short (an interrupt mid-request), whose pipe may hold half a request or
+an unread reply.
 """
 
 from __future__ import annotations
 
 import atexit
-import concurrent.futures
+import collections
 import copy
+import itertools
 import multiprocessing
 import os
 import pickle
+import signal
+import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+import weakref
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.api.shm import (
-    SharedArrayHandle,
-    SharedMemoryUnavailable,
-    ShmPackage,
-    ShmRegistry,
-    shm_available,
-)
-from repro.core.hierarchical_filter import FilterStats
-from repro.core.data_layout import LayoutTraffic
 from repro.engine.cache import FrameCache
+from repro.engine.state import WeightLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle)
-    from repro.core.pipeline import StreamingRenderer, StreamingStats
+    from repro.core.pipeline import Bounds, StreamingRenderer, StreamingStats
 
-#: Scalar int64 columns of one run's statistics row, in absorb order:
-#: the plain counters of ``StreamingStats`` followed by the fields of its
-#: nested ``FilterStats`` and ``LayoutTraffic`` records.
-STAT_COLUMNS: Tuple[str, ...] = (
-    "num_tile_voxel_pairs",
-    "rays_sampled",
-    "ordering_table_entries",
-    "dag_edges",
-    "dag_nodes",
-    "cycles_broken",
-    "gaussians_streamed",
-    "blended_fragments",
-    "blended_fragment_slots",
-    "sorted_gaussians",
-    "max_voxel_list_length",
-    "rendered_gaussian_slots",
-    "depth_order_errors",
-)
-FILTER_COLUMNS: Tuple[str, ...] = (
-    "gaussians_in",
-    "coarse_tested",
-    "coarse_passed",
-    "fine_tested",
-    "fine_passed",
-    "coarse_macs",
-    "fine_macs",
-)
-TRAFFIC_COLUMNS: Tuple[str, ...] = (
-    "first_half_bytes",
-    "second_half_bytes",
-    "pixel_write_bytes",
-    "metadata_bytes",
-)
-ROW_WIDTH = len(STAT_COLUMNS) + len(FILTER_COLUMNS) + len(TRAFFIC_COLUMNS)
+#: Seconds an idle worker waits on its pipe before checking that the
+#: process that started it is still alive.
+PARENT_CHECK_S = 1.0
+
+#: Fewest pixels each process gets when ``tile_workers=None`` chooses the
+#: process count.  It is not where a second process stops paying (on a
+#: 2-CPU host two processes won 1.30-1.33x even at 32x24, 384 pixels a
+#: process, the smallest frame that splits); it keeps a worker, about
+#: 36 MB of private memory on the viewer scenes, from being spent on
+#: frames that save a few milliseconds, and bounds the process count on
+#: many-CPU hosts.
+AUTO_PIXELS_PER_PROCESS = 1024
 
 
-class TileParallelUnavailable(RuntimeError):
-    """The process path cannot run here; the frame renders in-process."""
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
 
 
-def stats_to_row(stats: "StreamingStats") -> np.ndarray:
-    """Flatten a record's scalar statistics into an int64 row."""
-    values = [getattr(stats, name) for name in STAT_COLUMNS]
-    values.extend(getattr(stats.filter, name) for name in FILTER_COLUMNS)
-    values.extend(getattr(stats.traffic, name) for name in TRAFFIC_COLUMNS)
-    return np.asarray(values, dtype=np.int64)
+def _run_mask(
+    shape: Tuple[int, int], tile_bounds: Sequence["Bounds"], blocks: np.ndarray
+) -> np.ndarray:
+    """The pixels of a run's tiles, as a boolean ``(height, width)`` mask."""
+    mask = np.zeros(shape, dtype=bool)
+    for x0, y0, x1, y1 in tile_bounds[int(blocks[0]) : int(blocks[-1])]:
+        mask[y0:y1, x0:x1] = True
+    return mask
 
 
-def row_to_stats(row: np.ndarray, sort_lengths: np.ndarray) -> "StreamingStats":
-    """Rebuild a (weight-array-free) ``StreamingStats`` record from a row."""
-    from repro.core.pipeline import StreamingStats
-
-    stats = StreamingStats()
-    offset = 0
-    for name in STAT_COLUMNS:
-        setattr(stats, name, int(row[offset]))
-        offset += 1
-    stats.filter = FilterStats(
-        **{name: int(row[offset + i]) for i, name in enumerate(FILTER_COLUMNS)}
-    )
-    offset += len(FILTER_COLUMNS)
-    stats.traffic = LayoutTraffic(
-        **{name: int(row[offset + i]) for i, name in enumerate(TRAFFIC_COLUMNS)}
-    )
-    stats.sort_list_lengths = [int(n) for n in sort_lengths]
-    return stats
+def _peak_rss_mb() -> float:
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - platforms without getrusage
+        return 0.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # ----------------------------------------------------------------------
 # Worker side.
 # ----------------------------------------------------------------------
 def _render_run(
-    package: ShmPackage,
-    image_handle: SharedArrayHandle,
-    alpha_handle: SharedArrayHandle,
-    blend_handle: SharedArrayHandle,
-    violation_handle: SharedArrayHandle,
-    weight_row: int,
+    renderer: "StreamingRenderer",
+    camera,
+    tile_bounds: Sequence["Bounds"],
     blocks: np.ndarray,
-) -> Dict[str, np.ndarray]:
-    """Render one run of blocks into the shared buffers.
+) -> Dict[str, object]:
+    """Prepare, render and account one run; return it by value.
 
-    Returns only compact arrays: one row of summed scalar statistics, the
-    run's sort-length list and its blend's offered and kept pair counts.
-    Pixels and per-Gaussian weights were already written into shared
-    memory in place.
+    The run's per-Gaussian weight additions come back as logs, for the
+    caller to replay onto its weights after its own run.
     """
     from repro.core.pipeline import StreamingStats
 
-    renderer, camera, tile_bounds, orders = package.unpack()
-    local = StreamingStats()
-    local.gaussian_blend_weight = blend_handle.array(writable=True)[weight_row]
-    local.gaussian_violation_weight = violation_handle.array(writable=True)[weight_row]
+    cpu_started = time.process_time()
+    shape = (camera.height, camera.width)
+    image = np.zeros(shape + (3,), dtype=np.float64)
+    alpha_img = np.zeros(shape, dtype=np.float64)
+    stats = StreamingStats()
+    logs = (WeightLog(len(renderer.source_model)), WeightLog(len(renderer.source_model)))
+    stats.gaussian_blend_weight, stats.gaussian_violation_weight = logs
+    stages: Dict[str, float] = {}
     pairs = {"offered": 0, "kept": 0}
-    renderer._render_tiles(
-        camera,
-        tile_bounds,
-        orders,
-        blocks,
-        image_handle.array(writable=True),
-        alpha_handle.array(writable=True),
-        local,
-        {},
-        pairs,
+    renderer._render_run(
+        camera, tile_bounds, blocks, image, alpha_img, stats, stages, pairs
     )
+    stats.gaussian_blend_weight = stats.gaussian_violation_weight = None
+    mask = _run_mask(shape, tile_bounds, blocks)
     return {
-        "row": stats_to_row(local),
-        "sort_lengths": np.asarray(local.sort_list_lengths, dtype=np.int64),
+        "pixels": image[mask],
+        "alpha": alpha_img[mask],
+        "stats": stats,
+        "weights": logs,
         "pairs": pairs,
+        "telemetry": {
+            "stages_s": stages,
+            "cpu_s": time.process_time() - cpu_started,
+            "peak_rss_mb": _peak_rss_mb(),
+        },
     }
 
 
+def _serve(conn, parent_pid: int) -> None:
+    """A tile worker's loop: serve requests until its pipe closes or it is orphaned.
+
+    Requests are pickled tuples: ``("frame", token, payload, camera,
+    tile_bounds, blocks)`` renders a run (``payload``, when not ``None``,
+    is the pickled renderer of ``token``), ``("drop", tokens)`` forgets
+    renderers and ``("held",)`` lists the renderers held.
+    """
+    # Interrupts are the caller's to handle; the worker ends with it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    renderers: Dict[int, "StreamingRenderer"] = {}
+    while True:
+        try:
+            while not conn.poll(PARENT_CHECK_S):
+                if os.getppid() != parent_pid:
+                    return
+            request = pickle.loads(conn.recv_bytes())
+        except (EOFError, OSError):
+            return
+        kind = request[0]
+        if kind == "drop":
+            for token in request[1]:
+                renderers.pop(token, None)
+            continue
+        if kind == "held":
+            reply: object = sorted(renderers)
+        else:
+            _, token, payload, camera, tile_bounds, blocks = request
+            try:
+                if payload is not None:
+                    renderers[token] = pickle.loads(payload)
+                reply = _render_run(renderers[token], camera, tile_bounds, blocks)
+                reply["telemetry"]["shipped"] = payload is not None
+            except Exception as error:  # reported; the caller renders the run
+                reply = {"error": f"{type(error).__name__}: {error}"}
+        conn.send_bytes(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 # ----------------------------------------------------------------------
-# Pool lifecycle (process-wide, grown on demand).
+# Caller side: the workers and the renderers they hold.
 # ----------------------------------------------------------------------
-_POOL: Optional[concurrent.futures.ProcessPoolExecutor] = None
-_POOL_WORKERS = 0
-_POOL_PID = 0
-
-#: Pool-level failures that send the render back to the calling process.
-_PROCESS_FAILURES = (
-    BrokenProcessPool,
-    OSError,
-    ValueError,
-    NotImplementedError,
-    RuntimeError,
-    SharedMemoryUnavailable,
-)
-
-
 def _mp_context():
     """Fork when available (cheap, copy-on-write), platform default otherwise."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _tile_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    """The shared tile pool, (re)created to hold at least ``workers``."""
-    global _POOL, _POOL_WORKERS, _POOL_PID
-    if _POOL is not None and _POOL_PID == os.getpid() and _POOL_WORKERS >= workers:
-        return _POOL
-    if _POOL is not None and _POOL_PID == os.getpid():
-        _POOL.shutdown(wait=False)
-    _POOL = concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=_mp_context()
+class _TileWorker:
+    """One tile worker process and the caller's end of its pipe."""
+
+    def __init__(self) -> None:
+        context = _mp_context()
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(child, os.getpid()), name="repro-tile-worker", daemon=True
+        )
+        try:
+            self.process.start()
+        finally:
+            child.close()
+        #: Tokens of the renderers this worker holds.
+        self.held: Set[int] = set()
+
+    def send(self, request: tuple) -> int:
+        """Send one request; returns its pickled size in bytes."""
+        data = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
+        self.conn.send_bytes(data)
+        return len(data)
+
+    def receive(self) -> Tuple[object, int]:
+        """The next reply and its pickled size in bytes."""
+        data = self.conn.recv_bytes()
+        return pickle.loads(data), len(data)
+
+    def close(self) -> None:
+        """End the worker for good."""
+        self.conn.close()
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join(timeout=5.0)
+
+
+_LOCK = threading.Lock()
+_WORKERS: List[_TileWorker] = []
+#: Renderer -> token naming it in the workers.
+_TOKENS: "weakref.WeakKeyDictionary[StreamingRenderer, int]" = weakref.WeakKeyDictionary()
+_NEXT_TOKEN = itertools.count(1)
+#: Tokens of released or collected renderers the workers still hold.
+_RELEASED: "collections.deque[int]" = collections.deque()
+
+#: Failures of a worker's pipe or process: its run renders here instead.
+_WORKER_FAILURES = (OSError, EOFError, pickle.PickleError)
+
+
+def _token(renderer: "StreamingRenderer") -> int:
+    token = _TOKENS.get(renderer)
+    if token is None:
+        token = _TOKENS[renderer] = next(_NEXT_TOKEN)
+        finalizer = weakref.finalize(renderer, _RELEASED.append, token)
+        finalizer.atexit = False
+    return token
+
+
+def _discard(worker: _TileWorker) -> None:
+    if worker in _WORKERS:
+        _WORKERS.remove(worker)
+    try:
+        worker.close()
+    except OSError:
+        pass
+
+
+def _exchange(worker: _TileWorker, request: tuple, reply: bool) -> object:
+    """Send ``request`` (and read its reply when ``reply``), lock held.
+
+    A worker whose exchange fails or is cut short may hold half a request
+    or an unread reply, so it is discarded before the error propagates.
+    """
+    try:
+        worker.send(request)
+        return worker.receive()[0] if reply else None
+    except BaseException:
+        _discard(worker)
+        raise
+
+
+def _flush_released() -> None:
+    """Tell the workers to drop every released renderer (lock held)."""
+    tokens: Set[int] = set()
+    while _RELEASED:
+        tokens.add(_RELEASED.popleft())
+    for worker in list(_WORKERS):
+        dropped = worker.held & tokens
+        if not dropped:
+            continue
+        worker.held -= dropped
+        try:
+            _exchange(worker, ("drop", sorted(dropped)), reply=False)
+        except _WORKER_FAILURES:
+            pass
+
+
+def release_renderers(renderers: Iterable["StreamingRenderer"]) -> None:
+    """Drop renderers from every tile worker (their owner let go of them).
+
+    The workers are told at once unless a frame is using them; then the
+    next frame tells them.  A renderer used again afterwards travels to
+    the workers again.
+    """
+    for renderer in renderers:
+        token = _TOKENS.pop(renderer, None)
+        if token is not None:
+            _RELEASED.append(token)
+    if _RELEASED and _LOCK.acquire(blocking=False):
+        try:
+            _flush_released()
+        finally:
+            _LOCK.release()
+
+
+def worker_renderers() -> List[List[int]]:
+    """The renderer tokens each live tile worker holds, asked of the workers."""
+    with _LOCK:
+        _flush_released()
+        held = []
+        for worker in list(_WORKERS):
+            try:
+                held.append(_exchange(worker, ("held",), reply=True))
+            except _WORKER_FAILURES:
+                pass
+        return held
+
+
+def shutdown_tile_workers() -> None:
+    """Stop every tile worker (runs at exit; the next parallel frame restarts them)."""
+    with _LOCK:
+        for worker in list(_WORKERS):
+            _discard(worker)
+        _RELEASED.clear()
+
+
+def _reset_after_fork() -> None:
+    # A forked child owns none of its parent's workers (and a lock another
+    # thread held at fork time would never be released in the child).
+    global _LOCK
+    _LOCK = threading.Lock()
+    _WORKERS.clear()
+    _RELEASED.clear()
+
+
+atexit.register(shutdown_tile_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+def _shipped(renderer: "StreamingRenderer") -> bytes:
+    """The renderer pickled for a worker, without its frame cache's entries."""
+    copied = copy.copy(renderer)
+    copied.frame_cache = FrameCache(capacity=renderer.frame_cache.capacity)
+    return pickle.dumps(copied, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+# ----------------------------------------------------------------------
+# One frame.
+# ----------------------------------------------------------------------
+def auto_tile_workers(
+    renderer: "StreamingRenderer", num_pixels: int, max_runs: int
+) -> Tuple[int, str]:
+    """The process count ``tile_workers=None`` gives a frame, and why.
+
+    ``min(CPUs, max_runs, num_pixels // AUTO_PIXELS_PER_PROCESS)`` on the
+    main thread of a process that can fork, for a renderer that rendered a
+    frame here before (or that the workers hold); one process otherwise.
+    A renderer's first frame marks it, so its second travels.
+    """
+    if multiprocessing.current_process().daemon:
+        return 1, "daemonic process"
+    if threading.current_thread() is not threading.main_thread():
+        return 1, "not the main thread"
+    cpus = available_cpus()
+    workers = min(cpus, max_runs, num_pixels // AUTO_PIXELS_PER_PROCESS)
+    reason = (
+        f"min({cpus} CPUs, {max_runs} blocks, "
+        f"{num_pixels} pixels // {AUTO_PIXELS_PER_PROCESS})"
     )
-    _POOL_WORKERS = workers
-    _POOL_PID = os.getpid()
-    return _POOL
+    if workers < 2:
+        return 1, reason
+    if renderer not in _TOKENS:
+        _token(renderer)
+        return 1, "first frame of this renderer"
+    return workers, reason
 
 
-def shutdown_tile_pool() -> None:
-    """Shut the shared tile pool down (tests; also runs at exit)."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None and _POOL_PID == os.getpid():
-        _POOL.shutdown(wait=False)
-    _POOL = None
-    _POOL_WORKERS = 0
+def render_tiles(
+    renderer: "StreamingRenderer",
+    camera,
+    tile_bounds: Sequence["Bounds"],
+    blocks: np.ndarray,
+    tile_workers: Optional[int],
+    image: np.ndarray,
+    alpha_img: np.ndarray,
+    stats: "StreamingStats",
+    stages: Dict[str, float],
+    pairs: Dict[str, int],
+) -> Dict[str, object]:
+    """Render a frame's tiles on ``tile_workers`` processes (``None``: choose).
+
+    Mutates ``image`` / ``alpha_img`` / ``stats`` / ``stages`` / ``pairs``
+    exactly like the renderer's one-process run and returns the telemetry
+    of the execution: ``tile_workers`` (the process count chosen),
+    ``tile_mode``, ``tile_auto`` (why, when ``tile_workers`` is ``None``)
+    and, for a frame on tile workers, what :func:`render_tiles_process`
+    reports.
+    """
+    max_runs = len(blocks) - 1
+    if tile_workers is None:
+        workers, reason = auto_tile_workers(renderer, camera.num_pixels, max_runs)
+        chosen: Dict[str, object] = {"tile_workers": workers, "tile_auto": reason}
+    else:
+        workers = min(tile_workers, max_runs)
+        chosen = {"tile_workers": workers}
+    if workers > 1:
+        return {
+            **chosen,
+            **render_tiles_process(
+                renderer, camera, tile_bounds, blocks, workers,
+                image, alpha_img, stats, stages, pairs,
+            ),
+        }
+    renderer._render_run(camera, tile_bounds, blocks, image, alpha_img, stats, stages, pairs)
+    return {**chosen, "tile_mode": "serial"}
 
 
-def _discard_tile_pool() -> None:
-    """Drop a broken pool so the next render builds a fresh one."""
-    shutdown_tile_pool()
-
-
-atexit.register(shutdown_tile_pool)
-
-
-# ----------------------------------------------------------------------
-# Caller side.
-# ----------------------------------------------------------------------
 def render_tiles_process(
     renderer: "StreamingRenderer",
     camera,
-    tile_bounds: Sequence[Tuple[int, int, int, int]],
-    orders: Sequence[np.ndarray],
+    tile_bounds: Sequence["Bounds"],
     blocks: np.ndarray,
     workers: int,
     image: np.ndarray,
@@ -248,155 +442,127 @@ def render_tiles_process(
     stages: Dict[str, float],
     pairs: Dict[str, int],
 ) -> Dict[str, object]:
-    """Render a frame's tiles in ``workers`` runs, all but the first in a pool.
+    """Render a frame's tiles in ``workers`` runs, all but the first on tile workers.
 
     Mutates ``image`` / ``alpha_img`` / ``stats`` / ``stages`` / ``pairs``
-    exactly like the renderer's in-process tile loop (``stages`` gains
-    ``dispatch``: the wall time not spent rendering in this process; the
-    workers' blend pair counts are summed into ``pairs``) and returns the
-    telemetry of the execution.  Whatever processes cannot render, this
-    process renders, and the telemetry records why.
-    ``KeyboardInterrupt`` propagates — the shared segments are unlinked on
-    the way out either way.
-    """
-    try:
-        return _render_runs(
-            renderer, camera, tile_bounds, orders, blocks, workers,
-            image, alpha_img, stats, stages, pairs,
-        )
-    except TileParallelUnavailable as error:
-        # Raised before anything was rendered: the whole frame renders here.
-        renderer._render_tiles(
-            camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages, pairs
-        )
-        return {"tile_mode": "serial", "tile_mode_degraded": str(error)}
-
-
-def _render_runs(
-    renderer: "StreamingRenderer",
-    camera,
-    tile_bounds: Sequence[Tuple[int, int, int, int]],
-    orders: Sequence[np.ndarray],
-    blocks: np.ndarray,
-    workers: int,
-    image: np.ndarray,
-    alpha_img: np.ndarray,
-    stats: "StreamingStats",
-    stages: Dict[str, float],
-    pairs: Dict[str, int],
-) -> Dict[str, object]:
-    """The process path of :func:`render_tiles_process`.
-
-    Raises :class:`TileParallelUnavailable`, having rendered nothing, when
-    processes cannot be used here.
+    exactly like the renderer's in-process run (``stages`` gains
+    ``dispatch``: the wall time not spent rendering in this process) and
+    returns the telemetry of the execution.  Whatever the workers cannot
+    render, this process renders, and the telemetry records why.
     """
     if multiprocessing.current_process().daemon:
-        raise TileParallelUnavailable("daemonic process cannot fork tile workers")
-    if not shm_available():
-        raise TileParallelUnavailable("no usable shared memory on this host")
+        renderer._render_run(
+            camera, tile_bounds, blocks, image, alpha_img, stats, stages, pairs
+        )
+        return {
+            "tile_mode": "serial",
+            "tile_mode_degraded": "daemonic process cannot fork tile workers",
+        }
 
     started = time.perf_counter()
+    rendering_before = sum(stages.values())
     # Runs of (give or take one) equally many whole blocks; there are at
-    # least as many blocks as workers.
+    # least as many blocks as runs.
     cuts = [(len(blocks) - 1) * run // workers for run in range(workers + 1)]
     runs = [blocks[lo : hi + 1] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    num_gaussians = len(stats.gaussian_blend_weight)
-    registry = ShmRegistry()
-    try:
-        try:
-            image_handle = registry.allocate(image.shape, image.dtype)
-            alpha_handle = registry.allocate(alpha_img.shape, alpha_img.dtype)
-            blend_handle = registry.allocate((workers - 1, num_gaussians), np.float64)
-            violation_handle = registry.allocate((workers - 1, num_gaussians), np.float64)
-            # Only the current frame travels: a copy of the renderer without
-            # its frame cache, plus the frame's tile rectangles and orders.
-            shipped = copy.copy(renderer)
-            shipped.frame_cache = FrameCache(capacity=0)
-            package = ShmPackage.pack((shipped, camera, tile_bounds, orders), registry)
-        except (
-            SharedMemoryUnavailable,
-            OSError,
-            ValueError,
-            TypeError,
-            AttributeError,
-            pickle.PickleError,
-        ) as error:
-            raise TileParallelUnavailable(f"shm publish failed: {error}") from error
-        publish_s = time.perf_counter() - started
-
-        futures = []
-        failure: Optional[BaseException] = None
-        try:
-            pool = _tile_pool(workers - 1)
-            for weight_row, run in enumerate(runs[1:]):
-                futures.append(
-                    pool.submit(
-                        _render_run,
-                        package,
-                        image_handle,
-                        alpha_handle,
-                        blend_handle,
-                        violation_handle,
-                        weight_row,
-                        run,
-                    )
-                )
-        except _PROCESS_FAILURES as error:
-            failure = error
-
-        shared_image = image_handle.array(writable=True)
-        shared_alpha = alpha_handle.array(writable=True)
-        rendering_before = sum(stages.values())
-        renderer._render_tiles(
-            camera, tile_bounds, orders, runs[0], shared_image, shared_alpha,
-            stats, stages, pairs,
-        )
-        payloads = []
-        for future in futures:
+    failures: List[str] = []
+    replies: List[Optional[dict]] = [None] * (len(runs) - 1)
+    shipped_bytes, ship_s = 0, 0.0
+    with _LOCK:
+        _flush_released()
+        while len(_WORKERS) < len(runs) - 1:
             try:
-                payloads.append(future.result())
-            except _PROCESS_FAILURES as error:
-                failure = failure or error
-        if failure is None:
-            # Runs are contiguous tile ranges, so absorbing them in run
-            # order keeps the sort lists in tile order.
-            for payload in payloads:
-                stats.absorb(row_to_stats(payload["row"], payload["sort_lengths"]))
-                for name, count in payload["pairs"].items():
-                    pairs[name] += count
-            # Weight rows summed in run order: deterministic for a fixed
-            # worker count, within 1e-9 of the serial accumulation.
-            for blend_row, violation_row in zip(
-                blend_handle.array(), violation_handle.array()
-            ):
-                stats.gaussian_blend_weight += blend_row
-                stats.gaussian_violation_weight += violation_row
-        else:
-            # Nothing a failed pool wrote is kept: its runs render here,
-            # over whatever pixels the workers left behind.
-            _discard_tile_pool()
-            for run in runs[1:]:
-                renderer._render_tiles(
-                    camera, tile_bounds, orders, run, shared_image, shared_alpha,
-                    stats, stages, pairs,
+                _WORKERS.append(_TileWorker())
+            except _WORKER_FAILURES as error:
+                failures.append(f"cannot start a tile worker: {error}")
+                break
+        pool = _WORKERS[: len(runs) - 1]
+        token = _token(renderer)
+        payload: Optional[bytes] = None
+        if any(token not in worker.held for worker in pool):
+            ship_started = time.perf_counter()
+            try:
+                payload = _shipped(renderer)
+                shipped_bytes = len(payload)
+            except (pickle.PickleError, TypeError, AttributeError) as error:
+                failures.append(f"renderer cannot travel to tile workers: {error}")
+            ship_s = time.perf_counter() - ship_started
+        # A worker is in flight from before its request's first byte until
+        # its reply is read: one left in flight when this frame ends early
+        # (interrupted mid-send or mid-render) may hold half a request or
+        # an unread reply, so the ``finally`` discards it.
+        outstanding: Dict[int, Tuple[_TileWorker, int]] = {}
+        try:
+            for index, worker in enumerate(pool):
+                ships = token not in worker.held
+                if ships and payload is None:
+                    continue
+                request = (
+                    "frame", token, payload if ships else None,
+                    camera, tile_bounds, runs[index + 1],
                 )
-        image[...] = shared_image
-        alpha_img[...] = shared_alpha
-        rendering = sum(stages.values()) - rendering_before
-        stages["dispatch"] = time.perf_counter() - started - rendering
-        shm_stats = registry.stats()
-        telemetry: Dict[str, object] = {
-            "tile_mode": "process",
-            "shm_segments": shm_stats["segments_created"],
-            "shm_bytes": shm_stats["bytes_published"],
-            "pickled_bytes": package.pickled_bytes,
-            "publish_seconds": publish_s,
-        }
-        if failure is not None:
-            telemetry["tile_mode"] = "serial"
-            telemetry["tile_mode_degraded"] = (
-                f"tile worker pool failed: {type(failure).__name__}: {failure}"
+                outstanding[index] = (worker, 0)
+                try:
+                    outstanding[index] = (worker, worker.send(request))
+                except _WORKER_FAILURES as error:
+                    del outstanding[index]
+                    failures.append(f"tile worker failed: {type(error).__name__}: {error}")
+                    _discard(worker)
+                    continue
+                worker.held.add(token)
+            renderer._render_run(
+                camera, tile_bounds, runs[0], image, alpha_img, stats, stages, pairs
             )
-        return telemetry
-    finally:
-        registry.close()
+            for index in list(outstanding):
+                worker, request_bytes = outstanding[index]
+                try:
+                    reply, reply_bytes = worker.receive()
+                except _WORKER_FAILURES as error:
+                    reply, reply_bytes = {"error": f"{type(error).__name__}: {error}"}, 0
+                    _discard(worker)
+                del outstanding[index]
+                if "error" in reply:
+                    failures.append(f"tile worker failed: {reply['error']}")
+                    worker.held.discard(token)
+                    continue
+                reply["telemetry"].update(
+                    request_bytes=request_bytes, reply_bytes=reply_bytes
+                )
+                replies[index] = reply
+        finally:
+            for worker, _ in outstanding.values():
+                _discard(worker)
+
+    # Absorb the runs in run order, which keeps the sort lists in tile
+    # order; a run no worker rendered renders here, in its place.
+    worker_telemetry = []
+    shape = (camera.height, camera.width)
+    for run, reply in zip(runs[1:], replies):
+        if reply is None:
+            renderer._render_run(
+                camera, tile_bounds, run, image, alpha_img, stats, stages, pairs
+            )
+            continue
+        mask = _run_mask(shape, tile_bounds, run)
+        image[mask] = reply["pixels"]
+        alpha_img[mask] = reply["alpha"]
+        stats.absorb(reply["stats"])
+        # The run's weight additions, made here in the order one process
+        # would have made them: the same bits.
+        blend_log, violation_log = reply["weights"]
+        blend_log.replay(stats.gaussian_blend_weight)
+        violation_log.replay(stats.gaussian_violation_weight)
+        for name, count in reply["pairs"].items():
+            pairs[name] += count
+        worker_telemetry.append(reply["telemetry"])
+    rendering = sum(stages.values()) - rendering_before
+    stages["dispatch"] = time.perf_counter() - started - rendering
+    telemetry: Dict[str, object] = {
+        "tile_mode": "process" if worker_telemetry else "serial",
+        "shipped_bytes": shipped_bytes,
+        "ship_s": ship_s,
+        "workers": worker_telemetry,
+    }
+    if failures:
+        telemetry["tile_mode_degraded"] = "; ".join(failures)
+    return telemetry

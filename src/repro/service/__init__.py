@@ -32,8 +32,8 @@ daemon modeled on a proactor/actor runtime:
   idempotency keys and reconnects-and-resends on connection loss.
 
 Failure is a first-class input: the daemon threads named
-:mod:`repro.chaos` fault points through transport, actors, persistence
-and shm (``ServiceConfig.chaos`` / ``repro-serve --chaos-plan``), and
+:mod:`repro.chaos` fault points through transport, actors and
+persistence (``ServiceConfig.chaos`` / ``repro-serve --chaos-plan``), and
 the hardening they exercise — end-to-end deadlines, idempotent resends,
 wedged-actor quarantine, circuit breaking — surfaces through the
 ``/healthz`` state machine (``healthy`` / ``degraded`` / ``critical``).

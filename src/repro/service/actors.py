@@ -308,9 +308,8 @@ class WorkerActor(threading.Thread):
         finally:
             session, self.session = self.session, None
             if session is not None and self.stopped:
-                # Clean shutdown releases pools/segments; a crash keeps the
-                # session object alive for post-mortem but its shm segments
-                # belong to registries the daemon process still owns.
+                # Clean shutdown releases the session's pool and contexts;
+                # a crash keeps the session object alive for post-mortem.
                 try:
                     session.close()
                 except Exception:

@@ -917,8 +917,6 @@ class ServiceDaemon:
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The full live-telemetry document behind ``/metrics``."""
-        from repro.api.shm import leaked_segments
-
         return {
             "uptime_s": self.uptime(),
             "address": list(self.address) if self.address else None,
@@ -949,7 +947,6 @@ class ServiceDaemon:
             "engine": self.service.stats(),
             "store": self.store.stats() if self.store is not None else None,
             "journal_pending": len(self.journal),
-            "shm": {"leaked_segments": leaked_segments()},
         }
 
     # ------------------------------------------------------------------

@@ -92,6 +92,19 @@ class TestModeSelection:
         assert one_shard.report.pool == "none"
         assert session.stats()["pool"] is None
 
+    def test_repeated_one_shard_sweep_rebuilds_nothing(self):
+        # One scene context: the grid runs in the calling session, on the
+        # context that session already holds.
+        specs = sweep(ExperimentSpec(scene="lego", resolution_scale=SCALE), num_hfu=range(1, 9))
+        with Session(seed=9) as session:
+            serial = session.run_many(specs)
+            for _ in range(2):
+                executor = SweepExecutor(jobs=2)
+                result = executor.run(specs, swept=["num_hfu"], session=session)
+                assert [r.metrics for r in result.results] == [r.metrics for r in serial]
+                assert executor.report.mode == "serial"
+                assert executor.report.context_rebuilds == 0
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="jobs"):
             SweepExecutor(jobs=0)

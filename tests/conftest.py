@@ -69,31 +69,3 @@ def camera() -> Camera:
 @pytest.fixture
 def tiny_camera() -> Camera:
     return make_camera(width=32, height=32)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def shm_leak_audit():
-    """Fail the run if the suite leaks shared-memory segments.
-
-    Snapshot ``/dev/shm`` before any test runs, close the process-default
-    session at teardown (shutting its worker pool down), then require that
-    every repro-created segment visible at the end already existed at the
-    start — segments left behind by *other* processes (a crashed earlier
-    run, a concurrently running daemon) must not fail this suite, but
-    segments this run created and lost must.
-    """
-    from repro.api.shm import leaked_segments
-
-    before = set(leaked_segments())
-    yield
-    import repro.api.session as session_module
-
-    default = session_module._DEFAULT_SESSION
-    if default is not None:
-        default.close()
-        session_module._DEFAULT_SESSION = None
-    leaked = sorted(set(leaked_segments()) - before)
-    assert not leaked, (
-        f"test run leaked {len(leaked)} shared-memory segment(s): {leaked}; "
-        "some registry was not closed (ShmRegistry.close)"
-    )

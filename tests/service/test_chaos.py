@@ -4,8 +4,7 @@ Unit coverage of the plan/injector machinery (determinism, cadence,
 caps, the install/uninstall identity guard) plus integration coverage of
 every hardening path the chaos layer exists to exercise: idempotent
 reconnect-and-resend, end-to-end deadlines, wedged-actor quarantine, the
-per-kind circuit breaker, torn journal writes, store faults and shm
-attach failures.
+per-kind circuit breaker, torn journal writes and store faults.
 """
 
 import errno
@@ -597,19 +596,6 @@ class TestStoreFaults:
         assert not entry_path.exists()  # ...and the entry self-heals away
         store.put(spec, result)
         assert store.get(spec) is not None
-
-
-class TestShmAttachFail:
-    def test_attach_failure_raises_typed_error(self):
-        from repro.api.shm import SharedMemoryUnavailable, _attach_segment
-
-        plan = FaultPlan(
-            seed=8,
-            rules=[FaultRule(point="shm.attach_fail", every_nth=1, max_fires=1)],
-        )
-        chaos.install(build_injector(plan))
-        with pytest.raises(SharedMemoryUnavailable, match="injected"):
-            _attach_segment("repro-does-not-exist")
 
 
 class TestChaosConfigPlumbing:
