@@ -66,7 +66,7 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.rasterizer import TileRasterizer, RenderOutput
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer
-from repro.engine.service import RenderRequest, RenderService
+from repro.engine.service import RenderService
 from repro.scenes.registry import SCENE_REGISTRY, build_scene
 from repro.arch.accelerator import StreamingGSAccelerator
 from repro.arch.gpu import OrinNXModel
@@ -89,7 +89,6 @@ __all__ = [
     "RenderOutput",
     "StreamingConfig",
     "StreamingRenderer",
-    "RenderRequest",
     "RenderService",
     "SCENE_REGISTRY",
     "build_scene",

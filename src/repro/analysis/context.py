@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from repro.arch.workload import FullScaleWorkload, build_workload
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer, StreamingRenderOutput
-from repro.engine.service import RenderRequest, RenderService, get_default_service
+from repro.engine.service import RenderService, get_default_service
 from repro.gaussians.camera import Camera
 from repro.gaussians.metrics import psnr
 from repro.gaussians.model import GaussianModel
@@ -123,9 +123,7 @@ def build_scene_context(
 
     streaming_renderer = service.streaming_renderer(trained, config)
     marks.append(time.perf_counter())
-    streaming_output = service.render(
-        RenderRequest(model=trained, camera=camera, config=config, mode="streaming")
-    ).output
+    streaming_output = service.render(trained, camera, config).output
     streaming_psnr = psnr(ground_truth, streaming_output.image)
     marks.append(time.perf_counter())
 

@@ -7,11 +7,9 @@ The public surface:
 * :class:`~repro.api.spec.ExperimentSpec` — one declarative evaluation
   point (scene x algorithm x compression x config overrides x arch model).
 * :class:`~repro.api.spec.TrajectorySpec` — one declarative trajectory
-  workload (scene x camera path x frames x render options), rendered
-  frame by frame via ``Session.render`` /
+  workload (scene x camera path x frames x config overrides), rendered
+  frame by frame via ``Session.render_trajectory`` /
   ``Session.run_trajectory``.
-* :class:`~repro.engine.service.RenderOptions` — how a render executes
-  (tile workers, resolution scale).
 * :func:`~repro.api.spec.sweep` — expands parameter grids into spec lists
   (Fig. 12 / Fig. 13-style sensitivity studies).
 * :class:`~repro.api.result.ExperimentResult` /
@@ -68,7 +66,6 @@ from repro.api.executor import (
     schedule_experiments,
 )
 from repro.api.session import Session, get_default_session, reset_default_session
-from repro.engine.service import RenderOptions
 
 # The public API surface.  Internals stay importable from their modules
 # (``repro.api.pool.worker_session``, ``repro.api.store.atomic_write_json``)
@@ -80,7 +77,6 @@ __all__ = [
     "ExecutionReport",
     "ExperimentResult",
     "ExperimentSpec",
-    "RenderOptions",
     "ResultStore",
     "ScheduleReport",
     "Session",

@@ -6,13 +6,12 @@ ground truths and paper-scale workloads), and a seeded RNG, so repeated
 runs share prepared state.  Everything the repository can do is reachable
 from it:
 
-* ``session.render(model, camera)`` — one render through the shared engine
-  (a renderer's later frames on one process per CPU, see
+* ``session.render(model_or_scene, camera)`` — one frame through the
+  shared engine (a renderer's later frames on one process per CPU, see
   :mod:`repro.engine.tile_parallel`);
-* ``session.render("train", "orbit", frames=24)`` — a whole trajectory
-  workload (named path or explicit camera list, or a full
-  :class:`~repro.api.spec.TrajectorySpec`) rendered frame by frame, with
-  :meth:`Session.run_trajectory` producing the cacheable
+* ``session.render_trajectory(spec)`` — a
+  :class:`~repro.api.spec.TrajectorySpec` workload rendered frame by
+  frame, with :meth:`Session.run_trajectory` producing the cacheable
   :class:`~repro.api.result.ExperimentResult` form;
 * ``session.context(scene)`` — the cached evaluation context of a scene;
 * ``session.run(spec)`` — one declarative experiment point
@@ -21,7 +20,7 @@ from it:
 * ``session.run(name)`` — a registered paper artifact (``fig12``,
   ``tab2``, ...);
 * ``session.run_many(specs)`` — a batch of points grouped by shared scene
-  context, so each context is built once and its renders are batched;
+  context, so each context is built once;
 * ``session.sweep(base, voxel_size=[...])`` — a parameter-grid sensitivity
   study returning a :class:`~repro.api.result.SweepResult`; ``jobs=`` and
   ``cache=`` route it through the sharded
@@ -48,7 +47,7 @@ from __future__ import annotations
 import atexit
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,8 +63,6 @@ from repro.arch.accelerator import StreamingGSAccelerator
 from repro.core.config import StreamingConfig
 from repro.engine.service import (
     DEFAULT_RENDERER_CACHE_SIZE,
-    RenderOptions,
-    RenderRequest,
     RenderResponse,
     RenderService,
 )
@@ -163,93 +160,41 @@ class Session:
 
     def render(
         self,
-        scene: Union[GaussianModel, str, TrajectorySpec],
-        camera_or_trajectory: Union[Camera, str, Sequence[Camera], None] = None,
+        scene: Union[GaussianModel, str],
+        camera: Camera,
         config: Optional[StreamingConfig] = None,
         mode: str = "streaming",
-        tag: str = "",
-        options: Optional[RenderOptions] = None,
-        frames: int = 16,
-    ) -> Union[RenderResponse, List[RenderResponse]]:
-        """Render one frame or a whole trajectory through the session's engine.
+    ) -> RenderResponse:
+        """Render one frame through the session's engine.
 
-        The public single-frame/trajectory entry point.  Accepted forms:
-
-        * ``render(model, camera)`` — the original single-frame form
-          (returns one :class:`RenderResponse`);
-        * ``render("train", camera)`` — same, with the scene's cached
-          procedural model resolved by name;
-        * ``render("train", "orbit", frames=24)`` — a registered trajectory
-          workload (returns the per-frame response list; see
-          :data:`repro.scenes.registry.TRAJECTORY_REGISTRY`);
-        * ``render(model_or_scene, [cam0, cam1, ...])`` — an explicit
-          camera path;
-        * ``render(trajectory_spec)`` — a full
-          :class:`~repro.api.spec.TrajectorySpec` workload.
-
-        ``options`` (:class:`~repro.engine.service.RenderOptions`) controls
-        execution — tile workers and resolution scale.  By default the
-        renderer chooses the process count: from a renderer's second frame
-        on, a large frame rendered on the main thread runs on one process
-        per CPU available (see :mod:`repro.engine.tile_parallel`).  The
-        output, per-Gaussian weights included, is bit-identical to a
-        one-process frame whatever the count.  Trajectory forms leave
-        their per-frame telemetry in
-        ``session.service.last_trajectory``; named trajectories render with
-        :meth:`TrajectorySpec.streaming_config`, explicit camera lists with
-        ``config`` as passed.
+        ``scene`` is a model or a registered scene name (its cached
+        procedural model, :meth:`scene_model`); ``mode`` is ``"streaming"``
+        or ``"tile"`` (:meth:`RenderService.render`).  The renderer
+        chooses the process count: from a renderer's second frame on, a
+        large frame rendered on the main thread runs on one process per
+        CPU available (see :mod:`repro.engine.tile_parallel`), bit-identical
+        to a one-process frame, per-Gaussian weights included.  For a
+        smaller image pass ``camera.scaled(s)``.
         """
-        if isinstance(scene, TrajectorySpec):
-            if camera_or_trajectory is not None:
-                raise TypeError(
-                    "a TrajectorySpec already carries its cameras; "
-                    "pass it as the only positional argument"
-                )
-            return self.render_trajectory(scene, config=config, options=options)
-        if camera_or_trajectory is None:
-            raise TypeError("render() needs a camera, trajectory name or camera list")
         model = self.scene_model(scene) if isinstance(scene, str) else scene
-        target = camera_or_trajectory
-        if isinstance(target, Camera):
-            return self.service.render(
-                RenderRequest(
-                    model=model, camera=target, config=config, mode=mode, tag=tag
-                ),
-                options=options,
-            )
-        if mode != "streaming":
-            raise ValueError("trajectory renders are streaming-only")
-        if isinstance(target, str):
-            if not isinstance(scene, str):
-                raise TypeError(
-                    "a named trajectory needs a registered scene name, not a model"
-                )
-            spec = TrajectorySpec(scene=scene, path=target, frames=frames, tag=tag)
-            return self.render_trajectory(spec, config=config, options=options)
-        return self.service.render_trajectory(
-            model, list(target), config=config, options=options, tag=tag
-        )
+        return self.service.render(model, camera, config, mode)
 
-    def render_trajectory(
-        self,
-        spec: TrajectorySpec,
-        config: Optional[StreamingConfig] = None,
-        options: Optional[RenderOptions] = None,
-    ) -> List[RenderResponse]:
+    def render_trajectory(self, spec: TrajectorySpec) -> List[RenderResponse]:
         """Render a trajectory spec's camera path, one response per frame.
 
-        ``config`` / ``options`` override the spec's resolved streaming
-        config (scene default) and render options when given.  Per-frame
-        telemetry lands in ``session.service.last_trajectory``.
+        Every frame goes through :meth:`RenderService.render` with the
+        spec's resolved streaming config, in path order; the model is
+        hashed once per trajectory, and revisited poses hit the renderer's
+        frame cache.  Each frame's telemetry is in its response's
+        ``output.telemetry``.
         """
         model = self.scene_model(spec.scene)
-        return self.service.render_trajectory(
-            model,
-            spec.cameras(),
-            config=config if config is not None else spec.streaming_config(),
-            options=options if options is not None else spec.render_options(),
-            tag=spec.tag,
-        )
+        config = spec.streaming_config()
+        fingerprint = model.content_fingerprint()
+        return [
+            self.service.render(model, camera, config, _fingerprint=fingerprint)
+            for camera in spec.cameras()
+        ]
 
     def run_trajectory(
         self,
@@ -258,8 +203,8 @@ class Session:
     ) -> ExperimentResult:
         """Run a trajectory workload end to end, with result-store caching.
 
-        Renders the spec (:meth:`render_trajectory`), folds the per-frame
-        telemetry into an :class:`~repro.api.result.ExperimentResult`
+        Renders the spec (:meth:`render_trajectory`), folds the frames'
+        own telemetry into an :class:`~repro.api.result.ExperimentResult`
         (frame count, wall seconds, image checksums) and caches it
         under the spec's canonical key — same contract as experiment
         points, so trajectory runs share the
@@ -271,11 +216,10 @@ class Session:
             if cached is not None:
                 return cached
         responses = self.render_trajectory(spec)
-        summary = dict(self.service.last_trajectory or {})
-        per_frame = summary.pop("per_frame", [])
+        per_frame = [dict(response.output.telemetry) for response in responses]
         seconds = [float(f.get("seconds", 0.0)) for f in per_frame]
         metrics = {
-            "frames": float(summary.get("frames", len(responses))),
+            "frames": float(len(responses)),
             "total_seconds": float(sum(seconds)),
             "mean_frame_ms": (
                 1e3 * float(np.mean(seconds)) if seconds else 0.0
@@ -290,7 +234,7 @@ class Session:
             metrics=metrics,
             payload={
                 "spec": spec.to_dict(),
-                "summary": summary,
+                "summary": {"frames": len(responses)},
                 "per_frame": per_frame,
                 "image_checksums": [
                     float(np.abs(response.image).sum()) for response in responses
@@ -307,19 +251,6 @@ class Session:
                 # fail the run that already produced the result.
                 pass
         return result
-
-    def render_batch(self, requests: Iterable[RenderRequest]) -> List[RenderResponse]:
-        """Serve many render requests, sharing renderers and frames."""
-        return self.service.render_batch(requests)
-
-    def render_pair(
-        self,
-        model: GaussianModel,
-        camera: Camera,
-        config: Optional[StreamingConfig] = None,
-    ):
-        """Tile-centric reference and streaming render of the same scene."""
-        return self.service.render_pair(model, camera, config=config)
 
     def streaming_renderer(
         self, model: GaussianModel, config: Optional[StreamingConfig] = None
@@ -499,10 +430,9 @@ class Session:
 
         Specs needing the same context (same scene, algorithm, resolution
         scale and resolved streaming config) are evaluated back to back, so
-        each context — whose construction batches its renders through
-        :meth:`~repro.engine.service.RenderService.render_batch` — is built
-        once even when the input interleaves contexts and the LRU cache is
-        small.  Results come back in input order.
+        each context is built once even when the input interleaves
+        contexts and the LRU cache is small.  Results come back in input
+        order.
 
         A point that raises is re-raised as a
         :class:`~repro.api.executor.SpecEvaluationError` naming the

@@ -21,7 +21,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.arch.accelerator import AcceleratorConfig
 from repro.core.config import StreamingConfig
-from repro.engine.service import RenderOptions
 from repro.gaussians.camera import Camera
 from repro.scenes.registry import SCENE_REGISTRY, TRAJECTORY_REGISTRY, SceneDescriptor
 
@@ -317,13 +316,6 @@ def sweep(base: Optional[ExperimentSpec] = None, **grid: Any) -> List[Experiment
 # Trajectory specifications.
 # ----------------------------------------------------------------------
 
-#: RenderOptions fields adjustable through ``TrajectorySpec.options``;
-#: ``resolution_scale`` is reserved — it is a spec axis (it shapes the
-#: generated cameras, not just the render call).
-_TRAJECTORY_OPTION_FIELDS = frozenset(
-    f.name for f in dataclass_fields(RenderOptions)
-) - {"resolution_scale"}
-
 #: Keys of one explicit camera pose in a :class:`TrajectorySpec` path.
 _POSE_REQUIRED = ("rotation", "translation", "width", "height", "fx", "fy")
 _POSE_OPTIONAL = ("near", "far")
@@ -412,7 +404,7 @@ def _pose_dict(pose: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """One declarative trajectory workload: a scene, a camera path, options.
+    """One declarative trajectory workload: a scene and a camera path.
 
     The trajectory-side sibling of :class:`ExperimentSpec` — same frozen /
     hashable / canonicalizable contract, so trajectory runs are cacheable
@@ -436,13 +428,9 @@ class TrajectorySpec:
     config:
         :class:`StreamingConfig` field overrides applied on top of the
         trajectory base config, the scene's paper-default voxel size.
-    options:
-        :class:`~repro.engine.service.RenderOptions` field overrides
-        (``tile_workers``).  ``resolution_scale`` is
-        reserved — set it on the spec, where it shapes the generated
-        cameras.
     resolution_scale:
-        Scale factor on the trajectory's camera resolution.
+        Scale factor on the trajectory's camera resolution (applied while
+        generating the cameras).
     tag:
         Free-form label carried into result metadata (kept in the
         canonical form: differently tagged runs are distinct artifacts).
@@ -452,18 +440,12 @@ class TrajectorySpec:
     path: Union[str, Tuple[Tuple[Tuple[str, Any], ...], ...], List[Any]] = "orbit"
     frames: int = 16
     config: Overrides = field(default_factory=tuple)
-    options: Overrides = field(default_factory=tuple)
     resolution_scale: float = 1.0
     tag: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "config", _freeze(self.config, _CONFIG_FIELDS, "StreamingConfig")
-        )
-        object.__setattr__(
-            self,
-            "options",
-            _freeze(self.options, _TRAJECTORY_OPTION_FIELDS, "RenderOptions"),
         )
         if self.scene not in SCENE_REGISTRY:
             raise ValueError(
@@ -487,20 +469,12 @@ class TrajectorySpec:
             raise ValueError(
                 f"resolution_scale must be positive, got {self.resolution_scale}"
             )
-        # Instantiate eagerly so invalid option values fail at spec
-        # construction, not at render time.
-        self.render_options()
 
     # ------------------------------------------------------------------
     @property
     def config_overrides(self) -> Dict[str, Any]:
         """StreamingConfig overrides as a plain dictionary."""
         return dict(self.config)
-
-    @property
-    def option_overrides(self) -> Dict[str, Any]:
-        """RenderOptions overrides as a plain dictionary."""
-        return dict(self.options)
 
     @property
     def descriptor(self) -> SceneDescriptor:
@@ -529,15 +503,6 @@ class TrajectorySpec:
         overrides = self.config_overrides
         base = self._base_config()
         return base.with_options(**overrides) if overrides else base
-
-    def render_options(self) -> RenderOptions:
-        """The resolved :class:`~repro.engine.service.RenderOptions`.
-
-        ``resolution_scale`` stays ``1.0`` here: the spec applies it while
-        generating the cameras (:meth:`cameras`), so the render path never
-        scales twice.
-        """
-        return RenderOptions(**self.option_overrides)
 
     def cameras(self) -> List[Camera]:
         """The trajectory's camera list at the spec's resolution scale."""
@@ -572,7 +537,6 @@ class TrajectorySpec:
             "path": path,
             "frames": self.frames,
             "config": self.config_overrides,
-            "options": self.option_overrides,
             "resolution_scale": self.resolution_scale,
             "tag": self.tag,
         }
@@ -582,9 +546,8 @@ class TrajectorySpec:
 
         Mirrors :meth:`ExperimentSpec.canonical_dict`: config overrides
         that restate the trajectory base config (scene default voxel size)
-        and option overrides that restate the
-        :class:`RenderOptions` defaults are dropped, numeric values are
-        normalized to floats, and ``tag`` is kept.  The result-store hash
+        are dropped, numeric values are normalized to floats, and ``tag``
+        is kept.  The result-store hash
         (:func:`repro.api.store.spec_key`) is built on this form.
         """
 
@@ -599,12 +562,6 @@ class TrajectorySpec:
             for key, value in self.config_overrides.items()
             if getattr(base, key) != value
         }
-        defaults = RenderOptions()
-        options = {
-            key: normalize(value)
-            for key, value in self.option_overrides.items()
-            if getattr(defaults, key) != value
-        }
         path: Any = (
             self.path
             if isinstance(self.path, str)
@@ -615,7 +572,6 @@ class TrajectorySpec:
             "path": path,
             "frames": int(self.frames),
             "config": config,
-            "options": options,
             "resolution_scale": float(self.resolution_scale),
             "tag": self.tag,
         }

@@ -24,10 +24,6 @@ class StreamingConfig:
         building the voxel ordering table.  1 samples every pixel; the VSU
         hardware samples a subset, which is sufficient because neighbouring
         pixels traverse nearly identical voxel sequences.
-    ray_step_fraction:
-        Ray-marching step used by the voxel traversal, as a fraction of the
-        voxel size (only used by the sampling-based traversal; the DDA
-        traversal is exact).
     sh_degree:
         Spherical-harmonics degree used for colour.
     use_coarse_filter:
@@ -60,7 +56,6 @@ class StreamingConfig:
     voxel_size: float = 2.0
     tile_size: int = 16
     ray_stride: int = 4
-    ray_step_fraction: float = 0.5
     sh_degree: int = 3
     use_coarse_filter: bool = True
     use_vq: bool = True
@@ -76,10 +71,6 @@ class StreamingConfig:
             raise ValueError(f"tile_size must be positive, got {self.tile_size!r}")
         if self.ray_stride <= 0:
             raise ValueError(f"ray_stride must be positive, got {self.ray_stride!r}")
-        if not 0 < self.ray_step_fraction <= 1.0:
-            raise ValueError(
-                f"ray_step_fraction must be in (0, 1], got {self.ray_step_fraction!r}"
-            )
         if self.sh_degree < 0 or self.sh_degree > 3:
             raise ValueError(f"sh_degree must be in [0, 3], got {self.sh_degree!r}")
         if self.max_voxels_per_ray <= 0:

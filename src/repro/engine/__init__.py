@@ -15,9 +15,9 @@ top of this subsystem:
 * :mod:`repro.engine.cache` — the frame-preparation cache memoizing voxel
   depth maps, per-tile ordering tables and topological orders per camera
   pose;
-* :mod:`repro.engine.service` — :class:`RenderService`, the batched
-  front-end that shares renderers and prepared frames across many
-  (model, camera, config) requests;
+* :mod:`repro.engine.service` — :class:`RenderService`, the front-end
+  that renders one (model, camera, config) frame per call and shares
+  renderers and prepared frames across calls;
 * :mod:`repro.engine.tile_parallel` — warm tile workers: forked
   processes that each hold the renderers sent to them once and render
   runs of a frame's column blocks;
@@ -40,7 +40,6 @@ from repro.engine.cache import FrameCache, FramePreparation, frame_key
 #: close an import cycle if loaded eagerly (the kernel/state layer is a
 #: dependency of both renderers); resolved lazily via PEP 562.
 _LAZY = {
-    "RenderRequest": "repro.engine.service",
     "RenderResponse": "repro.engine.service",
     "RenderService": "repro.engine.service",
     "get_default_service": "repro.engine.service",
@@ -68,7 +67,6 @@ __all__ = [
     "FrameCache",
     "FramePreparation",
     "frame_key",
-    "RenderRequest",
     "RenderResponse",
     "RenderService",
     "get_default_service",

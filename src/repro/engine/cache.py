@@ -5,7 +5,7 @@ depth map, the per-tile voxel ordering tables (ray/voxel 3D-DDA traversal)
 and the topologically sorted global voxel orders depend only on the voxel
 grid, the camera pose and the traversal configuration — not on the Gaussian
 parameters being blended.  Repeated renders of the same view (benchmark
-sweeps, fine-tuning probes, batched service requests) can therefore reuse
+sweeps, fine-tuning probes, trajectory frames) can therefore reuse
 one :class:`FramePreparation`.
 
 The cache is a small LRU keyed by ``(camera pose, traversal parameters)``,

@@ -1,10 +1,11 @@
-"""Batched render front-end shared by the analysis harness and benchmarks.
+"""Render front-end shared by the analysis harness, sessions and benchmarks.
 
-:class:`RenderService` accepts many (model, camera, config) requests,
-shares prepared state across them — streaming renderers (voxel grid, DRAM
-layout, quantizer) are memoised per (model, config) and each renderer's
-frame-preparation cache is reused across requests for the same view — and
-returns images plus the workload statistics the architecture models consume.
+:class:`RenderService` renders one (model, camera, config) frame per
+:meth:`~RenderService.render` call and shares prepared state across calls:
+streaming renderers (voxel grid, DRAM layout, quantizer) are memoised per
+(model, config), and each renderer's frame-preparation cache is reused
+across frames of the same view.  Each call returns the image plus the
+workload statistics the architecture models consume.
 
 The service is the single entry point the experiment harness renders
 through; a process-wide default instance is available via
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,29 +34,9 @@ DEFAULT_RENDERER_CACHE_SIZE = 8
 
 
 @dataclass
-class RenderRequest:
-    """One render to perform.
-
-    ``mode`` selects the pipeline: ``"streaming"`` (memory-centric,
-    Fig. 1b) or ``"tile"`` (tile-centric reference, Fig. 1a).
-    """
-
-    model: GaussianModel
-    camera: Camera
-    config: Optional[StreamingConfig] = None
-    mode: str = "streaming"
-    tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("streaming", "tile"):
-            raise ValueError(f"unknown render mode {self.mode!r}")
-
-
-@dataclass
 class RenderResponse:
-    """Image, alpha and workload statistics of one completed request."""
+    """Image, alpha and workload statistics of one completed render."""
 
-    request: RenderRequest
     output: Union[RenderOutput, StreamingRenderOutput]
 
     @property
@@ -70,79 +51,15 @@ class RenderResponse:
     def stats(self):
         return self.output.stats
 
-    @property
-    def tag(self) -> str:
-        return self.request.tag
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    """How a render request executes — scheduling and resolution.
-
-    Everything about *how* a frame renders (as opposed to *what* renders,
-    which stays on :class:`RenderRequest`) lives here, so new execution
-    knobs never widen the service signatures.
-
-    Attributes
-    ----------
-    tile_workers:
-        Processes rendering the frame's column blocks concurrently: the
-        calling process and ``tile_workers - 1`` warm tile workers
-        (:mod:`repro.engine.tile_parallel`); ``1`` renders in the calling
-        process.  ``None``, the default, lets the renderer choose
-        (:func:`~repro.engine.tile_parallel.auto_tile_workers`): one
-        process per CPU for large frames of a renderer used before, one
-        process for a renderer's first frame (context builds, fine-tuning
-        probes), off the main thread (daemon actors) and in pool workers
-        (sweep shards).
-    resolution_scale:
-        Scale factor applied to the request camera's resolution (and
-        focal lengths); ``1.0`` renders at the camera's native size.
-    """
-
-    tile_workers: Optional[int] = None
-    resolution_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.tile_workers is not None and self.tile_workers < 1:
-            raise ValueError(f"tile_workers must be >= 1, got {self.tile_workers}")
-        if not self.resolution_scale > 0:
-            raise ValueError(
-                f"resolution_scale must be positive, got {self.resolution_scale!r}"
-            )
-
-    # ------------------------------------------------------------------
-    def resolved_camera(self, camera: Camera) -> Camera:
-        """``camera`` scaled to this call's resolution."""
-        if self.resolution_scale == 1.0:
-            return camera
-        return camera.scaled(self.resolution_scale)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (wire/JSON-expressible; inverse of :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RenderOptions":
-        """Rebuild options from :meth:`to_dict` output, rejecting unknown keys."""
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown RenderOptions fields {sorted(unknown)}; known: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
 
 class RenderService:
-    """Shared-state batched renderer front-end.
+    """Shared-state renderer front-end.
 
     Parameters
     ----------
     max_renderers:
         Number of streaming renderers kept alive; building one is the
-        expensive part (voxel grid, layout, optional VQ fit), so requests
+        expensive part (voxel grid, layout, optional VQ fit), so frames
         that revisit a (model, config) pair reuse it.  A renderer the
         service evicts (or drops on :meth:`clear`) leaves the tile workers
         too.
@@ -164,13 +81,12 @@ class RenderService:
         self.renderer_misses = 0
         self.peak_renderers = 0
         self.parallel_tile_frames = 0
-        #: Telemetry of the most recent streaming render (kernel, tile
-        #: worker count, tiles, wall seconds) — per-frame observability for
-        #: the runner's ``--telemetry-json`` dump.
+        #: Telemetry of the most recent streaming render (path, tile
+        #: worker count, tiles, wall seconds), a gauge for ``/metrics`` and
+        #: the runner's ``--telemetry-json`` dump.  Nothing reads results
+        #: from it: the daemon's actor threads share one service, so it may
+        #: hold another caller's frame.
         self.last_frame: Optional[dict] = None
-        #: Telemetry of the most recent :meth:`render_trajectory` (frame
-        #: count and each frame's telemetry).
-        self.last_trajectory: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def streaming_renderer(
@@ -185,8 +101,8 @@ class RenderService:
         so models with equal parameters share one renderer while in-place
         parameter edits (e.g. a fine-tuning loop mutating the same object)
         miss the cache and get a renderer built from the current values.
-        ``fingerprint`` lets batch callers that already hashed the model
-        skip recomputing it (hashing covers every parameter array).
+        ``fingerprint`` lets callers that already hashed the model skip
+        recomputing it (hashing covers every parameter array).
         """
         config = config or StreamingConfig()
         key = (fingerprint if fingerprint is not None else model.content_fingerprint(), config)
@@ -225,134 +141,47 @@ class RenderService:
     # ------------------------------------------------------------------
     def render(
         self,
-        request: RenderRequest,
-        options: Optional[RenderOptions] = None,
+        model: GaussianModel,
+        camera: Camera,
+        config: Optional[StreamingConfig] = None,
+        mode: str = "streaming",
+        *,
         _fingerprint: Optional[str] = None,
     ) -> RenderResponse:
-        """Serve one request.
+        """Render one frame.
 
-        ``options`` (:class:`RenderOptions`) says how the frame executes:
-        tile workers and the resolution scale.  Images are identical and statistics
-        deterministic regardless of scheduling, with the per-frame
-        telemetry (including the path and tile mode actually taken)
-        recorded in :attr:`last_frame`.
+        ``mode`` selects the pipeline: ``"streaming"`` (memory-centric,
+        Fig. 1b) through the shared renderer of (model, config), or
+        ``"tile"`` (tile-centric reference, Fig. 1a).  The renderer chooses
+        its process count (:func:`~repro.engine.tile_parallel.auto_tile_workers`);
+        images are identical and statistics deterministic whatever it
+        picks.  A streaming frame's telemetry is in the response's
+        ``output.telemetry`` and, as a gauge of the most recent frame, in
+        :attr:`last_frame`.
 
-        ``_fingerprint`` is internal: :meth:`render_batch` passes the model
-        hash it already computed for grouping, so a batch hashes each model
-        once instead of once per request.
+        ``_fingerprint`` is internal: a caller rendering many frames of one
+        model passes the model hash it already computed, so the model is
+        hashed once instead of once per frame.
         """
-        options = options if options is not None else RenderOptions()
-        config = request.config or StreamingConfig()
-        camera = options.resolved_camera(request.camera)
-        if request.mode == "tile":
+        if mode not in ("streaming", "tile"):
+            raise ValueError(f"unknown render mode {mode!r}")
+        config = config or StreamingConfig()
+        if mode == "tile":
             output: Union[RenderOutput, StreamingRenderOutput] = self.tile_rasterizer(
                 config
-            ).render(request.model, camera)
+            ).render(model, camera)
         else:
             output = self.streaming_renderer(
-                request.model, config, fingerprint=_fingerprint
-            ).render(camera, tile_workers=options.tile_workers)
+                model, config, fingerprint=_fingerprint
+            ).render(camera)
             self.last_frame = dict(output.telemetry)
             if output.telemetry.get("tile_workers", 1) > 1:
                 self.parallel_tile_frames += 1
         self.requests_served += 1
-        return RenderResponse(request=request, output=output)
-
-    def render_batch(
-        self,
-        requests: Iterable[RenderRequest],
-        options: Optional[RenderOptions] = None,
-    ) -> List[RenderResponse]:
-        """Serve many requests, sharing renderers and prepared frames.
-
-        Requests are grouped by (model, config) so each streaming renderer
-        is built once and its frame-preparation cache sees every camera of
-        the group back to back.  ``options`` applies to every streaming
-        render of the batch (see :meth:`render`).
-        """
-        indexed = list(enumerate(requests))
-        responses: List[Optional[RenderResponse]] = [None] * len(indexed)
-        streaming = [(i, r) for i, r in indexed if r.mode == "streaming"]
-        # Group streaming requests by shared renderer state; the key matches
-        # the renderer cache's (content fingerprint, config), so equal-content
-        # model objects land in one group.  Fingerprints hash every parameter
-        # array, so compute them once per model object, not per request.
-        groups: "OrderedDict[Tuple[str, StreamingConfig], List[Tuple[int, RenderRequest]]]" = (
-            OrderedDict()
-        )
-        fingerprints: dict = {}
-        for i, request in streaming:
-            fingerprint = fingerprints.get(id(request.model))
-            if fingerprint is None:
-                fingerprint = request.model.content_fingerprint()
-                fingerprints[id(request.model)] = fingerprint
-            groups.setdefault(
-                (fingerprint, request.config or StreamingConfig()), []
-            ).append((i, request))
-        for (fingerprint, _), group in groups.items():
-            for i, request in group:
-                responses[i] = self.render(
-                    request, options=options, _fingerprint=fingerprint
-                )
-        for i, request in indexed:
-            if request.mode != "streaming":
-                responses[i] = self.render(request)
-        return list(responses)  # type: ignore[arg-type]
-
-    def render_trajectory(
-        self,
-        model: GaussianModel,
-        cameras: Sequence[Camera],
-        config: Optional[StreamingConfig] = None,
-        options: Optional[RenderOptions] = None,
-        tag: str = "",
-    ) -> List[RenderResponse]:
-        """Render a camera trajectory frame by frame through one renderer.
-
-        The frames share a single streaming renderer (the model is hashed
-        once, and revisited poses hit its frame cache) and run in
-        trajectory order.  Every frame's telemetry is collected in
-        :attr:`last_trajectory`.
-        """
-        options = options if options is not None else RenderOptions()
-        fingerprint = model.content_fingerprint()
-        responses: List[RenderResponse] = []
-        frames: List[dict] = []
-        for index, camera in enumerate(cameras):
-            request = RenderRequest(
-                model=model,
-                camera=camera,
-                config=config,
-                mode="streaming",
-                tag=tag or f"frame{index}",
-            )
-            responses.append(
-                self.render(request, options=options, _fingerprint=fingerprint)
-            )
-            frames.append(dict(self.last_frame or {}))
-        self.last_trajectory = {"frames": len(frames), "per_frame": frames}
-        return responses
-
-    # ------------------------------------------------------------------
-    def render_pair(
-        self,
-        model: GaussianModel,
-        camera: Camera,
-        config: Optional[StreamingConfig] = None,
-    ) -> Tuple[RenderOutput, StreamingRenderOutput]:
-        """Tile-centric reference and streaming render of the same scene."""
-        tile, streaming = self.render_batch(
-            [
-                RenderRequest(model=model, camera=camera, config=config, mode="tile"),
-                RenderRequest(
-                    model=model, camera=camera, config=config, mode="streaming"
-                ),
-            ]
-        )
-        return tile.output, streaming.output  # type: ignore[return-value]
+        return RenderResponse(output=output)
 
     def stats(self) -> dict:
-        """Counter snapshot (requests served, renderer cache, last frames)."""
+        """Counter snapshot (requests served, renderer cache, last frame)."""
         with self._lock:
             return {
                 "requests_served": self.requests_served,
@@ -362,9 +191,6 @@ class RenderService:
                 "peak_renderers": self.peak_renderers,
                 "parallel_tile_frames": self.parallel_tile_frames,
                 "last_frame": dict(self.last_frame) if self.last_frame else None,
-                "last_trajectory": (
-                    dict(self.last_trajectory) if self.last_trajectory else None
-                ),
             }
 
     def clear(self) -> None:

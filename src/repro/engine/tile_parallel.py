@@ -16,7 +16,7 @@ bit for bit, whatever ``N`` is.
 
 ``tile_workers=N`` asks for ``N`` (capped by the frame's blocks);
 ``tile_workers=None``, the default of :class:`StreamingRenderer.render`
-and :class:`~repro.engine.service.RenderOptions`, lets
+(and so of every session and service frame), lets
 :func:`auto_tile_workers` choose from what it can see: one process per CPU
 (:func:`available_cpus`) and per :data:`AUTO_PIXELS_PER_PROCESS` pixels,
 but one process for a renderer's first frame (a renderer that renders

@@ -530,45 +530,27 @@ class ServiceDaemon:
         record.degrade_decided = True
         if len(self.queue) < int(self.config.degrade_depth or 0):
             return
+        kind = record.request.kind
+        if kind not in ("render", "sweep", "trajectory"):
+            return
         payload = record.request.payload
-        factor = self.config.degrade_factor
-        if record.request.kind == "render":
-            scale = float(payload.get("resolution_scale", 1.0))
-            target = max(MIN_RESOLUTION_SCALE, scale * factor)
-            if target < scale:
-                payload["resolution_scale"] = target
-                record.degraded = {
-                    "resolution_scale": target,
-                    "requested_resolution_scale": scale,
-                    "queue_depth": len(self.queue),
-                }
-                self.metrics["degraded"] += 1
-        elif record.request.kind == "sweep":
-            base = dict(payload.get("base") or {})
-            scale = float(base.get("resolution_scale", 1.0))
-            target = max(MIN_RESOLUTION_SCALE, scale * factor)
-            if target < scale:
-                base["resolution_scale"] = target
-                payload["base"] = base
-                record.degraded = {
-                    "resolution_scale": target,
-                    "requested_resolution_scale": scale,
-                    "queue_depth": len(self.queue),
-                }
-                self.metrics["degraded"] += 1
-        elif record.request.kind == "trajectory":
-            spec = dict(payload.get("spec") or {})
-            scale = float(spec.get("resolution_scale", 1.0))
-            target = max(MIN_RESOLUTION_SCALE, scale * factor)
-            if target < scale:
-                spec["resolution_scale"] = target
-                payload["spec"] = spec
-                record.degraded = {
-                    "resolution_scale": target,
-                    "requested_resolution_scale": scale,
-                    "queue_depth": len(self.queue),
-                }
-                self.metrics["degraded"] += 1
+        # A render carries its scale at the top level, a sweep in its base
+        # spec and a trajectory in its spec.
+        key = {"render": None, "sweep": "base", "trajectory": "spec"}[kind]
+        scaled = payload if key is None else dict(payload.get(key) or {})
+        scale = float(scaled.get("resolution_scale", 1.0))
+        target = max(MIN_RESOLUTION_SCALE, scale * self.config.degrade_factor)
+        if target >= scale:
+            return
+        scaled["resolution_scale"] = target
+        if key is not None:
+            payload[key] = scaled
+        record.degraded = {
+            "resolution_scale": target,
+            "requested_resolution_scale": scale,
+            "queue_depth": len(self.queue),
+        }
+        self.metrics["degraded"] += 1
 
     # ------------------------------------------------------------------
     # admission (event-loop context)

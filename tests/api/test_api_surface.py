@@ -40,5 +40,7 @@ def test_internals_stay_importable_from_their_modules():
 
 
 def test_new_types_exported():
-    assert api.RenderOptions is not None
     assert api.TrajectorySpec is not None
+    # A frame's execution has no options object: the renderer chooses its
+    # process count, and a smaller image is a scaled camera.
+    assert not hasattr(api, "RenderOptions")

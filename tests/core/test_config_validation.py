@@ -15,8 +15,6 @@ from repro.gaussians.rasterizer import TileRasterizer
         ({"tile_size": 0}, "tile_size must be positive, got 0"),
         ({"tile_size": -16}, "tile_size must be positive, got -16"),
         ({"ray_stride": 0}, "ray_stride must be positive, got 0"),
-        ({"ray_step_fraction": 0.0}, "ray_step_fraction must be in (0, 1], got 0.0"),
-        ({"ray_step_fraction": 1.5}, "ray_step_fraction must be in (0, 1], got 1.5"),
         ({"sh_degree": -1}, "sh_degree must be in [0, 3], got -1"),
         ({"sh_degree": 4}, "sh_degree must be in [0, 3], got 4"),
         ({"max_voxels_per_ray": 0}, "max_voxels_per_ray must be positive, got 0"),
@@ -54,6 +52,6 @@ def test_with_options_revalidates():
 
 
 def test_valid_configuration_accepts_bounds():
-    config = StreamingConfig(ray_step_fraction=1.0, sh_degree=0, frame_cache_size=0)
-    assert config.ray_step_fraction == 1.0
+    config = StreamingConfig(sh_degree=0, frame_cache_size=0)
+    assert config.sh_degree == 0
     assert config.frame_cache_size == 0

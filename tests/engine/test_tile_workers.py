@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import RenderOptions, Session
+from repro.api import Session
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer, StreamingStats
 from repro.engine import tile_parallel
@@ -312,13 +312,12 @@ class TestConcurrentCallers:
 class TestRendererLifecycle:
     def test_eviction_drops_the_renderer_from_every_worker(self):
         camera = make_camera(width=48, height=32)
-        options = RenderOptions(tile_workers=3)
         with Session(max_renderers=1) as session:
             tokens = []
             for seed in (3, 4):
-                model = make_model(num_gaussians=200, seed=seed)
-                session.render(model, camera, options=options)
-                tokens.append(tile_parallel._TOKENS[session.streaming_renderer(model)])
+                renderer = session.streaming_renderer(make_model(num_gaussians=200, seed=seed))
+                renderer.render(camera, tile_workers=3)
+                tokens.append(tile_parallel._TOKENS[renderer])
                 held = tile_parallel.worker_renderers()
                 assert len(held) >= 2 and all(tokens[-1] in h for h in held[:2])
             # The second renderer evicted the first, from the workers too.
@@ -328,8 +327,9 @@ class TestRendererLifecycle:
         camera = make_camera(width=48, height=32)
         model = make_model(num_gaussians=200, seed=5)
         session = Session()
-        session.render(model, camera, options=RenderOptions(tile_workers=2))
-        token = tile_parallel._TOKENS[session.streaming_renderer(model)]
+        renderer = session.streaming_renderer(model)
+        renderer.render(camera, tile_workers=2)
+        token = tile_parallel._TOKENS[renderer]
         assert token in tile_parallel.worker_renderers()[0]
         session.close()
         assert not any(token in h for h in tile_parallel.worker_renderers())
@@ -350,10 +350,9 @@ class TestAutomaticWorkers:
             second = session.render(model, camera).output
             assert second.telemetry["tile_workers"] == min(tile_parallel.available_cpus(), 3)
             assert_frames_equal(first, second)
-            # The count is min(CPUs, blocks, pixels // AUTO_PIXELS_PER_PROCESS);
-            # RenderOptions() means the same as no options.
+            # The count is min(CPUs, blocks, pixels // AUTO_PIXELS_PER_PROCESS).
             monkeypatch.setattr(tile_parallel, "available_cpus", lambda: 2)
-            frame = session.render(model, camera, options=RenderOptions()).output
+            frame = session.render(model, camera).output
             assert frame.telemetry["tile_workers"] == 2
             assert frame.telemetry["tile_mode"] == "process"
             monkeypatch.setattr(tile_parallel, "available_cpus", lambda: 64)
@@ -362,7 +361,8 @@ class TestAutomaticWorkers:
             assert_frames_equal(first, frame)
             wide = make_camera(width=128, height=32)  # 4096 pixels, 8 blocks
             assert session.render(model, wide).output.telemetry["tile_workers"] == 4
-            one = session.render(model, camera, options=RenderOptions(tile_workers=1)).output
+            renderer = session.streaming_renderer(model)
+            one = renderer.render(camera, tile_workers=1)
             assert one.telemetry["tile_workers"] == 1 and "tile_auto" not in one.telemetry
 
     def test_small_frames_stay_in_one_process(self):

@@ -438,6 +438,46 @@ class TestDegradation:
             handle.stop()
             handle.join()
 
+    def test_overload_downshifts_sweep_resolution_scale(self):
+        handle = start_daemon(workers=1, degrade_depth=0)
+        try:
+            response = submit_async(
+                handle,
+                "sweep",
+                {"base": {"scene": "lego", "resolution_scale": 0.5},
+                 "grid": {"num_hfu": [2]}},
+            ).result(120)
+            assert response.ok
+            degraded = response.meta["degraded"]
+            assert degraded["resolution_scale"] == pytest.approx(0.25)
+            assert degraded["requested_resolution_scale"] == pytest.approx(0.5)
+            assert handle.daemon.metrics["degraded"] == 1
+        finally:
+            handle.stop()
+            handle.join()
+
+    def test_no_degradation_at_minimum_scale(self):
+        # A render already at the floor scale cannot be downshifted, so it
+        # runs as requested and is not counted as degraded.
+        from repro.service.actors import MIN_RESOLUTION_SCALE
+
+        handle = start_daemon(workers=1, degrade_depth=0)
+        try:
+            response = submit_async(
+                handle,
+                "render",
+                {"scene": "lego", "resolution_scale": MIN_RESOLUTION_SCALE},
+            ).result(60)
+            assert response.ok
+            assert "degraded" not in response.meta
+            assert response.result["resolution_scale"] == pytest.approx(
+                MIN_RESOLUTION_SCALE
+            )
+            assert handle.daemon.metrics["degraded"] == 0
+        finally:
+            handle.stop()
+            handle.join()
+
     def test_crash_retried_request_keeps_first_dispatch_scale(self):
         # Regression: degradation used to be re-evaluated on every
         # dispatch, so a crash-retried request (re-admitted front-of-queue
