@@ -21,7 +21,12 @@ so the shards are independent), times it several ways —
 * **Fig. 13 shape** — the Fig. 13 CFU x FFU grid (one scene context, 16
   points) on a fresh ``Session(jobs=1)`` and a fresh
   ``Session(jobs=N)``, asserting the parallel session runs the one shard
-  serially in the caller (``ExecutionReport.mode == "serial"``)
+  serially in the caller (``ExecutionReport.mode == "serial"``);
+* **scheduled runner** — the reduced ``runner all`` of CI's
+  ``scheduler-smoke`` job in a fresh process, serially and at ``--jobs N``
+  (whole experiments on the pool), :data:`REPEATS` times each in
+  alternating order, asserting both print the same results (wall-clock
+  fields of the timing experiments aside)
 
 — verifies they produce bit-identical :class:`SweepResult` tables
 (``meta`` carries run telemetry and legitimately differs), and appends the
@@ -31,7 +36,8 @@ measurements to the ``BENCH_sweep.json`` trajectory next to
     PYTHONPATH=src python benchmarks/bench_sweep.py
     PYTHONPATH=src python benchmarks/bench_sweep.py --check --min-speedup 1.05
 
-``--check`` exits non-zero when results diverge, the store misbehaves, the
+``--check`` exits non-zero when results diverge (sweeps or the scheduled
+runner), the store misbehaves, the
 warm pool is not reused (or is drastically slower than the cold one), the
 one-shard grid leaves the caller, or (on multi-core hosts) the median
 parallel speedup fails the bar; on a
@@ -42,8 +48,10 @@ the shards — while every correctness assertion still applies.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -66,6 +74,56 @@ TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 #: the bar is loose because both runs are short and hosts are noisy).
 POOL_WARM_SLACK = 1.5
 
+#: The reduced ``runner all`` options of CI's ``scheduler-smoke`` job.
+SCHEDULE_OPTIONS = {
+    "fig2": {"scenes": ["lego"]},
+    "fig3": {"scenes": ["lego"]},
+    "fig4": {"scenes": ["lego"]},
+    "fig7": {"iterations": 500, "probe_every": 250},
+    "tab2": {"scenes": ["lego"], "algorithms": ["3dgs"]},
+    "fig11": {"scenes": ["lego"], "algorithms": ["3dgs"]},
+    "fig12": {"scene": "lego", "voxel_sizes": [1.0, 2.0], "resolution_scale": 0.5},
+    "fig13": {"scene": "lego", "cfus": [1, 2], "ffus": [1, 2], "resolution_scale": 0.5},
+    "claims": {"scene": "lego"},
+    "trajectory": {"scene": "lego", "frames": 2, "resolution_scale": 0.25},
+    "engine": {"repeats": 2},
+}
+
+#: Wall-clock fields of the timing experiments, left out of the scheduled
+#: runner's parity check; every other field must match exactly.
+TIMED_FIELDS = {
+    "engine": ("text", "metrics.speedup", "payload.seconds", "payload.speedup"),
+    "trajectory": (
+        "text",
+        "metrics.total_seconds",
+        "metrics.mean_frame_ms",
+        "payload.per_frame",
+    ),
+}
+
+
+def run_schedule(jobs: int):
+    """One CI-reduced ``runner all --json`` in a fresh process.
+
+    Returns its wall seconds and its results with :data:`TIMED_FIELDS`
+    removed.
+    """
+    command = [
+        sys.executable, "-m", "repro.analysis.runner", "all", "--json", "--no-cache",
+        "--jobs", str(jobs), "--options", json.dumps(SCHEDULE_OPTIONS),
+    ]
+    start = time.perf_counter()
+    completed = subprocess.run(command, capture_output=True, text=True, check=True)
+    seconds = time.perf_counter() - start
+    results = [json.loads(line) for line in completed.stdout.splitlines() if line]
+    for result in results:
+        for path in TIMED_FIELDS.get(result["name"], ()):
+            section, _, key = path.partition(".")
+            if key:
+                result[section].pop(key)
+            else:
+                result.pop(section)
+    return seconds, results
 
 
 def main(argv=None) -> int:
@@ -178,6 +236,26 @@ def main(argv=None) -> int:
         f"{'ok' if fig13_ok else 'FAIL'})"
     )
 
+    # Scheduled runner: whole experiments on the pool against the same
+    # experiments one after another, each run in a fresh process.
+    schedule_samples: dict = {1: [], args.jobs: []}
+    schedule_outputs = []
+    for index in range(REPEATS):
+        for jobs in (1, args.jobs)[:: 1 if index % 2 == 0 else -1]:
+            seconds, results = run_schedule(jobs)
+            schedule_samples[jobs].append(seconds)
+            schedule_outputs.append(results)
+    schedule_serial_s = statistics.median(schedule_samples[1])
+    schedule_jobs_s = statistics.median(schedule_samples[args.jobs])
+    schedule_speedup = schedule_serial_s / schedule_jobs_s if schedule_jobs_s > 0 else 0.0
+    schedule_ok = all(output == schedule_outputs[0] for output in schedule_outputs)
+    print(
+        f"runner all       : {schedule_serial_s:6.2f}s jobs=1, {schedule_jobs_s:6.2f}s "
+        f"jobs={args.jobs} (medians of {REPEATS}; {len(schedule_outputs[0])} "
+        f"experiments, speedup {schedule_speedup:.2f}x, "
+        f"{'same results' if schedule_ok else 'RESULTS DIFFER'})"
+    )
+
     # Result-store behaviour: cold run misses and populates, warm run hits
     # every spec and renders nothing.
     with tempfile.TemporaryDirectory(prefix="bench-sweep-store-") as cache_dir:
@@ -229,6 +307,13 @@ def main(argv=None) -> int:
         "fig13_parallel_s": fig13_parallel_s,
         "fig13_mode": fig13_mode,
         "fig13_ok": fig13_ok,
+        "schedule_experiments": len(schedule_outputs[0]),
+        "schedule_serial_s": schedule_serial_s,
+        "schedule_jobs_s": schedule_jobs_s,
+        "schedule_speedup": schedule_speedup,
+        "schedule_serial_samples_s": schedule_samples[1],
+        "schedule_jobs_samples_s": schedule_samples[args.jobs],
+        "schedule_ok": schedule_ok,
         "speedup_gate": "enforced" if (os.cpu_count() or 1) >= 2 else "skipped",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -242,6 +327,12 @@ def main(argv=None) -> int:
             failed = True
         if not (cold_ok and warm_ok):
             print("FAIL: result-store cold/warm behaviour is wrong", file=sys.stderr)
+            failed = True
+        if not schedule_ok:
+            print(
+                "FAIL: the scheduled runner's results differ from the serial runner's",
+                file=sys.stderr,
+            )
             failed = True
         if not fig13_ok:
             print(

@@ -9,15 +9,25 @@ benchmark harness::
     python -m repro.analysis.runner fig12 --jobs 4 --cache-dir results/
     python -m repro.analysis.runner all
 
-Experiments are defined in :mod:`repro.api.experiments`; every run goes
-through the process-wide :class:`~repro.api.session.Session`, so a multi-
-experiment invocation shares scene contexts and renderers, and every
+Experiments are defined in :mod:`repro.api.experiments`; every invocation
+hands its experiments to :func:`repro.api.executor.schedule_experiments`
+with the process-wide :class:`~repro.api.session.Session`, and every
 experiment returns a typed :class:`~repro.api.result.ExperimentResult`
-(``--json`` emits its machine-readable form).
+(``--json`` emits its machine-readable form).  Results print in request
+order once the schedule is done.
 
-Sweep-shaped experiments (``fig12``, ``fig13``, anything built on
-``Session.run_sweep``) honour ``--jobs N`` (sharded parallel evaluation)
-and the disk-backed result store: ``--cache-dir DIR`` (or the
+With ``--jobs 1`` or one experiment, the experiments run in this process,
+one after the other, sharing scene contexts and renderers, and sweep-shaped
+experiments (``fig12``, ``fig13``, anything built on
+``Session.run_sweep``) evaluate their shards on ``--jobs`` workers.  With
+``--jobs N`` and more than one experiment (``runner all --jobs 4``), whole
+experiments run on the session's process pool, heaviest ``cost_hint``
+first, each with serial sweeps.  Either way, when ``--jobs`` exceeds 1 or a
+store is active, stderr gets, per experiment, an ``[execution]`` line for
+its last sweep and a ``[scheduler]`` line with its wall time, then one
+``[scheduler]`` summary (:meth:`~repro.api.executor.ExecutionReport.summary`).
+
+The disk-backed result store: ``--cache-dir DIR`` (or the
 ``REPRO_CACHE_DIR`` environment variable) persists every evaluated point,
 so a warm re-run renders nothing; ``--no-cache`` disables the store even
 when the environment configures one.  ``--options '{"voxel_sizes":
@@ -28,76 +38,24 @@ experiment instead — ``'{"fig12": {"voxel_sizes": [1.0]}, "fig13":
 {"cfus": [1, 2]}}'`` — which is how a multi-experiment invocation mixes
 builders with different signatures.
 
-``--telemetry-json PATH`` dumps what a run actually did — each sweep's
-:class:`~repro.api.executor.ExecutionReport`, the scheduler report of a
-multi-experiment ``--jobs`` run, session / render-service counters (frame
-telemetry, renderer-cache behaviour) and result-store statistics — as one
-JSON object for dashboards.
-
-With ``--jobs N`` and more than one experiment (``runner all --jobs 4``),
-whole experiments are scheduled across a process pool
-(:func:`repro.api.executor.schedule_experiments`): dispatch is
-heaviest-first by each definition's ``cost_hint``, results print in
-request order, and a ``[scheduler]`` telemetry line (per-experiment wall
-times, worker reuse) goes to stderr.  Single-experiment invocations keep
-``--jobs`` at the sweep level and report their sharded execution on an
-``[execution]`` line instead.
+``--telemetry-json PATH`` dumps what a run actually did — each
+experiment's wall time, the schedule's
+:class:`~repro.api.executor.ExecutionReport` (with each experiment's last
+sweep report under ``sweeps``), session / render-service counters and the
+result-store counters — as one JSON object for dashboards.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.api.experiments import REGISTRY, get_experiment
-from repro.api.result import ExperimentResult
+from repro.api.executor import schedule_experiments
+from repro.api.experiments import REGISTRY, experiment_names
 from repro.api.session import get_default_session
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """One regenerable artefact of the paper's evaluation."""
-
-    name: str
-    description: str
-    runner: Callable[..., ExperimentResult]
-
-
-def _run_registered(name: str, **kwargs: Any) -> ExperimentResult:
-    return get_experiment(name).build(get_default_session(), **kwargs)
-
-
-#: Name -> experiment view of the :mod:`repro.api.experiments` registry.
-EXPERIMENTS: Dict[str, Experiment] = {
-    name: Experiment(
-        name=name,
-        description=definition.description,
-        runner=functools.partial(_run_registered, name),
-    )
-    for name, definition in REGISTRY.items()
-}
-
-
-def run_experiment_result(name: str, **kwargs: Any) -> ExperimentResult:
-    """Run one experiment by name and return its typed result."""
-    if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name].runner(**kwargs)
-
-
-def run_experiment(name: str) -> str:
-    """Run one experiment by name and return its formatted report."""
-    return run_experiment_result(name).format()
-
-
-def list_experiments() -> List[str]:
-    """Registered experiment names in presentation order."""
-    return list(EXPERIMENTS)
 
 
 def route_options(
@@ -115,7 +73,7 @@ def route_options(
     a typo'd selection run with defaults and still exit 0.
     """
     per_experiment = bool(options) and all(
-        key in EXPERIMENTS and isinstance(value, dict)
+        key in REGISTRY and isinstance(value, dict)
         for key, value in options.items()
     )
     if per_experiment:
@@ -184,8 +142,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="worker count for sweep-shaped experiments (sharded parallel "
-        "evaluation; default 1 = serial)",
+        help="worker count: whole experiments on a process pool when more "
+        "than one is named, else the shards of a sweep-shaped experiment "
+        "(default 1 = serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -210,10 +169,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="PATH",
         help="dump execution telemetry as one JSON object to PATH "
-        "(keys: experiments, scheduler, session, store). Serial runs "
-        "record per-experiment ExecutionReports and session/render-service "
-        "counters; scheduled multi-experiment --jobs runs record the "
-        "scheduler report with per-experiment wall times",
+        "(keys: experiments, scheduler, session, store): per-experiment "
+        "wall times, the schedule's ExecutionReport with each experiment's "
+        "last sweep report, session/render-service and store counters",
     )
     args = parser.parse_args(argv)
 
@@ -231,17 +189,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     if args.list or not args.experiments:
-        for experiment in EXPERIMENTS.values():
-            print(f"{experiment.name:<8} {experiment.description}")
+        for name, definition in REGISTRY.items():
+            print(f"{name:<8} {definition.description}")
         return 0
 
     names = (
-        list(EXPERIMENTS) if args.experiments == ["all"] else list(args.experiments)
+        experiment_names() if args.experiments == ["all"] else list(args.experiments)
     )
-    unknown = [name for name in names if name not in EXPERIMENTS]
+    unknown = [name for name in names if name not in REGISTRY]
     if unknown:
         print(
-            f"error: unknown experiment(s) {unknown}; available: {sorted(EXPERIMENTS)}",
+            f"error: unknown experiment(s) {unknown}; available: {sorted(REGISTRY)}",
             file=sys.stderr,
         )
         return 2
@@ -257,94 +215,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if args.jobs > 1 and len(names) > 1:
-        return _main_scheduled(names, args, options_for, store)
-
-    # The CLI flags apply only to this invocation: the process-wide session
-    # keeps whatever jobs/store another in-process caller configured.
     session = get_default_session()
-    previous = (session.jobs, session.store)
-    session.jobs, session.store = args.jobs, store
-    last_report = session.last_execution
-    execution_reports: Dict[str, Any] = {}
-    try:
-        for name in names:
-            kwargs = options_for[name]
-            try:
-                result = run_experiment_result(name, **kwargs)
-            except TypeError as error:
-                if not kwargs or not _rejected_options(error):
-                    raise
-                print(
-                    f"error: experiment {name!r} rejected --options "
-                    f"{sorted(kwargs)}: {error}",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.json:
-                print(result.to_json())
-            else:
-                print(result.format())
-                print()
-            # Sweep-shaped experiments leave their ExecutionReport on the
-            # session; record it per experiment and surface it whenever
-            # parallelism or the store is on.
-            if (
-                session.last_execution is not None
-                and session.last_execution is not last_report
-            ):
-                last_report = session.last_execution
-                execution_reports[name] = last_report.to_dict()
-                if args.jobs > 1 or store is not None:
-                    print(
-                        f"[execution] {name}: {last_report.summary()}",
-                        file=sys.stderr,
-                    )
-    finally:
-        session.jobs, session.store = previous
-    if store is not None:
-        print(
-            f"[result-store] hits={store.hits} misses={store.misses} "
-            f"entries={len(store)} dir={store.root}",
-            file=sys.stderr,
-        )
-    if args.telemetry_json:
-        _write_telemetry(
-            args.telemetry_json,
-            {
-                "experiments": execution_reports,
-                "scheduler": None,
-                "session": session.stats(),
-                "store": store.stats() if store is not None else None,
-            },
-        )
-    return 0
-
-
-def _write_telemetry(path: str, payload: Dict[str, Any]) -> None:
-    """Dump one telemetry JSON object atomically and note it on stderr."""
-    from repro.api.store import atomic_write_json
-
-    atomic_write_json(path, payload)
-    print(f"[telemetry] wrote {path}", file=sys.stderr)
-
-
-def _main_scheduled(names, args, options_for, store) -> int:
-    """``runner all --jobs N``: whole experiments across the session pool.
-
-    The fan-out runs on the process-wide default session's persistent
-    :class:`~repro.api.pool.WorkerPool` rather than an ephemeral pool, so
-    repeated scheduled invocations in one process reuse warm workers.
-    """
-    from repro.api.executor import schedule_experiments
-
     try:
         results, report = schedule_experiments(
             names,
             jobs=args.jobs,
             options=options_for,
-            cache_dir=str(store.root) if store is not None else None,
-            session=get_default_session(),
+            cache_dir=store.root if store is not None else None,
+            session=session,
         )
     except TypeError as error:
         if not any(options_for.values()) or not _rejected_options(error):
@@ -357,33 +235,38 @@ def _main_scheduled(names, args, options_for, store) -> int:
         else:
             print(result.format())
             print()
-    for name in names:
-        print(f"[scheduler] {name}: {report.elapsed_s[name]:.2f}s", file=sys.stderr)
-    print(f"[scheduler] {report.summary()}", file=sys.stderr)
+    if args.jobs > 1 or store is not None:
+        for name, seconds in zip(names, report.shard_times_s):
+            if name in report.sweeps:
+                print(f"[execution] {name}: {report.sweeps[name].summary()}", file=sys.stderr)
+            print(f"[scheduler] {name}: {seconds:.2f}s", file=sys.stderr)
+        print(f"[scheduler] {report.summary()}", file=sys.stderr)
+    store_stats = None
     if store is not None:
-        # Hit/miss counters are aggregated from the workers; the entry
-        # count is read back from the shared on-disk store.
-        print(
-            f"[result-store] hits={report.store_hits} misses={report.store_misses} "
-            f"entries={len(store)} dir={store.root}",
-            file=sys.stderr,
-        )
+        store_stats = {
+            "hits": report.cache_hits,
+            "misses": report.cache_misses,
+            "entries": len(store),
+            "dir": str(store.root),
+        }
+        line = " ".join(f"{key}={value}" for key, value in store_stats.items())
+        print(f"[result-store] {line}", file=sys.stderr)
     if args.telemetry_json:
-        # Scheduled experiments evaluate in worker processes, so their
-        # sweep-level ExecutionReports (and the parent session's counters)
-        # are not observable here; the per-experiment wall times live in
-        # the scheduler report's ``elapsed_s``.
-        _write_telemetry(
+        from repro.api.store import atomic_write_json
+
+        atomic_write_json(
             args.telemetry_json,
             {
                 "experiments": {
-                    name: {"elapsed_s": report.elapsed_s[name]} for name in names
+                    name: {"elapsed_s": seconds}
+                    for name, seconds in zip(names, report.shard_times_s)
                 },
                 "scheduler": report.to_dict(),
-                "session": None,
-                "store": store.stats() if store is not None else None,
+                "session": session.stats(),
+                "store": store_stats,
             },
         )
+        print(f"[telemetry] wrote {args.telemetry_json}", file=sys.stderr)
     return 0
 
 

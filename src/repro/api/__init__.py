@@ -2,8 +2,8 @@
 
 The public surface:
 
-* :class:`~repro.api.session.Session` — owns a render service, a scene
-  cache and a seeded RNG; everything runs through it.
+* :class:`~repro.api.session.Session` — owns a render service and a
+  scene cache; everything runs through it.
 * :class:`~repro.api.spec.ExperimentSpec` — one declarative evaluation
   point (scene x algorithm x compression x config overrides x arch model).
 * :class:`~repro.api.spec.TrajectorySpec` — one declarative trajectory
@@ -25,10 +25,12 @@ The public surface:
   :class:`~repro.api.executor.ExecutionReport` in
   ``SweepResult.meta["execution"]``.
 * :class:`~repro.api.pool.WorkerPool` — the persistent process pool a
-  session keeps warm across sweeps (``Session.close()`` / ``atexit`` shut
-  it down).
+  session keeps warm across sweeps and schedules (``Session.close()`` /
+  ``atexit`` shut it down).
 * :func:`~repro.api.executor.schedule_experiments` — whole registry
-  experiments fanned out over a process pool (``runner all --jobs N``).
+  experiments, one task each on the same fan-out as a sweep's shards
+  (every ``runner`` invocation; ``--jobs N`` puts them on the pool), with
+  one :class:`~repro.api.executor.ExecutionReport` for the schedule.
 * :class:`~repro.api.store.ResultStore` — disk-backed, content-addressed
   result cache keyed by a canonical spec hash; warm sweeps re-render
   nothing.  ``max_bytes=`` caps its size (LRU-by-mtime eviction via
@@ -60,7 +62,6 @@ from repro.api.store import ResultStore, append_trajectory, spec_key
 from repro.api.pool import WorkerPool
 from repro.api.executor import (
     ExecutionReport,
-    ScheduleReport,
     SpecEvaluationError,
     SweepExecutor,
     schedule_experiments,
@@ -68,8 +69,8 @@ from repro.api.executor import (
 from repro.api.session import Session, get_default_session, reset_default_session
 
 # The public API surface.  Internals stay importable from their modules
-# (``repro.api.pool.worker_session``, ``repro.api.store.atomic_write_json``)
-# but are not re-exported here; ``tests/api/test_api_surface.py`` asserts
+# (``repro.api.executor.group_by_context``,
+# ``repro.api.store.atomic_write_json``) but are not re-exported here; ``tests/api/test_api_surface.py`` asserts
 # the module's importable names match this list exactly.
 __all__ = [
     "ARCH_MODELS",
@@ -78,7 +79,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "ResultStore",
-    "ScheduleReport",
     "Session",
     "SpecEvaluationError",
     "SweepExecutor",

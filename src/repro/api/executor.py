@@ -1,4 +1,15 @@
-"""Parallel, sharded execution of experiment sweeps — and of experiments.
+"""Parallel execution of experiment sweeps and of whole experiments.
+
+One private fan-out runs a list of independent tasks: in the caller when
+``jobs == 1`` or there is one task, otherwise on the calling session's
+**persistent process pool** (:class:`~repro.api.pool.WorkerPool`; an
+ephemeral pool when no session is given).  It keeps every task that
+finishes and re-raises a task's own exception at once and unchanged.  When
+the pool itself fails — it cannot be built, refuses a task or loses a
+worker — it discards the pool, records ``degraded_reason`` and runs only
+the unfinished tasks in the caller.  Pool workers run every task in their
+process's :func:`~repro.api.session.get_default_session`, which stays warm
+across tasks, so a context an earlier task built is a cache hit.
 
 :class:`SweepExecutor` evaluates a list of
 :class:`~repro.api.spec.ExperimentSpec` points by
@@ -11,13 +22,7 @@
    config) — the expensive part of a point is building that context, and
    every spec in a shard shares it through
    :meth:`~repro.api.session.Session.run_many`,
-3. running the shards whole: serially in the calling session when
-   ``jobs == 1`` or the grid has one shard, otherwise on the calling
-   session's **persistent process pool**
-   (:class:`~repro.api.pool.WorkerPool`; an ephemeral pool when no
-   session is given) — if that pool cannot be built or breaks, the shards
-   it did not finish run serially in the caller and the reason is
-   recorded, and
+3. running one task per shard through the fan-out, and
 4. merging the per-shard outputs back into one
    :class:`~repro.api.result.SweepResult` in the original spec order —
    the tables are byte-identical to a serial run regardless of worker
@@ -30,21 +35,22 @@ total), while shipping the context to another process costs tens of
 milliseconds each way, so a one-context grid runs fastest where the
 context is built.
 
-What one run actually did — mode, shards, per-shard wall times, store
-hits, pool reuse — is recorded in an :class:`ExecutionReport` and surfaced
-as ``SweepResult.meta["execution"]``.
+:func:`schedule_experiments` runs whole registry experiments (``fig2`` ...
+``engine``) for ``runner``, one task per experiment.  Experiments are
+mutually independent, so ordering only affects makespan: the pool gets
+them heaviest :attr:`~repro.api.experiments.ExperimentDefinition.cost_hint`
+first, while results return in request order.
 
-:func:`schedule_experiments` applies the same machinery one level up:
-whole registry experiments (``fig2`` ... ``engine``) are dispatched across
-a process pool for ``runner all --jobs N``.  Experiments are mutually
-independent (dependency-free), so ordering only affects makespan; dispatch
-is by descending :attr:`~repro.api.experiments.ExperimentDefinition.cost_hint`
-(heaviest first), while results return in request order.
+What one run actually did — mode, tasks, per-task wall times, store hits,
+pool reuse — is recorded in an :class:`ExecutionReport`, surfaced as
+``SweepResult.meta["execution"]`` for a sweep.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import functools
 from concurrent.futures.process import BrokenProcessPool
 import pickle
 import time
@@ -54,13 +60,13 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -72,10 +78,11 @@ from repro.api.store import ResultStore, resolve_store
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.api.session import Session
 
-#: Pool-level failures that send the unfinished work back to the caller.
-#: ``RuntimeError`` covers thread-spawn exhaustion in the pool's manager
-#: and submits to a pool that was shut down; user errors are wrapped in
-#: :class:`SpecEvaluationError` and always re-raised first.
+#: Failures of building a pool or handing it a task, which send the
+#: unfinished tasks back to the caller.  ``RuntimeError`` covers
+#: thread-spawn exhaustion in the pool's manager and submits to a pool that
+#: was shut down.  A finished task's exception never passes through here:
+#: only :class:`BrokenProcessPool` from a future is the pool's.
 _POOL_FAILURES = (
     BrokenProcessPool,
     OSError,
@@ -145,40 +152,97 @@ def _worker_id() -> str:
     return f"{os.getpid()}:{threading.get_ident()}"
 
 
-def _evaluate_shard(specs: Sequence[ExperimentSpec], seed: int) -> Dict[str, Any]:
-    """Worker entry point: evaluate one shard.
+def _session_or_default(session: Optional["Session"]) -> "Session":
+    """``session``, or this process's default session (a pool worker's)."""
+    if session is not None:
+        return session
+    from repro.api.session import get_default_session
 
-    Runs in a pool worker, which keeps one **warm session** alive across
-    tasks and sweeps (:func:`repro.api.pool.worker_session`), so a context
-    an earlier task built is a cache hit.  Returns plain ``to_dict()``
-    payloads (cheap to pickle, lossless to reconstruct) plus shard
-    telemetry, including how many contexts this task actually built
-    (``context_builds``).
-    """
-    from repro.api.pool import worker_session
+    return get_default_session()
 
+
+def _timed_task(session: "Session", work: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:
+    """Run one task's ``work`` and add the telemetry every payload carries:
+    wall time, worker id and the scene contexts the task built."""
     start = time.perf_counter()
-    session = worker_session(seed)
     builds_before = session.context_misses
-    payloads = [result.to_dict() for result in session.run_many(list(specs))]
-    return {
-        "results": payloads,
-        "elapsed_s": time.perf_counter() - start,
-        "worker": _worker_id(),
-        "context_builds": session.context_misses - builds_before,
-    }
+    payload = work()
+    payload["elapsed_s"] = time.perf_counter() - start
+    payload["worker"] = _worker_id()
+    payload["context_builds"] = session.context_misses - builds_before
+    return payload
+
+
+def _evaluate_shard(
+    specs: Sequence[ExperimentSpec], session: Optional["Session"] = None
+) -> Dict[str, Any]:
+    """Evaluate one shard in ``session`` (a pool worker's default session).
+
+    Returns plain ``to_dict()`` payloads (cheap to pickle, lossless to
+    reconstruct) plus the task telemetry of :func:`_timed_task`.
+    """
+    session = _session_or_default(session)
+    return _timed_task(
+        session,
+        lambda: {"results": [result.to_dict() for result in session.run_many(list(specs))]},
+    )
+
+
+def _run_experiment(
+    name: str,
+    options: Optional[Mapping[str, Any]] = None,
+    cache_dir: Optional[str] = None,
+    session: Optional["Session"] = None,
+    jobs: int = 1,
+) -> Dict[str, Any]:
+    """Run one registry experiment in ``session`` with its sweeps at ``jobs``.
+
+    A pool worker passes neither, so the experiment runs in its default
+    session with serial sweeps: parallelism already lives at the
+    experiment level, and nested pools would oversubscribe the host.
+    ``cache_dir`` roots the experiment's result store.  Returns the
+    result's ``to_dict()``, the store's hit/miss counters, the
+    :class:`ExecutionReport` of the last sweep the experiment ran (``None``
+    if it ran none) and the task telemetry of :func:`_timed_task`.
+    """
+    from repro.api.experiments import get_experiment
+
+    session = _session_or_default(session)
+    store = ResultStore(cache_dir) if cache_dir else None
+    last_sweep = session.last_execution
+
+    def work() -> Dict[str, Any]:
+        previous = (session.jobs, session.store)
+        session.jobs, session.store = jobs, store
+        try:
+            result = get_experiment(name).build(session, **dict(options or {}))
+        finally:
+            session.jobs, session.store = previous
+        sweep = session.last_execution
+        return {
+            "result": result.to_dict(),
+            "store_hits": store.hits if store is not None else 0,
+            "store_misses": store.misses if store is not None else 0,
+            "sweep": sweep if sweep is not last_sweep else None,
+        }
+
+    return _timed_task(session, work)
 
 
 @dataclass
 class ExecutionReport:
-    """What one :meth:`SweepExecutor.run` actually did.
+    """What one sweep or one experiment schedule actually did.
 
-    ``mode`` is ``serial`` or ``process`` — ``serial`` also when a broken
-    pool sent its unfinished shards back to the caller, in which case
-    ``degraded_reason`` says why.  ``shards`` counts context groups, each
-    one dispatch unit.  ``worker_reuse`` is the session pool's cumulative
-    reuse counter — how many times a sweep got handed an already-warm
-    pool instead of paying startup.
+    Each shard of a sweep, and each experiment of a schedule, is one task
+    (``shards``; ``specs`` counts a sweep's points and a schedule's
+    experiments).  ``mode`` is ``serial`` or ``process`` — ``serial`` also
+    when a broken pool sent its unfinished tasks back to the caller, in
+    which case ``degraded_reason`` says why.  ``worker_reuse`` is the
+    session pool's cumulative reuse counter — how many times a run got
+    handed an already-warm pool instead of paying startup — and
+    ``workers_used`` counts the distinct processes that ran tasks.
+    ``sweeps`` holds, for a schedule, the report of the last sweep each
+    experiment ran, by experiment name.
     """
 
     mode: str = "serial"
@@ -194,11 +258,13 @@ class ExecutionReport:
     pool: str = "none"
     worker_reuse: int = 0
     wall_time_s: float = 0.0
-    #: Bytes of specs pickled to pool workers, and how many scene contexts
-    #: the run built (in the caller or in workers without a warm copy).
+    #: Bytes of task arguments pickled to pool workers, and how many scene
+    #: contexts the run built (in the caller or in workers without a warm
+    #: copy).
     pickled_bytes: int = 0
     context_rebuilds: int = 0
     degraded_reason: str = ""
+    sweeps: Dict[str, "ExecutionReport"] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-native form (stored in ``SweepResult.meta["execution"]``)."""
@@ -219,15 +285,18 @@ class ExecutionReport:
             "pickled_bytes": self.pickled_bytes,
             "context_rebuilds": self.context_rebuilds,
             "degraded_reason": self.degraded_reason,
+            "sweeps": {name: sweep.to_dict() for name, sweep in self.sweeps.items()},
         }
 
     def summary(self) -> str:
-        """One-line telemetry (the runner's ``[execution]`` line)."""
+        """One-line telemetry (the runner's ``[execution]`` and
+        ``[scheduler]`` lines)."""
         line = (
             f"mode={self.mode} jobs={self.jobs} shards={self.shards} "
             f"specs={self.specs} "
             f"store_hits={self.cache_hits} store_misses={self.cache_misses} "
-            f"pool={self.pool} reuse={self.worker_reuse} "
+            f"pool={self.pool} workers_used={self.workers_used} "
+            f"reuse={self.worker_reuse} "
             f"pickled_bytes={self.pickled_bytes} "
             f"context_rebuilds={self.context_rebuilds} "
             f"wall={self.wall_time_s:.2f}s"
@@ -235,6 +304,88 @@ class ExecutionReport:
         if self.degraded_reason:
             line += f" degraded_reason={self.degraded_reason!r}"
         return line
+
+
+def _gather(
+    futures: Dict[concurrent.futures.Future, int],
+    payloads: List[Optional[Dict[str, Any]]],
+) -> Optional[BaseException]:
+    """Keep the payload of every task that finishes; return the pool's
+    failure, if any.
+
+    A task's own exception is re-raised at once and unchanged, after the
+    tasks not yet started are cancelled.
+    """
+    failure: Optional[BaseException] = None
+    try:
+        for future in concurrent.futures.as_completed(futures):
+            try:
+                payloads[futures[future]] = future.result()
+            except BrokenProcessPool as error:
+                failure = failure or error
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
+    return failure
+
+
+def _fan_out(
+    report: ExecutionReport,
+    remote: Callable[..., Dict[str, Any]],
+    tasks: Sequence[Tuple],
+    local: Callable[..., Dict[str, Any]],
+    session: Optional["Session"],
+    order: Optional[Sequence[int]] = None,
+) -> List[Dict[str, Any]]:
+    """Run every task and return the payloads in task order.
+
+    ``remote(*task)`` runs a task in a pool worker and ``local(*task)`` in
+    the caller; both return a payload with :func:`_timed_task`'s
+    telemetry.  ``order`` is the pool's submission order (default: task
+    order).  Fills ``report``'s mode, pool and per-task fields.
+    """
+    payloads: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
+    workers = min(report.jobs, len(tasks))
+    report.workers = max(workers, 1)
+    if workers > 1:
+        report.mode = "process"
+        owner = session.worker_pool() if session is not None else None
+        report.pool = "persistent" if owner is not None else "ephemeral"
+        futures: Dict[concurrent.futures.Future, int] = {}
+        failure: Optional[BaseException] = None
+        with contextlib.ExitStack() as stack:
+            try:
+                if owner is not None:
+                    pool = owner.executor(workers)
+                    report.worker_reuse = owner.reuse_count
+                else:
+                    pool = stack.enter_context(
+                        concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                    )
+                for position in order if order is not None else range(len(tasks)):
+                    task = tasks[position]
+                    report.pickled_bytes += len(
+                        pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
+                    )
+                    futures[pool.submit(remote, *task)] = position
+            except _POOL_FAILURES as error:
+                failure = error
+            gathered = _gather(futures, payloads)
+            failure = failure or gathered
+        if failure is not None:
+            if owner is not None:
+                owner.discard()
+            report.mode = "serial"
+            report.pool = "none"
+            report.degraded_reason = f"{type(failure).__name__}: {failure}"
+    for position, task in enumerate(tasks):
+        if payloads[position] is None:
+            payloads[position] = local(*task)
+    report.shard_times_s = [payload["elapsed_s"] for payload in payloads]
+    report.workers_used = len({payload["worker"] for payload in payloads})
+    report.context_rebuilds = sum(payload["context_builds"] for payload in payloads)
+    return payloads  # type: ignore[return-value]
 
 
 class SweepExecutor:
@@ -249,22 +400,17 @@ class SweepExecutor:
     store:
         Optional :class:`ResultStore` (or a directory path for one)
         consulted before evaluation and updated after it.
-    seed:
-        Seed of the private sessions (workers, and serial runs without a
-        session).
     """
 
     def __init__(
         self,
         jobs: int = 1,
         store: Optional[Union[ResultStore, str, Path]] = None,
-        seed: int = 0,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.store = resolve_store(store)
-        self.seed = seed
         self.report = ExecutionReport()
 
     # ------------------------------------------------------------------
@@ -283,9 +429,9 @@ class SweepExecutor:
     ) -> SweepResult:
         """Evaluate every spec and return results in input order.
 
-        ``session`` evaluates serial shards (so warm contexts are reused),
-        supplies the worker seed and provides the persistent worker pool;
-        a private session (and an ephemeral pool) is used when omitted.
+        ``session`` evaluates the shards run in the caller (so warm
+        contexts are reused) and provides the persistent worker pool; a
+        private session (and an ephemeral pool) is used when omitted.
         """
         started = time.perf_counter()
         specs = list(specs)
@@ -306,14 +452,19 @@ class SweepExecutor:
             shards = list(group_by_context(pending).values())
             self.report.shards = len(shards)
             self.report.shard_sizes = [len(members) for members in shards]
-            self.report.shard_times_s = [0.0] * len(shards)
-            done = [False] * len(shards)
-            ran_on: Set[str] = set()
-            if self.jobs > 1 and len(shards) > 1:
-                self.report.mode = "process"
-                self._run_pool(shards, results, done, ran_on, session)
-            self._run_serial(shards, results, done, ran_on, session)
-            self.report.workers_used = len(ran_on)
+            from repro.api.session import Session
+
+            here = session if session is not None else Session()
+            payloads = _fan_out(
+                self.report,
+                _evaluate_shard,
+                [([spec for _, spec in members],) for members in shards],
+                functools.partial(_evaluate_shard, session=here),
+                session,
+            )
+            for members, payload in zip(shards, payloads):
+                for (index, _), result in zip(members, payload["results"]):
+                    results[index] = ExperimentResult.from_dict(result)
 
             if self.store is not None:
                 for index, spec in pending:
@@ -324,177 +475,12 @@ class SweepExecutor:
                         # future hit, never the sweep that computed it.
                         continue
 
-        missing = [i for i, result in enumerate(results) if result is None]
-        if missing:  # pragma: no cover - defensive; pools propagate errors
-            raise RuntimeError(f"sweep left {len(missing)} specs unevaluated: {missing}")
         self.report.wall_time_s = time.perf_counter() - started
         return SweepResult(
             results=list(results),
             swept=list(swept or []),
             meta={"execution": self.report.to_dict()},
         )
-
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self,
-        shards: List[List[Tuple[int, ExperimentSpec]]],
-        results: List[Optional[ExperimentResult]],
-        done: List[bool],
-        ran_on: Set[str],
-        session: Optional["Session"],
-    ) -> None:
-        """Evaluate, in the calling process, every shard no pool finished."""
-        if all(done):
-            return
-        if session is None:
-            from repro.api.session import Session
-
-            session = Session(seed=self.seed)
-        self.report.workers = max(self.report.workers, 1)
-        ran_on.add(_worker_id())
-        builds_before = session.context_misses
-        for position, members in enumerate(shards):
-            if done[position]:
-                continue
-            start = time.perf_counter()
-            evaluated = session.run_many([spec for _, spec in members])
-            self.report.shard_times_s[position] = time.perf_counter() - start
-            for (index, _), result in zip(members, evaluated):
-                results[index] = result
-            done[position] = True
-        self.report.context_rebuilds += session.context_misses - builds_before
-
-    def _run_pool(
-        self,
-        shards: List[List[Tuple[int, ExperimentSpec]]],
-        results: List[Optional[ExperimentResult]],
-        done: List[bool],
-        ran_on: Set[str],
-        session: Optional["Session"],
-    ) -> None:
-        """Run whole shards on a process pool: the session's persistent
-        one, or an ephemeral one created and torn down here.
-
-        Pools can fail lazily — construction succeeds but the workers die
-        at submit or fork time (rlimits, sandboxes).  Either way the pool
-        is dropped and the run degrades to serial: shards the pool
-        finished stand as they are (evaluation is deterministic), and
-        :meth:`_run_serial` evaluates the rest in the caller.
-        """
-        seed = session.seed if session is not None else self.seed
-        workers = min(self.jobs, len(shards))
-        self.report.workers = workers
-        owner = session.worker_pool() if session is not None else None
-        self.report.pool = "persistent" if owner is not None else "ephemeral"
-        try:
-            if owner is not None:
-                pool = owner.executor(workers)
-                self.report.worker_reuse = owner.reuse_count
-                self._collect(pool, shards, results, done, ran_on, seed)
-            else:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                    self._collect(pool, shards, results, done, ran_on, seed)
-        except SpecEvaluationError:
-            raise  # a grid point failed — that is the caller's error
-        except _POOL_FAILURES as error:
-            if owner is not None:
-                owner.discard()
-            self.report.mode = "serial"
-            self.report.pool = "none"
-            self.report.degraded_reason = f"{type(error).__name__}: {error}"
-
-    def _collect(
-        self,
-        pool: concurrent.futures.Executor,
-        shards: List[List[Tuple[int, ExperimentSpec]]],
-        results: List[Optional[ExperimentResult]],
-        done: List[bool],
-        ran_on: Set[str],
-        seed: int,
-    ) -> None:
-        """Submit every shard to ``pool`` and keep each one that finishes.
-
-        A pool failure, at submit or in a future, is raised only after
-        every finished shard has been collected, so the serial fallback
-        recomputes just the shards the pool did not finish.
-        """
-        futures = {}
-        failure: Optional[BaseException] = None
-        try:
-            for position, members in enumerate(shards):
-                specs = [spec for _, spec in members]
-                self.report.pickled_bytes += len(
-                    pickle.dumps(specs, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                futures[pool.submit(_evaluate_shard, specs, seed)] = position
-        except _POOL_FAILURES as error:
-            failure = error
-        for future in concurrent.futures.as_completed(futures):
-            position = futures[future]
-            try:
-                payload = future.result()
-            except SpecEvaluationError:
-                raise
-            except _POOL_FAILURES as error:
-                failure = failure or error
-                continue
-            self.report.shard_times_s[position] = payload["elapsed_s"]
-            ran_on.add(payload["worker"])
-            for (index, _), result in zip(shards[position], payload["results"]):
-                results[index] = ExperimentResult.from_dict(result)
-            done[position] = True
-            self.report.context_rebuilds += int(payload["context_builds"])
-        if failure is not None:
-            raise failure
-
-
-# ----------------------------------------------------------------------
-# Experiment-level scheduling (``runner all --jobs N``).
-# ----------------------------------------------------------------------
-@dataclass
-class ScheduleReport:
-    """What one :func:`schedule_experiments` call actually did."""
-
-    mode: str = "serial"
-    jobs: int = 1
-    experiments: int = 0
-    workers: int = 0
-    workers_used: int = 0
-    worker_reuse: int = 0
-    wall_time_s: float = 0.0
-    elapsed_s: Dict[str, float] = field(default_factory=dict)
-    store_hits: int = 0
-    store_misses: int = 0
-    pool: str = "none"
-    degraded_reason: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "jobs": self.jobs,
-            "experiments": self.experiments,
-            "workers": self.workers,
-            "workers_used": self.workers_used,
-            "worker_reuse": self.worker_reuse,
-            "wall_time_s": round(self.wall_time_s, 6),
-            "elapsed_s": {name: round(t, 6) for name, t in self.elapsed_s.items()},
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "pool": self.pool,
-            "degraded_reason": self.degraded_reason,
-        }
-
-    def summary(self) -> str:
-        """One-line telemetry (the runner's ``[scheduler]`` line)."""
-        line = (
-            f"mode={self.mode} jobs={self.jobs} experiments={self.experiments} "
-            f"workers={self.workers} pool={self.pool} "
-            f"worker_reuse={self.worker_reuse} "
-            f"wall={self.wall_time_s:.2f}s"
-        )
-        if self.degraded_reason:
-            line += f" degraded_reason={self.degraded_reason!r}"
-        return line
 
 
 def schedule_experiments(
@@ -503,89 +489,48 @@ def schedule_experiments(
     options: Optional[Mapping[str, Mapping[str, Any]]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     session: Optional["Session"] = None,
-) -> Tuple[List[ExperimentResult], ScheduleReport]:
-    """Run registry experiments, fanned out over a process pool.
+) -> Tuple[List[ExperimentResult], ExecutionReport]:
+    """Run registry experiments, one fan-out task each.
 
-    Experiments are mutually independent, so the schedule is dependency
-    free; dispatch order is by descending ``cost_hint`` (heaviest first
-    minimises makespan), results come back in the order of ``names``.
-    ``options`` maps experiment names to builder kwargs; ``cache_dir``
-    points every worker at one shared disk store.  ``session`` routes the
-    fan-out through the session's persistent
-    :class:`~repro.api.pool.WorkerPool` — ``runner all`` passes the
-    process-wide default session, so repeated scheduled runs (and any
-    sweeps inside the experiments) reuse one warm pool instead of paying
-    worker startup per invocation; without a session an ephemeral pool is
-    created and torn down here.  A pool that cannot be created — or that
-    breaks mid-run — degrades to in-process serial execution of whatever
-    is still missing, with the reason recorded in the report.
+    Results come back in the order of ``names``; the pool gets the
+    heaviest ``cost_hint`` first (minimising makespan).  ``options`` maps
+    experiment names to builder kwargs; ``cache_dir`` points every
+    experiment, in the caller or in a worker, at one shared disk store.
+    Experiments run in the caller — in ``session``, or the process's
+    default session — with their sweeps at ``jobs``; on the pool (the
+    session's persistent one, or an ephemeral one without a session) they
+    run with serial sweeps.  ``runner`` passes the process-wide default
+    session, so repeated schedules and any sweeps inside the experiments
+    reuse one warm pool.
     """
-    from repro.api.experiments import get_experiment, run_experiment_payload
+    from repro.api.experiments import get_experiment
 
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    started = time.perf_counter()
     names = list(names)
     options = dict(options or {})
-    definitions = {name: get_experiment(name) for name in names}  # validates early
-    report = ScheduleReport(jobs=jobs, experiments=len(names))
-    started = time.perf_counter()
-    payloads: Dict[str, Dict[str, Any]] = {}
-
-    workers = min(jobs, len(names))
-    if workers > 1:
-        dispatch = sorted(
-            names, key=lambda name: definitions[name].cost_hint, reverse=True
-        )
-        owner = session.worker_pool() if session is not None else None
-        report.pool = "persistent" if owner is not None else "ephemeral"
-
-        def _fan_out(pool: concurrent.futures.Executor) -> None:
-            futures = {
-                pool.submit(
-                    run_experiment_payload,
-                    name,
-                    options.get(name),
-                    str(cache_dir) if cache_dir else None,
-                ): name
-                for name in dispatch
-            }
-            for future in concurrent.futures.as_completed(futures):
-                payloads[futures[future]] = future.result()
-
-        try:
-            if owner is not None:
-                _fan_out(owner.executor(workers))
-            else:
-                with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers
-                ) as pool:
-                    _fan_out(pool)
-            report.mode = "process"
-            report.workers = workers
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except _POOL_FAILURES as error:
-            # Keep whatever completed; the serial pass below fills the rest.
-            if owner is not None:
-                owner.discard()
-            report.pool = "none"
-            report.degraded_reason = f"{type(error).__name__}: {error}"
-
-    # Reuse is a pool property: only experiments that actually completed on
-    # pool workers count, so a serial fallback never fabricates reuse.
-    pool_workers = {payload["worker"] for payload in payloads.values()}
-    report.worker_reuse = max(0, len(payloads) - len(pool_workers))
-
-    for name in names:
-        if name not in payloads:
-            payloads[name] = run_experiment_payload(
-                name, options.get(name), str(cache_dir) if cache_dir else None
-            )
-
-    report.workers_used = len({payload["worker"] for payload in payloads.values()})
-    report.elapsed_s = {name: payloads[name]["elapsed_s"] for name in names}
-    report.store_hits = sum(p["store_hits"] for p in payloads.values())
-    report.store_misses = sum(p["store_misses"] for p in payloads.values())
-    report.wall_time_s = time.perf_counter() - started
-    return (
-        [ExperimentResult.from_dict(payloads[name]["result"]) for name in names],
-        report,
+    costs = [get_experiment(name).cost_hint for name in names]  # validates early
+    cache = str(cache_dir) if cache_dir else None
+    report = ExecutionReport(
+        jobs=jobs, shards=len(names), specs=len(names), shard_sizes=[1] * len(names)
     )
+    payloads = _fan_out(
+        report,
+        _run_experiment,
+        [(name, options.get(name), cache) for name in names],
+        functools.partial(
+            _run_experiment, session=_session_or_default(session), jobs=jobs
+        ),
+        session,
+        order=sorted(range(len(names)), key=lambda position: costs[position], reverse=True),
+    )
+    report.cache_hits = sum(payload["store_hits"] for payload in payloads)
+    report.cache_misses = sum(payload["store_misses"] for payload in payloads)
+    report.sweeps = {
+        name: payload["sweep"]
+        for name, payload in zip(names, payloads)
+        if payload["sweep"] is not None
+    }
+    report.wall_time_s = time.perf_counter() - started
+    return [ExperimentResult.from_dict(payload["result"]) for payload in payloads], report

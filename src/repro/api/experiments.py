@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, List
 
 from repro.analysis.report import format_table
 from repro.api.result import ExperimentResult
@@ -64,48 +64,6 @@ def get_experiment(name: str) -> ExperimentDefinition:
 def experiment_names() -> List[str]:
     """Registered experiment names in presentation order."""
     return list(REGISTRY)
-
-
-def run_experiment_payload(
-    name: str,
-    options: Any = None,
-    cache_dir: Any = None,
-) -> Dict[str, Any]:
-    """Run one experiment and return a pickle-friendly payload.
-
-    The worker entry point of the experiment-level scheduler
-    (:func:`repro.api.executor.schedule_experiments`): runs ``name``
-    through this process's default session (so experiments scheduled onto
-    the same worker share scene contexts and renderers — that sharing *is*
-    the pool's reuse win), optionally against a shared disk store rooted at
-    ``cache_dir``, and returns the result as ``to_dict()`` data plus
-    telemetry (elapsed wall time, worker id, store counters).
-    """
-    import time
-
-    from repro.api.executor import _worker_id
-    from repro.api.session import get_default_session
-    from repro.api.store import ResultStore
-
-    session = get_default_session()
-    store = ResultStore(cache_dir) if cache_dir else None
-    previous = (session.jobs, session.store)
-    # Workers run sweeps serially (jobs=1): parallelism already lives at
-    # the experiment level, and nested pools would oversubscribe the host.
-    session.jobs, session.store = 1, store
-    start = time.perf_counter()
-    try:
-        result = get_experiment(name).build(session, **dict(options or {}))
-    finally:
-        session.jobs, session.store = previous
-    return {
-        "name": name,
-        "result": result.to_dict(),
-        "elapsed_s": time.perf_counter() - start,
-        "worker": _worker_id(),
-        "store_hits": store.hits if store is not None else 0,
-        "store_misses": store.misses if store is not None else 0,
-    }
 
 
 # ----------------------------------------------------------------------

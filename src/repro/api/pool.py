@@ -1,15 +1,16 @@
-"""The persistent process pool shared across sweeps.
+"""The persistent process pool shared across sweeps and schedules.
 
 :class:`WorkerPool` keeps one ``concurrent.futures.ProcessPoolExecutor``
-alive between sweeps, so repeated ``run_sweep`` calls in one process pay
-worker startup (process start, imports) once and keep each worker's warm
-scene contexts;
-:class:`~repro.api.session.Session` owns one lazily and hands it to every
-parallel :class:`~repro.api.executor.SweepExecutor` run and to
+alive between runs, so repeated ``run_sweep`` calls and experiment
+schedules in one process pay worker startup (process start, imports) once
+and keep each worker's warm scene contexts (a worker runs every task in its
+process's default session);
+:class:`~repro.api.session.Session` owns one lazily and hands it to the
+fan-out behind :class:`~repro.api.executor.SweepExecutor` and
 :func:`~repro.api.executor.schedule_experiments`.
 
 Lifecycle: the pool is created on first use, grown (recreated larger) when
-a sweep asks for more workers than it holds, discarded when it breaks
+a run asks for more workers than it holds, discarded when it breaks
 mid-run, and shut down by ``Session.close()`` — or by the ``atexit`` hook
 the session registers, so leaked sessions never hang interpreter exit.
 """
@@ -17,46 +18,7 @@ the session registers, so leaked sessions never hang interpreter exit.
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
-from typing import TYPE_CHECKING, Dict, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.api.session import Session
-
-# ----------------------------------------------------------------------
-# Warm per-worker sessions.
-# ----------------------------------------------------------------------
-#: The warm session of *this* process when it is a pool worker: one
-#: session per worker process, kept across tasks and sweeps, so scene
-#: contexts built by an earlier task are cache hits.  Never populated in
-#: the main process.
-_WORKER_SESSION: Optional["Session"] = None
-
-
-def worker_session(seed: int) -> "Session":
-    """The session a pool worker should evaluate tasks in.
-
-    In a worker *process* (anything with a parent process) this returns a
-    warm session kept for the process's lifetime — rebuilt only when the
-    requested seed changes, so repeated sweeps with one seed share every
-    context the worker ever built.  In the main process (direct calls) it
-    returns a fresh private session, so no state is shared with the
-    caller's sessions.
-    """
-    global _WORKER_SESSION
-    from repro.api.session import Session
-
-    if multiprocessing.parent_process() is None:
-        return Session(seed=seed)
-    if _WORKER_SESSION is None or _WORKER_SESSION.seed != seed:
-        _WORKER_SESSION = Session(seed=seed)
-    return _WORKER_SESSION
-
-
-def reset_worker_session() -> None:
-    """Drop the warm worker session (tests)."""
-    global _WORKER_SESSION
-    _WORKER_SESSION = None
+from typing import Dict, Optional
 
 
 class WorkerPool:
@@ -88,9 +50,9 @@ class WorkerPool:
         if self._executor is not None and self.size >= workers:
             self.reuse_count += 1
             return self._executor
-        # Too small for this sweep (or absent): the old workers finish
-        # nothing — the pool is only handed out between sweeps — so a
-        # non-waiting shutdown is safe.
+        # Too small for this run (or absent): the pool is only handed out
+        # between runs, so the old workers finish nothing anyone waits for
+        # and a non-waiting shutdown is safe.
         self.discard()
         self._executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         self.size = workers

@@ -1,9 +1,9 @@
 """The :class:`Session` — the single front-end for running anything here.
 
 A session owns a :class:`~repro.engine.service.RenderService` (shared
-renderers and prepared frames), a scene-context cache (calibrated models,
-ground truths and paper-scale workloads), and a seeded RNG, so repeated
-runs share prepared state.  Everything the repository can do is reachable
+renderers and prepared frames) and a scene-context cache (calibrated
+models, ground truths and paper-scale workloads), so repeated runs share
+prepared state.  Everything the repository can do is reachable
 from it:
 
 * ``session.render(model_or_scene, camera)`` — one frame through the
@@ -30,8 +30,8 @@ from it:
 A sweep with ``jobs == 1`` or a single shard (one scene context) runs in
 this session; any other runs its shards whole on the session's persistent
 process pool (:class:`~repro.api.pool.WorkerPool`): created lazily by the
-first such sweep, reused by every later one, shut down by
-:meth:`Session.close` (sessions are context managers:
+first such sweep (or experiment schedule), reused by every later one, shut
+down by :meth:`Session.close` (sessions are context managers:
 ``with Session(jobs=4) as s: ...``) or at interpreter exit.  Each sweep's
 telemetry lands in ``SweepResult.meta["execution"]`` and
 ``session.last_execution``.
@@ -97,9 +97,6 @@ class Session:
     ----------
     service:
         Render service to use; a private one is created when omitted.
-    seed:
-        Seed of the session's RNG (``session.rng``), the one source of
-        randomness experiment code running under the session should use.
     max_renderers:
         Renderer-cache size of a privately created service.
     max_contexts:
@@ -115,7 +112,6 @@ class Session:
     def __init__(
         self,
         service: Optional[RenderService] = None,
-        seed: int = 0,
         max_renderers: int = DEFAULT_RENDERER_CACHE_SIZE,
         max_contexts: int = DEFAULT_CONTEXT_CACHE_SIZE,
         jobs: int = 1,
@@ -130,8 +126,6 @@ class Session:
         #: state the session must not tear down.
         self._owns_service = service is None
         self.service = service if service is not None else RenderService(max_renderers=max_renderers)
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
         self.max_contexts = max_contexts
         self.jobs = jobs
         self.store = resolve_store(store)
@@ -269,7 +263,7 @@ class Session:
         parameter snapshots) that must not evict this session's shared
         renderers.
         """
-        return Session(seed=self.seed, max_renderers=max_renderers)
+        return Session(max_renderers=max_renderers)
 
     # ------------------------------------------------------------------
     # Scene contexts.
@@ -479,11 +473,7 @@ class Session:
         from repro.api.executor import SweepExecutor
 
         store = self.store if cache is None else resolve_store(cache)
-        executor = SweepExecutor(
-            jobs=self.jobs if jobs is None else jobs,
-            store=store,
-            seed=self.seed,
-        )
+        executor = SweepExecutor(jobs=self.jobs if jobs is None else jobs, store=store)
         result = executor.run(specs, swept=swept, session=self)
         self.last_execution = executor.report
         return result
@@ -526,12 +516,12 @@ class Session:
     def worker_pool(self) -> WorkerPool:
         """The session's persistent :class:`~repro.api.pool.WorkerPool`.
 
-        Created lazily on the first parallel sweep and reused by every
-        later one (the sweep executor's ``worker_reuse`` counter tracks
-        this), so repeated ``run_sweep`` calls in one process pay worker
-        startup once.  Shut down by :meth:`close` — or at interpreter exit
-        via the ``atexit`` hook registered here, so forgotten sessions
-        never wedge shutdown.
+        Created lazily on the first parallel sweep or experiment schedule
+        and reused by every later one (the execution report's
+        ``worker_reuse`` counter tracks this), so repeated runs in one
+        process pay worker startup once.  Shut down by :meth:`close` — or
+        at interpreter exit via the ``atexit`` hook registered here, so
+        forgotten sessions never wedge shutdown.
         """
         if self._pool is None or self._pool.closed:
             self._pool = WorkerPool()
@@ -586,7 +576,7 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Session(contexts={len(self._contexts)}, "
-            f"renderers={len(self.service._renderers)}, seed={self.seed})"
+            f"renderers={len(self.service._renderers)})"
         )
 
 

@@ -71,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="shared ResultStore directory for all workers",
     )
-    parser.add_argument("--seed", type=int, default=0, help="session seed")
-    parser.add_argument(
-        "--sweep-jobs",
-        type=int,
-        default=1,
-        help="process-parallel jobs inside each sweep request",
-    )
     parser.add_argument(
         "--client-weight",
         action="append",
@@ -152,8 +145,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         max_retries=args.max_retries,
         journal_dir=args.journal_dir,
         cache_dir=args.cache_dir,
-        seed=args.seed,
-        sweep_jobs=args.sweep_jobs,
         client_weights=weights,
         quarantine_after_s=args.quarantine_after,
         breaker_threshold=args.breaker_threshold,

@@ -59,6 +59,16 @@ from repro.service.protocol import (
 from repro.service.queueing import FairQueue, QueueFull
 from repro.service.supervisor import Journal, Supervisor, now
 
+#: Multiplier applied to ``resolution_scale`` per degradation step.
+DEGRADE_FACTOR = 0.5
+
+#: Upper bound on waiting for in-flight work at graceful shutdown.
+DRAIN_TIMEOUT_S = 30.0
+
+#: Completed responses remembered by request id (LRU), so a client resend
+#: after connection loss is answered from cache instead of re-rendered.
+RESPONSE_CACHE_SIZE = 256
+
 
 @dataclass
 class ServiceConfig:
@@ -81,8 +91,6 @@ class ServiceConfig:
         Queue depth at (or above) which dispatched render/sweep work is
         degraded; ``None`` defaults to half the queue limit, ``0`` makes
         degradation unconditional.
-    degrade_factor:
-        Multiplier applied to ``resolution_scale`` per degradation step.
     max_retries:
         Crash-retry budget per request (1 = retried exactly once).
     heartbeat_timeout_s:
@@ -94,12 +102,8 @@ class ServiceConfig:
         ``None`` disables journaling.
     cache_dir:
         :class:`ResultStore` root shared by all actors; ``None`` disables.
-    seed / sweep_jobs:
-        Forwarded to every actor's :class:`Session`.
     client_weights:
         Fair-queue weight overrides per client name.
-    drain_timeout_s:
-        Upper bound on waiting for in-flight work at graceful shutdown.
     quarantine_after_s:
         A busy actor heartbeat-silent beyond this is quarantined (slot
         replaced, wedged thread excluded from dispatch); ``None``
@@ -109,10 +113,6 @@ class ServiceConfig:
         consecutive worker crashes executing one kind, that kind is
         rejected with ``circuit_open`` for ``breaker_cooldown_s``, then
         probed half-open.
-    response_cache_size:
-        Completed responses remembered by request id (LRU) so a client
-        resend after connection loss is answered from cache instead of
-        re-rendered.
     chaos:
         A :class:`~repro.chaos.plan.FaultPlan` (or its dict form)
         installed for the daemon's lifetime; ``None`` disables fault
@@ -126,20 +126,15 @@ class ServiceConfig:
     queue_limit: int = 64
     request_timeout_s: float = 300.0
     degrade_depth: Optional[int] = None
-    degrade_factor: float = 0.5
     max_retries: int = 1
     heartbeat_timeout_s: float = 5.0
     supervisor_interval_s: float = 0.05
     journal_dir: Optional[str] = None
     cache_dir: Optional[str] = None
-    seed: int = 0
-    sweep_jobs: int = 1
     client_weights: Dict[str, float] = field(default_factory=dict)
-    drain_timeout_s: float = 30.0
     quarantine_after_s: Optional[float] = None
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 5.0
-    response_cache_size: int = 256
     chaos: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -149,10 +144,6 @@ class ServiceConfig:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
-        if not 0.0 < self.degrade_factor < 1.0:
-            raise ValueError(
-                f"degrade_factor must be in (0, 1), got {self.degrade_factor}"
-            )
         if self.degrade_depth is None:
             self.degrade_depth = max(1, self.queue_limit // 2)
         if self.degrade_depth < 0:
@@ -172,10 +163,6 @@ class ServiceConfig:
         if self.breaker_cooldown_s <= 0:
             raise ValueError(
                 f"breaker_cooldown_s must be > 0, got {self.breaker_cooldown_s}"
-            )
-        if self.response_cache_size < 1:
-            raise ValueError(
-                f"response_cache_size must be >= 1, got {self.response_cache_size}"
             )
 
 
@@ -288,12 +275,7 @@ class ServiceDaemon:
     # ------------------------------------------------------------------
     def session_factory(self) -> Session:
         """A per-actor session sharing the daemon's service and store."""
-        return Session(
-            service=self.service,
-            store=self.store,
-            seed=self.config.seed,
-            jobs=self.config.sweep_jobs,
-        )
+        return Session(service=self.service, store=self.store)
 
     def spawn_actor(self, position: Optional[int] = None) -> WorkerActor:
         """Start one actor and register it as idle.
@@ -382,7 +364,7 @@ class ServiceDaemon:
             return
         self._responses[request_id] = response
         self._responses.move_to_end(request_id)
-        while len(self._responses) > self.config.response_cache_size:
+        while len(self._responses) > RESPONSE_CACHE_SIZE:
             self._responses.popitem(last=False)
 
     def quarantine_actor(self, position: int, actor: WorkerActor) -> None:
@@ -539,7 +521,7 @@ class ServiceDaemon:
         key = {"render": None, "sweep": "base", "trajectory": "spec"}[kind]
         scaled = payload if key is None else dict(payload.get(key) or {})
         scale = float(scaled.get("resolution_scale", 1.0))
-        target = max(MIN_RESOLUTION_SCALE, scale * self.config.degrade_factor)
+        target = max(MIN_RESOLUTION_SCALE, scale * DEGRADE_FACTOR)
         if target >= scale:
             return
         scaled["resolution_scale"] = target
@@ -917,7 +899,7 @@ class ServiceDaemon:
             "breaker": self.breaker.stats(),
             "response_cache": {
                 "size": len(self._responses),
-                "capacity": self.config.response_cache_size,
+                "capacity": RESPONSE_CACHE_SIZE,
             },
             "chaos": (
                 self.chaos_injector.stats()
@@ -1022,7 +1004,7 @@ class ServiceDaemon:
             await self._stop_event.wait()
             self.draining = True
             if self._drain_on_stop:
-                await self._drain(deadline=time.monotonic() + self.config.drain_timeout_s)
+                await self._drain(deadline=time.monotonic() + DRAIN_TIMEOUT_S)
         finally:
             self.supervisor.stop()
             for task in (dispatcher, supervision):

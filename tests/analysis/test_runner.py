@@ -1,55 +1,10 @@
-"""Tests for the experiment registry / CLI runner."""
+"""Tests for the CLI runner (the registry itself: tests/api)."""
 
 import json
 
 import pytest
 
-from repro.analysis.runner import (
-    EXPERIMENTS,
-    list_experiments,
-    main,
-    run_experiment,
-    run_experiment_result,
-)
-from repro.api.result import ExperimentResult
-
-
-def test_registry_covers_every_paper_artifact():
-    assert set(list_experiments()) == {
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig7",
-        "tab1",
-        "tab2",
-        "fig11",
-        "fig12",
-        "fig13",
-        "claims",
-        "engine",
-        "trajectory",
-    }
-    for experiment in EXPERIMENTS.values():
-        assert experiment.description
-
-
-def test_run_experiment_unknown():
-    with pytest.raises(KeyError):
-        run_experiment("fig99")
-
-
-def test_run_tab1_formats():
-    text = run_experiment("tab1")
-    assert "Table I" in text
-    assert "total" in text
-
-
-def test_run_experiment_result_is_typed():
-    result = run_experiment_result("tab1")
-    assert isinstance(result, ExperimentResult)
-    assert result.name == "tab1"
-    restored = ExperimentResult.from_json(result.to_json())
-    assert restored.to_dict() == result.to_dict()
+from repro.analysis.runner import main
 
 
 def test_cli_list(capsys):
@@ -140,7 +95,29 @@ def test_cli_scheduled_multi_experiment(capsys):
     assert [json.loads(line)["name"] for line in lines] == ["tab1", "claims"]
     assert "[scheduler] tab1:" in captured.err
     assert "[scheduler] claims:" in captured.err
-    assert "worker_reuse=" in captured.err
+    assert "[scheduler] mode=process jobs=2 shards=2 specs=2 " in captured.err
+    assert "workers_used=" in captured.err
+
+
+def test_cli_scheduled_prints_each_experiments_sweep_report(capsys):
+    # Pool-side experiments run their sweeps serially in the worker; the
+    # reports come back with the results.
+    code = main(
+        [
+            "fig12",
+            "fig13",
+            "--jobs",
+            "2",
+            "--options",
+            '{"fig12": {"scene": "lego", "voxel_sizes": [0.4], "resolution_scale": 0.5},'
+            ' "fig13": {"scene": "lego", "cfus": [1], "ffus": [1], "resolution_scale": 0.5}}',
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "[execution] fig12: mode=serial jobs=1 shards=1 specs=1 " in err
+    assert "[execution] fig13: mode=serial jobs=1 shards=1 specs=1 " in err
+    assert "[scheduler] mode=process jobs=2 shards=2 " in err
 
 
 def test_cli_scheduled_rejected_options_is_clean_error(capsys):
@@ -195,12 +172,15 @@ def test_cli_telemetry_json_dump(capsys, tmp_path):
     assert code == 0
     assert f"[telemetry] wrote {path}" in captured.err
     payload = json.loads(path.read_text())
-    execution = payload["experiments"]["fig12"]
+    execution = payload["scheduler"]["sweeps"]["fig12"]
     assert execution["specs"] == 2
     assert execution["jobs"] == 2
     assert execution["mode"] == "process"
     assert execution["shards"] == 2
-    assert payload["scheduler"] is None
+    # One experiment runs in the caller, where its sweep used the pool.
+    assert payload["scheduler"]["mode"] == "serial"
+    assert payload["scheduler"]["shards"] == 1
+    assert payload["experiments"]["fig12"]["elapsed_s"] > 0
     assert payload["session"]["service"]["requests_served"] >= 0
     assert payload["store"] is None
 
@@ -225,8 +205,12 @@ def test_cli_telemetry_json_with_scheduler(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 0
     payload = json.loads(path.read_text())
-    assert payload["scheduler"]["experiments"] == 2
+    assert payload["scheduler"]["mode"] == "process"
+    assert payload["scheduler"]["shards"] == 2
     assert payload["experiments"]["fig12"]["elapsed_s"] > 0
     assert payload["experiments"]["fig13"]["elapsed_s"] > 0
-    assert payload["session"] is None
+    # Each pool-side experiment's own (serial) sweep report comes back.
+    assert set(payload["scheduler"]["sweeps"]) == {"fig12", "fig13"}
+    assert payload["scheduler"]["sweeps"]["fig12"]["jobs"] == 1
     assert payload["store"]["entries"] >= 0
+    assert payload["store"]["misses"] == 2

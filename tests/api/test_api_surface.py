@@ -22,7 +22,7 @@ def test_all_entries_resolve():
 def test_surface_matches_all():
     # Everything importable from the package top level is deliberate: the
     # __all__ list IS the public API, with no stray re-exports (internals
-    # like worker_session / atomic_write_json stay on their own modules).
+    # like group_by_context / atomic_write_json stay on their own modules).
     assert _importable_names() == set(api.__all__)
 
 
@@ -32,10 +32,10 @@ def test_all_is_sorted_and_unique():
 
 
 def test_internals_stay_importable_from_their_modules():
-    from repro.api.pool import worker_session
+    from repro.api.executor import group_by_context
     from repro.api.store import atomic_write_json
 
-    assert callable(worker_session)
+    assert callable(group_by_context)
     assert callable(atomic_write_json)
 
 

@@ -96,7 +96,7 @@ class TestModeSelection:
         # One scene context: the grid runs in the calling session, on the
         # context that session already holds.
         specs = sweep(ExperimentSpec(scene="lego", resolution_scale=SCALE), num_hfu=range(1, 9))
-        with Session(seed=9) as session:
+        with Session() as session:
             serial = session.run_many(specs)
             for _ in range(2):
                 executor = SweepExecutor(jobs=2)

@@ -6,22 +6,30 @@ creation failing (the shards run serially in the caller), a worker dying
 mid-run (only the unfinished shards are recomputed in the caller), and a
 persistent pool breaking (discarded, not reused).  After any failure the
 result store must hold no orphaned temporary files — atomic writes either
-land or vanish.
+land or vanish.  Scheduled experiments share the sweeps' fan-out and are
+held to the same contract: an experiment's own error is re-raised and the
+pool kept; a broken pool sends only the unfinished experiments back to the
+caller.
 """
 
 import concurrent.futures
+import dataclasses
+import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.api import (
+    ExperimentResult,
     ExperimentSpec,
     ResultStore,
     Session,
     SpecEvaluationError,
     SweepExecutor,
+    schedule_experiments,
     sweep,
 )
+from repro.api.experiments import REGISTRY, ExperimentDefinition
 
 #: Reduced evaluation resolution keeps each scene context cheap.
 SCALE = 0.5
@@ -89,6 +97,19 @@ class _HalfDyingPool(_DyingPool):
         return future
 
 
+class _RecordingPool(_DyingPool):
+    """A pool that runs each task in-process and records its arguments."""
+
+    def __init__(self, max_workers=None):
+        self.submitted = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted.append(args)
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class _UnbuildablePool:
     """A pool class whose construction itself fails (rlimits, sandboxes)."""
 
@@ -130,6 +151,17 @@ class TestWorkerRaisesMidShard:
             executor.run(grid)
         assert executor.report.mode == "process"  # never degraded
         assert executor.report.degraded_reason == ""
+
+    def test_spec_error_keeps_the_persistent_pool(self, poisoned_run_point, specs):
+        grid = list(specs) + [
+            ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
+        ]
+        with Session(jobs=2) as session:
+            with pytest.raises(SpecEvaluationError, match="boom"):
+                session.run_sweep(grid)
+            assert session.stats()["pool"]["alive"] == 1
+            # Nothing was evaluated again in the caller.
+            assert session.context_misses == 0
 
     def test_failed_sweep_leaves_no_orphaned_store_files(
         self, poisoned_run_point, specs, tmp_path
@@ -220,3 +252,98 @@ class TestWorkerDeath:
             assert session.last_execution.mode == "process"
             assert pool.created == 2
             assert result.table_dict() == serial.table_dict()
+
+
+@pytest.fixture
+def cheap_experiments(monkeypatch):
+    """Register ``light`` and ``heavy`` experiments that record each run.
+
+    A run is recorded as ``(name, ran_in_caller)``: the caller's session
+    is the ``Session`` the test passes, a pool task uses the process's
+    default session.
+    """
+    runs = []
+    caller = Session()
+
+    def register(name, cost_hint):
+        def build(session, **kwargs):
+            runs.append((name, session is caller))
+            return ExperimentResult(name=name, title=name, text=f"{name} {kwargs}")
+
+        monkeypatch.setitem(
+            REGISTRY, name, ExperimentDefinition(name, name, build, cost_hint=cost_hint)
+        )
+
+    register("light", 0.1)
+    register("heavy", 5.0)
+    yield caller, runs
+    caller.close()
+
+
+class TestScheduledExperiments:
+    def test_experiment_error_is_reraised_once_and_the_pool_kept(self, monkeypatch):
+        """An experiment's own ValueError is the caller's error: the warm
+        pool survives and the experiment is not run again in the caller."""
+        fig12 = REGISTRY["fig12"]
+        caller_runs = []
+
+        def build(session, **kwargs):
+            caller_runs.append(os.getpid())
+            return fig12.build(session, **kwargs)
+
+        monkeypatch.setitem(REGISTRY, "fig12", dataclasses.replace(fig12, build=build))
+        options = {"fig12": {"scene": "lego", "voxel_sizes": [-1.0, 2.0]}}
+        with Session() as session:
+            with pytest.raises(ValueError, match="voxel_size must be positive"):
+                schedule_experiments(
+                    ["fig12", "tab1"], jobs=2, options=options, session=session
+                )
+            assert session.stats()["pool"]["alive"] == 1
+        # Pool workers append to their own copy of the list, never to this one.
+        assert os.getpid() not in caller_runs
+
+    def test_pool_gets_the_heaviest_experiment_first(self, cheap_experiments, monkeypatch):
+        caller, runs = cheap_experiments
+        pool = _RecordingPool()
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda max_workers=None: pool
+        )
+        results, report = schedule_experiments(["light", "heavy"], jobs=2, session=caller)
+        assert [args[0] for args in pool.submitted] == ["heavy", "light"]
+        assert [result.name for result in results] == ["light", "heavy"]
+        assert report.mode == "process"
+        assert report.degraded_reason == ""
+        assert runs == [("heavy", False), ("light", False)]
+
+    def test_unbuildable_pool_runs_every_experiment_in_the_caller(
+        self, cheap_experiments, monkeypatch
+    ):
+        caller, runs = cheap_experiments
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _UnbuildablePool)
+        results, report = schedule_experiments(
+            ["light", "heavy"], jobs=2, options={"light": {"k": 1}}, session=caller
+        )
+        assert [result.text for result in results] == ["light {'k': 1}", "heavy {}"]
+        assert report.mode == "serial"
+        assert report.pool == "none"
+        assert "no more processes" in report.degraded_reason
+        assert sorted(runs) == [("heavy", True), ("light", True)]
+        assert caller.worker_pool().size == 0
+
+    def test_only_unfinished_experiments_are_recomputed(
+        self, cheap_experiments, monkeypatch
+    ):
+        caller, runs = cheap_experiments
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _HalfDyingPool)
+        results, report = schedule_experiments(
+            ["light", "heavy"], jobs=2, session=caller
+        )
+        assert [result.name for result in results] == ["light", "heavy"]
+        assert report.mode == "serial"
+        assert "worker died" in report.degraded_reason
+        # The pool got the heaviest experiment first and finished it; the
+        # caller ran only the one it lost.
+        assert runs == [("heavy", False), ("light", True)]
+        assert report.shards == 2
+        assert all(seconds >= 0 for seconds in report.shard_times_s)
+        assert caller.stats()["pool"]["alive"] == 0

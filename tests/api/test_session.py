@@ -127,6 +127,7 @@ class TestRegistryRuns:
         assert isinstance(result, ExperimentResult)
         assert result.name == "tab1"
         assert "Table I" in result.format()
+        assert "total" in result.format()
         assert result.metrics["total_mm2"] == pytest.approx(5.37, abs=0.01)
 
     def test_run_unknown_name(self, session):

@@ -41,9 +41,11 @@ def test_api_surface_exported():
 
 
 def test_legacy_import_paths_still_work():
-    # Thin aliases kept for pre-API consumers.
+    # A thin alias kept for pre-API consumers; named experiments resolve
+    # through the registry and run through a session.
     from repro.analysis import run_fig12
-    from repro.analysis.runner import EXPERIMENTS, run_experiment
+    from repro.api.experiments import REGISTRY
 
     assert callable(run_fig12)
-    assert "fig12" in EXPERIMENTS and callable(run_experiment)
+    assert "fig12" in REGISTRY
+    assert repro.get_default_session().run("tab1").name == "tab1"
