@@ -15,6 +15,9 @@ one terminal outcome.  ``--check`` gates on:
 * zero lost requests — every trace event gets a terminal outcome and no
   client loses its connection past the reconnect budget;
 * the journal drains empty after graceful shutdown;
+* the books balance after the drain: ``accepted + resumed == completed +
+  failed`` daemon-wide and for each client and kind, with nothing left
+  queued or in flight;
 * the daemon's ``healthz`` returns to ``healthy`` within a bounded
   recovery window (quarantined actors retired, breakers closed);
 * no orphaned store temp files;
@@ -122,6 +125,23 @@ def measure_disabled_overhead(calls: int = 200_000) -> float:
     return (time.perf_counter() - started) / calls
 
 
+def unbalanced(metrics) -> list:
+    """Scopes of a drained daemon's ``/metrics`` whose books do not balance.
+
+    With nothing queued or in flight every admitted request has settled,
+    so ``accepted + resumed == completed + failed`` must hold daemon-wide
+    and for each client and kind.
+    """
+    scopes = {"daemon": metrics["requests"]}
+    scopes.update({f"client {n}": c for n, c in metrics["clients"].items()})
+    scopes.update({f"kind {n}": c for n, c in metrics["kinds"].items()})
+    return [
+        f"{scope}: {c}"
+        for scope, c in scopes.items()
+        if c["accepted"] + c["resumed"] != c["completed"] + c["failed"]
+    ]
+
+
 def await_recovery(address, bound_s: float) -> float:
     """Poll (and probe) until the daemon reports healthy; return seconds.
 
@@ -209,6 +229,7 @@ def main(argv=None) -> int:
         finally:
             handle.stop(drain=True)
             handle.join()
+        drained = daemon.metrics_snapshot()
 
         journal_left = len(Journal(Path(journal_dir)))
         orphaned_tmp = [
@@ -245,6 +266,13 @@ def main(argv=None) -> int:
         f"breaker_rejected={metrics['requests'].get('breaker_rejected', 0)} "
         f"resends_served={metrics['requests'].get('resends_served', 0)}"
     )
+    books = unbalanced(drained)
+    if drained["in_flight"] or drained["queue"]["depth"]:
+        books.append(
+            f"not drained: in_flight={drained['in_flight']} "
+            f"queued={drained['queue']['depth']}"
+        )
+    print(f"books after drain: {'balanced' if not books else books}")
     print(
         f"recovery={recovery_s:.2f}s journal_left={journal_left} "
         f"healed_store_entries={healed_entries} "
@@ -255,6 +283,7 @@ def main(argv=None) -> int:
     ok_accounted = len(report.outcomes) == len(trace)
     ok_none_lost = not lost
     ok_journal_drained = journal_left == 0
+    ok_balanced = not books
     ok_recovered = 0.0 <= recovery_s <= RECOVERY_BOUND_S
     ok_no_orphans = not orphaned_tmp
     ok_chaotic = len(fired) >= 4
@@ -264,6 +293,7 @@ def main(argv=None) -> int:
             ok_accounted,
             ok_none_lost,
             ok_journal_drained,
+            ok_balanced,
             ok_recovered,
             ok_no_orphans,
             ok_chaotic,
@@ -298,6 +328,7 @@ def main(argv=None) -> int:
         "resends_served": metrics["requests"].get("resends_served", 0),
         "supervision": metrics["supervision"],
         "journal_left": journal_left,
+        "balanced": ok_balanced,
         "healed_store_entries": healed_entries,
         "orphaned_store_tmp": len(orphaned_tmp),
         "disabled_overhead_ns": round(overhead_s * 1e9, 1),
@@ -328,6 +359,9 @@ def main(argv=None) -> int:
                 f"FAIL: journal still holds {journal_left} entrie(s) after drain",
                 file=sys.stderr,
             )
+            failed = True
+        if not ok_balanced:
+            print(f"FAIL: books do not balance after drain: {books}", file=sys.stderr)
             failed = True
         if not ok_recovered:
             print(

@@ -23,7 +23,10 @@ daemon modeled on a proactor/actor runtime:
 * :mod:`repro.service.daemon` — :class:`ServiceDaemon` wires it together:
   asyncio server, dispatcher, overload degradation (auto-downshifted
   ``resolution_scale`` under queue pressure, surfaced in the response) and
-  the live telemetry snapshot behind ``/metrics``.
+  the live telemetry snapshot behind ``/metrics``.  Every admitted request
+  ends through one :meth:`ServiceDaemon.settle`, so its counters balance:
+  ``accepted + resumed == completed + failed`` plus whatever is still
+  queued or in flight, daemon-wide and per client and kind.
 * :mod:`repro.service.breaker` — :class:`CircuitBreaker`: per-work-kind
   closed/open/half-open circuit over repeated worker crashes, gating
   admission so a poisoned request class cannot burn the fleet.

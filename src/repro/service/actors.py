@@ -12,9 +12,9 @@ touches the event loop directly.
 
 Heartbeats: the actor stamps ``last_beat`` every inbox poll and around
 every request, so the supervisor can distinguish *busy* from *wedged*.
-Crash injection (``payload["inject_crash_attempts"]``) makes the thread
-die mid-request exactly like a real fault would — the supervision tests
-and the CI acceptance gate drive recovery through it.
+The ``actor.crash`` chaos point (:mod:`repro.chaos`) makes the thread die
+mid-request exactly like a real fault would — the supervision tests and
+the chaos benchmark drive recovery through it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import hashlib
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro import chaos
@@ -39,8 +39,10 @@ class RequestRecord:
     """One admitted request moving through queue, actor and response path."""
 
     request: ServiceRequest
-    future: Any  # asyncio.Future, created by the daemon's loop
-    accepted_at: float
+    #: asyncio.Future created by the daemon's loop; resolved exactly once,
+    #: by ``ServiceDaemon.settle``, so ``future.done()`` is the record's
+    #: only done flag.
+    future: Any
     attempts: int = 0
     dispatch_index: int = -1
     dispatched_at: float = 0.0
@@ -50,12 +52,6 @@ class RequestRecord:
     #: retried record keeps its first dispatch's payload (already downshifted
     #: or not) instead of halving ``resolution_scale`` again.
     degrade_decided: bool = False
-    #: Set once the response side is finished with the record (response
-    #: delivered, timed out, or failed) — late completions are dropped and
-    #: the dispatcher skips done records it pops.
-    done: bool = False
-    #: True when the record was resumed from the journal (no live client).
-    resumed: bool = False
     #: Absolute monotonic deadline computed at admission from the
     #: request's relative ``deadline_s``; ``None`` means no deadline.
     deadline_at: Optional[float] = None
@@ -69,18 +65,12 @@ def _image_checksum(image: Any) -> str:
     return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
 
-def execute_request(
-    session,
-    record: RequestRecord,
-    on_execution: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> ServiceResponse:
+def execute_request(session, record: RequestRecord) -> ServiceResponse:
     """Evaluate one work request on a session; never raises.
 
     Evaluation errors come back as ``ok: false`` responses with code
     ``evaluation_failed`` — a bad request must not look like a worker
-    crash to the supervisor.  ``on_execution`` receives the
-    :class:`~repro.api.executor.ExecutionReport` dict of sweep-shaped
-    requests (the daemon surfaces the latest one in ``/metrics``).
+    crash to the supervisor.
     """
     request = record.request
     if record.deadline_at is not None and time.monotonic() >= record.deadline_at:
@@ -93,7 +83,7 @@ def execute_request(
         )
     payload = dict(request.payload)
     try:
-        result = _execute(session, request.kind, payload, on_execution)
+        result = _execute(session, request.kind, payload)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as error:
@@ -110,15 +100,11 @@ def execute_request(
     return response
 
 
-def _execute(
-    session,
-    kind: str,
-    payload: Dict[str, Any],
-    on_execution: Optional[Callable[[Dict[str, Any]], None]],
-) -> Dict[str, Any]:
+def _execute(session, kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     if kind == "sleep":
+        # ``ServiceRequest`` admitted only 0 <= seconds <= MAX_SLEEP_S.
         seconds = float(payload.get("seconds", 0.0))
-        time.sleep(max(0.0, seconds))
+        time.sleep(seconds)
         return {"slept_s": seconds}
 
     if kind == "render":
@@ -178,14 +164,11 @@ def _execute(
         if not grid:
             raise ValueError("sweep payload needs a non-empty 'grid'")
         sweep_result = session.sweep(spec, **grid)
-        execution = sweep_result.meta.get("execution")
-        if on_execution is not None and execution is not None:
-            on_execution(dict(execution))
         return {
             "swept": sweep_result.swept,
             "labels": [point.meta.get("label", "") for point in sweep_result.results],
             "metrics": [point.metrics for point in sweep_result.results],
-            "execution": execution,
+            "execution": sweep_result.meta.get("execution"),
         }
 
     if kind == "experiment":
@@ -210,8 +193,6 @@ class WorkerActor(threading.Thread):
     on_complete:
         ``(actor, record, response)`` callback, invoked from the actor
         thread; the daemon trampolines it into the event loop.
-    on_execution:
-        Optional sink for sweep execution reports.
     heartbeat_interval:
         Inbox poll period — also the heartbeat resolution.
     """
@@ -224,13 +205,11 @@ class WorkerActor(threading.Thread):
         name: str,
         session_factory: Callable[[], Any],
         on_complete: Callable[["WorkerActor", RequestRecord, ServiceResponse], None],
-        on_execution: Optional[Callable[[Dict[str, Any]], None]] = None,
         heartbeat_interval: float = 0.05,
     ) -> None:
         super().__init__(name=name, daemon=True)
         self._session_factory = session_factory
         self._on_complete = on_complete
-        self._on_execution = on_execution
         self.heartbeat_interval = heartbeat_interval
         self.inbox: "queue.Queue[Any]" = queue.Queue(maxsize=1)
         self.session = None
@@ -277,16 +256,10 @@ class WorkerActor(threading.Thread):
                     return
                 record: RequestRecord = item
                 self.last_beat = time.monotonic()
-                crash_attempts = int(
-                    record.request.payload.get("inject_crash_attempts", 0) or 0
-                )
-                if record.attempts <= crash_attempts:
+                if chaos.fault("actor.crash") is not None:
                     # Simulated fault: die mid-request, leaving ``current``
                     # set, exactly like an uncaught worker failure.  The
                     # supervisor restarts us and re-enqueues the record.
-                    self.crashed = True
-                    return
-                if chaos.fault("actor.crash") is not None:
                     self.crashed = True
                     return
                 hang = chaos.fault("actor.hang")
@@ -297,9 +270,7 @@ class WorkerActor(threading.Thread):
                 slow = chaos.fault("actor.slow_render")
                 if slow is not None:
                     time.sleep(slow.delay_s)
-                response = execute_request(
-                    self.session, record, on_execution=self._on_execution
-                )
+                response = execute_request(self.session, record)
                 self.busy = False
                 self.current = None
                 self.tasks_done += 1

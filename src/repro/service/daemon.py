@@ -20,7 +20,12 @@
 * the :class:`~repro.service.supervisor.Supervisor` task restarts crashed
   actors and re-enqueues their requests; the
   :class:`~repro.service.supervisor.Journal` resumes in-flight work after
-  a daemon restart.
+  a daemon restart;
+* every terminal outcome of an admitted request — a response, a crash
+  past the retry budget, a timeout, a deadline shed, a hard stop — goes
+  through :meth:`ServiceDaemon.settle`, which counts it once, so
+  ``accepted + resumed == completed + failed + len(_pending)`` holds
+  daemon-wide and for every client and kind in ``/metrics``.
 
 :meth:`ServiceDaemon.serve` blocks (the CLI path);
 :meth:`ServiceDaemon.start_in_thread` returns a :class:`DaemonHandle`
@@ -36,7 +41,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import chaos
 from repro.api.result import jsonify
@@ -68,6 +73,9 @@ DRAIN_TIMEOUT_S = 30.0
 #: Completed responses remembered by request id (LRU), so a client resend
 #: after connection loss is answered from cache instead of re-rendered.
 RESPONSE_CACHE_SIZE = 256
+
+#: Counters ``/metrics`` keeps per client and per kind.
+TALLIES = ("accepted", "resumed", "completed", "failed", "rejected")
 
 
 @dataclass
@@ -231,7 +239,6 @@ class ServiceDaemon:
         #: dispatch; poisoned (and dropped) when they finally complete.
         self.quarantined_actors: List[WorkerActor] = []
         self.events: List[Dict[str, Any]] = []
-        self.last_execution: Optional[Dict[str, Any]] = None
         self.address: Optional[Tuple[str, ...]] = None
         self.started_at: Optional[float] = None
         self.draining = False
@@ -288,7 +295,6 @@ class ServiceDaemon:
             name=f"worker-{self._actor_serial}",
             session_factory=self.session_factory,
             on_complete=self._on_complete_threadsafe,
-            on_execution=self._on_execution_threadsafe,
             heartbeat_interval=min(0.05, self.config.heartbeat_timeout_s / 4),
         )
         actor.start()
@@ -299,10 +305,6 @@ class ServiceDaemon:
         assert self._idle is not None
         self._idle.put_nowait(actor)
         return actor
-
-    def _on_execution_threadsafe(self, report: Dict[str, Any]) -> None:
-        # Plain attribute write; last-writer-wins is the wanted semantic.
-        self.last_execution = report
 
     def _on_complete_threadsafe(
         self, actor: WorkerActor, record: RequestRecord, response: ServiceResponse
@@ -319,30 +321,12 @@ class ServiceDaemon:
         self, actor: WorkerActor, record: RequestRecord, response: ServiceResponse
     ) -> None:
         self._in_flight -= 1
-        self.journal.discard(record.request.id)
         if record.dispatched_at:
             self._note_service_time(time.monotonic() - record.dispatched_at)
         # Any response from a live actor proves the kind executes without
         # crashing the worker (an evaluation failure is not a crash).
         self.breaker.record_success(record.request.kind)
-        if record.done:
-            # The response side already moved on (timeout); the work is
-            # finished and cached where possible, the client reply is not.
-            # Remember the real response anyway: a late resend by id gets
-            # the result instead of the stale timeout.
-            self.metrics["abandoned"] += 1
-            self._remember_response(record, response)
-        else:
-            record.done = True
-            outcome = "completed" if response.ok else "failed"
-            self.metrics[outcome] += 1
-            if response.code == "deadline_exceeded":
-                self.metrics["deadline_exceeded"] += 1
-            self._client_counter(record.request.client, outcome)
-            self._kind_counter(record.request.kind, outcome)
-            self._remember_response(record, response)
-            if not record.future.done():
-                record.future.set_result(response)
+        self.settle(record, response)
         if actor.quarantined:
             # The wedged thread finally completed; it is not in the fleet
             # anymore (a replacement holds its slot), so retire it.
@@ -354,18 +338,45 @@ class ServiceDaemon:
             assert self._idle is not None
             self._idle.put_nowait(actor)
 
-    def _remember_response(
-        self, record: RequestRecord, response: ServiceResponse
-    ) -> None:
-        """Terminal bookkeeping: drop from pending, cache by id (LRU)."""
-        request_id = record.request.id
-        self._pending.pop(request_id, None)
-        if not request_id:  # pragma: no cover - ids are always assigned
-            return
-        self._responses[request_id] = response
-        self._responses.move_to_end(request_id)
+    def settle(self, record: RequestRecord, response: ServiceResponse) -> None:
+        """The one terminal path of an admitted request.
+
+        The first call resolves the record's future and counts
+        ``completed`` or ``failed`` once for the daemon, the client and the
+        kind (a ``timeout`` or ``deadline_exceeded`` failure also bumps its
+        own daemon-wide counter).  It forgets the journal entry unless the
+        answer is ``draining``: a request a hard stop drained is exactly
+        what the next start resumes.  A later call is an actor finishing
+        work its awaiter gave up on, counted ``abandoned``.  Either way the
+        response is cached by id (LRU), so a resend gets the real result
+        instead of a stale timeout.
+        """
+        request = record.request
+        if record.future.done():
+            self.metrics["abandoned"] += 1
+        else:
+            record.future.set_result(response)
+            self._tally(request, "completed" if response.ok else "failed")
+            if response.code == "timeout":
+                self.metrics["timeouts"] += 1
+            elif response.code == "deadline_exceeded":
+                self.metrics["deadline_exceeded"] += 1
+            self._pending.pop(request.id, None)
+            if response.code != "draining":
+                self.journal.discard(request.id)
+        self._responses[request.id] = response
+        self._responses.move_to_end(request.id)
         while len(self._responses) > RESPONSE_CACHE_SIZE:
             self._responses.popitem(last=False)
+
+    def _tally(self, request: ServiceRequest, key: str, daemon_key: str = "") -> None:
+        """Count one event daemon-wide and for the request's client and kind."""
+        self.metrics[daemon_key or key] += 1
+        for table, name in (
+            (self.per_client, request.client),
+            (self.per_kind, request.kind),
+        ):
+            table.setdefault(name, dict.fromkeys(TALLIES, 0))[key] += 1
 
     def quarantine_actor(self, position: int, actor: WorkerActor) -> None:
         """Replace a wedged actor's fleet slot (supervisor path).
@@ -388,19 +399,6 @@ class ServiceDaemon:
         self.queue.push(record.request.client, record, front=True)
         self._wake_dispatcher()
 
-    def fail_record(self, record: RequestRecord, response: ServiceResponse) -> None:
-        """Resolve a record with a terminal failure (supervisor path)."""
-        self.journal.discard(record.request.id)
-        if record.done:
-            return
-        record.done = True
-        self.metrics["failed"] += 1
-        self._client_counter(record.request.client, "failed")
-        self._kind_counter(record.request.kind, "failed")
-        self._remember_response(record, response)
-        if not record.future.done():
-            record.future.set_result(response)
-
     def log_event(self, event: str, **fields: Any) -> None:
         """Append one supervision/lifecycle event (kept bounded)."""
         entry = {"event": event, "at": round(now(), 3)}
@@ -411,20 +409,6 @@ class ServiceDaemon:
     def _wake_dispatcher(self) -> None:
         if self._queue_event is not None:
             self._queue_event.set()
-
-    def _client_counter(self, client: str, key: str) -> None:
-        counters = self.per_client.setdefault(
-            client,
-            {"accepted": 0, "completed": 0, "failed": 0, "rejected": 0},
-        )
-        counters[key] = counters.get(key, 0) + 1
-
-    def _kind_counter(self, kind: str, key: str) -> None:
-        counters = self.per_kind.setdefault(
-            kind,
-            {"accepted": 0, "completed": 0, "failed": 0},
-        )
-        counters[key] = counters.get(key, 0) + 1
 
     def _note_service_time(self, seconds: float) -> None:
         if seconds < 0:
@@ -463,40 +447,31 @@ class ServiceDaemon:
         assert self._queue_event is not None
         while True:
             record = self.queue.pop()
-            if record is not None:
-                if record.done:
-                    # Timed out while queued; nothing left to run.
-                    self.journal.discard(record.request.id)
-                    continue
-                if (
-                    record.deadline_at is not None
-                    and time.monotonic() >= record.deadline_at
-                ):
-                    # Shed before dispatch: the deadline passed while the
-                    # record sat in the queue, so running it would waste
-                    # an actor on an answer nobody is waiting for.
-                    self._expire_record(record)
-                    continue
+            if record is None:
+                self._queue_event.clear()
+                await self._queue_event.wait()
+            elif not self._dead(record):
                 return record
-            self._queue_event.clear()
-            await self._queue_event.wait()
 
-    def _expire_record(self, record: RequestRecord) -> None:
-        """Resolve a queued record whose deadline passed (never dispatched)."""
-        record.done = True
-        self.metrics["deadline_exceeded"] += 1
-        self._client_counter(record.request.client, "failed")
-        self._kind_counter(record.request.kind, "failed")
-        self.journal.discard(record.request.id)
-        response = error_response(
-            "deadline_exceeded",
-            f"request {record.request.id} spent its deadline queued "
-            "and was shed before dispatch",
-            request_id=record.request.id,
+    def _dead(self, record: RequestRecord) -> bool:
+        """True for a queued record that must not run: one already settled
+        (its awaiter timed out) or one whose deadline passed, which is
+        settled here — running it would waste an actor on an answer
+        nobody is waiting for."""
+        if record.future.done():
+            return True
+        if record.deadline_at is None or time.monotonic() < record.deadline_at:
+            return False
+        self.settle(
+            record,
+            error_response(
+                "deadline_exceeded",
+                f"request {record.request.id} spent its deadline queued "
+                "and was shed before dispatch",
+                request_id=record.request.id,
+            ),
         )
-        self._remember_response(record, response)
-        if not record.future.done():
-            record.future.set_result(response)
+        return True
 
     def _apply_degradation(self, record: RequestRecord) -> None:
         """Downshift render fidelity when the backlog is deep.
@@ -537,12 +512,14 @@ class ServiceDaemon:
     # ------------------------------------------------------------------
     # admission (event-loop context)
     # ------------------------------------------------------------------
-    def admit(self, request: ServiceRequest) -> RequestRecord:
+    def admit(self, request: ServiceRequest, resumed: bool = False) -> RequestRecord:
         """Admit one work request into the fair queue.
 
-        Raises :class:`QueueFull` at capacity and :class:`RuntimeError`
-        while draining; the connection handler converts both into reject
-        responses.
+        ``resumed`` marks a request the journal carried over from a
+        previous run: it is counted ``resumed`` instead of ``accepted`` and
+        not journaled again.  Raises :class:`QueueFull` at capacity and
+        :class:`RuntimeError` while draining; the connection handler
+        converts both into reject responses.
         """
         assert self._loop is not None
         if self.draining:
@@ -550,11 +527,7 @@ class ServiceDaemon:
         if not request.id:
             self._request_serial += 1
             request.id = f"{os.getpid():x}-{self._request_serial:x}"
-        record = RequestRecord(
-            request=request,
-            future=self._loop.create_future(),
-            accepted_at=now(),
-        )
+        record = RequestRecord(request=request, future=self._loop.create_future())
         if request.deadline_s is not None:
             record.deadline_at = time.monotonic() + request.deadline_s
         try:
@@ -562,30 +535,15 @@ class ServiceDaemon:
         except QueueFull:
             # Before refusing, evict dead weight: records that expired or
             # were abandoned while queued hold slots but will never run.
-            if not self._shed_expired():
+            if not self.queue.shed(self._dead):
                 raise
             self.queue.push(request.client, record, cost=self._cost_of(request))
         self._pending[request.id] = record
-        self.journal.record(request, accepted_at=record.accepted_at)
-        self.metrics["accepted"] += 1
-        self._client_counter(request.client, "accepted")
-        self._kind_counter(request.kind, "accepted")
+        if not resumed:
+            self.journal.record(request, accepted_at=now())
+        self._tally(request, "resumed" if resumed else "accepted")
         self._wake_dispatcher()
         return record
-
-    def _shed_expired(self) -> int:
-        """Evict expired/done records from the queue; returns the count."""
-        horizon = time.monotonic()
-        shed = self.queue.shed(
-            lambda record: record.done
-            or (record.deadline_at is not None and horizon >= record.deadline_at)
-        )
-        for record in shed:
-            if not record.done:
-                self._expire_record(record)
-            else:
-                self.journal.discard(record.request.id)
-        return len(shed)
 
     @staticmethod
     def _cost_of(request: ServiceRequest) -> float:
@@ -708,8 +666,7 @@ class ServiceDaemon:
                 return await self._await_record(pending)
         allowed, retry_after = self.breaker.allow(request.kind)
         if not allowed:
-            self.metrics["breaker_rejected"] += 1
-            self._client_counter(request.client, "rejected")
+            self._tally(request, "rejected", daemon_key="breaker_rejected")
             return error_response(
                 "circuit_open",
                 f"circuit for kind {request.kind!r} is open after repeated "
@@ -721,8 +678,7 @@ class ServiceDaemon:
             record = self.admit(request)
         except QueueFull as full:
             retry_after = self.retry_after_estimate()
-            self.metrics["rejected"] += 1
-            self._client_counter(request.client, "rejected")
+            self._tally(request, "rejected")
             return error_response(
                 "queue_full",
                 f"{full}; retry after {retry_after:.2f}s",
@@ -740,42 +696,27 @@ class ServiceDaemon:
 
     async def _await_record(self, record: RequestRecord) -> ServiceResponse:
         """Wait for a record's terminal response, bounded by timeout/deadline."""
+        request = record.request
         timeout = self.config.request_timeout_s
-        deadline_bound = False
+        code, error = "timeout", f"request {request.id} exceeded {timeout}s"
         if record.deadline_at is not None:
             remaining = record.deadline_at - time.monotonic()
             if remaining < timeout:
                 timeout = max(0.0, remaining)
-                deadline_bound = True
+                code = "deadline_exceeded"
+                error = (
+                    f"request {request.id} missed its {request.deadline_s}s deadline"
+                )
         try:
             return await asyncio.wait_for(
                 asyncio.shield(record.future), timeout=timeout
             )
         except asyncio.TimeoutError:
-            if deadline_bound:
-                response = error_response(
-                    "deadline_exceeded",
-                    f"request {record.request.id} missed its "
-                    f"{record.request.deadline_s}s deadline",
-                    request_id=record.request.id,
-                )
-                metric = "deadline_exceeded"
-            else:
-                response = error_response(
-                    "timeout",
-                    f"request {record.request.id} exceeded "
-                    f"{self.config.request_timeout_s}s",
-                    request_id=record.request.id,
-                )
-                metric = "timeouts"
-            if not record.done:
-                # First awaiter to give up does the bookkeeping; a joined
-                # resend arriving later just gets the same response.
-                record.done = True
-                self.metrics[metric] += 1
-                self.journal.discard(record.request.id)
-                self._remember_response(record, response)
-            return response
+            if not record.future.done():
+                # The first awaiter to give up settles the record; a joined
+                # resend giving up later gets the same response.
+                self.settle(record, error_response(code, error, request_id=request.id))
+            return record.future.result()
 
     def _handle_control(self, request: ServiceRequest) -> ServiceResponse:
         if request.kind == "ping":
@@ -907,7 +848,6 @@ class ServiceDaemon:
                 else None
             ),
             "events": list(self.events[-20:]),
-            "execution": self.last_execution,
             "engine": self.service.stats(),
             "store": self.store.stats() if self.store is not None else None,
             "journal_pending": len(self.journal),
@@ -930,38 +870,19 @@ class ServiceDaemon:
 
         loop.call_soon_threadsafe(_stop)
 
-    def _resume_journal(self) -> int:
-        """Re-admit journaled requests from a previous run."""
-        assert self._loop is not None
-        resumed = 0
-        for entry in self.journal.pending():
+    def _resume_journal(self) -> None:
+        """Re-admit journaled requests from a previous run.
+
+        No client waits for them; a reconnecting client resending the same
+        id joins the resumed record instead of duplicating the work.
+        """
+        for entry in self.journal.pending():  # shapes pre-checked
             try:
-                request = ServiceRequest.from_wire(entry)
-            except ProtocolError:  # pragma: no cover - pending() pre-checks
-                continue
-            record = RequestRecord(
-                request=request,
-                future=self._loop.create_future(),
-                accepted_at=float(entry.get("accepted_at") or now()),
-                resumed=True,
-            )
-            # No client is waiting; swallow the eventual response so the
-            # future never warns about an unretrieved result.
-            record.future.add_done_callback(lambda future: future.exception())
-            try:
-                self.queue.push(request.client, record, cost=self._cost_of(request))
+                self.admit(ServiceRequest.from_wire(entry), resumed=True)
             except QueueFull:  # pragma: no cover - journal larger than queue
-                self.journal.discard(request.id)
-                continue
-            # A reconnecting client resending the same id joins the
-            # resumed record instead of duplicating the work.
-            self._pending[request.id] = record
-            resumed += 1
-        if resumed:
-            self.metrics["resumed"] += resumed
-            self.log_event("journal_resumed", requests=resumed)
-            self._wake_dispatcher()
-        return resumed
+                self.journal.discard(entry["id"])
+        if self.metrics["resumed"]:
+            self.log_event("journal_resumed", requests=self.metrics["resumed"])
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -1038,21 +959,18 @@ class ServiceDaemon:
             actor.join(timeout=2.0)
 
     def _reject_leftovers(self) -> None:
-        """Fail still-queued records at hard stop (journal entries stay:
-        an undrained record is exactly what the journal resumes)."""
+        """Answer still-queued records ``draining`` at a hard stop
+        (``settle`` keeps their journal entries for the next start)."""
         for record in self.queue.drain():
-            if record is None or record.done:
-                continue
-            record.done = True
-            self._pending.pop(record.request.id, None)
             if not record.future.done():
-                record.future.set_result(
+                self.settle(
+                    record,
                     error_response(
                         "draining",
                         "daemon stopped before this request was dispatched",
                         request_id=record.request.id,
                         retry_after_s=1.0,
-                    )
+                    ),
                 )
 
     def serve(self) -> None:

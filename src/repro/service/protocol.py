@@ -32,6 +32,11 @@ REQUEST_KINDS = WORK_KINDS + CONTROL_KINDS
 #: (protects the daemon from unbounded buffering on a hostile connection).
 MAX_MESSAGE_BYTES = 8 * 1024 * 1024
 
+#: Longest ``sleep`` request (seconds).  A sleep holds its actor without
+#: heartbeats, so the cap stays under the default 20 s quarantine threshold:
+#: outside input can occupy an actor, but cannot wedge one.
+MAX_SLEEP_S = 10.0
+
 #: Error codes a response can carry.
 ERROR_CODES = (
     "bad_request",
@@ -116,6 +121,17 @@ class ServiceRequest:
                 raise ProtocolError("deadline_s must be a number") from None
             if self.deadline_s <= 0:
                 raise ProtocolError(f"deadline_s must be > 0, got {self.deadline_s}")
+        if self.kind == "sleep":
+            seconds = self.payload.get("seconds", 0.0)
+            try:
+                valid = 0.0 <= float(seconds) <= MAX_SLEEP_S  # False for NaN
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise ProtocolError(
+                    f"sleep seconds must be a number in [0, {MAX_SLEEP_S}], "
+                    f"got {seconds!r}"
+                )
 
     def to_wire(self) -> Dict[str, Any]:
         message: Dict[str, Any] = {

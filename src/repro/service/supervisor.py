@@ -221,14 +221,16 @@ class Supervisor:
             request=record.request.id if record is not None else None,
             attempts=record.attempts if record is not None else None,
         )
-        replacement = self.daemon.spawn_actor(position)
-        if record is None or record.done:
+        self.daemon.spawn_actor(position)
+        if record is None:
             return
         # The crashed actor held an in-flight record: it left dispatch
-        # accounting open, so settle it here — either back into the queue
-        # or as a terminal failure.
+        # accounting open, so close it here, then retry the record or
+        # settle it as a terminal failure.
         self.daemon.settle_crashed(record)
         self.daemon.breaker.record_failure(record.request.kind)
+        if record.future.done():
+            return  # its awaiter already gave up; nobody waits for a retry
         if record.attempts <= self.max_retries:
             self.retried += 1
             self.daemon.log_event(
@@ -237,7 +239,7 @@ class Supervisor:
             self.daemon.requeue(record)
         else:
             self.dropped += 1
-            self.daemon.fail_record(
+            self.daemon.settle(
                 record,
                 error_response(
                     "worker_crashed",
@@ -246,7 +248,6 @@ class Supervisor:
                     request_id=record.request.id,
                 ),
             )
-        del replacement  # already registered by spawn_actor
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

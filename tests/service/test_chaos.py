@@ -505,12 +505,13 @@ class TestCircuitBreaker:
             max_retries=0,
             breaker_threshold=1,
             breaker_cooldown_s=30.0,
+            chaos=FaultPlan(
+                rules=[FaultRule("actor.crash", every_nth=1, max_fires=1)]
+            ),
         )
         try:
             with handle.client(client="crashy") as client:
-                crashed = client.submit(
-                    "sleep", {"seconds": 0.0, "inject_crash_attempts": 5}
-                )
+                crashed = client.submit("sleep", {"seconds": 0.0})
                 assert not crashed.ok and crashed.code == "worker_crashed"
                 rejected = client.submit("sleep", {"seconds": 0.0})
                 assert not rejected.ok

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.chaos import FaultPlan, FaultRule
 from repro.service.client import ServiceClient, scrape_http
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.protocol import ServiceRequest
@@ -30,11 +31,48 @@ def start_daemon(**overrides):
     return ServiceDaemon(config).start_in_thread()
 
 
-def submit_async(handle, kind, payload=None, client="anon"):
+def submit_async(handle, kind, payload=None, client="anon", **fields):
     """Schedule one request on the daemon loop; returns a waitable future."""
-    request = ServiceRequest(kind=kind, payload=payload or {}, client=client)
+    request = ServiceRequest(kind=kind, payload=payload or {}, client=client, **fields)
     return asyncio.run_coroutine_threadsafe(
         handle.daemon.handle_request(request), handle.daemon._loop
+    )
+
+
+def on_loop(handle, call):
+    """Run ``call()`` on the daemon's loop thread and return its result."""
+
+    async def run():
+        return call()
+
+    return asyncio.run_coroutine_threadsafe(run(), handle.daemon._loop).result(5)
+
+
+def unbalanced(daemon):
+    """The scopes whose books do not balance.
+
+    Every admitted request is settled exactly once or still pending, so
+    ``accepted + resumed == completed + failed + pending`` must hold
+    daemon-wide and for every client and kind.
+    """
+    pending = list(daemon._pending.values())
+    scopes = [("daemon", daemon.metrics, pending)]
+    for attr, table in (("client", daemon.per_client), ("kind", daemon.per_kind)):
+        for name, counters in table.items():
+            mine = [r for r in pending if getattr(r.request, attr) == name]
+            scopes.append((f"{attr} {name}", counters, mine))
+    return [
+        f"{scope}: {counters} with {len(waiting)} pending"
+        for scope, counters, waiting in scopes
+        if counters["accepted"] + counters.get("resumed", 0)
+        != counters["completed"] + counters["failed"] + len(waiting)
+    ]
+
+
+def crash_plan(every_nth, max_fires):
+    """A plan whose only fault kills the actor that receives a request."""
+    return FaultPlan(
+        rules=[FaultRule("actor.crash", every_nth=every_nth, max_fires=max_fires)]
     )
 
 
@@ -119,11 +157,9 @@ class TestFairness:
 
 class TestSupervision:
     def test_crash_is_retried_exactly_once(self):
-        handle = start_daemon(workers=1)
+        handle = start_daemon(workers=1, chaos=crash_plan(every_nth=1, max_fires=1))
         try:
-            response = submit_async(
-                handle, "sleep", {"seconds": 0.0, "inject_crash_attempts": 1}
-            ).result(10)
+            response = submit_async(handle, "sleep", {"seconds": 0.0}).result(10)
             assert response.ok
             assert response.meta["attempts"] == 2  # crashed once, retried once
             supervision = handle.daemon.supervisor.stats()
@@ -141,11 +177,9 @@ class TestSupervision:
             handle.join()
 
     def test_repeated_crash_fails_after_retry_budget(self):
-        handle = start_daemon(workers=1)
+        handle = start_daemon(workers=1, chaos=crash_plan(every_nth=1, max_fires=2))
         try:
-            response = submit_async(
-                handle, "sleep", {"seconds": 0.0, "inject_crash_attempts": 5}
-            ).result(10)
+            response = submit_async(handle, "sleep", {"seconds": 0.0}).result(10)
             assert not response.ok
             assert response.code == "worker_crashed"
             supervision = handle.daemon.supervisor.stats()
@@ -158,20 +192,16 @@ class TestSupervision:
             handle.join()
 
     def test_crash_mid_render_completes_with_correct_result(self):
-        handle = start_daemon(workers=1)
+        # Every second dispatch crashes, once: the clean render (first)
+        # runs, the second request's first dispatch dies, its retry runs.
+        handle = start_daemon(workers=1, chaos=crash_plan(every_nth=2, max_fires=1))
         try:
             clean = submit_async(
                 handle, "render", {"scene": "lego", "resolution_scale": 0.25}
             ).result(60)
             assert clean.ok
             crashed = submit_async(
-                handle,
-                "render",
-                {
-                    "scene": "lego",
-                    "resolution_scale": 0.25,
-                    "inject_crash_attempts": 1,
-                },
+                handle, "render", {"scene": "lego", "resolution_scale": 0.25}
             ).result(60)
             assert crashed.ok and crashed.meta["attempts"] == 2
             # The retried render is bit-identical to an undisturbed one.
@@ -195,6 +225,127 @@ class TestTimeouts:
             # as abandoned, not delivered.
             assert wait_until(lambda: handle.daemon.metrics["abandoned"] == 1)
             assert handle.daemon.metrics["completed"] == 0
+        finally:
+            handle.stop()
+            handle.join()
+
+
+class TestBalance:
+    """Each terminal path counts its request exactly once, for the daemon,
+    the client and the kind: ``accepted + resumed == completed + failed +
+    pending`` after every one of them."""
+
+    def test_timeout(self):
+        handle = start_daemon(workers=1, request_timeout_s=0.15)
+        try:
+            response = submit_async(
+                handle, "sleep", {"seconds": 0.6}, client="slow"
+            ).result(5)
+            assert response.code == "timeout"
+            assert on_loop(handle, lambda: unbalanced(handle.daemon)) == []
+            assert handle.daemon.per_client["slow"]["failed"] == 1
+            # The actor's late completion is abandoned, not counted again.
+            assert wait_until(lambda: handle.daemon.metrics["abandoned"] == 1)
+            assert on_loop(handle, lambda: unbalanced(handle.daemon)) == []
+            metrics = handle.daemon.metrics
+            assert (metrics["failed"], metrics["timeouts"]) == (1, 1)
+            assert metrics["completed"] == 0
+        finally:
+            handle.stop()
+            handle.join()
+
+    def test_deadline_missed_while_queued(self):
+        handle = start_daemon(workers=1)
+        try:
+            blocker = submit_async(handle, "sleep", {"seconds": 0.4}, client="busy")
+            assert wait_until(lambda: handle.daemon._in_flight == 1)
+            # Its awaiter gives up at the deadline...
+            late = submit_async(
+                handle, "sleep", {"seconds": 0.0}, client="late", deadline_s=0.05
+            ).result(5)
+            assert late.code == "deadline_exceeded"
+            # ...and a record nobody awaits is shed by the dispatcher.
+            shed = on_loop(
+                handle,
+                lambda: handle.daemon.admit(
+                    ServiceRequest(kind="sleep", client="shed", deadline_s=0.05)
+                ),
+            )
+            assert blocker.result(5).ok
+            assert wait_until(shed.future.done)
+            assert shed.future.result().code == "deadline_exceeded"
+            assert on_loop(handle, lambda: unbalanced(handle.daemon)) == []
+            metrics = handle.daemon.metrics
+            assert (metrics["failed"], metrics["deadline_exceeded"]) == (2, 2)
+            assert handle.daemon.per_client["late"]["failed"] == 1
+        finally:
+            handle.stop()
+            handle.join()
+
+    def test_hard_stop_with_queued_work(self, tmp_path):
+        handle = start_daemon(workers=1, journal_dir=str(tmp_path / "journal"))
+        try:
+            submit_async(handle, "sleep", {"seconds": 0.3}, client="busy")
+            assert wait_until(lambda: handle.daemon._in_flight == 1)
+            for request_id in ("q1", "q2"):
+                submit_async(
+                    handle, "sleep", {"seconds": 0.0}, client="queued", id=request_id
+                )
+            assert wait_until(lambda: len(handle.daemon.queue) == 2)
+        finally:
+            handle.stop(drain=False)
+            handle.join()
+        daemon = handle.daemon
+        assert unbalanced(daemon) == []
+        assert daemon.per_client["queued"]["failed"] == 2
+        assert {daemon._responses[i].code for i in ("q1", "q2")} == {"draining"}
+        # Both stay journaled: the next start resumes them.
+        assert {"q1", "q2"} <= {entry["id"] for entry in daemon.journal.pending()}
+
+    def test_crash_past_retry_budget(self):
+        handle = start_daemon(workers=1, chaos=crash_plan(every_nth=1, max_fires=2))
+        try:
+            response = submit_async(
+                handle, "sleep", {"seconds": 0.0}, client="crashy"
+            ).result(10)
+            assert response.code == "worker_crashed"
+            assert on_loop(handle, lambda: unbalanced(handle.daemon)) == []
+            assert handle.daemon.per_kind["sleep"]["failed"] == 1
+        finally:
+            handle.stop()
+            handle.join()
+
+    def test_evaluation_failure(self):
+        handle = start_daemon(workers=1)
+        try:
+            response = submit_async(
+                handle, "render", {"scene": "no-such-scene"}, client="typo"
+            ).result(10)
+            assert response.code == "evaluation_failed"
+            assert on_loop(handle, lambda: unbalanced(handle.daemon)) == []
+            assert handle.daemon.per_client["typo"]["failed"] == 1
+        finally:
+            handle.stop()
+            handle.join()
+
+    def test_journal_resume(self, tmp_path):
+        from repro.service.supervisor import Journal
+
+        journal = Journal(tmp_path / "journal")
+        for request_id in ("r1", "r2"):
+            request = ServiceRequest(
+                kind="sleep", payload={"seconds": 0.0}, client="back", id=request_id
+            )
+            journal.record(request, accepted_at=1.0)
+        handle = start_daemon(workers=1, journal_dir=str(tmp_path / "journal"))
+        try:
+            daemon = handle.daemon
+            assert wait_until(lambda: daemon.metrics["completed"] == 2)
+            assert on_loop(handle, lambda: unbalanced(daemon)) == []
+            assert (daemon.metrics["accepted"], daemon.metrics["resumed"]) == (0, 2)
+            assert daemon.per_client["back"]["resumed"] == 2
+            # Settled resumed work leaves the journal for good.
+            assert len(daemon.journal) == 0
         finally:
             handle.stop()
             handle.join()
@@ -237,7 +388,7 @@ class TestShutdown:
 
 
 class TestTelemetry:
-    def test_metrics_match_session_last_execution(self):
+    def test_sweep_response_carries_its_execution_report(self):
         handle = start_daemon(workers=1)
         try:
             response = submit_async(
@@ -249,13 +400,14 @@ class TestTelemetry:
                 },
             ).result(120)
             assert response.ok
-            assert response.result["execution"] is not None
-            metrics = handle.daemon.metrics_snapshot()
             actor = handle.daemon.actors[0]
             assert actor.session is not None
-            # /metrics surfaces exactly the session's last execution report.
-            assert metrics["execution"] == actor.session.last_execution.to_dict()
-            assert metrics["execution"]["specs"] == 2
+            # The response carries exactly its own sweep's execution report.
+            execution = response.result["execution"]
+            assert execution == actor.session.last_execution.to_dict()
+            assert execution["specs"] == 2
+            metrics = handle.daemon.metrics_snapshot()
+            assert "execution" not in metrics
             # Engine counters in /metrics are the shared render service's.
             assert metrics["engine"] == handle.daemon.service.stats()
         finally:
@@ -315,6 +467,28 @@ class TestProtocolOverSockets:
                 assert message["code"] == "bad_request"
                 # The connection survives and serves the next request.
                 assert client.ping()["pong"] is True
+        finally:
+            handle.stop()
+            handle.join()
+
+    def test_out_of_range_sleep_is_a_bad_request(self):
+        handle = start_daemon(workers=1)
+        try:
+            with handle.client() as client:
+                import json
+
+                for seconds in ("1e9", "NaN", "-1"):
+                    client._sock.sendall(
+                        b'{"kind": "sleep", "payload": {"seconds": %s}}\n'
+                        % seconds.encode()
+                    )
+                    message = json.loads(client._file.readline())
+                    assert message["code"] == "bad_request", message
+                    assert "sleep seconds" in message["error"]
+            # Rejected before admission: no queue slot, nothing counted.
+            metrics = handle.daemon.metrics_snapshot()
+            assert metrics["requests"]["accepted"] == 0
+            assert metrics["queue"]["pushed"] == 0
         finally:
             handle.stop()
             handle.join()
@@ -483,16 +657,12 @@ class TestDegradation:
         # dispatch, so a crash-retried request (re-admitted front-of-queue
         # by the supervisor) had its resolution_scale halved a second time
         # and metrics["degraded"] double-counted.
-        handle = start_daemon(workers=1, degrade_depth=0)
+        handle = start_daemon(
+            workers=1, degrade_depth=0, chaos=crash_plan(every_nth=1, max_fires=1)
+        )
         try:
             response = submit_async(
-                handle,
-                "render",
-                {
-                    "scene": "lego",
-                    "resolution_scale": 0.5,
-                    "inject_crash_attempts": 1,
-                },
+                handle, "render", {"scene": "lego", "resolution_scale": 0.5}
             ).result(60)
             assert response.ok
             assert response.meta["attempts"] == 2  # crashed once, retried

@@ -7,6 +7,7 @@ import pytest
 from repro.service.protocol import (
     CONTROL_KINDS,
     MAX_MESSAGE_BYTES,
+    MAX_SLEEP_S,
     ProtocolError,
     ServiceRequest,
     ServiceResponse,
@@ -65,6 +66,18 @@ class TestRequest:
     def test_payload_must_be_object(self):
         with pytest.raises(ProtocolError):
             ServiceRequest(kind="render", payload=[1, 2])
+
+    @pytest.mark.parametrize(
+        "seconds",
+        [-0.5, float("nan"), float("inf"), MAX_SLEEP_S * 1.01, 1e9, "soon", None],
+    )
+    def test_sleep_seconds_must_be_finite_and_capped(self, seconds):
+        with pytest.raises(ProtocolError, match="sleep seconds"):
+            ServiceRequest(kind="sleep", payload={"seconds": seconds})
+
+    def test_sleep_seconds_bounds_are_inclusive(self):
+        for seconds in (0, 0.0, MAX_SLEEP_S):
+            ServiceRequest(kind="sleep", payload={"seconds": seconds})
 
 
 class TestResponse:
