@@ -21,6 +21,8 @@ one terminal outcome.  ``--check`` gates on:
 * the daemon's ``healthz`` returns to ``healthy`` within a bounded
   recovery window (quarantined actors retired, breakers closed);
 * no orphaned store temp files;
+* every fault point the plan targets was reached (called) at least once,
+  so no layer of the plan goes untested;
 * at least four distinct fault points actually fired (the run really
   was chaotic, not a vacuous pass);
 * the disabled injector's fast path stays under a microsecond-scale
@@ -62,13 +64,19 @@ RECOVERY_BOUND_S = 20.0
 
 
 def chaos_classes(clients_per_class: int) -> list:
-    """A deliberately *light* request mix: low-resolution renders only.
+    """A deliberately *light* request mix: low-resolution renders and sweeps.
 
     Actors heartbeat between requests, not during one, so the quarantine
     threshold must sit above the slowest legitimate execution.  Keeping
     every request under the (~3 s) cold renderer build bound lets the
     benchmark use an aggressive quarantine window and still tell a real
     hang from honest work.
+
+    Renders never touch the result store; the sweeps do.  Every sweep
+    evaluates the same four-point grid (one shard, a few ms once the
+    context is built), so the first writes four entries, enough for the
+    plan's ``store.corrupt_entry`` rule (every 4th put) to fire, and later
+    sweeps read the corrupted entry back, which heals it.
     """
     return [
         RequestClass(
@@ -85,6 +93,15 @@ def chaos_classes(clients_per_class: int) -> list:
             weight=2.0,
             scene="train",
             resolution_scale=0.25,
+            clients=clients_per_class,
+        ),
+        RequestClass(
+            name="grid",
+            kind="sweep",
+            weight=2.0,
+            scene="lego",
+            resolution_scale=0.25,
+            grid={"num_hfu": [1, 2, 4, 8]},
             clients=clients_per_class,
         ),
     ]
@@ -235,12 +252,14 @@ def main(argv=None) -> int:
         orphaned_tmp = [
             str(p) for p in Path(workdir).rglob("*") if p.name.endswith(".tmp")
         ]
-        healed_entries = len(list(Path(workdir).rglob("*.corrupt")))
 
     summary = summarize_replay(report, window_s=trace.duration_s / args.speed)
     overall = summary["overall"]
     chaos_stats = metrics.get("chaos") or {}
     fired = sorted(p for p, s in chaos_stats.items() if s.get("fires", 0) > 0)
+    uncalled = [p for p in plan.points() if not chaos_stats.get(p, {}).get("calls")]
+    # Corrupted store entries that a later read found and removed.
+    store_healed = drained["store"]["healed"]
     lost = [
         o
         for o in report.outcomes
@@ -257,7 +276,7 @@ def main(argv=None) -> int:
         "retried={retried} backoffs={backoffs} resends={resends}".format(**overall)
     )
     print(
-        f"chaos fired: {fired}  "
+        f"chaos fired: {fired}  uncalled: {uncalled}  "
         f"stats={ {p: s['fires'] for p, s in sorted(chaos_stats.items())} }"
     )
     print(
@@ -275,7 +294,7 @@ def main(argv=None) -> int:
     print(f"books after drain: {'balanced' if not books else books}")
     print(
         f"recovery={recovery_s:.2f}s journal_left={journal_left} "
-        f"healed_store_entries={healed_entries} "
+        f"store_healed={store_healed} "
         f"orphaned_tmp={orphaned_tmp} "
         f"disabled_overhead={overhead_s * 1e9:.0f} ns/call"
     )
@@ -286,6 +305,7 @@ def main(argv=None) -> int:
     ok_balanced = not books
     ok_recovered = 0.0 <= recovery_s <= RECOVERY_BOUND_S
     ok_no_orphans = not orphaned_tmp
+    ok_reached = not uncalled
     ok_chaotic = len(fired) >= 4
     ok_overhead = overhead_s < DISABLED_OVERHEAD_BUDGET_S
     clean = all(
@@ -296,6 +316,7 @@ def main(argv=None) -> int:
             ok_balanced,
             ok_recovered,
             ok_no_orphans,
+            ok_reached,
             ok_chaotic,
             ok_overhead,
         )
@@ -322,6 +343,7 @@ def main(argv=None) -> int:
         "wall_s": round(report.wall_s, 6),
         "recovery_s": round(recovery_s, 6),
         "fired_points": fired,
+        "uncalled_points": uncalled,
         "chaos_fires": {p: s["fires"] for p, s in sorted(chaos_stats.items())},
         "deadline_exceeded": metrics["requests"].get("deadline_exceeded", 0),
         "breaker_rejected": metrics["requests"].get("breaker_rejected", 0),
@@ -329,7 +351,7 @@ def main(argv=None) -> int:
         "supervision": metrics["supervision"],
         "journal_left": journal_left,
         "balanced": ok_balanced,
-        "healed_store_entries": healed_entries,
+        "store_healed": store_healed,
         "orphaned_store_tmp": len(orphaned_tmp),
         "disabled_overhead_ns": round(overhead_s * 1e9, 1),
         "clean": clean,
@@ -372,6 +394,12 @@ def main(argv=None) -> int:
             failed = True
         if not ok_no_orphans:
             print(f"FAIL: orphaned store temp files: {orphaned_tmp}", file=sys.stderr)
+            failed = True
+        if not ok_reached:
+            print(
+                f"FAIL: planned fault point(s) never reached: {uncalled}",
+                file=sys.stderr,
+            )
             failed = True
         if not ok_chaotic:
             print(

@@ -23,15 +23,17 @@ architectural support.  The package is organised as:
     fine-tuning used by the customized DRAM data layout (Sec. III-C).
 
 ``repro.training``
-    NumPy optimizers and the boundary-aware fine-tuning loss (Sec. III-B).
+    The cross-boundary penalty and the boundary-aware fine-tuning that
+    steps on it analytically (Sec. III-B), plus the DC colour refinement
+    standing in for the photometric term.
 
 ``repro.engine``
     The unified render-engine layer both renderers sit on: one vectorized
     alpha-blending kernel both renderers run over stacked tile columns,
     plus the per-Gaussian reference loop it is held to (the path is chosen
     via ``StreamingConfig.streaming_kernel`` /
-    ``TileRasterizer(kernel=...)``), dense array-based per-Gaussian
-    statistics accumulation, the frame
+    ``TileRasterizer(kernel=...)``), per-Gaussian weights added into
+    dense arrays indexed by model Gaussian id, the frame
     preparation cache memoizing view geometry per camera pose, and the
     batched :class:`~repro.engine.service.RenderService` front-end the
     analysis harness renders through.
@@ -53,7 +55,7 @@ architectural support.  The package is organised as:
 
 ``repro.api``
     The declarative front-end: :class:`~repro.api.session.Session` owns the
-    render service, scene cache and seeded RNG; experiments are declared as
+    render service and scene cache; experiments are declared as
     :class:`~repro.api.spec.ExperimentSpec` points (scene x algorithm x
     compression x config overrides x arch model) or expanded into parameter
     grids with :func:`~repro.api.spec.sweep`, and every run returns a typed

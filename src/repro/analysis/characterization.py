@@ -17,7 +17,7 @@ from repro.api.session import Session, get_default_session
 from repro.arch.gpu import OrinNXModel
 from repro.arch.technology import ORIN_NX
 from repro.arch.traffic import tile_centric_traffic
-from repro.scenes.registry import SCENE_REGISTRY, scene_names
+from repro.scenes.registry import SCENE_REGISTRY
 
 #: The ordering used by the paper's characterization figures.
 CHARACTERIZATION_SCENES = ("lego", "palace", "train", "playroom", "truck", "drjohnson")
@@ -220,7 +220,3 @@ def run_fig4(
         total_gbs=totals,
     )
 
-
-def characterization_scene_names() -> List[str]:
-    """All six evaluation scenes (synthetic first, as in the paper's figures)."""
-    return list(scene_names("synthetic")) + list(scene_names("real"))

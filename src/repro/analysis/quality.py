@@ -50,10 +50,6 @@ class QualityRow:
     def measured_drop(self) -> float:
         return self.measured_baseline - self.measured_ours
 
-    @property
-    def paper_drop(self) -> float:
-        return self.paper_baseline - self.paper_ours
-
 
 @dataclass
 class Table2Result:
@@ -63,9 +59,6 @@ class Table2Result:
 
     def mean_measured_drop(self) -> float:
         return float(np.mean([row.measured_drop for row in self.rows])) if self.rows else 0.0
-
-    def rows_for(self, algorithm: str) -> List[QualityRow]:
-        return [row for row in self.rows if row.algorithm == algorithm]
 
     def format(self) -> str:
         table_rows = []
@@ -214,16 +207,15 @@ def run_fig7(
 
     The error probe is a streaming render at the evaluation camera; the
     photometric surrogate refines DC colours against the pre-fine-tuning
-    render of the trained model (the stand-in for the training images).
+    tile-centric render of the trained model (the stand-in for the training
+    images), which the context already holds as ``tile_output``.
     """
     session = session or get_default_session()
     context = session.context(scene)
     config: StreamingConfig = context.streaming_config
     camera = context.camera
     ground_truth = context.ground_truth
-    photometric_target = session.render(
-        context.trained, camera, config=config, mode="tile"
-    ).image
+    photometric_target = context.tile_output.image
     # Fine-tuning probes render throwaway parameter snapshots (the loop
     # mutates one model in place between probes, so every probe has a new
     # content fingerprint and builds a new renderer).  A single-slot

@@ -547,7 +547,7 @@ class Session:
         self._contexts.clear()
         self._scene_models.clear()
         if self._owns_service:
-            self.service.close()
+            self.service.clear()
 
     def __enter__(self) -> "Session":
         return self
@@ -566,12 +566,6 @@ class Session:
             "pool": self._pool.stats() if self._pool is not None else None,
             "service": self.service.stats(),
         }
-
-    def clear(self) -> None:
-        """Drop cached contexts, models and renderers (counters are kept)."""
-        self._contexts.clear()
-        self._scene_models.clear()
-        self.service.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -182,6 +182,7 @@ class ResultStore:
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
+        self.healed = 0
         self.evicted = 0
         # Running estimate of the entries' total bytes, so capped puts only
         # pay a full directory scan when the cap is plausibly crossed (gc
@@ -203,8 +204,8 @@ class ResultStore:
         """The stored result of ``spec``, or ``None`` on a miss.
 
         Corrupted entries (truncated JSON, wrong shape, key mismatch) are
-        removed and reported as misses, so a damaged cache heals itself on
-        the next run instead of failing it.
+        removed and reported as misses (and counted in ``healed``), so a
+        damaged cache heals itself on the next run instead of failing it.
         """
         path = self.path(spec)
         try:
@@ -221,6 +222,7 @@ class ResultStore:
             except OSError:  # pragma: no cover - racing cleanup is fine
                 pass
             self.misses += 1
+            self.healed += 1
             return None
         self.hits += 1
         try:
@@ -332,22 +334,14 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters and the number of entries on disk."""
+        """Hit/miss/heal/eviction counters and the number of entries on disk."""
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "healed": self.healed,
             "evicted": self.evicted,
             "entries": len(self),
         }
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self.root.exists():
-            for path in self.root.glob("*/*.json"):
-                path.unlink()
-                removed += 1
-        return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore(root={str(self.root)!r}, version={self.version!r}, entries={len(self)})"

@@ -87,11 +87,6 @@ class AcceleratorConfig:
             )
 
     @classmethod
-    def paper_default(cls) -> "AcceleratorConfig":
-        """The configuration of Table I / Sec. V-A."""
-        return cls()
-
-    @classmethod
     def variant(cls, name: str) -> "AcceleratorConfig":
         """The ablation variants evaluated in Fig. 11."""
         if name in ("streaminggs", "full"):
@@ -117,10 +112,6 @@ class PerformanceReport:
     @property
     def fps(self) -> float:
         return 1.0 / self.frame_time_s if self.frame_time_s > 0 else float("inf")
-
-    @property
-    def power_w(self) -> float:
-        return self.energy_per_frame_j / self.frame_time_s if self.frame_time_s > 0 else 0.0
 
     def speedup_over(self, other: "PerformanceReport") -> float:
         """Speedup of this design over ``other`` (frame-time ratio)."""

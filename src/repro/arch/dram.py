@@ -2,14 +2,13 @@
 
 The model exposes the two quantities the performance/energy models need:
 sustained bandwidth (for transfer latency) and energy per byte (for traffic
-energy), plus a small helper for burst-rounding transfer sizes.
+energy).  Transfers are rounded to bursts where they are counted, by the
+data layout (:mod:`repro.core.data_layout`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,6 @@ class DRAMModel:
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
         return num_bytes * self.energy_per_byte_j
-
-    def round_burst(self, num_bytes: float) -> int:
-        """Round a transfer up to the burst granularity."""
-        if num_bytes <= 0:
-            return 0
-        return int(np.ceil(num_bytes / self.burst_bytes) * self.burst_bytes)
 
     def required_bandwidth(self, bytes_per_frame: float, fps: float) -> float:
         """Bandwidth (bytes/s) needed to sustain ``fps`` with this traffic."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.arch.accelerator import PerformanceReport
 from repro.arch.dram import LPDDR3_4CH
 
 #: Sustained bytes/s of one LPDDR3 channel — the granularity Fig. 4's
@@ -93,20 +92,6 @@ class ClassCost:
             "mean_power_w": self.mean_power_w,
             "devices_required": self.devices_required,
         }
-
-
-def class_cost(
-    name: str, report: PerformanceReport, frames: float, window_s: float
-) -> ClassCost:
-    """Roll one hardware report up to a class's offered load."""
-    return ClassCost(
-        name=name,
-        frames=frames,
-        window_s=window_s,
-        frame_time_s=report.frame_time_s,
-        energy_per_frame_j=report.energy_per_frame_j,
-        dram_bytes_per_frame=report.dram_bytes,
-    )
 
 
 def class_cost_from_metrics(

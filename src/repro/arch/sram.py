@@ -37,10 +37,6 @@ class SRAMModel:
             raise ValueError("banks must be positive")
 
     @property
-    def size_kb(self) -> float:
-        return self.size_bytes / 1024.0
-
-    @property
     def area_mm2(self) -> float:
         """Macro area (linear in capacity at this size range)."""
         return self.size_bytes * AREA_PER_BYTE_MM2
@@ -56,12 +52,6 @@ class SRAMModel:
         scaling = np.sqrt(max(bank_bytes, 1.0) / REFERENCE_MACRO_BYTES)
         return BASE_ENERGY_PER_BYTE_J * float(scaling)
 
-    def access_energy_j(self, num_bytes: float) -> float:
-        """Energy of accessing ``num_bytes`` (reads and writes treated alike)."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return num_bytes * self.energy_per_byte_j
-
 
 def default_buffers() -> dict:
     """The paper's on-chip buffer configuration (Sec. V-A).
@@ -74,11 +64,6 @@ def default_buffers() -> dict:
         "codebook_buffer": SRAMModel("codebook_buffer", 250 * 1024, banks=4),
         "intermediate_buffer": SRAMModel("intermediate_buffer", 89 * 1024, banks=4),
     }
-
-
-def total_sram_bytes(buffers: dict) -> int:
-    """Total capacity of a buffer configuration."""
-    return sum(buffer.size_bytes for buffer in buffers.values())
 
 
 def total_sram_area_mm2(buffers: dict) -> float:

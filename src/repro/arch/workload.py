@@ -223,14 +223,6 @@ class FullScaleWorkload:
             return 0.0
         return 1.0 - self.survivors / self.gaussians_streamed
 
-    @property
-    def survivors_per_voxel(self) -> float:
-        """Mean sorted-list length per (group, voxel) instance."""
-        instances = self.voxel_instances
-        if instances == 0:
-            return 0.0
-        return self.survivors / instances
-
     # ------------------------------------------------------------------
     # Streaming DRAM fetch quantities (see module docstring)
     # ------------------------------------------------------------------

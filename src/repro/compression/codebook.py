@@ -31,11 +31,6 @@ class CodebookSpec:
         return max(1, int(np.ceil(np.log2(self.num_entries))))
 
     @property
-    def index_bytes(self) -> float:
-        """Bytes per stored index (fractional; packing is byte-exact per Gaussian)."""
-        return self.index_bits / 8.0
-
-    @property
     def storage_bytes(self) -> int:
         """On-chip bytes needed to hold the codebook (fp16 entries)."""
         return self.num_entries * self.vector_dim * 2
@@ -110,9 +105,3 @@ class Codebook:
         if np.any(indices < 0) or np.any(indices >= self.spec.num_entries):
             raise ValueError("codebook index out of range")
         return self.centroids[indices]
-
-    def quantization_error(self, vectors: np.ndarray) -> float:
-        """Mean squared quantization error over ``vectors``."""
-        indices = self.encode(vectors)
-        reconstructed = self.decode(indices)
-        return float(np.mean((np.asarray(vectors, dtype=np.float64) - reconstructed) ** 2))

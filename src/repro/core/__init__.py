@@ -5,9 +5,10 @@ The subpackage implements the fully streaming algorithm of Sec. III:
 * :mod:`repro.core.voxel_grid` — scene partition into voxels, contiguous
   per-voxel storage order and empty-voxel renaming;
 * :mod:`repro.core.ray_voxel` — per-pixel ray/voxel traversal (3D-DDA) and
-  the voxel ordering table of a pixel group;
+  the voxel ordering tables of a frame's pixel groups;
 * :mod:`repro.core.voxel_order` — the rendering-dependency DAG and Kahn's
-  topological sort establishing the global voxel rendering order;
+  topological sort establishing the global voxel rendering order, with
+  per-voxel depths as an array indexed by renamed voxel id;
 * :mod:`repro.core.hierarchical_filter` — the two-phase coarse/fine Gaussian
   filter with MAC and byte accounting;
 * :mod:`repro.core.data_layout` — the customized two-half DRAM layout with
@@ -19,16 +20,11 @@ The subpackage implements the fully streaming algorithm of Sec. III:
 
 from repro.core.config import StreamingConfig
 from repro.core.voxel_grid import VoxelGrid, cross_boundary_mask
-from repro.core.ray_voxel import (
-    ordering_tables_for_tiles,
-    traverse_ray,
-    voxel_ordering_table,
-)
+from repro.core.ray_voxel import ordering_tables_for_tiles, traverse_ray
 from repro.core.voxel_order import (
     VoxelOrderResult,
     topological_orders_for_tables,
     topological_voxel_order,
-    voxel_depth_map,
     voxel_depth_values,
 )
 from repro.core.hierarchical_filter import FilterStats, HierarchicalFilter
@@ -41,11 +37,9 @@ __all__ = [
     "cross_boundary_mask",
     "ordering_tables_for_tiles",
     "traverse_ray",
-    "voxel_ordering_table",
     "VoxelOrderResult",
     "topological_orders_for_tables",
     "topological_voxel_order",
-    "voxel_depth_map",
     "voxel_depth_values",
     "FilterStats",
     "HierarchicalFilter",

@@ -16,7 +16,9 @@ class StreamingConfig:
     voxel_size:
         Edge length of the cubic voxels the scene is partitioned into.  The
         paper uses 2.0 for real-world scenes and 0.4 for synthetic scenes
-        (Sec. V-A) and studies the sensitivity in Fig. 12.
+        (Sec. V-A; each registered scene's
+        :attr:`~repro.scenes.registry.SceneDescriptor.default_voxel_size`)
+        and studies the sensitivity in Fig. 12.
     tile_size:
         Edge length (pixels) of the pixel groups rendered together.
     ray_stride:
@@ -86,18 +88,3 @@ class StreamingConfig:
     def with_options(self, **kwargs) -> "StreamingConfig":
         """A copy with the given fields replaced."""
         return replace(self, **kwargs)
-
-    @classmethod
-    def for_scene_category(cls, category: str, **kwargs) -> "StreamingConfig":
-        """The paper's default voxel size for a scene category.
-
-        ``real`` scenes use a voxel size of 2.0 and ``synthetic`` scenes use
-        0.4 (Sec. V-A).
-        """
-        if category == "real":
-            voxel_size = 2.0
-        elif category == "synthetic":
-            voxel_size = 0.4
-        else:
-            raise ValueError(f"unknown scene category {category!r}")
-        return cls(voxel_size=voxel_size, **kwargs)

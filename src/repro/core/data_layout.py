@@ -16,8 +16,8 @@ memory-centric paradigm is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -100,12 +100,10 @@ class DataLayout:
     grid: VoxelGrid
     quantizer: Optional[VectorQuantizer] = None
     use_vq: bool = True
-    voxel_addresses: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.use_vq and self.quantizer is not None and not self.quantizer.is_fitted:
             raise ValueError("quantizer must be fitted before building the layout")
-        self._assign_addresses()
 
     # ------------------------------------------------------------------
     @property
@@ -123,28 +121,6 @@ class DataLayout:
     def second_half_traffic_reduction(self) -> float:
         """Fraction of second-half bytes removed by VQ (paper: 92.3 %)."""
         return 1.0 - self.second_half_bytes_per_gaussian / RAW_SECOND_HALF_BYTES
-
-    def codebook_sram_bytes(self) -> int:
-        """On-chip bytes required for the codebooks (0 when VQ is disabled)."""
-        if self.use_vq and self.quantizer is not None:
-            return self.quantizer.codebook_storage_bytes()
-        return 0
-
-    # ------------------------------------------------------------------
-    def _assign_addresses(self) -> None:
-        """Assign contiguous DRAM address ranges voxel by voxel (Fig. 8)."""
-        address = 0
-        self.voxel_addresses.clear()
-        for voxel_id in range(self.grid.num_voxels):
-            count = int(self.grid.voxel_counts[voxel_id])
-            first = _round_burst(count * self.first_half_bytes_per_gaussian)
-            second = _round_burst(count * self.second_half_bytes_per_gaussian)
-            self.voxel_addresses[voxel_id] = (address, first + second)
-            address += first + second
-
-    def total_model_bytes(self) -> int:
-        """DRAM footprint of the whole model under this layout."""
-        return sum(size for _, size in self.voxel_addresses.values())
 
     # ------------------------------------------------------------------
     # Traffic of streaming operations

@@ -67,13 +67,6 @@ class FilterStats:
         )
 
     @property
-    def coarse_reject_rate(self) -> float:
-        """Fraction of tested Gaussians rejected by the coarse filter."""
-        if self.coarse_tested == 0:
-            return 0.0
-        return 1.0 - self.coarse_passed / self.coarse_tested
-
-    @property
     def overall_reduction(self) -> float:
         """Fraction of loaded Gaussians removed before sorting/rendering.
 
@@ -82,10 +75,6 @@ class FilterStats:
         if self.gaussians_in == 0:
             return 0.0
         return 1.0 - self.fine_passed / self.gaussians_in
-
-    @property
-    def total_macs(self) -> int:
-        return self.coarse_macs + self.fine_macs
 
 
 def _overlaps_tile(
@@ -359,40 +348,3 @@ class HierarchicalFilter:
             stream_rows=stream_rows,
             stream_offsets=stream_offsets,
         )
-
-    # ------------------------------------------------------------------
-    def coarse_filter_soundness_check(
-        self,
-        model: GaussianModel,
-        voxel_indices: np.ndarray,
-        camera: Camera,
-        tile_bounds: Tuple[int, int, int, int],
-    ) -> bool:
-        """True when no Gaussian rejected by the coarse phase would pass the fine phase.
-
-        Used by the property-based tests: the coarse radius is a conservative
-        over-approximation, so coarse rejection must imply fine rejection.
-        """
-        voxel_indices = np.asarray(voxel_indices, dtype=np.int64)
-        if len(voxel_indices) == 0:
-            return True
-        means2d, depths, coarse_radii = coarse_project_centers(
-            model.positions[voxel_indices], model.max_scales[voxel_indices], camera
-        )
-        coarse_pass = _overlaps_tile(
-            means2d, coarse_radii, depths, tile_bounds, camera.near
-        )
-        rejected = voxel_indices[~coarse_pass]
-        if len(rejected) == 0:
-            return True
-        projected = project_gaussians(
-            model, camera, sh_degree=0, indices=rejected
-        )
-        fine_pass = projected.valid & _overlaps_tile(
-            projected.means2d,
-            projected.radii,
-            projected.depths,
-            tile_bounds,
-            camera.near,
-        )
-        return not bool(np.any(fine_pass))

@@ -112,7 +112,8 @@ class StreamingStats:
     #: (indexed by model Gaussian id) — the data Fig. 7's "error Gaussian
     #: ratio" and the boundary-aware fine-tuning target selection are
     #: computed from.  Allocated by the renderer and accumulated in place
-    #: by the blending kernels (no per-voxel copying).
+    #: by the blending kernels (no per-voxel copying); ``None`` on a tile
+    #: worker's record, whose additions travel as logs instead.
     gaussian_blend_weight: Optional[np.ndarray] = None
     gaussian_violation_weight: Optional[np.ndarray] = None
 
@@ -120,20 +121,15 @@ class StreamingStats:
     #: the Gaussian to count as an "error Gaussian" (T_i = 1).
     ERROR_WEIGHT_THRESHOLD = 0.05
 
-    def ensure_weight_arrays(self, num_gaussians: int) -> None:
-        """Allocate the per-Gaussian attribution arrays."""
-        if self.gaussian_blend_weight is None:
-            self.gaussian_blend_weight = np.zeros(num_gaussians, dtype=np.float64)
-            self.gaussian_violation_weight = np.zeros(num_gaussians, dtype=np.float64)
-
     def absorb(self, tile: "StreamingStats") -> None:
         """Accumulate another record's statistics into this one.
 
         Used by the process-parallel path: every worker renders a run of
         tiles into a private :class:`StreamingStats` and the frame absorbs
         the runs in tile order, so the result does not depend on worker
-        scheduling.  All integer fields are exact sums, sort lists are
-        appended, and per-Gaussian weight arrays, when present, are added.
+        scheduling.  All integer fields are exact sums and sort lists are
+        appended; per-Gaussian weights are not absorbed (a worker returns
+        them as logs, which the frame replays).
         """
         self.num_tile_voxel_pairs += tile.num_tile_voxel_pairs
         self.rays_sampled += tile.rays_sampled
@@ -153,23 +149,12 @@ class StreamingStats:
         self.rendered_gaussian_slots += tile.rendered_gaussian_slots
         self.depth_order_errors += tile.depth_order_errors
         self.sort_list_lengths.extend(tile.sort_list_lengths)
-        if tile.gaussian_blend_weight is not None:
-            self.ensure_weight_arrays(len(tile.gaussian_blend_weight))
-            self.gaussian_blend_weight += tile.gaussian_blend_weight
-            self.gaussian_violation_weight += tile.gaussian_violation_weight
 
     @property
     def mean_voxels_per_tile(self) -> float:
         if self.num_tiles == 0:
             return 0.0
         return self.num_tile_voxel_pairs / self.num_tiles
-
-    @property
-    def fragment_violation_ratio(self) -> float:
-        """Fraction of blended contributions that arrive out of depth order."""
-        if self.blended_fragment_slots == 0:
-            return 0.0
-        return self.depth_order_errors / self.blended_fragment_slots
 
     def error_gaussian_indices(
         self, threshold: float = ERROR_WEIGHT_THRESHOLD
@@ -186,26 +171,6 @@ class StreamingStats:
         violation = self.gaussian_violation_weight
         flagged = (total > 0.0) & (violation > threshold * total)
         return np.flatnonzero(flagged).astype(np.int64)
-
-    def top_violating_gaussians(self, coverage: float = 0.9) -> np.ndarray:
-        """Model indices of the Gaussians carrying most out-of-order weight.
-
-        Returns the smallest set of Gaussians whose summed violation weight
-        covers ``coverage`` of the frame's total violation weight.  The
-        boundary-aware fine-tuning targets this set: a handful of large
-        cross-boundary Gaussians typically causes the bulk of the ordering
-        error.
-        """
-        if not 0.0 < coverage <= 1.0:
-            raise ValueError("coverage must be in (0, 1]")
-        violation = self.gaussian_violation_weight
-        if violation is None or not np.any(violation > 0.0):
-            return np.array([], dtype=np.int64)
-        order = np.argsort(-violation, kind="stable")
-        order = order[violation[order] > 0.0]
-        cumulative = np.cumsum(violation[order])
-        count = int(np.searchsorted(cumulative, coverage * cumulative[-1])) + 1
-        return np.sort(order[:count]).astype(np.int64)
 
     @property
     def rendered_gaussian_count(self) -> int:
@@ -392,8 +357,11 @@ class StreamingRenderer:
         tile_grid = TileGrid(camera.width, camera.height, self.config.tile_size)
         image = np.zeros((camera.height, camera.width, 3), dtype=np.float64)
         alpha_img = np.zeros((camera.height, camera.width), dtype=np.float64)
-        stats = StreamingStats(num_tiles=tile_grid.num_tiles)
-        stats.ensure_weight_arrays(len(self.source_model))
+        stats = StreamingStats(
+            num_tiles=tile_grid.num_tiles,
+            gaussian_blend_weight=np.zeros(len(self.source_model)),
+            gaussian_violation_weight=np.zeros(len(self.source_model)),
+        )
         tile_bounds = [
             tile_grid.tile_pixel_bounds(tile_id) for tile_id in range(tile_grid.num_tiles)
         ]
@@ -619,11 +587,6 @@ class StreamingRenderer:
         xs = xs.reshape(-1)
         ys = ys.reshape(-1)
         state = BlendState.fresh(len(xs))
-        # Kernels accumulate per-Gaussian attribution (keyed by model id)
-        # directly into the frame-level statistics arrays.
-        state.bind_weight_arrays(
-            stats.gaussian_blend_weight, stats.gaussian_violation_weight
-        )
 
         for voxel_id in order:
             voxel_indices = self.grid.gaussians_in_voxel(voxel_id)
@@ -655,14 +618,17 @@ class StreamingRenderer:
             stats.rendered_gaussian_slots += len(depth_order)
 
             fragments_before = state.blended_fragments
+            # Per-Gaussian attribution (keyed by model id) accumulates
+            # directly in the frame-level statistics arrays.
             state = blend_reference(
                 xs,
                 ys,
                 result.projected,
                 depth_order,
                 state,
-                model_indices=np.asarray(result.indices, dtype=np.int64),
-                track_depth_order=True,
+                np.asarray(result.indices, dtype=np.int64),
+                stats.gaussian_blend_weight,
+                stats.gaussian_violation_weight,
             )
             stats.blended_fragments += state.blended_fragments - fragments_before
             if not np.any(state.transmittance > TRANSMITTANCE_EPSILON):

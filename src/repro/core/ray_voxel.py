@@ -214,19 +214,10 @@ class VoxelOrderingTable:
         (int64 arrays from the batched traversal, plain lists accepted).
     rays_sampled:
         Number of rays that were traced.
-    unique_voxels:
-        Sorted array of all voxels that appear in any ray's order.
     """
 
     per_ray_orders: List[Sequence[int]]
     rays_sampled: int
-
-    @property
-    def unique_voxels(self) -> np.ndarray:
-        seen = set()
-        for order in self.per_ray_orders:
-            seen.update(order)
-        return np.array(sorted(seen), dtype=np.int64)
 
     @property
     def total_entries(self) -> int:
@@ -256,25 +247,6 @@ def _tile_ray_pixels(
     return pixel_x.reshape(-1), pixel_y.reshape(-1)
 
 
-def voxel_ordering_table(
-    grid: VoxelGrid,
-    camera: Camera,
-    tile_bounds: Tuple[int, int, int, int],
-    ray_stride: int = 4,
-    max_voxels_per_ray: int = 512,
-) -> VoxelOrderingTable:
-    """Build the voxel ordering table for one pixel group (image tile)."""
-    pixel_x, pixel_y = _tile_ray_pixels(tile_bounds, ray_stride)
-    origins, directions = camera.pixel_rays(pixel_x, pixel_y)
-    orders = traverse_rays(
-        grid, origins, directions, max_voxels=max_voxels_per_ray
-    )
-    return VoxelOrderingTable(
-        per_ray_orders=[order for order in orders if len(order)],
-        rays_sampled=len(origins),
-    )
-
-
 def ordering_tables_for_tiles(
     grid: VoxelGrid,
     camera: Camera,
@@ -288,8 +260,8 @@ def ordering_tables_for_tiles(
     tables depend only on the grid geometry, the camera pose and the
     traversal parameters, so repeated renders of the same view reuse them.
     Every sampled ray of every tile is traversed in one batched 3D-DDA
-    call (:func:`traverse_rays`); the per-tile tables are identical to
-    building each tile on its own.
+    call (:func:`traverse_rays`); a tile's table depends only on its own
+    rays, so it is the same whichever tiles are built with it.
     """
     tile_pixels = {
         tile_id: _tile_ray_pixels(bounds, ray_stride)

@@ -9,7 +9,7 @@ the renaming table that the VSU also uses in hardware (Sec. IV-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -137,16 +137,6 @@ class VoxelGrid:
         """Number of non-empty (renamed) voxels."""
         return len(self.voxel_counts)
 
-    @property
-    def num_raw_voxels(self) -> int:
-        """Number of voxels in the full (possibly empty) spatial grid."""
-        return int(np.prod(self.dims))
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of spatial voxels that contain at least one Gaussian."""
-        return self.num_voxels / max(self.num_raw_voxels, 1)
-
     def gaussians_in_voxel(self, renamed_id: int) -> np.ndarray:
         """Indices (into the model) of the Gaussians stored in a voxel."""
         if renamed_id < 0 or renamed_id >= self.num_voxels:
@@ -155,61 +145,6 @@ class VoxelGrid:
         count = self.voxel_counts[renamed_id]
         return self.gaussian_order[start : start + count]
 
-    def voxel_coords(self, renamed_id: int) -> np.ndarray:
-        """Integer grid coordinates of a renamed voxel."""
-        raw = int(self.renamed_to_raw[renamed_id])
-        x = raw % self.dims[0]
-        y = (raw // self.dims[0]) % self.dims[1]
-        z = raw // (self.dims[0] * self.dims[1])
-        return np.array([x, y, z], dtype=np.int64)
-
-    def voxel_center(self, renamed_id: int) -> np.ndarray:
-        """World-space centre of a renamed voxel."""
-        return self.origin + (self.voxel_coords(renamed_id) + 0.5) * self.voxel_size
-
-    def voxel_bounds(self, renamed_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """World-space AABB ``(lo, hi)`` of a renamed voxel."""
-        lo = self.origin + self.voxel_coords(renamed_id) * self.voxel_size
-        return lo, lo + self.voxel_size
-
-    def raw_id_of_point(self, point: np.ndarray) -> int:
-        """Raw (spatial) voxel id containing a world-space point, or -1 if outside."""
-        point = np.asarray(point, dtype=np.float64)
-        coords = np.floor((point - self.origin) / self.voxel_size).astype(np.int64)
-        if np.any(coords < 0) or np.any(coords >= self.dims):
-            return -1
-        return int(
-            coords[0] + self.dims[0] * (coords[1] + self.dims[1] * coords[2])
-        )
-
     def rename(self, raw_id: int) -> int:
         """Renamed id of a raw voxel id, or -1 if the voxel is empty/out of range."""
         return self.raw_to_renamed.get(int(raw_id), -1)
-
-    # ------------------------------------------------------------------
-    def voxel_sizes_histogram(self) -> Dict[int, int]:
-        """Histogram of Gaussians-per-voxel (used by workload characterisation)."""
-        histogram: Dict[int, int] = {}
-        for count in self.voxel_counts:
-            histogram[int(count)] = histogram.get(int(count), 0) + 1
-        return histogram
-
-    def mean_gaussians_per_voxel(self) -> float:
-        """Mean number of Gaussians per non-empty voxel."""
-        if self.num_voxels == 0:
-            return 0.0
-        return float(self.voxel_counts.mean())
-
-    def cross_boundary_gaussians(
-        self, model: GaussianModel, sigma: float = CROSS_BOUNDARY_SIGMA
-    ) -> np.ndarray:
-        """Indices of Gaussians whose extent crosses a voxel boundary."""
-        mask = cross_boundary_mask(
-            model, self.voxel_size, origin=self.origin, sigma=sigma
-        )
-        return np.flatnonzero(mask)
-
-
-def contiguous_storage_order(grid: VoxelGrid) -> List[np.ndarray]:
-    """Per-voxel Gaussian index lists in DRAM storage order (Fig. 8)."""
-    return [grid.gaussians_in_voxel(v) for v in range(grid.num_voxels)]

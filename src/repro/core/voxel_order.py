@@ -13,8 +13,8 @@ which is the depth-correct choice for the pixels that matter most.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -27,57 +27,28 @@ class VoxelOrderResult:
     num_nodes: int
     num_edges: int
     cycles_broken: int
-    in_degree_table: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def is_valid_permutation(self) -> bool:
-        """True when every input voxel appears exactly once in the order."""
-        return len(self.order) == self.num_nodes and len(set(self.order)) == len(
-            self.order
-        )
-
-
-def build_dependency_graph(
-    per_ray_orders: Sequence[Sequence[int]],
-) -> Dict[int, Set[int]]:
-    """Adjacency table (source -> set of destinations) from per-ray orders.
-
-    Consecutive voxels of each ray contribute one edge; this is the adjacent
-    table the VSU builds in hardware (Fig. 10).
-    """
-    arrays = [
-        np.asarray(order, dtype=np.int64) for order in per_ray_orders if len(order)
-    ]
-    if not arrays:
-        return {}
-    nodes = np.unique(np.concatenate(arrays))
-    adjacency: Dict[int, Set[int]] = {int(node): set() for node in nodes}
-    srcs = np.concatenate([a[:-1] for a in arrays]) if len(arrays) else nodes[:0]
-    if len(srcs):
-        dsts = np.concatenate([a[1:] for a in arrays])
-        keep = srcs != dsts
-        if keep.any():
-            span = int(nodes[-1]) + 1
-            pairs = np.unique(srcs[keep] * span + dsts[keep])
-            for src, dst in zip((pairs // span).tolist(), (pairs % span).tolist()):
-                adjacency[src].add(dst)
-    return adjacency
 
 
 def topological_voxel_order(
     per_ray_orders: Sequence[Sequence[int]],
-    voxel_depths: Optional[Union[Dict[int, float], np.ndarray]] = None,
+    voxel_depths: Optional[np.ndarray] = None,
 ) -> VoxelOrderResult:
     """Kahn's algorithm over the per-ray dependency graph.
+
+    Consecutive voxels of each ray contribute one edge ``u -> v`` (``u !=
+    v``, duplicates merged): the adjacent table the VSU builds in hardware
+    (Fig. 10), counted in ``num_edges``.
 
     Parameters
     ----------
     per_ray_orders:
         Front-to-back voxel id sequences, one per sampled ray.
     voxel_depths:
-        Optional per-voxel depth used two ways: as the tie-break priority so
-        voxels whose order is unconstrained are still released front-to-back,
-        and to pick the victim when a dependency cycle has to be broken.
+        Optional per-voxel depth, indexed by voxel id (as
+        :func:`voxel_depth_values` returns it), used two ways: as the
+        tie-break priority so voxels whose order is unconstrained are still
+        released front-to-back, and to pick the victim when a dependency
+        cycle has to be broken.  Without it the voxel id is the priority.
 
     Returns
     -------
@@ -102,19 +73,10 @@ def topological_voxel_order(
 
     # Priorities are static, so resolve them once; the extra node tie-break
     # keys make the cycle-victim choice deterministic on values alone.
-    node_list = nodes.tolist()
     if voxel_depths is None:
         priorities = nodes.astype(np.float64)
-    elif isinstance(voxel_depths, np.ndarray):
-        # Array form: renamed voxel ids index directly (complete coverage).
-        priorities = voxel_depths[nodes].astype(np.float64)
     else:
-        priorities = np.array(
-            [
-                float(voxel_depths[node]) if node in voxel_depths else float(node)
-                for node in node_list
-            ]
-        )
+        priorities = voxel_depths[nodes].astype(np.float64)
 
     # Fast path: when the (priority, node)-sorted candidate order already
     # satisfies every dependency edge, Kahn's heap provably pops exactly
@@ -133,9 +95,9 @@ def topological_voxel_order(
             num_nodes=len(nodes),
             num_edges=num_edges,
             cycles_broken=0,
-            in_degree_table={node: 0 for node in node_list},
         )
 
+    node_list = nodes.tolist()
     adjacency: Dict[int, Set[int]] = {node: set() for node in node_list}
     for src, dst in zip((pairs // span).tolist(), (pairs % span).tolist()):
         adjacency[src].add(dst)
@@ -176,32 +138,12 @@ def topological_voxel_order(
         num_nodes=len(adjacency),
         num_edges=num_edges,
         cycles_broken=cycles_broken,
-        in_degree_table=in_degree,
     )
-
-
-def order_violation_count(
-    order: Sequence[int], per_ray_orders: Sequence[Sequence[int]]
-) -> int:
-    """Number of per-ray precedence constraints violated by ``order``.
-
-    Zero when the dependency graph is acyclic; used by tests and by the
-    cycle-breaking statistics.
-    """
-    position = {voxel: i for i, voxel in enumerate(order)}
-    violations = 0
-    for ray_order in per_ray_orders:
-        for src, dst in zip(ray_order[:-1], ray_order[1:]):
-            if src == dst:
-                continue
-            if src in position and dst in position and position[src] > position[dst]:
-                violations += 1
-    return violations
 
 
 def topological_orders_for_tables(
     tables: Dict[int, "object"],
-    voxel_depths: Optional[Union[Dict[int, float], np.ndarray]] = None,
+    voxel_depths: Optional[np.ndarray] = None,
 ) -> Dict[int, VoxelOrderResult]:
     """Global voxel orders for many tiles' ordering tables at once.
 
@@ -219,9 +161,8 @@ def topological_orders_for_tables(
 def voxel_depth_values(grid, camera) -> np.ndarray:
     """Camera-space depth of every voxel centre, indexed by renamed id.
 
-    Computed in one vectorised batch over all renamed voxels; the array
-    form indexes directly with renamed voxel ids and is what the frame
-    preparation feeds the topological sort.
+    Computed in one vectorised batch over all renamed voxels; the frame
+    preparation feeds it to the topological sort.
     """
     if grid.num_voxels == 0:
         return np.zeros(0, dtype=np.float64)
@@ -234,7 +175,3 @@ def voxel_depth_values(grid, camera) -> np.ndarray:
     cam = camera.world_to_camera(centers)
     return cam[:, 2].astype(np.float64)
 
-
-def voxel_depth_map(grid, camera) -> Dict[int, float]:
-    """Camera-space depth of every voxel centre (topological-sort tie-break)."""
-    return dict(enumerate(voxel_depth_values(grid, camera).tolist()))

@@ -10,8 +10,10 @@ top of this subsystem:
   per 8x8 subtile the Gaussians whose opacity-aware box misses it (the
   path is chosen by ``StreamingConfig.streaming_kernel`` /
   ``TileRasterizer(kernel=...)``; vectorized is the default);
-* :mod:`repro.engine.state` — the resumable :class:`BlendState` with dense
-  array-based per-Gaussian weight/violation accumulators;
+* :mod:`repro.engine.state` — the resumable per-pixel :class:`BlendState`
+  and the targets the kernels add per-Gaussian weights into: dense arrays
+  indexed by model Gaussian id, or :class:`~repro.engine.state.WeightLog`
+  records of the additions;
 * :mod:`repro.engine.cache` — the frame-preparation cache memoizing voxel
   depth maps, per-tile ordering tables and topological orders per camera
   pose;

@@ -109,21 +109,6 @@ class FrameCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns True when it was present."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        """Drop every cached preparation (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 def frame_key(
     camera,

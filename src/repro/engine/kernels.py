@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.state import BlendState, add_weights
+from repro.engine.state import BlendState, WeightTarget, add_weights
 from repro.gaussians.projection import ProjectedGaussians
 
 #: Alpha-blending terminates a pixel once its transmittance drops below this.
@@ -120,14 +120,6 @@ def tile_columns(
     return xs[order], ys[order], column_offsets
 
 
-def _tracking_size(
-    projected: ProjectedGaussians, model_indices: Optional[np.ndarray]
-) -> int:
-    if model_indices is None:
-        return len(projected)
-    return int(np.max(model_indices)) + 1 if len(model_indices) else 0
-
-
 def blend_reference(
     pixel_x: np.ndarray,
     pixel_y: np.ndarray,
@@ -135,11 +127,21 @@ def blend_reference(
     sorted_indices: np.ndarray,
     state: BlendState,
     model_indices: Optional[np.ndarray] = None,
-    track_depth_order: bool = False,
+    weights: Optional[WeightTarget] = None,
+    violation_weights: Optional[WeightTarget] = None,
 ) -> BlendState:
-    """Per-Gaussian reference blending loop (front to back)."""
-    if track_depth_order:
-        state.ensure_weight_arrays(_tracking_size(projected, model_indices))
+    """Per-Gaussian reference blending loop (front to back).
+
+    Blends the rows ``sorted_indices`` of ``projected`` into ``state``, in
+    that order, and returns it.  With ``model_indices``, as in
+    :func:`blend_streaming`, contributions that arrive out of depth order
+    are counted in ``state.depth_violations``, and each row's blended and
+    out-of-order weights are added into ``weights`` /
+    ``violation_weights`` at ``model_indices[row]`` (recorded instead when
+    they are :class:`~repro.engine.state.WeightLog` objects; ``None``
+    leaves one untracked).  Without it neither is tracked.
+    """
+    track = model_indices is not None
     px = pixel_x.astype(np.float64) + 0.5
     py = pixel_y.astype(np.float64) + 0.5
     for gid in sorted_indices:
@@ -163,18 +165,16 @@ def blend_reference(
             contributes, state.transmittance * (1.0 - alpha), state.transmittance
         )
         state.blended_fragments += int(np.count_nonzero(contributes))
-        if track_depth_order:
+        if track:
             depth = float(projected.depths[gid])
             violated = contributes & (
                 state.max_depth > depth + DEPTH_VIOLATION_EPSILON
             )
             state.depth_violations += int(np.count_nonzero(violated))
-            key = int(gid) if model_indices is None else int(model_indices[gid])
-            add_weights(state.gaussian_weights, key, float(weight.sum()))
+            key = int(model_indices[gid])
+            add_weights(weights, key, float(weight.sum()))
             if np.any(violated):
-                add_weights(
-                    state.gaussian_violation_weights, key, float(weight[violated].sum())
-                )
+                add_weights(violation_weights, key, float(weight[violated].sum()))
             state.max_depth = np.where(
                 contributes, np.maximum(state.max_depth, depth), state.max_depth
             )
@@ -353,8 +353,8 @@ def blend_streaming(
     stream_offsets: np.ndarray,
     block_offsets: np.ndarray,
     model_indices: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
-    violation_weights: Optional[np.ndarray] = None,
+    weights: Optional[WeightTarget] = None,
+    violation_weights: Optional[WeightTarget] = None,
 ) -> StreamingBlend:
     """Blend many tiles' streams over their stacked pixel columns.
 
@@ -381,9 +381,9 @@ def blend_streaming(
     are counted per tile, and per-Gaussian blended and out-of-order weights
     are added in place into ``weights`` / ``violation_weights`` at
     ``model_indices[row]`` (recorded instead when they are
-    :class:`~repro.engine.state.WeightLog` objects).  Without it neither is
-    tracked (a depth-sorted stream has no out-of-order contributions) and
-    ``violations`` is zero.
+    :class:`~repro.engine.state.WeightLog` objects; ``None`` leaves one
+    untracked).  Without it neither is tracked (a depth-sorted stream has
+    no out-of-order contributions) and ``violations`` is zero.
 
     Transmittance comes from one cumulative product per chunk, seeded with
     the incoming transmittance.  The transmittance chain, the contribution

@@ -43,14 +43,6 @@ class RenderResponse:
     def image(self) -> np.ndarray:
         return self.output.image
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.output.alpha
-
-    @property
-    def stats(self):
-        return self.output.stats
-
 
 class RenderService:
     """Shared-state renderer front-end.
@@ -199,15 +191,6 @@ class RenderService:
             renderers = list(self._renderers.values())
             self._renderers.clear()
         release_renderers(renderers)
-
-    def close(self) -> None:
-        """Release held state; alias of :meth:`clear` for lifecycle symmetry.
-
-        :meth:`Session.close` calls this so shutting a session down frees
-        renderer memory (voxel grids, layouts, codebooks), in this process
-        and in the tile workers, along with the worker pool.
-        """
-        self.clear()
 
 
 _DEFAULT_SERVICE: Optional[RenderService] = None

@@ -53,11 +53,6 @@ class EventOutcome:
         """Submission to response, including backoff sleeps."""
         return max(0.0, self.finished_s - self.started_s)
 
-    @property
-    def tardiness_s(self) -> float:
-        """How late past its schedule the event finished."""
-        return max(0.0, self.finished_s - self.scheduled_s)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "client": self.client,
@@ -92,10 +87,6 @@ class ReplayReport:
     @property
     def failed(self) -> int:
         return len(self.outcomes) - self.completed
-
-    @property
-    def frames_completed(self) -> float:
-        return sum(outcome.frames for outcome in self.outcomes if outcome.ok)
 
 
 def _replay_client(

@@ -1,14 +1,13 @@
-"""Image-quality metrics used by the evaluation (PSNR, SSIM).
+"""Image-quality metrics used by the evaluation (MSE, PSNR).
 
-The paper reports PSNR (Table II, Fig. 7, Fig. 12); SSIM is provided as well
-because the base 3DGS training loss combines L1 with D-SSIM and our
-surrogate fine-tuning objective reuses it.
+The paper reports PSNR only (Table II, Fig. 7, Fig. 12).  There is no SSIM:
+the fine-tuning stages step analytically without a photometric loss, so
+nothing here needs the D-SSIM term of the 3DGS training loss.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 
 def mse(image_a: np.ndarray, image_b: np.ndarray) -> float:
@@ -29,43 +28,3 @@ def psnr(image_a: np.ndarray, image_b: np.ndarray, data_range: float = 1.0) -> f
     if err <= 0.0:
         return float("inf")
     return float(10.0 * np.log10((data_range ** 2) / err))
-
-
-def ssim(
-    image_a: np.ndarray,
-    image_b: np.ndarray,
-    data_range: float = 1.0,
-    window: int = 7,
-) -> float:
-    """Structural similarity index (mean over pixels and channels).
-
-    A uniform-window SSIM; adequate for the loss surrogate and for sanity
-    checks — the paper's quantitative tables only use PSNR.
-    """
-    image_a = np.asarray(image_a, dtype=np.float64)
-    image_b = np.asarray(image_b, dtype=np.float64)
-    if image_a.shape != image_b.shape:
-        raise ValueError(f"shape mismatch: {image_a.shape} vs {image_b.shape}")
-    if image_a.ndim == 2:
-        image_a = image_a[..., None]
-        image_b = image_b[..., None]
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-    ssim_maps = []
-    for ch in range(image_a.shape[2]):
-        a = image_a[..., ch]
-        b = image_b[..., ch]
-        mu_a = uniform_filter(a, size=window)
-        mu_b = uniform_filter(b, size=window)
-        sigma_a = uniform_filter(a * a, size=window) - mu_a ** 2
-        sigma_b = uniform_filter(b * b, size=window) - mu_b ** 2
-        sigma_ab = uniform_filter(a * b, size=window) - mu_a * mu_b
-        numerator = (2 * mu_a * mu_b + c1) * (2 * sigma_ab + c2)
-        denominator = (mu_a ** 2 + mu_b ** 2 + c1) * (sigma_a + sigma_b + c2)
-        ssim_maps.append(numerator / np.clip(denominator, 1e-12, None))
-    return float(np.mean(ssim_maps))
-
-
-def dssim(image_a: np.ndarray, image_b: np.ndarray, data_range: float = 1.0) -> float:
-    """Structural dissimilarity ``(1 - SSIM) / 2`` used in the 3DGS loss."""
-    return (1.0 - ssim(image_a, image_b, data_range=data_range)) / 2.0

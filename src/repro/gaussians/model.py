@@ -18,7 +18,7 @@ compressed with vector quantization in the customized data layout
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -116,11 +116,6 @@ class GaussianModel:
         return len(self)
 
     @property
-    def num_parameters(self) -> int:
-        """Total scalar parameter count (``59 * N``)."""
-        return PARAMS_PER_GAUSSIAN * len(self)
-
-    @property
     def max_scales(self) -> np.ndarray:
         """``(N,)`` maximum per-Gaussian scale — the 4th coarse-filter param."""
         return self.scales.max(axis=1)
@@ -188,17 +183,6 @@ class GaussianModel:
             sh_rest=self.sh_rest[indices],
         )
 
-    def concatenate(self, other: "GaussianModel") -> "GaussianModel":
-        """A new model containing this model's Gaussians followed by ``other``'s."""
-        return GaussianModel(
-            positions=np.concatenate([self.positions, other.positions]),
-            scales=np.concatenate([self.scales, other.scales]),
-            rotations=np.concatenate([self.rotations, other.rotations]),
-            opacities=np.concatenate([self.opacities, other.opacities]),
-            sh_dc=np.concatenate([self.sh_dc, other.sh_dc]),
-            sh_rest=np.concatenate([self.sh_rest, other.sh_rest]),
-        )
-
     def normalize_rotations(self) -> None:
         """Re-normalise quaternions in place (guards against drift)."""
         norms = np.linalg.norm(self.rotations, axis=1, keepdims=True)
@@ -224,11 +208,6 @@ class GaussianModel:
         lo = self.positions.min(axis=0) - padding
         hi = self.positions.max(axis=0) + padding
         return lo.astype(np.float32), hi.astype(np.float32)
-
-    def scene_extent(self) -> float:
-        """Diagonal length of the bounding box (scene scale proxy)."""
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
 
     # ------------------------------------------------------------------
     # Flattened parameter views (used by the data-layout byte accounting)
@@ -264,29 +243,3 @@ class GaussianModel:
             ],
             axis=1,
         ).astype(np.float32)
-
-    def flat_parameters(self) -> np.ndarray:
-        """``(N, 59)`` full parameter matrix (first half followed by second half)."""
-        return np.concatenate([self.first_half(), self.second_half()], axis=1)
-
-
-@dataclass
-class ModelStatistics:
-    """Summary statistics of a Gaussian model (used by scene calibration)."""
-
-    num_gaussians: int
-    mean_scale: float
-    mean_opacity: float
-    extent: float
-    parameter_bytes: int = field(default=0)
-
-    @classmethod
-    def from_model(cls, model: GaussianModel) -> "ModelStatistics":
-        """Compute statistics for ``model``."""
-        return cls(
-            num_gaussians=len(model),
-            mean_scale=float(model.scales.mean()) if len(model) else 0.0,
-            mean_opacity=float(model.opacities.mean()) if len(model) else 0.0,
-            extent=model.scene_extent(),
-            parameter_bytes=model.num_parameters * 4,
-        )

@@ -61,19 +61,6 @@ class RenderStats:
     sort_pairs: int = 0
     sort_bytes: int = 0
 
-    def merge(self, other: "RenderStats") -> "RenderStats":
-        """Element-wise sum of two statistics records."""
-        return RenderStats(
-            num_gaussians=self.num_gaussians + other.num_gaussians,
-            num_projected=self.num_projected + other.num_projected,
-            num_culled=self.num_culled + other.num_culled,
-            num_tile_pairs=self.num_tile_pairs + other.num_tile_pairs,
-            num_blended_fragments=self.num_blended_fragments + other.num_blended_fragments,
-            num_tiles_rendered=self.num_tiles_rendered + other.num_tiles_rendered,
-            sort_pairs=self.sort_pairs + other.sort_pairs,
-            sort_bytes=self.sort_bytes + other.sort_bytes,
-        )
-
 
 @dataclass
 class RenderOutput:

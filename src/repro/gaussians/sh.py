@@ -135,9 +135,3 @@ def rgb_to_sh_dc(rgb: np.ndarray) -> np.ndarray:
     """Convert target RGB in ``[0, 1]`` to DC SH coefficients."""
     rgb = np.asarray(rgb, dtype=np.float64)
     return (rgb - 0.5) / SH_C0
-
-
-def sh_dc_to_rgb(sh_dc: np.ndarray) -> np.ndarray:
-    """Convert DC SH coefficients back to base RGB (view-independent part)."""
-    sh_dc = np.asarray(sh_dc, dtype=np.float64)
-    return np.clip(sh_dc * SH_C0 + 0.5, 0.0, 1.0)

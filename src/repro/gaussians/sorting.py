@@ -81,19 +81,3 @@ def global_sort_statistics(binning: TileBinning) -> GlobalSortStats:
         key_bytes_written=bytes_per_pass * RADIX_SORT_PASSES,
         comparisons=int(num_pairs * max(1, np.ceil(np.log2(max(num_pairs, 2))))),
     )
-
-
-def bitonic_sort_operations(list_length: int) -> int:
-    """Compare-exchange count of a bitonic sort of ``list_length`` elements.
-
-    The accelerator's sorting unit (adopted from GSCore) is a bitonic sorter;
-    its work grows as ``n log^2 n``.  Used by the architecture model to cost
-    per-voxel (StreamingGS) and per-tile (GSCore) sorts.
-    """
-    if list_length <= 1:
-        return 0
-    n = 1
-    while n < list_length:
-        n *= 2
-    stages = int(np.log2(n))
-    return int(n * stages * (stages + 1) / 4)

@@ -11,7 +11,7 @@ the paper's characterization (Sec. II-B) identifies as the bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -117,10 +117,6 @@ class TileBinning:
 
     tile_lists: Dict[int, np.ndarray]
     num_duplicates: int
-
-    def non_empty_tiles(self) -> List[int]:
-        """Tile ids that have at least one candidate Gaussian."""
-        return [tid for tid, lst in self.tile_lists.items() if len(lst) > 0]
 
 
 def bin_gaussians_to_tiles(

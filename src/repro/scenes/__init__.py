@@ -20,7 +20,6 @@ from repro.scenes.registry import (
     SceneDescriptor,
     build_scene,
     default_eval_camera,
-    scene_names,
 )
 from repro.scenes.fitting import FittedScene, fit_trained_model
 
@@ -33,7 +32,6 @@ __all__ = [
     "SceneDescriptor",
     "build_scene",
     "default_eval_camera",
-    "scene_names",
     "FittedScene",
     "fit_trained_model",
 ]

@@ -55,15 +55,6 @@ class SceneDescriptor:
     orin_fps: float = 0.0               # measured FPS reported in Fig. 3
     seed: int = 0
 
-    @property
-    def scale_factor(self) -> float:
-        """Ratio full-scale / simulated Gaussian count."""
-        return self.full_num_gaussians / self.sim_num_gaussians
-
-    @property
-    def full_num_pixels(self) -> int:
-        return self.full_resolution[0] * self.full_resolution[1]
-
     def spec(self, num_gaussians: int = 0, seed: int = -1) -> SceneSpec:
         """Scene-generation spec (optionally overriding size / seed)."""
         return SceneSpec(
@@ -171,13 +162,6 @@ SCENE_REGISTRY: Dict[str, SceneDescriptor] = {
 }
 
 
-def scene_names(category: str = "") -> List[str]:
-    """Names of registered scenes, optionally filtered by category."""
-    if not category:
-        return list(SCENE_REGISTRY)
-    return [name for name, desc in SCENE_REGISTRY.items() if desc.category == category]
-
-
 def build_scene(
     name: str, num_gaussians: int = 0, seed: int = -1
 ) -> GaussianModel:
@@ -230,18 +214,6 @@ def default_eval_camera(
         elevation_deg=22.0,
     )
     return cameras[view_index % num_views]
-
-
-def eval_cameras(
-    name: str, num_views: int = 4, resolution_scale: float = 1.0
-) -> List[Camera]:
-    """A small held-out camera set (multiple orbit views) for a scene."""
-    return [
-        default_eval_camera(
-            name, resolution_scale=resolution_scale, view_index=i, num_views=max(num_views, 4)
-        )
-        for i in range(num_views)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -323,11 +295,6 @@ TRAJECTORY_REGISTRY: Dict[str, object] = {
     "walkthrough": _walkthrough_workload,
     "dolly": _dolly_workload,
 }
-
-
-def trajectory_names() -> List[str]:
-    """Names of the registered camera-path workloads."""
-    return list(TRAJECTORY_REGISTRY)
 
 
 def trajectory_cameras(

@@ -874,13 +874,20 @@ class ServiceDaemon:
         """Re-admit journaled requests from a previous run.
 
         No client waits for them; a reconnecting client resending the same
-        id joins the resumed record instead of duplicating the work.
+        id joins the resumed record instead of duplicating the work.  A
+        deadline counts from the request's first admission (the journaled
+        wall-clock ``accepted_at``): a resumed request keeps only the time
+        left, and one already past its deadline is shed by the dispatcher
+        (:meth:`_dead`) without running.
         """
         for entry in self.journal.pending():  # shapes pre-checked
             try:
-                self.admit(ServiceRequest.from_wire(entry), resumed=True)
+                record = self.admit(ServiceRequest.from_wire(entry), resumed=True)
             except QueueFull:  # pragma: no cover - journal larger than queue
                 self.journal.discard(entry["id"])
+                continue
+            if record.deadline_at is not None:
+                record.deadline_at -= now() - entry["accepted_at"]
         if self.metrics["resumed"]:
             self.log_event("journal_resumed", requests=self.metrics["resumed"])
 

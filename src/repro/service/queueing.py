@@ -107,10 +107,6 @@ class FairQueue:
     def __len__(self) -> int:
         return self._depth
 
-    def depth_of(self, client: str) -> int:
-        """Queued items of one client."""
-        return len(self._queues.get(client, ()))
-
     def clients(self) -> List[str]:
         """Clients with queued items, in first-seen order."""
         return [client for client, entries in self._queues.items() if entries]

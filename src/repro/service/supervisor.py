@@ -62,16 +62,15 @@ class Journal:
         return self.root / f"req-{request_id}.json"
 
     def record(self, request: ServiceRequest, accepted_at: float) -> None:
-        """Persist one admitted request (idempotent per id)."""
+        """Persist one admitted request (idempotent per id).
+
+        The entry is the request's wire form (its ``deadline_s`` included)
+        plus ``accepted_at``, the wall-clock admission time its deadline
+        counts from.
+        """
         if self.root is None:
             return
-        entry = {
-            "id": request.id,
-            "kind": request.kind,
-            "client": request.client,
-            "payload": request.payload,
-            "accepted_at": accepted_at,
-        }
+        entry = dict(request.to_wire(), accepted_at=accepted_at)
         if chaos.fault("journal.torn_write") is not None:
             # Simulated torn write: truncated JSON landing without the
             # atomic rename — exactly what a crash mid-write leaves behind.
@@ -98,13 +97,14 @@ class Journal:
             try:
                 entry = json.loads(path.read_text())
                 ServiceRequest.from_wire(entry)  # shape check
+                entry["accepted_at"] = float(entry["accepted_at"])
                 entries.append(entry)
-            except (json.JSONDecodeError, OSError, ValueError):
+            except (json.JSONDecodeError, OSError, ValueError, KeyError, TypeError):
                 try:
                     path.replace(path.with_name(path.name + ".corrupt"))
                 except OSError:  # pragma: no cover - racing cleanup
                     pass
-        entries.sort(key=lambda entry: entry.get("accepted_at", 0.0))
+        entries.sort(key=lambda entry: entry["accepted_at"])
         return entries
 
     def __len__(self) -> int:

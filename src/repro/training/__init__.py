@@ -1,4 +1,4 @@
-"""Fine-tuning machinery: optimizers, losses and boundary-aware fine-tuning.
+"""Fine-tuning machinery: the cross-boundary penalty and boundary-aware fine-tuning.
 
 The paper fine-tunes every trained scene twice before deployment:
 
@@ -9,29 +9,19 @@ The paper fine-tunes every trained scene twice before deployment:
   implemented in :mod:`repro.compression.quantization_aware`).
 
 PyTorch autograd is unavailable in this environment, so the boundary-aware
-stage is realised with analytic gradients of the cross-boundary penalty and
-a parameter-space trust region standing in for the photometric loss.
+stage is realised with analytic steps on the cross-boundary penalty and a
+parameter-space trust region standing in for the photometric loss; no
+optimizer or photometric loss is needed.
 """
 
-from repro.training.optimizer import Adam, SGD
-from repro.training.losses import (
-    combined_photometric_loss,
-    cross_boundary_penalty,
-    l1_loss,
-    total_loss,
-)
+from repro.training.losses import cross_boundary_penalty
 from repro.training.boundary_finetune import (
     BoundaryFinetuneResult,
     boundary_aware_finetune,
 )
 
 __all__ = [
-    "Adam",
-    "SGD",
-    "combined_photometric_loss",
     "cross_boundary_penalty",
-    "l1_loss",
-    "total_loss",
     "BoundaryFinetuneResult",
     "boundary_aware_finetune",
 ]

@@ -70,14 +70,6 @@ class BoundaryFinetuneResult:
     def final_error_ratio(self) -> float:
         return self.error_gaussian_ratio[-1] if self.error_gaussian_ratio else 0.0
 
-    @property
-    def initial_quality(self) -> float:
-        return self.quality[0] if self.quality else float("nan")
-
-    @property
-    def final_quality(self) -> float:
-        return self.quality[-1] if self.quality else float("nan")
-
 
 def geometric_probe(voxel_size: float) -> ErrorProbe:
     """An error probe that flags every cross-boundary Gaussian.

@@ -1,9 +1,12 @@
-"""Loss functions: the 3DGS photometric loss and the cross-boundary penalty.
+"""The cross-boundary penalty of the boundary-aware fine-tuning.
 
 The paper's fine-tuning objective (Eq. 1) is ``L = L_origin + beta * L_CBP``
-where ``L_origin`` is the original 3DGS photometric loss (L1 + D-SSIM) and
-``L_CBP`` (Eq. 2) penalises the scale of Gaussians that are rendered out of
-depth order, i.e. Gaussians spanning voxel boundaries.
+where ``L_origin`` is the original 3DGS photometric loss and ``L_CBP``
+(Eq. 2) penalises the scale of Gaussians that are rendered out of depth
+order, i.e. Gaussians spanning voxel boundaries.  Without autograd the
+fine-tuning (:mod:`repro.training.boundary_finetune`) steps on ``L_CBP``
+analytically and lets a trust region stand in for ``L_origin``, so only the
+penalty is computed here.
 """
 
 from __future__ import annotations
@@ -12,35 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.voxel_grid import VoxelGrid, cross_boundary_mask
-from repro.gaussians.metrics import dssim
+from repro.core.voxel_grid import cross_boundary_mask
 from repro.gaussians.model import GaussianModel
-
-#: Weight of the D-SSIM term in the 3DGS photometric loss.
-DSSIM_WEIGHT = 0.2
 
 #: Default cross-boundary penalty weight (paper Sec. V-A: beta = 0.05).
 DEFAULT_BETA = 0.05
-
-
-def l1_loss(image_a: np.ndarray, image_b: np.ndarray) -> float:
-    """Mean absolute error between two images."""
-    image_a = np.asarray(image_a, dtype=np.float64)
-    image_b = np.asarray(image_b, dtype=np.float64)
-    if image_a.shape != image_b.shape:
-        raise ValueError(f"shape mismatch: {image_a.shape} vs {image_b.shape}")
-    return float(np.mean(np.abs(image_a - image_b)))
-
-
-def combined_photometric_loss(
-    rendered: np.ndarray, ground_truth: np.ndarray, dssim_weight: float = DSSIM_WEIGHT
-) -> float:
-    """The 3DGS training loss: ``(1 - w) * L1 + w * D-SSIM``."""
-    if not 0.0 <= dssim_weight <= 1.0:
-        raise ValueError("dssim_weight must be in [0, 1]")
-    return (1.0 - dssim_weight) * l1_loss(rendered, ground_truth) + (
-        dssim_weight * dssim(rendered, ground_truth)
-    )
 
 
 def cross_boundary_indicator(
@@ -79,41 +58,3 @@ def cross_boundary_penalty(
     if len(indicator) != len(model):
         raise ValueError("indicator length must equal the number of Gaussians")
     return float(np.mean(model.max_scales.astype(np.float64) * indicator))
-
-
-def cross_boundary_penalty_gradient(
-    model: GaussianModel,
-    voxel_size: float,
-    origin: Optional[np.ndarray] = None,
-    indicator: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Analytic gradient of ``L_CBP`` with respect to the per-axis scales.
-
-    ``d L_CBP / d s_{i,a} = T_i / N`` for the axis ``a`` realising the
-    maximum scale of Gaussian ``i`` and 0 elsewhere (sub-gradient of the
-    max).
-    """
-    n = len(model)
-    grad = np.zeros((n, 3), dtype=np.float64)
-    if n == 0:
-        return grad
-    if indicator is None:
-        indicator = cross_boundary_indicator(model, voxel_size, origin=origin)
-    argmax_axis = np.argmax(model.scales, axis=1)
-    grad[np.arange(n), argmax_axis] = np.asarray(indicator, dtype=np.float64) / n
-    return grad
-
-
-def total_loss(
-    rendered: np.ndarray,
-    ground_truth: np.ndarray,
-    model: GaussianModel,
-    grid: VoxelGrid,
-    beta: float = DEFAULT_BETA,
-) -> float:
-    """Eq. 1: ``L = L_origin + beta * L_CBP``."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    origin = combined_photometric_loss(rendered, ground_truth)
-    penalty = cross_boundary_penalty(model, grid.voxel_size, origin=grid.origin)
-    return origin + beta * penalty

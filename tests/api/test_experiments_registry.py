@@ -102,3 +102,25 @@ def test_fig13_sweep_table_matches_pre_sweep_output(session):
 
     result = run_fig13(scene="lego", cfus=(1, 4), ffus=(1, 2), session=session)
     assert result.format() == GOLDEN_FIG13
+
+
+def test_fig7_refines_towards_the_context_tile_render(session, monkeypatch):
+    """Fig. 7's photometric target is the context's tile-centric render, reused."""
+    from repro.analysis import quality
+
+    context = session.context("lego")
+    targets = []
+    refine = quality.dc_color_refinement_step
+
+    def recording_refine(model, cameras, images, **kwargs):
+        targets.extend(images)
+        return refine(model, cameras, images, **kwargs)
+
+    def no_tile_render(*args, **kwargs):
+        raise AssertionError("fig7 built a tile-centric rasterizer of its own")
+
+    monkeypatch.setattr(quality, "dc_color_refinement_step", recording_refine)
+    monkeypatch.setattr(session.service, "tile_rasterizer", no_tile_render)
+    quality.run_fig7("lego", iterations=40, probe_every=20, session=session)
+    assert targets
+    assert all(target is context.tile_output.image for target in targets)

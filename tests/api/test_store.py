@@ -65,7 +65,9 @@ class TestResultStore:
         assert spec in store
         restored = store.get(spec)
         assert restored.to_dict() == result.to_dict()
-        assert store.stats() == {"hits": 1, "misses": 1, "evicted": 0, "entries": 1}
+        assert store.stats() == {
+            "hits": 1, "misses": 1, "healed": 0, "evicted": 0, "entries": 1
+        }
 
     def test_version_bump_invalidates(self, tmp_path):
         spec = ExperimentSpec(scene="lego")
@@ -91,7 +93,7 @@ class TestResultStore:
         path = store.path(spec)
         path.write_text("{ truncated")
         assert store.get(spec) is None
-        assert store.misses == 1
+        assert (store.misses, store.healed) == (1, 1)
         assert not path.exists()  # damaged entry removed
         store.put(spec, make_result(2.0))
         assert store.get(spec).metrics["speedup"] == 2.0
@@ -105,13 +107,26 @@ class TestResultStore:
         assert store.get(spec) is None
         assert not path.exists()
 
-    def test_clear(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda store, spec: json.dumps({"key": "not-the-right-key", "result": {}}),
+            lambda store, spec: json.dumps({"key": store.key(spec), "result": {}}),
+            lambda store, spec: json.dumps(["not", "an", "object"]),
+        ],
+        ids=["key-mismatch", "no-result", "not-an-object"],
+    )
+    def test_each_damaged_entry_heals_once(self, tmp_path, damage):
+        """Like truncated JSON (``test_corrupted_entry_recovers``), healed once."""
         store = ResultStore(tmp_path)
-        store.put(ExperimentSpec(scene="lego"), make_result())
-        store.put(ExperimentSpec(scene="train"), make_result())
-        assert len(store) == 2
-        assert store.clear() == 2
-        assert len(store) == 0
+        spec = ExperimentSpec(scene="lego")
+        store.put(spec, make_result())
+        store.path(spec).write_text(damage(store, spec))
+        assert store.get(spec) is None
+        assert store.get(spec) is None  # now absent: a plain miss
+        assert store.stats() == {
+            "hits": 0, "misses": 2, "healed": 1, "evicted": 0, "entries": 0
+        }
 
 
 class TestEviction:

@@ -74,7 +74,7 @@ def test_config_validation_and_variants():
 
 
 def test_paper_default_area(workload):
-    accelerator = StreamingGSAccelerator(AcceleratorConfig.paper_default())
+    accelerator = StreamingGSAccelerator(AcceleratorConfig())
     assert accelerator.area_mm2() == pytest.approx(5.37, abs=0.05)
 
 
@@ -88,7 +88,6 @@ def test_report_fps_and_ratios(workload):
     assert gpu.fps == pytest.approx(1.0 / gpu.frame_time_s)
     assert accel.speedup_over(gpu) > 1.0
     assert accel.energy_saving_over(gpu) > 1.0
-    assert gpu.power_w > 0
 
 
 def test_accelerator_report_structure(workload):

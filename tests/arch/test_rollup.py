@@ -6,7 +6,6 @@ from repro.arch.accelerator import AcceleratorConfig, StreamingGSAccelerator
 from repro.arch.rollup import (
     BYTES_PER_DRAM_CHANNEL,
     ClassCost,
-    class_cost,
     class_cost_from_metrics,
     fleet_rollup,
 )
@@ -116,12 +115,6 @@ class TestClassCost:
         assert cost.required_bandwidth_bytes == pytest.approx(30e6 * 90.0)
         assert cost.mean_power_w == pytest.approx(900.0 * 0.01 / 10.0)
         assert cost.devices_required == pytest.approx(900.0 * 0.002 / 10.0)
-
-    def test_from_report_matches_direct_construction(self):
-        report = StreamingGSAccelerator().evaluate(make_workload())
-        cost = class_cost("c", report, frames=10.0, window_s=2.0)
-        assert cost.frame_time_s == report.frame_time_s
-        assert cost.dram_bytes_per_frame == report.dram_bytes
 
     def test_from_metrics_round_trips_units(self):
         cost = self.cost()

@@ -60,7 +60,6 @@ def test_workload_streaming_quantities_consistent():
     assert 0.0 < w.fine_pass_rate_given_coarse <= 1.0
     assert w.survivors <= w.coarse_passed <= w.gaussians_streamed
     assert 0.0 <= w.filtering_reduction <= 1.0
-    assert w.survivors_per_voxel >= 0.0
 
 
 def test_second_half_fetch_bounded_by_visible():

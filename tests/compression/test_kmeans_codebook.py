@@ -81,7 +81,6 @@ def test_kmeans_assignment_is_nearest_centroid(seed, k):
 def test_codebook_spec_bits_and_storage():
     spec = CodebookSpec(name="scale", num_entries=4096, vector_dim=3)
     assert spec.index_bits == 12
-    assert spec.index_bytes == 1.5
     assert spec.storage_bytes == 4096 * 3 * 2
     small = CodebookSpec(name="sh", num_entries=512, vector_dim=45)
     assert small.index_bits == 9
@@ -106,13 +105,6 @@ def test_codebook_shape_validation():
         codebook.encode(np.zeros((5, 2)))
     with pytest.raises(ValueError):
         codebook.decode(np.array([7]))
-
-
-def test_codebook_quantization_error_nonnegative():
-    vectors, _ = clustered_vectors()
-    spec = CodebookSpec(name="test", num_entries=16, vector_dim=3)
-    codebook = Codebook.train(spec, vectors)
-    assert codebook.quantization_error(vectors) >= 0.0
 
 
 @pytest.mark.parametrize("dim,entries", [(3, 64), (4, 500), (45, 32)])

@@ -51,6 +51,15 @@ def make_camera(width: int = 64, height: int = 48, distance: float = 6.0) -> Cam
     )
 
 
+def voxel_box(grid, renamed_id: int):
+    """World-space AABB ``(lo, hi)`` of a renamed voxel of ``grid``."""
+    raw = int(grid.renamed_to_raw[renamed_id])
+    nx, ny = int(grid.dims[0]), int(grid.dims[1])
+    coords = np.array([raw % nx, (raw // nx) % ny, raw // (nx * ny)], dtype=np.int64)
+    lo = grid.origin + coords * grid.voxel_size
+    return lo, lo + grid.voxel_size
+
+
 @pytest.fixture
 def small_model() -> GaussianModel:
     return make_model(num_gaussians=200, seed=1)

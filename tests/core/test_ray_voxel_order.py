@@ -6,15 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ray_voxel import traverse_ray, voxel_ordering_table
+from repro.core.ray_voxel import ordering_tables_for_tiles, traverse_ray
 from repro.core.voxel_grid import VoxelGrid
-from repro.core.voxel_order import (
-    build_dependency_graph,
-    order_violation_count,
-    topological_voxel_order,
-    voxel_depth_map,
-)
-from tests.conftest import make_camera, make_model
+from repro.core.voxel_order import topological_voxel_order, voxel_depth_values
+from tests.conftest import make_camera, make_model, voxel_box
+
+
+def is_valid_permutation(result):
+    """True when every input voxel appears exactly once in the order."""
+    return len(result.order) == result.num_nodes and len(set(result.order)) == len(
+        result.order
+    )
+
+
+def order_violation_count(order, per_ray_orders):
+    """Number of per-ray precedence constraints violated by ``order``."""
+    position = {voxel: i for i, voxel in enumerate(order)}
+    violations = 0
+    for ray_order in per_ray_orders:
+        for src, dst in zip(ray_order[:-1], ray_order[1:]):
+            if src == dst:
+                continue
+            if src in position and dst in position and position[src] > position[dst]:
+                violations += 1
+    return violations
 
 
 @pytest.fixture
@@ -39,7 +54,8 @@ def test_traversal_is_front_to_back(grid):
     order = traverse_ray(grid, origin, direction)
     assert len(order) > 0
     # Distances of visited voxel centres along the ray must be increasing.
-    distances = [np.dot(grid.voxel_center(v) - origin, direction) for v in order]
+    centers = [np.mean(voxel_box(grid, v), axis=0) for v in order]
+    distances = [np.dot(center - origin, direction) for center in centers]
     assert all(b >= a - grid.voxel_size for a, b in zip(distances, distances[1:]))
 
 
@@ -75,7 +91,7 @@ def test_traversed_voxels_actually_intersect_ray(seed):
     direction = np.array([-1.0, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)])
     direction /= np.linalg.norm(direction)
     for voxel in traverse_ray(grid, origin, direction):
-        lo, hi = grid.voxel_bounds(voxel)
+        lo, hi = voxel_box(grid, voxel)
         # Slab test: the ray must hit the voxel's AABB.
         inv = np.where(np.abs(direction) < 1e-12, np.inf, 1.0 / direction)
         t0, t1 = (lo - origin) * inv, (hi - origin) * inv
@@ -85,33 +101,79 @@ def test_traversed_voxels_actually_intersect_ray(seed):
 
 def test_ordering_table_contains_voxels(grid):
     camera = make_camera(width=32, height=32, distance=8.0)
-    table = voxel_ordering_table(grid, camera, (0, 0, 16, 16), ray_stride=4)
+    table = ordering_tables_for_tiles(grid, camera, {0: (0, 0, 16, 16)}, ray_stride=4)[0]
     assert table.rays_sampled > 0
     assert table.total_entries == sum(len(order) for order in table.per_ray_orders)
-    assert len(table.unique_voxels) > 0
+    assert table.total_entries > 0
 
 
 def test_ordering_table_rejects_empty_bounds(grid):
     camera = make_camera()
     with pytest.raises(ValueError):
-        voxel_ordering_table(grid, camera, (4, 4, 4, 8))
+        ordering_tables_for_tiles(grid, camera, {0: (4, 4, 4, 8)})
+
+
+def test_ordering_tables_do_not_depend_on_the_tiles_built_together(grid):
+    camera = make_camera(width=48, height=32, distance=8.0)
+    bounds = {
+        0: (0, 0, 16, 16),
+        1: (16, 0, 32, 16),
+        2: (32, 16, 48, 32),
+        7: (8, 8, 24, 24),
+    }
+    together = ordering_tables_for_tiles(grid, camera, bounds)
+    assert list(together) == list(bounds)
+    assert sum(table.total_entries for table in together.values()) > 0
+    for tile_id, tile in bounds.items():
+        alone = ordering_tables_for_tiles(grid, camera, {tile_id: tile})[tile_id]
+        assert together[tile_id].rays_sampled == alone.rays_sampled
+        assert [list(order) for order in together[tile_id].per_ray_orders] == [
+            list(order) for order in alone.per_ray_orders
+        ]
+
+
+def test_ordering_tables_of_no_tiles(grid):
+    assert ordering_tables_for_tiles(grid, make_camera(), {}) == {}
+
+
+@pytest.mark.parametrize("stride", [1, 3, 4, 16])
+def test_ordering_table_samples_every_stride_and_the_last_pixel(grid, stride):
+    """Rays every ``stride`` pixels from the corner, plus the last row and column."""
+    camera = make_camera(width=32, height=32, distance=8.0)
+    x0, y0, x1, y1 = 2, 5, 15, 14
+    table = ordering_tables_for_tiles(
+        grid, camera, {0: (x0, y0, x1, y1)}, ray_stride=stride
+    )[0]
+    columns = set(range(x0, x1, stride)) | {x1 - 1}
+    rows = set(range(y0, y1, stride)) | {y1 - 1}
+    assert table.rays_sampled == len(columns) * len(rows)
+
+
+def test_ordering_table_keeps_only_rays_that_meet_voxels(grid):
+    # From afar the grid fills the middle of the view only: the rays
+    # through the image's edges pass beside it.
+    camera = make_camera(width=64, height=64, distance=30.0)
+    table = ordering_tables_for_tiles(
+        grid, camera, {0: (0, 0, 64, 64)}, ray_stride=8
+    )[0]
+    assert 0 < len(table.per_ray_orders) < table.rays_sampled
+    assert all(len(order) > 0 for order in table.per_ray_orders)
 
 
 # ---------------------------------------------------------------------------
 # Topological sorting
 # ---------------------------------------------------------------------------
-def test_build_dependency_graph_simple():
-    adjacency = build_dependency_graph([[1, 2, 3], [2, 4]])
-    assert adjacency[1] == {2}
-    assert adjacency[2] == {3, 4}
-    assert adjacency[3] == set()
-    assert adjacency[4] == set()
+def test_dependency_graph_edges_are_distinct_ray_steps():
+    # 1->2, 2->3 and 2->4; the repeated 1->2 and the self-step 3->3 add none.
+    result = topological_voxel_order([[1, 2, 3], [2, 4], [1, 2], [3, 3]])
+    assert result.num_nodes == 4
+    assert result.num_edges == 3
 
 
 def test_topological_order_respects_constraints():
     per_ray = [[1, 2, 3], [1, 4, 3], [2, 5]]
     result = topological_voxel_order(per_ray)
-    assert result.is_valid_permutation
+    assert is_valid_permutation(result)
     assert result.cycles_broken == 0
     assert order_violation_count(result.order, per_ray) == 0
 
@@ -124,9 +186,9 @@ def test_topological_order_empty():
 
 def test_topological_order_breaks_cycles():
     per_ray = [[1, 2], [2, 1]]
-    result = topological_voxel_order(per_ray, voxel_depths={1: 1.0, 2: 2.0})
+    result = topological_voxel_order(per_ray, voxel_depths=np.array([0.0, 1.0, 2.0]))
     assert result.cycles_broken >= 1
-    assert result.is_valid_permutation
+    assert is_valid_permutation(result)
     # The shallower voxel should be released first when breaking the tie.
     assert result.order[0] == 1
 
@@ -134,7 +196,9 @@ def test_topological_order_breaks_cycles():
 def test_depth_tiebreak_orders_front_to_back():
     # No constraints between 7 and 8; depth should decide.
     per_ray = [[7], [8]]
-    result = topological_voxel_order(per_ray, voxel_depths={7: 5.0, 8: 1.0})
+    depths = np.zeros(9)
+    depths[[7, 8]] = [5.0, 1.0]
+    result = topological_voxel_order(per_ray, voxel_depths=depths)
     assert result.order == [8, 7]
 
 
@@ -162,10 +226,20 @@ def test_topological_sort_matches_networkx_on_random_dags(num_nodes, seed):
         graph.add_edges_from(zip(order[:-1], order[1:]))
     assert nx.is_directed_acyclic_graph(graph)
     assert set(result.order) == set(graph.nodes)
+    assert result.num_edges == graph.number_of_edges()
 
 
-def test_voxel_depth_map(grid):
+def test_voxel_depth_values(grid):
     camera = make_camera(distance=8.0)
-    depths = voxel_depth_map(grid, camera)
-    assert len(depths) == grid.num_voxels
-    assert all(np.isfinite(list(depths.values())))
+    depths = voxel_depth_values(grid, camera)
+    assert depths.shape == (grid.num_voxels,)
+    assert np.all(np.isfinite(depths))
+
+
+def test_voxel_depth_values_are_camera_depths_of_voxel_centres(grid):
+    camera = make_camera(distance=8.0)
+    centres = [np.mean(voxel_box(grid, v), axis=0) for v in range(grid.num_voxels)]
+    expected = camera.world_to_camera(np.array(centres))[:, 2]
+    np.testing.assert_allclose(
+        voxel_depth_values(grid, camera), expected, rtol=0, atol=1e-12
+    )

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.voxel_grid import VoxelGrid, contiguous_storage_order, cross_boundary_mask
+from repro.core.voxel_grid import VoxelGrid, cross_boundary_mask
 from repro.gaussians.model import GaussianModel
-from tests.conftest import make_model
+from tests.conftest import make_model, voxel_box
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def test_every_gaussian_assigned_exactly_once(grid_and_model):
 def test_gaussians_lie_inside_their_voxel(grid_and_model):
     grid, model = grid_and_model
     for voxel_id in range(grid.num_voxels):
-        lo, hi = grid.voxel_bounds(voxel_id)
+        lo, hi = voxel_box(grid, voxel_id)
         members = grid.gaussians_in_voxel(voxel_id)
         positions = model.positions[members]
         assert np.all(positions >= lo - 1e-4)
@@ -47,40 +47,21 @@ def test_renaming_is_dense(grid_and_model):
     grid, _ = grid_and_model
     renamed = sorted(grid.raw_to_renamed.values())
     assert renamed == list(range(grid.num_voxels))
-    assert grid.num_voxels <= grid.num_raw_voxels
-    assert 0 < grid.occupancy <= 1.0
+    assert grid.num_voxels <= int(np.prod(grid.dims))
 
 
 def test_rename_of_empty_voxel_is_negative(grid_and_model):
     grid, _ = grid_and_model
     # Out-of-range raw ids always map to -1.
-    assert grid.rename(grid.num_raw_voxels + 10) == -1
+    num_raw = int(np.prod(grid.dims))
+    assert grid.rename(num_raw + 10) == -1
     # If the spatial grid has empty cells, they must map to -1 as well.
     occupied_raw = set(int(r) for r in grid.renamed_to_raw)
     empty_raw = next(
-        (r for r in range(grid.num_raw_voxels) if r not in occupied_raw), None
+        (r for r in range(num_raw) if r not in occupied_raw), None
     )
     if empty_raw is not None:
         assert grid.rename(empty_raw) == -1
-
-
-def test_raw_id_of_point(grid_and_model):
-    grid, model = grid_and_model
-    for index in range(0, len(model), 50):
-        raw = grid.raw_id_of_point(model.positions[index])
-        assert grid.rename(raw) == grid.voxel_ids[index]
-    assert grid.raw_id_of_point(np.array([1e6, 0, 0])) == -1
-
-
-def test_voxel_center_and_coords_consistent(grid_and_model):
-    grid, _ = grid_and_model
-    for voxel_id in range(0, grid.num_voxels, 7):
-        coords = grid.voxel_coords(voxel_id)
-        center = grid.voxel_center(voxel_id)
-        expected = grid.origin + (coords + 0.5) * grid.voxel_size
-        np.testing.assert_allclose(center, expected)
-        lo, hi = grid.voxel_bounds(voxel_id)
-        assert np.all(lo < center) and np.all(center < hi)
 
 
 def test_gaussians_in_voxel_bounds_checked(grid_and_model):
@@ -89,18 +70,9 @@ def test_gaussians_in_voxel_bounds_checked(grid_and_model):
         grid.gaussians_in_voxel(grid.num_voxels)
 
 
-def test_histogram_and_mean(grid_and_model):
-    grid, model = grid_and_model
-    histogram = grid.voxel_sizes_histogram()
-    assert sum(count * size for size, count in histogram.items()) == len(model)
-    assert grid.mean_gaussians_per_voxel() == pytest.approx(
-        len(model) / grid.num_voxels
-    )
-
-
 def test_contiguous_storage_order(grid_and_model):
     grid, model = grid_and_model
-    lists = contiguous_storage_order(grid)
+    lists = [grid.gaussians_in_voxel(v) for v in range(grid.num_voxels)]
     assert len(lists) == grid.num_voxels
     assert sum(len(lst) for lst in lists) == len(model)
 

@@ -123,12 +123,11 @@ def reference_tiles(xs, ys, column_offsets, projected, stream_rows, stream_offse
         c0, c1 = column_offsets[tile], column_offsets[tile + 1]
         stream = stream_rows[stream_offsets[tile] : stream_offsets[tile + 1]]
         state = BlendState.fresh(c1 - c0)
-        state.bind_weight_arrays(weights, violation_weights)
         saturated = np.full(c1 - c0, len(stream))
         for position in range(len(stream)):
             blend_reference(
                 xs[c0:c1], ys[c0:c1], projected, stream[position : position + 1],
-                state, track_depth_order=True,
+                state, np.arange(len(projected)), weights, violation_weights,
             )
             newly = (saturated == len(stream)) & (
                 state.transmittance <= TRANSMITTANCE_EPSILON

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer
-from repro.engine.cache import FrameCache, frame_key
+from repro.engine.cache import FrameCache
 from tests.conftest import make_camera, make_model
 
 
@@ -39,28 +39,6 @@ def test_new_pose_misses_cache(renderer):
     misses_before = renderer.frame_cache.misses
     renderer.render(camera_b)
     assert renderer.frame_cache.misses == misses_before + 1
-
-
-def test_clear_invalidates(renderer):
-    camera = make_camera(width=48, height=32, distance=6.0)
-    renderer.render(camera)
-    renderer.frame_cache.clear()
-    misses_before = renderer.frame_cache.misses
-    renderer.render(camera)
-    assert renderer.frame_cache.misses == misses_before + 1
-
-
-def test_invalidate_single_entry(renderer):
-    camera = make_camera(width=48, height=32, distance=6.0)
-    renderer.render(camera)
-    key = frame_key(
-        camera,
-        tile_size=renderer.config.tile_size,
-        ray_stride=renderer.config.ray_stride,
-        max_voxels_per_ray=renderer.config.max_voxels_per_ray,
-    )
-    assert renderer.frame_cache.invalidate(key)
-    assert not renderer.frame_cache.invalidate(key)
 
 
 def test_cache_capacity_evicts_lru():

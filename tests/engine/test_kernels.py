@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer
 from repro.engine.kernels import blend_reference, blend_streaming, column_blocks
-from repro.engine.state import BlendState
+from repro.engine.state import BlendState, WeightLog
 from repro.gaussians.projection import project_gaussians
 from repro.gaussians.rasterizer import TileRasterizer
 from tests.conftest import make_camera, make_model
@@ -41,6 +41,23 @@ def stream_one_tile(xs, ys, projected, rows, attribution=True):
         *(tracking if attribution else ()),
     )
     return blend, weights, violation_weights
+
+
+def reference_one_tile(xs, ys, projected, *streams):
+    """``blend_reference`` of ``streams`` in turn, resuming one state.
+
+    Returns the state and the per-Gaussian blended and out-of-order weight
+    arrays (keyed by row of ``projected``).
+    """
+    weights = np.zeros(len(projected))
+    violation_weights = np.zeros(len(projected))
+    state = BlendState.fresh(len(xs))
+    for rows in streams:
+        state = blend_reference(
+            xs, ys, projected, rows, state,
+            np.arange(len(projected)), weights, violation_weights,
+        )
+    return state, weights, violation_weights
 
 
 @pytest.mark.parametrize("seed", [1, 5, 9])
@@ -96,12 +113,8 @@ def test_kernels_agree_on_resumed_state():
     xs, ys = xs.reshape(-1), ys.reshape(-1)
     half = len(order) // 2
 
-    reference = blend_reference(
-        xs, ys, projected, order[:half], BlendState.fresh(len(xs)),
-        track_depth_order=True,
-    )
-    reference = blend_reference(
-        xs, ys, projected, order[half:], reference, track_depth_order=True
+    reference, ref_w, ref_v = reference_one_tile(
+        xs, ys, projected, order[:half], order[half:]
     )
     blend, weights, violation_weights = stream_one_tile(xs, ys, projected, order)
 
@@ -110,10 +123,8 @@ def test_kernels_agree_on_resumed_state():
     np.testing.assert_array_equal(blend.transmittance, reference.transmittance)
     assert blend.fragments.tolist() == [reference.blended_fragments]
     assert blend.violations.tolist() == [reference.depth_violations]
-    np.testing.assert_allclose(weights, reference.gaussian_weights, atol=GOLDEN_ATOL)
-    np.testing.assert_allclose(
-        violation_weights, reference.gaussian_violation_weights, atol=GOLDEN_ATOL
-    )
+    np.testing.assert_allclose(weights, ref_w, atol=GOLDEN_ATOL)
+    np.testing.assert_allclose(violation_weights, ref_v, atol=GOLDEN_ATOL)
 
 
 def test_vectorized_out_of_order_violations_match():
@@ -125,17 +136,12 @@ def test_vectorized_out_of_order_violations_match():
     wrong_order = wrong_order[projected.valid[wrong_order]]
     xs, ys = np.meshgrid(np.arange(32), np.arange(32))
     xs, ys = xs.reshape(-1), ys.reshape(-1)
-    reference = blend_reference(
-        xs, ys, projected, wrong_order, BlendState.fresh(len(xs)),
-        track_depth_order=True,
-    )
+    reference, _, ref_v = reference_one_tile(xs, ys, projected, wrong_order)
     blend, _, violation_weights = stream_one_tile(xs, ys, projected, wrong_order)
     assert reference.depth_violations > 0
     assert blend.violations.tolist() == [reference.depth_violations]
     assert blend.fragments.tolist() == [reference.blended_fragments]
-    np.testing.assert_allclose(
-        violation_weights, reference.gaussian_violation_weights, atol=GOLDEN_ATOL
-    )
+    np.testing.assert_allclose(violation_weights, ref_v, atol=GOLDEN_ATOL)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -159,19 +165,149 @@ def test_streaming_blend_without_attribution_is_bit_identical(seed):
     assert not plain.violations.any()
 
 
-def test_blend_state_weight_array_binding():
-    """Bound external arrays receive attribution in place."""
+def test_reference_blend_attributes_into_weight_logs():
+    """A log in place of the arrays records the additions bit for bit."""
     model = make_model(num_gaussians=60, seed=8)
     camera = make_camera(width=32, height=32)
     projected = project_gaussians(model, camera)
-    order = np.argsort(projected.depths)
+    order = np.argsort(-projected.depths)
+    order = order[projected.valid[order]]
     xs, ys = np.meshgrid(np.arange(16), np.arange(16))
     xs, ys = xs.reshape(-1), ys.reshape(-1)
+    _, weights, violation_weights = reference_one_tile(xs, ys, projected, order)
+    logs = (WeightLog(len(projected)), WeightLog(len(projected)))
+    blend_reference(
+        xs, ys, projected, order, BlendState.fresh(len(xs)),
+        np.arange(len(projected)), *logs,
+    )
+    replayed = (np.zeros(len(projected)), np.zeros(len(projected)))
+    for log, target in zip(logs, replayed):
+        log.replay(target)
+    assert weights.sum() > 0.0 and violation_weights.sum() > 0.0
+    np.testing.assert_array_equal(replayed[0], weights)
+    np.testing.assert_array_equal(replayed[1], violation_weights)
 
-    external_w = np.zeros(len(model))
-    external_v = np.zeros(len(model))
-    state = BlendState.fresh(len(xs))
-    state.bind_weight_arrays(external_w, external_v)
-    state = blend_reference(xs, ys, projected, order, state, track_depth_order=True)
-    assert state.gaussian_weights is external_w
-    assert external_w.sum() > 0.0
+
+#: Where a blend kernel can add per-Gaussian weights: an array, a log, or
+#: nowhere (untracked).
+TARGET_KINDS = ("array", "log", None)
+
+
+def weight_target(kind, size):
+    """An empty weight target of ``kind`` (see :data:`TARGET_KINDS`)."""
+    if kind == "array":
+        return np.zeros(size)
+    return WeightLog(size) if kind == "log" else None
+
+
+def settled(target):
+    """The additions ``target`` holds as an array (``None`` if untracked)."""
+    if isinstance(target, WeightLog):
+        replayed = np.zeros(len(target))
+        target.replay(replayed)
+        return replayed
+    return target
+
+
+def back_to_front_tile(seed, num_gaussians=90, size=24):
+    """A projected scene, its back-to-front valid rows and one tile's pixels."""
+    model = make_model(num_gaussians=num_gaussians, seed=seed)
+    projected = project_gaussians(model, make_camera(width=32, height=32))
+    # Back to front, so there are out-of-order weights to attribute.
+    order = np.argsort(-projected.depths)
+    order = order[projected.valid[order]]
+    xs, ys = np.meshgrid(np.arange(size), np.arange(size))
+    return projected, order, xs.reshape(-1), ys.reshape(-1)
+
+
+@pytest.mark.parametrize("violation_kind", TARGET_KINDS)
+@pytest.mark.parametrize("weight_kind", TARGET_KINDS)
+def test_blend_kernels_fill_each_weight_target_on_its_own(weight_kind, violation_kind):
+    """Either kernel gives each target what a tracked array gets, bit for bit.
+
+    Whatever the other target is (an array, a log or untracked), neither
+    the target's additions nor any bit of the blend itself change.
+    """
+    projected, order, xs, ys = back_to_front_tile(seed=12)
+    size = len(projected)
+    full_state, full_w, full_v = reference_one_tile(xs, ys, projected, order)
+    full_blend, stream_w, stream_v = stream_one_tile(xs, ys, projected, order)
+    assert full_w.sum() > 0.0 and full_v.sum() > 0.0
+
+    targets = (weight_target(weight_kind, size), weight_target(violation_kind, size))
+    state = blend_reference(
+        xs, ys, projected, order, BlendState.fresh(len(xs)), np.arange(size), *targets
+    )
+    for field in ("color", "transmittance", "max_depth"):
+        np.testing.assert_array_equal(getattr(state, field), getattr(full_state, field))
+    assert state.blended_fragments == full_state.blended_fragments
+    assert state.depth_violations == full_state.depth_violations
+    for target, kind, expected in zip(
+        targets, (weight_kind, violation_kind), (full_w, full_v)
+    ):
+        if kind is None:
+            assert target is None
+        else:
+            np.testing.assert_array_equal(settled(target), expected)
+
+    targets = (weight_target(weight_kind, size), weight_target(violation_kind, size))
+    blend = blend_streaming(
+        xs, ys, np.array([0, len(xs)]), projected, order, np.array([0, len(order)]),
+        column_blocks([len(xs)]), np.arange(size), *targets,
+    )
+    for field in ("color", "transmittance", "saturation", "fragments", "violations"):
+        np.testing.assert_array_equal(getattr(blend, field), getattr(full_blend, field))
+    for target, kind, expected in zip(
+        targets, (weight_kind, violation_kind), (stream_w, stream_v)
+    ):
+        if kind is None:
+            assert target is None
+        else:
+            np.testing.assert_array_equal(settled(target), expected)
+
+
+def test_blend_kernels_key_weights_by_model_index():
+    """Row ``r``'s weights land at ``model_indices[r]``, nowhere else."""
+    projected, order, xs, ys = back_to_front_tile(seed=13)
+    size = len(projected)
+    _, ref_w, ref_v = reference_one_tile(xs, ys, projected, order)
+    _, stream_w, stream_v = stream_one_tile(xs, ys, projected, order)
+    # Rows of a culled projection map to scattered ids of a larger model.
+    model_indices = 3 * np.arange(size)[::-1] + 1
+    kernels = {
+        "reference": lambda targets: blend_reference(
+            xs, ys, projected, order, BlendState.fresh(len(xs)), model_indices, *targets
+        ),
+        "streaming": lambda targets: blend_streaming(
+            xs, ys, np.array([0, len(xs)]), projected, order,
+            np.array([0, len(order)]), column_blocks([len(xs)]),
+            model_indices, *targets,
+        ),
+    }
+    expected = {"reference": (ref_w, ref_v), "streaming": (stream_w, stream_v)}
+    for name, run in kernels.items():
+        targets = (np.zeros(3 * size + 1), np.zeros(3 * size + 1))
+        run(targets)
+        for target, by_row in zip(targets, expected[name]):
+            np.testing.assert_array_equal(target[model_indices], by_row)
+            untouched = np.ones(len(target), dtype=bool)
+            untouched[model_indices] = False
+            assert not target[untouched].any()
+
+
+def test_reference_blend_without_model_indices_tracks_nothing():
+    """No ``model_indices``: targets stay empty and no depth order is kept."""
+    projected, order, xs, ys = back_to_front_tile(seed=14)
+    tracked, _, _ = reference_one_tile(xs, ys, projected, order)
+    weights, violation_weights = np.zeros(len(projected)), np.zeros(len(projected))
+    plain = blend_reference(
+        xs, ys, projected, order, BlendState.fresh(len(xs)), None,
+        weights, violation_weights,
+    )
+    assert tracked.depth_violations > 0
+    np.testing.assert_array_equal(plain.color, tracked.color)
+    np.testing.assert_array_equal(plain.transmittance, tracked.transmittance)
+    assert plain.blended_fragments == tracked.blended_fragments
+    assert plain.depth_violations == 0
+    assert np.all(plain.max_depth == -np.inf)
+    assert not weights.any() and not violation_weights.any()

@@ -80,6 +80,20 @@ def test_renderer_cache_eviction(scene):
     assert service.renderer_misses == 3
 
 
+def test_clear_drops_renderers_and_keeps_counters(scene):
+    model, camera, config = scene
+    service = RenderService()
+    before = service.render(model, camera, config)
+    service.clear()
+    stats = service.stats()
+    assert stats["renderers_alive"] == 0
+    assert (stats["requests_served"], stats["renderer_misses"]) == (1, 1)
+    # The next frame builds a new renderer and renders the same image.
+    after = service.render(model, camera, config)
+    assert service.renderer_misses == 2 and service.renderer_hits == 0
+    np.testing.assert_array_equal(after.image, before.image)
+
+
 def test_default_service_is_shared():
     assert get_default_service() is get_default_service()
 
@@ -94,8 +108,8 @@ def test_parallel_tile_rendering_through_service(scene, monkeypatch):
     parallel = service.render(model, camera, config)
     assert serial.output.telemetry["tile_workers"] == 1
     np.testing.assert_array_equal(parallel.image, serial.image)
-    np.testing.assert_array_equal(parallel.alpha, serial.alpha)
-    assert parallel.stats.blended_fragments == serial.stats.blended_fragments
+    np.testing.assert_array_equal(parallel.output.alpha, serial.output.alpha)
+    assert parallel.output.stats.blended_fragments == serial.output.stats.blended_fragments
     stats = service.stats()
     assert stats["parallel_tile_frames"] == 1
     assert stats["last_frame"]["tile_workers"] == 3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gaussians.metrics import dssim, mse, psnr, ssim
+from repro.gaussians.metrics import mse, psnr
 
 
 def random_image(seed=0, shape=(24, 32, 3)):
@@ -39,33 +39,6 @@ def test_psnr_decreases_with_noise():
     low_noise = np.clip(image + rng.normal(0, 0.01, image.shape), 0, 1)
     high_noise = np.clip(image + rng.normal(0, 0.1, image.shape), 0, 1)
     assert psnr(image, low_noise) > psnr(image, high_noise)
-
-
-def test_ssim_identical_is_one():
-    image = random_image()
-    assert abs(ssim(image, image) - 1.0) < 1e-9
-
-
-def test_ssim_bounded():
-    a = random_image(0)
-    b = random_image(1)
-    value = ssim(a, b)
-    assert -1.0 <= value <= 1.0
-
-
-def test_ssim_grayscale_supported():
-    a = random_image(0, shape=(24, 32))
-    b = random_image(1, shape=(24, 32))
-    assert -1.0 <= ssim(a, b) <= 1.0
-
-
-def test_dssim_zero_for_identical():
-    image = random_image()
-    assert abs(dssim(image, image)) < 1e-12
-
-
-def test_dssim_positive_for_different():
-    assert dssim(random_image(0), random_image(5)) > 0.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,7 +10,6 @@ from repro.gaussians.model import (
     FINE_PARAMS_PER_GAUSSIAN,
     PARAMS_PER_GAUSSIAN,
     GaussianModel,
-    ModelStatistics,
 )
 from tests.conftest import make_model
 
@@ -21,10 +20,9 @@ def test_parameter_count_matches_paper():
     assert FINE_PARAMS_PER_GAUSSIAN == 55
 
 
-def test_len_and_num_parameters(small_model):
+def test_len_and_num_gaussians(small_model):
     assert len(small_model) == 200
     assert small_model.num_gaussians == 200
-    assert small_model.num_parameters == 200 * 59
 
 
 def test_first_and_second_half_shapes(small_model):
@@ -32,10 +30,6 @@ def test_first_and_second_half_shapes(small_model):
     second = small_model.second_half()
     assert first.shape == (200, 4)
     assert second.shape == (200, 55)
-    flat = small_model.flat_parameters()
-    assert flat.shape == (200, 59)
-    np.testing.assert_allclose(flat[:, :4], first)
-    np.testing.assert_allclose(flat[:, 4:], second)
 
 
 def test_first_half_contains_position_and_max_scale(small_model):
@@ -65,12 +59,6 @@ def test_subset_selects_rows(small_model):
     np.testing.assert_allclose(subset.positions[1], small_model.positions[5])
 
 
-def test_concatenate(small_model, tiny_model):
-    combined = small_model.concatenate(tiny_model)
-    assert len(combined) == len(small_model) + len(tiny_model)
-    np.testing.assert_allclose(combined.positions[-1], tiny_model.positions[-1])
-
-
 def test_bounding_box_contains_all_points(small_model):
     lo, hi = small_model.bounding_box()
     assert np.all(small_model.positions >= lo - 1e-5)
@@ -84,14 +72,9 @@ def test_bounding_box_padding(small_model):
     np.testing.assert_allclose(hi_pad, hi + 1.0, atol=1e-5)
 
 
-def test_scene_extent_positive(small_model):
-    assert small_model.scene_extent() > 0
-
-
 def test_empty_model():
     empty = GaussianModel.empty()
     assert len(empty) == 0
-    assert empty.num_parameters == 0
     lo, hi = empty.bounding_box()
     np.testing.assert_allclose(lo, 0.0)
     np.testing.assert_allclose(hi, 0.0)
@@ -144,14 +127,6 @@ def test_sh_rest_defaults_to_zero():
     )
     assert model.sh_rest.shape == (3, 15, 3)
     assert np.all(model.sh_rest == 0)
-
-
-def test_model_statistics(small_model):
-    stats = ModelStatistics.from_model(small_model)
-    assert stats.num_gaussians == 200
-    assert stats.parameter_bytes == 200 * 59 * 4
-    assert stats.mean_scale > 0
-    assert 0 < stats.mean_opacity <= 1
 
 
 @settings(max_examples=25, deadline=None)

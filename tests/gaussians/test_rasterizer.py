@@ -22,6 +22,12 @@ def single_gaussian(color=(1.0, 0.0, 0.0), opacity=0.9, scale=0.4, z=0.0):
     )
 
 
+def stacked(*models):
+    """One model holding the Gaussians of ``models``, in order."""
+    fields = ("positions", "scales", "rotations", "opacities", "sh_dc", "sh_rest")
+    return GaussianModel(**{f: np.concatenate([getattr(m, f) for m in models]) for f in fields})
+
+
 def test_render_output_shape_and_range(small_model, camera):
     output = TileRasterizer().render(small_model, camera)
     assert output.image.shape == (camera.height, camera.width, 3)
@@ -57,7 +63,7 @@ def test_front_gaussian_occludes_back():
     # The camera looks along -x from +x, so larger x is closer to the camera.
     front.positions[0] = [1.0, 0.0, 0.0]
     back.positions[0] = [-1.0, 0.0, 0.0]
-    model = front.concatenate(back)
+    model = stacked(front, back)
     output = TileRasterizer().render(model, camera)
     center = output.image[24, 24]
     assert center[0] > center[1]
@@ -84,7 +90,8 @@ def test_blend_state_transmittance_bounds(small_model, camera):
     xs = np.arange(0, 16)
     ys = np.zeros(16, dtype=int) + camera.height // 2
     state = blend_reference(
-        xs, ys, projected, order, BlendState.fresh(len(xs)), track_depth_order=True
+        xs, ys, projected, order, BlendState.fresh(len(xs)),
+        np.arange(len(projected)), np.zeros(len(projected)), np.zeros(len(projected)),
     )
     assert np.all(state.transmittance >= 0.0)
     assert np.all(state.transmittance <= 1.0)
@@ -115,29 +122,41 @@ def test_depth_order_violations_detected():
     b = single_gaussian(color=(0, 1, 0), opacity=0.6, scale=0.5)
     a.positions[0] = [1.0, 0.0, 0.0]   # closer to the camera at +x
     b.positions[0] = [-1.0, 0.0, 0.0]
-    model = a.concatenate(b)
+    model = stacked(a, b)
     projected = project_gaussians(model, camera)
     xs, ys = np.meshgrid(np.arange(32), np.arange(32))
     xs, ys = xs.reshape(-1), ys.reshape(-1)
+    rows = np.arange(len(projected))
+    violation_weights = np.zeros(len(projected))
     correct = blend_reference(
         xs,
         ys,
         projected,
         np.argsort(projected.depths),
         BlendState.fresh(len(xs)),
-        track_depth_order=True,
+        rows,
+        np.zeros(len(projected)),
+        violation_weights,
     )
+    assert correct.depth_violations == 0
+    assert violation_weights.sum() == 0.0
     wrong = blend_reference(
         xs,
         ys,
         projected,
         np.argsort(-projected.depths),
         BlendState.fresh(len(xs)),
-        track_depth_order=True,
+        rows,
+        np.zeros(len(projected)),
+        violation_weights,
     )
-    assert correct.depth_violations == 0
     assert wrong.depth_violations > 0
-    assert wrong.gaussian_violation_weights.sum() > 0.0
+    assert violation_weights.sum() > 0.0
+    # Without weight targets the violations are still counted.
+    untracked = blend_reference(
+        xs, ys, projected, np.argsort(-projected.depths), BlendState.fresh(len(xs)), rows
+    )
+    assert untracked.depth_violations == wrong.depth_violations
 
 
 def test_blend_state_fresh():

@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.gaussians.projection import project_gaussians
 from repro.gaussians.sorting import (
     GlobalSortStats,
-    bitonic_sort_operations,
     global_sort_statistics,
     sort_tile_gaussians,
 )
@@ -84,9 +81,6 @@ def test_binning_duplicate_count_matches_lists(projected_and_grid):
     projected, grid = projected_and_grid
     binning = bin_gaussians_to_tiles(projected, grid)
     assert binning.num_duplicates == sum(len(v) for v in binning.tile_lists.values())
-    assert set(binning.non_empty_tiles()) == {
-        tid for tid, lst in binning.tile_lists.items() if len(lst)
-    }
 
 
 def test_gaussian_lands_in_tile_containing_its_center(projected_and_grid):
@@ -125,18 +119,3 @@ def test_global_sort_statistics(projected_and_grid):
     assert stats.num_pairs == binning.num_duplicates
     assert stats.total_bytes == stats.key_bytes_read + stats.key_bytes_written
     assert stats.total_bytes > 0
-
-
-def test_bitonic_sort_operation_counts():
-    assert bitonic_sort_operations(0) == 0
-    assert bitonic_sort_operations(1) == 0
-    assert bitonic_sort_operations(2) == 1
-    assert bitonic_sort_operations(4) == 6
-    # n log^2 n growth: doubling the size more than doubles the operations.
-    assert bitonic_sort_operations(64) > 2 * bitonic_sort_operations(32)
-
-
-@settings(max_examples=30, deadline=None)
-@given(length=st.integers(min_value=2, max_value=4096))
-def test_bitonic_operations_monotonic(length):
-    assert bitonic_sort_operations(length + 1) >= bitonic_sort_operations(length)

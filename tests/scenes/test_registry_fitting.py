@@ -11,8 +11,6 @@ from repro.scenes.registry import (
     SCENE_REGISTRY,
     build_scene,
     default_eval_camera,
-    eval_cameras,
-    scene_names,
 )
 from tests.conftest import make_camera, make_model
 
@@ -42,18 +40,6 @@ def test_registry_target_psnrs_cover_all_algorithms():
             assert algorithm in descriptor.target_psnr
 
 
-def test_scene_names_filtering():
-    assert set(scene_names()) == set(SCENE_REGISTRY)
-    assert set(scene_names("synthetic")) == {"lego", "palace"}
-    assert set(scene_names("real")) == {"train", "truck", "playroom", "drjohnson"}
-
-
-def test_scale_factor_positive():
-    for descriptor in SCENE_REGISTRY.values():
-        assert descriptor.scale_factor > 1.0
-        assert descriptor.full_num_pixels > 0
-
-
 def test_build_scene_respects_override():
     model = build_scene("lego", num_gaussians=321)
     assert len(model) == 321
@@ -71,9 +57,8 @@ def test_default_eval_camera_resolution():
     assert half.width == camera.width // 2
 
 
-def test_eval_cameras_are_distinct():
-    cameras = eval_cameras("train", num_views=3)
-    assert len(cameras) == 3
+def test_eval_camera_views_are_distinct():
+    cameras = [default_eval_camera("train", view_index=i) for i in range(3)]
     assert not np.allclose(cameras[0].position, cameras[1].position)
 
 

@@ -350,6 +350,48 @@ class TestBalance:
             handle.stop()
             handle.join()
 
+    @staticmethod
+    def journal_deadline_request(tmp_path, seconds, deadline_s, age_s):
+        """Journal one ``sleep`` admitted ``age_s`` wall-clock seconds ago."""
+        from repro.service.supervisor import Journal, now
+
+        request = ServiceRequest(
+            kind="sleep", payload={"seconds": seconds}, client="late",
+            id="d1", deadline_s=deadline_s,
+        )
+        Journal(tmp_path / "journal").record(request, accepted_at=now() - age_s)
+        return start_daemon(workers=1, journal_dir=str(tmp_path / "journal"))
+
+    def test_resumed_request_past_its_deadline_is_shed_unrun(self, tmp_path):
+        handle = self.journal_deadline_request(tmp_path, 0.0, deadline_s=0.5, age_s=10.0)
+        try:
+            daemon = handle.daemon
+            assert wait_until(lambda: daemon.metrics["failed"] == 1)
+            assert daemon.metrics["deadline_exceeded"] == 1
+            assert daemon.metrics["completed"] == 0
+            assert daemon.metrics["resumed"] == 1
+            assert daemon._dispatch_count == 0  # shed before dispatch
+            assert on_loop(handle, lambda: unbalanced(daemon)) == []
+            assert len(daemon.journal) == 0
+        finally:
+            handle.stop()
+            handle.join()
+
+    def test_resumed_request_keeps_only_its_remaining_deadline(self, tmp_path):
+        handle = self.journal_deadline_request(tmp_path, 1.0, deadline_s=30.0, age_s=10.0)
+        try:
+            daemon = handle.daemon
+            left = on_loop(
+                handle, lambda: daemon._pending["d1"].deadline_at - time.monotonic()
+            )
+            assert 15.0 < left <= 20.0
+            assert wait_until(lambda: daemon.metrics["completed"] == 1)
+            assert daemon.metrics["failed"] == 0
+            assert on_loop(handle, lambda: unbalanced(daemon)) == []
+        finally:
+            handle.stop()
+            handle.join()
+
 
 class TestShutdown:
     def test_graceful_shutdown_drains_queue(self):
@@ -410,6 +452,27 @@ class TestTelemetry:
             assert "execution" not in metrics
             # Engine counters in /metrics are the shared render service's.
             assert metrics["engine"] == handle.daemon.service.stats()
+        finally:
+            handle.stop()
+            handle.join()
+
+    def test_metrics_count_store_entries_healed(self, tmp_path):
+        """A corrupted store entry that a later sweep reads back counts as healed."""
+        plan = FaultPlan(
+            seed=5, rules=[FaultRule("store.corrupt_entry", every_nth=1, max_fires=1)]
+        )
+        handle = start_daemon(workers=1, cache_dir=str(tmp_path / "store"), chaos=plan)
+        payload = {
+            "base": {"scene": "lego", "resolution_scale": 0.25},
+            "grid": {"num_hfu": [2]},
+        }
+        try:
+            first = submit_async(handle, "sweep", payload).result(120)
+            second = submit_async(handle, "sweep", payload).result(120)
+            assert first.ok and second.ok
+            assert second.result["metrics"] == first.result["metrics"]
+            store = handle.daemon.metrics_snapshot()["store"]
+            assert (store["healed"], store["hits"], store["entries"]) == (1, 0, 1)
         finally:
             handle.stop()
             handle.join()

@@ -1,9 +1,8 @@
-"""Tests for optimizers, losses and boundary-aware fine-tuning."""
+"""Tests for the cross-boundary penalty, colour refinement and boundary-aware fine-tuning."""
 
 import numpy as np
 import pytest
 
-from repro.core.voxel_grid import VoxelGrid, cross_boundary_mask
 from repro.gaussians.metrics import psnr
 from repro.gaussians.rasterizer import TileRasterizer
 from repro.training.boundary_finetune import (
@@ -11,80 +10,13 @@ from repro.training.boundary_finetune import (
     geometric_probe,
 )
 from repro.training.color_refinement import dc_color_refinement_step
-from repro.training.losses import (
-    combined_photometric_loss,
-    cross_boundary_penalty,
-    cross_boundary_penalty_gradient,
-    l1_loss,
-    total_loss,
-)
-from repro.training.optimizer import SGD, Adam
+from repro.training.losses import cross_boundary_penalty
 from tests.conftest import make_camera, make_model
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Cross-boundary penalty
 # ---------------------------------------------------------------------------
-def test_sgd_step_direction():
-    sgd = SGD(learning_rate=0.1)
-    params = {"w": np.array([1.0, 2.0])}
-    grads = {"w": np.array([1.0, -1.0])}
-    updated = sgd.step(params, grads)
-    np.testing.assert_allclose(updated["w"], [0.9, 2.1])
-
-
-def test_sgd_momentum_accumulates():
-    sgd = SGD(learning_rate=0.1, momentum=0.9)
-    params = {"w": np.zeros(1)}
-    grads = {"w": np.ones(1)}
-    first = sgd.step(params, grads)
-    second = sgd.step(first, grads)
-    assert (first["w"] - params["w"])[0] > (second["w"] - first["w"])[0]  # both negative, second bigger step
-
-
-def test_optimizer_validation():
-    with pytest.raises(ValueError):
-        SGD(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        Adam(learning_rate=-1.0)
-    with pytest.raises(ValueError):
-        Adam(beta1=1.5)
-
-
-def test_adam_converges_on_quadratic():
-    adam = Adam(learning_rate=0.1)
-    params = {"x": np.array([5.0])}
-    for _ in range(200):
-        grads = {"x": 2.0 * params["x"]}
-        params = adam.step(params, grads)
-    assert abs(params["x"][0]) < 0.1
-
-
-def test_optimizers_skip_missing_grads():
-    adam = Adam()
-    params = {"a": np.ones(2), "b": np.ones(2)}
-    updated = adam.step(params, {"a": np.ones(2)})
-    np.testing.assert_allclose(updated["b"], params["b"])
-
-
-# ---------------------------------------------------------------------------
-# Losses
-# ---------------------------------------------------------------------------
-def test_l1_loss_and_validation():
-    a = np.zeros((4, 4, 3))
-    b = np.full((4, 4, 3), 0.5)
-    assert l1_loss(a, b) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        l1_loss(a, np.zeros((3, 4, 3)))
-
-
-def test_combined_photometric_loss_zero_for_identical():
-    image = np.random.default_rng(0).uniform(0, 1, (16, 16, 3))
-    assert combined_photometric_loss(image, image) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        combined_photometric_loss(image, image, dssim_weight=2.0)
-
-
 def test_cross_boundary_penalty_zero_without_crossings():
     model = make_model(num_gaussians=50, extent=4.0, scale=0.001, seed=3)
     penalty = cross_boundary_penalty(model, voxel_size=100.0)
@@ -96,28 +28,6 @@ def test_cross_boundary_penalty_scales_with_size():
     small_voxels = cross_boundary_penalty(model, voxel_size=0.5)
     large_voxels = cross_boundary_penalty(model, voxel_size=50.0)
     assert small_voxels >= large_voxels
-
-
-def test_cross_boundary_penalty_gradient_shape_and_support():
-    model = make_model(num_gaussians=80, extent=4.0, scale=0.3, seed=5)
-    indicator = cross_boundary_mask(model, 0.5)
-    grad = cross_boundary_penalty_gradient(model, 0.5, indicator=indicator)
-    assert grad.shape == (80, 3)
-    # Gradient only on flagged Gaussians, one axis each.
-    flagged_rows = np.any(grad > 0, axis=1)
-    np.testing.assert_array_equal(flagged_rows, indicator.astype(bool))
-    assert np.all((grad > 0).sum(axis=1) <= 1)
-
-
-def test_total_loss_combines_terms():
-    model = make_model(num_gaussians=60, extent=4.0, scale=0.3, seed=6)
-    grid = VoxelGrid.build(model, voxel_size=0.5)
-    image = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
-    loss_without = total_loss(image, image, model, grid, beta=0.0)
-    loss_with = total_loss(image, image, model, grid, beta=0.05)
-    assert loss_with >= loss_without
-    with pytest.raises(ValueError):
-        total_loss(image, image, model, grid, beta=-1.0)
 
 
 # ---------------------------------------------------------------------------
