@@ -17,7 +17,6 @@ from repro.analysis.report import format_table
 from repro.api.session import Session, get_default_session
 from repro.core.config import StreamingConfig
 from repro.gaussians.metrics import psnr
-from repro.scenes.registry import SCENE_REGISTRY
 from repro.training.boundary_finetune import BoundaryFinetuneResult, boundary_aware_finetune
 from repro.training.color_refinement import dc_color_refinement_step
 

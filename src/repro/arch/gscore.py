@@ -35,7 +35,7 @@ from repro.arch.units import (
     BitonicSortingUnit,
     RenderingUnitArray,
 )
-from repro.arch.workload import FULL_SCALE_TILE, FullScaleWorkload
+from repro.arch.workload import FullScaleWorkload
 from repro.core.hierarchical_filter import FINE_FILTER_MACS
 
 #: Fraction of AABB tile pairs that survive GSCore's OBB intersection test

@@ -27,6 +27,10 @@ blend's own alpha is at most :data:`ALPHA_EPSILON`, so a skipped pair's
 factor would have been exactly 1.0: skipping it changes no transmittance,
 saturation, count or depth maximum.
 
+Within a chunk, transmittance and the depth maximum are front-to-back
+scans down the chunk's rows, taken one contiguous row at a time on wide
+chunks (:func:`_accumulate_rows`): the same operations in the same order.
+
 Renderers choose between the two by a path name from
 :data:`RENDER_PATHS`, checked by :func:`check_render_path`.
 """
@@ -344,6 +348,28 @@ def subtile_streams(
     )
 
 
+def _accumulate_rows(
+    ufunc: np.ufunc, values: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``ufunc.accumulate(values, axis=0, out=out)``, row by row when wide.
+
+    ``out[i] = ufunc(out[i - 1], values[i])``; ``out`` may be ``values``.
+    NumPy accumulates along axis 0 one column at a time, a whole row apart
+    per step, which is slow on wide chunks; a ufunc call per contiguous row
+    is slow on tall ones.  So a chunk at least as wide as it is tall walks
+    its rows.  Both do the same operations in the same order, so every
+    value keeps its bits (only which NaN a NaN-with-NaN step returns, which
+    IEEE 754 leaves open, may differ at a row's tail).
+    """
+    rows, columns = values.shape
+    if rows > columns:
+        return ufunc.accumulate(values, axis=0, out=out)
+    out[:1] = values[:1]
+    for i in range(1, rows):
+        ufunc(out[i - 1], values[i], out=out[i])
+    return out
+
+
 def blend_streaming(
     pixel_x: np.ndarray,
     pixel_y: np.ndarray,
@@ -386,9 +412,10 @@ def blend_streaming(
     no out-of-order contributions) and ``violations`` is zero.
 
     Transmittance comes from one cumulative product per chunk, seeded with
-    the incoming transmittance.  The transmittance chain, the contribution
-    gates, the saturation positions and every integer count are
-    bit-identical under any chunking of the stream: non-contributing
+    the incoming transmittance, and the depth maximum from one running
+    maximum (both :func:`_accumulate_rows`).  The transmittance chain, the
+    contribution gates, the saturation positions and every integer count
+    are bit-identical under any chunking of the stream: non-contributing
     factors are exactly 1.0, and because transmittance never increases,
     the early-termination gate reads the same on the ungated product.
     Only the accumulation order of colours and per-Gaussian weights
@@ -438,9 +465,9 @@ def blend_streaming(
         if max_len == 0:
             continue
         # Column j of the block's stream matrix holds subtile lo + j's
-        # culled stream, sentinel-padded past its end; row-major chunks
-        # (chunk rows x active columns) keep every accumulate/cumprod step
-        # one contiguous vectorized row operation.
+        # culled stream, sentinel-padded past its end.  Chunks are
+        # row-major (chunk rows x active columns), so the front-to-back
+        # scans can walk them one contiguous row at a time.
         first = culled_offsets[lo]
         block_subtile = np.repeat(np.arange(hi - lo), lens)
         position = np.arange(culled_offsets[hi] - first) - (
@@ -515,7 +542,7 @@ def blend_streaming(
             factors[0] *= transmittance_in
             running = np.empty((rows_k + 1, len(active)), dtype=np.float64)
             running[0] = transmittance_in
-            np.cumprod(factors, axis=0, out=running[1:])
+            _accumulate_rows(np.multiply, factors, running[1:])
             contributes = (a > 0.0) & (running[:-1] > TRANSMITTANCE_EPSILON)
             # Zero the weights past saturation; a product of non-negative
             # finite factors is kept exactly by 1.0 and zeroed by 0.0.
@@ -538,7 +565,7 @@ def blend_streaming(
                 prior_max = np.empty((rows_k + 1, len(active)), dtype=np.float64)
                 prior_max[0] = col_depth[active]
                 prior_max[1:] = np.where(contributes, chunk_depths, -np.inf)
-                np.maximum.accumulate(prior_max, axis=0, out=prior_max)
+                _accumulate_rows(np.maximum, prior_max, prior_max)
                 violated = contributes & (
                     prior_max[:-1] > chunk_depths + DEPTH_VIOLATION_EPSILON
                 )

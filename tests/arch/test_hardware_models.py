@@ -1,6 +1,5 @@
 """Tests for the accelerator, GSCore and GPU performance/energy models."""
 
-import numpy as np
 import pytest
 
 from repro.arch.accelerator import AcceleratorConfig, PerformanceReport, StreamingGSAccelerator

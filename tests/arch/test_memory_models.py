@@ -1,6 +1,5 @@
 """Tests for the DRAM, SRAM and area models."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

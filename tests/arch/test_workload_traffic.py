@@ -1,6 +1,5 @@
 """Tests for the full-scale workload model and traffic models."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

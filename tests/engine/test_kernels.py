@@ -12,7 +12,15 @@ import pytest
 
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer
-from repro.engine.kernels import blend_reference, blend_streaming, column_blocks
+from repro.engine import kernels
+from repro.engine.kernels import (
+    STREAM_BLOCK_COLUMNS,
+    STREAM_CHUNK_ROWS,
+    blend_reference,
+    blend_streaming,
+    column_blocks,
+    tile_columns,
+)
 from repro.engine.state import BlendState, WeightLog
 from repro.gaussians.projection import project_gaussians
 from repro.gaussians.rasterizer import TileRasterizer
@@ -311,3 +319,128 @@ def test_reference_blend_without_model_indices_tracks_nothing():
     assert plain.depth_violations == 0
     assert np.all(plain.max_depth == -np.inf)
     assert not weights.any() and not violation_weights.any()
+
+
+#: Shapes of the scan checks: wide ones that :func:`kernels._accumulate_rows`
+#: walks row by row and tall ones it hands to ``accumulate``, with
+#: power-of-two and other widths.
+SCAN_SHAPES = [
+    (1, 1), (1, 512), (33, 512), (65, 256), (129, 128), (327, 50), (1024, 16)
+]
+
+#: Values that test a scan's IEEE arithmetic: exact zeros and ones,
+#: subnormals, infinities and NaNs of both signs.
+SCAN_SPECIALS = np.array(
+    [0.0, -0.0, 1.0, 5e-324, -5e-324, 2.0**-1050, np.inf, -np.inf, np.nan, -np.nan]
+)
+
+
+def scan_values(shape, seed, special_rate=0.05):
+    """Factors in [0, 1] like the blend's, ``special_rate`` of them special."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(shape)
+    special = rng.random(shape) < special_rate
+    values[special] = rng.choice(SCAN_SPECIALS, int(special.sum()))
+    return values
+
+
+@pytest.mark.parametrize("shape", SCAN_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("ufunc", [np.multiply, np.maximum], ids=lambda u: u.__name__)
+def test_accumulate_rows_matches_accumulate_byte_for_byte(ufunc, shape):
+    """The blend's scan is ``ufunc.accumulate(axis=0)``, into ``out`` or in place."""
+    values = scan_values(shape, seed=shape[0] * 4099 + shape[1])
+    with np.errstate(all="ignore"):
+        expected = ufunc.accumulate(values, axis=0)
+        out = np.empty_like(values)
+        returned = kernels._accumulate_rows(ufunc, values, out)
+        in_place = values.copy()
+        kernels._accumulate_rows(ufunc, in_place, in_place)
+    assert returned is out
+    assert out.tobytes() == expected.tobytes()
+    assert in_place.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [(33, 101), (40, 50), (17, 333)], ids=lambda s: "x".join(map(str, s))
+)
+@pytest.mark.parametrize("ufunc", [np.multiply, np.maximum], ids=lambda u: u.__name__)
+def test_accumulate_rows_on_odd_widths_differs_at_most_in_nan_signs(ufunc, shape):
+    """Walked rows whose width no SIMD step divides keep every value.
+
+    Which NaN a step of two NaNs returns is left open by IEEE 754, and
+    NumPy's row loop may take the other operand's at a row's tail, so
+    there only NaN bits may differ; every other value is byte-equal.  The
+    values are dense in NaNs of both signs, so such steps occur.
+    """
+    values = scan_values(shape, seed=shape[0] * 4099 + shape[1], special_rate=0.3)
+    with np.errstate(all="ignore"):
+        expected = ufunc.accumulate(values, axis=0)
+        out = kernels._accumulate_rows(ufunc, values, np.empty_like(values))
+    nan = np.isnan(expected)
+    assert nan.any() and not nan.all()
+    np.testing.assert_array_equal(np.isnan(out), nan)
+    assert out[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def wide_saturating_frame(seed=21):
+    """Projected Gaussians and a 64x32 frame of 16x16 tiles that all stream them.
+
+    Large, nearly opaque Gaussians reach every 8x8 subtile, so each
+    512-column block starts with all its columns active, and pixels
+    saturate.  The stream is shuffled, so contributions also arrive out
+    of depth order.
+    """
+    model = make_model(num_gaussians=160, extent=3.0, scale=0.5, seed=seed, opacity=0.9)
+    projected = project_gaussians(model, make_camera(width=64, height=32, distance=4.0))
+    order = np.random.default_rng(seed).permutation(np.flatnonzero(projected.valid))
+    bounds = [(x, y, x + 16, y + 16) for y in (0, 16) for x in (0, 16, 32, 48)]
+    xs, ys, column_offsets = tile_columns(bounds)
+    return projected, order, xs, ys, column_offsets
+
+
+@pytest.mark.parametrize("tracked", [True, False], ids=["model_indices", "untracked"])
+def test_blend_streaming_scans_are_bit_identical_to_axis0_accumulate(
+    monkeypatch, tracked
+):
+    """Walking the blend's scans by rows moves no bit of the blend."""
+    projected, order, xs, ys, column_offsets = wide_saturating_frame()
+    num_tiles = len(column_offsets) - 1
+    size = len(projected)
+
+    def blend():
+        targets = (np.zeros(size), np.zeros(size)) if tracked else ()
+        attribution = (np.arange(size), *targets) if tracked else ()
+        result = blend_streaming(
+            xs, ys, column_offsets, projected,
+            np.tile(order, num_tiles), np.arange(num_tiles + 1) * len(order),
+            column_blocks(np.diff(column_offsets)), *attribution,
+        )
+        return result, targets
+
+    scans = []
+    walk_rows = kernels._accumulate_rows
+
+    def spy(ufunc, values, out):
+        scans.append((ufunc, values.shape))
+        return walk_rows(ufunc, values, out)
+
+    monkeypatch.setattr(kernels, "_accumulate_rows", spy)
+    walked, walked_weights = blend()
+    monkeypatch.setattr(
+        kernels,
+        "_accumulate_rows",
+        lambda ufunc, values, out: ufunc.accumulate(values, axis=0, out=out),
+    )
+    accumulated, accumulated_weights = blend()
+
+    # Whole blocks were walked row by row, and columns saturated.
+    assert (np.multiply, (STREAM_CHUNK_ROWS, STREAM_BLOCK_COLUMNS)) in scans
+    assert any(ufunc is np.maximum for ufunc, _ in scans) == tracked
+    assert (walked.saturation < len(order)).any()
+    assert walked.fragments.sum() > 0
+    assert walked.violations.any() == tracked
+    for field in ("color", "transmittance", "saturation", "fragments", "violations"):
+        left, right = getattr(walked, field), getattr(accumulated, field)
+        assert left.dtype == right.dtype and left.tobytes() == right.tobytes(), field
+    for left, right in zip(walked_weights, accumulated_weights):
+        assert left.any() and left.tobytes() == right.tobytes()

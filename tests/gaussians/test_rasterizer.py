@@ -8,7 +8,7 @@ from repro.gaussians.projection import project_gaussians
 from repro.engine.kernels import blend_reference
 from repro.gaussians.rasterizer import BlendState, TileRasterizer
 from repro.gaussians.sh import rgb_to_sh_dc
-from tests.conftest import make_camera, make_model
+from tests.conftest import make_camera
 
 
 def single_gaussian(color=(1.0, 0.0, 0.0), opacity=0.9, scale=0.4, z=0.0):

@@ -9,13 +9,12 @@ and sweep requests cover the real execution paths once each.
 """
 
 import asyncio
-import threading
 import time
 
 import pytest
 
 from repro.chaos import FaultPlan, FaultRule
-from repro.service.client import ServiceClient, scrape_http
+from repro.service.client import scrape_http
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.protocol import ServiceRequest
 
