@@ -225,7 +225,6 @@ def main(argv=None) -> int:
                 journal_dir=journal_dir,
                 heartbeat_timeout_s=0.5,
                 quarantine_after_s=4.5,
-                breaker_threshold=3,
                 breaker_cooldown_s=1.0,
                 chaos=plan,
             )

@@ -6,7 +6,7 @@ trajectories, sweeps across request classes with Poisson/bursty/diurnal
 arrivals), boots an embedded :class:`~repro.service.daemon.ServiceDaemon`
 and replays the trace over the real NDJSON wire protocol with one
 connection per synthetic client.  Reports per-class p50/p95/p99 latency
-and throughput plus reject/degrade/retry counts, and rolls the served
+and throughput plus reject/retry counts, and rolls the served
 frames up to fleet-scale traffic / bandwidth / energy figures through
 the architecture model (:mod:`repro.arch.rollup` — Fig. 2 / Fig. 4 at
 datacenter scale).
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     overall = summary["overall"]
     print(
         "replay: submitted={submitted} completed={completed} rejected={rejected} "
-        "degraded={degraded} retried={retried} backoffs={backoffs}".format(**overall)
+        "retried={retried} backoffs={backoffs}".format(**overall)
     )
     for name, stats in summary["classes"].items():
         print(
@@ -218,7 +218,6 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "completed": overall["completed"],
         "rejected": overall["rejected"],
-        "degraded": overall["degraded"],
         "retried": overall["retried"],
         "backoffs": overall["backoffs"],
         "wall_s": round(report.wall_s, 6),

@@ -102,10 +102,8 @@ class StreamingStats:
     filter: FilterStats = field(default_factory=FilterStats)
     traffic: LayoutTraffic = field(default_factory=LayoutTraffic)
     blended_fragments: int = 0
-    blended_fragment_slots: int = 0
     sorted_gaussians: int = 0
     max_voxel_list_length: int = 0
-    rendered_gaussian_slots: int = 0
     depth_order_errors: int = 0
     sort_list_lengths: List[int] = field(default_factory=list)
     #: (N,) per-Gaussian blended weight and out-of-order blended weight
@@ -141,12 +139,10 @@ class StreamingStats:
         self.filter = self.filter.merge(tile.filter)
         self.traffic = self.traffic.merge(tile.traffic)
         self.blended_fragments += tile.blended_fragments
-        self.blended_fragment_slots += tile.blended_fragment_slots
         self.sorted_gaussians += tile.sorted_gaussians
         self.max_voxel_list_length = max(
             self.max_voxel_list_length, tile.max_voxel_list_length
         )
-        self.rendered_gaussian_slots += tile.rendered_gaussian_slots
         self.depth_order_errors += tile.depth_order_errors
         self.sort_list_lengths.extend(tile.sort_list_lengths)
 
@@ -562,10 +558,7 @@ class StreamingRenderer:
             stats.max_voxel_list_length = max(
                 stats.max_voxel_list_length, int(survivors.max())
             )
-        stats.rendered_gaussian_slots += int(survivors.sum())
-        fragments = int(blend.fragments.sum())
-        stats.blended_fragments += fragments
-        stats.blended_fragment_slots += fragments
+        stats.blended_fragments += int(blend.fragments.sum())
         stats.depth_order_errors += int(blend.violations.sum())
 
     def _render_tile_reference(
@@ -615,7 +608,6 @@ class StreamingRenderer:
             stats.max_voxel_list_length = max(
                 stats.max_voxel_list_length, len(depth_order)
             )
-            stats.rendered_gaussian_slots += len(depth_order)
 
             fragments_before = state.blended_fragments
             # Per-Gaussian attribution (keyed by model id) accumulates
@@ -635,7 +627,6 @@ class StreamingRenderer:
                 break
 
         stats.depth_order_errors += state.depth_violations
-        stats.blended_fragment_slots += state.blended_fragments
         final = state.color + state.transmittance[:, None] * self.background[None, :]
         h, w = y1 - y0, x1 - x0
         image[y0:y1, x0:x1] = final.reshape(h, w, 3)

@@ -200,10 +200,8 @@ def streaming_stats_equal(
         "filter",
         "traffic",
         "blended_fragments",
-        "blended_fragment_slots",
         "sorted_gaussians",
         "max_voxel_list_length",
-        "rendered_gaussian_slots",
         "depth_order_errors",
         "sort_list_lengths",
     )

@@ -7,8 +7,8 @@ The modules compose left to right:
 * :mod:`repro.fleet.clients` — replay of a trace against a live
   :class:`~repro.service.daemon.ServiceDaemon` over the NDJSON wire
   protocol, one connection per synthetic client;
-* :mod:`repro.fleet.aggregate` — latency / throughput / reject /
-  degrade statistics plus the architecture-model cost rollup
+* :mod:`repro.fleet.aggregate` — latency / throughput / reject / retry
+  statistics plus the architecture-model cost rollup
   (:mod:`repro.arch.rollup`) scaling the paper's per-device figures to
   the served load;
 * :mod:`repro.fleet.search` — Pareto frontier refinement over

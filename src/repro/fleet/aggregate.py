@@ -3,7 +3,7 @@
 Two views of one replay:
 
 * :func:`summarize_replay` — service-level statistics per request class
-  and overall: p50/p95/p99 latency, throughput, reject / degrade / retry
+  and overall: p50/p95/p99 latency, throughput, reject / retry
   counts.  Pure bookkeeping over :class:`~repro.fleet.clients.EventOutcome`.
 * :func:`fleet_costs` — architecture-level rollup: each class's
   per-frame traffic / energy figures come from the hardware model (one
@@ -41,7 +41,6 @@ def _bucket_stats(outcomes: List[EventOutcome], window_s: float) -> Dict[str, An
         "rejected": sum(
             1 for o in outcomes if not o.ok and o.code in ("queue_full", "draining")
         ),
-        "degraded": sum(1 for o in outcomes if o.degraded),
         "retried": sum(1 for o in outcomes if o.attempts > 1),
         "backoffs": sum(o.backoffs for o in outcomes),
         "resends": sum(o.resends for o in outcomes),

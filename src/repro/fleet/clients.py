@@ -40,8 +40,6 @@ class EventOutcome:
     code: Optional[str] = None
     #: Daemon-side dispatch attempts (>1 means a crash retry happened).
     attempts: int = 1
-    #: True when the daemon downshifted the request's fidelity.
-    degraded: bool = False
     #: Client-side admission-reject resubmissions for this event.
     backoffs: int = 0
     #: Reconnect-and-resend cycles taken after a severed connection.
@@ -63,7 +61,6 @@ class EventOutcome:
             "ok": self.ok,
             "code": self.code,
             "attempts": self.attempts,
-            "degraded": self.degraded,
             "backoffs": self.backoffs,
             "resends": self.resends,
             "frames": self.frames,
@@ -174,7 +171,6 @@ def _replay_client(
             outcome.code = response.code
             meta = response.meta or {}
             outcome.attempts = int(meta.get("attempts", 1) or 1)
-            outcome.degraded = bool(meta.get("degraded"))
             outcomes.append(outcome)
     finally:
         try:

@@ -10,23 +10,24 @@ daemon modeled on a proactor/actor runtime:
   minimal HTTP shim so ``GET /healthz`` and ``GET /metrics`` work from any
   scraper on the same port.
 * :mod:`repro.service.queueing` — the bounded admission queue with
-  per-client weighted fair scheduling (:class:`FairQueue`): one heavy
-  client cannot starve others, and excess load is rejected with a
-  retry-after hint instead of hanging.
+  per-client fair scheduling (:class:`FairQueue`): one heavy client
+  cannot starve others, and excess load is rejected with a retry-after
+  hint instead of hanging.
 * :mod:`repro.service.actors` — worker actors: threads owning a private
   :class:`Session` that shares the daemon's render service (frame caches)
   and result store, executing requests off the event loop.
 * :mod:`repro.service.supervisor` — heartbeat watchdog supervision: a
   crashed actor is restarted and its in-flight request re-enqueued
-  (bounded retries); the :class:`Journal` persists in-flight work so a
+  (retried once); the :class:`Journal` persists in-flight work so a
   daemon restart resumes rather than loses requests.
 * :mod:`repro.service.daemon` — :class:`ServiceDaemon` wires it together:
-  asyncio server, dispatcher, overload degradation (auto-downshifted
-  ``resolution_scale`` under queue pressure, surfaced in the response) and
-  the live telemetry snapshot behind ``/metrics``.  Every admitted request
-  ends through one :meth:`ServiceDaemon.settle`, so its counters balance:
-  ``accepted + resumed == completed + failed`` plus whatever is still
-  queued or in flight, daemon-wide and per client and kind.
+  asyncio server, dispatcher and the live telemetry snapshot behind
+  ``/metrics``.  An admitted request runs exactly as sent, however deep
+  the queue; overload is bounded by admission, the breaker and deadline
+  shedding.  Every admitted request ends through one
+  :meth:`ServiceDaemon.settle`, so its counters balance: ``accepted +
+  resumed == completed + failed`` plus whatever is still queued or in
+  flight, daemon-wide and per client and kind.
 * :mod:`repro.service.breaker` — :class:`CircuitBreaker`: per-work-kind
   closed/open/half-open circuit over repeated worker crashes, gating
   admission so a poisoned request class cannot burn the fleet.

@@ -29,10 +29,6 @@ from typing import Any, Callable, Dict, Optional
 from repro import chaos
 from repro.service.protocol import ServiceRequest, ServiceResponse, error_response
 
-#: Floor of overload-degraded resolution scales; below this the simulated
-#: evaluation is too coarse to say anything.
-MIN_RESOLUTION_SCALE = 0.125
-
 
 @dataclass
 class RequestRecord:
@@ -46,12 +42,6 @@ class RequestRecord:
     attempts: int = 0
     dispatch_index: int = -1
     dispatched_at: float = 0.0
-    degraded: Optional[Dict[str, Any]] = None
-    #: True once the dispatcher evaluated the degradation decision for this
-    #: record.  The decision is per *request*, not per dispatch: a crash-
-    #: retried record keeps its first dispatch's payload (already downshifted
-    #: or not) instead of halving ``resolution_scale`` again.
-    degrade_decided: bool = False
     #: Absolute monotonic deadline computed at admission from the
     #: request's relative ``deadline_s``; ``None`` means no deadline.
     deadline_at: Optional[float] = None
@@ -95,8 +85,6 @@ def execute_request(session, record: RequestRecord) -> ServiceResponse:
     response = ServiceResponse(ok=True, result=result, id=request.id)
     response.meta["attempts"] = record.attempts
     response.meta["dispatch_index"] = record.dispatch_index
-    if record.degraded:
-        response.meta["degraded"] = dict(record.degraded)
     return response
 
 

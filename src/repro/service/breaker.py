@@ -15,7 +15,10 @@ Standard three-state machine per kind:
   any success resets the count.
 * **open** — admissions rejected until ``cooldown_s`` elapses.
 * **half_open** — one probe request is admitted; success closes the
-  circuit, another crash re-opens it for a fresh cooldown.
+  circuit, another crash re-opens it for a fresh cooldown.  A probe that
+  never reports — refused ``queue_full``, shed by its deadline, abandoned
+  while queued — lapses ``cooldown_s`` after its admission, and the next
+  arrival is the new probe.
 
 The breaker lives on the daemon's event loop thread (admission and the
 supervisor both run there), so it needs no locking.
@@ -30,11 +33,16 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: Consecutive worker crashes executing one kind that open its circuit.
+BREAKER_THRESHOLD = 3
+
 
 class CircuitBreaker:
     """Trips one work kind after ``threshold`` consecutive crash failures."""
 
-    def __init__(self, threshold: int = 3, cooldown_s: float = 5.0) -> None:
+    def __init__(
+        self, threshold: int = BREAKER_THRESHOLD, cooldown_s: float = 5.0
+    ) -> None:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         if cooldown_s <= 0:
@@ -45,8 +53,9 @@ class CircuitBreaker:
         self._kinds: Dict[str, Dict[str, float]] = {}
 
     def _entry(self, kind: str) -> Dict[str, float]:
+        # ``since``: when the circuit opened, or when its probe was admitted.
         return self._kinds.setdefault(
-            kind, {"state": CLOSED, "failures": 0, "opened_at": 0.0, "probing": False}
+            kind, {"state": CLOSED, "failures": 0, "since": 0.0}
         )
 
     # ------------------------------------------------------------------
@@ -54,24 +63,19 @@ class CircuitBreaker:
         """Admission gate: ``(allowed, retry_after_s)``.
 
         An open circuit whose cooldown has elapsed admits exactly one
-        probe (half-open); concurrent arrivals during the probe are still
-        rejected.
+        probe (half-open); arrivals within ``cooldown_s`` of the probe's
+        admission are still rejected, and after that the probe has lapsed
+        and the next arrival is admitted as a new one.
         """
         entry = self._kinds.get(kind)
         if entry is None or entry["state"] == CLOSED:
             return True, None
-        if entry["state"] == OPEN:
-            elapsed = time.monotonic() - entry["opened_at"]
-            if elapsed < self.cooldown_s:
-                return False, max(0.05, self.cooldown_s - elapsed)
-            entry["state"] = HALF_OPEN
-            entry["probing"] = False
-        if entry["state"] == HALF_OPEN:
-            if entry["probing"]:
-                return False, self.cooldown_s
-            entry["probing"] = True
-            return True, None
-        return True, None  # pragma: no cover - defensive
+        elapsed = time.monotonic() - entry["since"]
+        if elapsed < self.cooldown_s:
+            return False, max(0.05, self.cooldown_s - elapsed)
+        entry["state"] = HALF_OPEN
+        entry["since"] = time.monotonic()
+        return True, None
 
     def record_failure(self, kind: str) -> None:
         """One worker crash executing ``kind`` (supervisor restart path)."""
@@ -81,8 +85,7 @@ class CircuitBreaker:
             if entry["state"] != OPEN:
                 self.tripped += 1
             entry["state"] = OPEN
-            entry["opened_at"] = time.monotonic()
-            entry["probing"] = False
+            entry["since"] = time.monotonic()
 
     def record_success(self, kind: str) -> None:
         """A live worker produced a response for ``kind`` (crash-free)."""
@@ -90,7 +93,6 @@ class CircuitBreaker:
         if entry is None:
             return
         entry["failures"] = 0
-        entry["probing"] = False
         entry["state"] = CLOSED
 
     # ------------------------------------------------------------------

@@ -48,18 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request deadline",
     )
     parser.add_argument(
-        "--degrade-depth",
-        type=int,
-        default=None,
-        help="queue depth triggering resolution downshift (default: limit/2)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=1,
-        help="crash-retry budget per request",
-    )
-    parser.add_argument(
         "--journal-dir",
         default=None,
         metavar="DIR",
@@ -72,24 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared ResultStore directory for all workers",
     )
     parser.add_argument(
-        "--client-weight",
-        action="append",
-        default=[],
-        metavar="NAME=WEIGHT",
-        help="fair-queue weight override (repeatable)",
-    )
-    parser.add_argument(
         "--quarantine-after",
         type=float,
         default=None,
         metavar="SECONDS",
         help="wedged-actor quarantine threshold (default: 4x heartbeat timeout)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        help="consecutive worker crashes per kind before the circuit opens",
     )
     parser.add_argument(
         "--breaker-cooldown",
@@ -111,23 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ServiceConfig:
-    weights = {}
-    for item in args.client_weight:
-        name, _, value = item.partition("=")
-        if not name or not value:
-            raise SystemExit(f"bad --client-weight {item!r}; expected NAME=WEIGHT")
-        try:
-            weight = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"bad --client-weight {item!r}; WEIGHT must be a number"
-            ) from None
-        if not weight > 0:
-            raise SystemExit(
-                f"bad --client-weight {item!r}; WEIGHT must be > 0 "
-                "(a non-positive fair-queue weight would starve the client)"
-            )
-        weights[name] = weight
     chaos_plan = None
     if args.chaos_plan:
         try:
@@ -141,13 +99,9 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         workers=args.workers,
         queue_limit=args.queue_limit,
         request_timeout_s=args.request_timeout,
-        degrade_depth=args.degrade_depth,
-        max_retries=args.max_retries,
         journal_dir=args.journal_dir,
         cache_dir=args.cache_dir,
-        client_weights=weights,
         quarantine_after_s=args.quarantine_after,
-        breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         chaos=chaos_plan,
     )

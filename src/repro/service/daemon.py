@@ -12,11 +12,10 @@
 * admitted work flows through the bounded :class:`FairQueue`; a
   dispatcher coroutine pairs fair-order records with idle actors;
   completions are trampolined back into the loop thread-safely;
-* under queue pressure the dispatcher **degrades** render/sweep work
-  (halving ``resolution_scale`` down to a floor) and surfaces the
-  downshift in the response ``meta``, trading fidelity for latency
-  instead of timing out — the decision is made once per request, so a
-  crash-retried request re-runs at its first dispatch's scale;
+* overload is bounded at admission (``queue_full`` with a retry-after
+  hint, the per-kind circuit breaker) and by deadline shedding, never by
+  changing the work: an admitted payload runs exactly as sent, so one
+  request id always gets the answer it asked for;
 * the :class:`~repro.service.supervisor.Supervisor` task restarts crashed
   actors and re-enqueues their requests; the
   :class:`~repro.service.supervisor.Journal` resumes in-flight work after
@@ -39,7 +38,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -48,7 +47,7 @@ from repro.api.result import jsonify
 from repro.api.session import Session
 from repro.api.store import ResultStore
 from repro.engine.service import RenderService
-from repro.service.actors import MIN_RESOLUTION_SCALE, RequestRecord, WorkerActor
+from repro.service.actors import RequestRecord, WorkerActor
 from repro.service.breaker import CircuitBreaker
 from repro.service.protocol import (
     CONTROL_KINDS,
@@ -63,9 +62,6 @@ from repro.service.protocol import (
 )
 from repro.service.queueing import FairQueue, QueueFull
 from repro.service.supervisor import Journal, Supervisor, now
-
-#: Multiplier applied to ``resolution_scale`` per degradation step.
-DEGRADE_FACTOR = 0.5
 
 #: Upper bound on waiting for in-flight work at graceful shutdown.
 DRAIN_TIMEOUT_S = 30.0
@@ -95,32 +91,23 @@ class ServiceConfig:
         rejects with ``queue_full`` + ``retry_after_s``.
     request_timeout_s:
         Per-request deadline from admission to response.
-    degrade_depth:
-        Queue depth at (or above) which dispatched render/sweep work is
-        degraded; ``None`` defaults to half the queue limit, ``0`` makes
-        degradation unconditional.
-    max_retries:
-        Crash-retry budget per request (1 = retried exactly once).
     heartbeat_timeout_s:
         Busy actor silent beyond this is reported as stalled.
-    supervisor_interval_s:
-        Supervision sweep period (crash-detection latency).
     journal_dir:
         Directory persisting in-flight requests across daemon restarts;
         ``None`` disables journaling.
     cache_dir:
         :class:`ResultStore` root shared by all actors; ``None`` disables.
-    client_weights:
-        Fair-queue weight overrides per client name.
     quarantine_after_s:
         A busy actor heartbeat-silent beyond this is quarantined (slot
         replaced, wedged thread excluded from dispatch); ``None``
         defaults to 4x ``heartbeat_timeout_s``.
-    breaker_threshold / breaker_cooldown_s:
-        Per-work-kind circuit breaker: after ``breaker_threshold``
-        consecutive worker crashes executing one kind, that kind is
-        rejected with ``circuit_open`` for ``breaker_cooldown_s``, then
-        probed half-open.
+    breaker_cooldown_s:
+        Per-work-kind circuit breaker: after
+        :data:`~repro.service.breaker.BREAKER_THRESHOLD` consecutive
+        worker crashes executing one kind, that kind is rejected with
+        ``circuit_open`` for ``breaker_cooldown_s``, then probed
+        half-open.
     chaos:
         A :class:`~repro.chaos.plan.FaultPlan` (or its dict form)
         installed for the daemon's lifetime; ``None`` disables fault
@@ -133,15 +120,10 @@ class ServiceConfig:
     workers: int = 2
     queue_limit: int = 64
     request_timeout_s: float = 300.0
-    degrade_depth: Optional[int] = None
-    max_retries: int = 1
     heartbeat_timeout_s: float = 5.0
-    supervisor_interval_s: float = 0.05
     journal_dir: Optional[str] = None
     cache_dir: Optional[str] = None
-    client_weights: Dict[str, float] = field(default_factory=dict)
     quarantine_after_s: Optional[float] = None
-    breaker_threshold: int = 3
     breaker_cooldown_s: float = 5.0
     chaos: Optional[Any] = None
 
@@ -152,21 +134,11 @@ class ServiceConfig:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
-        if self.degrade_depth is None:
-            self.degrade_depth = max(1, self.queue_limit // 2)
-        if self.degrade_depth < 0:
-            raise ValueError(f"degrade_depth must be >= 0, got {self.degrade_depth}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.quarantine_after_s is None:
             self.quarantine_after_s = 4.0 * self.heartbeat_timeout_s
         if self.quarantine_after_s <= 0:
             raise ValueError(
                 f"quarantine_after_s must be > 0, got {self.quarantine_after_s}"
-            )
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
             )
         if self.breaker_cooldown_s <= 0:
             raise ValueError(
@@ -215,24 +187,16 @@ class ServiceDaemon:
         self.store: Optional[ResultStore] = (
             ResultStore(self.config.cache_dir) if self.config.cache_dir else None
         )
-        self.queue = FairQueue(
-            max_depth=self.config.queue_limit,
-            weights=dict(self.config.client_weights),
-        )
+        self.queue = FairQueue(max_depth=self.config.queue_limit)
         self.journal = Journal(
             Path(self.config.journal_dir) if self.config.journal_dir else None
         )
         self.supervisor = Supervisor(
             self,
-            interval=self.config.supervisor_interval_s,
-            max_retries=self.config.max_retries,
             heartbeat_timeout=self.config.heartbeat_timeout_s,
             quarantine_after=self.config.quarantine_after_s,
         )
-        self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
-        )
+        self.breaker = CircuitBreaker(cooldown_s=self.config.breaker_cooldown_s)
         self.chaos_injector = chaos.build_injector(self.config.chaos)
         self.actors: List[WorkerActor] = []
         #: Wedged actors replaced in the fleet, still running outside
@@ -251,6 +215,7 @@ class ServiceDaemon:
             "deadline_exceeded": 0,
             "breaker_rejected": 0,
             "resends_served": 0,
+            # Always 0: no request is degraded.  Kept for scrapers.
             "degraded": 0,
             "resumed": 0,
             "abandoned": 0,
@@ -439,7 +404,6 @@ class ServiceDaemon:
             record.dispatch_index = self._dispatch_count
             self._dispatch_count += 1
             record.dispatched_at = time.monotonic()
-            self._apply_degradation(record)
             self._in_flight += 1
             actor.submit(record)
 
@@ -472,42 +436,6 @@ class ServiceDaemon:
             ),
         )
         return True
-
-    def _apply_degradation(self, record: RequestRecord) -> None:
-        """Downshift render fidelity when the backlog is deep.
-
-        Decided exactly once, on the record's first dispatch.  A crash-
-        retried record re-enters here (the supervisor re-admits it at the
-        front of the queue) with its payload already reflecting the first
-        decision, so re-evaluating would halve ``resolution_scale`` a second
-        time and double-count ``metrics["degraded"]``.
-        """
-        if record.degrade_decided:
-            return
-        record.degrade_decided = True
-        if len(self.queue) < int(self.config.degrade_depth or 0):
-            return
-        kind = record.request.kind
-        if kind not in ("render", "sweep", "trajectory"):
-            return
-        payload = record.request.payload
-        # A render carries its scale at the top level, a sweep in its base
-        # spec and a trajectory in its spec.
-        key = {"render": None, "sweep": "base", "trajectory": "spec"}[kind]
-        scaled = payload if key is None else dict(payload.get(key) or {})
-        scale = float(scaled.get("resolution_scale", 1.0))
-        target = max(MIN_RESOLUTION_SCALE, scale * DEGRADE_FACTOR)
-        if target >= scale:
-            return
-        scaled["resolution_scale"] = target
-        if key is not None:
-            payload[key] = scaled
-        record.degraded = {
-            "resolution_scale": target,
-            "requested_resolution_scale": scale,
-            "queue_depth": len(self.queue),
-        }
-        self.metrics["degraded"] += 1
 
     # ------------------------------------------------------------------
     # admission (event-loop context)

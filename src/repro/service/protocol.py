@@ -17,6 +17,7 @@ are ``ok`` + ``result`` or ``ok: false`` + ``error``/``code`` — with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -119,8 +120,10 @@ class ServiceRequest:
                 self.deadline_s = float(self.deadline_s)
             except (TypeError, ValueError):
                 raise ProtocolError("deadline_s must be a number") from None
-            if self.deadline_s <= 0:
-                raise ProtocolError(f"deadline_s must be > 0, got {self.deadline_s}")
+            if not 0.0 < self.deadline_s < math.inf:  # False for NaN
+                raise ProtocolError(
+                    f"deadline_s must be a finite number > 0, got {self.deadline_s}"
+                )
         if self.kind == "sleep":
             seconds = self.payload.get("seconds", 0.0)
             try:

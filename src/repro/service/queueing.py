@@ -1,4 +1,4 @@
-"""Bounded admission queue with per-client weighted fair scheduling.
+"""Bounded admission queue with per-client fair scheduling.
 
 :class:`FairQueue` is the daemon's request queue.  Two properties matter:
 
@@ -8,15 +8,14 @@
   response.  Excess load is *never* silently buffered: a client either
   gets a slot or an immediate, bounded-cost refusal.
 
-* **Weighted fair scheduling** — requests are popped in virtual-time
-  order (classic weighted fair queueing): each client's request gets a
-  virtual finish tag ``start + cost / weight`` where ``start`` is the
-  later of the queue's virtual clock and the client's previous finish
-  tag.  A client that enqueues a burst only advances *its own* finish
-  tags, so another client's single request scheduled at the current
-  virtual time overtakes most of the burst — one heavy client cannot
-  starve light ones, and a 2x-weight client receives ~2x the service
-  share under contention.
+* **Fair scheduling** — requests are popped in virtual-time order
+  (fair queueing with equal client weights): each client's request gets
+  a virtual finish tag ``start + cost`` where ``start`` is the later of
+  the queue's virtual clock and the client's previous finish tag.  A
+  client that enqueues a burst only advances *its own* finish tags, so
+  another client's single request scheduled at the current virtual time
+  overtakes most of the burst — one heavy client cannot starve light
+  ones.
 
 The queue is synchronous and lock-free by construction (the daemon's
 event loop is its only caller); :meth:`pop` order for a fixed push
@@ -26,7 +25,7 @@ sequence is fully deterministic, which the fairness tests pin.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 #: Default bound on queued (not yet dispatched) requests.
@@ -53,42 +52,19 @@ class _Entry:
 
 @dataclass
 class FairQueue:
-    """Bounded weighted-fair request queue (virtual-time WFQ).
+    """Bounded fair request queue (virtual-time fair queueing).
 
     Parameters
     ----------
     max_depth:
         Maximum queued items; pushes beyond it raise :class:`QueueFull`.
-    default_weight:
-        Service weight of clients without an explicit entry in
-        ``weights``.  Higher weight = earlier finish tags = larger share.
-    weights:
-        Per-client weight overrides.
     """
 
     max_depth: int = DEFAULT_MAX_DEPTH
-    default_weight: float = 1.0
-    weights: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.default_weight <= 0:
-            raise ValueError(f"default_weight must be > 0, got {self.default_weight}")
-        validated: Dict[str, float] = {}
-        for client, weight in dict(self.weights).items():
-            try:
-                value = float(weight)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"weight for client {client!r} must be a number, got {weight!r}"
-                ) from None
-            if not value > 0:  # also rejects NaN
-                raise ValueError(
-                    f"weight for client {client!r} must be > 0, got {weight!r}"
-                )
-            validated[client] = value
-        self.weights = validated
         #: Per-client FIFO of entries; tags within one client are monotonic.
         self._queues: "OrderedDict[str, Deque[_Entry]]" = OrderedDict()
         #: Virtual clock: the finish tag of the last popped entry.
@@ -110,10 +86,6 @@ class FairQueue:
     def clients(self) -> List[str]:
         """Clients with queued items, in first-seen order."""
         return [client for client, entries in self._queues.items() if entries]
-
-    def weight_of(self, client: str) -> float:
-        """Service weight of ``client`` (overrides are validated > 0)."""
-        return self.weights.get(client, self.default_weight)
 
     # ------------------------------------------------------------------
     def push(
@@ -142,7 +114,7 @@ class FairQueue:
             entries.appendleft(_Entry(finish=self._virtual, seq=self._seq, item=item))
         else:
             start = max(self._virtual, self._last_finish.get(client, 0.0))
-            finish = start + max(cost, 0.0) / self.weight_of(client)
+            finish = start + max(cost, 0.0)
             self._last_finish[client] = finish
             entries.append(_Entry(finish=finish, seq=self._seq, item=item))
         self._depth += 1
@@ -150,7 +122,7 @@ class FairQueue:
         self.peak_depth = max(self.peak_depth, self._depth)
 
     def pop(self) -> Optional[Any]:
-        """The next item in weighted-fair order, or ``None`` when empty."""
+        """The next item in fair order, or ``None`` when empty."""
         best: Optional[Tuple[float, int, str]] = None
         for client, entries in self._queues.items():
             if not entries:

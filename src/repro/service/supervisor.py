@@ -7,7 +7,7 @@ task, periodically sweeping the actor fleet:
   injected crash) is replaced by a fresh actor, and its in-flight
   :class:`~repro.service.actors.RequestRecord` is re-admitted at the
   front of the fair queue with bounded retries
-  (``attempts <= max_retries + 1``); a record past its retry budget gets
+  (``attempts <= MAX_RETRIES + 1``); a record past its retry budget gets
   a ``worker_crashed`` failure response instead of vanishing;
 * a **wedged actor** (alive but heartbeat-stale beyond the watchdog
   timeout) is surfaced in metrics/health — Python threads cannot be
@@ -36,6 +36,13 @@ from repro.service.protocol import ServiceRequest, error_response
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.daemon import ServiceDaemon
+
+#: How many times one request is re-dispatched after a worker crash: 1
+#: means retried exactly once, then failed ``worker_crashed``.
+MAX_RETRIES = 1
+
+#: Supervision sweep period in seconds (crash-detection latency).
+SWEEP_INTERVAL_S = 0.05
 
 
 class Journal:
@@ -120,11 +127,6 @@ class Supervisor:
     ----------
     daemon:
         The owning :class:`~repro.service.daemon.ServiceDaemon`.
-    interval:
-        Sweep period in seconds (crash-detection latency).
-    max_retries:
-        How many times one request may be re-dispatched after a crash;
-        the default of 1 means "retried exactly once, then failed".
     heartbeat_timeout:
         An alive-but-silent actor is reported as stalled beyond this.
     quarantine_after:
@@ -138,14 +140,10 @@ class Supervisor:
     def __init__(
         self,
         daemon: "ServiceDaemon",
-        interval: float = 0.05,
-        max_retries: int = 1,
         heartbeat_timeout: float = 5.0,
         quarantine_after: Optional[float] = None,
     ) -> None:
         self.daemon = daemon
-        self.interval = interval
-        self.max_retries = max_retries
         self.heartbeat_timeout = heartbeat_timeout
         self.quarantine_after = (
             4.0 * heartbeat_timeout if quarantine_after is None else quarantine_after
@@ -167,7 +165,7 @@ class Supervisor:
         """The supervision loop; cancelled (or stopped) at shutdown."""
         while not self._stopping:
             self.sweep()
-            await asyncio.sleep(self.interval)
+            await asyncio.sleep(SWEEP_INTERVAL_S)
 
     def sweep(self) -> None:
         """One pass over the fleet (synchronous, also called by tests)."""
@@ -231,7 +229,7 @@ class Supervisor:
         self.daemon.breaker.record_failure(record.request.kind)
         if record.future.done():
             return  # its awaiter already gave up; nobody waits for a retry
-        if record.attempts <= self.max_retries:
+        if record.attempts <= MAX_RETRIES:
             self.retried += 1
             self.daemon.log_event(
                 "request_retried", request=record.request.id, attempts=record.attempts

@@ -21,11 +21,17 @@ from repro.chaos import (
     FaultRule,
     build_injector,
 )
-from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.service.breaker import (
+    BREAKER_THRESHOLD,
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    CircuitBreaker,
+)
 from repro.service.client import ServiceClient, ServiceConnectionError
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.protocol import ServiceRequest
-from repro.service.supervisor import Journal
+from repro.service.supervisor import MAX_RETRIES, Journal
 
 
 @pytest.fixture(autouse=True)
@@ -41,7 +47,6 @@ def start_daemon(**overrides):
         port=0,
         workers=overrides.pop("workers", 1),
         queue_limit=overrides.pop("queue_limit", 8),
-        supervisor_interval_s=overrides.pop("supervisor_interval_s", 0.02),
         **overrides,
     )
     return ServiceDaemon(config).start_in_thread()
@@ -486,6 +491,21 @@ class TestCircuitBreaker:
         assert breaker.state("sweep") == OPEN
         assert breaker.tripped == 2
 
+    def test_probe_that_never_reports_lapses_after_cooldown(self):
+        # A probe refused at admission, shed or abandoned while queued
+        # reports neither success nor failure.
+        breaker = CircuitBreaker(threshold=1, cooldown_s=0.05)
+        breaker.record_failure("sleep")
+        time.sleep(0.06)
+        assert breaker.allow("sleep") == (True, None)  # the probe
+        assert breaker.allow("sleep")[0] is False  # while it is out
+        time.sleep(0.06)
+        assert breaker.allow("sleep") == (True, None)  # lapsed: a new probe
+        assert breaker.state("sleep") == HALF_OPEN
+        assert breaker.allow("sleep")[0] is False
+        breaker.record_success("sleep")
+        assert breaker.state("sleep") == CLOSED
+
     def test_success_resets_failure_streak(self):
         breaker = CircuitBreaker(threshold=2, cooldown_s=1.0)
         breaker.record_failure("render")
@@ -500,17 +520,27 @@ class TestCircuitBreaker:
             CircuitBreaker(cooldown_s=0.0)
 
     def test_crashing_kind_trips_daemon_breaker(self):
+        # Every attempt crashes until the circuit is open: each request
+        # crashes MAX_RETRIES + 1 times before it fails, so the last of
+        # ``crashing`` requests reaches BREAKER_THRESHOLD.
+        attempts = MAX_RETRIES + 1
+        crashing = -(-BREAKER_THRESHOLD // attempts)
         handle = start_daemon(
             workers=1,
-            max_retries=0,
-            breaker_threshold=1,
             breaker_cooldown_s=30.0,
             chaos=FaultPlan(
-                rules=[FaultRule("actor.crash", every_nth=1, max_fires=1)]
+                rules=[
+                    FaultRule(
+                        "actor.crash", every_nth=1, max_fires=crashing * attempts
+                    )
+                ]
             ),
         )
         try:
             with handle.client(client="crashy") as client:
+                for _ in range(crashing - 1):
+                    early = client.submit("sleep", {"seconds": 0.0})
+                    assert early.code == "worker_crashed"
                 crashed = client.submit("sleep", {"seconds": 0.0})
                 assert not crashed.ok and crashed.code == "worker_crashed"
                 rejected = client.submit("sleep", {"seconds": 0.0})

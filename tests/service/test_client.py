@@ -1,16 +1,12 @@
-"""Client-side backoff policy and service CLI parsing tests."""
+"""Client-side backoff policy tests."""
 
 import random
 
-import pytest
-
-from repro.service.cli import build_parser, config_from_args
 from repro.service.client import (
     BACKOFF_JITTER,
     DEFAULT_BACKOFF_S,
     backoff_delay,
 )
-from repro.service.daemon import ServiceConfig, ServiceDaemon
 
 
 class TestBackoffDelay:
@@ -40,37 +36,3 @@ class TestBackoffDelay:
 
     def test_negative_hint_is_clamped_to_zero(self):
         assert 0.0 <= backoff_delay(-3.0, rng=random.Random(1)) <= 0.01
-
-
-class TestClientWeightCli:
-    def _config(self, *weights):
-        args = build_parser().parse_args(
-            [arg for weight in weights for arg in ("--client-weight", weight)]
-        )
-        return config_from_args(args)
-
-    def test_valid_weight_round_trips(self):
-        config = self._config("gold=2.5")
-        assert config.client_weights == {"gold": 2.5}
-
-    def test_zero_weight_rejected_with_clear_error(self):
-        with pytest.raises(SystemExit, match="must be > 0"):
-            self._config("bad=0")
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(SystemExit, match="must be > 0"):
-            self._config("bad=-2")
-
-    def test_non_numeric_weight_rejected(self):
-        with pytest.raises(SystemExit, match="must be a number"):
-            self._config("bad=heavy")
-
-    def test_malformed_pair_rejected(self):
-        with pytest.raises(SystemExit, match="NAME=WEIGHT"):
-            self._config("no-equals-sign")
-
-    def test_daemon_construction_validates_config_weights(self):
-        # Weights smuggled past the CLI (programmatic config) still fail
-        # fast at FairQueue construction instead of being coerced later.
-        with pytest.raises(ValueError, match="must be > 0"):
-            ServiceDaemon(ServiceConfig(port=0, client_weights={"bad": 0.0}))

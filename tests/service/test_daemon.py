@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.chaos import FaultPlan, FaultRule
+from repro.service.breaker import BREAKER_THRESHOLD, CLOSED, OPEN
 from repro.service.client import scrape_http
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.protocol import ServiceRequest
@@ -24,7 +25,6 @@ def start_daemon(**overrides):
         port=0,
         workers=overrides.pop("workers", 1),
         queue_limit=overrides.pop("queue_limit", 8),
-        supervisor_interval_s=overrides.pop("supervisor_interval_s", 0.02),
         **overrides,
     )
     return ServiceDaemon(config).start_in_thread()
@@ -555,6 +555,28 @@ class TestProtocolOverSockets:
             handle.stop()
             handle.join()
 
+    def test_non_finite_deadline_is_a_bad_request(self):
+        handle = start_daemon(workers=1)
+        try:
+            with handle.client() as client:
+                import json
+
+                for deadline in ("NaN", "Infinity", '"nan"', "0"):
+                    client._sock.sendall(
+                        b'{"kind": "sleep", "deadline_s": %s}\n' % deadline.encode()
+                    )
+                    message = json.loads(client._file.readline())
+                    assert message["code"] == "bad_request", message
+                    assert "deadline_s" in message["error"]
+            # Refused before admission: not journaled, queued or counted.
+            metrics = handle.daemon.metrics_snapshot()
+            assert metrics["requests"]["accepted"] == 0
+            assert metrics["requests"]["failed"] == 0
+            assert metrics["queue"]["pushed"] == 0
+        finally:
+            handle.stop()
+            handle.join()
+
     def test_unix_socket_transport(self, tmp_path):
         path = str(tmp_path / "repro.sock")
         handle = start_daemon(workers=1, unix_path=path)
@@ -639,175 +661,95 @@ class TestTrajectoryRequests:
             handle.join()
 
 
-class TestDegradation:
-    def test_overload_downshifts_resolution_scale(self):
-        handle = start_daemon(workers=1, degrade_depth=0)
+class TestBacklog:
+    def test_backlogged_work_runs_as_requested(self, tmp_path):
+        """A deep queue changes when work runs, never what it runs."""
+        from repro.api.spec import ExperimentSpec, TrajectorySpec, sweep
+        from repro.api.store import ResultStore
+
+        cache_dir = str(tmp_path / "store")
+        base = {"scene": "lego", "resolution_scale": 0.5}
+        trajectory = {"scene": "lego", "path": "dolly", "frames": 2,
+                      "resolution_scale": 0.5}
+        handle = start_daemon(workers=1, queue_limit=16, cache_dir=cache_dir)
         try:
-            response = submit_async(
-                handle, "render", {"scene": "lego", "resolution_scale": 0.5}
-            ).result(60)
-            assert response.ok
-            degraded = response.meta["degraded"]
-            assert degraded["resolution_scale"] == pytest.approx(0.25)
-            assert degraded["requested_resolution_scale"] == pytest.approx(0.5)
-            # The render actually ran at the downshifted scale.
-            assert response.result["resolution_scale"] == pytest.approx(0.25)
-            assert handle.daemon.metrics["degraded"] == 1
+            blocker = submit_async(handle, "sleep", {"seconds": 1.0}, client="busy")
+            assert wait_until(lambda: handle.daemon._in_flight == 1)
+            fillers = [
+                submit_async(handle, "sleep", {"seconds": 0.0}, client="hog")
+                for _ in range(12)
+            ]
+            # Separate clients, so fair order runs the work while most of
+            # the hog's backlog is still queued.
+            work = [
+                submit_async(handle, "render", dict(base), client="render"),
+                submit_async(
+                    handle, "sweep", {"base": dict(base), "grid": {"num_hfu": [2]}},
+                    client="sweep",
+                ),
+                submit_async(
+                    handle, "trajectory", {"spec": dict(trajectory)}, client="traj"
+                ),
+            ]
+            assert wait_until(lambda: len(handle.daemon.queue) == 15)
+            assert 15 > handle.daemon.config.queue_limit // 2
+            assert blocker.result(5).ok
+            render, swept, walked = [future.result(120) for future in work]
+            assert all(future.result(5).ok for future in fillers)
         finally:
             handle.stop()
             handle.join()
-
-    def test_overload_downshifts_trajectory_resolution_scale(self):
-        handle = start_daemon(workers=1, degrade_depth=0)
-        try:
-            response = submit_async(
-                handle,
-                "trajectory",
-                {"spec": {"scene": "lego", "path": "dolly", "frames": 2,
-                          "resolution_scale": 0.5}},
-            ).result(120)
-            assert response.ok
-            degraded = response.meta["degraded"]
-            assert degraded["resolution_scale"] == pytest.approx(0.25)
-            assert response.result["resolution_scale"] == pytest.approx(0.25)
-        finally:
-            handle.stop()
-            handle.join()
-
-    def test_overload_downshifts_sweep_resolution_scale(self):
-        handle = start_daemon(workers=1, degrade_depth=0)
-        try:
-            response = submit_async(
-                handle,
-                "sweep",
-                {"base": {"scene": "lego", "resolution_scale": 0.5},
-                 "grid": {"num_hfu": [2]}},
-            ).result(120)
-            assert response.ok
-            degraded = response.meta["degraded"]
-            assert degraded["resolution_scale"] == pytest.approx(0.25)
-            assert degraded["requested_resolution_scale"] == pytest.approx(0.5)
-            assert handle.daemon.metrics["degraded"] == 1
-        finally:
-            handle.stop()
-            handle.join()
-
-    def test_no_degradation_at_minimum_scale(self):
-        # A render already at the floor scale cannot be downshifted, so it
-        # runs as requested and is not counted as degraded.
-        from repro.service.actors import MIN_RESOLUTION_SCALE
-
-        handle = start_daemon(workers=1, degrade_depth=0)
-        try:
-            response = submit_async(
-                handle,
-                "render",
-                {"scene": "lego", "resolution_scale": MIN_RESOLUTION_SCALE},
-            ).result(60)
-            assert response.ok
+        for response in (render, swept, walked):
+            assert response.ok, response.error
             assert "degraded" not in response.meta
-            assert response.result["resolution_scale"] == pytest.approx(
-                MIN_RESOLUTION_SCALE
-            )
-            assert handle.daemon.metrics["degraded"] == 0
-        finally:
-            handle.stop()
-            handle.join()
+        assert render.result["resolution_scale"] == 0.5
+        assert walked.result["resolution_scale"] == 0.5
+        assert handle.daemon.metrics["degraded"] == 0
+        # The sweep point and the trajectory are stored under the specs
+        # that were sent.
+        store = ResultStore(cache_dir)
+        assert store.get(sweep(ExperimentSpec(**base), num_hfu=[2])[0]) is not None
+        assert store.get(TrajectorySpec(**trajectory)) is not None
 
-    def test_crash_retried_request_keeps_first_dispatch_scale(self):
-        # Regression: degradation used to be re-evaluated on every
-        # dispatch, so a crash-retried request (re-admitted front-of-queue
-        # by the supervisor) had its resolution_scale halved a second time
-        # and metrics["degraded"] double-counted.
+
+class TestBreaker:
+    @pytest.mark.parametrize("fate", ["queue_full", "deadline_exceeded", "timeout"])
+    def test_probe_that_never_runs_lapses(self, fate):
+        """A half-open probe refused at admission, shed by its deadline or
+        abandoned while queued does not hold the circuit open."""
         handle = start_daemon(
-            workers=1, degrade_depth=0, chaos=crash_plan(every_nth=1, max_fires=1)
+            workers=1,
+            queue_limit=1 if fate == "queue_full" else 8,
+            request_timeout_s=0.2 if fate == "timeout" else 300.0,
+            breaker_cooldown_s=0.3,
         )
+        breaker = handle.daemon.breaker
         try:
-            response = submit_async(
-                handle, "render", {"scene": "lego", "resolution_scale": 0.5}
-            ).result(60)
-            assert response.ok
-            assert response.meta["attempts"] == 2  # crashed once, retried
-            degraded = response.meta["degraded"]
-            # The retry renders at the FIRST dispatch's scale (0.5 -> 0.25),
-            # not a twice-degraded 0.125.
-            assert degraded["resolution_scale"] == pytest.approx(0.25)
-            assert response.result["resolution_scale"] == pytest.approx(0.25)
-            assert handle.daemon.metrics["degraded"] == 1
+            for _ in range(BREAKER_THRESHOLD):
+                on_loop(handle, lambda: breaker.record_failure("render"))
+            assert breaker.state("render") == OPEN
+            time.sleep(0.35)  # the cooldown elapses: the next render probes
+            blocker = submit_async(handle, "sleep", {"seconds": 0.5})
+            assert wait_until(lambda: handle.daemon._in_flight == 1)
+            if fate == "queue_full":
+                submit_async(handle, "sleep", {"seconds": 0.0})
+                assert wait_until(lambda: len(handle.daemon.queue) == 1)
+            deadline = {"deadline_s": 0.05} if fate == "deadline_exceeded" else {}
+            probe = submit_async(
+                handle, "render", {"scene": "no-such-scene"}, **deadline
+            ).result(5)
+            assert probe.code == fate  # the probe never runs
+            blocker.result(5)
+            assert wait_until(lambda: handle.daemon._in_flight == 0)
+            time.sleep(0.35)  # a cooldown after the probe's admission
+            late = submit_async(handle, "render", {"scene": "no-such-scene"}).result(10)
+            assert late.code == "evaluation_failed"  # admitted and run
+            assert breaker.state("render") == CLOSED
+            assert handle.daemon.healthz()["status"] == "healthy"
+            assert on_loop(handle, lambda: unbalanced(handle.daemon)) == []
         finally:
             handle.stop()
             handle.join()
-
-    def test_no_degradation_below_threshold(self):
-        handle = start_daemon(workers=1, degrade_depth=4)
-        try:
-            response = submit_async(
-                handle, "render", {"scene": "lego", "resolution_scale": 0.25}
-            ).result(60)
-            assert response.ok
-            assert "degraded" not in response.meta
-        finally:
-            handle.stop()
-            handle.join()
-
-
-class TestDegradedResultCaching:
-    """A queue-degraded result must never be cached under the undegraded
-    spec's hash: the daemon rewrites the payload spec *before* the actor
-    parses it, so the store keys on the spec that actually rendered."""
-
-    def test_degraded_trajectory_caches_under_degraded_key_only(self, tmp_path):
-        from repro.api.spec import TrajectorySpec
-        from repro.api.store import ResultStore
-
-        cache_dir = str(tmp_path / "store")
-        handle = start_daemon(workers=1, degrade_depth=0, cache_dir=cache_dir)
-        try:
-            response = submit_async(
-                handle,
-                "trajectory",
-                {"spec": {"scene": "lego", "path": "dolly", "frames": 2,
-                          "resolution_scale": 0.5}},
-            ).result(120)
-            assert response.ok
-            assert response.meta["degraded"]["resolution_scale"] == pytest.approx(0.25)
-        finally:
-            handle.stop()
-            handle.join()
-        store = ResultStore(cache_dir)
-        requested = TrajectorySpec(
-            scene="lego", path="dolly", frames=2, resolution_scale=0.5
-        )
-        degraded = requested.with_options(resolution_scale=0.25)
-        assert store.get(degraded) is not None
-        assert store.get(requested) is None
-
-    def test_degraded_sweep_caches_under_degraded_key_only(self, tmp_path):
-        from repro.api.spec import ExperimentSpec, sweep
-        from repro.api.store import ResultStore
-
-        cache_dir = str(tmp_path / "store")
-        handle = start_daemon(workers=1, degrade_depth=0, cache_dir=cache_dir)
-        try:
-            response = submit_async(
-                handle,
-                "sweep",
-                {"base": {"scene": "lego", "resolution_scale": 0.5},
-                 "grid": {"num_hfu": [2]}},
-            ).result(120)
-            assert response.ok
-        finally:
-            handle.stop()
-            handle.join()
-        store = ResultStore(cache_dir)
-        requested = sweep(
-            ExperimentSpec(scene="lego", resolution_scale=0.5), num_hfu=[2]
-        )[0]
-        degraded = sweep(
-            ExperimentSpec(scene="lego", resolution_scale=0.25), num_hfu=[2]
-        )[0]
-        assert store.get(degraded) is not None
-        assert store.get(requested) is None
 
 
 class TestJournalResume:

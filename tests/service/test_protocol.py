@@ -1,6 +1,7 @@
 """Wire-protocol unit tests: framing, validation, round trips."""
 
 import json
+import math
 
 import pytest
 
@@ -78,6 +79,29 @@ class TestRequest:
     def test_sleep_seconds_bounds_are_inclusive(self):
         for seconds in (0, 0.0, MAX_SLEEP_S):
             ServiceRequest(kind="sleep", payload={"seconds": seconds})
+
+    @pytest.mark.parametrize(
+        "deadline_s",
+        [0, -1.0, float("nan"), float("inf"), -float("inf"),
+         "nan", "inf", "soon", [1.0]],
+        ids=["zero", "negative", "nan", "inf", "-inf",
+             "nan-str", "inf-str", "word", "list"],
+    )
+    def test_deadline_must_be_finite_and_positive(self, deadline_s):
+        with pytest.raises(ProtocolError, match="deadline_s"):
+            ServiceRequest(kind="sleep", deadline_s=deadline_s)
+
+    def test_nan_deadline_off_the_wire_is_refused(self):
+        # ``json.loads`` parses a bare NaN, and ``NaN <= 0`` is false; the
+        # request must still fail validation before the daemon admits it.
+        message = decode_message(b'{"kind": "render", "deadline_s": NaN}\n')
+        assert math.isnan(message["deadline_s"])
+        with pytest.raises(ProtocolError, match="deadline_s"):
+            ServiceRequest.from_wire(message)
+
+    def test_finite_positive_deadline_round_trips(self):
+        request = ServiceRequest(kind="sleep", deadline_s=1e-3)
+        assert ServiceRequest.from_wire(request.to_wire()).deadline_s == 1e-3
 
 
 class TestResponse:

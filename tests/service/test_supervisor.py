@@ -40,7 +40,9 @@ class TestJournal:
         assert "deadline_s" not in entry
         assert ServiceRequest.from_wire(entry).deadline_s is None
 
-    @pytest.mark.parametrize("deadline_s", [0, -1.0, "soon"])
+    @pytest.mark.parametrize(
+        "deadline_s", [0, -1.0, "soon", float("nan"), float("inf")]
+    )
     def test_entry_with_an_invalid_deadline_is_moved_aside(self, tmp_path, deadline_s):
         root = tmp_path / "journal"
         journal = Journal(root)
