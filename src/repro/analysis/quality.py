@@ -215,11 +215,10 @@ def run_fig7(
     camera = context.camera
     ground_truth = context.ground_truth
     photometric_target = context.tile_output.image
-    # Fine-tuning probes render throwaway parameter snapshots (the loop
-    # mutates one model in place between probes, so every probe has a new
-    # content fingerprint and builds a new renderer).  A single-slot
-    # isolated session keeps them from evicting the shared scene-context
-    # renderers and from outliving the experiment.
+    # Fine-tuning probes render throwaway models (the loop builds a new one
+    # for every probe, so every probe builds a new renderer).  A
+    # single-slot isolated session keeps them from evicting the shared
+    # scene-context renderers and from outliving the experiment.
     probe_session = session.isolated(max_renderers=1)
 
     def probe(model) -> Tuple[np.ndarray, float, float]:

@@ -177,18 +177,13 @@ class Session:
         """Render a trajectory spec's camera path, one response per frame.
 
         Every frame goes through :meth:`RenderService.render` with the
-        spec's resolved streaming config, in path order; the model is
-        hashed once per trajectory, and revisited poses hit the renderer's
-        frame cache.  Each frame's telemetry is in its response's
-        ``output.telemetry``.
+        spec's resolved streaming config, in path order; revisited poses
+        hit the renderer's frame cache.  Each frame's telemetry is in its
+        response's ``output.telemetry``.
         """
         model = self.scene_model(spec.scene)
         config = spec.streaming_config()
-        fingerprint = model.content_fingerprint()
-        return [
-            self.service.render(model, camera, config, _fingerprint=fingerprint)
-            for camera in spec.cameras()
-        ]
+        return [self.service.render(model, camera, config) for camera in spec.cameras()]
 
     def run_trajectory(
         self,
@@ -259,9 +254,8 @@ class Session:
     def isolated(self, max_renderers: int = 1) -> "Session":
         """A fresh session sharing nothing with this one.
 
-        Used for throwaway renders (e.g. fine-tuning probes of mutating
-        parameter snapshots) that must not evict this session's shared
-        renderers.
+        Used for throwaway renders (e.g. fine-tuning probes, each of a new
+        model) that must not evict this session's shared renderers.
         """
         return Session(max_renderers=max_renderers)
 

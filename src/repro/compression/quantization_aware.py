@@ -19,7 +19,7 @@ relies on).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -45,7 +45,8 @@ class QATResult:
 
 
 def _nudge_towards(values: np.ndarray, targets: np.ndarray, step: float) -> np.ndarray:
-    """Move ``values`` a fraction ``step`` of the way towards ``targets``."""
+    """Move ``values`` (as float64) a fraction ``step`` of the way to ``targets``."""
+    values = values.astype(np.float64)
     return values + step * (targets - values)
 
 
@@ -116,22 +117,17 @@ def quantization_aware_finetune(
                 if len(members) > 0:
                     codebook.centroids[centroid_index] = members.mean(axis=0)
 
-        # Step 2: nudge parameters towards their (refined) centroids.
-        work.scales = np.clip(
-            _nudge_towards(work.scales.astype(np.float64), decoded.scales, nudge_step),
-            1e-6,
-            None,
-        ).astype(np.float32)
-        work.rotations = _nudge_towards(
-            work.rotations.astype(np.float64), decoded.rotations, nudge_step
-        ).astype(np.float32)
-        work.normalize_rotations()
-        work.sh_dc = _nudge_towards(
-            work.sh_dc.astype(np.float64), decoded.sh_dc, nudge_step
-        ).astype(np.float32)
-        work.sh_rest = _nudge_towards(
-            work.sh_rest.astype(np.float64), decoded.sh_rest, nudge_step
-        ).astype(np.float32)
+        # Step 2: nudge parameters towards their (refined) centroids; the
+        # new model normalizes the nudged rotations.
+        work = replace(
+            work,
+            scales=np.clip(
+                _nudge_towards(work.scales, decoded.scales, nudge_step), 1e-6, None
+            ),
+            rotations=_nudge_towards(work.rotations, decoded.rotations, nudge_step),
+            sh_dc=_nudge_towards(work.sh_dc, decoded.sh_dc, nudge_step),
+            sh_rest=_nudge_towards(work.sh_rest, decoded.sh_rest, nudge_step),
+        )
 
         # Track quantization error after this round.
         round_error = 0.0

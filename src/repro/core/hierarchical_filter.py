@@ -312,11 +312,6 @@ class HierarchicalFilter:
 
         fine_tested = np.bincount(segments, minlength=num_voxels).astype(np.int64)
         union = np.unique(candidates)
-        if len(union) == 1:
-            # BLAS rounds a one-row projection differently in the last bit;
-            # projecting two copies keeps each row's bits independent of how
-            # many Gaussians a frame (or one worker's share of it) projects.
-            union = np.repeat(union, 2)
         projected = project_gaussians(
             model, camera, sh_degree=self.sh_degree, indices=union
         )

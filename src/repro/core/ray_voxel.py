@@ -18,29 +18,38 @@ from repro.gaussians.camera import Camera
 
 
 def _reciprocal(direction: np.ndarray) -> np.ndarray:
-    """``1 / direction`` per component, ``inf`` for axis-parallel ones.
+    """``1 / direction`` per component, 0 for axis-parallel ones.
 
-    Only the non-parallel components are divided, so no divide-by-zero
-    warning is raised.
+    A component under 1e-12 counts as parallel: it is not divided and its
+    ray never steps along that axis, so no inf or NaN enters the walk.
     """
     parallel = np.abs(direction) < 1e-12
-    return np.divide(1.0, direction, out=np.full(direction.shape, np.inf), where=~parallel)
+    return np.divide(1.0, direction, out=np.zeros(direction.shape), where=~parallel)
 
 
-def _ray_box_intersection(
-    origin: np.ndarray, direction: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> Tuple[float, float]:
-    """Entry/exit parameters of a ray against an AABB (slab method).
+def _steps(direction: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Voxel step per component: 0 along axes the ray is parallel to."""
+    steps = np.where(direction > 0, 1, -1)
+    return np.where(inverse == 0.0, 0, steps).astype(np.int64)
 
-    Returns ``(t_enter, t_exit)``; the ray misses the box when
-    ``t_enter > t_exit`` or ``t_exit < 0``.
+
+def _box_entry_exit(
+    origins: np.ndarray, inverse: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Entry/exit parameters of rays against an AABB (slab method).
+
+    Returns ``(t_enter, t_exit)`` over the last axis; a ray misses the box
+    when ``t_enter > t_exit`` or ``t_exit < 0``.  An axis a ray is parallel
+    to leaves it unbounded if the origin lies in that slab (faces
+    included) and misses the box otherwise.
     """
-    inv = _reciprocal(direction)
-    t0 = (lo - origin) * inv
-    t1 = (hi - origin) * inv
-    t_near = np.minimum(t0, t1)
-    t_far = np.maximum(t0, t1)
-    return float(np.max(t_near)), float(np.min(t_far))
+    t0 = (lo - origins) * inverse
+    t1 = (hi - origins) * inverse
+    parallel = inverse == 0.0
+    inside = (lo <= origins) & (origins <= hi)
+    t_near = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
+    t_far = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
+    return np.max(t_near, axis=-1), np.min(t_far, axis=-1)
 
 
 def traverse_ray(
@@ -78,7 +87,8 @@ def traverse_ray(
 
     grid_lo = grid.origin
     grid_hi = grid.origin + grid.dims * grid.voxel_size
-    t_enter, t_exit = _ray_box_intersection(origin, direction, grid_lo, grid_hi)
+    inv_dir = _reciprocal(direction)
+    t_enter, t_exit = map(float, _box_entry_exit(origin, inv_dir, grid_lo, grid_hi))
     if t_enter > t_exit or t_exit < 0.0:
         return []
     t_current = max(t_enter, 0.0) + 1e-9
@@ -87,8 +97,7 @@ def traverse_ray(
     coords = np.floor((position - grid_lo) / grid.voxel_size).astype(np.int64)
     coords = np.clip(coords, 0, grid.dims - 1)
 
-    step = np.where(direction > 0, 1, np.where(direction < 0, -1, 0)).astype(np.int64)
-    inv_dir = _reciprocal(direction)
+    step = _steps(direction, inv_dir)
     next_boundary = grid_lo + (coords + (step > 0)) * grid.voxel_size
     t_max = np.where(
         step == 0, np.inf, (next_boundary - origin) * inv_dir
@@ -145,20 +154,17 @@ def traverse_rays(
     grid_lo = grid.origin
     grid_hi = grid.origin + grid.dims * grid.voxel_size
     inv = _reciprocal(directions)
-    t0 = (grid_lo[None, :] - origins) * inv
-    t1 = (grid_hi[None, :] - origins) * inv
-    t_enter = np.max(np.minimum(t0, t1), axis=1)
-    t_exit = np.min(np.maximum(t0, t1), axis=1)
+    t_enter, t_exit = _box_entry_exit(origins, inv, grid_lo, grid_hi)
     active = ~((t_enter > t_exit) | (t_exit < 0.0))
 
-    t_current = np.maximum(t_enter, 0.0) + 1e-9
+    # A missed ray parallel to an axis has an infinite t_enter; start it at
+    # its origin so no arithmetic below meets inf * 0.
+    t_current = np.where(active, np.maximum(t_enter, 0.0), 0.0) + 1e-9
     position = origins + t_current[:, None] * directions
     coords = np.floor((position - grid_lo[None, :]) / grid.voxel_size).astype(np.int64)
     coords = np.clip(coords, 0, grid.dims[None, :] - 1)
 
-    step = np.where(
-        directions > 0, 1, np.where(directions < 0, -1, 0)
-    ).astype(np.int64)
+    step = _steps(directions, inv)
     next_boundary = grid_lo[None, :] + (coords + (step > 0)) * grid.voxel_size
     t_max = np.where(step == 0, np.inf, (next_boundary - origins) * inv)
     t_delta = np.where(step == 0, np.inf, grid.voxel_size * np.abs(inv))

@@ -8,6 +8,7 @@ the renaming table that the VSU also uses in hardware (Sec. IV-B).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -20,6 +21,8 @@ from repro.gaussians.model import GaussianModel
 #: 3-sigma footprint).
 CROSS_BOUNDARY_SIGMA = 3.0
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def cross_boundary_mask(
     model: GaussianModel,
@@ -31,7 +34,7 @@ def cross_boundary_mask(
 
     A Gaussian crosses a boundary when the axis-aligned box of half-width
     ``sigma * max_scale`` around its centre does not fit inside the voxel
-    containing the centre.  These are theAussians the boundary-aware
+    containing the centre.  These are the Gaussians the boundary-aware
     fine-tuning (Sec. III-B) penalises, because they are the only ones that
     can be rendered out of depth order by voxel-by-voxel processing.
     """
@@ -101,7 +104,16 @@ class VoxelGrid:
         lo, hi = model.bounding_box()
         origin = lo.astype(np.float64) - padding
         extent = hi.astype(np.float64) - origin + padding
-        dims = np.maximum(np.ceil(extent / voxel_size).astype(np.int64), 1)
+        counts = np.ceil(extent / voxel_size)
+        # Raw voxel ids are int64: each axis's count and their product
+        # (the raw-id range) must fit.
+        fits = np.all(counts < 2.0**63)
+        if not fits or math.prod(int(c) for c in counts) > _INT64_MAX:
+            raise ValueError(
+                f"an extent of {extent.tolist()} at voxel_size {voxel_size} needs "
+                "more voxels than int64 voxel ids can index"
+            )
+        dims = np.maximum(counts.astype(np.int64), 1)
 
         coords = np.floor(
             (model.positions.astype(np.float64) - origin[None, :]) / voxel_size

@@ -23,6 +23,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:  # circular at runtime: repro.core sits on top of the engine
     from repro.core.ray_voxel import VoxelOrderingTable
     from repro.core.voxel_order import VoxelOrderResult
@@ -35,9 +37,9 @@ DEFAULT_FRAME_CACHE_SIZE = 8
 class FramePreparation:
     """Camera-dependent, model-independent state of one prepared frame."""
 
-    # Per-voxel camera depth, indexed by renamed voxel id (ndarray form
-    # from ``voxel_depth_values``; legacy dict form also accepted).
-    depth_map: object
+    #: Per-voxel camera depth, indexed by renamed voxel id
+    #: (``voxel_depth_values``).
+    depth_map: np.ndarray
     tile_tables: Dict[int, "VoxelOrderingTable"]
     tile_orders: Dict[int, "VoxelOrderResult"]
 

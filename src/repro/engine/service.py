@@ -85,19 +85,16 @@ class RenderService:
         self,
         model: GaussianModel,
         config: Optional[StreamingConfig] = None,
-        fingerprint: Optional[str] = None,
     ) -> StreamingRenderer:
         """The shared streaming renderer of a (model, config) pair.
 
-        Keyed by the model's :meth:`~repro.gaussians.model.GaussianModel.content_fingerprint`,
-        so models with equal parameters share one renderer while in-place
-        parameter edits (e.g. a fine-tuning loop mutating the same object)
-        miss the cache and get a renderer built from the current values.
-        ``fingerprint`` lets callers that already hashed the model skip
-        recomputing it (hashing covers every parameter array).
+        Keyed by the model's
+        :meth:`~repro.gaussians.model.GaussianModel.content_fingerprint`
+        (computed once per model), so models with equal parameters share
+        one renderer.
         """
         config = config or StreamingConfig()
-        key = (fingerprint if fingerprint is not None else model.content_fingerprint(), config)
+        key = (model.content_fingerprint(), config)
         with self._lock:
             renderer = self._renderers.get(key)
             if renderer is not None:
@@ -137,8 +134,6 @@ class RenderService:
         camera: Camera,
         config: Optional[StreamingConfig] = None,
         mode: str = "streaming",
-        *,
-        _fingerprint: Optional[str] = None,
     ) -> RenderResponse:
         """Render one frame.
 
@@ -150,10 +145,6 @@ class RenderService:
         picks.  A streaming frame's telemetry is in the response's
         ``output.telemetry`` and, as a gauge of the most recent frame, in
         :attr:`last_frame`.
-
-        ``_fingerprint`` is internal: a caller rendering many frames of one
-        model passes the model hash it already computed, so the model is
-        hashed once instead of once per frame.
         """
         if mode not in ("streaming", "tile"):
             raise ValueError(f"unknown render mode {mode!r}")
@@ -163,9 +154,7 @@ class RenderService:
                 config
             ).render(model, camera)
         else:
-            output = self.streaming_renderer(
-                model, config, fingerprint=_fingerprint
-            ).render(camera)
+            output = self.streaming_renderer(model, config).render(camera)
             self.last_frame = dict(output.telemetry)
             if output.telemetry.get("tile_workers", 1) > 1:
                 self.parallel_tile_frames += 1

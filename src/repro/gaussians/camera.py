@@ -151,9 +151,15 @@ class Camera:
         return self.translation
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
-        """Transform ``(N, 3)`` world points into camera coordinates."""
-        points = np.asarray(points, dtype=np.float64)
-        return (points - self.translation) @ self.rotation.T
+        """Transform ``(N, 3)`` world points into camera coordinates.
+
+        A row's bits do not depend on ``N``: BLAS rounds a one-row product
+        differently in the last bit, so one point is transformed as two.
+        """
+        points = np.asarray(points, dtype=np.float64) - self.translation
+        if len(points) == 1:
+            return (np.repeat(points, 2, axis=0) @ self.rotation.T)[:1]
+        return points @ self.rotation.T
 
     def project(self, points: np.ndarray) -> tuple:
         """Project ``(N, 3)`` world points to pixel coordinates.

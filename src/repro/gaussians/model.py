@@ -18,6 +18,7 @@ compressed with vector quantization in the customized data layout
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +38,8 @@ SH_REST_COEFFS = 15
 
 
 def _as_float32(array: np.ndarray, name: str, shape_suffix: tuple) -> np.ndarray:
-    arr = np.asarray(array, dtype=np.float32)
+    # ``np.array`` copies, so the model owns every array it freezes.
+    arr = np.array(array, dtype=np.float32)
     if arr.ndim < 1 or arr.shape[1:] != shape_suffix:
         raise ValueError(
             f"{name} must have shape (N, {', '.join(map(str, shape_suffix))}), "
@@ -46,13 +48,18 @@ def _as_float32(array: np.ndarray, name: str, shape_suffix: tuple) -> np.ndarray
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianModel:
     """A scene represented as a cloud of anisotropic 3D Gaussians.
 
     All arrays share the leading dimension ``N`` (number of Gaussians) and
     are stored as ``float32`` — the same precision the accelerator's DRAM
     layout assumes when counting bytes.
+
+    A model is a value: construction copies, checks and normalizes the six
+    arrays once and then marks them read-only, so no field can be
+    reassigned and no array written.  A changed model is a new one, e.g.
+    ``dataclasses.replace(model, scales=...)``.
 
     Attributes
     ----------
@@ -63,11 +70,13 @@ class GaussianModel:
     rotations:
         ``(N, 4)`` unit quaternions ``(w, x, y, z)``.
     opacities:
-        ``(N,)`` opacity in ``[0, 1]``.
+        ``(N,)`` opacity, nominally in ``[0, 1]``.
     sh_dc:
         ``(N, 3)`` zeroth-order SH (DC) colour coefficients.
     sh_rest:
         ``(N, 15, 3)`` SH coefficients for degrees 1..3.
+
+    Every value must be finite and every scale positive.
     """
 
     positions: np.ndarray
@@ -78,42 +87,60 @@ class GaussianModel:
     sh_rest: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        self.positions = _as_float32(self.positions, "positions", (3,))
-        self.scales = _as_float32(self.scales, "scales", (3,))
-        self.rotations = _as_float32(self.rotations, "rotations", (4,))
-        self.opacities = np.asarray(self.opacities, dtype=np.float32).reshape(-1)
-        self.sh_dc = _as_float32(self.sh_dc, "sh_dc", (3,))
-        if self.sh_rest is None:
-            self.sh_rest = np.zeros(
-                (len(self.positions), SH_REST_COEFFS, 3), dtype=np.float32
-            )
-        else:
-            self.sh_rest = np.asarray(self.sh_rest, dtype=np.float32)
-            if self.sh_rest.shape != (len(self.positions), SH_REST_COEFFS, 3):
-                raise ValueError(
-                    "sh_rest must have shape (N, 15, 3), got "
-                    f"{self.sh_rest.shape}"
-                )
-        n = len(self.positions)
-        for name in ("scales", "rotations", "opacities", "sh_dc"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(
-                    f"{name} has {len(getattr(self, name))} rows, expected {n}"
-                )
-        if np.any(self.scales <= 0):
+        positions = _as_float32(self.positions, "positions", (3,))
+        n = len(positions)
+        sh_rest = self.sh_rest
+        if sh_rest is None:
+            sh_rest = np.zeros((n, SH_REST_COEFFS, 3), dtype=np.float32)
+        arrays = {
+            "positions": positions,
+            "scales": _as_float32(self.scales, "scales", (3,)),
+            "rotations": _as_float32(self.rotations, "rotations", (4,)),
+            "opacities": np.array(np.ravel(self.opacities), dtype=np.float32),
+            "sh_dc": _as_float32(self.sh_dc, "sh_dc", (3,)),
+            "sh_rest": _as_float32(sh_rest, "sh_rest", (SH_REST_COEFFS, 3)),
+        }
+        for name, array in arrays.items():
+            if len(array) != n:
+                raise ValueError(f"{name} has {len(array)} rows, expected {n}")
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite, not NaN or inf")
+        if np.any(arrays["scales"] <= 0):
             raise ValueError("scales must be strictly positive")
-        self.normalize_rotations()
+        # Normalizing is not idempotent in float32, so every construction
+        # (``copy`` and ``subset`` included) may move rotation bits.
+        rotations = arrays["rotations"]
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(rotations, axis=1, keepdims=True)
+        huge = np.isinf(norms[:, 0])
+        if huge.any():  # squares beyond float32: scale those rows down first
+            rotations[huge] /= np.abs(rotations[huge]).max(axis=1, keepdims=True)
+            norms[huge] = np.linalg.norm(rotations[huge], axis=1, keepdims=True)
+        norms = np.where(norms < 1e-12, 1.0, norms)
+        arrays["rotations"] = (rotations / norms).astype(np.float32)
+        self._freeze(arrays)
+
+    def _freeze(self, arrays: dict) -> None:
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable and may view the pickle's
+        # buffer: the model takes frozen copies of its own.
+        arrays = {
+            name: np.array(value)
+            for name, value in state.items()
+            if isinstance(value, np.ndarray)
+        }
+        self.__dict__.update(state)
+        self._freeze(arrays)
 
     # ------------------------------------------------------------------
     # Basic protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return int(self.positions.shape[0])
-
-    @property
-    def num_gaussians(self) -> int:
-        """Number of Gaussians in the model."""
-        return len(self)
 
     @property
     def max_scales(self) -> np.ndarray:
@@ -123,53 +150,44 @@ class GaussianModel:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def empty(cls) -> "GaussianModel":
-        """An empty model with zero Gaussians."""
-        return cls(
-            positions=np.zeros((0, 3), dtype=np.float32),
-            scales=np.ones((0, 3), dtype=np.float32),
-            rotations=np.tile(
-                np.array([[1.0, 0.0, 0.0, 0.0]], dtype=np.float32), (0, 1)
-            ).reshape(0, 4),
-            opacities=np.zeros((0,), dtype=np.float32),
-            sh_dc=np.zeros((0, 3), dtype=np.float32),
-            sh_rest=np.zeros((0, SH_REST_COEFFS, 3), dtype=np.float32),
-        )
-
     def copy(self) -> "GaussianModel":
-        """Deep copy of the model."""
+        """A rebuilt model of the same parameters.
+
+        The copy goes through construction again, which re-normalizes the
+        rotations: a copy may differ from its source in their last bits,
+        and then its :meth:`content_fingerprint` differs too.
+        """
         return GaussianModel(
-            positions=self.positions.copy(),
-            scales=self.scales.copy(),
-            rotations=self.rotations.copy(),
-            opacities=self.opacities.copy(),
-            sh_dc=self.sh_dc.copy(),
-            sh_rest=self.sh_rest.copy(),
+            positions=self.positions,
+            scales=self.scales,
+            rotations=self.rotations,
+            opacities=self.opacities,
+            sh_dc=self.sh_dc,
+            sh_rest=self.sh_rest,
         )
 
     def content_fingerprint(self) -> str:
-        """Digest of all parameter arrays.
+        """Digest of all parameter arrays, computed at most once per model.
 
-        Two models with equal fingerprints render identically; in-place
-        parameter edits change the fingerprint.  The engine's
-        :class:`~repro.engine.service.RenderService` keys its shared
-        renderers by it, so mutate-then-rerender callers always get a
-        renderer built from the current parameters.
+        Two models with equal fingerprints render identically.  The
+        engine's :class:`~repro.engine.service.RenderService` keys its
+        shared renderers by it.
         """
-        import hashlib
-
-        digest = hashlib.blake2b(digest_size=16)
-        for array in (
-            self.positions,
-            self.scales,
-            self.rotations,
-            self.opacities,
-            self.sh_dc,
-            self.sh_rest,
-        ):
-            digest.update(np.ascontiguousarray(array).tobytes())
-        return digest.hexdigest()
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            digest = hashlib.blake2b(digest_size=16)
+            for array in (
+                self.positions,
+                self.scales,
+                self.rotations,
+                self.opacities,
+                self.sh_dc,
+                self.sh_rest,
+            ):
+                digest.update(array.tobytes())
+            fingerprint = digest.hexdigest()
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint
 
     def subset(self, indices: np.ndarray) -> "GaussianModel":
         """A new model containing only the Gaussians at ``indices``."""
@@ -182,12 +200,6 @@ class GaussianModel:
             sh_dc=self.sh_dc[indices],
             sh_rest=self.sh_rest[indices],
         )
-
-    def normalize_rotations(self) -> None:
-        """Re-normalise quaternions in place (guards against drift)."""
-        norms = np.linalg.norm(self.rotations, axis=1, keepdims=True)
-        norms = np.where(norms < 1e-12, 1.0, norms)
-        self.rotations = (self.rotations / norms).astype(np.float32)
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -208,38 +220,3 @@ class GaussianModel:
         lo = self.positions.min(axis=0) - padding
         hi = self.positions.max(axis=0) + padding
         return lo.astype(np.float32), hi.astype(np.float32)
-
-    # ------------------------------------------------------------------
-    # Flattened parameter views (used by the data-layout byte accounting)
-    # ------------------------------------------------------------------
-    def first_half(self) -> np.ndarray:
-        """``(N, 4)`` uncompressed coarse-filter parameters: xyz + max scale."""
-        return np.concatenate(
-            [self.positions, self.max_scales[:, None]], axis=1
-        ).astype(np.float32)
-
-    def second_half(self) -> np.ndarray:
-        """``(N, 55)`` fine-filter parameters (everything but xyz + max scale).
-
-        The maximum scale already lives in the first half, so only the two
-        remaining scale components are stored here (matching the paper's
-        accounting of 4 + 55 = 59 parameters).
-        """
-        n = len(self)
-        if n == 0:
-            residual_scales = np.zeros((0, 2), dtype=np.float32)
-        else:
-            order = np.argsort(self.scales, axis=1)
-            rows = np.arange(n)[:, None]
-            # The two smallest components (the largest is in the first half).
-            residual_scales = self.scales[rows, order[:, :2]]
-        return np.concatenate(
-            [
-                residual_scales,
-                self.rotations,
-                self.opacities[:, None],
-                self.sh_dc,
-                self.sh_rest.reshape(len(self), -1),
-            ],
-            axis=1,
-        ).astype(np.float32)

@@ -224,7 +224,7 @@ def coarse_project_centers(
     """
     positions = np.asarray(positions, dtype=np.float64)
     max_scales = np.asarray(max_scales, dtype=np.float64).reshape(-1)
-    cam = (positions - camera.translation) @ camera.rotation.T
+    cam = camera.world_to_camera(positions)
     depths = cam[:, 2]
     safe_z = np.where(np.abs(depths) < 1e-9, 1e-9, depths)
     px = camera.fx * cam[:, 0] / safe_z + camera.cx

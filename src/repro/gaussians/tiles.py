@@ -84,14 +84,15 @@ class TileGrid:
         """
         means2d = np.asarray(means2d, dtype=np.float64)
         radii = np.asarray(radii, dtype=np.float64).reshape(-1)
-        x_min = np.floor((means2d[:, 0] - radii) / self.tile_size).astype(np.int64)
-        y_min = np.floor((means2d[:, 1] - radii) / self.tile_size).astype(np.int64)
-        x_max = np.floor((means2d[:, 0] + radii) / self.tile_size).astype(np.int64)
-        y_max = np.floor((means2d[:, 1] + radii) / self.tile_size).astype(np.int64)
-        x_min = np.clip(x_min, 0, self.tiles_x - 1)
-        y_min = np.clip(y_min, 0, self.tiles_y - 1)
-        x_max = np.clip(x_max, 0, self.tiles_x - 1)
-        y_max = np.clip(y_max, 0, self.tiles_y - 1)
+        # Clipped before the cast: a huge footprint stays within int64.
+        def tile_index(pixel: np.ndarray, tiles: int) -> np.ndarray:
+            index = np.clip(np.floor(pixel / self.tile_size), 0, tiles - 1)
+            return index.astype(np.int64)
+
+        x_min = tile_index(means2d[:, 0] - radii, self.tiles_x)
+        y_min = tile_index(means2d[:, 1] - radii, self.tiles_y)
+        x_max = tile_index(means2d[:, 0] + radii, self.tiles_x)
+        y_max = tile_index(means2d[:, 1] + radii, self.tiles_y)
         off_left = (means2d[:, 0] + radii) < 0
         off_right = (means2d[:, 0] - radii) >= self.width
         off_top = (means2d[:, 1] + radii) < 0

@@ -18,7 +18,7 @@ pipeline on identical parameters — is preserved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,30 +60,31 @@ def perturb_model(
     """
     if noise_scale < 0:
         raise ValueError("noise_scale must be non-negative")
-    rng = np.random.default_rng(seed)
-    out = model.copy()
     if noise_scale == 0.0:
-        return out
-    n = len(out)
-    out.sh_dc = (out.sh_dc + rng.normal(0.0, noise_scale, size=(n, 3))).astype(
-        np.float32
+        return model.copy()
+    rng = np.random.default_rng(seed)
+    n = len(model)
+    sh_dc = model.sh_dc + rng.normal(0.0, noise_scale, size=(n, 3))
+    sh_rest = model.sh_rest + rng.normal(
+        0.0, 0.3 * noise_scale, size=model.sh_rest.shape
     )
-    out.sh_rest = (
-        out.sh_rest + rng.normal(0.0, 0.3 * noise_scale, size=out.sh_rest.shape)
-    ).astype(np.float32)
-    out.opacities = np.clip(
-        out.opacities + rng.normal(0.0, 0.3 * noise_scale, size=n), 0.02, 0.99
-    ).astype(np.float32)
-    out.scales = np.clip(
-        out.scales * np.exp(rng.normal(0.0, 0.2 * noise_scale, size=(n, 3))),
+    opacities = np.clip(
+        model.opacities + rng.normal(0.0, 0.3 * noise_scale, size=n), 0.02, 0.99
+    )
+    scales = np.clip(
+        model.scales * np.exp(rng.normal(0.0, 0.2 * noise_scale, size=(n, 3))),
         1e-5,
         None,
     ).astype(np.float32)
-    position_jitter = 0.1 * noise_scale * out.scales.mean()
-    out.positions = (
-        out.positions + rng.normal(0.0, position_jitter, size=(n, 3))
-    ).astype(np.float32)
-    return out
+    position_jitter = 0.1 * noise_scale * scales.mean()
+    return replace(
+        model,
+        positions=model.positions + rng.normal(0.0, position_jitter, size=(n, 3)),
+        scales=scales,
+        opacities=opacities,
+        sh_dc=sh_dc,
+        sh_rest=sh_rest,
+    )
 
 
 def fit_trained_model(

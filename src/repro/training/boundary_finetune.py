@@ -32,7 +32,7 @@ position fixed to retain the scene geometry").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -133,17 +133,28 @@ def boundary_aware_finetune(
         raise ValueError("beta must be non-negative")
     if probe_every <= 0:
         raise ValueError("probe_every must be positive")
-    work = model.copy()
-    lo, _ = work.bounding_box()
+    lo, _ = model.bounding_box()
     origin = lo.astype(np.float64) - 1e-4
-    original_scales = work.scales.astype(np.float64).copy()
-    original_opacities = work.opacities.astype(np.float64).copy()
+    original_scales = model.scales.astype(np.float64)
+    original_opacities = model.opacities.astype(np.float64)
     probe = error_probe or geometric_probe(voxel_size)
+    # The loop updates these working arrays and builds a model from them
+    # at every probe; rotations always come from ``model``, so every
+    # probed model normalizes them the same way.
+    scales = np.array(model.scales)
+    opacities = np.array(model.opacities)
+    sh_dc, sh_rest = model.sh_dc, model.sh_rest
 
-    result = BoundaryFinetuneResult(model=work)
+    def current() -> GaussianModel:
+        return replace(
+            model, scales=scales, opacities=opacities, sh_dc=sh_dc, sh_rest=sh_rest
+        )
+
+    result = BoundaryFinetuneResult(model=current())
     shrink_per_iteration = learning_rate * beta
 
     def run_probe(iteration: int) -> np.ndarray:
+        work = result.model
         flagged, quality, error_ratio = probe(work)
         crossing = cross_boundary_mask(work, voxel_size, origin=origin)
         result.iterations.append(iteration)
@@ -168,34 +179,31 @@ def boundary_aware_finetune(
     flagged = run_probe(0)
     for iteration in range(1, iterations + 1):
         if len(flagged) > 0:
-            scales = work.scales.astype(np.float64)
-            argmax_axis = np.argmax(scales[flagged], axis=1)
-            factors = np.full_like(scales[flagged], 1.0 - 0.5 * shrink_per_iteration)
+            scales64 = scales.astype(np.float64)
+            argmax_axis = np.argmax(scales64[flagged], axis=1)
+            factors = np.full_like(scales64[flagged], 1.0 - 0.5 * shrink_per_iteration)
             factors[np.arange(len(flagged)), argmax_axis] = 1.0 - shrink_per_iteration
 
-            new_scales = scales[flagged] * factors
+            new_scales = scales64[flagged] * factors
             floor = original_scales[flagged] * (1.0 - MAX_TOTAL_SHRINK)
             new_scales = np.maximum(new_scales, floor)
-            area_ratio = np.prod(scales[flagged], axis=1) / np.clip(
+            area_ratio = np.prod(scales64[flagged], axis=1) / np.clip(
                 np.prod(new_scales, axis=1), 1e-18, None
             )
-            work.scales[flagged] = new_scales.astype(np.float32)
+            scales[flagged] = new_scales.astype(np.float32)
 
             # Bounded opacity compensation for the lost footprint.
             boost = np.clip(area_ratio ** (1.0 / 4.0), 1.0, None)
-            new_opacity = work.opacities[flagged].astype(np.float64) * boost
+            new_opacity = opacities[flagged].astype(np.float64) * boost
             ceiling = np.minimum(original_opacities[flagged] * MAX_OPACITY_BOOST, 0.99)
-            work.opacities[flagged] = np.minimum(new_opacity, ceiling).astype(
-                np.float32
-            )
+            opacities[flagged] = np.minimum(new_opacity, ceiling).astype(np.float32)
 
         if iteration % probe_every == 0 or iteration == iterations:
             if photometric_refiner is not None:
-                refined = photometric_refiner(work)
-                work.sh_dc = refined.sh_dc
-                work.sh_rest = refined.sh_rest
-                work.opacities = refined.opacities
-                result.model = work
+                refined = photometric_refiner(current())
+                sh_dc, sh_rest = refined.sh_dc, refined.sh_rest
+                opacities = np.array(refined.opacities)
+            result.model = current()
             flagged = run_probe(iteration)
 
     return result

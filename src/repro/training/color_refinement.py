@@ -19,6 +19,7 @@ during fine-tuning (Fig. 7).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -162,7 +163,6 @@ def dc_color_refinement_step(
         weight_residual += wr
         weight_total += wt
 
-    refined = model.copy()
     touched = weight_total > 1e-9
     delta_color = np.zeros((n, 3), dtype=np.float64)
     delta_color[touched] = (
@@ -171,7 +171,4 @@ def dc_color_refinement_step(
     delta_color = np.clip(delta_color, -MAX_COLOR_STEP, MAX_COLOR_STEP)
     # d(colour)/d(sh_dc) = SH_C0, so the colour step maps onto sh_dc divided
     # by SH_C0.
-    refined.sh_dc = (refined.sh_dc.astype(np.float64) + delta_color / SH_C0).astype(
-        np.float32
-    )
-    return refined
+    return replace(model, sh_dc=model.sh_dc.astype(np.float64) + delta_color / SH_C0)

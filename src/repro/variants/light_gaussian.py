@@ -68,17 +68,21 @@ class LightGaussian(BaseAlgorithm):
         order = np.argsort(-np.asarray(scores, dtype=np.float64))
         kept_indices = np.sort(order[:keep])
 
-        out = model.subset(kept_indices)
-        out.opacities = np.clip(out.opacities * self.opacity_boost, 0.0, 0.99).astype(
-            np.float32
-        )
         # SH distillation: zero the coefficients above the target degree.
         # Degree d keeps (d+1)^2 - 1 of the 15 "rest" coefficients.
         keep_rest = (self.distill_sh_degree + 1) ** 2 - 1
-        distilled = out.sh_rest.copy()
+        distilled = model.sh_rest[kept_indices]
         distilled[:, keep_rest:, :] = 0.0
-        out.sh_rest = distilled.astype(np.float32)
-        return out
+        return GaussianModel(
+            positions=model.positions[kept_indices],
+            scales=model.scales[kept_indices],
+            rotations=model.rotations[kept_indices],
+            opacities=np.clip(
+                model.opacities[kept_indices] * self.opacity_boost, 0.0, 0.99
+            ),
+            sh_dc=model.sh_dc[kept_indices],
+            sh_rest=distilled,
+        )
 
 
 register_algorithm(LightGaussian())

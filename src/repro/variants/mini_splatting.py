@@ -92,14 +92,18 @@ class MiniSplatting(BaseAlgorithm):
             kept_indices = top_indices
         kept_indices = np.sort(kept_indices)
 
-        out = model.subset(kept_indices)
         # Opacity/scale compensation: surviving Gaussians must cover the
         # holes left by removed ones.
-        out.opacities = np.clip(
-            out.opacities * self.opacity_compensation, 0.0, 0.99
-        ).astype(np.float32)
-        out.scales = (out.scales * self.opacity_compensation ** 0.5).astype(np.float32)
-        return out
+        return GaussianModel(
+            positions=model.positions[kept_indices],
+            scales=model.scales[kept_indices] * self.opacity_compensation ** 0.5,
+            rotations=model.rotations[kept_indices],
+            opacities=np.clip(
+                model.opacities[kept_indices] * self.opacity_compensation, 0.0, 0.99
+            ),
+            sh_dc=model.sh_dc[kept_indices],
+            sh_rest=model.sh_rest[kept_indices],
+        )
 
 
 register_algorithm(MiniSplatting())

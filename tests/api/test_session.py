@@ -1,10 +1,13 @@
 """Tests for the Session front-end: caching, point runs, sweeps."""
 
+import hashlib
+
 import pytest
 
 from repro.api import ExperimentSpec, Session, get_default_session, reset_default_session
 from repro.api.result import ExperimentResult, SweepResult
 from repro.core.config import StreamingConfig
+from tests.conftest import make_camera, make_model
 
 #: A reduced evaluation resolution keeps each context cheap.
 SCALE = 0.5
@@ -65,6 +68,26 @@ class TestContexts:
         probe = session.isolated(max_renderers=1)
         assert probe.service is not session.service
         assert probe.service.max_renderers == 1
+
+
+class TestRendering:
+    def test_frames_of_one_model_hash_it_once(self, monkeypatch):
+        model = make_model(num_gaussians=120, seed=5)
+        config = StreamingConfig(voxel_size=1.0, use_vq=False)
+        calls = []
+        blake2b = hashlib.blake2b
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counted)
+        with Session() as session:
+            for distance in (6.0, 7.0, 6.0, 8.0):
+                camera = make_camera(width=32, height=24, distance=distance)
+                session.render(model, camera, config)
+            assert session.service.renderer_misses == 1
+        assert len(calls) == 1
 
 
 class TestPointRuns:

@@ -1,11 +1,12 @@
 """Trajectory workloads: one render call per frame, results from their own frames."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.api import ResultStore, Session, TrajectorySpec
 from repro.engine.service import RenderService
-from repro.gaussians.model import GaussianModel
 from repro.scenes.registry import trajectory_cameras
 
 STAGES = {"prepare", "filter", "blend", "account"}
@@ -50,14 +51,14 @@ def test_render_trajectory_hashes_the_model_once(monkeypatch):
     cameras = trajectory_cameras("lego", "dolly", 2, resolution_scale=0.25)
     spec = TrajectorySpec(scene="lego", path=[cameras[0], cameras[1], cameras[0]])
     calls = []
-    fingerprint = GaussianModel.content_fingerprint
+    blake2b = hashlib.blake2b
 
-    def counted(model):
-        calls.append(model)
-        return fingerprint(model)
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return blake2b(*args, **kwargs)
 
     with Session() as session:
-        monkeypatch.setattr(GaussianModel, "content_fingerprint", counted)
+        monkeypatch.setattr(hashlib, "blake2b", counted)
         responses = session.render_trajectory(spec)
         assert len(calls) == 1
         monkeypatch.undo()

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from repro.engine.kernels import ALPHA_EPSILON, ALPHA_MAX
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.sh import rgb_to_sh_dc
@@ -40,6 +42,11 @@ def make_model(
     )
 
 
+def empty_model() -> GaussianModel:
+    """A model with zero Gaussians: a subset of no indices."""
+    return make_model(num_gaussians=1).subset(np.zeros(1, dtype=bool))
+
+
 def make_camera(width: int = 64, height: int = 48, distance: float = 6.0) -> Camera:
     """A camera looking at the origin from +x."""
     return Camera.from_lookat(
@@ -47,6 +54,86 @@ def make_camera(width: int = 64, height: int = 48, distance: float = 6.0) -> Cam
         target=(0.0, 0.0, 0.0),
         width=width,
         height=height,
+        fov_deg=60.0,
+    )
+
+
+def _float32_neighbours(value: float) -> tuple:
+    value = np.float32(value)
+    below, above = np.nextafter(value, np.float32(0)), np.nextafter(value, np.float32(2))
+    return float(below), float(value), float(above)
+
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_SUBNORMAL = float(np.finfo(np.float32).smallest_subnormal)
+#: Finite extremes the differential fuzz pushes single Gaussians to.
+EXTREME_SCALES = (1e-30, 3e-30, 1e30, 3e30, _FLOAT32_MAX, _FLOAT32_SUBNORMAL, 1e-40, 0.1)
+EXTREME_OPACITIES = (
+    _float32_neighbours(ALPHA_EPSILON) + _float32_neighbours(ALPHA_MAX) + (-1.0, 0.0, 1.0, 2.0)
+)
+DEGENERATE_ROTATIONS = (
+    (0.0, 0.0, 0.0, 0.0),
+    (1e-30, 0.0, 0.0, 0.0),
+    (_FLOAT32_SUBNORMAL, _FLOAT32_SUBNORMAL, 0.0, 0.0),
+    (0.0, 1e-13, 0.0, 0.0),
+    (1e-7, -1e-7, 1e-7, 1e-7),
+    (1e20, -1e20, 0.0, 0.0),
+    (_FLOAT32_MAX, 0.0, _FLOAT32_MAX, 0.0),
+)
+#: Outlier coordinates reach 1e17: at voxel sizes near 1 the grid then
+#: nears the int64 voxel-id limit, and beyond it ``VoxelGrid.build`` refuses.
+MAX_OUTLIER_EXPONENT = 17.0
+
+
+@st.composite
+def extreme_models(draw) -> GaussianModel:
+    """A small random model with a few Gaussians pushed to finite extremes.
+
+    Scales near 1e±30, float32 max and subnormal; opacities on the
+    ``ALPHA_EPSILON`` and ``ALPHA_MAX`` thresholds and outside [0, 1]; far
+    outliers; coincident means (some exact twins but for colour); zero or
+    degenerate quaternions.
+    """
+    n = draw(st.integers(2, 40))
+    base = make_model(num_gaussians=n, extent=4.0, scale=0.15, seed=draw(st.integers(0, 2**16)))
+    arrays = {
+        name: np.array(getattr(base, name), dtype=np.float64)
+        for name in ("positions", "scales", "rotations", "opacities")
+    }
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("scale", "opacity", "outlier", "coincident", "rotation")))
+        if kind == "scale":
+            arrays["scales"][row] = draw(st.tuples(*[st.sampled_from(EXTREME_SCALES)] * 3))
+        elif kind == "opacity":
+            arrays["opacities"][row] = draw(st.sampled_from(EXTREME_OPACITIES))
+        elif kind == "outlier":
+            axis = draw(st.integers(0, 2))
+            sign = draw(st.sampled_from((-1, 1)))
+            arrays["positions"][row, axis] = sign * 10.0 ** draw(st.floats(1.0, MAX_OUTLIER_EXPONENT))
+        elif kind == "coincident":
+            other = draw(st.integers(0, n - 1))
+            for name in arrays if draw(st.booleans()) else ("positions",):
+                arrays[name][row] = arrays[name][other]
+        else:
+            arrays["rotations"][row] = draw(st.sampled_from(DEGENERATE_ROTATIONS))
+    return GaussianModel(sh_dc=base.sh_dc, sh_rest=base.sh_rest, **arrays)
+
+
+@st.composite
+def fuzz_cameras(draw) -> Camera:
+    """A small frame looking at the origin from 2.5 to 6 units away."""
+    azimuth = draw(st.floats(0.0, 2.0 * np.pi))
+    elevation = draw(st.floats(-1.4, 1.4))
+    distance = draw(st.floats(2.5, 6.0))
+    eye = distance * np.array(
+        [np.cos(elevation) * np.cos(azimuth), np.cos(elevation) * np.sin(azimuth), np.sin(elevation)]
+    )
+    return Camera.from_lookat(
+        eye=eye,
+        target=(0.0, 0.0, 0.0),
+        width=draw(st.integers(8, 40)),
+        height=draw(st.integers(8, 32)),
         fov_deg=60.0,
     )
 

@@ -18,8 +18,7 @@ from repro.core.pipeline import StreamingRenderer
 from repro.core.voxel_grid import VoxelGrid
 from repro.engine.service import RenderService
 from repro.gaussians.metrics import psnr
-from repro.gaussians.model import GaussianModel
-from tests.conftest import make_camera, make_model
+from tests.conftest import empty_model, make_camera, make_model
 
 
 def small_quantizer(model):
@@ -121,7 +120,7 @@ def streaming_setup():
 
 def test_streaming_renderer_rejects_empty_model():
     with pytest.raises(ValueError):
-        StreamingRenderer(GaussianModel.empty(), StreamingConfig())
+        StreamingRenderer(empty_model(), StreamingConfig())
 
 
 def test_streaming_output_shape(streaming_setup):

@@ -8,19 +8,28 @@ must render images within 1e-9 of the oracle with exactly equal
 across 2, 3 and 4 processes must equal the one-process frame exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from repro.compression.vq import VectorQuantizer
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer
+from repro.core.voxel_grid import VoxelGrid
 from repro.engine.bench import streaming_stats_equal
 from repro.gaussians.camera import Camera
-from tests.conftest import make_model
+from tests.conftest import extreme_models, fuzz_cameras, make_model
 
 GOLDEN_ATOL = 1e-9
 
 #: Seeded random cases (scene, camera and configuration per seed).
 RANDOM_CASES = 100
+
+#: Fuzzed extreme-input frames per VQ setting.
+EXTREME_EXAMPLES = 150
 
 
 def look(eye, target=(0.0, 0.0, 0.0), width=32, height=24, fov_deg=60.0) -> Camera:
@@ -29,9 +38,13 @@ def look(eye, target=(0.0, 0.0, 0.0), width=32, height=24, fov_deg=60.0) -> Came
     )
 
 
-def check_frame(model, camera, config, workers=(2,)):
-    """Render ``camera`` through both paths and the process split; compare."""
-    frame_renderer = StreamingRenderer(model, config)
+def check_frame(model, camera, config, workers=(2,), quantizer=None):
+    """Render ``camera`` through both paths and the process split; compare.
+
+    Without a ``quantizer`` the frame renderer fits one when the config
+    uses VQ and the reference renderer encodes with it.
+    """
+    frame_renderer = StreamingRenderer(model, config, quantizer=quantizer)
     reference_renderer = StreamingRenderer(
         model,
         config.with_options(streaming_kernel="reference"),
@@ -181,12 +194,66 @@ def test_axis_aligned_rays():
     # the x axis, through a lattice of Gaussians on the voxel faces.
     axis = np.linspace(-1.5, 1.5, 7)
     lattice = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
-    model = make_model(num_gaussians=len(lattice), scale=0.15, seed=39)
-    model.positions[:] = lattice
+    model = replace(make_model(num_gaussians=len(lattice), scale=0.15, seed=39), positions=lattice)
     camera = look((6.0, 0.0, 0.0), width=33, height=33)
     directions = camera.pixel_rays(np.array([16]), np.array([16]))[1]
     assert np.count_nonzero(np.abs(directions[0]) > 1e-12) == 1
     check_frame(model, camera, StreamingConfig(voxel_size=0.5, ray_stride=1, use_vq=False), ALL_WORKERS)
+
+
+def test_camera_a_hair_off_an_axis():
+    # The eye's z of 1e-153 gives central rays a z component far below the
+    # traversal's 1e-12 parallel threshold.
+    model = make_model(num_gaussians=60, extent=4.0, scale=0.15, seed=43)
+    camera = look((3.0, 0.0, 1e-153), width=17, height=13)
+    check_frame(model, camera, StreamingConfig(voxel_size=1.0, ray_stride=1, use_vq=False))
+
+
+def test_axis_parallel_rays_that_miss_the_grid():
+    # The centre row and column of rays run parallel to y or z, outside
+    # the grid's y slab.
+    base = make_model(num_gaussians=40, extent=1.0, scale=0.1, seed=44)
+    model = replace(base, positions=base.positions + np.array([0.0, 1.5, 0.0], dtype=np.float32))
+    camera = look((3.0, 0.0, 0.0), width=9, height=9)
+    check_frame(model, camera, StreamingConfig(voxel_size=0.5, ray_stride=1, use_vq=False))
+
+
+def test_needle_gaussian_alone_in_its_voxel():
+    # A Gaussian of scales (1e-45, 1e30, 1e-20) has a 2D covariance whose
+    # determinant is rounding noise, so its validity used to depend on how
+    # many Gaussians were projected with it: the reference loop projected
+    # it alone in its voxel, the frame path with others.
+    base = make_model(num_gaussians=60, extent=6.0, scale=0.08, seed=34)
+    scales = np.array(base.scales)
+    scales[4] = (1e-45, 1e30, 1e-20)
+    model = replace(base, scales=scales)
+    config = StreamingConfig(voxel_size=0.3, tile_size=8, use_vq=False)
+    check_frame(model, look((7.0, 0.5, 1.0)), config)
+
+
+# ----------------------------------------------------------------------
+# Extreme finite inputs.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("use_vq", [False, True], ids=["raw", "vq"])
+@settings(max_examples=EXTREME_EXAMPLES, deadline=None, derandomize=True)
+@given(model=extreme_models(), camera=fuzz_cameras(), voxel_size=st.floats(0.5, 1.5))
+def test_extreme_finite_inputs_match_reference(use_vq, model, camera, voxel_size):
+    try:
+        VoxelGrid.build(model, voxel_size)
+    except ValueError as error:
+        # The one refusal a finite model may meet: more voxels than int64 ids.
+        assert "int64" in str(error)
+        event("voxel grid refused")
+        return
+    config = StreamingConfig(voxel_size=voxel_size, tile_size=8, use_vq=use_vq)
+    # Both renderers encode with one fitted quantizer: the fit's own
+    # assignment may differ from ``encode`` where two scale vectors lie
+    # within rounding error of each other (``Codebook.train_encode``).
+    quantizer = VectorQuantizer(seed=0).fit(model) if use_vq else None
+    frame, reference = check_frame(
+        model, camera, config, workers=(2,), quantizer=quantizer
+    )
+    assert np.isfinite(frame.image).all() and np.isfinite(reference.image).all()
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ray_voxel import ordering_tables_for_tiles, traverse_ray
+from repro.core.ray_voxel import ordering_tables_for_tiles, traverse_ray, traverse_rays
 from repro.core.voxel_grid import VoxelGrid
 from repro.core.voxel_order import topological_voxel_order, voxel_depth_values
 from tests.conftest import make_camera, make_model, voxel_box
@@ -79,6 +79,42 @@ def test_max_voxels_bound(grid):
     direction = np.array([-1.0, 0.0, 0.0])
     limited = traverse_ray(grid, origin, direction, max_voxels=2, include_empty=True)
     assert len(limited) <= 2
+
+
+@pytest.mark.parametrize("tiny", [1e-160, -1e-160, 1e-13, -1e-13])
+def test_component_below_the_parallel_threshold_never_steps(grid, tiny):
+    # A component that _reciprocal treats as parallel (|d| < 1e-12) used to
+    # keep a nonzero step, so its t_max became -inf or NaN.
+    origin = np.array([10.0, 0.3, 0.2])
+    direction = np.array([-1.0, 0.0, tiny])
+    axis_parallel = np.array([-1.0, 0.0, 0.0])
+    expected = traverse_ray(grid, origin, axis_parallel, include_empty=True)
+    assert traverse_ray(grid, origin, direction, include_empty=True) == expected
+    batched = traverse_rays(grid, origin[None, :], direction[None, :])[0]
+    np.testing.assert_array_equal(batched, traverse_ray(grid, origin, axis_parallel))
+
+
+def test_axis_parallel_ray_that_misses_the_grid(grid):
+    origins = np.array([[10.0, -20.0, 0.0], [10.0, 0.3, 0.2]])
+    directions = np.array([[-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    missed, hit = traverse_rays(grid, origins, directions)
+    assert len(missed) == 0
+    np.testing.assert_array_equal(hit, traverse_ray(grid, origins[1], directions[1]))
+
+
+@pytest.mark.parametrize("face", ["low", "high", "inner"])
+def test_axis_parallel_ray_on_a_voxel_face(grid, face):
+    # The slab and boundary products of a ray lying in a face used to
+    # multiply 0 by inf.
+    lo = grid.origin[1]
+    y = {"low": lo, "high": lo + grid.dims[1] * grid.voxel_size, "inner": lo + 2.0 * grid.voxel_size}
+    origin = np.array([10.0, y[face], 0.2])
+    direction = np.array([-1.0, 0.0, 0.0])
+    order = traverse_ray(grid, origin, direction)
+    np.testing.assert_array_equal(traverse_rays(grid, origin[None, :], direction[None, :])[0], order)
+    if face != "inner":
+        inside = origin + np.array([0.0, 1e-9 if face == "low" else -1e-9, 0.0])
+        assert order == traverse_ray(grid, inside, direction)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,13 +1,16 @@
 """Tests for the voxel grid partition and cross-boundary detection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.voxel_grid import VoxelGrid, cross_boundary_mask
+from repro.engine.bench import benchmark_scene
 from repro.gaussians.model import GaussianModel
-from tests.conftest import make_model, voxel_box
+from tests.conftest import empty_model, make_model, voxel_box
 
 
 @pytest.fixture
@@ -21,7 +24,35 @@ def test_build_validation(small_model):
     with pytest.raises(ValueError):
         VoxelGrid.build(small_model, voxel_size=0.0)
     with pytest.raises(ValueError):
-        VoxelGrid.build(GaussianModel.empty(), voxel_size=1.0)
+        VoxelGrid.build(empty_model(), voxel_size=1.0)
+
+
+def with_outlier(model, row, position):
+    positions = np.array(model.positions)
+    positions[row] = position
+    return replace(model, positions=positions)
+
+
+def test_far_outlier_beyond_int64_voxels_is_rejected():
+    # ceil(1e19 / 1.0) used to wrap to one voxel along x.
+    model = with_outlier(benchmark_scene(num_gaussians=100, seed=3), 5, (1e19, 0.0, 0.0))
+    with pytest.raises(ValueError, match="int64"):
+        VoxelGrid.build(model, voxel_size=1.0)
+
+
+def test_raw_id_range_beyond_int64_is_rejected():
+    # Each axis fits in int64 but the product of the three does not.
+    model = with_outlier(benchmark_scene(num_gaussians=100, seed=3), 5, (1e7, 1e7, 1e7))
+    with pytest.raises(ValueError, match="int64"):
+        VoxelGrid.build(model, voxel_size=1.0)
+
+
+def test_far_outlier_within_int64_gets_its_own_voxel():
+    clean = benchmark_scene(num_gaussians=100, seed=3)
+    model = with_outlier(clean, 5, (1e4, 0.0, 0.0))
+    grid = VoxelGrid.build(model, voxel_size=1.0)
+    assert grid.dims[0] > 1e4
+    assert grid.num_voxels == VoxelGrid.build(clean, voxel_size=1.0).num_voxels + 1
 
 
 def test_every_gaussian_assigned_exactly_once(grid_and_model):
@@ -106,7 +137,7 @@ def test_cross_boundary_detects_spanning_gaussian():
 
 
 def test_cross_boundary_empty_model():
-    assert cross_boundary_mask(GaussianModel.empty(), 1.0).shape == (0,)
+    assert cross_boundary_mask(empty_model(), 1.0).shape == (0,)
 
 
 def test_cross_boundary_invalid_voxel_size(small_model):

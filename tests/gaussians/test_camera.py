@@ -72,6 +72,14 @@ def test_world_to_camera_roundtrip_depth():
     np.testing.assert_allclose(np.linalg.norm(cam_points, axis=1), distances, atol=1e-9)
 
 
+def test_world_to_camera_rows_do_not_depend_on_batch_size():
+    camera = make_camera()
+    points = np.random.default_rng(0).uniform(-3, 3, size=(64, 3))
+    batch = camera.world_to_camera(points)
+    for i in range(len(points)):
+        np.testing.assert_array_equal(camera.world_to_camera(points[i : i + 1])[0], batch[i])
+
+
 def test_pixel_rays_are_unit_and_hit_projection():
     camera = make_camera()
     origins, directions = camera.pixel_rays(np.array([10, 20]), np.array([5, 30]))

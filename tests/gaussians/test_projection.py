@@ -1,11 +1,12 @@
 """Tests for EWA projection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gaussians.model import GaussianModel
 from repro.gaussians.projection import (
     build_covariance_3d,
     coarse_project_centers,
@@ -13,7 +14,7 @@ from repro.gaussians.projection import (
     project_gaussians,
     quaternion_to_rotation_matrix,
 )
-from tests.conftest import make_camera, make_model
+from tests.conftest import empty_model, make_camera, make_model
 
 
 def test_quaternion_identity():
@@ -92,7 +93,7 @@ def test_project_gaussians_subset_indices(small_model):
 
 def test_project_empty_model():
     camera = make_camera()
-    empty = GaussianModel.empty()
+    empty = empty_model()
     projected = project_gaussians(empty, camera)
     assert len(projected) == 0
     assert projected.num_valid == 0
@@ -102,10 +103,22 @@ def test_behind_camera_marked_invalid():
     camera = make_camera(distance=2.0)
     model = make_model(num_gaussians=20, extent=0.5)
     # Put half of the Gaussians far behind the camera.
-    model.positions[:10, 0] = 50.0
+    positions = np.array(model.positions)
+    positions[:10, 0] = 50.0
+    model = replace(model, positions=positions)
     projected = project_gaussians(model, camera)
     assert not projected.valid[:10].any()
     assert projected.valid[10:].any()
+
+
+def test_projected_rows_do_not_depend_on_batch_size():
+    camera = make_camera()
+    model = make_model(num_gaussians=64, seed=9)
+    batch = project_gaussians(model, camera, indices=np.arange(len(model)))
+    for i in range(len(model)):
+        one = project_gaussians(model, camera, indices=np.array([i]))
+        for field in ("means2d", "depths", "conics", "radii", "colors", "valid"):
+            np.testing.assert_array_equal(getattr(one, field)[0], getattr(batch, field)[i])
 
 
 def test_projected_center_matches_camera_projection(small_model):
@@ -118,8 +131,7 @@ def test_projected_center_matches_camera_projection(small_model):
 def test_radii_grow_with_scale():
     camera = make_camera()
     base = make_model(num_gaussians=30, scale=0.05, seed=7)
-    bigger = base.copy()
-    bigger.scales = (bigger.scales * 4.0).astype(np.float32)
+    bigger = replace(base, scales=base.scales * 4.0)
     r_small = project_gaussians(base, camera).radii
     r_big = project_gaussians(bigger, camera).radii
     valid = project_gaussians(base, camera).valid

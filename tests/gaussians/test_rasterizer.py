@@ -11,9 +11,9 @@ from repro.gaussians.sh import rgb_to_sh_dc
 from tests.conftest import make_camera
 
 
-def single_gaussian(color=(1.0, 0.0, 0.0), opacity=0.9, scale=0.4, z=0.0):
+def single_gaussian(color=(1.0, 0.0, 0.0), opacity=0.9, scale=0.4, position=(0.0, 0.0, 0.0)):
     return GaussianModel(
-        positions=np.array([[0.0, 0.0, z]]),
+        positions=np.array([position]),
         scales=np.full((1, 3), scale),
         rotations=np.array([[1.0, 0.0, 0.0, 0.0]]),
         opacities=np.array([opacity]),
@@ -38,9 +38,8 @@ def test_render_output_shape_and_range(small_model, camera):
 
 def test_empty_scene_renders_background():
     camera = make_camera(width=32, height=32)
-    model = single_gaussian(opacity=0.9)
-    # Move the Gaussian far off screen so nothing renders.
-    model.positions[0] = [0.0, 100.0, 0.0]
+    # The Gaussian sits far off screen so nothing renders.
+    model = single_gaussian(opacity=0.9, position=(0.0, 100.0, 0.0))
     output = TileRasterizer(background=(0.2, 0.3, 0.4)).render(model, camera)
     np.testing.assert_allclose(output.image[0, 0], [0.2, 0.3, 0.4], atol=1e-6)
     assert output.alpha.max() == 0.0
@@ -58,11 +57,9 @@ def test_single_gaussian_renders_its_colour():
 
 def test_front_gaussian_occludes_back():
     camera = make_camera(width=48, height=48, distance=5.0)
-    front = single_gaussian(color=(1.0, 0.0, 0.0), opacity=0.95, scale=0.5)
-    back = single_gaussian(color=(0.0, 1.0, 0.0), opacity=0.95, scale=0.5)
     # The camera looks along -x from +x, so larger x is closer to the camera.
-    front.positions[0] = [1.0, 0.0, 0.0]
-    back.positions[0] = [-1.0, 0.0, 0.0]
+    front = single_gaussian(color=(1.0, 0.0, 0.0), opacity=0.95, scale=0.5, position=(1.0, 0.0, 0.0))
+    back = single_gaussian(color=(0.0, 1.0, 0.0), opacity=0.95, scale=0.5, position=(-1.0, 0.0, 0.0))
     model = stacked(front, back)
     output = TileRasterizer().render(model, camera)
     center = output.image[24, 24]
@@ -118,10 +115,9 @@ def test_blend_resume_matches_single_pass(small_model, camera):
 def test_depth_order_violations_detected():
     """Blending back-to-front must register per-pixel depth violations."""
     camera = make_camera(width=32, height=32, distance=5.0)
-    a = single_gaussian(color=(1, 0, 0), opacity=0.6, scale=0.5)
-    b = single_gaussian(color=(0, 1, 0), opacity=0.6, scale=0.5)
-    a.positions[0] = [1.0, 0.0, 0.0]   # closer to the camera at +x
-    b.positions[0] = [-1.0, 0.0, 0.0]
+    # a is closer to the camera at +x.
+    a = single_gaussian(color=(1, 0, 0), opacity=0.6, scale=0.5, position=(1.0, 0.0, 0.0))
+    b = single_gaussian(color=(0, 1, 0), opacity=0.6, scale=0.5, position=(-1.0, 0.0, 0.0))
     model = stacked(a, b)
     projected = project_gaussians(model, camera)
     xs, ys = np.meshgrid(np.arange(32), np.arange(32))

@@ -9,19 +9,27 @@ exactly equal :class:`~repro.gaussians.rasterizer.RenderStats` and render
 images and alpha maps within 1e-9 of the oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.compression.vq import VectorQuantizer
 from repro.engine.kernels import TRANSMITTANCE_EPSILON
 from repro.gaussians.camera import Camera
 from repro.gaussians.rasterizer import TileRasterizer
 from repro.gaussians.tiles import TileGrid
-from tests.conftest import make_model
+from tests.conftest import extreme_models, fuzz_cameras, make_model
 
 GOLDEN_ATOL = 1e-9
 
 #: Seeded random cases (model, camera, tile size and background per seed).
 RANDOM_CASES = 100
+
+#: Fuzzed extreme-input frames per VQ setting.
+EXTREME_EXAMPLES = 200
 
 
 def look(eye, target=(0.0, 0.0, 0.0), width=32, height=24, fov_deg=60.0) -> Camera:
@@ -146,3 +154,26 @@ def test_non_black_background():
     empty = frame.alpha == 0.0
     assert 0 < np.count_nonzero(empty) < empty.size
     np.testing.assert_array_equal(frame.image[empty], np.tile(background, (empty.sum(), 1)))
+
+
+# ----------------------------------------------------------------------
+# Extreme finite inputs.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("use_vq", [False, True], ids=["raw", "vq"])
+@settings(max_examples=EXTREME_EXAMPLES, deadline=None, derandomize=True)
+@given(model=extreme_models(), camera=fuzz_cameras(), tile_size=st.sampled_from([4, 8, 16]))
+def test_extreme_finite_inputs_match_reference(use_vq, model, camera, tile_size):
+    if use_vq:
+        model = VectorQuantizer().fit(model).roundtrip(model)
+    frame, reference = check_frame(model, camera, tile_size=tile_size)
+    assert np.isfinite(frame.image).all() and np.isfinite(reference.image).all()
+
+
+def test_huge_gaussian_covers_every_tile():
+    # A 1e30 scale projects to a radius beyond int64 pixels.
+    model = make_model(num_gaussians=3, extent=0.5, seed=42)
+    scales = np.array(model.scales)
+    scales[1] = 1e30
+    model = replace(model, scales=scales)
+    frame, _ = check_frame(model, look((4.0, 0.0, 0.0), width=40, height=28), tile_size=8)
+    assert frame.stats.num_tiles_rendered == TileGrid(40, 28, 8).num_tiles

@@ -68,6 +68,13 @@ def test_gaussian_tile_range_offscreen():
     assert ranges[1, 2] >= ranges[1, 0]
 
 
+def test_huge_footprint_covers_every_tile():
+    # A radius far beyond int64 pixels is clipped to the grid, not wrapped.
+    grid = TileGrid(width=40, height=28, tile_size=8)
+    ranges = grid.gaussian_tile_range(np.array([[20.0, 14.0]]), np.array([1e31]))
+    assert ranges.tolist() == [[0, 0, grid.tiles_x - 1, grid.tiles_y - 1]]
+
+
 def test_binning_covers_projected_extent(projected_and_grid):
     projected, grid = projected_and_grid
     binning = bin_gaussians_to_tiles(projected, grid)

@@ -1,5 +1,7 @@
 """Tests for the cross-boundary penalty, colour refinement and boundary-aware fine-tuning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,7 @@ def test_color_refinement_reduces_error():
     rasterizer = TileRasterizer()
     target = rasterizer.render(model, camera).image
     # Perturb colours, then refine back towards the target.
-    perturbed = model.copy()
-    perturbed.sh_dc = (perturbed.sh_dc + 0.3).astype(np.float32)
+    perturbed = replace(model, sh_dc=model.sh_dc + 0.3)
     before = psnr(target, rasterizer.render(perturbed, camera).image)
     refined = perturbed
     for _ in range(3):

@@ -1,5 +1,7 @@
 """Tests for the Mini-Splatting and LightGaussian re-implementations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,9 +36,11 @@ def test_importance_requires_cameras(small_model):
 
 def test_importance_favours_big_opaque_gaussians(small_model):
     camera = make_camera()
-    boosted = small_model.copy()
-    boosted.scales[:10] = boosted.scales[:10] * 5
-    boosted.opacities[:10] = 0.99
+    scales = np.array(small_model.scales)
+    scales[:10] = scales[:10] * 5
+    opacities = np.array(small_model.opacities)
+    opacities[:10] = 0.99
+    boosted = replace(small_model, scales=scales, opacities=opacities)
     scores = gaussian_importance(boosted, [camera])
     assert scores[:10].mean() > scores[10:].mean()
 
