@@ -1,17 +1,18 @@
 #!/usr/bin/env python
 """Sweep-executor benchmark: serial vs sharded-parallel evaluation.
 
-Expands a seeded voxel-size grid (every point needs its own scene context,
-so the shards are independent), times it several ways —
+Expands a voxel-size grid (every point needs its own scene context, so the
+shards are independent; by default train at full resolution, whose
+contexts take about 0.2 s each on a 2-CPU host), times it several ways —
 
 * **serial** — one fresh :class:`~repro.api.session.Session`, ``jobs=1``;
-* **parallel** — a fresh :class:`~repro.api.executor.SweepExecutor` with
-  ``--jobs N``, whose shards run on an ephemeral process pool;
+* **parallel** — a fresh ``Session(jobs=N)`` per run, whose shards run on
+  the session's new process pool;
 
   serial and parallel each run :data:`REPEATS` times, alternating which
   goes first, and the recorded times and the gated speedup are the
   medians (one run of each is a noisy sample);
-* **warm** — the same grid against a cold then warm
+* **warm** — the same grid on sessions sharing a cold then warm
   :class:`~repro.api.store.ResultStore`, asserting the warm run hits the
   store for every spec and performs **zero** renders;
 * **warm pool** — two consecutive ``run_sweep`` calls on one
@@ -58,7 +59,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.sensitivity import FIG13_CFUS, FIG13_FFUS
-from repro.api import ExperimentSpec, ResultStore, Session, SweepExecutor, append_trajectory, sweep
+from repro.api import ExperimentSpec, ResultStore, Session, append_trajectory, sweep
 
 #: Default acceptance bar: parallel speedup over serial, both medians (loose
 #: — CI runners are shared and noisy; the real curve lives in the trajectory).
@@ -128,11 +129,11 @@ def run_schedule(jobs: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scene", default="lego")
-    parser.add_argument("--resolution-scale", type=float, default=0.5)
+    parser.add_argument("--scene", default="train")
+    parser.add_argument("--resolution-scale", type=float, default=1.0)
     parser.add_argument(
         "--voxel-sizes",
-        default="0.4,0.6,0.8,1.0",
+        default="0.5,1.0,1.5,2.0",
         help="comma-separated voxel-size grid (one scene context per value)",
     )
     parser.add_argument("--jobs", type=int, default=2)
@@ -165,18 +166,19 @@ def main(argv=None) -> int:
     )
 
     # Serial reference (one session, shared in-process state, no store)
-    # against the sharded parallel run (fresh process pool, nothing warm,
-    # no store), each run REPEATS times in alternating order.
+    # against the sharded parallel run (a fresh session and process pool,
+    # nothing warm, no store), each run REPEATS times in alternating order.
     samples: dict = {"serial": [], "parallel": []}
     tables = []
     for index in range(REPEATS):
         for phase in ("serial", "parallel")[:: 1 if index % 2 == 0 else -1]:
             start = time.perf_counter()
             if phase == "serial":
-                serial = result = Session().run_sweep(specs, swept=["voxel_size"], cache=False)
+                serial = result = Session().run_sweep(specs, swept=["voxel_size"])
             else:
-                executor = SweepExecutor(jobs=args.jobs)
-                result = executor.run(specs, swept=["voxel_size"])
+                with Session(jobs=args.jobs) as parallel_session:
+                    result = parallel_session.run_sweep(specs, swept=["voxel_size"])
+                    report = parallel_session.last_execution
             samples[phase].append(time.perf_counter() - start)
             tables.append(result.table_dict())
     serial_s = statistics.median(samples["serial"])
@@ -185,8 +187,8 @@ def main(argv=None) -> int:
     print(f"serial           : {serial_s:6.2f}s (median of {REPEATS})")
     print(
         f"parallel jobs={args.jobs}  : {parallel_s:6.2f}s (median of {REPEATS}; "
-        f"{executor.report.shards} shards, mode={executor.report.mode}, "
-        f"speedup {speedup:.2f}x, pickled {executor.report.pickled_bytes} B)"
+        f"{report.shards} shards, mode={report.mode}, "
+        f"speedup {speedup:.2f}x, pickled {report.pickled_bytes} B)"
     )
 
     parity_ok = all(table == tables[0] for table in tables)
@@ -196,10 +198,10 @@ def main(argv=None) -> int:
     # must reuse the first's worker pool instead of building a new one.
     with Session(jobs=args.jobs) as pool_session:
         start = time.perf_counter()
-        pool_cold = pool_session.run_sweep(specs, swept=["voxel_size"], cache=False)
+        pool_cold = pool_session.run_sweep(specs, swept=["voxel_size"])
         pool_cold_s = time.perf_counter() - start
         start = time.perf_counter()
-        pool_warm = pool_session.run_sweep(specs, swept=["voxel_size"], cache=False)
+        pool_warm = pool_session.run_sweep(specs, swept=["voxel_size"])
         pool_warm_s = time.perf_counter() - start
         pool_reuse = pool_session.last_execution.worker_reuse
     pool_ok = (
@@ -219,11 +221,11 @@ def main(argv=None) -> int:
     fig13_swept = ["cfus_per_hfu", "ffus_per_hfu"]
     with Session(jobs=1) as fig13_session:
         start = time.perf_counter()
-        fig13_serial = fig13_session.run_sweep(fig13_specs, swept=fig13_swept, cache=False)
+        fig13_serial = fig13_session.run_sweep(fig13_specs, swept=fig13_swept)
         fig13_serial_s = time.perf_counter() - start
     with Session(jobs=args.jobs) as fig13_session:
         start = time.perf_counter()
-        fig13_parallel = fig13_session.run_sweep(fig13_specs, swept=fig13_swept, cache=False)
+        fig13_parallel = fig13_session.run_sweep(fig13_specs, swept=fig13_swept)
         fig13_parallel_s = time.perf_counter() - start
         fig13_mode = fig13_session.last_execution.mode
     fig13_ok = (
@@ -260,16 +262,17 @@ def main(argv=None) -> int:
     # every spec and renders nothing.
     with tempfile.TemporaryDirectory(prefix="bench-sweep-store-") as cache_dir:
         store = ResultStore(cache_dir)
-        cold_executor = SweepExecutor(jobs=args.jobs, store=store)
-        cold = cold_executor.run(specs, swept=["voxel_size"])
+        with Session(jobs=args.jobs, store=store) as cold_session:
+            cold = cold_session.run_sweep(specs, swept=["voxel_size"])
+            cold_report = cold_session.last_execution
         cold_ok = (
-            cold_executor.report.cache_misses == len(specs)
-            and cold_executor.report.cache_hits == 0
+            cold_report.cache_misses == len(specs)
+            and cold_report.cache_hits == 0
             and cold.table_dict() == serial.table_dict()
         )
-        warm_session = Session(store=store)
-        warm = warm_session.run_sweep(specs, swept=["voxel_size"], jobs=args.jobs)
-        warm_renders = warm_session.service.requests_served
+        with Session(jobs=args.jobs, store=store) as warm_session:
+            warm = warm_session.run_sweep(specs, swept=["voxel_size"])
+            warm_renders = warm_session.service.requests_served
         warm_ok = (
             store.hits == len(specs)
             and warm_renders == 0
@@ -300,8 +303,8 @@ def main(argv=None) -> int:
         "parity_ok": parity_ok,
         "cache_ok": cold_ok and warm_ok,
         "pool_ok": pool_ok,
-        "parallel_mode": executor.report.mode,
-        "pickled_bytes": executor.report.pickled_bytes,
+        "parallel_mode": report.mode,
+        "pickled_bytes": report.pickled_bytes,
         "fig13_specs": len(fig13_specs),
         "fig13_serial_s": fig13_serial_s,
         "fig13_parallel_s": fig13_parallel_s,

@@ -12,10 +12,10 @@ Grid keys are routed automatically: ``cfus_per_hfu``/``ffus_per_hfu`` go to
 the accelerator configuration, ``voxel_size`` to the streaming
 configuration.
 
-Every sweep runs on the sharded :class:`~repro.api.executor.SweepExecutor`:
-``--jobs N`` fans the voxel-size grid out over N workers (each voxel size
-needs its own scene context, so the shards are independent), and
-``--cache-dir`` persists every evaluated point in a
+Both settings belong to the :class:`~repro.api.session.Session` every
+sweep runs in: ``--jobs N`` fans the voxel-size grid out over N workers
+(each voxel size needs its own scene context, so the shards are
+independent), and ``--cache-dir`` persists every evaluated point in a
 :class:`~repro.api.store.ResultStore`, making a second invocation of this
 script render nothing at all.
 """

@@ -68,15 +68,12 @@ def run_fig12(
     voxel_sizes: Sequence[float] = FIG12_VOXEL_SIZES,
     session: Optional[Session] = None,
     resolution_scale: float = 1.0,
-    jobs: Optional[int] = None,
-    cache: Optional[object] = None,
 ) -> Fig12Result:
     """Reproduce Fig. 12: energy savings and PSNR vs. voxel size.
 
-    The grid runs on the session's sharded
-    :class:`~repro.api.executor.SweepExecutor`; ``jobs``/``cache`` override
-    the session defaults (``None`` keeps them), ``resolution_scale``
-    shrinks the simulated evaluation resolution for smoke grids.
+    The grid runs as one :meth:`~repro.api.session.Session.run_sweep` at
+    the session's ``jobs`` and ``store``; ``resolution_scale`` shrinks the
+    simulated evaluation resolution for smoke grids.
     """
     session = session or get_default_session()
     specs = sweep(
@@ -85,7 +82,7 @@ def run_fig12(
         ),
         voxel_size=[float(v) for v in voxel_sizes],
     )
-    points = session.run_sweep(specs, swept=["voxel_size"], jobs=jobs, cache=cache)
+    points = session.run_sweep(specs, swept=["voxel_size"])
     return Fig12Result(
         voxel_sizes=list(voxel_sizes),
         energy_savings=points.metric("energy_savings"),
@@ -133,14 +130,12 @@ def run_fig13(
     ffus: Sequence[int] = FIG13_FFUS,
     session: Optional[Session] = None,
     resolution_scale: float = 1.0,
-    jobs: Optional[int] = None,
-    cache: Optional[object] = None,
 ) -> Fig13Result:
     """Reproduce Fig. 13: speedup as a function of CFU and FFU counts.
 
-    Runs on the session's sweep executor like :func:`run_fig12`; every
-    point shares one scene context (only accelerator options vary), so the
-    grid is a single shard and runs in the calling session.
+    Runs as one sweep like :func:`run_fig12`; every point shares one scene
+    context (only accelerator options vary), so the grid is a single shard
+    and runs in the calling session.
     """
     session = session or get_default_session()
     specs = sweep(
@@ -150,9 +145,7 @@ def run_fig13(
         cfus_per_hfu=[int(c) for c in cfus],
         ffus_per_hfu=[int(f) for f in ffus],
     )
-    points = session.run_sweep(
-        specs, swept=["cfus_per_hfu", "ffus_per_hfu"], jobs=jobs, cache=cache
-    )
+    points = session.run_sweep(specs, swept=["cfus_per_hfu", "ffus_per_hfu"])
     result = Fig13Result(cfus=list(cfus), ffus=list(ffus), scene=scene)
     for i, num_cfu in enumerate(result.cfus):
         result.speedup[num_cfu] = {}

@@ -3,7 +3,8 @@
 The public surface:
 
 * :class:`~repro.api.session.Session` — owns a render service and a
-  scene cache; everything runs through it.
+  scene cache; everything runs through it.  ``Session(jobs=, store=)`` is
+  the one place that says how its sweeps run and what they cache.
 * :class:`~repro.api.spec.ExperimentSpec` — one declarative evaluation
   point (scene x algorithm x compression x config overrides x arch model).
 * :class:`~repro.api.spec.TrajectorySpec` — one declarative trajectory
@@ -18,23 +19,22 @@ The public surface:
 * ``repro.api.experiments`` — the registry of the paper's regenerable
   artifacts (``fig2`` ... ``engine``), reachable via ``Session.run(name)``
   and the CLI runner.
-* :class:`~repro.api.executor.SweepExecutor` — sharded sweep evaluation
-  (``session.sweep(..., jobs=4)``): specs grouped by scene context, whole
-  shards run in the caller (one job or one shard) or on a process pool,
-  merged in input order, with an
+* ``Session.run_sweep`` / ``Session.sweep`` — sharded sweep evaluation:
+  points the store holds are read from it, the rest grouped by scene
+  context and run as whole shards in the caller (one job or one shard) or
+  on the session's process pool, merged in input order, with an
   :class:`~repro.api.executor.ExecutionReport` in
   ``SweepResult.meta["execution"]``.
 * :class:`~repro.api.pool.WorkerPool` — the persistent process pool a
   session keeps warm across sweeps and schedules (``Session.close()`` /
-  ``atexit`` shut it down).
+  ``atexit`` shut it down); every fan-out runs on its session's pool.
 * :func:`~repro.api.executor.schedule_experiments` — whole registry
   experiments, one task each on the same fan-out as a sweep's shards
   (every ``runner`` invocation; ``--jobs N`` puts them on the pool), with
   one :class:`~repro.api.executor.ExecutionReport` for the schedule.
 * :class:`~repro.api.store.ResultStore` — disk-backed, content-addressed
   result cache keyed by a canonical spec hash; warm sweeps re-render
-  nothing.  ``max_bytes=`` caps its size (LRU-by-mtime eviction via
-  ``store.gc()``).
+  nothing.
 
 Quickstart::
 
@@ -63,7 +63,6 @@ from repro.api.pool import WorkerPool
 from repro.api.executor import (
     ExecutionReport,
     SpecEvaluationError,
-    SweepExecutor,
     schedule_experiments,
 )
 from repro.api.session import Session, get_default_session, reset_default_session
@@ -81,7 +80,6 @@ __all__ = [
     "ResultStore",
     "Session",
     "SpecEvaluationError",
-    "SweepExecutor",
     "SweepResult",
     "TrajectorySpec",
     "WorkerPool",

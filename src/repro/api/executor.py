@@ -1,39 +1,26 @@
 """Parallel execution of experiment sweeps and of whole experiments.
 
-One private fan-out runs a list of independent tasks: in the caller when
-``jobs == 1`` or there is one task, otherwise on the calling session's
-**persistent process pool** (:class:`~repro.api.pool.WorkerPool`; an
-ephemeral pool when no session is given).  It keeps every task that
-finishes and re-raises a task's own exception at once and unchanged.  When
-the pool itself fails — it cannot be built, refuses a task or loses a
-worker — it discards the pool, records ``degraded_reason`` and runs only
-the unfinished tasks in the caller.  Pool workers run every task in their
-process's :func:`~repro.api.session.get_default_session`, which stays warm
-across tasks, so a context an earlier task built is a cache hit.
+One fan-out (:func:`fan_out`) runs a list of independent tasks: in the
+caller when ``jobs == 1`` or there is one task, otherwise on the calling
+session's **persistent process pool** (:class:`~repro.api.pool.WorkerPool`).
+It keeps every task that finishes and re-raises a task's own exception at
+once and unchanged.  When the pool itself fails — it cannot be built,
+refuses a task or loses a worker — it discards the pool, records
+``degraded_reason`` and runs only the unfinished tasks in the caller.  Pool
+workers run every task in their process's
+:func:`~repro.api.session.get_default_session`, which stays warm across
+tasks, so a context an earlier task built is a cache hit.
 
-:class:`SweepExecutor` evaluates a list of
-:class:`~repro.api.spec.ExperimentSpec` points by
-
-1. resolving every point it can against an optional
-   :class:`~repro.api.store.ResultStore` (so warm sweeps re-render
-   nothing),
-2. grouping the remaining specs into *shards* by the scene context they
-   need (scene x algorithm x resolution scale x resolved streaming
-   config) — the expensive part of a point is building that context, and
-   every spec in a shard shares it through
-   :meth:`~repro.api.session.Session.run_many`,
-3. running one task per shard through the fan-out, and
-4. merging the per-shard outputs back into one
-   :class:`~repro.api.result.SweepResult` in the original spec order —
-   the tables are byte-identical to a serial run regardless of worker
-   scheduling, because every evaluation is deterministic and results are
-   placed by input index, never by completion order.
-
-A shard is never split across workers: once its context exists, a point
-is an analytic hardware-model evaluation (16 Fig. 13 points take ~3 ms in
-total), while shipping the context to another process costs tens of
-milliseconds each way, so a one-context grid runs fastest where the
-context is built.
+:meth:`Session.run_sweep <repro.api.session.Session.run_sweep>` runs a
+sweep's *shards* on it: the specs its store does not hold, grouped by the
+scene context they need (:func:`group_by_context`; scene x algorithm x
+resolution scale x resolved streaming config).  The expensive part of a
+point is building that context, and every spec in a shard shares it
+through :meth:`~repro.api.session.Session.run_many`.  A shard is never
+split across workers: once its context exists, a point is an analytic
+hardware-model evaluation (16 Fig. 13 points take ~3 ms in total), while
+shipping the context to another process costs tens of milliseconds each
+way, so a one-context grid runs fastest where the context is built.
 
 :func:`schedule_experiments` runs whole registry experiments (``fig2`` ...
 ``engine``) for ``runner``, one task per experiment.  Experiments are
@@ -49,7 +36,6 @@ pool reuse — is recorded in an :class:`ExecutionReport`, surfaced as
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import functools
 from concurrent.futures.process import BrokenProcessPool
 import pickle
@@ -71,9 +57,9 @@ from typing import (
     Union,
 )
 
-from repro.api.result import ExperimentResult, SweepResult
+from repro.api.result import ExperimentResult
 from repro.api.spec import ExperimentSpec
-from repro.api.store import ResultStore, resolve_store
+from repro.api.store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.api.session import Session
@@ -95,8 +81,8 @@ _POOL_FAILURES = (
 class SpecEvaluationError(RuntimeError):
     """One spec of a batch failed; names the offending point.
 
-    Raised by :meth:`Session.run_many` (and therefore by every executor
-    path, serial or pooled) wrapping the original exception, so a sweep
+    Raised by :meth:`Session.run_many` (and therefore by every sweep,
+    serial or pooled) wrapping the original exception, so a sweep
     failure always says *which* grid point died — not just that a worker
     raised somewhere.  The original exception is ``__cause__`` and
     :attr:`error`.
@@ -173,7 +159,7 @@ def _timed_task(session: "Session", work: Callable[[], Dict[str, Any]]) -> Dict[
     return payload
 
 
-def _evaluate_shard(
+def evaluate_shard(
     specs: Sequence[ExperimentSpec], session: Optional["Session"] = None
 ) -> Dict[str, Any]:
     """Evaluate one shard in ``session`` (a pool worker's default session).
@@ -255,7 +241,6 @@ class ExecutionReport:
     shard_times_s: List[float] = field(default_factory=list)
     workers: int = 0
     workers_used: int = 0
-    pool: str = "none"
     worker_reuse: int = 0
     wall_time_s: float = 0.0
     #: Bytes of task arguments pickled to pool workers, and how many scene
@@ -279,7 +264,6 @@ class ExecutionReport:
             "shard_times_s": [round(t, 6) for t in self.shard_times_s],
             "workers": self.workers,
             "workers_used": self.workers_used,
-            "pool": self.pool,
             "worker_reuse": self.worker_reuse,
             "wall_time_s": round(self.wall_time_s, 6),
             "pickled_bytes": self.pickled_bytes,
@@ -295,7 +279,7 @@ class ExecutionReport:
             f"mode={self.mode} jobs={self.jobs} shards={self.shards} "
             f"specs={self.specs} "
             f"store_hits={self.cache_hits} store_misses={self.cache_misses} "
-            f"pool={self.pool} workers_used={self.workers_used} "
+            f"workers_used={self.workers_used} "
             f"reuse={self.worker_reuse} "
             f"pickled_bytes={self.pickled_bytes} "
             f"context_rebuilds={self.context_rebuilds} "
@@ -330,54 +314,46 @@ def _gather(
     return failure
 
 
-def _fan_out(
+def fan_out(
     report: ExecutionReport,
+    session: "Session",
     remote: Callable[..., Dict[str, Any]],
     tasks: Sequence[Tuple],
     local: Callable[..., Dict[str, Any]],
-    session: Optional["Session"],
     order: Optional[Sequence[int]] = None,
 ) -> List[Dict[str, Any]]:
     """Run every task and return the payloads in task order.
 
-    ``remote(*task)`` runs a task in a pool worker and ``local(*task)`` in
-    the caller; both return a payload with :func:`_timed_task`'s
-    telemetry.  ``order`` is the pool's submission order (default: task
-    order).  Fills ``report``'s mode, pool and per-task fields.
+    ``remote(*task)`` runs a task in a worker of ``session``'s pool and
+    ``local(*task)`` in the caller; both return a payload with
+    :func:`_timed_task`'s telemetry.  ``order`` is the pool's submission
+    order (default: task order).  Fills ``report``'s mode and per-task
+    fields.
     """
     payloads: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
     workers = min(report.jobs, len(tasks))
     report.workers = max(workers, 1)
     if workers > 1:
         report.mode = "process"
-        owner = session.worker_pool() if session is not None else None
-        report.pool = "persistent" if owner is not None else "ephemeral"
+        owner = session.worker_pool()
         futures: Dict[concurrent.futures.Future, int] = {}
         failure: Optional[BaseException] = None
-        with contextlib.ExitStack() as stack:
-            try:
-                if owner is not None:
-                    pool = owner.executor(workers)
-                    report.worker_reuse = owner.reuse_count
-                else:
-                    pool = stack.enter_context(
-                        concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-                    )
-                for position in order if order is not None else range(len(tasks)):
-                    task = tasks[position]
-                    report.pickled_bytes += len(
-                        pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
-                    futures[pool.submit(remote, *task)] = position
-            except _POOL_FAILURES as error:
-                failure = error
-            gathered = _gather(futures, payloads)
-            failure = failure or gathered
+        try:
+            pool = owner.executor(workers)
+            report.worker_reuse = owner.reuse_count
+            for position in order if order is not None else range(len(tasks)):
+                task = tasks[position]
+                report.pickled_bytes += len(
+                    pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
+                )
+                futures[pool.submit(remote, *task)] = position
+        except _POOL_FAILURES as error:
+            failure = error
+        gathered = _gather(futures, payloads)
+        failure = failure or gathered
         if failure is not None:
-            if owner is not None:
-                owner.discard()
+            owner.discard()
             report.mode = "serial"
-            report.pool = "none"
             report.degraded_reason = f"{type(failure).__name__}: {failure}"
     for position, task in enumerate(tasks):
         if payloads[position] is None:
@@ -386,101 +362,6 @@ def _fan_out(
     report.workers_used = len({payload["worker"] for payload in payloads})
     report.context_rebuilds = sum(payload["context_builds"] for payload in payloads)
     return payloads  # type: ignore[return-value]
-
-
-class SweepExecutor:
-    """Sharded sweep runner with optional disk-backed result caching.
-
-    Parameters
-    ----------
-    jobs:
-        Worker count.  ``1`` — or a grid with one shard — evaluates
-        serially in the calling session; otherwise whole shards run on a
-        process pool of ``min(jobs, shards)`` workers.
-    store:
-        Optional :class:`ResultStore` (or a directory path for one)
-        consulted before evaluation and updated after it.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        store: Optional[Union[ResultStore, str, Path]] = None,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.store = resolve_store(store)
-        self.report = ExecutionReport()
-
-    # ------------------------------------------------------------------
-    def shard(
-        self, specs: Sequence[ExperimentSpec]
-    ) -> "OrderedDict[Tuple, List[Tuple[int, ExperimentSpec]]]":
-        """Group (index, spec) pairs by shared scene context, in first-seen order."""
-        return group_by_context(enumerate(specs))
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        specs: Sequence[ExperimentSpec],
-        swept: Optional[Sequence[str]] = None,
-        session: Optional["Session"] = None,
-    ) -> SweepResult:
-        """Evaluate every spec and return results in input order.
-
-        ``session`` evaluates the shards run in the caller (so warm
-        contexts are reused) and provides the persistent worker pool; a
-        private session (and an ephemeral pool) is used when omitted.
-        """
-        started = time.perf_counter()
-        specs = list(specs)
-        results: List[Optional[ExperimentResult]] = [None] * len(specs)
-        self.report = ExecutionReport(jobs=self.jobs, specs=len(specs))
-
-        pending: List[Tuple[int, ExperimentSpec]] = []
-        for index, spec in enumerate(specs):
-            cached = self.store.get(spec) if self.store is not None else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append((index, spec))
-        self.report.cache_hits = len(specs) - len(pending)
-        self.report.cache_misses = len(pending)
-
-        if pending:
-            shards = list(group_by_context(pending).values())
-            self.report.shards = len(shards)
-            self.report.shard_sizes = [len(members) for members in shards]
-            from repro.api.session import Session
-
-            here = session if session is not None else Session()
-            payloads = _fan_out(
-                self.report,
-                _evaluate_shard,
-                [([spec for _, spec in members],) for members in shards],
-                functools.partial(_evaluate_shard, session=here),
-                session,
-            )
-            for members, payload in zip(shards, payloads):
-                for (index, _), result in zip(members, payload["results"]):
-                    results[index] = ExperimentResult.from_dict(result)
-
-            if self.store is not None:
-                for index, spec in pending:
-                    try:
-                        self.store.put(spec, results[index])
-                    except OSError:
-                        # Best-effort cache: losing the entry only costs a
-                        # future hit, never the sweep that computed it.
-                        continue
-
-        self.report.wall_time_s = time.perf_counter() - started
-        return SweepResult(
-            results=list(results),
-            swept=list(swept or []),
-            meta={"execution": self.report.to_dict()},
-        )
 
 
 def schedule_experiments(
@@ -496,18 +377,18 @@ def schedule_experiments(
     heaviest ``cost_hint`` first (minimising makespan).  ``options`` maps
     experiment names to builder kwargs; ``cache_dir`` points every
     experiment, in the caller or in a worker, at one shared disk store.
-    Experiments run in the caller — in ``session``, or the process's
-    default session — with their sweeps at ``jobs``; on the pool (the
-    session's persistent one, or an ephemeral one without a session) they
-    run with serial sweeps.  ``runner`` passes the process-wide default
-    session, so repeated schedules and any sweeps inside the experiments
-    reuse one warm pool.
+    Experiments run in ``session`` (``None``: the process's default
+    session): in the caller with their sweeps at ``jobs``, or on the
+    session's persistent pool with serial sweeps.  ``runner`` passes the
+    process-wide default session, so repeated schedules and any sweeps
+    inside the experiments reuse one warm pool.
     """
     from repro.api.experiments import get_experiment
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
+    session = _session_or_default(session)
     names = list(names)
     options = dict(options or {})
     costs = [get_experiment(name).cost_hint for name in names]  # validates early
@@ -515,14 +396,12 @@ def schedule_experiments(
     report = ExecutionReport(
         jobs=jobs, shards=len(names), specs=len(names), shard_sizes=[1] * len(names)
     )
-    payloads = _fan_out(
+    payloads = fan_out(
         report,
+        session,
         _run_experiment,
         [(name, options.get(name), cache) for name in names],
-        functools.partial(
-            _run_experiment, session=_session_or_default(session), jobs=jobs
-        ),
-        session,
+        functools.partial(_run_experiment, session=session, jobs=jobs),
         order=sorted(range(len(names)), key=lambda position: costs[position], reverse=True),
     )
     report.cache_hits = sum(payload["store_hits"] for payload in payloads)

@@ -5,9 +5,9 @@ alive between runs, so repeated ``run_sweep`` calls and experiment
 schedules in one process pay worker startup (process start, imports) once
 and keep each worker's warm scene contexts (a worker runs every task in its
 process's default session);
-:class:`~repro.api.session.Session` owns one lazily and hands it to the
-fan-out behind :class:`~repro.api.executor.SweepExecutor` and
-:func:`~repro.api.executor.schedule_experiments`.
+:class:`~repro.api.session.Session` owns one lazily, and every fan-out
+(:func:`~repro.api.executor.fan_out`, behind ``Session.run_sweep`` and
+:func:`~repro.api.executor.schedule_experiments`) runs on its session's.
 
 Lifecycle: the pool is created on first use, grown (recreated larger) when
 a run asks for more workers than it holds, discarded when it breaks

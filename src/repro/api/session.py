@@ -22,16 +22,17 @@ from it:
 * ``session.run_many(specs)`` — a batch of points grouped by shared scene
   context, so each context is built once;
 * ``session.sweep(base, voxel_size=[...])`` — a parameter-grid sensitivity
-  study returning a :class:`~repro.api.result.SweepResult`; ``jobs=`` and
-  ``cache=`` route it through the sharded
-  :class:`~repro.api.executor.SweepExecutor` and the disk-backed
-  :class:`~repro.api.store.ResultStore`.
+  study returning a :class:`~repro.api.result.SweepResult`.
 
-A sweep with ``jobs == 1`` or a single shard (one scene context) runs in
-this session; any other runs its shards whole on the session's persistent
-process pool (:class:`~repro.api.pool.WorkerPool`): created lazily by the
-first such sweep (or experiment schedule), reused by every later one, shut
-down by :meth:`Session.close` (sessions are context managers:
+``Session(jobs=, store=)`` is the one place that says how sweeps run and
+what they cache.  A sweep reads every point the
+:class:`~repro.api.store.ResultStore` holds from disk and groups the rest
+into shards by the scene context they need.  With ``jobs == 1`` or a
+single shard (one scene context) it runs them in this session; otherwise
+it runs whole shards on the session's persistent process pool
+(:class:`~repro.api.pool.WorkerPool`): created lazily by the first such
+sweep (or experiment schedule), reused by every later one, shut down by
+:meth:`Session.close` (sessions are context managers:
 ``with Session(jobs=4) as s: ...``) or at interpreter exit.  Each sweep's
 telemetry lands in ``SweepResult.meta["execution"]`` and
 ``session.last_execution``.
@@ -45,6 +46,8 @@ within one process.
 from __future__ import annotations
 
 import atexit
+import functools
+import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -53,6 +56,13 @@ import numpy as np
 
 from repro.analysis.context import SceneContext, build_scene_context
 from repro.analysis.report import format_table
+from repro.api.executor import (
+    ExecutionReport,
+    SpecEvaluationError,
+    evaluate_shard,
+    fan_out,
+    group_by_context,
+)
 from repro.api.pool import WorkerPool
 from repro.api.result import ExperimentResult, SweepResult
 from repro.api.spec import ExperimentSpec, TrajectorySpec, sweep
@@ -60,7 +70,7 @@ from repro.api.store import ResultStore, resolve_store
 from repro.arch.gpu import OrinNXModel
 from repro.arch.gscore import GSCoreModel
 from repro.arch.accelerator import StreamingGSAccelerator
-from repro.core.config import StreamingConfig
+from repro.core.config import StreamingConfig, check_positive_finite
 from repro.engine.service import (
     DEFAULT_RENDERER_CACHE_SIZE,
     RenderResponse,
@@ -102,11 +112,12 @@ class Session:
     max_contexts:
         Scene contexts kept alive (LRU).
     jobs:
-        Default worker count of :meth:`run_sweep` / :meth:`sweep`
-        (``1`` = serial in-process).
+        Worker count of :meth:`run_sweep` / :meth:`sweep` (``1`` = serial
+        in-process).
     store:
-        Default :class:`~repro.api.store.ResultStore` (or a directory path
-        for one) consulted by sweeps; ``None`` disables result caching.
+        :class:`~repro.api.store.ResultStore` (or a directory path for one)
+        consulted and filled by sweeps and trajectory runs; ``None``
+        disables result caching.
     """
 
     def __init__(
@@ -185,23 +196,17 @@ class Session:
         config = spec.streaming_config()
         return [self.service.render(model, camera, config) for camera in spec.cameras()]
 
-    def run_trajectory(
-        self,
-        spec: TrajectorySpec,
-        cache: Optional[Union[ResultStore, str, Path, bool]] = None,
-    ) -> ExperimentResult:
+    def run_trajectory(self, spec: TrajectorySpec) -> ExperimentResult:
         """Run a trajectory workload end to end, with result-store caching.
 
         Renders the spec (:meth:`render_trajectory`), folds the frames'
         own telemetry into an :class:`~repro.api.result.ExperimentResult`
-        (frame count, wall seconds, image checksums) and caches it
-        under the spec's canonical key — same contract as experiment
-        points, so trajectory runs share the
-        :class:`~repro.api.store.ResultStore` machinery.
+        (frame count, wall seconds, image checksums) and caches it in the
+        session's store under the spec's canonical key — same contract as
+        experiment points.
         """
-        store = self.store if cache is None else resolve_store(cache)
-        if store is not None:
-            cached = store.get(spec)
+        if self.store is not None:
+            cached = self.store.get(spec)
             if cached is not None:
                 return cached
         responses = self.render_trajectory(spec)
@@ -232,9 +237,9 @@ class Session:
             meta={"label": spec.label, "tag": spec.tag},
         )
         self.points_run += 1
-        if store is not None:
+        if self.store is not None:
             try:
-                store.put(spec, result)
+                self.store.put(spec, result)
             except OSError:
                 # The cache is best-effort: a full/broken disk must not
                 # fail the run that already produced the result.
@@ -279,10 +284,11 @@ class Session:
         algorithm:
             Base algorithm (``3dgs``, ``mini_splatting``, ``light_gaussian``).
         voxel_size:
-            Streaming voxel size; ``None`` (or non-positive) uses the
+            Streaming voxel size, finite and above 0; ``None`` uses the
             paper's default for the scene's category.
         resolution_scale:
-            Scale factor on the simulated evaluation resolution.
+            Scale factor on the simulated evaluation resolution, finite
+            and above 0.
         config:
             Full :class:`StreamingConfig` or a mapping of field overrides;
             mutually exclusive with ``voxel_size``.
@@ -291,10 +297,12 @@ class Session:
             raise KeyError(f"unknown scene {scene!r}; available: {sorted(SCENE_REGISTRY)}")
         if config is not None and voxel_size is not None:
             raise ValueError("pass voxel_size or config, not both")
+        check_positive_finite("resolution_scale", resolution_scale)
         descriptor = SCENE_REGISTRY[scene]
         if config is None:
-            effective = voxel_size if voxel_size and voxel_size > 0 else descriptor.default_voxel_size
-            resolved = StreamingConfig(voxel_size=float(effective))
+            if voxel_size is None:
+                voxel_size = descriptor.default_voxel_size
+            resolved = StreamingConfig(voxel_size=float(voxel_size))
         elif isinstance(config, StreamingConfig):
             resolved = config
         else:
@@ -427,8 +435,6 @@ class Session:
         offending spec, so batch (and pool-worker) failures always say
         which grid point died.
         """
-        from repro.api.executor import SpecEvaluationError, group_by_context
-
         results: List[Optional[ExperimentResult]] = [None] * len(specs)
         for members in group_by_context(enumerate(specs)).values():
             for index, spec in members:
@@ -443,45 +449,67 @@ class Session:
         return results  # type: ignore[return-value]
 
     def run_sweep(
-        self,
-        specs: Sequence[ExperimentSpec],
-        swept: Optional[Sequence[str]] = None,
-        jobs: Optional[int] = None,
-        cache: Optional[Union[ResultStore, str, Path, bool]] = None,
+        self, specs: Sequence[ExperimentSpec], swept: Optional[Sequence[str]] = None
     ) -> SweepResult:
-        """Run a list of point specs on the sharded sweep executor.
+        """Evaluate a list of point specs at the session's ``jobs`` and ``store``.
 
-        Parameters
-        ----------
-        specs, swept:
-            The grid points and the names of the swept axes.
-        jobs:
-            Worker count; ``None`` uses the session default (``self.jobs``).
-            ``1``, or a grid whose specs share one scene context, evaluates
-            serially through this session's shared state.
-        cache:
-            ``None`` uses the session default store, ``False`` disables
-            caching for this sweep, a path or :class:`ResultStore` selects
-            one explicitly.
+        Every point the store holds is read from it.  The rest are grouped
+        into shards by scene context
+        (:func:`~repro.api.executor.group_by_context`) and run through
+        :func:`~repro.api.executor.fan_out`: in this session for one job or
+        one shard, otherwise whole shards on the session's worker pool.
+        Results come back in input order, so the tables are byte-identical
+        to a serial run however the workers are scheduled, and new results
+        go to the store.  ``swept`` names the swept axes.
         """
-        from repro.api.executor import SweepExecutor
+        started = time.perf_counter()
+        specs = list(specs)
+        results: List[Optional[ExperimentResult]] = [None] * len(specs)
+        report = ExecutionReport(jobs=self.jobs, specs=len(specs))
+        pending: List[Tuple[int, ExperimentSpec]] = []
+        for index, spec in enumerate(specs):
+            cached = self.store.get(spec) if self.store is not None else None
+            if cached is not None:
+                results[index] = cached
+            else:
+                pending.append((index, spec))
+        report.cache_hits = len(specs) - len(pending)
+        report.cache_misses = len(pending)
 
-        store = self.store if cache is None else resolve_store(cache)
-        executor = SweepExecutor(jobs=self.jobs if jobs is None else jobs, store=store)
-        result = executor.run(specs, swept=swept, session=self)
-        self.last_execution = executor.report
-        return result
+        if pending:
+            shards = list(group_by_context(pending).values())
+            report.shards = len(shards)
+            report.shard_sizes = [len(members) for members in shards]
+            payloads = fan_out(
+                report,
+                self,
+                evaluate_shard,
+                [([spec for _, spec in members],) for members in shards],
+                functools.partial(evaluate_shard, session=self),
+            )
+            for members, payload in zip(shards, payloads):
+                for (index, _), result in zip(members, payload["results"]):
+                    results[index] = ExperimentResult.from_dict(result)
+            if self.store is not None:
+                for index, spec in pending:
+                    try:
+                        self.store.put(spec, results[index])
+                    except OSError:
+                        # Best-effort cache: losing the entry only costs a
+                        # future hit, never the sweep that computed it.
+                        continue
 
-    def sweep(
-        self,
-        base: Optional[ExperimentSpec] = None,
-        *,
-        jobs: Optional[int] = None,
-        cache: Optional[Union[ResultStore, str, Path, bool]] = None,
-        **grid: Any,
-    ) -> SweepResult:
+        report.wall_time_s = time.perf_counter() - started
+        self.last_execution = report
+        return SweepResult(
+            results=results,
+            swept=list(swept or []),
+            meta={"execution": report.to_dict()},
+        )
+
+    def sweep(self, base: Optional[ExperimentSpec] = None, **grid: Any) -> SweepResult:
         """Expand a parameter grid (:func:`repro.api.spec.sweep`) and run it."""
-        return self.run_sweep(sweep(base, **grid), swept=list(grid), jobs=jobs, cache=cache)
+        return self.run_sweep(sweep(base, **grid), swept=list(grid))
 
     def pareto_search(
         self,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.arch.accelerator import AcceleratorConfig
-from repro.core.config import StreamingConfig
+from repro.core.config import StreamingConfig, check_positive_finite
 from repro.gaussians.camera import Camera
 from repro.scenes.registry import SCENE_REGISTRY, TRAJECTORY_REGISTRY, SceneDescriptor
 
@@ -122,8 +122,7 @@ class ExperimentSpec:
             raise ValueError(
                 f"arch_options only apply to {list(ACCELERATOR_ARCHS)}, not arch={self.arch!r}"
             )
-        if self.resolution_scale <= 0:
-            raise ValueError(f"resolution_scale must be positive, got {self.resolution_scale}")
+        check_positive_finite("resolution_scale", self.resolution_scale)
 
     # ------------------------------------------------------------------
     @property
@@ -465,10 +464,7 @@ class TrajectorySpec:
                 raise ValueError("explicit trajectory path has no poses")
             object.__setattr__(self, "path", poses)
             object.__setattr__(self, "frames", len(poses))
-        if self.resolution_scale <= 0:
-            raise ValueError(
-                f"resolution_scale must be positive, got {self.resolution_scale}"
-            )
+        check_positive_finite("resolution_scale", self.resolution_scale)
 
     # ------------------------------------------------------------------
     @property

@@ -53,11 +53,11 @@ def advisory_file_lock(path: Union[str, Path]) -> Iterator[None]:
     """Exclusive cross-process advisory lock on ``path`` (``flock``).
 
     Serializes writers that share one store directory — e.g. concurrent
-    ``runner all --jobs N`` worker processes putting results into the same
-    cache — so a put and the eviction scan it may trigger never interleave
-    with another process's.  The lock is *advisory* (readers never take
-    it; entry reads stay lock-free because writes are already atomic) and
-    degrades to a no-op where ``fcntl`` is unavailable.
+    ``runner all --jobs N`` worker processes, or two daemon actor threads
+    putting one key through :func:`atomic_write_json`'s per-process temp
+    file — so two puts never interleave.  The lock is *advisory* (readers
+    never take it; entry reads stay lock-free because writes are already
+    atomic) and degrades to a no-op where ``fcntl`` is unavailable.
     """
     if fcntl is None:  # pragma: no cover - non-POSIX platforms
         yield
@@ -130,23 +130,14 @@ def spec_key(spec: ExperimentSpec, version: Optional[str] = None) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def resolve_store(cache: Any) -> Optional["ResultStore"]:
-    """Normalize a ``cache``/``store`` argument to a store (or ``None``).
-
-    Accepts ``None``/``False`` (no caching), a directory path, or a
-    :class:`ResultStore`; ``True`` is rejected as ambiguous.  The one
-    normalization used by :class:`~repro.api.session.Session` and
-    :class:`~repro.api.executor.SweepExecutor`.
-    """
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        raise ValueError("cache=True is ambiguous; pass a directory or a ResultStore")
-    if isinstance(cache, (str, Path)):
-        return ResultStore(cache)
-    if isinstance(cache, ResultStore):
-        return cache
-    raise TypeError(f"cannot use a {type(cache).__name__!r} as a result store")
+def resolve_store(store: Any) -> Optional["ResultStore"]:
+    """``Session(store=)`` as a store: ``None`` (no caching), a directory
+    path, or a :class:`ResultStore`."""
+    if store is None or isinstance(store, ResultStore):
+        return store
+    if isinstance(store, (str, Path)):
+        return ResultStore(store)
+    raise TypeError(f"cannot use a {type(store).__name__!r} as a result store")
 
 
 class ResultStore:
@@ -161,33 +152,14 @@ class ResultStore:
         Version string folded into every key; defaults to the package
         version, so a release bump invalidates the whole store
         automatically.  Tests override it to exercise invalidation.
-    max_bytes:
-        Optional size cap on the entries' total on-disk bytes.  Every
-        :meth:`put` enforces it by evicting least-recently-used entries
-        (by file mtime — :meth:`get` touches entries it returns, so hits
-        refresh recency); ``None`` disables eviction.  :meth:`gc` runs the
-        same collection on demand.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        version: Optional[str] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+    def __init__(self, root: Union[str, Path], version: Optional[str] = None) -> None:
         self.root = Path(root)
         self.version = version if version is not None else repro.__version__
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.healed = 0
-        self.evicted = 0
-        # Running estimate of the entries' total bytes, so capped puts only
-        # pay a full directory scan when the cap is plausibly crossed (gc
-        # recomputes it exactly).  None = not measured yet.
-        self._approx_bytes: Optional[int] = None
 
     # ------------------------------------------------------------------
     def key(self, spec: ExperimentSpec) -> str:
@@ -225,10 +197,6 @@ class ResultStore:
             self.healed += 1
             return None
         self.hits += 1
-        try:
-            os.utime(path)  # refresh recency so eviction is LRU, not FIFO
-        except OSError:  # pragma: no cover - entry raced away; still a hit
-            pass
         return result
 
     @property
@@ -240,9 +208,9 @@ class ResultStore:
         """Persist one result under its spec's key (atomic write).
 
         Writers take the store's advisory file lock
-        (:func:`advisory_file_lock`), so concurrent processes sharing the
-        directory — sharded sweep workers, ``runner all --jobs N`` — never
-        interleave a put with another writer's eviction pass.
+        (:func:`advisory_file_lock`), so concurrent writers sharing the
+        directory — sharded sweep workers, ``runner all --jobs N``, daemon
+        actors — never interleave their puts.
         """
         path = self.path(spec)
         if _chaos_fault("store.enospc") is not None:
@@ -265,64 +233,7 @@ class ResultStore:
                 # self-heals the entry back to a miss.
                 text = path.read_text()
                 path.write_text(text[: max(1, len(text) // 2)])
-            if self.max_bytes is not None:
-                if self._approx_bytes is not None:
-                    try:
-                        self._approx_bytes += path.stat().st_size
-                    except OSError:  # pragma: no cover - raced away after write
-                        self._approx_bytes = None
-                if self._approx_bytes is None or self._approx_bytes > self.max_bytes:
-                    self._collect(protect=path)
         return path
-
-    def gc(
-        self, max_bytes: Optional[int] = None, protect: Optional[Path] = None
-    ) -> Dict[str, int]:
-        """Evict least-recently-used entries until the store fits the cap.
-
-        ``max_bytes`` overrides the store's configured cap for this pass
-        (``None`` uses ``self.max_bytes``; a store without a cap collects
-        nothing).  ``protect`` names one entry that is never evicted — the
-        entry a :meth:`put` just wrote, so a cap smaller than a single
-        result still keeps the freshest one.  Returns a summary of the
-        collection: entries/bytes removed and entries/bytes remaining.
-        """
-        with advisory_file_lock(self.lock_path):
-            return self._collect(max_bytes=max_bytes, protect=protect)
-
-    def _collect(
-        self, max_bytes: Optional[int] = None, protect: Optional[Path] = None
-    ) -> Dict[str, int]:
-        """Eviction pass body; callers hold the advisory lock."""
-        cap = self.max_bytes if max_bytes is None else max_bytes
-        summary = {"removed": 0, "removed_bytes": 0, "entries": 0, "bytes": 0}
-        entries = []
-        if self.root.exists():
-            for path in self.root.glob("*/*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:  # pragma: no cover - raced away mid-scan
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-        total = sum(size for _, size, _ in entries)
-        if cap is not None:
-            for _, size, path in sorted(entries, key=lambda entry: entry[0]):
-                if total <= cap:
-                    break
-                if protect is not None and path == protect:
-                    continue
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - racing cleanup is fine
-                    continue
-                total -= size
-                summary["removed"] += 1
-                summary["removed_bytes"] += size
-                self.evicted += 1
-        summary["entries"] = len(entries) - summary["removed"]
-        summary["bytes"] = total
-        self._approx_bytes = total
-        return summary
 
     def __contains__(self, spec: ExperimentSpec) -> bool:
         return self.path(spec).exists()
@@ -334,12 +245,11 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/heal/eviction counters and the number of entries on disk."""
+        """Hit/miss/heal counters and the number of entries on disk."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "healed": self.healed,
-            "evicted": self.evicted,
             "entries": len(self),
         }
 

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.engine.kernels import check_render_path
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is finite and above 0."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +76,7 @@ class StreamingConfig:
     frame_cache_size: int = 8
 
     def __post_init__(self) -> None:
-        if self.voxel_size <= 0:
-            raise ValueError(f"voxel_size must be positive, got {self.voxel_size!r}")
+        check_positive_finite("voxel_size", self.voxel_size)
         if self.tile_size <= 0:
             raise ValueError(f"tile_size must be positive, got {self.tile_size!r}")
         if self.ray_stride <= 0:

@@ -136,13 +136,6 @@ def _execute(session, kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
             "image_checksums": list(result.payload.get("image_checksums") or []),
         }
 
-    if kind == "point":
-        from repro.api.spec import ExperimentSpec
-
-        spec = ExperimentSpec.from_dict(payload["spec"])
-        result = session.run(spec)
-        return {"label": spec.label, "metrics": result.metrics}
-
     if kind == "sweep":
         from repro.api.spec import ExperimentSpec
 
@@ -158,12 +151,6 @@ def _execute(session, kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
             "metrics": [point.metrics for point in sweep_result.results],
             "execution": sweep_result.meta.get("execution"),
         }
-
-    if kind == "experiment":
-        name = payload["name"]
-        options = dict(payload.get("options") or {})
-        result = session.run(name, **options)
-        return {"name": name, "title": result.title, "metrics": result.metrics}
 
     raise ValueError(f"kind {kind!r} is not an actor-executed request")
 

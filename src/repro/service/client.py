@@ -375,20 +375,6 @@ class ServiceClient:
             "trajectory", {"spec": payload_spec}, retries=retries, deadline_s=deadline_s
         )
 
-    def experiment(
-        self,
-        name: str,
-        retries: int = 0,
-        deadline_s: Optional[float] = None,
-        **options: Any,
-    ) -> ServiceResponse:
-        return self.submit(
-            "experiment",
-            {"name": name, "options": options},
-            retries=retries,
-            deadline_s=deadline_s,
-        )
-
 
 def scrape_http(address: Address, path: str, timeout: float = 5.0) -> Dict[str, Any]:
     """Fetch ``/healthz`` or ``/metrics`` over the daemon's HTTP shim.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 #: Request kinds executed by a worker actor (queued, scheduled fairly).
-WORK_KINDS = ("render", "trajectory", "point", "sweep", "experiment", "sleep")
+WORK_KINDS = ("render", "trajectory", "sweep", "sleep")
 
 #: Request kinds answered inline by the event loop (never queued).
 CONTROL_KINDS = ("ping", "health", "metrics", "shutdown")

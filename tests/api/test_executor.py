@@ -1,9 +1,9 @@
-"""Tests for the sharded sweep executor and batched ``Session.run_many``."""
+"""Tests for sharded sweeps (``Session.run_sweep``) and batched ``Session.run_many``."""
 
 import pytest
 
-from repro.api import ExperimentSpec, ResultStore, Session, SweepExecutor, sweep
-from repro.api.executor import context_group_key
+from repro.api import ExperimentSpec, ResultStore, Session, sweep
+from repro.api.executor import context_group_key, group_by_context
 
 
 #: Reduced evaluation resolution keeps each scene context cheap.
@@ -36,9 +36,8 @@ class TestContextGrouping:
         )
 
     def test_shard_preserves_first_seen_order(self, specs):
-        executor = SweepExecutor()
         interleaved = [specs[0], specs[1], specs[0], specs[1]]
-        shards = executor.shard(interleaved)
+        shards = group_by_context(enumerate(interleaved))
         assert len(shards) == 2
         assert [[i for i, _ in members] for members in shards.values()] == [[0, 2], [1, 3]]
 
@@ -74,54 +73,54 @@ class TestRunMany:
 
 class TestModeSelection:
     """The mode is derived from the inputs: serial in the caller for one job
-    or one shard, whole shards on a process pool otherwise."""
+    or one shard, whole shards on the session's process pool otherwise."""
 
     def test_auto_serial_for_one_job_or_one_shard(self, specs):
-        session = Session()
-        one_job = SweepExecutor(jobs=1)
-        one_job.run(specs, session=session)
-        assert one_job.report.mode == "serial"
-        assert one_job.report.shards == 2
-        one_shard = SweepExecutor(jobs=2)
-        one_shard.run(
-            sweep(ExperimentSpec(scene="lego", resolution_scale=SCALE), num_hfu=(2, 4)),
-            session=session,
-        )
-        assert one_shard.report.mode == "serial"
-        assert one_shard.report.shards == 1
-        assert one_shard.report.pool == "none"
-        assert session.stats()["pool"] is None
+        one_job = Session(jobs=1)
+        one_job.run_sweep(specs)
+        assert one_job.last_execution.mode == "serial"
+        assert one_job.last_execution.shards == 2
+        with Session(jobs=2) as one_shard:
+            one_shard.run_sweep(
+                sweep(ExperimentSpec(scene="lego", resolution_scale=SCALE), num_hfu=(2, 4))
+            )
+            assert one_shard.last_execution.mode == "serial"
+            assert one_shard.last_execution.shards == 1
+            assert one_shard.stats()["pool"] is None
 
     def test_repeated_one_shard_sweep_rebuilds_nothing(self):
         # One scene context: the grid runs in the calling session, on the
         # context that session already holds.
         specs = sweep(ExperimentSpec(scene="lego", resolution_scale=SCALE), num_hfu=range(1, 9))
-        with Session() as session:
+        with Session(jobs=2) as session:
             serial = session.run_many(specs)
             for _ in range(2):
-                executor = SweepExecutor(jobs=2)
-                result = executor.run(specs, swept=["num_hfu"], session=session)
+                result = session.run_sweep(specs, swept=["num_hfu"])
                 assert [r.metrics for r in result.results] == [r.metrics for r in serial]
-                assert executor.report.mode == "serial"
-                assert executor.report.context_rebuilds == 0
+                assert session.last_execution.mode == "serial"
+                assert session.last_execution.context_rebuilds == 0
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SweepExecutor(jobs=0)
-        with pytest.raises(TypeError, match="mode"):
-            SweepExecutor(mode="process")
+    def test_sweeps_take_no_per_call_settings(self, specs):
+        session = Session()
+        with pytest.raises(TypeError, match="jobs"):
+            session.run_sweep(specs, jobs=2)
+        with pytest.raises(TypeError, match="cache"):
+            session.run_sweep(specs, cache=False)
+        with pytest.raises(ValueError, match="unknown sweep axis 'jobs'"):
+            session.sweep(specs[0], jobs=2)
 
 
 class TestParallelEquality:
     def test_process_pool_matches_serial(self, specs, serial):
         # Two one-spec shards and two jobs: the shards run on a process pool.
-        executor = SweepExecutor(jobs=2)
-        result = executor.run(specs, swept=["voxel_size"])
+        with Session(jobs=2) as session:
+            result = session.run_sweep(specs, swept=["voxel_size"])
+            report = session.last_execution
         assert result.table_dict() == serial.table_dict()
-        assert executor.report.mode == "process"
-        assert executor.report.shards == 2
-        assert executor.report.workers == 2
-        assert executor.report.degraded_reason == ""
+        assert report.mode == "process"
+        assert report.shards == 2
+        assert report.workers == 2
+        assert report.degraded_reason == ""
 
     def test_broken_process_pool_degrades_to_serial(self, specs, serial, monkeypatch):
         import concurrent.futures
@@ -131,26 +130,23 @@ class TestParallelEquality:
             def __init__(self, max_workers=None):
                 pass
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def submit(self, *args, **kwargs):
                 raise BrokenProcessPool("workers cannot be spawned")
 
+            def shutdown(self, wait=True, **kwargs):
+                pass
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
-        executor = SweepExecutor(jobs=2)
-        result = executor.run(specs, swept=["voxel_size"])
+        with Session(jobs=2) as session:
+            result = session.run_sweep(specs, swept=["voxel_size"])
+            report = session.last_execution
         assert result.table_dict() == serial.table_dict()
-        assert executor.report.mode == "serial"
-        assert "cannot be spawned" in executor.report.degraded_reason
+        assert report.mode == "serial"
+        assert "cannot be spawned" in report.degraded_reason
 
     def test_merge_order_is_input_order(self, specs, serial):
-        reversed_result = SweepExecutor(jobs=2).run(
-            list(reversed(specs)), swept=["voxel_size"]
-        )
+        with Session(jobs=2) as session:
+            reversed_result = session.run_sweep(list(reversed(specs)), swept=["voxel_size"])
         assert [r.meta["tag"] for r in reversed_result] == [
             r.meta["tag"] for r in reversed(serial.results)
         ]
@@ -159,62 +155,50 @@ class TestParallelEquality:
 class TestStoreIntegration:
     def test_cold_then_warm(self, tmp_path, specs, serial):
         store = ResultStore(tmp_path / "cache")
-        cold_executor = SweepExecutor(jobs=2, store=store)
-        cold = cold_executor.run(specs, swept=["voxel_size"])
+        with Session(jobs=2, store=store) as cold_session:
+            cold = cold_session.run_sweep(specs, swept=["voxel_size"])
+            report = cold_session.last_execution
         assert cold.table_dict() == serial.table_dict()
-        assert cold_executor.report.cache_misses == len(specs)
-        assert cold_executor.report.cache_hits == 0
+        assert report.cache_misses == len(specs)
+        assert report.cache_hits == 0
         assert len(store) == len(specs)
 
-        warm_session = Session(store=store)
-        warm = warm_session.run_sweep(specs, swept=["voxel_size"], jobs=2)
-        assert warm.table_dict() == serial.table_dict()
-        # Every point came from disk: no renders, no contexts built.
-        assert warm_session.service.requests_served == 0
-        assert warm_session.context_misses == 0
-        assert warm_session.stats()["points_run"] == 0
+        with Session(jobs=2, store=store) as warm_session:
+            warm = warm_session.run_sweep(specs, swept=["voxel_size"])
+            assert warm.table_dict() == serial.table_dict()
+            # Every point came from disk: no renders, no contexts built.
+            assert warm_session.service.requests_served == 0
+            assert warm_session.context_misses == 0
+            assert warm_session.stats()["points_run"] == 0
 
     def test_partial_warm_store(self, tmp_path, specs, serial):
         store = ResultStore(tmp_path / "cache")
         store.put(specs[0], serial.results[0])
-        executor = SweepExecutor(store=store)
-        result = executor.run(specs, swept=["voxel_size"])
+        session = Session(store=store)
+        result = session.run_sweep(specs, swept=["voxel_size"])
         assert result.table_dict() == serial.table_dict()
-        assert executor.report.cache_hits == 1
-        assert executor.report.cache_misses == len(specs) - 1
+        assert session.last_execution.cache_hits == 1
+        assert session.last_execution.cache_misses == len(specs) - 1
         assert len(store) == len(specs)
 
     def test_store_from_path(self, tmp_path):
-        executor = SweepExecutor(store=tmp_path / "cache")
-        assert isinstance(executor.store, ResultStore)
+        assert isinstance(Session(store=tmp_path / "cache").store, ResultStore)
 
-    def test_store_false_disables(self):
-        assert SweepExecutor(store=False).store is None
-
-    def test_store_true_is_rejected(self):
-        with pytest.raises(ValueError, match="ambiguous"):
-            SweepExecutor(store=True)
+    @pytest.mark.parametrize("store", [True, False])
+    def test_store_booleans_are_rejected(self, store):
+        with pytest.raises(TypeError, match="result store"):
+            Session(store=store)
 
 
 class TestSessionSweepParams:
-    def test_sweep_with_jobs_and_cache(self, tmp_path, specs, serial):
-        session = Session()
-        result = session.sweep(
-            ExperimentSpec(scene="lego", resolution_scale=SCALE),
-            jobs=2,
-            cache=tmp_path / "cache",
-            voxel_size=(0.4, 0.8),
-        )
+    def test_sweep_with_session_jobs_and_store(self, tmp_path, specs, serial):
+        with Session(jobs=2, store=tmp_path / "cache") as session:
+            result = session.sweep(
+                ExperimentSpec(scene="lego", resolution_scale=SCALE),
+                voxel_size=(0.4, 0.8),
+            )
+            assert len(session.store) == len(specs)
         assert result.table_dict() == serial.table_dict()
-
-    def test_cache_false_disables_session_store(self, tmp_path, specs):
-        session = Session(store=tmp_path / "cache")
-        session.run_sweep(specs[:1], cache=False)
-        assert len(session.store) == 0
-
-    def test_cache_true_is_rejected(self, specs):
-        with pytest.raises(ValueError, match="ambiguous"):
-            Session().run_sweep(specs[:1], cache=True)
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -225,18 +209,13 @@ class TestPersistentPool:
     def test_second_sweep_reuses_the_pool(self, specs, serial):
         with Session(jobs=2) as session:
             first = session.run_sweep(specs, swept=["voxel_size"])
-            assert first.meta["execution"]["pool"] == "persistent"
+            assert first.meta["execution"]["mode"] == "process"
             assert first.meta["execution"]["worker_reuse"] == 0
             second = session.run_sweep(specs, swept=["voxel_size"])
             assert second.meta["execution"]["worker_reuse"] >= 1
             assert first.table_dict() == serial.table_dict()
             assert second.table_dict() == serial.table_dict()
             assert session.worker_pool().created == 1
-
-    def test_executor_without_session_uses_ephemeral_pool(self, specs):
-        executor = SweepExecutor(jobs=2)
-        result = executor.run(specs, swept=["voxel_size"])
-        assert result.meta["execution"]["pool"] == "ephemeral"
 
     def test_serial_sweep_never_creates_a_pool(self, specs):
         session = Session()
@@ -260,7 +239,7 @@ class TestExecutionReport:
         session = Session()
         session.run_sweep(specs, swept=["voxel_size"])
         summary = session.last_execution.summary()
-        for token in ("mode=", "shards=", "pool=", "reuse=", "wall="):
+        for token in ("mode=", "shards=", "workers_used=", "reuse=", "wall="):
             assert token in summary
 
     def test_store_counters_in_report(self, tmp_path, specs):

@@ -1,4 +1,4 @@
-"""Fault injection for the sweep executor.
+"""Fault injection for sharded sweeps and scheduled experiments.
 
 Every failure mode the scheduling layer promises to survive is simulated
 here: a worker raising mid-shard (the offending spec must be named), pool
@@ -20,12 +20,14 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.api import (
+    ExecutionReport,
     ExperimentResult,
     ExperimentSpec,
     ResultStore,
     Session,
     SpecEvaluationError,
-    SweepExecutor,
+    get_default_session,
+    reset_default_session,
     schedule_experiments,
     sweep,
 )
@@ -134,23 +136,33 @@ class TestWorkerRaisesMidShard:
         grid = list(specs) + [
             ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
         ]
-        executor = SweepExecutor(jobs=2)
-        with pytest.raises(SpecEvaluationError, match="boom"):
-            executor.run(grid)
+        with Session(jobs=2) as session:
+            with pytest.raises(SpecEvaluationError, match="boom"):
+                session.run_sweep(grid)
 
     def test_spec_errors_are_not_mistaken_for_pool_failures(
-        self, poisoned_run_point, specs
+        self, poisoned_run_point, specs, monkeypatch
     ):
         """A ValueError from user code must not trigger serial degradation
         (which would re-run the failing grid and raise late)."""
         grid = list(specs) + [
             ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
         ]
-        executor = SweepExecutor(jobs=2)
-        with pytest.raises(SpecEvaluationError):
-            executor.run(grid)
-        assert executor.report.mode == "process"  # never degraded
-        assert executor.report.degraded_reason == ""
+        # A failed sweep returns no report: record the one it made.
+        reports = []
+        original = ExecutionReport.__init__
+
+        def recorded(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            reports.append(self)
+
+        monkeypatch.setattr(ExecutionReport, "__init__", recorded)
+        with Session(jobs=2) as session:
+            with pytest.raises(SpecEvaluationError):
+                session.run_sweep(grid)
+        (report,) = reports
+        assert report.mode == "process"  # never degraded
+        assert report.degraded_reason == ""
 
     def test_spec_error_keeps_the_persistent_pool(self, poisoned_run_point, specs):
         grid = list(specs) + [
@@ -170,9 +182,9 @@ class TestWorkerRaisesMidShard:
         grid = list(specs) + [
             ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
         ]
-        executor = SweepExecutor(jobs=2, store=store)
-        with pytest.raises(SpecEvaluationError):
-            executor.run(grid)
+        with Session(jobs=2, store=store) as session:
+            with pytest.raises(SpecEvaluationError):
+                session.run_sweep(grid)
         # Atomic writes either landed or vanished; nothing half-written.
         assert list((tmp_path / "cache").rglob("*.tmp*")) == []
         # Store writes are all-or-nothing per sweep: the failing sweep
@@ -182,20 +194,6 @@ class TestWorkerRaisesMidShard:
 
 class TestPoolCreationFailure:
     def test_total_pool_failure_degrades_to_serial(self, specs, serial, monkeypatch):
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _UnbuildablePool
-        )
-        executor = SweepExecutor(jobs=2)
-        result = executor.run(specs, swept=["voxel_size"])
-        assert result.table_dict() == serial.table_dict()
-        assert executor.report.mode == "serial"
-        assert executor.report.pool == "none"
-        assert "no more processes" in executor.report.degraded_reason
-
-    def test_session_pool_failure_also_reaches_serial(
-        self, specs, serial, monkeypatch
-    ):
-        """The persistent-pool path degrades exactly like the ephemeral one."""
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", _UnbuildablePool
         )
@@ -212,11 +210,12 @@ class TestWorkerDeath:
         self, specs, serial, monkeypatch
     ):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _DyingPool)
-        executor = SweepExecutor(jobs=2)
-        result = executor.run(specs, swept=["voxel_size"])
+        with Session(jobs=2) as session:
+            result = session.run_sweep(specs, swept=["voxel_size"])
+            report = session.last_execution
         assert result.table_dict() == serial.table_dict()
-        assert executor.report.mode == "serial"
-        assert "worker died" in executor.report.degraded_reason
+        assert report.mode == "serial"
+        assert "worker died" in report.degraded_reason
 
     def test_only_unfinished_shards_are_recomputed(self, specs, serial, monkeypatch):
         monkeypatch.setattr(
@@ -315,6 +314,25 @@ class TestScheduledExperiments:
         assert report.degraded_reason == ""
         assert runs == [("heavy", False), ("light", False)]
 
+    def test_schedule_without_a_session_uses_the_default_sessions_pool(
+        self, cheap_experiments, monkeypatch
+    ):
+        pool = _RecordingPool()
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda max_workers=None: pool
+        )
+        reset_default_session()
+        try:
+            results, report = schedule_experiments(["light", "heavy"], jobs=2)
+            assert [result.name for result in results] == ["light", "heavy"]
+            assert report.mode == "process"
+            assert [args[0] for args in pool.submitted] == ["heavy", "light"]
+            assert get_default_session().stats()["pool"] == {
+                "created": 1, "reuse_count": 0, "alive": 1
+            }
+        finally:
+            reset_default_session()
+
     def test_unbuildable_pool_runs_every_experiment_in_the_caller(
         self, cheap_experiments, monkeypatch
     ):
@@ -325,7 +343,6 @@ class TestScheduledExperiments:
         )
         assert [result.text for result in results] == ["light {'k': 1}", "heavy {}"]
         assert report.mode == "serial"
-        assert report.pool == "none"
         assert "no more processes" in report.degraded_reason
         assert sorted(runs) == [("heavy", True), ("light", True)]
         assert caller.worker_pool().size == 0

@@ -57,6 +57,26 @@ class TestContexts:
         with pytest.raises(KeyError, match="unknown scene"):
             session.context("not-a-scene")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"voxel_size": -1.0},
+            {"voxel_size": 0.0},
+            {"voxel_size": float("nan")},
+            {"voxel_size": float("inf")},
+            {"resolution_scale": 0.0},
+            {"resolution_scale": -0.5},
+            {"resolution_scale": float("nan")},
+        ],
+        ids=lambda kwargs: "=".join(map(str, next(iter(kwargs.items())))),
+    )
+    def test_bad_voxel_size_or_scale_is_refused(self, kwargs):
+        field = next(iter(kwargs))
+        with Session() as fresh:
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                fresh.context("lego", **{"resolution_scale": SCALE, **kwargs})
+            assert fresh.context_misses == 0
+
     def test_sessions_are_isolated(self, session):
         other = Session()
         assert other.context("lego", resolution_scale=SCALE) is not session.context(

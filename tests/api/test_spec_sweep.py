@@ -41,6 +41,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="compression"):
             ExperimentSpec(config={"use_vq": False})
 
+    @pytest.mark.parametrize("scale", [0.0, -0.5, float("nan"), float("inf")])
+    def test_resolution_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="resolution_scale must be"):
+            ExperimentSpec(resolution_scale=scale)
+
     def test_arch_options_require_accelerator_arch(self):
         with pytest.raises(ValueError, match="arch_options"):
             ExperimentSpec(arch="gpu", arch_options={"cfus_per_hfu": 2})

@@ -17,7 +17,8 @@ def test_run_trajectory_reports_its_own_frames_on_a_shared_service(monkeypatch, 
     # session renders between this run's frames and its summary must not
     # leak into this run's result (or into the store under this spec's key).
     service = RenderService()
-    first, second = Session(service=service), Session(service=service)
+    first = Session(service=service, store=tmp_path)
+    second = Session(service=service)
     mine = TrajectorySpec(scene="lego", path="dolly", frames=2, resolution_scale=0.25)
     other = TrajectorySpec(
         scene="lego",
@@ -35,7 +36,7 @@ def test_run_trajectory_reports_its_own_frames_on_a_shared_service(monkeypatch, 
         return responses
 
     monkeypatch.setattr(Session, "render_trajectory", interleaved)
-    result = first.run_trajectory(mine, cache=tmp_path)
+    result = first.run_trajectory(mine)
     monkeypatch.undo()
 
     assert result.metrics["frames"] == 2
@@ -107,3 +108,9 @@ def test_trajectory_spec_has_no_render_options():
     assert "options" not in spec.canonical_dict()
     with pytest.raises(ValueError, match="unknown trajectory field"):
         TrajectorySpec.from_dict({"scene": "lego", "options": {"tile_workers": 2}})
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, float("nan"), float("inf")])
+def test_resolution_scale_must_be_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="resolution_scale must be"):
+        TrajectorySpec(scene="lego", resolution_scale=scale)

@@ -12,6 +12,9 @@ from repro.gaussians.rasterizer import TileRasterizer
     [
         ({"voxel_size": 0.0}, "voxel_size must be positive, got 0.0"),
         ({"voxel_size": -2.0}, "voxel_size must be positive, got -2.0"),
+        ({"voxel_size": float("nan")}, "voxel_size must be finite, got nan"),
+        ({"voxel_size": float("inf")}, "voxel_size must be finite, got inf"),
+        ({"voxel_size": -float("inf")}, "voxel_size must be finite, got -inf"),
         ({"tile_size": 0}, "tile_size must be positive, got 0"),
         ({"tile_size": -16}, "tile_size must be positive, got -16"),
         ({"ray_stride": 0}, "ray_stride must be positive, got 0"),

@@ -1,6 +1,6 @@
-"""Smoke test: the quickstart example runs end to end on a small scene.
+"""Smoke tests: the quickstart, service-client and design-space examples.
 
-Mirrors the CI examples job; the other three examples share the same API
+Mirrors the CI examples job; the other examples share the same API
 surface and are exercised (more cheaply) through the ``tests/api`` suite.
 """
 
@@ -57,3 +57,28 @@ def test_service_client_example_runs_embedded_daemon():
     assert "render (warm): lego" in completed.stdout
     assert "rejected=0" in completed.stdout
     assert "daemon drained and stopped" in completed.stdout
+
+
+def test_design_space_example_rerun_is_served_by_its_store(tmp_path):
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    command = [
+        sys.executable,
+        str(REPO_ROOT / "examples" / "design_space_exploration.py"),
+        "--jobs",
+        "2",
+        "--cache-dir",
+        str(tmp_path / "cache"),
+    ]
+    runs = [
+        subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        for _ in range(2)
+    ]
+    for completed in runs:
+        assert completed.returncode == 0, completed.stderr
+    cold, warm = (completed.stdout.splitlines() for completed in runs)
+    assert cold[-1].startswith("result store: 0 hits, ")
+    assert warm[-1].startswith("result store: ") and " 0 misses," in warm[-1]
+    # The store reproduces every table the first run computed.
+    assert warm[:-1] == cold[:-1]

@@ -327,6 +327,32 @@ class TestBalance:
             handle.stop()
             handle.join()
 
+    def test_render_with_a_bad_voxel_size_or_scale_fails(self):
+        handle = start_daemon(workers=1)
+        bad = [
+            {"voxel_size": -1.0},
+            {"voxel_size": 0.0},
+            {"voxel_size": float("nan")},
+            {"voxel_size": float("inf")},
+            {"resolution_scale": 0.0},
+            {"resolution_scale": -0.5},
+            {"resolution_scale": float("nan")},
+        ]
+        try:
+            for fields in bad:
+                response = submit_async(
+                    handle, "render", {"scene": "lego", "resolution_scale": 0.25, **fields}
+                ).result(30)
+                assert response.code == "evaluation_failed", fields
+                assert response.result is None, fields
+                field = next(iter(fields))
+                assert f"{field} must be" in response.error, fields
+            assert on_loop(handle, lambda: unbalanced(handle.daemon)) == []
+            assert handle.daemon.per_kind["render"]["failed"] == len(bad)
+        finally:
+            handle.stop()
+            handle.join()
+
     def test_journal_resume(self, tmp_path):
         from repro.service.supervisor import Journal
 

@@ -56,6 +56,9 @@ class TestRequest:
     def test_kind_validated(self):
         with pytest.raises(ProtocolError):
             ServiceRequest(kind="explode")
+        for deleted in ("point", "experiment"):
+            with pytest.raises(ProtocolError, match="unknown request kind"):
+                ServiceRequest.from_wire({"kind": deleted, "payload": {}})
         with pytest.raises(ProtocolError):
             ServiceRequest.from_wire({"payload": {}})
 

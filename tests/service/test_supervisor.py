@@ -52,6 +52,15 @@ class TestJournal:
         assert journal.pending() == []
         assert (root / "req-bad.json.corrupt").exists()
 
+    @pytest.mark.parametrize("kind", ["point", "experiment"])
+    def test_entry_of_a_deleted_kind_is_moved_aside(self, tmp_path, kind):
+        root = tmp_path / "journal"
+        journal = Journal(root)
+        entry = {"kind": kind, "id": "old", "accepted_at": 1.0, "payload": {}}
+        (root / "req-old.json").write_text(json.dumps(entry))
+        assert journal.pending() == []
+        assert (root / "req-old.json.corrupt").exists()
+
     def test_corrupt_entry_moved_aside(self, tmp_path):
         root = tmp_path / "journal"
         journal = Journal(root)
