@@ -19,7 +19,7 @@ one terminal outcome.  ``--check`` gates on:
   failed`` daemon-wide and for each client and kind, with nothing left
   queued or in flight;
 * the daemon's ``healthz`` returns to ``healthy`` within a bounded
-  recovery window (quarantined actors retired, breakers closed);
+  recovery window (quarantined actors retired);
 * no orphaned store temp files;
 * every fault point the plan targets was reached (called) at least once,
   so no layer of the plan goes untested;
@@ -59,7 +59,7 @@ TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 DISABLED_OVERHEAD_BUDGET_S = 2e-6
 
 #: How long the daemon may take to report ``healthy`` again after the
-#: replay (hung actors retired, breakers closed via probe traffic).
+#: replay (hung actors retired).
 RECOVERY_BOUND_S = 20.0
 
 
@@ -111,7 +111,7 @@ def build_plan(seed: int) -> FaultPlan:
     """A seeded plan touching every layer of the service stack.
 
     The hang delay must exceed the daemon's quarantine window (so the
-    wedged actor really is quarantined) and the stall/breaker windows.
+    wedged actor really is quarantined) and its stall window.
     """
     return FaultPlan(
         seed=seed,
@@ -160,11 +160,7 @@ def unbalanced(metrics) -> list:
 
 
 def await_recovery(address, bound_s: float) -> float:
-    """Poll (and probe) until the daemon reports healthy; return seconds.
-
-    An open circuit breaker only closes through traffic — its half-open
-    probe needs a request to succeed — so each poll also submits a tiny
-    no-op, mirroring what live clients would do after an outage.
+    """Poll until the daemon reports healthy; return seconds.
 
     Returns ``-1.0`` when the daemon never recovered within ``bound_s``.
     """
@@ -177,7 +173,6 @@ def await_recovery(address, bound_s: float) -> float:
             health = probe.health()
             if health.get("status") == "healthy":
                 return time.perf_counter() - started
-            probe.submit("sleep", {"seconds": 0.001}, retries=2, max_backoff_s=0.5)
             time.sleep(0.2)
     return -1.0
 
@@ -225,7 +220,6 @@ def main(argv=None) -> int:
                 journal_dir=journal_dir,
                 heartbeat_timeout_s=0.5,
                 quarantine_after_s=4.5,
-                breaker_cooldown_s=1.0,
                 chaos=plan,
             )
         )
@@ -281,7 +275,6 @@ def main(argv=None) -> int:
     print(
         f"supervision: {metrics['supervision']}  "
         f"deadline_exceeded={metrics['requests'].get('deadline_exceeded', 0)} "
-        f"breaker_rejected={metrics['requests'].get('breaker_rejected', 0)} "
         f"resends_served={metrics['requests'].get('resends_served', 0)}"
     )
     books = unbalanced(drained)
@@ -345,7 +338,6 @@ def main(argv=None) -> int:
         "uncalled_points": uncalled,
         "chaos_fires": {p: s["fires"] for p, s in sorted(chaos_stats.items())},
         "deadline_exceeded": metrics["requests"].get("deadline_exceeded", 0),
-        "breaker_rejected": metrics["requests"].get("breaker_rejected", 0),
         "resends_served": metrics["requests"].get("resends_served", 0),
         "supervision": metrics["supervision"],
         "journal_left": journal_left,

@@ -109,8 +109,6 @@ class Session:
         Render service to use; a private one is created when omitted.
     max_renderers:
         Renderer-cache size of a privately created service.
-    max_contexts:
-        Scene contexts kept alive (LRU).
     jobs:
         Worker count of :meth:`run_sweep` / :meth:`sweep` (``1`` = serial
         in-process).
@@ -124,12 +122,9 @@ class Session:
         self,
         service: Optional[RenderService] = None,
         max_renderers: int = DEFAULT_RENDERER_CACHE_SIZE,
-        max_contexts: int = DEFAULT_CONTEXT_CACHE_SIZE,
         jobs: int = 1,
         store: Optional[Union["ResultStore", str, Path]] = None,
     ) -> None:
-        if max_contexts <= 0:
-            raise ValueError("max_contexts must be positive")
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         #: Whether the session built its service (and may close it); a
@@ -137,7 +132,6 @@ class Session:
         #: state the session must not tear down.
         self._owns_service = service is None
         self.service = service if service is not None else RenderService(max_renderers=max_renderers)
-        self.max_contexts = max_contexts
         self.jobs = jobs
         self.store = resolve_store(store)
         self._contexts: "OrderedDict[Tuple, SceneContext]" = OrderedDict()
@@ -146,7 +140,8 @@ class Session:
         self._scene_models: Dict[str, GaussianModel] = {}
         self._pool: Optional[WorkerPool] = None
         #: :class:`~repro.api.executor.ExecutionReport` of the most recent
-        #: :meth:`run_sweep` (telemetry; also in ``SweepResult.meta``).
+        #: :meth:`run_sweep`, one that raised included (telemetry; also in
+        #: ``SweepResult.meta``).
         self.last_execution = None
         self.points_run = 0
         self.context_hits = 0
@@ -324,7 +319,7 @@ class Session:
             service=self.service,
         )
         self._contexts[key] = context
-        while len(self._contexts) > self.max_contexts:
+        while len(self._contexts) > DEFAULT_CONTEXT_CACHE_SIZE:
             self._contexts.popitem(last=False)
         return context
 
@@ -466,41 +461,43 @@ class Session:
         specs = list(specs)
         results: List[Optional[ExperimentResult]] = [None] * len(specs)
         report = ExecutionReport(jobs=self.jobs, specs=len(specs))
-        pending: List[Tuple[int, ExperimentSpec]] = []
-        for index, spec in enumerate(specs):
-            cached = self.store.get(spec) if self.store is not None else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append((index, spec))
-        report.cache_hits = len(specs) - len(pending)
-        report.cache_misses = len(pending)
+        try:
+            pending: List[Tuple[int, ExperimentSpec]] = []
+            for index, spec in enumerate(specs):
+                cached = self.store.get(spec) if self.store is not None else None
+                if cached is not None:
+                    results[index] = cached
+                else:
+                    pending.append((index, spec))
+            report.cache_hits = len(specs) - len(pending)
+            report.cache_misses = len(pending)
 
-        if pending:
-            shards = list(group_by_context(pending).values())
-            report.shards = len(shards)
-            report.shard_sizes = [len(members) for members in shards]
-            payloads = fan_out(
-                report,
-                self,
-                evaluate_shard,
-                [([spec for _, spec in members],) for members in shards],
-                functools.partial(evaluate_shard, session=self),
-            )
-            for members, payload in zip(shards, payloads):
-                for (index, _), result in zip(members, payload["results"]):
-                    results[index] = ExperimentResult.from_dict(result)
-            if self.store is not None:
-                for index, spec in pending:
-                    try:
-                        self.store.put(spec, results[index])
-                    except OSError:
-                        # Best-effort cache: losing the entry only costs a
-                        # future hit, never the sweep that computed it.
-                        continue
-
-        report.wall_time_s = time.perf_counter() - started
-        self.last_execution = report
+            if pending:
+                shards = list(group_by_context(pending).values())
+                report.shards = len(shards)
+                report.shard_sizes = [len(members) for members in shards]
+                payloads = fan_out(
+                    report,
+                    self,
+                    evaluate_shard,
+                    [([spec for _, spec in members],) for members in shards],
+                    functools.partial(evaluate_shard, session=self),
+                )
+                for members, payload in zip(shards, payloads):
+                    for (index, _), result in zip(members, payload["results"]):
+                        results[index] = ExperimentResult.from_dict(result)
+                if self.store is not None:
+                    for index, spec in pending:
+                        try:
+                            self.store.put(spec, results[index])
+                        except OSError:
+                            # Best-effort cache: losing the entry only costs a
+                            # future hit, never the sweep that computed it.
+                            continue
+        finally:
+            # A sweep that raises publishes its report too.
+            report.wall_time_s = time.perf_counter() - started
+            self.last_execution = report
         return SweepResult(
             results=results,
             swept=list(swept or []),
@@ -510,27 +507,6 @@ class Session:
     def sweep(self, base: Optional[ExperimentSpec] = None, **grid: Any) -> SweepResult:
         """Expand a parameter grid (:func:`repro.api.spec.sweep`) and run it."""
         return self.run_sweep(sweep(base, **grid), swept=list(grid))
-
-    def pareto_search(
-        self,
-        base: Optional[ExperimentSpec] = None,
-        *,
-        max_evals: Optional[int] = None,
-        **axes: Any,
-    ):
-        """Pareto frontier search over accelerator design axes.
-
-        Unlike :meth:`sweep`, the design space is *navigated* — lattice
-        corners and centre are evaluated first and the frontier's
-        neighbours are refined until closure — instead of enumerated, so
-        large spaces cost a fraction of the grid.  Point evaluations go
-        through :meth:`run_sweep` and are therefore cached in (and
-        resumed from) the session's :class:`ResultStore`.  See
-        :func:`repro.fleet.search.pareto_search`.
-        """
-        from repro.fleet.search import pareto_search
-
-        return pareto_search(self, base, axes=axes, max_evals=max_evals)
 
     # ------------------------------------------------------------------
     # Worker-pool lifecycle.

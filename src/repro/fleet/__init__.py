@@ -11,9 +11,9 @@ The modules compose left to right:
   statistics plus the architecture-model cost rollup
   (:mod:`repro.arch.rollup`) scaling the paper's per-device figures to
   the served load;
-* :mod:`repro.fleet.search` — Pareto frontier refinement over
-  :class:`~repro.arch.accelerator.AcceleratorConfig` axes, cached in
-  (and resumable from) the session's ``ResultStore``.
+* :mod:`repro.fleet.search` — the Pareto frontier of a grid over
+  :class:`~repro.arch.accelerator.AcceleratorConfig` axes, evaluated as
+  one sweep cached in (and resumable from) the session's ``ResultStore``.
 """
 
 from repro.fleet.aggregate import fleet_costs, summarize_replay
@@ -23,7 +23,6 @@ from repro.fleet.search import (
     DesignSpace,
     SearchPoint,
     SearchResult,
-    exhaustive_frontier,
     pareto_frontier,
     pareto_search,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "default_classes",
-    "exhaustive_frontier",
     "fleet_costs",
     "generate_trace",
     "pareto_frontier",

@@ -9,9 +9,9 @@ Reached through the analysis runner::
 ``fleet replay`` drives a daemon over the real NDJSON wire protocol —
 either one you point it at (``--address tcp:HOST:PORT`` /
 ``--address unix:PATH``) or an embedded one it boots for the run
-(``--embedded``).  ``search`` runs the Pareto frontier refinement of
-:mod:`repro.fleet.search`; with ``--compare-grid`` it also enumerates
-the full grid and reports the evaluation savings.
+(``--embedded``).  ``search`` evaluates the grid of its axes and reports
+the Pareto frontier (:mod:`repro.fleet.search`); with ``--store`` a
+re-run is served from the result store.
 """
 
 from __future__ import annotations
@@ -141,12 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--scene", default="lego")
     search.add_argument("--resolution-scale", type=float, default=0.25)
     search.add_argument("--store", help="result-store directory (resumable cache)")
-    search.add_argument("--max-evals", type=int, default=None)
-    search.add_argument(
-        "--compare-grid",
-        action="store_true",
-        help="also enumerate the full grid and report the savings",
-    )
     search.add_argument("--json", dest="json_out", help="write the result JSON here")
     return parser
 
@@ -229,21 +223,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     from repro.api.session import Session
     from repro.api.spec import ExperimentSpec
-    from repro.fleet.search import exhaustive_frontier, pareto_search
+    from repro.fleet.search import pareto_search
 
-    axes = dict(args.axis)
     base = ExperimentSpec(scene=args.scene, resolution_scale=args.resolution_scale)
     with Session(store=args.store) as session:
-        result = pareto_search(session, base, axes=axes, max_evals=args.max_evals)
-        payload = result.to_dict()
-        if args.compare_grid:
-            grid = exhaustive_frontier(session, base, axes=axes)
-            payload["grid_evaluations"] = grid.evaluations
-            payload["grid_frontier"] = [point.to_dict() for point in grid.frontier]
-            payload["frontier_matches_grid"] = sorted(
-                point.label for point in result.frontier
-            ) == sorted(point.label for point in grid.frontier)
-    _emit(payload, args.json_out)
+        result = pareto_search(session, base, axes=dict(args.axis))
+    _emit(result.to_dict(), args.json_out)
     print(
         f"frontier: {len(result.frontier)} point(s) from {result.evaluations} "
         f"evaluation(s) of a {result.space.size}-point grid"

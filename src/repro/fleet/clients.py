@@ -4,9 +4,10 @@ The replayer spawns one thread per synthetic client identity in the
 trace.  Each thread opens its own NDJSON connection (so fair-queueing,
 admission control and backoff all see real per-client state), sleeps
 until each of its events is due, submits it with bounded-jitter retry
-backoff, and records an :class:`EventOutcome`.  Timing is open-loop: a
-slow response delays only that client's subsequent events, exactly like
-a real fleet of independent frontends.
+backoff, and records an :class:`EventOutcome`.  A client waits for each
+response before its next event, so it has at most one request in the
+daemon at a time, and a slow response delays only that client's later
+events.
 
 ``speed`` compresses the trace's schedule (``speed=10`` replays a
 10-second trace in about one second of wall clock), which keeps CI smoke

@@ -1,35 +1,21 @@
-"""Pareto auto-search over the accelerator design space.
+"""Pareto search over the accelerator design space.
 
-Grid sweeps (``session.sweep(num_hfu=[...], ...)``) enumerate every
-lattice point; for design-space exploration most of those evaluations
-are wasted on dominated configurations.  :func:`pareto_search` instead
-refines a frontier over the *index lattice* of the axes:
+:func:`pareto_search` evaluates every point of the axes' lattice in one
+:meth:`~repro.api.session.Session.run_sweep` — so a repeated search is
+served from the session's ``ResultStore`` — and keeps the points that no
+other point dominates under minimisation of (``frame_time_ms``,
+``energy_per_frame_mj``, ``area_mm2``).
 
-1. seed with the lattice corners plus the centre point;
-2. evaluate pending candidates (batched through the session's cached
-   sweep executor, so repeated searches resume from ``ResultStore``);
-3. compute the Pareto frontier under minimisation of
-   (``frame_time_ms``, ``energy_per_frame_mj``, ``area_mm2``);
-4. enqueue the ±1 lattice neighbours of every frontier point;
-5. repeat until no unseen neighbour remains (closure) or the
-   evaluation budget is spent.
-
-Because the hardware model's objectives are monotone-ish along each
-axis, the frontier is confined to a low-dimensional shell of the
-lattice and closure arrives well before full enumeration — the
-exhaustive grid is only used by :func:`exhaustive_frontier` as the
-ground-truth oracle in tests and benchmarks.
-
-Both paths build specs through :meth:`DesignSpace.spec`, so a search
-point and the corresponding grid point hash to the same
-``ResultStore`` key and share cache entries.
+Every lattice point differs from the base spec only in its arch options,
+so the whole lattice shares one scene context, and once that is built a
+point costs only its hardware-model evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 #: Objectives minimised by the search, in report order.
 OBJECTIVES = ("frame_time_ms", "energy_per_frame_mj", "area_mm2")
@@ -85,34 +71,15 @@ class DesignSpace:
         """The :class:`ExperimentSpec` of one lattice point.
 
         Merges the axis values into ``base``'s arch options and keeps
-        its tag, so search and exhaustive-grid evaluations of the same
-        point are one cacheable artifact.
+        its tag, so a point's store key depends only on ``base`` and its
+        axis values.
         """
         merged = dict(base.arch_overrides)
         merged.update(self.values(index))
         return base.with_options(arch_options=merged)
 
-    # ------------------------------------------------------------------
-    def corners(self) -> List[Tuple[int, ...]]:
-        extremes = [
-            sorted({0, extent - 1}) for extent in self.shape
-        ]
-        return [tuple(idx) for idx in itertools.product(*extremes)]
-
-    def center(self) -> Tuple[int, ...]:
-        return tuple(extent // 2 for extent in self.shape)
-
-    def neighbors(self, index: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-        """±1 lattice steps from ``index`` along each axis."""
-        found: List[Tuple[int, ...]] = []
-        for axis, extent in enumerate(self.shape):
-            for step in (-1, 1):
-                i = index[axis] + step
-                if 0 <= i < extent:
-                    found.append(index[:axis] + (i,) + index[axis + 1 :])
-        return found
-
     def all_indices(self) -> List[Tuple[int, ...]]:
+        """Every lattice index, the last axis varying fastest."""
         return [
             tuple(idx)
             for idx in itertools.product(*(range(extent) for extent in self.shape))
@@ -166,7 +133,6 @@ class SearchResult:
     space: DesignSpace
     points: List[SearchPoint] = field(default_factory=list)
     frontier: List[SearchPoint] = field(default_factory=list)
-    rounds: int = 0
 
     @property
     def evaluations(self) -> int:
@@ -177,20 +143,29 @@ class SearchResult:
             "axes": {name: list(values) for name, values in self.space.axes},
             "grid_size": self.space.size,
             "evaluations": self.evaluations,
-            "rounds": self.rounds,
             "frontier": [point.to_dict() for point in self.frontier],
             "points": [point.to_dict() for point in self.points],
         }
 
 
-def _evaluate(
-    session, base, space: DesignSpace, indices: Sequence[Tuple[int, ...]]
-) -> List[SearchPoint]:
-    """Evaluate lattice points through the cached sweep executor."""
+def pareto_search(
+    session, base, axes: Mapping[str, Sequence[Any]]
+) -> SearchResult:
+    """Evaluate the lattice of ``axes`` around ``base``; keep its frontier.
+
+    ``base`` is the :class:`~repro.api.spec.ExperimentSpec` whose arch
+    options the axes override; its arch must report every objective.
+    Points and frontier come back in lattice order
+    (:meth:`DesignSpace.all_indices`).
+    """
+    if not axes:
+        raise ValueError("pareto_search needs at least one axis")
+    space = DesignSpace(tuple(dict(axes).items()))
+    indices = space.all_indices()
     specs = [space.spec(base, index) for index in indices]
-    result = session.run_sweep(specs, swept=list(space.names))
-    points: List[SearchPoint] = []
-    for index, spec, point in zip(indices, specs, result.results):
+    sweep = session.run_sweep(specs, swept=list(space.names))
+    result = SearchResult(space=space)
+    for index, spec, point in zip(indices, specs, sweep.results):
         metrics = point.metrics
         missing = [name for name in OBJECTIVES if name not in metrics]
         if missing:
@@ -198,7 +173,7 @@ def _evaluate(
                 f"spec {spec.label!r} (arch={spec.arch!r}) has no "
                 f"{missing} metrics — the search needs an accelerator arch"
             )
-        points.append(
+        result.points.append(
             SearchPoint(
                 index=index,
                 values=space.values(index),
@@ -206,66 +181,5 @@ def _evaluate(
                 label=spec.label,
             )
         )
-    return points
-
-
-def _resolve_base(base):
-    from repro.api.spec import ExperimentSpec
-
-    if base is None:
-        return ExperimentSpec(scene="lego", resolution_scale=0.25)
-    return base
-
-
-def pareto_search(
-    session,
-    base=None,
-    axes: Optional[Mapping[str, Sequence[Any]]] = None,
-    max_evals: Optional[int] = None,
-) -> SearchResult:
-    """Frontier-refinement search over ``axes`` (see module docstring).
-
-    ``max_evals`` caps the number of lattice points evaluated; ``None``
-    runs to closure (never more than the full grid).
-    """
-    if not axes:
-        raise ValueError("pareto_search needs at least one axis")
-    space = DesignSpace(tuple(dict(axes).items()))
-    base = _resolve_base(base)
-    budget = space.size if max_evals is None else min(max_evals, space.size)
-
-    evaluated: Dict[Tuple[int, ...], SearchPoint] = {}
-    result = SearchResult(space=space)
-    pending = list(dict.fromkeys(space.corners() + [space.center()]))
-    while pending and len(evaluated) < budget:
-        batch = list(
-            dict.fromkeys(index for index in pending if index not in evaluated)
-        )
-        batch = batch[: budget - len(evaluated)]
-        if not batch:
-            break
-        for point in _evaluate(session, base, space, batch):
-            evaluated[point.index] = point
-        result.rounds += 1
-        frontier = pareto_frontier(list(evaluated.values()))
-        pending = [
-            neighbor
-            for point in frontier
-            for neighbor in space.neighbors(point.index)
-            if neighbor not in evaluated
-        ]
-    result.points = list(evaluated.values())
-    result.frontier = pareto_frontier(result.points)
-    return result
-
-
-def exhaustive_frontier(session, base=None, axes=None) -> SearchResult:
-    """Ground-truth frontier by full grid enumeration (test/bench oracle)."""
-    if not axes:
-        raise ValueError("exhaustive_frontier needs at least one axis")
-    space = DesignSpace(tuple(dict(axes).items()))
-    base = _resolve_base(base)
-    result = SearchResult(space=space, rounds=1)
-    result.points = _evaluate(session, base, space, space.all_indices())
     result.frontier = pareto_frontier(result.points)
     return result

@@ -23,14 +23,12 @@ daemon modeled on a proactor/actor runtime:
 * :mod:`repro.service.daemon` — :class:`ServiceDaemon` wires it together:
   asyncio server, dispatcher and the live telemetry snapshot behind
   ``/metrics``.  An admitted request runs exactly as sent, however deep
-  the queue; overload is bounded by admission, the breaker and deadline
-  shedding.  Every admitted request ends through one
-  :meth:`ServiceDaemon.settle`, so its counters balance: ``accepted +
-  resumed == completed + failed`` plus whatever is still queued or in
-  flight, daemon-wide and per client and kind.
-* :mod:`repro.service.breaker` — :class:`CircuitBreaker`: per-work-kind
-  closed/open/half-open circuit over repeated worker crashes, gating
-  admission so a poisoned request class cannot burn the fleet.
+  the queue; overload is bounded by admission and deadline shedding, and
+  a request that keeps crashing workers by the crash-retry budget.  Every
+  admitted request ends through one :meth:`ServiceDaemon.settle`, so its
+  counters balance: ``accepted + resumed == completed + failed`` plus
+  whatever is still queued or in flight, daemon-wide and per client and
+  kind.
 * :mod:`repro.service.client` — :class:`ServiceClient`, the blocking
   client used by the examples, benchmarks and CI smoke; mints stable
   idempotency keys and reconnects-and-resends on connection loss.
@@ -39,14 +37,13 @@ Failure is a first-class input: the daemon threads named
 :mod:`repro.chaos` fault points through transport, actors and
 persistence (``ServiceConfig.chaos`` / ``repro-serve --chaos-plan``), and
 the hardening they exercise — end-to-end deadlines, idempotent resends,
-wedged-actor quarantine, circuit breaking — surfaces through the
+crash retries, wedged-actor quarantine — surfaces through the
 ``/healthz`` state machine (``healthy`` / ``degraded`` / ``critical``).
 * :mod:`repro.service.cli` — the ``repro-serve`` console entry point
   (also reachable as ``python -m repro.service.cli`` and
   ``python -m repro.analysis.runner serve``).
 """
 
-from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceClient, ServiceConnectionError, ServiceError
 from repro.service.daemon import DaemonHandle, ServiceConfig, ServiceDaemon
 from repro.service.protocol import (
@@ -59,7 +56,6 @@ from repro.service.queueing import FairQueue, QueueFull
 from repro.service.supervisor import Journal, Supervisor
 
 __all__ = [
-    "CircuitBreaker",
     "DaemonHandle",
     "FairQueue",
     "Journal",

@@ -67,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wedged-actor quarantine threshold (default: 4x heartbeat timeout)",
     )
     parser.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="how long an open circuit rejects a kind before probing",
-    )
-    parser.add_argument(
         "--chaos-plan",
         default=None,
         metavar="JSON_OR_PATH",
@@ -102,7 +95,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         journal_dir=args.journal_dir,
         cache_dir=args.cache_dir,
         quarantine_after_s=args.quarantine_after,
-        breaker_cooldown_s=args.breaker_cooldown,
         chaos=chaos_plan,
     )
 

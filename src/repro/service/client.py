@@ -7,8 +7,8 @@ smoke drive the daemon from plain scripts and threads; concurrency comes
 from multiple clients, matching how the daemon schedules fairness.
 
 ``submit`` optionally retries admission rejects: a ``queue_full`` /
-``draining`` / ``circuit_open`` response carries ``retry_after_s``, and
-with ``retries > 0`` the client sleeps that hint (bounded) and resubmits
+``draining`` response carries ``retry_after_s``, and with
+``retries > 0`` the client sleeps that hint (bounded) and resubmits
 **under the same request id** — one logical request keeps one id across
 every admission retry, so the daemon's journal and metrics see a single
 request.
@@ -213,8 +213,8 @@ class ServiceClient:
         """Send one request and block for its response.
 
         With ``retries > 0``, admission rejects (``queue_full`` /
-        ``draining`` / ``circuit_open``) are retried after the daemon's
-        ``retry_after_s`` hint plus bounded jitter (see
+        ``draining``) are retried after the daemon's ``retry_after_s``
+        hint plus bounded jitter (see
         :func:`backoff_delay`; the sleep is capped at ``max_backoff_s``
         and a ``0.0`` hint is honored).  Every retry reuses the id minted
         for the logical request, so the daemon sees one request no matter
@@ -232,11 +232,7 @@ class ServiceClient:
         attempts_left = max(0, int(retries))
         while True:
             response = self._roundtrip(request)
-            if response.ok or response.code not in (
-                "queue_full",
-                "draining",
-                "circuit_open",
-            ):
+            if response.ok or response.code not in ("queue_full", "draining"):
                 if not response.ok and raise_on_error:
                     raise ServiceError(response)
                 return response

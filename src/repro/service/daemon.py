@@ -13,9 +13,9 @@
   dispatcher coroutine pairs fair-order records with idle actors;
   completions are trampolined back into the loop thread-safely;
 * overload is bounded at admission (``queue_full`` with a retry-after
-  hint, the per-kind circuit breaker) and by deadline shedding, never by
-  changing the work: an admitted payload runs exactly as sent, so one
-  request id always gets the answer it asked for;
+  hint) and by deadline shedding, never by changing the work: an
+  admitted payload runs exactly as sent, so one request id always gets
+  the answer it asked for;
 * the :class:`~repro.service.supervisor.Supervisor` task restarts crashed
   actors and re-enqueues their requests; the
   :class:`~repro.service.supervisor.Journal` resumes in-flight work after
@@ -48,7 +48,6 @@ from repro.api.session import Session
 from repro.api.store import ResultStore
 from repro.engine.service import RenderService
 from repro.service.actors import RequestRecord, WorkerActor
-from repro.service.breaker import CircuitBreaker
 from repro.service.protocol import (
     CONTROL_KINDS,
     MAX_MESSAGE_BYTES,
@@ -102,12 +101,6 @@ class ServiceConfig:
         A busy actor heartbeat-silent beyond this is quarantined (slot
         replaced, wedged thread excluded from dispatch); ``None``
         defaults to 4x ``heartbeat_timeout_s``.
-    breaker_cooldown_s:
-        Per-work-kind circuit breaker: after
-        :data:`~repro.service.breaker.BREAKER_THRESHOLD` consecutive
-        worker crashes executing one kind, that kind is rejected with
-        ``circuit_open`` for ``breaker_cooldown_s``, then probed
-        half-open.
     chaos:
         A :class:`~repro.chaos.plan.FaultPlan` (or its dict form)
         installed for the daemon's lifetime; ``None`` disables fault
@@ -124,7 +117,6 @@ class ServiceConfig:
     journal_dir: Optional[str] = None
     cache_dir: Optional[str] = None
     quarantine_after_s: Optional[float] = None
-    breaker_cooldown_s: float = 5.0
     chaos: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -139,10 +131,6 @@ class ServiceConfig:
         if self.quarantine_after_s <= 0:
             raise ValueError(
                 f"quarantine_after_s must be > 0, got {self.quarantine_after_s}"
-            )
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError(
-                f"breaker_cooldown_s must be > 0, got {self.breaker_cooldown_s}"
             )
 
 
@@ -196,7 +184,6 @@ class ServiceDaemon:
             heartbeat_timeout=self.config.heartbeat_timeout_s,
             quarantine_after=self.config.quarantine_after_s,
         )
-        self.breaker = CircuitBreaker(cooldown_s=self.config.breaker_cooldown_s)
         self.chaos_injector = chaos.build_injector(self.config.chaos)
         self.actors: List[WorkerActor] = []
         #: Wedged actors replaced in the fleet, still running outside
@@ -213,9 +200,10 @@ class ServiceDaemon:
             "failed": 0,
             "timeouts": 0,
             "deadline_exceeded": 0,
-            "breaker_rejected": 0,
             "resends_served": 0,
-            # Always 0: no request is degraded.  Kept for scrapers.
+            # Always 0: nothing degrades a request or trips a breaker.
+            # Kept for scrapers (perfbench's cold-start probe reads both).
+            "breaker_rejected": 0,
             "degraded": 0,
             "resumed": 0,
             "abandoned": 0,
@@ -288,9 +276,6 @@ class ServiceDaemon:
         self._in_flight -= 1
         if record.dispatched_at:
             self._note_service_time(time.monotonic() - record.dispatched_at)
-        # Any response from a live actor proves the kind executes without
-        # crashing the worker (an evaluation failure is not a crash).
-        self.breaker.record_success(record.request.kind)
         self.settle(record, response)
         if actor.quarantined:
             # The wedged thread finally completed; it is not in the fleet
@@ -334,9 +319,9 @@ class ServiceDaemon:
         while len(self._responses) > RESPONSE_CACHE_SIZE:
             self._responses.popitem(last=False)
 
-    def _tally(self, request: ServiceRequest, key: str, daemon_key: str = "") -> None:
+    def _tally(self, request: ServiceRequest, key: str) -> None:
         """Count one event daemon-wide and for the request's client and kind."""
-        self.metrics[daemon_key or key] += 1
+        self.metrics[key] += 1
         for table, name in (
             (self.per_client, request.client),
             (self.per_kind, request.kind),
@@ -592,16 +577,6 @@ class ServiceDaemon:
             if pending is not None:
                 self.metrics["resends_served"] += 1
                 return await self._await_record(pending)
-        allowed, retry_after = self.breaker.allow(request.kind)
-        if not allowed:
-            self._tally(request, "rejected", daemon_key="breaker_rejected")
-            return error_response(
-                "circuit_open",
-                f"circuit for kind {request.kind!r} is open after repeated "
-                "worker crashes; retry later",
-                request_id=request.id,
-                retry_after_s=retry_after,
-            )
         try:
             record = self.admit(request)
         except QueueFull as full:
@@ -719,19 +694,17 @@ class ServiceDaemon:
 
         * **critical** — no live actor at all: the daemon cannot serve
           work (HTTP shim answers 503).
-        * **degraded** — serving, but impaired: draining for shutdown, a
-          quarantined actor is still wedged, or a circuit breaker has a
-          work kind open.
-        * **healthy** — full capacity, all circuits closed.
+        * **degraded** — serving, but impaired: draining for shutdown or
+          a quarantined actor is still wedged.
+        * **healthy** — full capacity.
         """
         alive = sum(1 for actor in self.actors if actor.is_alive())
         quarantined = sum(
             1 for actor in self.quarantined_actors if actor.is_alive()
         )
-        open_kinds = self.breaker.open_kinds()
         if alive == 0 and self.actors:
             status = "critical"
-        elif self.draining or quarantined or open_kinds:
+        elif self.draining or quarantined:
             status = "degraded"
         else:
             status = "healthy"
@@ -744,7 +717,6 @@ class ServiceDaemon:
             "actors_alive": alive,
             "actors_total": len(self.actors),
             "quarantined": quarantined,
-            "breaker_open_kinds": open_kinds,
             "restarts": self.supervisor.restarts,
         }
 
@@ -765,7 +737,6 @@ class ServiceDaemon:
                 actor.snapshot() for actor in self.quarantined_actors
             ],
             "supervision": self.supervisor.stats(),
-            "breaker": self.breaker.stats(),
             "response_cache": {
                 "size": len(self._responses),
                 "capacity": RESPONSE_CACHE_SIZE,

@@ -45,7 +45,6 @@ ERROR_CODES = (
     "draining",
     "timeout",
     "deadline_exceeded",
-    "circuit_open",
     "worker_crashed",
     "evaluation_failed",
 )

@@ -226,7 +226,6 @@ class Supervisor:
         # accounting open, so close it here, then retry the record or
         # settle it as a terminal failure.
         self.daemon.settle_crashed(record)
-        self.daemon.breaker.record_failure(record.request.kind)
         if record.future.done():
             return  # its awaiter already gave up; nobody waits for a retry
         if record.attempts <= MAX_RETRIES:

@@ -20,7 +20,6 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.api import (
-    ExecutionReport,
     ExperimentResult,
     ExperimentSpec,
     ResultStore,
@@ -141,28 +140,23 @@ class TestWorkerRaisesMidShard:
                 session.run_sweep(grid)
 
     def test_spec_errors_are_not_mistaken_for_pool_failures(
-        self, poisoned_run_point, specs, monkeypatch
+        self, poisoned_run_point, specs
     ):
         """A ValueError from user code must not trigger serial degradation
         (which would re-run the failing grid and raise late)."""
         grid = list(specs) + [
             ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
         ]
-        # A failed sweep returns no report: record the one it made.
-        reports = []
-        original = ExecutionReport.__init__
-
-        def recorded(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            reports.append(self)
-
-        monkeypatch.setattr(ExecutionReport, "__init__", recorded)
         with Session(jobs=2) as session:
+            session.run_sweep([])
             with pytest.raises(SpecEvaluationError):
                 session.run_sweep(grid)
-        (report,) = reports
+            report = session.last_execution
+        # The failed sweep publishes its own report, not the previous one.
+        assert report.specs == len(grid)
         assert report.mode == "process"  # never degraded
         assert report.degraded_reason == ""
+        assert report.wall_time_s > 0
 
     def test_spec_error_keeps_the_persistent_pool(self, poisoned_run_point, specs):
         grid = list(specs) + [

@@ -3,8 +3,8 @@
 Unit coverage of the plan/injector machinery (determinism, cadence,
 caps, the install/uninstall identity guard) plus integration coverage of
 every hardening path the chaos layer exists to exercise: idempotent
-reconnect-and-resend, end-to-end deadlines, wedged-actor quarantine, the
-per-kind circuit breaker, torn journal writes and store faults.
+reconnect-and-resend, end-to-end deadlines, wedged-actor quarantine, torn
+journal writes and store faults.
 """
 
 import errno
@@ -21,17 +21,10 @@ from repro.chaos import (
     FaultRule,
     build_injector,
 )
-from repro.service.breaker import (
-    BREAKER_THRESHOLD,
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-)
 from repro.service.client import ServiceClient, ServiceConnectionError
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.protocol import ServiceRequest
-from repro.service.supervisor import MAX_RETRIES, Journal
+from repro.service.supervisor import Journal
 
 
 @pytest.fixture(autouse=True)
@@ -454,105 +447,6 @@ class TestStallAccounting:
                 assert "actor_recovered" in events
             finally:
                 slow_client.close()
-        finally:
-            handle.stop()
-            handle.join()
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_recovers_via_probe(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=0.1)
-        assert breaker.allow("render") == (True, None)
-        breaker.record_failure("render")
-        assert breaker.state("render") == CLOSED
-        breaker.record_failure("render")
-        assert breaker.state("render") == OPEN
-        allowed, retry_after = breaker.allow("render")
-        assert not allowed and retry_after is not None and retry_after > 0
-        assert breaker.open_kinds() == ["render"]
-        assert breaker.tripped == 1
-        time.sleep(0.12)
-        # Cooldown elapsed: exactly one probe is admitted.
-        assert breaker.allow("render") == (True, None)
-        assert breaker.state("render") == HALF_OPEN
-        assert breaker.allow("render")[0] is False  # concurrent arrival
-        breaker.record_success("render")
-        assert breaker.state("render") == CLOSED
-        assert breaker.allow("render") == (True, None)
-        assert breaker.open_kinds() == []
-
-    def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(threshold=1, cooldown_s=0.05)
-        breaker.record_failure("sweep")
-        assert breaker.state("sweep") == OPEN
-        time.sleep(0.06)
-        assert breaker.allow("sweep")[0] is True  # the probe
-        breaker.record_failure("sweep")  # probe crashed too
-        assert breaker.state("sweep") == OPEN
-        assert breaker.tripped == 2
-
-    def test_probe_that_never_reports_lapses_after_cooldown(self):
-        # A probe refused at admission, shed or abandoned while queued
-        # reports neither success nor failure.
-        breaker = CircuitBreaker(threshold=1, cooldown_s=0.05)
-        breaker.record_failure("sleep")
-        time.sleep(0.06)
-        assert breaker.allow("sleep") == (True, None)  # the probe
-        assert breaker.allow("sleep")[0] is False  # while it is out
-        time.sleep(0.06)
-        assert breaker.allow("sleep") == (True, None)  # lapsed: a new probe
-        assert breaker.state("sleep") == HALF_OPEN
-        assert breaker.allow("sleep")[0] is False
-        breaker.record_success("sleep")
-        assert breaker.state("sleep") == CLOSED
-
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=1.0)
-        breaker.record_failure("render")
-        breaker.record_success("render")
-        breaker.record_failure("render")
-        assert breaker.state("render") == CLOSED  # streak broken
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="threshold"):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError, match="cooldown"):
-            CircuitBreaker(cooldown_s=0.0)
-
-    def test_crashing_kind_trips_daemon_breaker(self):
-        # Every attempt crashes until the circuit is open: each request
-        # crashes MAX_RETRIES + 1 times before it fails, so the last of
-        # ``crashing`` requests reaches BREAKER_THRESHOLD.
-        attempts = MAX_RETRIES + 1
-        crashing = -(-BREAKER_THRESHOLD // attempts)
-        handle = start_daemon(
-            workers=1,
-            breaker_cooldown_s=30.0,
-            chaos=FaultPlan(
-                rules=[
-                    FaultRule(
-                        "actor.crash", every_nth=1, max_fires=crashing * attempts
-                    )
-                ]
-            ),
-        )
-        try:
-            with handle.client(client="crashy") as client:
-                for _ in range(crashing - 1):
-                    early = client.submit("sleep", {"seconds": 0.0})
-                    assert early.code == "worker_crashed"
-                crashed = client.submit("sleep", {"seconds": 0.0})
-                assert not crashed.ok and crashed.code == "worker_crashed"
-                rejected = client.submit("sleep", {"seconds": 0.0})
-                assert not rejected.ok
-                assert rejected.code == "circuit_open"
-                assert rejected.retry_after_s and rejected.retry_after_s > 0
-                # Only the crashing kind is tripped; others still flow.
-                assert client.ping()["pong"] is True
-            health = handle.daemon.healthz()
-            assert health["status"] == "degraded"
-            assert health["breaker_open_kinds"] == ["sleep"]
-            assert handle.daemon.metrics["breaker_rejected"] == 1
         finally:
             handle.stop()
             handle.join()
