@@ -158,6 +158,18 @@ class TestWorkerRaisesMidShard:
         assert report.degraded_reason == ""
         assert report.wall_time_s > 0
 
+    def test_failed_serial_sweep_publishes_its_report(self, poisoned_run_point, specs):
+        bad = ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")
+        grid = [bad] + list(specs)
+        with Session() as session:
+            session.run_sweep([])
+            with pytest.raises(SpecEvaluationError, match="boom"):
+                session.run_sweep(grid)
+            report = session.last_execution
+        assert report.specs == report.cache_misses == len(grid)
+        assert report.mode == "serial"
+        assert report.wall_time_s > 0
+
     def test_spec_error_keeps_the_persistent_pool(self, poisoned_run_point, specs):
         grid = list(specs) + [
             ExperimentSpec(scene="lego", resolution_scale=SCALE, tag="boom")

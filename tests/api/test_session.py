@@ -49,6 +49,26 @@ class TestContexts:
         # Equal configs share one cache entry, so identity is not guaranteed.
         assert context.streaming_config == config
 
+    def test_context_cache_is_bounded_and_least_recently_used(self, monkeypatch):
+        from repro.api import session as session_module
+
+        monkeypatch.setattr(session_module, "DEFAULT_CONTEXT_CACHE_SIZE", 2)
+        monkeypatch.setattr(
+            session_module, "build_scene_context", lambda scene, **kwargs: object()
+        )
+        # The bound is the module constant, not a Session setting.
+        with pytest.raises(TypeError):
+            Session(max_contexts=4)
+        fresh = Session()
+        first = fresh.context("lego", voxel_size=0.4)
+        fresh.context("lego", voxel_size=0.8)
+        assert fresh.context("lego", voxel_size=0.4) is first  # now most recent
+        fresh.context("lego", voxel_size=1.6)  # evicts 0.8, the least recent
+        assert fresh.context("lego", voxel_size=0.4) is first
+        misses = fresh.context_misses
+        fresh.context("lego", voxel_size=0.8)
+        assert fresh.context_misses == misses + 1
+
     def test_voxel_size_and_config_are_exclusive(self, session):
         with pytest.raises(ValueError, match="not both"):
             session.context("lego", voxel_size=1.0, config={"tile_size": 8})

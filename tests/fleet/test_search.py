@@ -43,6 +43,17 @@ class TestDominance:
         frontier = pareto_frontier(points)
         assert [point.index for point in frontier] == [(0,), (2,)]
 
+    def test_frontier_keeps_tied_points_in_input_order(self):
+        # Equal objectives dominate neither way: both stay, first first.
+        tie = (1.0, 2.0, 3.0)
+        points = [
+            SearchPoint((0,), {"a": 0}, dict(zip(OBJECTIVES, (3.0, 3.0, 3.0)))),
+            SearchPoint((1,), {"a": 1}, dict(zip(OBJECTIVES, tie))),
+            SearchPoint((2,), {"a": 2}, dict(zip(OBJECTIVES, tie))),
+        ]
+        frontier = pareto_frontier(points)
+        assert [point.index for point in frontier] == [(1,), (2,)]
+
 
 class TestDesignSpace:
     def test_lattice_geometry(self):
@@ -94,6 +105,34 @@ class TestSearch:
         assert [point.index for point in result.points] == space.all_indices()
         assert result.to_dict()["evaluations"] == result.to_dict()["grid_size"]
 
+    def test_frontier_is_exactly_the_undominated_points(self, searched):
+        # No frontier point is dominated by an evaluated point, and every
+        # other point is dominated by a frontier point.
+        result, _, _ = searched
+        frontier = {point.index for point in result.frontier}
+        for point in result.points:
+            if point.index in frontier:
+                assert not any(dominates(o.key, point.key) for o in result.points)
+            else:
+                assert any(dominates(f.key, point.key) for f in result.frontier)
+
+    def test_search_points_share_sweep_cache_keys(self, searched):
+        # A point's store key depends only on the base spec and its axis
+        # values: a plain sweep of hand-built specs is served from the store.
+        result, store, _ = searched
+        specs = [
+            base_spec().with_options(arch_options=dict(point.values))
+            for point in result.points
+        ]
+        with Session(store=store) as session:
+            sweep = session.run_sweep(specs)
+            assert session.points_run == 0
+            assert session.last_execution.cache_hits == len(specs)
+        assert [
+            {name: point.metrics[name] for name in OBJECTIVES}
+            for point in sweep.results
+        ] == [point.objectives for point in result.points]
+
     def test_warm_rerun_resumes_from_store_with_zero_renders(self, searched):
         result, store, _ = searched
         with Session(store=store) as session:
@@ -111,3 +150,10 @@ class TestSearch:
         with Session(store=str(tmp_path)) as session:
             with pytest.raises(ValueError, match="at least one axis"):
                 pareto_search(session, base_spec(), axes={})
+
+    def test_non_accelerator_base_is_refused_before_rendering(self, tmp_path):
+        gpu = base_spec().with_options(arch="gpu")
+        with Session(store=str(tmp_path)) as session:
+            with pytest.raises(ValueError, match="arch_options only apply"):
+                pareto_search(session, gpu, axes={"num_hfu": [1, 2]})
+            assert session.points_run == 0

@@ -17,6 +17,7 @@ from repro.chaos import FaultPlan, FaultRule
 from repro.service.client import scrape_http
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.protocol import ServiceRequest
+from repro.service.supervisor import MAX_RETRIES
 
 
 def start_daemon(**overrides):
@@ -189,6 +190,35 @@ class TestSupervision:
             handle.stop()
             handle.join()
 
+    def test_crashing_kind_costs_its_retry_budget_and_keeps_flowing(self):
+        # Every attempt of the first requests crashes: each is answered
+        # worker_crashed after MAX_RETRIES + 1 attempts, nothing is refused,
+        # and the next request of the same kind is admitted and run.
+        attempts = MAX_RETRIES + 1
+        crashing = 3
+        handle = start_daemon(
+            workers=1, chaos=crash_plan(every_nth=1, max_fires=crashing * attempts)
+        )
+        try:
+            for _ in range(crashing):
+                response = submit_async(handle, "sleep", {"seconds": 0.0}).result(10)
+                assert response.code == "worker_crashed"
+            assert submit_async(handle, "sleep", {"seconds": 0.0}).result(5).ok
+            supervision = handle.daemon.supervisor.stats()
+            assert supervision["restarts"] == crashing * attempts
+            assert supervision["retried"] == crashing * MAX_RETRIES
+            assert supervision["dropped"] == crashing
+            metrics = handle.daemon.metrics
+            assert (metrics["rejected"], metrics["breaker_rejected"]) == (0, 0)
+            assert handle.daemon.per_kind["sleep"]["failed"] == crashing
+            assert handle.daemon.per_kind["sleep"]["completed"] == 1
+            assert wait_until(
+                lambda: handle.daemon.healthz()["status"] == "healthy", timeout=5
+            )
+        finally:
+            handle.stop()
+            handle.join()
+
     def test_crash_mid_render_completes_with_correct_result(self):
         # Every second dispatch crashes, once: the clean render (first)
         # runs, the second request's first dispatch dies, its retry runs.
@@ -276,6 +306,36 @@ class TestBalance:
             metrics = handle.daemon.metrics
             assert (metrics["failed"], metrics["deadline_exceeded"]) == (2, 2)
             assert handle.daemon.per_client["late"]["failed"] == 1
+        finally:
+            handle.stop()
+            handle.join()
+
+    @pytest.mark.parametrize("fate", ["queue_full", "deadline_exceeded", "timeout"])
+    def test_request_that_never_runs_leaves_its_kind_runnable(self, fate):
+        """A render refused at admission, shed by its deadline or abandoned
+        while queued is settled once, and the next render is run."""
+        handle = start_daemon(
+            workers=1,
+            queue_limit=1 if fate == "queue_full" else 8,
+            request_timeout_s=0.2 if fate == "timeout" else 300.0,
+        )
+        try:
+            blocker = submit_async(handle, "sleep", {"seconds": 0.5})
+            assert wait_until(lambda: handle.daemon._in_flight == 1)
+            if fate == "queue_full":
+                submit_async(handle, "sleep", {"seconds": 0.0})
+                assert wait_until(lambda: len(handle.daemon.queue) == 1)
+            deadline = {"deadline_s": 0.05} if fate == "deadline_exceeded" else {}
+            refused = submit_async(
+                handle, "render", {"scene": "no-such-scene"}, **deadline
+            ).result(5)
+            assert refused.code == fate  # it never runs
+            blocker.result(5)
+            assert wait_until(lambda: handle.daemon._in_flight == 0)
+            late = submit_async(handle, "render", {"scene": "no-such-scene"}).result(10)
+            assert late.code == "evaluation_failed"  # admitted and run
+            assert handle.daemon.healthz()["status"] == "healthy"
+            assert on_loop(handle, lambda: unbalanced(handle.daemon)) == []
         finally:
             handle.stop()
             handle.join()
