@@ -19,9 +19,31 @@ update), under these rules:
   very few rows differently in the last bit (a one-row product takes the
   matrix-vector path), while blocks of ``MIN_BLOCK_ROWS`` rows or more
   match a single full-size product;
-* k-means++ draws with ``Generator.choice``'s own arithmetic (normalised
-  cumulative sum, one ``random()``, right-sided search), so the chosen
-  index and the RNG stream are unchanged;
+* a k-means++ draw takes one ``random()`` ``u`` and picks the index that
+  ``Generator.choice`` picks (the first whose normalised cumulative sum
+  exceeds ``u``) without that n-long sum: ``closest_d2`` lives in a
+  zero-padded ``(blocks, DRAW_BLOCK)`` buffer, the draw sums each block,
+  takes the prefix ``P`` of those sums, finds the block holding
+  ``u * P[-1]`` and then the index from that block's own cumulative sum.
+  With ``e = eps / 2`` (the unit roundoff), a sum of ``m`` non-negative
+  terms in any order is off by at most ``(m - 1) e`` of the exact sum (to
+  first order; ``n e`` is far below 1 here), so each of these partial
+  sums, and ``u * P[-1]``, is within ``(blocks + DRAW_BLOCK + 1) e`` of
+  the total from its exact value; the normalised cumulative sum of
+  ``Generator.choice`` (NumPy's pairwise total, the division, the
+  in-order ``cumsum``, the division by its last entry) is within ``(2n +
+  1) e`` plus ``(n + 2) 2**-1075`` of underflow from the exact one,
+  whatever its total rounded to.  The draw keeps its index
+  only when ``u * P[-1]`` lies more than ``DRAW_SLACK (n + DRAW_BLOCK +
+  blocks + 8) eps`` times ``P[-1]`` from both neighbouring partial sums,
+  over four times what those bounds add up to, so ``Generator.choice``
+  lands between the same two.  Otherwise, and when ``P[-1]`` is within
+  that margin of the ``1e-18`` stop (where only the pairwise total
+  decides), not finite or above half the largest double (where another
+  order of the sum may overflow), the draw takes ``Generator.choice``'s
+  arithmetic with the same ``u``; ``KMeansResult.seeding_fallbacks``
+  counts those draws.  Either way the chosen index and the RNG stream are
+  unchanged;
 * for ``d < 8`` the seeding distances accumulate column by column, which
   is the order NumPy sums a row of fewer than 8 terms in; wider rows keep
   the row reduction, which NumPy sums pairwise;
@@ -53,6 +75,12 @@ import numpy as np
 BLOCK_ELEMENTS = 1 << 19
 #: Fewest rows in a block when the input is split (see the module docstring).
 MIN_BLOCK_ROWS = 16
+#: Entries per block of a k-means++ draw (see the module docstring).
+DRAW_BLOCK = 64
+#: How many times the draw's margin exceeds its rounding-error bound.
+DRAW_SLACK = 4
+#: Largest block total a draw trusts: below it no order of the sum overflows.
+_DRAW_TOTAL_LIMIT = float(np.finfo(np.float64).max) / 2
 
 
 @dataclass
@@ -63,6 +91,7 @@ class KMeansResult:
     assignments: np.ndarray  # (n,) index of the closest centroid per input
     inertia: float           # sum of squared distances to assigned centroids
     iterations: int
+    seeding_fallbacks: int = 0  # k-means++ draws that took the full cumulative sum
 
 
 def nearest_centroids(vectors: np.ndarray, centroids: np.ndarray) -> tuple:
@@ -135,33 +164,73 @@ def _distance_lower_bounds(vectors: np.ndarray):
     return lower_bound
 
 
+def _block_draw(
+    padded: np.ndarray, prefix: np.ndarray, target: float, margin: float
+):
+    """First index whose running sum exceeds ``target``, or ``None``.
+
+    ``None`` when ``target`` lies within ``margin`` of a neighbouring
+    partial sum, where rounding could move the index (module docstring).
+    """
+    block = int(prefix.searchsorted(target, side="right"))
+    if block == len(prefix):
+        return None
+    before = prefix[block - 1] if block else 0.0
+    running = np.cumsum(padded[block])
+    running += before
+    j = int(running.searchsorted(target, side="right"))
+    if j == DRAW_BLOCK:
+        return None
+    lower = running[j - 1] if j else before
+    if target - lower <= margin or running[j] - target <= margin:
+        return None
+    return block * DRAW_BLOCK + j
+
+
 def _kmeans_plus_plus_init(
     vectors: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """k-means++ seeding."""
+) -> tuple:
+    """k-means++ seeding: the centroids and how many draws fell back."""
     n, d = vectors.shape
     centroids = np.empty((k, d), dtype=np.float64)
     squared_distances = _squared_distances_to(vectors)
     first = rng.integers(0, n)
     centroids[0] = vectors[first]
-    closest_d2 = squared_distances(centroids[0])
+    blocks = -(-n // DRAW_BLOCK)
+    padded = np.zeros((blocks, DRAW_BLOCK))
+    closest_d2 = padded.reshape(-1)[:n]
+    closest_d2[:] = squared_distances(centroids[0])
+    relative_margin = (
+        DRAW_SLACK * (n + DRAW_BLOCK + blocks + 8) * np.finfo(np.float64).eps
+    )
     # A row subset sums like the whole array only in C order.
     lower_bound = (
         _distance_lower_bounds(vectors)
         if d >= 8 and vectors.flags.c_contiguous
         else None
     )
+    fallbacks = 0
     for i in range(1, k):
-        total = closest_d2.sum()
-        if total <= 1e-18:
-            # All remaining vectors identical to chosen centroids: duplicate.
-            centroids[i:] = centroids[i - 1]
-            break
-        if not np.isfinite(total):
-            raise ValueError("k-means++ distances are not finite (NaN or inf input)")
-        cdf = np.cumsum(closest_d2 / total)
-        cdf /= cdf[-1]
-        choice = cdf.searchsorted(rng.random(), side="right")
+        prefix = np.cumsum(padded.sum(axis=1))
+        total = float(prefix[-1])
+        margin = total * relative_margin
+        choice = u = None
+        if total < _DRAW_TOTAL_LIMIT and total - margin > 1e-18:
+            u = rng.random()
+            choice = _block_draw(padded, prefix, u * total, margin)
+        if choice is None:
+            # Generator.choice's own arithmetic, with the same random().
+            total = closest_d2.sum()
+            if total <= 1e-18:
+                # All remaining vectors identical to chosen centroids: duplicate.
+                centroids[i:] = centroids[i - 1]
+                break
+            if not np.isfinite(total):
+                raise ValueError("k-means++ distances are not finite (NaN or inf input)")
+            cdf = np.cumsum(closest_d2 / total)
+            cdf /= cdf[-1]
+            choice = cdf.searchsorted(rng.random() if u is None else u, side="right")
+            fallbacks += 1
         centroids[i] = vectors[choice]
         if lower_bound is None:
             np.minimum(closest_d2, squared_distances(centroids[i]), out=closest_d2)
@@ -170,7 +239,7 @@ def _kmeans_plus_plus_init(
         rows = np.flatnonzero((bound < closest_d2) | ~np.isfinite(bound))
         exact = np.sum((vectors[rows] - centroids[i]) ** 2, axis=1)
         closest_d2[rows] = np.minimum(closest_d2[rows], exact)
-    return centroids
+    return centroids, fallbacks
 
 
 def _update_centroids(
@@ -252,7 +321,7 @@ def kmeans(
     else:
         fit_vectors = vectors
 
-    centroids = _kmeans_plus_plus_init(fit_vectors, k, rng)
+    centroids, fallbacks = _kmeans_plus_plus_init(fit_vectors, k, rng)
     previous_inertia = np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
@@ -270,4 +339,5 @@ def kmeans(
         assignments=assignments,
         inertia=float(distances.sum()),
         iterations=iterations,
+        seeding_fallbacks=fallbacks,
     )

@@ -1,10 +1,11 @@
 """Pareto search over the accelerator design space.
 
 :func:`pareto_search` evaluates every point of the axes' lattice in one
-:meth:`~repro.api.session.Session.run_sweep` — so a repeated search is
-served from the session's ``ResultStore`` — and keeps the points that no
-other point dominates under minimisation of (``frame_time_ms``,
-``energy_per_frame_mj``, ``area_mm2``).
+:meth:`~repro.api.session.Session.run_sweep` — so a repeated search, or a
+``Session.sweep`` over the same axes, is served from the session's
+``ResultStore`` — and keeps the points that no other point dominates
+under minimisation of (``frame_time_ms``, ``energy_per_frame_mj``,
+``area_mm2``).
 
 Every lattice point differs from the base spec only in its arch options,
 so the whole lattice shares one scene context, and once that is built a
@@ -66,17 +67,6 @@ class DesignSpace:
         return {
             name: values[i] for (name, values), i in zip(self.axes, index)
         }
-
-    def spec(self, base, index: Tuple[int, ...]):
-        """The :class:`ExperimentSpec` of one lattice point.
-
-        Merges the axis values into ``base``'s arch options and keeps
-        its tag, so a point's store key depends only on ``base`` and its
-        axis values.
-        """
-        merged = dict(base.arch_overrides)
-        merged.update(self.values(index))
-        return base.with_options(arch_options=merged)
 
     def all_indices(self) -> List[Tuple[int, ...]]:
         """Every lattice index, the last axis varying fastest."""
@@ -154,18 +144,20 @@ def pareto_search(
     """Evaluate the lattice of ``axes`` around ``base``; keep its frontier.
 
     ``base`` is the :class:`~repro.api.spec.ExperimentSpec` whose arch
-    options the axes override; its arch must report every objective.
-    Points and frontier come back in lattice order
-    (:meth:`DesignSpace.all_indices`).
+    options the axes override; its arch must report every objective.  The
+    lattice is :func:`repro.api.spec.sweep`'s grid, so each point has the
+    label and store key ``Session.sweep(base, **axes)`` gives it.  Points
+    and frontier come back in lattice order (:meth:`DesignSpace.all_indices`).
     """
+    from repro.api.spec import sweep
+
     if not axes:
         raise ValueError("pareto_search needs at least one axis")
     space = DesignSpace(tuple(dict(axes).items()))
-    indices = space.all_indices()
-    specs = [space.spec(base, index) for index in indices]
-    sweep = session.run_sweep(specs, swept=list(space.names))
+    specs = sweep(base, **dict(space.axes))
+    results = session.run_sweep(specs, swept=list(space.names)).results
     result = SearchResult(space=space)
-    for index, spec, point in zip(indices, specs, sweep.results):
+    for index, spec, point in zip(space.all_indices(), specs, results):
         metrics = point.metrics
         missing = [name for name in OBJECTIVES if name not in metrics]
         if missing:

@@ -4,15 +4,21 @@ The oracle below is a frozen copy of the straightforward implementation
 (``rng.choice`` k-means++ seeding, one distance matrix per 8192-row chunk,
 a per-cluster ``mean`` Lloyd update, and the same chunked ``encode``).  The
 blocked implementation must reproduce it bit for bit: centroids,
-assignments, inertia, iteration count and encode indices.
+assignments, inertia, iteration count and encode indices, and seeding must
+leave the RNG where ``rng.choice`` leaves it.
 """
+
+import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression.codebook import Codebook, CodebookSpec
 from repro.compression.kmeans import (
     BLOCK_ELEMENTS,
+    DRAW_BLOCK,
     MIN_BLOCK_ROWS,
     _distance_lower_bounds,
     _kmeans_plus_plus_init,
@@ -161,11 +167,21 @@ def test_padded_codebook_matches_oracle(d):
 
 
 def test_registry_shaped_codebook_matches_oracle():
-    # The shape of the largest registry scenes' scale/colour groups.
+    # The shape of the largest registry scenes' scale/colour groups.  No
+    # seeding draw comes near a rounding margin, so none falls back.
     rng = np.random.default_rng(4200)
     vectors = rng.normal(0.0, 0.5, size=(4200, 3))
     result = assert_kmeans_matches_oracle(vectors, 4096, max_iterations=12)
+    assert result.seeding_fallbacks == 0
     assert_encode_matches_oracle(result.centroids, vectors)
+
+
+def test_registry_shaped_sh_codebook_matches_oracle():
+    # A registry scene's SH group: 45-wide rows, 512 entries.
+    rng = np.random.default_rng(2600)
+    vectors = rng.normal(0.0, 0.5, size=(2600, 45))
+    result = assert_kmeans_matches_oracle(vectors, 512, max_iterations=12)
+    assert result.seeding_fallbacks == 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -249,11 +265,23 @@ WIDE = [8, 9, 45, 129]
 
 
 def assert_seeding_matches_oracle(vectors, k, seed):
-    """Seeding alone (no Lloyd), so inputs Lloyd cannot take stay testable."""
+    """Seeding alone (no Lloyd), so inputs Lloyd cannot take stay testable.
+
+    Both must raise alike, or agree on the centroids and on the RNG's next
+    ``random()``.  Returns the number of draws that fell back.
+    """
+    oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = _oracle_init(vectors, k, np.random.default_rng(seed))
-        actual = _kmeans_plus_plus_init(vectors, k, np.random.default_rng(seed))
+        try:
+            expected = _oracle_init(vectors, k, oracle_rng)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _kmeans_plus_plus_init(vectors, k, rng)
+            return 0
+        actual, fallbacks = _kmeans_plus_plus_init(vectors, k, rng)
     assert_same_bits(actual, expected)
+    assert rng.random() == oracle_rng.random()
+    return fallbacks
 
 
 def assert_seeding_raises_like_oracle(vectors, k, seed):
@@ -361,3 +389,137 @@ def test_wide_fortran_ordered_rows_match_oracle():
     # oracle's in the last bit only, which a draw almost never sees.)
     vectors = np.asfortranarray(np.random.default_rng(17).normal(size=(600, 45)))
     assert_seeding_matches_oracle(vectors, 128, seed=17)
+
+
+# ----------------------------------------------------------------------
+# the k-means++ draw: block sums under a rounding margin
+# ----------------------------------------------------------------------
+kmeans_module = importlib.import_module("repro.compression.kmeans")
+
+
+def seeded_rows(rows, n, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    normal = rng.normal(size=(n, d)) * scale
+    if rows == "normal":
+        return normal
+    if rows == "zeros":
+        return np.zeros((n, d))
+    duplicates = normal[: max(1, n // 10)][rng.integers(0, max(1, n // 10), size=n)]
+    if rows == "duplicates":
+        return duplicates
+    # "mixed": zero, distinct and duplicated rows interleaved.
+    mixed = np.where((np.arange(n) % 3 == 0)[:, None], 0.0, normal)
+    return np.where((np.arange(n) % 3 == 1)[:, None], duplicates, mixed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 300) | st.sampled_from([63, 64, 65, 127, 128, 129, 256]),
+    d=st.sampled_from([1, 3, 4, 8, 45]),
+    scale=st.sampled_from([1e-160, 1.0, 1e150]),
+    rows=st.sampled_from(["normal", "duplicates", "zeros", "mixed"]),
+    k_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_matches_choice(n, d, scale, rows, k_share, seed):
+    # n below, at and off multiples of DRAW_BLOCK; subnormal, unit and
+    # near-overflow squares; ties and all-zero distances.
+    vectors = seeded_rows(rows, n, d, scale, seed)
+    assert_seeding_matches_oracle(vectors, 1 + int(k_share * (n - 1)), seed)
+
+
+@pytest.mark.parametrize("n", [1, DRAW_BLOCK - 1, DRAW_BLOCK, 300])
+def test_every_draw_can_fall_back(monkeypatch, n):
+    # A margin of 3/4 of the total: u * total always lies within it of one
+    # neighbouring partial sum, so every draw takes the full cumulative sum
+    # with the random() the block draw already took.
+    blocks = -(-n // DRAW_BLOCK)
+    eps = np.finfo(np.float64).eps
+    monkeypatch.setattr(
+        kmeans_module, "DRAW_SLACK", 0.75 / ((n + DRAW_BLOCK + blocks + 8) * eps)
+    )
+    vectors = np.random.default_rng(n).normal(size=(n, 3))
+    k = max(1, n // 2)
+    assert assert_seeding_matches_oracle(vectors, k, seed=n) == k - 1
+    if n > 1:
+        assert kmeans(vectors, k, seed=n).seeding_fallbacks == k - 1
+
+
+@pytest.mark.parametrize("relative", [-1e-14, 0.0, 1e-14])
+def test_total_within_the_margin_of_the_stop(relative):
+    # After the first centroid the distances sum to 1e-18 within far less
+    # than the margin, so only the pairwise total may decide whether
+    # seeding stops and duplicates the first centroid or draws.
+    n, d, seed = 200, 3, 21
+    vectors = np.random.default_rng(seed).normal(size=(n, d))
+    first = np.random.default_rng(seed).integers(0, n)
+    total = np.sum((vectors - vectors[first]) ** 2, axis=1).sum()
+    vectors *= np.sqrt(1e-18 * (1.0 + relative) / total)
+    total = np.sum((vectors - vectors[first]) ** 2, axis=1).sum()
+    blocks = -(-n // DRAW_BLOCK)
+    margin = (
+        kmeans_module.DRAW_SLACK * (n + DRAW_BLOCK + blocks + 8) * np.finfo(np.float64).eps * 1e-18
+    )
+    assert abs(total - 1e-18) < margin
+    fallbacks = assert_seeding_matches_oracle(vectors, 16, seed)
+    assert fallbacks == (total > 1e-18)
+
+
+def test_totals_near_overflow_take_the_full_sum():
+    # Seed 11 starts at row 0, so the distances are 0, a^2 and 4 a^2: a
+    # finite total of 0.6 times the largest double, where another order of
+    # the sum might overflow, so the draw takes the full cumulative sum.
+    a = np.sqrt(0.12 * np.finfo(np.float64).max)
+    vectors = np.array([[0.0], [a], [2.0 * a]])
+    assert assert_seeding_matches_oracle(vectors, 2, seed=11) == 1
+
+
+def near_boundary_rows(seed, n=200, ulps=30):
+    """1-D inputs whose first draw lands within a few ulps of a partial sum.
+
+    Row ``j``'s weight is solved so that ``u`` times the exact total, for
+    the ``u`` that seeding with ``seed`` draws first, is exactly the prefix
+    through ``j`` (or, when no positive weight does that, through
+    ``j - 1``); the row is then moved by -ulps .. ulps ulps.
+    """
+    rng = np.random.default_rng(seed)
+    first, u = rng.integers(0, n), rng.random()
+    x = np.random.default_rng(1000 + seed).random(n) + 0.5
+    x[first] = 0.0
+    prefix = np.cumsum(x * x)
+    j = int(np.searchsorted(prefix, u * prefix[-1]))
+    assert j not in (0, first)
+    before, after = prefix[j - 1], prefix[-1] - prefix[j]
+    weight = (u * (before + after) - before) / (1.0 - u)
+    if weight <= 0:
+        weight = before / u - before - after
+    root = np.sqrt(weight)
+    for step in range(-ulps, ulps + 1):
+        rows = x.copy()
+        rows[j] = root + step * np.spacing(root)
+        yield rows[:, None]
+
+
+#: Seeds for which block sums alone, without the margin, pick another row.
+NEAR_SEEDS = (7, 8, 10, 14, 17)
+
+
+def test_draws_at_a_partial_sum_fall_back_and_match_choice():
+    fallbacks = 0
+    for seed in NEAR_SEEDS:
+        for rows in near_boundary_rows(seed):
+            fallbacks += assert_seeding_matches_oracle(rows, 2, seed)
+    assert fallbacks > 0
+
+
+def test_without_the_margin_some_draws_at_a_partial_sum_differ(monkeypatch):
+    # What the margin is for: block sums alone pick another index than
+    # rng.choice for some of these inputs.
+    monkeypatch.setattr(kmeans_module, "DRAW_SLACK", 0.0)
+    differ = 0
+    for seed in NEAR_SEEDS:
+        for rows in near_boundary_rows(seed):
+            expected = _oracle_init(rows, 2, np.random.default_rng(seed))
+            actual, _ = _kmeans_plus_plus_init(rows, 2, np.random.default_rng(seed))
+            differ += actual.tobytes() != expected.tobytes()
+    assert differ > 0

@@ -72,13 +72,6 @@ class TestDesignSpace:
         with pytest.raises(ValueError, match="at least one value"):
             DesignSpace((("num_hfu", ()),))
 
-    def test_spec_merges_arch_options_and_keeps_tag(self):
-        space = DesignSpace((("num_hfu", (2, 4)),))
-        base = base_spec()
-        spec = space.spec(base, (1,))
-        assert spec.arch_overrides == {"num_hfu": 4}
-        assert spec.tag == base.tag == ""
-
 
 class TestSearch:
     @pytest.fixture(scope="class")
@@ -117,21 +110,24 @@ class TestSearch:
                 assert any(dominates(f.key, point.key) for f in result.frontier)
 
     def test_search_points_share_sweep_cache_keys(self, searched):
-        # A point's store key depends only on the base spec and its axis
-        # values: a plain sweep of hand-built specs is served from the store.
+        # The search's lattice is Session.sweep's grid: a sweep over the
+        # same base and axes is served from the search's store.
         result, store, _ = searched
-        specs = [
-            base_spec().with_options(arch_options=dict(point.values))
-            for point in result.points
-        ]
         with Session(store=store) as session:
-            sweep = session.run_sweep(specs)
+            sweep = session.sweep(base_spec(), **AXES)
             assert session.points_run == 0
-            assert session.last_execution.cache_hits == len(specs)
+            assert session.last_execution.cache_hits == result.evaluations
         assert [
             {name: point.metrics[name] for name in OBJECTIVES}
             for point in sweep.results
         ] == [point.objectives for point in result.points]
+        assert sweep.labels() == [point.label for point in result.points]
+
+    def test_point_labels_name_their_values(self, searched):
+        result, _, _ = searched
+        labels = [point.label for point in result.points]
+        assert len(set(labels)) == len(labels) == 18
+        assert labels[0] == "num_hfu=1, num_render_units=32, sram_scale=0.5"
 
     def test_warm_rerun_resumes_from_store_with_zero_renders(self, searched):
         result, store, _ = searched
