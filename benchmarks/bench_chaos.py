@@ -18,8 +18,12 @@ one terminal outcome.  ``--check`` gates on:
 * the books balance after the drain: ``accepted + resumed == completed +
   failed`` daemon-wide and for each client and kind, with nothing left
   queued or in flight;
-* the daemon's ``healthz`` returns to ``healthy`` within a bounded
-  recovery window (quarantined actors retired);
+* the daemon's ``healthz``, polled on a side thread from before the
+  replay starts, turns ``degraded`` whenever the plan's ``actor.hang``
+  rule fired (a wedged actor is quarantined) and returns to ``healthy``
+  within a bounded recovery window (the quarantined actor retired);
+  ``recovery_s`` is the time from the first ``degraded`` to the next
+  ``healthy``;
 * no orphaned store temp files;
 * every fault point the plan targets was reached (called) at least once,
   so no layer of the plan goes untested;
@@ -40,6 +44,7 @@ import argparse
 import os
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -58,9 +63,12 @@ TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 #: dict lookup on the hot path.
 DISABLED_OVERHEAD_BUDGET_S = 2e-6
 
-#: How long the daemon may take to report ``healthy`` again after the
-#: replay (hung actors retired).
+#: How long the daemon may take to report ``healthy`` again after it
+#: first turned ``degraded`` (hung actors retired).
 RECOVERY_BOUND_S = 20.0
+
+#: Seconds between two ``healthz`` polls of :class:`HealthWatch`.
+HEALTH_POLL_S = 0.05
 
 
 def chaos_classes(clients_per_class: int) -> list:
@@ -159,22 +167,71 @@ def unbalanced(metrics) -> list:
     ]
 
 
-def await_recovery(address, bound_s: float) -> float:
-    """Poll until the daemon reports healthy; return seconds.
+class HealthWatch:
+    """Polls the daemon's ``healthz`` on a side thread.
 
-    Returns ``-1.0`` when the daemon never recovered within ``bound_s``.
+    Started before the replay, so it sees a daemon that degrades while
+    requests are still out (a hung actor is quarantined, then retired
+    once its hang ends, all before the replay returns).  It records when
+    the daemon first reported ``degraded`` and when it next reported
+    ``healthy``.  ``healthz`` is a control request, which no transport
+    fault touches.
     """
-    started = time.perf_counter()
-    deadline = started + bound_s
-    with ServiceClient.connect(
-        address, client="chaos-recovery", timeout=30.0, reconnect=3
-    ) as probe:
-        while time.perf_counter() < deadline:
-            health = probe.health()
-            if health.get("status") == "healthy":
-                return time.perf_counter() - started
-            time.sleep(0.2)
-    return -1.0
+
+    def __init__(self, address) -> None:
+        self.address = address
+        self.degraded_at: float = -1.0
+        self.healthy_at: float = -1.0
+        self.polls = 0
+        self.error = ""
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._poll, name="chaos-health", daemon=True)
+
+    def __enter__(self) -> "HealthWatch":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        self._thread.join(timeout=60.0)
+
+    def _poll(self) -> None:
+        try:
+            with ServiceClient.connect(
+                self.address, client="chaos-health", timeout=30.0, reconnect=3
+            ) as probe:
+                while not self._stop.is_set():
+                    status = probe.health().get("status")
+                    now = time.perf_counter()
+                    self.polls += 1
+                    if status == "degraded" and self.degraded_at < 0.0:
+                        self.degraded_at = now
+                    elif status == "healthy" and 0.0 <= self.degraded_at and self.healthy_at < 0.0:
+                        self.healthy_at = now
+                    self._stop.wait(HEALTH_POLL_S)
+        except Exception as error:  # reported by the gate, not raised in a thread
+            self.error = f"{type(error).__name__}: {error}"
+
+    @property
+    def degraded(self) -> bool:
+        """Whether the daemon ever reported ``degraded``."""
+        return self.degraded_at >= 0.0
+
+    def recovery_s(self, bound_s: float) -> float:
+        """Seconds from the first ``degraded`` to the next ``healthy``.
+
+        Waits until the daemon is healthy again, at most until ``bound_s``
+        after it degraded; ``-1.0`` when it did not recover in time, ``0.0``
+        when it never degraded.
+        """
+        if not self.degraded:
+            return 0.0
+        deadline = self.degraded_at + bound_s
+        while self.healthy_at < 0.0 and time.perf_counter() < deadline and self._thread.is_alive():
+            time.sleep(HEALTH_POLL_S)
+        if self.healthy_at < 0.0:
+            return -1.0
+        return self.healthy_at - self.degraded_at
 
 
 def main(argv=None) -> int:
@@ -225,16 +282,17 @@ def main(argv=None) -> int:
         )
         handle = daemon.start_in_thread()
         try:
-            report = replay_trace(
-                trace,
-                handle.address,
-                speed=args.speed,
-                retries=args.retries,
-                reconnect=args.reconnect,
-                timeout=120.0,
-                scrape_metrics=False,
-            )
-            recovery_s = await_recovery(handle.address, RECOVERY_BOUND_S)
+            with HealthWatch(handle.address) as health:
+                report = replay_trace(
+                    trace,
+                    handle.address,
+                    speed=args.speed,
+                    retries=args.retries,
+                    reconnect=args.reconnect,
+                    timeout=120.0,
+                    scrape_metrics=False,
+                )
+                recovery_s = health.recovery_s(RECOVERY_BOUND_S)
             metrics = daemon.metrics_snapshot()
         finally:
             handle.stop(drain=True)
@@ -284,6 +342,11 @@ def main(argv=None) -> int:
             f"queued={drained['queue']['depth']}"
         )
     print(f"books after drain: {'balanced' if not books else books}")
+    hang_fired = chaos_stats.get("actor.hang", {}).get("fires", 0) > 0
+    print(
+        f"health: polls={health.polls} degraded={health.degraded} "
+        f"hang_fired={hang_fired}{' error=' + health.error if health.error else ''}"
+    )
     print(
         f"recovery={recovery_s:.2f}s journal_left={journal_left} "
         f"store_healed={store_healed} "
@@ -296,6 +359,7 @@ def main(argv=None) -> int:
     ok_journal_drained = journal_left == 0
     ok_balanced = not books
     ok_recovered = 0.0 <= recovery_s <= RECOVERY_BOUND_S
+    ok_degraded_seen = health.degraded or not hang_fired
     ok_no_orphans = not orphaned_tmp
     ok_reached = not uncalled
     ok_chaotic = len(fired) >= 4
@@ -307,6 +371,7 @@ def main(argv=None) -> int:
             ok_journal_drained,
             ok_balanced,
             ok_recovered,
+            ok_degraded_seen,
             ok_no_orphans,
             ok_reached,
             ok_chaotic,
@@ -334,6 +399,8 @@ def main(argv=None) -> int:
         "lost": len(lost),
         "wall_s": round(report.wall_s, 6),
         "recovery_s": round(recovery_s, 6),
+        "health_polls": health.polls,
+        "degraded_seen": health.degraded,
         "fired_points": fired,
         "uncalled_points": uncalled,
         "chaos_fires": {p: s["fires"] for p, s in sorted(chaos_stats.items())},
@@ -380,6 +447,13 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: daemon did not return to healthy within "
                 f"{RECOVERY_BOUND_S}s (recovery_s={recovery_s})",
+                file=sys.stderr,
+            )
+            failed = True
+        if not ok_degraded_seen:
+            print(
+                "FAIL: the actor.hang rule fired but healthz never reported "
+                f"degraded ({health.polls} polls{', ' + health.error if health.error else ''})",
                 file=sys.stderr,
             )
             failed = True

@@ -16,8 +16,9 @@ differs, which makes the script usable as a CI gate.  With
 ``--tile-workers N`` (N > 1) the frame path is additionally timed split
 across N processes on warm tile workers, after one untimed first frame
 that starts the workers and ships them the renderer (its cost is recorded
-on its own): parallel/one-process parity (images within 1e-9, statistics
-exactly equal) is always gated, and the parallel speedup bar
+on its own): that the frames rendered on tile workers and
+parallel/one-process parity (images within 1e-9, statistics exactly
+equal) are always gated, and the parallel speedup bar
 (``--min-parallel-speedup``, read on the median of back-to-back
 one-process/parallel frame pairs) is enforced on multi-core hosts and
 recorded-but-skipped on single-CPU ones.  Every run also records the
@@ -138,10 +139,18 @@ def main(argv=None) -> int:
             return 1
         print(f"OK: speedup {result.speedup:.2f}x >= {args.min_speedup}x")
         if args.tile_workers > 1:
-            # Parity between the parallel and one-process frames is
-            # host-independent and always enforced; the parallel speedup
-            # needs cores to overlap work, so it is gated only on
-            # multi-core hosts and recorded (in the trajectory) otherwise.
+            # Rendering on tile workers and parity between the parallel and
+            # one-process frames are host-independent and always enforced;
+            # the parallel speedup needs cores to overlap work, so it is
+            # gated only on multi-core hosts and recorded (in the
+            # trajectory) otherwise.
+            if result.tile_mode != "process":
+                print(
+                    f"FAIL: parallel frames did not render on tile workers "
+                    f"(mode={result.tile_mode or 'unmeasured'})",
+                    file=sys.stderr,
+                )
+                return 1
             if not result.parallel_stats_equal:
                 print(
                     "FAIL: parallel-frame statistics differ "

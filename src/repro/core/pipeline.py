@@ -35,9 +35,9 @@ The voxel-at-a-time loop (``streaming_kernel="reference"``), blending
 through :func:`~repro.engine.kernels.blend_reference`, is the oracle the
 frame path is held to: statistics exactly equal, images within 1e-9.
 Several processes can render disjoint runs of whole column blocks
-(:mod:`repro.engine.tile_parallel`): ``tile_workers`` asks for a count,
-and by default the renderer chooses one.  The frame equals one process's
-bit for bit.
+(:mod:`repro.engine.tile_parallel`), cut by the blocks' measured cost:
+``tile_workers`` asks for a count, and by default the renderer chooses
+one.  The frame equals one process's bit for bit.
 
 Besides the image, the renderer produces :class:`StreamingStats` — the
 complete workload description (Gaussians streamed, filter pass rates, DRAM
@@ -203,9 +203,10 @@ class StreamingRenderOutput:
     ``tile_workers`` (the process count used; ``tile_auto`` says why when
     the renderer chose it), ``tiles``, ``tile_mode``
     (``"serial"`` or ``"process"``, plus ``tile_mode_degraded`` with the
-    reason when processes could not be used; process frames add
-    ``shipped_bytes``, ``ship_s`` and each tile worker's telemetry in
-    ``workers``, see :mod:`repro.engine.tile_parallel`), ``stages_s``
+    reason when processes could not be used; process frames add the cut,
+    ``tile_cut`` and ``tile_cut_source``, ``waited_s``, ``shipped_bytes``,
+    ``ship_s`` and each tile worker's telemetry in ``workers``, see
+    :mod:`repro.engine.tile_parallel`), ``stages_s``
     (wall seconds per stage of this process, see the module docstring),
     ``seconds`` and, on the frame
     path, ``blend_pairs``: the (Gaussian, pixel) pairs the tiles' streams
@@ -280,12 +281,14 @@ class StreamingRenderer:
 
         Builds (or reuses) the per-voxel depth map, the per-tile voxel
         ordering tables and the topologically sorted global voxel orders
-        of the tiles ``tiles = (lo, hi)`` — every tile by default.  A
-        tile's table and order depend only on its own rays, so the
-        preparation of a run of tiles is the whole frame's restricted to
-        the run.  The preparation depends only on the voxel grid and the
-        camera, never on the Gaussian parameters, so it is safe to share
-        across renders.
+        of the tiles ``tiles = (lo, hi)`` — every tile by default — in one
+        batched pass over the tiles (:func:`ordering_tables_for_tiles`,
+        :func:`topological_orders_for_tables`).  A tile's table and order
+        depend only on its own rays, so the preparation of a run of tiles
+        is the whole frame's restricted to the run, and a process-parallel
+        frame keeps a recent pose's cut so its runs are found again.  The
+        preparation depends only on the voxel grid and the camera, never
+        on the Gaussian parameters, so it is safe to share across renders.
         """
         config = self.config
         tile_grid = TileGrid(camera.width, camera.height, config.tile_size)
@@ -400,21 +403,28 @@ class StreamingRenderer:
         stats: StreamingStats,
         stages: Dict[str, float],
         pairs: Dict[str, int],
-    ) -> None:
+    ) -> np.ndarray:
         """Prepare, render and account the tiles of a run of whole column blocks.
 
         The run's tiles ``blocks[0]:blocks[-1]`` are prepared on their own
         (:meth:`prepare_frame` with ``tiles``), their ordering-table and
         DAG headers accounted, and rendered by :meth:`_render_tiles`; the
         preparation's wall time is added to ``stages["prepare"]``.
+
+        Returns the run's measured cost per block, in seconds: each
+        block's own blend time plus the run's other time (prepare, filter,
+        account) spread evenly over its blocks.  A process-parallel frame
+        cuts the next frame's runs by these costs.
         """
-        started = time.perf_counter()
+        clock = time.perf_counter
+        started = clock()
         preparation = self.prepare_frame(camera, (int(blocks[0]), int(blocks[-1])))
         orders = self._tile_headers(preparation, stats)
-        stages["prepare"] = stages.get("prepare", 0.0) + time.perf_counter() - started
-        self._render_tiles(
+        stages["prepare"] = stages.get("prepare", 0.0) + clock() - started
+        costs = self._render_tiles(
             camera, tile_bounds, orders, blocks, image, alpha_img, stats, stages, pairs
         )
+        return costs + (clock() - started - costs.sum()) / len(costs)
 
     def _tile_headers(
         self, preparation: FramePreparation, stats: StreamingStats
@@ -449,7 +459,7 @@ class StreamingRenderer:
         stats: StreamingStats,
         stages: Dict[str, float],
         pairs: Dict[str, int],
-    ) -> None:
+    ) -> np.ndarray:
         """Render the tiles of a run of whole column blocks.
 
         ``blocks`` holds tile offsets (see
@@ -458,7 +468,9 @@ class StreamingRenderer:
         are rendered into ``image`` / ``alpha_img`` and accounted into
         ``stats`` (their headers already are), each stage's wall time is
         added to ``stages``, and the frame path adds the (Gaussian, pixel)
-        pairs its blend was offered and kept to ``pairs``.
+        pairs its blend was offered and kept to ``pairs``.  Returns the
+        blend's seconds per block (zeros on the reference path, which
+        blends tile by tile).
         """
         clock = time.perf_counter
         lo, hi = int(blocks[0]), int(blocks[-1])
@@ -470,7 +482,7 @@ class StreamingRenderer:
                     image, alpha_img, stats,
                 )
             stages["reference"] = stages.get("reference", 0.0) + clock() - started
-            return
+            return np.zeros(len(blocks) - 1)
 
         started = clock()
         bounds = tile_bounds[lo:hi]
@@ -504,6 +516,7 @@ class StreamingRenderer:
             ("account", clock() - blended_at),
         ):
             stages[stage] = stages.get(stage, 0.0) + seconds
+        return blend.block_seconds
 
     def _account(
         self,

@@ -9,7 +9,7 @@ traversal plus the ordering-table construction the topological sort consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -130,8 +130,8 @@ def traverse_rays(
     origins: np.ndarray,
     directions: np.ndarray,
     max_voxels: int = 512,
-) -> List[List[int]]:
-    """Batched 3D-DDA: front-to-back non-empty voxel lists for many rays.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched 3D-DDA: the non-empty voxels of many rays, front to back.
 
     Vectorizes :func:`traverse_ray` over the ray axis — every update
     (entry/exit slabs, axis selection, boundary stepping) runs as one NumPy
@@ -140,12 +140,17 @@ def traverse_rays(
     same).  This is the hot loop of cold frame preparation: one call
     traverses every sampled ray of a frame instead of one Python DDA per
     ray.
+
+    Returns ``(voxels, lengths)``: the renamed ids of every ray's
+    non-empty voxels, ray after ray and each ray's front to back, as one
+    int64 array, and the ``(R,)`` count of each ray's ids (0 for a ray
+    that meets no non-empty voxel).
     """
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     num_rays = len(origins)
     if num_rays == 0:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     norms = np.linalg.norm(directions, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("ray direction must be non-zero")
@@ -171,7 +176,6 @@ def traverse_rays(
 
     # Per-step raw voxel ids; -1 marks rays that already terminated.
     visited_steps: List[np.ndarray] = []
-    ray_index = np.arange(num_rays)
     for _ in range(max_voxels):
         if not np.any(active):
             break
@@ -194,19 +198,15 @@ def traverse_rays(
         t_max[live, axis] += t_delta[live, axis]
 
     if not visited_steps:
-        return [[] for _ in range(num_rays)]
+        return np.zeros(0, dtype=np.int64), np.zeros(num_rays, dtype=np.int64)
     raw_matrix = np.stack(visited_steps, axis=1)          # (R, S)
     # Vectorized renaming-table lookup: empty voxels are absent from
     # ``renamed_to_raw`` and resolve to -1, exactly like ``grid.rename``.
-    raw_flat = raw_matrix.reshape(-1)
-    lookup = np.searchsorted(grid.renamed_to_raw, raw_flat)
-    lookup = np.clip(lookup, 0, len(grid.renamed_to_raw) - 1)
-    renamed = np.where(
-        (raw_flat >= 0) & (grid.renamed_to_raw[lookup] == raw_flat), lookup, -1
-    ).reshape(raw_matrix.shape)
-    # Per-ray int64 arrays (cheaper than Python int lists for the graph
-    # build); callers treat them as front-to-back id sequences either way.
-    return [row[row >= 0] for row in renamed]
+    lookup = np.searchsorted(grid.renamed_to_raw, raw_matrix)
+    np.clip(lookup, 0, len(grid.renamed_to_raw) - 1, out=lookup)
+    kept = (raw_matrix >= 0) & (grid.renamed_to_raw[lookup] == raw_matrix)
+    # Row-major selection keeps each ray's ids together and in step order.
+    return lookup[kept], np.count_nonzero(kept, axis=1)
 
 
 @dataclass
@@ -215,42 +215,81 @@ class VoxelOrderingTable:
 
     Attributes
     ----------
-    per_ray_orders:
-        One front-to-back renamed-voxel-id sequence per sampled ray
-        (int64 arrays from the batched traversal, plain lists accepted).
-    rays_sampled:
-        Number of rays that were traced.
+    entries:
+        Renamed voxel ids of every sampled ray, ray after ray, each ray's
+        front to back (int64).
+    ray_lengths:
+        ``(R,)`` entries per sampled ray, in sampling order; 0 for a ray
+        that meets no non-empty voxel.
     """
 
-    per_ray_orders: List[Sequence[int]]
-    rays_sampled: int
+    entries: np.ndarray
+    ray_lengths: np.ndarray
+
+    @property
+    def rays_sampled(self) -> int:
+        """Number of rays that were traced."""
+        return len(self.ray_lengths)
 
     @property
     def total_entries(self) -> int:
         """Total number of (ray, voxel) entries — the VSU's table size."""
-        return sum(len(order) for order in self.per_ray_orders)
+        return len(self.entries)
+
+    @property
+    def per_ray_orders(self) -> List[np.ndarray]:
+        """Each ray's front-to-back voxel ids, for the rays that meet any."""
+        lengths = self.ray_lengths[self.ray_lengths > 0]
+        return np.split(self.entries, np.cumsum(lengths)[:-1]) if len(lengths) else []
 
 
-def _tile_ray_pixels(
-    tile_bounds: Tuple[int, int, int, int], ray_stride: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pixel coordinates of the rays sampled inside one tile.
+def _ray_offsets(extent: int, ray_stride: int) -> np.ndarray:
+    """Offsets of the sampled rays along one tile side of ``extent`` pixels.
 
-    A regular grid with ``ray_stride`` spacing; the tile's corner pixels
-    are always included so the traversed voxel set covers the tile's whole
-    frustum footprint.
+    Every ``ray_stride`` pixels from the tile's corner, plus the last
+    pixel, so the traversed voxel set covers the tile's whole frustum
+    footprint.
     """
-    x0, y0, x1, y1 = tile_bounds
-    if x1 <= x0 or y1 <= y0:
+    offsets = np.arange(0, extent, ray_stride)
+    return offsets if offsets[-1] == extent - 1 else np.append(offsets, extent - 1)
+
+
+def tile_ray_pixels(
+    bounds: np.ndarray, ray_stride: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel coordinates of the rays sampled inside many tiles.
+
+    ``bounds`` is a ``(T, 4)`` array of pixel rectangles ``(x0, y0, x1,
+    y1)``.  Each tile samples a regular grid with ``ray_stride`` spacing
+    that always includes its last column and row, row by row.  Tiles of
+    one shape share one grid of offsets, so the pixels come from one
+    addition per distinct shape.  Returns ``(pixel_x, pixel_y,
+    ray_offsets)``: every tile's ray pixels, tile after tile, and the
+    ``(T + 1,)`` first ray of each tile followed by the ray count.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 4)
+    widths = bounds[:, 2] - bounds[:, 0]
+    heights = bounds[:, 3] - bounds[:, 1]
+    if np.any(widths <= 0) or np.any(heights <= 0):
         raise ValueError("empty tile bounds")
-    xs = list(range(x0, x1, ray_stride))
-    ys = list(range(y0, y1, ray_stride))
-    if (x1 - 1) not in xs:
-        xs.append(x1 - 1)
-    if (y1 - 1) not in ys:
-        ys.append(y1 - 1)
-    pixel_x, pixel_y = np.meshgrid(np.array(xs), np.array(ys))
-    return pixel_x.reshape(-1), pixel_y.reshape(-1)
+    shapes, shape_of = np.unique(
+        np.stack([widths, heights], axis=1), axis=0, return_inverse=True
+    )
+    shape_of = shape_of.reshape(-1)
+    grids = []
+    for width, height in shapes:
+        offset_x, offset_y = _ray_offsets(width, ray_stride), _ray_offsets(height, ray_stride)
+        grids.append((np.tile(offset_x, len(offset_y)), np.repeat(offset_y, len(offset_x))))
+    counts = np.array([len(grid_x) for grid_x, _ in grids], dtype=np.int64)[shape_of]
+    ray_offsets = np.concatenate(([0], np.cumsum(counts)))
+    pixel_x = np.empty(ray_offsets[-1], dtype=np.int64)
+    pixel_y = np.empty(ray_offsets[-1], dtype=np.int64)
+    for shape, (grid_x, grid_y) in enumerate(grids):
+        tiles = np.flatnonzero(shape_of == shape)
+        slots = (ray_offsets[tiles][:, None] + np.arange(len(grid_x))).reshape(-1)
+        pixel_x[slots] = (bounds[tiles, 0][:, None] + grid_x).reshape(-1)
+        pixel_y[slots] = (bounds[tiles, 1][:, None] + grid_y).reshape(-1)
+    return pixel_x, pixel_y, ray_offsets
 
 
 def ordering_tables_for_tiles(
@@ -265,29 +304,26 @@ def ordering_tables_for_tiles(
     The whole-frame preparation the engine's frame cache memoizes: the
     tables depend only on the grid geometry, the camera pose and the
     traversal parameters, so repeated renders of the same view reuse them.
-    Every sampled ray of every tile is traversed in one batched 3D-DDA
-    call (:func:`traverse_rays`); a tile's table depends only on its own
-    rays, so it is the same whichever tiles are built with it.
+    Every sampled ray of every tile (:func:`tile_ray_pixels`) is traversed
+    in one batched 3D-DDA call (:func:`traverse_rays`), and each tile's
+    table is a slice of its flat result; a tile's table depends only on
+    its own rays, so it is the same whichever tiles are built with it.
     """
-    tile_pixels = {
-        tile_id: _tile_ray_pixels(bounds, ray_stride)
-        for tile_id, bounds in tile_bounds.items()
-    }
-    if not tile_pixels:
+    if not tile_bounds:
         return {}
-    all_x = np.concatenate([px for px, _ in tile_pixels.values()])
-    all_y = np.concatenate([py for _, py in tile_pixels.values()])
-    origins, directions = camera.pixel_rays(all_x, all_y)
-    orders = traverse_rays(
+    pixel_x, pixel_y, ray_offsets = tile_ray_pixels(
+        np.array(list(tile_bounds.values())), ray_stride
+    )
+    origins, directions = camera.pixel_rays(pixel_x, pixel_y)
+    voxels, lengths = traverse_rays(
         grid, origins, directions, max_voxels=max_voxels_per_ray
     )
-    tables: Dict[int, VoxelOrderingTable] = {}
-    offset = 0
-    for tile_id, (px, _) in tile_pixels.items():
-        tile_orders = orders[offset : offset + len(px)]
-        offset += len(px)
-        tables[tile_id] = VoxelOrderingTable(
-            per_ray_orders=[order for order in tile_orders if len(order)],
-            rays_sampled=len(px),
+    entry_offsets = np.concatenate(([0], np.cumsum(lengths)))[ray_offsets].tolist()
+    ray_offsets = ray_offsets.tolist()
+    return {
+        tile_id: VoxelOrderingTable(
+            entries=voxels[entry_offsets[i] : entry_offsets[i + 1]],
+            ray_lengths=lengths[ray_offsets[i] : ray_offsets[i + 1]],
         )
-    return tables
+        for i, tile_id in enumerate(tile_bounds)
+    }

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -241,7 +241,9 @@ class StreamingBenchResult:
     #: one-process frame, the untimed first parallel frame (wall seconds,
     #: including starting the workers, and the pickled renderer it
     #: shipped with the time to pickle it) and the largest request a warm
-    #: frame sent a worker.
+    #: frame sent a worker, and the timed parallel frames' cut: blocks
+    #: per run and where the cut came from (``tile_cut``/``tile_cut_source``
+    #: in the frame telemetry).
     tile_mode: str = ""
     parallel_image_delta: float = 0.0
     parallel_stats_equal: bool = True
@@ -250,6 +252,8 @@ class StreamingBenchResult:
     shipped_bytes: int = 0
     ship_seconds: float = 0.0
     request_bytes: int = 0
+    tile_cut: List[int] = field(default_factory=list)
+    tile_cut_source: str = ""
     #: Median, over :data:`PARALLEL_PAIRS` back-to-back pairs, of the
     #: one-process frame's time over the parallel frame's (0 when
     #: unmeasured); ``seconds["vectorized_parallel"]`` is the median
@@ -292,6 +296,8 @@ class StreamingBenchResult:
             "shipped_bytes": self.shipped_bytes,
             "ship_seconds": self.ship_seconds,
             "request_bytes": self.request_bytes,
+            "tile_cut": list(self.tile_cut),
+            "tile_cut_source": self.tile_cut_source,
             "auto_tile_workers": self.auto_tile_workers,
             "tile_auto": self.tile_auto,
         }
@@ -326,7 +332,8 @@ class StreamingBenchResult:
                     f"  first parallel frame {self.first_parallel_seconds * 1e3:.1f} ms "
                     f"(shipped a {self.shipped_bytes}-byte renderer, pickled in "
                     f"{self.ship_seconds * 1e3:.1f} ms); warm frames send "
-                    f"{self.request_bytes} bytes per worker"
+                    f"{self.request_bytes} bytes per worker; blocks per run "
+                    f"{self.tile_cut} ({self.tile_cut_source})"
                 )
         return "\n".join(lines)
 
@@ -546,6 +553,8 @@ def run_streaming_benchmark(
             np.median([pair[1] / pair[tile_workers] for pair in pairs])
         )
         result.tile_mode = str(telemetry.get("tile_mode", ""))
+        result.tile_cut = list(telemetry.get("tile_cut", []))
+        result.tile_cut_source = str(telemetry.get("tile_cut_source", ""))
         result.request_bytes = max(
             (int(worker["request_bytes"]) for worker in telemetry.get("workers", [])),
             default=0,

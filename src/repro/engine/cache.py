@@ -10,8 +10,10 @@ one :class:`FramePreparation`.
 
 The cache is a small LRU keyed by ``(camera pose, traversal parameters)``,
 plus the tile range for the preparation of one run of tiles (a
-process-parallel frame prepares each process's run on its own); the owning
-renderer holds one cache per voxel grid, so grid changes can never alias.
+process-parallel frame prepares each process's run on its own, and keeps a
+pose's cut while the pose is recent, so a repeated pose looks up the same
+runs); the owning renderer holds one cache per voxel grid, so grid changes
+can never alias.
 Statistics recorded from cached preparations are identical to freshly
 computed ones — the cache memoizes work, not accounting.
 """

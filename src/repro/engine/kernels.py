@@ -37,6 +37,7 @@ Renderers choose between the two by a path name from
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -266,6 +267,8 @@ class StreamingBlend:
     #: Pairs left after footprint culling: each subtile's culled stream
     #: length times its column count, summed.
     pairs_kept: int
+    #: (B,) wall seconds of each column block's chunk loop.
+    block_seconds: np.ndarray
 
 
 @dataclass
@@ -421,6 +424,10 @@ def blend_streaming(
     Only the accumulation order of colours and per-Gaussian weights
     depends on the subtiles and the chunking, which depend on a block's
     own tiles only.
+
+    Each block's chunk loop is timed with one clock read per block
+    (``block_seconds``), which is what a process-parallel frame balances
+    its runs by.
     """
     num_columns = int(column_offsets[-1])
     px = pixel_x.astype(np.float64) + 0.5
@@ -459,7 +466,10 @@ def blend_streaming(
     # A block of tiles is the block of their subtiles.
     tile_offsets = subtiles.tile_offsets
     block_subtiles = tile_offsets[block_offsets]
-    for lo, hi in zip(block_subtiles[:-1], block_subtiles[1:]):
+    clock = time.perf_counter
+    block_starts = np.empty(len(block_subtiles))
+    for block, (lo, hi) in enumerate(zip(block_subtiles[:-1], block_subtiles[1:])):
+        block_starts[block] = clock()
         lens = stream_lens[lo:hi]
         max_len = int(lens.max()) if hi > lo else 0
         if max_len == 0:
@@ -613,6 +623,8 @@ def blend_streaming(
                 ids, sums = zip(*parts)
                 add_weights(target, np.concatenate(ids), np.concatenate(sums))
 
+    block_starts[-1] = clock()
+
     # Back from subtiles to tiles: a saturation position in a culled stream
     # names an entry of the tile's stream, and counts sum over subtiles.
     tile_lens = np.diff(stream_offsets).astype(np.int64)
@@ -631,4 +643,5 @@ def blend_streaming(
         violations=np.diff(violation_sums),
         pairs_offered=int(tile_lens @ np.diff(column_offsets)),
         pairs_kept=int(stream_lens @ np.diff(subtile_offsets)),
+        block_seconds=np.diff(block_starts),
     )

@@ -2,17 +2,30 @@
 
 A frame renders on ``N`` processes: the renderer cuts its column blocks
 (:func:`~repro.engine.kernels.column_blocks`) into ``N`` contiguous runs
-of equally many whole blocks, the calling process renders the first run
-and ``N - 1`` tile workers render the others.  Each process prepares its
-own run — ray traversal, voxel order and header accounting of the run's
-tiles only (:meth:`StreamingRenderer.prepare_frame` with ``tiles``) — and
-then filters, blends and accounts it.  A tile's preparation depends only
-on its own rays and every block blends identically whatever else its
+of whole blocks, the calling process renders the first run and ``N - 1``
+tile workers render the others.  Each process prepares its own run — ray
+traversal, voxel order and header accounting of the run's tiles only
+(:meth:`StreamingRenderer.prepare_frame` with ``tiles``) — and then
+filters, blends and accounts it.  A tile's preparation depends only on
+its own rays and every block blends identically whatever else its
 process renders; a worker records its run's per-Gaussian weight
 additions (:class:`~repro.engine.state.WeightLog`) and the caller makes
 them after its own run, in the order one process would have.  So images,
 alpha and every statistic, weights included, equal a one-process frame
-bit for bit, whatever ``N`` is.
+bit for bit, whatever ``N`` is and wherever the runs are cut.
+
+The runs are cut by cost, not by count (:func:`cost_cut`).  Every frame,
+one-process frames included, measures each block's cost: its blend time
+(``StreamingBlend.block_seconds``) plus its run's other time spread over
+the run's blocks (:meth:`StreamingRenderer._render_run`); workers return
+theirs in their telemetry.  The renderer's next parallel frame cuts where
+those costs split evenly, with the calling process also charged its last
+dispatch time.  A renderer with no costs for the frame's blocks gets
+equally many blocks per run, and a pose rendered lately keeps the cut of
+its first visit, because the runs key the run preparations in the
+callers' and the workers' frame caches (:class:`_CutMemory`).
+``telemetry["tile_cut"]`` gives the blocks per run and
+``telemetry["tile_cut_source"]`` where the cut came from.
 
 ``tile_workers=N`` asks for ``N`` (capped by the frame's blocks);
 ``tile_workers=None``, the default of :class:`StreamingRenderer.render`
@@ -40,8 +53,9 @@ memory is involved; what travels is:
   counters and sort lengths), its weight logs and blend pair counts, by
   value.  The frame absorbs the runs in run order, which is tile order.
 
-Each worker also reports its ``stages_s``, CPU seconds, peak RSS and
-whether the renderer travelled with the frame (``telemetry["workers"]``).
+Each worker also reports its ``stages_s``, its run's ``block_costs_s``,
+CPU seconds, peak RSS and whether the renderer travelled with the frame
+(``telemetry["workers"]``).
 A worker that cannot be started or fails mid-frame (killed, broken pipe)
 is discarded and its run renders in the calling process, with
 ``telemetry["tile_mode_degraded"]`` saying why; the next parallel frame
@@ -138,7 +152,7 @@ def _render_run(
     stats.gaussian_blend_weight, stats.gaussian_violation_weight = logs
     stages: Dict[str, float] = {}
     pairs = {"offered": 0, "kept": 0}
-    renderer._render_run(
+    costs = renderer._render_run(
         camera, tile_bounds, blocks, image, alpha_img, stats, stages, pairs
     )
     stats.gaussian_blend_weight = stats.gaussian_violation_weight = None
@@ -151,6 +165,7 @@ def _render_run(
         "pairs": pairs,
         "telemetry": {
             "stages_s": stages,
+            "block_costs_s": costs.tolist(),
             "cpu_s": time.process_time() - cpu_started,
             "peak_rss_mb": _peak_rss_mb(),
         },
@@ -360,6 +375,88 @@ def _shipped(renderer: "StreamingRenderer") -> bytes:
 
 
 # ----------------------------------------------------------------------
+# Where a frame's runs are cut.
+# ----------------------------------------------------------------------
+class _CutMemory:
+    """What a renderer's frames tell the cut of its next parallel frame.
+
+    ``block_costs`` holds the last frame's measured seconds per block (a
+    one-process frame records them too) and ``dispatch_s`` the last
+    parallel frame's dispatch time in the calling process, not counting
+    its waits for replies or starting workers and shipping them the
+    renderer.  ``cuts`` remembers the cut of each recent
+    pose and process count, as many as the renderer's frame cache holds
+    frames: the runs key the run preparations in the frame caches, so a
+    repeated pose must be cut as on its first visit to hit them.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.block_costs: Optional[np.ndarray] = None
+        self.dispatch_s = 0.0
+        self.cuts: "collections.OrderedDict[tuple, Tuple[np.ndarray, str]]" = (
+            collections.OrderedDict()
+        )
+
+    def cut(self, key: tuple, num_blocks: int, runs: int) -> Tuple[np.ndarray, str]:
+        """The cut for ``key`` and where it came from (lock held)."""
+        remembered = self.cuts.get(key)
+        if remembered is not None:
+            self.cuts.move_to_end(key)
+            return remembered[0], f"{remembered[1]}, kept for this pose"
+        costs = self.block_costs
+        if costs is None or len(costs) != num_blocks:
+            cut, source = equal_cut(num_blocks, runs), "equal counts: no block costs"
+        else:
+            cut, source = cost_cut(costs, runs, self.dispatch_s), "last frame's block costs"
+        if self.capacity:
+            self.cuts[key] = (cut, source)
+            while len(self.cuts) > self.capacity:
+                self.cuts.popitem(last=False)
+        return cut, source
+
+
+#: Renderer -> what its frames tell the next cut.
+_CUTS: "weakref.WeakKeyDictionary[StreamingRenderer, _CutMemory]" = weakref.WeakKeyDictionary()
+
+
+def _cut_memory(renderer: "StreamingRenderer") -> _CutMemory:
+    memory = _CUTS.get(renderer)
+    if memory is None:
+        memory = _CUTS[renderer] = _CutMemory(renderer.frame_cache.capacity)
+    return memory
+
+
+def equal_cut(num_blocks: int, runs: int) -> np.ndarray:
+    """Block offsets of ``runs`` runs of (give or take one) equally many blocks."""
+    return np.array([num_blocks * run // runs for run in range(runs + 1)], dtype=np.int64)
+
+
+def cost_cut(costs: np.ndarray, runs: int, first_charge_s: float = 0.0) -> np.ndarray:
+    """Block offsets of ``runs`` contiguous runs of near-equal estimated cost.
+
+    ``costs`` holds each block's estimated seconds, and the first run (the
+    calling process's) is charged ``first_charge_s`` more.  Run ``j`` ends
+    where the cumulative cost comes closest to ``j / runs`` of the total,
+    and every run keeps at least one block; a cost total that is not
+    positive and finite gives equal counts.  Graham's longest-processing-
+    time rule in its static, contiguous form.
+    """
+    num_blocks = len(costs)
+    cumulative = np.concatenate(([0.0], np.cumsum(costs))) + first_charge_s
+    total = float(cumulative[-1])
+    if not (np.isfinite(total) and total > 0.0):
+        return equal_cut(num_blocks, runs)
+    cut = [0]
+    for run in range(1, runs):
+        lo, hi = cut[-1] + 1, num_blocks - (runs - run)
+        ends = cumulative[lo : hi + 1]
+        cut.append(lo + int(np.argmin(np.abs(ends - total * run / runs))))
+    cut.append(num_blocks)
+    return np.asarray(cut, dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
 # One frame.
 # ----------------------------------------------------------------------
 def auto_tile_workers(
@@ -426,7 +523,9 @@ def render_tiles(
                 image, alpha_img, stats, stages, pairs,
             ),
         }
-    renderer._render_run(camera, tile_bounds, blocks, image, alpha_img, stats, stages, pairs)
+    _cut_memory(renderer).block_costs = renderer._render_run(
+        camera, tile_bounds, blocks, image, alpha_img, stats, stages, pairs
+    )
     return {**chosen, "tile_mode": "serial"}
 
 
@@ -447,11 +546,21 @@ def render_tiles_process(
     Mutates ``image`` / ``alpha_img`` / ``stats`` / ``stages`` / ``pairs``
     exactly like the renderer's in-process run (``stages`` gains
     ``dispatch``: the wall time not spent rendering in this process) and
-    returns the telemetry of the execution.  Whatever the workers cannot
-    render, this process renders, and the telemetry records why.
+    returns the telemetry of the execution: ``tile_cut`` (blocks per run)
+    and ``tile_cut_source`` (where the cut came from), ``waited_s`` (the
+    part of ``dispatch`` spent waiting for replies) and what travelled.
+    Whatever the workers cannot render, this process renders, and the
+    telemetry records why.
+
+    The runs are contiguous runs of whole blocks (there are at least as
+    many blocks as runs), cut where the renderer's last frame's measured
+    block costs split evenly, with this process also charged its last
+    dispatch time (:func:`cost_cut`); a renderer with no costs yet gets
+    equally many blocks per run, and a pose rendered lately keeps its cut.
     """
+    memory = _cut_memory(renderer)
     if multiprocessing.current_process().daemon:
-        renderer._render_run(
+        memory.block_costs = renderer._render_run(
             camera, tile_bounds, blocks, image, alpha_img, stats, stages, pairs
         )
         return {
@@ -459,23 +568,24 @@ def render_tiles_process(
             "tile_mode_degraded": "daemonic process cannot fork tile workers",
         }
 
-    started = time.perf_counter()
+    clock = time.perf_counter
+    started = clock()
     rendering_before = sum(stages.values())
-    # Runs of (give or take one) equally many whole blocks; there are at
-    # least as many blocks as runs.
-    cuts = [(len(blocks) - 1) * run // workers for run in range(workers + 1)]
-    runs = [blocks[lo : hi + 1] for lo, hi in zip(cuts[:-1], cuts[1:])]
     failures: List[str] = []
-    replies: List[Optional[dict]] = [None] * (len(runs) - 1)
-    shipped_bytes, ship_s = 0, 0.0
+    replies: List[Optional[dict]] = [None] * (workers - 1)
+    shipped_bytes, ship_s, waited_s = 0, 0.0, 0.0
     with _LOCK:
+        cut, cut_source = memory.cut((camera.pose_key(), workers), len(blocks) - 1, workers)
+        runs = [blocks[lo : hi + 1] for lo, hi in zip(cut[:-1], cut[1:])]
         _flush_released()
+        starting = clock()
         while len(_WORKERS) < len(runs) - 1:
             try:
                 _WORKERS.append(_TileWorker())
             except _WORKER_FAILURES as error:
                 failures.append(f"cannot start a tile worker: {error}")
                 break
+        start_s = clock() - starting
         pool = _WORKERS[: len(runs) - 1]
         token = _token(renderer)
         payload: Optional[bytes] = None
@@ -510,16 +620,20 @@ def render_tiles_process(
                     _discard(worker)
                     continue
                 worker.held.add(token)
-            renderer._render_run(
-                camera, tile_bounds, runs[0], image, alpha_img, stats, stages, pairs
-            )
+            run_costs = [
+                renderer._render_run(
+                    camera, tile_bounds, runs[0], image, alpha_img, stats, stages, pairs
+                )
+            ]
             for index in list(outstanding):
                 worker, request_bytes = outstanding[index]
+                receiving = clock()
                 try:
                     reply, reply_bytes = worker.receive()
                 except _WORKER_FAILURES as error:
                     reply, reply_bytes = {"error": f"{type(error).__name__}: {error}"}, 0
                     _discard(worker)
+                waited_s += clock() - receiving
                 del outstanding[index]
                 if "error" in reply:
                     failures.append(f"tile worker failed: {reply['error']}")
@@ -539,10 +653,13 @@ def render_tiles_process(
     shape = (camera.height, camera.width)
     for run, reply in zip(runs[1:], replies):
         if reply is None:
-            renderer._render_run(
-                camera, tile_bounds, run, image, alpha_img, stats, stages, pairs
+            run_costs.append(
+                renderer._render_run(
+                    camera, tile_bounds, run, image, alpha_img, stats, stages, pairs
+                )
             )
             continue
+        run_costs.append(np.asarray(reply["telemetry"]["block_costs_s"]))
         mask = _run_mask(shape, tile_bounds, run)
         image[mask] = reply["pixels"]
         alpha_img[mask] = reply["alpha"]
@@ -556,9 +673,15 @@ def render_tiles_process(
             pairs[name] += count
         worker_telemetry.append(reply["telemetry"])
     rendering = sum(stages.values()) - rendering_before
-    stages["dispatch"] = time.perf_counter() - started - rendering
+    stages["dispatch"] = clock() - started - rendering
+    memory.block_costs = np.concatenate(run_costs)
+    # Starting workers and shipping the renderer are one-off costs.
+    memory.dispatch_s = max(0.0, stages["dispatch"] - waited_s - start_s - ship_s)
     telemetry: Dict[str, object] = {
         "tile_mode": "process" if worker_telemetry else "serial",
+        "tile_cut": np.diff(cut).tolist(),
+        "tile_cut_source": cut_source,
+        "waited_s": waited_s,
         "shipped_bytes": shipped_bytes,
         "ship_s": ship_s,
         "workers": worker_telemetry,

@@ -3,12 +3,22 @@
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ray_voxel import ordering_tables_for_tiles, traverse_ray, traverse_rays
+from repro.core.ray_voxel import (
+    VoxelOrderingTable,
+    ordering_tables_for_tiles,
+    traverse_ray,
+    traverse_rays,
+)
 from repro.core.voxel_grid import VoxelGrid
-from repro.core.voxel_order import topological_voxel_order, voxel_depth_values
+from repro.core.voxel_order import (
+    topological_orders_for_tables,
+    topological_voxel_order,
+    voxel_depth_values,
+)
+from repro.gaussians.tiles import TileGrid
 from tests.conftest import make_camera, make_model, voxel_box
 
 
@@ -90,16 +100,17 @@ def test_component_below_the_parallel_threshold_never_steps(grid, tiny):
     axis_parallel = np.array([-1.0, 0.0, 0.0])
     expected = traverse_ray(grid, origin, axis_parallel, include_empty=True)
     assert traverse_ray(grid, origin, direction, include_empty=True) == expected
-    batched = traverse_rays(grid, origin[None, :], direction[None, :])[0]
+    batched, lengths = traverse_rays(grid, origin[None, :], direction[None, :])
+    assert lengths.tolist() == [len(batched)]
     np.testing.assert_array_equal(batched, traverse_ray(grid, origin, axis_parallel))
 
 
 def test_axis_parallel_ray_that_misses_the_grid(grid):
     origins = np.array([[10.0, -20.0, 0.0], [10.0, 0.3, 0.2]])
     directions = np.array([[-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    missed, hit = traverse_rays(grid, origins, directions)
-    assert len(missed) == 0
-    np.testing.assert_array_equal(hit, traverse_ray(grid, origins[1], directions[1]))
+    voxels, lengths = traverse_rays(grid, origins, directions)
+    assert lengths[0] == 0
+    np.testing.assert_array_equal(voxels, traverse_ray(grid, origins[1], directions[1]))
 
 
 @pytest.mark.parametrize("face", ["low", "high", "inner"])
@@ -112,6 +123,7 @@ def test_axis_parallel_ray_on_a_voxel_face(grid, face):
     direction = np.array([-1.0, 0.0, 0.0])
     order = traverse_ray(grid, origin, direction)
     np.testing.assert_array_equal(traverse_rays(grid, origin[None, :], direction[None, :])[0], order)
+    assert traverse_rays(grid, origin[None, :], direction[None, :])[1].tolist() == [len(order)]
     if face != "inner":
         inside = origin + np.array([0.0, 1e-9 if face == "low" else -1e-9, 0.0])
         assert order == traverse_ray(grid, inside, direction)
@@ -194,6 +206,86 @@ def test_ordering_table_keeps_only_rays_that_meet_voxels(grid):
     )[0]
     assert 0 < len(table.per_ray_orders) < table.rays_sampled
     assert all(len(order) > 0 for order in table.per_ray_orders)
+
+
+def tile_rays_one_by_one(grid, camera, bounds, stride):
+    """A tile's ray orders the per-tile way: its own pixel grid, one DDA per ray."""
+    x0, y0, x1, y1 = bounds
+    xs, ys = list(range(x0, x1, stride)), list(range(y0, y1, stride))
+    xs += [x1 - 1] if xs[-1] != x1 - 1 else []
+    ys += [y1 - 1] if ys[-1] != y1 - 1 else []
+    pixel_x, pixel_y = np.meshgrid(xs, ys)
+    origins, directions = camera.pixel_rays(pixel_x.reshape(-1), pixel_y.reshape(-1))
+    return [traverse_ray(grid, o, d) for o, d in zip(origins, directions)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    distance=st.sampled_from([3.0, 8.0, 40.0]),
+    tile_size=st.integers(3, 17),
+    stride=st.integers(1, 6),
+    width=st.integers(4, 40),
+    height=st.integers(4, 30),
+)
+def test_batched_tables_equal_the_per_tile_path(seed, distance, tile_size, stride, width, height):
+    # From 40 units away the grid fills a few pixels: most rays miss it.
+    grid = VoxelGrid.build(make_model(num_gaussians=150, extent=4.0, seed=seed), 0.8)
+    camera = make_camera(width=width, height=height, distance=distance)
+    tiles = TileGrid(width, height, tile_size)
+    bounds = {t: tiles.tile_pixel_bounds(t) for t in range(tiles.num_tiles)}
+    tables = ordering_tables_for_tiles(grid, camera, bounds, ray_stride=stride)
+    assert list(tables) == list(bounds)
+    for tile_id, tile in bounds.items():
+        rays = tile_rays_one_by_one(grid, camera, tile, stride)
+        assert tables[tile_id].ray_lengths.tolist() == [len(ray) for ray in rays]
+        assert tables[tile_id].entries.tolist() == [v for ray in rays for v in ray]
+
+
+def table_of(rays):
+    return VoxelOrderingTable(
+        entries=np.array([v for ray in rays for v in ray], dtype=np.int64),
+        ray_lengths=np.array([len(ray) for ray in rays], dtype=np.int64),
+    )
+
+
+#: Tiles of every kind: a fast-path tile, a Kahn tile whose depth order runs
+#: against an edge (3 -> 1 with 3 deeper), a dependency cycle, a tile whose
+#: rays all miss, a tile without rays and one with a self-step.
+MIXED_TILES = [[[0, 2], [2, 5]], [[3, 1], [1, 2]], [[1, 2], [2, 1]], [[], []], [], [[4, 4, 6]]]
+MIXED_DEPTHS = [0.5, 1.0, 2.0, 3.0, 0.0, 2.5, 1.5, 0.25]
+
+
+def test_batched_orders_take_kahn_only_where_the_sorted_order_breaks_an_edge():
+    tables = {7 * i: table_of(rays) for i, rays in enumerate(MIXED_TILES)}
+    orders = topological_orders_for_tables(tables, voxel_depths=np.array(MIXED_DEPTHS))
+    assert [orders[t].order for t in tables] == [[0, 2, 5], [3, 1, 2], [1, 2], [], [], [4, 6]]
+    assert [orders[t].cycles_broken for t in tables] == [0, 0, 1, 0, 0, 0]
+    assert [orders[t].num_edges for t in tables] == [2, 2, 2, 0, 0, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tiles=st.lists(
+        st.lists(st.lists(st.integers(0, 7), max_size=6), max_size=6),
+        min_size=1,
+        max_size=6,
+    ),
+    depths=st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=8, max_size=8),
+    ),
+)
+@example(tiles=MIXED_TILES, depths=MIXED_DEPTHS)
+@example(tiles=MIXED_TILES, depths=None)
+def test_batched_orders_equal_the_per_tile_path(tiles, depths):
+    """Random rays revisit voxels, so cycles and Kahn tiles are common."""
+    tables = {3 * i + 1: table_of(rays) for i, rays in enumerate(tiles)}
+    depths = None if depths is None else np.array(depths)
+    orders = topological_orders_for_tables(tables, voxel_depths=depths)
+    assert list(orders) == list(tables)
+    for tile_id, table in tables.items():
+        assert orders[tile_id] == topological_voxel_order(table.per_ray_orders, depths)
 
 
 # ---------------------------------------------------------------------------

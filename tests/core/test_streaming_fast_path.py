@@ -21,7 +21,7 @@ from repro.core.config import StreamingConfig
 from repro.core.data_layout import DataLayout, LayoutTraffic
 from repro.core.hierarchical_filter import FilterStats, HierarchicalFilter
 from repro.core.pipeline import StreamingRenderer
-from repro.core.ray_voxel import _tile_ray_pixels, traverse_ray, traverse_rays
+from repro.core.ray_voxel import tile_ray_pixels, traverse_ray, traverse_rays
 from repro.core.voxel_grid import VoxelGrid
 from repro.engine.bench import streaming_stats_equal
 from repro.engine.kernels import RENDER_PATHS
@@ -274,6 +274,11 @@ class TestFilterStatsMergeProperties:
         assert FilterStats().merge(a) == a
 
 
+def split_rays(voxels, lengths):
+    """``traverse_rays``'s flat result as one array per ray."""
+    return np.split(voxels, np.cumsum(lengths)[:-1])
+
+
 class TestBatchedTraversal:
     def test_batch_matches_scalar_per_ray(self):
         model = make_model(num_gaussians=500, extent=5.0, seed=9)
@@ -281,9 +286,10 @@ class TestBatchedTraversal:
         camera = make_camera(width=64, height=48)
         tile_grid = TileGrid(64, 48, 16)
         for tile_id in range(tile_grid.num_tiles):
-            px, py = _tile_ray_pixels(tile_grid.tile_pixel_bounds(tile_id), 4)
+            px, py, _ = tile_ray_pixels([tile_grid.tile_pixel_bounds(tile_id)], 4)
             origins, directions = camera.pixel_rays(px, py)
-            batch = traverse_rays(grid, origins, directions)
+            batch = split_rays(*traverse_rays(grid, origins, directions))
+            assert len(batch) == len(origins)
             for ray in range(len(origins)):
                 assert list(batch[ray]) == traverse_ray(
                     grid, origins[ray], directions[ray]
@@ -293,10 +299,10 @@ class TestBatchedTraversal:
         model = make_model(num_gaussians=300, extent=5.0, seed=4)
         grid = VoxelGrid.build(model, 0.3)
         camera = make_camera(width=32, height=32)
-        px, py = _tile_ray_pixels((0, 0, 32, 32), 8)
+        px, py, _ = tile_ray_pixels([(0, 0, 32, 32)], 8)
         origins, directions = camera.pixel_rays(px, py)
-        short = traverse_rays(grid, origins, directions, max_voxels=3)
-        full = traverse_rays(grid, origins, directions)
+        short = split_rays(*traverse_rays(grid, origins, directions, max_voxels=3))
+        full = split_rays(*traverse_rays(grid, origins, directions))
         for bounded, reference in zip(short, full):
             assert len(bounded) <= 3
             assert list(bounded) == list(reference[: len(bounded)])

@@ -1,13 +1,16 @@
-"""Warm tile workers: per-run preparation, frame parity, transport, faults.
+"""Warm tile workers: per-run preparation, frame parity, cuts, transport, faults.
 
 A parallel frame prepares each process's run of tiles on its own, so the
 run's preparation must be the whole frame's restricted to the run; the
 frame must equal the one-process frame bit for bit (images, alpha and
 every statistic, per-Gaussian weights included) whatever renderers
-interleave on the workers; a renderer travels to a worker once; a worker
-lost between frames, or cut off mid-request, costs one in-process run, not
-the frame's correctness; and ``tile_workers=None`` chooses the process
-count from the CPUs, the frame's size and whether the renderer is new.
+interleave on the workers and wherever the runs are cut; the cut follows
+the last frame's measured block costs, and a repeated pose keeps its cut
+so its run preparations stay cached; a renderer travels to a worker
+once; a worker lost between frames, or cut off mid-request, costs one
+in-process run, not the frame's correctness; and ``tile_workers=None``
+chooses the process count from the CPUs, the frame's size and whether
+the renderer is new.
 """
 
 import multiprocessing.shared_memory
@@ -18,13 +21,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.core.config import StreamingConfig
 from repro.core.pipeline import StreamingRenderer, StreamingStats
 from repro.engine import tile_parallel
 from repro.engine.bench import streaming_stats_equal
-from repro.engine.kernels import column_blocks
+from repro.engine.kernels import blend_streaming, column_blocks, tile_columns
 from repro.gaussians.camera import Camera
 from repro.gaussians.tiles import TileGrid
 from tests.conftest import make_camera, make_model
@@ -140,6 +145,123 @@ class TestWarmWorkerFrames:
         assert frame.telemetry["tile_mode"] == "process"
         assert list(frame.telemetry["workers"][0]["stages_s"]) == ["prepare", "reference"]
         assert_frames_equal(serial, frame)
+
+
+# ----------------------------------------------------------------------
+# Where the runs are cut.
+# ----------------------------------------------------------------------
+#: Two scenes: a mid-density cloud and a dense, near-opaque one whose
+#: saturated tiles stop streaming early.
+CUT_SCENES = {
+    "sparse": dict(num_gaussians=250, extent=4.0, seed=12),
+    "opaque": dict(num_gaussians=900, extent=3.0, scale=0.25, opacity=0.98, seed=11),
+}
+
+
+class TestCostCuts:
+    @pytest.mark.parametrize("scene", sorted(CUT_SCENES))
+    def test_every_cut_gives_the_one_process_frame(self, monkeypatch, scene):
+        model = make_model(**CUT_SCENES[scene])
+        renderer = StreamingRenderer(model, StreamingConfig(voxel_size=0.8, use_vq=False))
+        camera = make_camera(width=64, height=48)  # 12 tiles, 6 blocks
+        serial = renderer.render(camera, tile_workers=1)
+        assert serial.stats.depth_order_errors > 0
+        for split in range(1, 6):
+            cut = np.array([0, split, 6])
+            monkeypatch.setattr(
+                tile_parallel._CutMemory, "cut", lambda self, *args, cut=cut: (cut, "fixed")
+            )
+            frame = renderer.render(camera, tile_workers=2)
+            assert frame.telemetry["tile_mode"] == "process"
+            assert frame.telemetry["tile_cut"] == [split, 6 - split]
+            assert_frames_equal(serial, frame)
+
+    def test_cost_cut_examples(self):
+        ones = np.ones(6)
+        assert tile_parallel.cost_cut(ones, 2).tolist() == [0, 3, 6]
+        assert tile_parallel.cost_cut(ones, 3).tolist() == [0, 2, 4, 6]
+        # The caller's dispatch charge moves blocks to the workers.
+        assert tile_parallel.cost_cut(ones, 2, first_charge_s=2.0).tolist() == [0, 2, 6]
+        assert tile_parallel.cost_cut(np.array([4.0, 1, 1, 1, 1]), 2).tolist() == [0, 1, 5]
+        # Every run keeps a block; a total that is not positive and finite
+        # gives equal counts.
+        assert tile_parallel.cost_cut(np.array([10.0, 0, 0, 0]), 3).tolist() == [0, 1, 2, 4]
+        assert tile_parallel.cost_cut(np.zeros(4), 2).tolist() == [0, 2, 4]
+        assert tile_parallel.cost_cut(np.array([1.0, np.inf, 1]), 2).tolist() == [0, 1, 3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        costs=st.lists(st.integers(0, 50), min_size=2, max_size=12),
+        charge=st.integers(0, 20),
+    )
+    def test_two_runs_minimise_the_larger_run(self, costs, charge):
+        costs = np.array(costs, dtype=np.float64)
+        if costs.sum() + charge == 0:
+            return
+        _, split, end = tile_parallel.cost_cut(costs, 2, first_charge_s=float(charge))
+        assert end == len(costs) and 1 <= split < len(costs)
+
+        def larger(k):
+            return max(charge + costs[:k].sum(), costs[k:].sum())
+
+        assert larger(split) == min(larger(k) for k in range(1, len(costs)))
+
+    def test_blend_times_each_block(self):
+        model = make_model(num_gaussians=200, seed=5)
+        camera = make_camera(width=64, height=48)
+        renderer = StreamingRenderer(model, StreamingConfig(voxel_size=1.0, use_vq=False))
+        grid = TileGrid(camera.width, camera.height, renderer.config.tile_size)
+        bounds = [grid.tile_pixel_bounds(t) for t in range(grid.num_tiles)]
+        blocks = column_blocks([(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in bounds])
+        orders = renderer._tile_headers(renderer.prepare_frame(camera), StreamingStats())
+        filtered = renderer.filter.filter_voxel_batch(
+            renderer.render_model, renderer.grid, orders, bounds, camera
+        )
+        xs, ys, offsets = tile_columns(bounds)
+        blend = blend_streaming(
+            xs, ys, offsets, filtered.projected, filtered.stream_rows,
+            filtered.stream_offsets, blocks,
+        )
+        assert len(blend.block_seconds) == len(blocks) - 1 == 6
+        assert np.all(blend.block_seconds >= 0.0) and blend.block_seconds.sum() > 0.0
+
+    def test_costs_cut_the_next_frame_and_a_repeated_pose_keeps_its_cut(self):
+        renderer = make_renderer()
+        poses = [make_camera(width=64, height=48, distance=d) for d in (6.0, 6.5, 7.0)]
+        first = renderer.render(poses[0], tile_workers=2)
+        assert first.telemetry["tile_cut"] == [3, 3]
+        assert first.telemetry["tile_cut_source"] == "equal counts: no block costs"
+        (worker,) = first.telemetry["workers"]
+        assert len(worker["block_costs_s"]) == 3 and min(worker["block_costs_s"]) > 0.0
+        # One frame's costs cut the next frame of the same shape.
+        memory = tile_parallel._cut_memory(renderer)
+        assert len(memory.block_costs) == 6 and memory.dispatch_s >= 0.0
+        memory.block_costs = np.array([5.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        second = renderer.render(poses[1], tile_workers=2)
+        assert second.telemetry["tile_cut"] == [1, 5]
+        assert second.telemetry["tile_cut_source"] == "last frame's block costs"
+        # A repeated pose keeps the cut of its first visit, whatever the
+        # costs say now, so its run preparation is a frame-cache hit.
+        memory.block_costs = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 5.0])
+        hits = renderer.frame_cache.hits
+        again = renderer.render(poses[1], tile_workers=2)
+        assert again.telemetry["tile_cut"] == [1, 5]
+        assert again.telemetry["tile_cut_source"] == "last frame's block costs, kept for this pose"
+        assert renderer.frame_cache.hits == hits + 1
+        assert_frames_equal(second, again)
+        memory.block_costs = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 5.0])
+        third = renderer.render(poses[2], tile_workers=2)
+        assert third.telemetry["tile_cut"] == [5, 1]
+
+    def test_one_process_frames_seed_the_first_cut(self):
+        renderer = make_renderer()
+        renderer.render(make_camera(width=64, height=48), tile_workers=1)
+        frame = renderer.render(make_camera(width=64, height=48, distance=6.5), tile_workers=2)
+        assert frame.telemetry["tile_cut_source"] == "last frame's block costs"
+        # Costs of another frame shape say nothing about this one's blocks.
+        wide = renderer.render(make_camera(width=128, height=32), tile_workers=2)
+        assert wide.telemetry["tile_cut_source"] == "equal counts: no block costs"
+        assert wide.telemetry["tile_cut"] == [4, 4]
 
 
 # ----------------------------------------------------------------------
