@@ -73,8 +73,10 @@ def benchmark_camera(width: int = 160, height: int = 120) -> Camera:
 KERNEL_CONTENDERS = {"reference loop": "reference", "frame blend": "vectorized"}
 
 #: Back-to-back (one process, parallel) frame pairs behind the streaming
-#: benchmark's ``parallel_speedup``.
-PARALLEL_PAIRS = 9
+#: benchmark's ``parallel_speedup``.  Medians of 9 pairs read 1.28-1.79x
+#: over seven back-to-back runs of one 2-CPU host, too wide to tell a 10%
+#: change in the parallel frame from the host.
+PARALLEL_PAIRS = 21
 
 #: Seconds of parallel frames rendered before the pairs are timed.  On a
 #: 2-vCPU host, a second CPU that sat idle (the reference loop renders in
@@ -256,9 +258,10 @@ class StreamingBenchResult:
     tile_cut_source: str = ""
     #: Median, over :data:`PARALLEL_PAIRS` back-to-back pairs, of the
     #: one-process frame's time over the parallel frame's (0 when
-    #: unmeasured); ``seconds["vectorized_parallel"]`` is the median
-    #: parallel frame.
+    #: unmeasured), and the interquartile range of those ratios;
+    #: ``seconds["vectorized_parallel"]`` is the median parallel frame.
     parallel_speedup: float = 0.0
+    parallel_speedup_iqr: float = 0.0
     #: The process count ``tile_workers=None`` chooses for the frame of a
     #: renderer in use, and why.
     auto_tile_workers: int = 0
@@ -282,6 +285,7 @@ class StreamingBenchResult:
             "seconds": dict(self.seconds),
             "speedup": self.speedup,
             "parallel_speedup": self.parallel_speedup,
+            "parallel_speedup_iqr": self.parallel_speedup_iqr,
             "max_image_delta": self.max_image_delta,
             "stats_equal": self.stats_equal,
             "stats_detail": self.stats_detail,
@@ -323,7 +327,8 @@ class StreamingBenchResult:
             lines.append(
                 f"  parallel frame ({self.tile_workers} workers, "
                 f"{self.tile_mode or 'unmeasured'} mode): "
-                f"{self.parallel_speedup:.2f}x over one process; "
+                f"{self.parallel_speedup:.2f}x over one process "
+                f"(IQR {self.parallel_speedup_iqr:.2f} over {PARALLEL_PAIRS} pairs); "
                 f"max |image delta| = {self.parallel_image_delta:.3g}; "
                 f"stats {'EQUAL' if self.parallel_stats_equal else 'DIFFER: ' + self.parallel_stats_detail}"
             )
@@ -549,9 +554,10 @@ def run_streaming_benchmark(
         best["vectorized_parallel"] = float(
             np.median([pair[tile_workers] for pair in pairs])
         )
-        result.parallel_speedup = float(
-            np.median([pair[1] / pair[tile_workers] for pair in pairs])
-        )
+        ratios = [pair[1] / pair[tile_workers] for pair in pairs]
+        result.parallel_speedup = float(np.median(ratios))
+        low, high = np.percentile(ratios, [25, 75])
+        result.parallel_speedup_iqr = float(high - low)
         result.tile_mode = str(telemetry.get("tile_mode", ""))
         result.tile_cut = list(telemetry.get("tile_cut", []))
         result.tile_cut_source = str(telemetry.get("tile_cut_source", ""))

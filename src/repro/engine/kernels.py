@@ -6,30 +6,32 @@
   oracle every faster path is held to;
 * :func:`blend_streaming` — the vectorized blend: the same recurrence run
   over the stacked pixel columns of many tiles (:func:`tile_columns`), each
-  column blending its own tile's stream, in column blocks of
-  :data:`STREAM_BLOCK_COLUMNS`.  The streaming renderer's streams are its
-  tiles' filtered voxel streams, the tile-centric rasterizer's its tiles'
-  depth-sorted Gaussian lists.  Besides colour and transmittance it
+  column blending its own tile's stream.  The streaming renderer's streams
+  are its tiles' filtered voxel streams, the tile-centric rasterizer's its
+  tiles' depth-sorted Gaussian lists.  Besides colour and transmittance it
   reports, per pixel, the stream position at which the pixel saturated, so
   the streaming pipeline can reproduce the reference loop's voxel-granular
   early termination in its statistics.
 
-Per column, :func:`blend_streaming` is :func:`blend_reference`'s
+Per pixel, :func:`blend_streaming` is :func:`blend_reference`'s
 arithmetic: the same Gaussian exponent, alpha, contribution gates and
 transmittance chain, so every transmittance, saturation position and
 integer count is bit-identical.  Only the summation order of colours and
 per-Gaussian weights differs, which the 1e-9 tolerances cover.
 
-:func:`blend_streaming` also culls exactly: each tile splits into 8x8
+:func:`blend_streaming` culls exactly: each tile splits into 8x8
 subtiles, and a subtile blends only the stream entries whose opacity-aware
 box (:func:`footprint_boxes`) meets its pixel centres.  Outside the box the
 blend's own alpha is at most :data:`ALPHA_EPSILON`, so a skipped pair's
 factor would have been exactly 1.0: skipping it changes no transmittance,
 saturation, count or depth maximum.
 
-Within a chunk, transmittance and the depth maximum are front-to-back
-scans down the chunk's rows, taken one contiguous row at a time on wide
-chunks (:func:`_accumulate_rows`): the same operations in the same order.
+Like a GPU tile's pixels, a subtile's pixels blend in lockstep, as a
+64-lane lattice that one gather of each Gaussian serves, and neighbouring
+column blocks share steps of :data:`STREAM_CHUNK_ROWS` stream rows.  What
+a block sums (colours, weights) depends on its own subtiles only, so it
+blends bit for bit alike whichever blocks share its steps and whichever
+process renders it (:func:`blend_streaming` says how).
 
 Renderers choose between the two by a path name from
 :data:`RENDER_PATHS`, checked by :func:`check_render_path`.
@@ -58,24 +60,28 @@ ALPHA_MAX = 0.99
 #: Depth slack below which an out-of-order contribution is not counted.
 DEPTH_VIOLATION_EPSILON = 1e-9
 
-#: Minimum Gaussians (rows) per chunk of the streaming blend.
+#: Stream rows each step of the streaming blend evaluates (fewer only
+#: where no live stream has that many left).
 STREAM_CHUNK_ROWS = 32
 
-#: Element budget (chunk rows x active pixel columns) of one streaming-blend
-#: chunk: chunks start at :data:`STREAM_CHUNK_ROWS` rows and grow as pixel
-#: columns saturate and drop out of the active set.
-STREAM_CHUNK_ELEMENTS = 1 << 14
-
-#: Pixel columns per streaming-blend block.  The blend walks whole tiles
-#: grouped into blocks of at most this many columns, so its chunk
-#: temporaries and stream matrix stay one block's worth however large the
-#: frame is; larger blocks cost peak memory without making frames faster.
+#: Pixel columns per streaming-blend block: whole tiles grouped greedily.
+#: Blocks are the unit a process-parallel frame cuts its runs in, and a
+#: block blends bit for bit alike whatever else its process renders.
 STREAM_BLOCK_COLUMNS = 512
+
+#: Pixel columns of the consecutive whole blocks that share the streaming
+#: blend's steps.  Wider groups cost fewer NumPy calls per element until a
+#: step's arrays outgrow a core's cache: on a 2-CPU host, groups of 1,024
+#: and of 4,096 columns both blended viewer frames slower than 2,048.
+STREAM_GROUP_COLUMNS = 2048
 
 #: Edge, in pixels, of the aligned square cells the streaming blend culls
 #: against: each tile's columns split into subtiles, one per cell, and a
 #: subtile blends only the stream entries whose footprint box reaches it.
 SUBTILE_SIZE = 8
+
+#: Lanes of a subtile's lattice, one per pixel of its cell.
+LANES = SUBTILE_SIZE * SUBTILE_SIZE
 
 #: Rounding margins of :func:`footprint_boxes`: slack added to the bound on
 #: the exponent, and pixels added to every side of the box.
@@ -196,14 +202,23 @@ def column_blocks(pixel_counts: np.ndarray) -> np.ndarray:
     counts only, so any split of a frame into runs of whole blocks blends
     every block, and therefore every pixel, bit for bit alike.
     """
+    return _greedy_offsets(pixel_counts, STREAM_BLOCK_COLUMNS)
+
+
+def _greedy_offsets(counts: Sequence[int], limit: int) -> np.ndarray:
+    """Offsets of consecutive runs of ``counts`` summing to at most ``limit``.
+
+    Runs are filled greedily, and an item above ``limit`` is a run of its
+    own.
+    """
     offsets = [0]
-    columns = 0
-    for tile, count in enumerate(np.asarray(pixel_counts, dtype=np.int64)):
-        if tile > offsets[-1] and columns + count > STREAM_BLOCK_COLUMNS:
-            offsets.append(tile)
-            columns = 0
-        columns += int(count)
-    offsets.append(len(pixel_counts))
+    total = 0
+    for index, count in enumerate(np.asarray(counts, dtype=np.int64)):
+        if index > offsets[-1] and total + count > limit:
+            offsets.append(index)
+            total = 0
+        total += int(count)
+    offsets.append(len(counts))
     return np.asarray(offsets, dtype=np.int64)
 
 
@@ -267,7 +282,7 @@ class StreamingBlend:
     #: Pairs left after footprint culling: each subtile's culled stream
     #: length times its column count, summed.
     pairs_kept: int
-    #: (B,) wall seconds of each column block's chunk loop.
+    #: (B,) each column block's share of the wall seconds of its steps.
     block_seconds: np.ndarray
 
 
@@ -354,23 +369,46 @@ def subtile_streams(
 def _accumulate_rows(
     ufunc: np.ufunc, values: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """``ufunc.accumulate(values, axis=0, out=out)``, row by row when wide.
+    """``ufunc.accumulate(values, axis=0, out=out)``, one row at a time.
 
     ``out[i] = ufunc(out[i - 1], values[i])``; ``out`` may be ``values``.
     NumPy accumulates along axis 0 one column at a time, a whole row apart
-    per step, which is slow on wide chunks; a ufunc call per contiguous row
-    is slow on tall ones.  So a chunk at least as wide as it is tall walks
-    its rows.  Both do the same operations in the same order, so every
-    value keeps its bits (only which NaN a NaN-with-NaN step returns, which
-    IEEE 754 leaves open, may differ at a row's tail).
+    per step, which is slow on the blend's steps: at most
+    :data:`STREAM_CHUNK_ROWS` rows, and at least one lattice of
+    :data:`LANES` lanes wide.  A ufunc call per contiguous row does the
+    same operations in the same order, so every value keeps its bits (only
+    which NaN a NaN-with-NaN step returns, which IEEE 754 leaves open, may
+    differ at a row's tail).
     """
-    rows, columns = values.shape
-    if rows > columns:
-        return ufunc.accumulate(values, axis=0, out=out)
     out[:1] = values[:1]
-    for i in range(1, rows):
+    for i in range(1, len(values)):
         ufunc(out[i - 1], values[i], out=out[i])
     return out
+
+
+def _lanes(values: np.ndarray, outer: bool) -> np.ndarray:
+    """Per-(row, subtile) 8-wide ``values`` spread over the 64 lanes.
+
+    ``values`` holds ``(..., 8)`` values indexed by lane x (``outer``
+    false) or lane y (``outer`` true); returns ``(..., 64)`` with lane
+    ``8 y + x`` holding ``values[..., x]`` or ``values[..., y]``.  Scalar-
+    count ``repeat`` copies contiguous runs, where a broadcast over an
+    8-wide inner axis would pay NumPy's loop overhead every 8 elements.
+    """
+    shape = values.shape[:-1] + (LANES,)
+    if outer:
+        return values.repeat(SUBTILE_SIZE).reshape(shape)
+    return values.reshape(-1, SUBTILE_SIZE).repeat(SUBTILE_SIZE, axis=0).reshape(shape)
+
+
+def _lane_counts(mask: np.ndarray) -> np.ndarray:
+    """Per subtile, the true entries of a ``(rows, subtiles, lanes)`` mask.
+
+    Rows are summed per lane first, in bytes (a step has at most
+    :data:`STREAM_CHUNK_ROWS` rows), then lanes per subtile.
+    """
+    per_lane = np.add.reduce(mask.reshape(len(mask), -1), axis=0, dtype=np.uint8)
+    return per_lane.reshape(-1, LANES).sum(axis=1, dtype=np.int64)
 
 
 def blend_streaming(
@@ -388,12 +426,11 @@ def blend_streaming(
     """Blend many tiles' streams over their stacked pixel columns.
 
     Tile ``t`` owns columns ``column_offsets[t]:column_offsets[t + 1]`` of
-    ``pixel_x`` / ``pixel_y`` and blends, front to back, the rows
-    ``stream_rows[stream_offsets[t]:stream_offsets[t + 1]]`` of
+    ``pixel_x`` / ``pixel_y`` (distinct pixels) and blends, front to back,
+    the rows ``stream_rows[stream_offsets[t]:stream_offsets[t + 1]]`` of
     ``projected`` (every row valid; an empty stream leaves the tile's
-    columns untouched).  Tiles are blended in the column blocks
-    ``block_offsets`` (see :func:`column_blocks`), each block through one
-    chunk loop over its stacked columns.
+    columns untouched).  ``block_offsets`` holds the tiles' column blocks
+    (see :func:`column_blocks`).
 
     Each tile's columns split into subtiles, and each subtile blends only
     the subsequence of its tile's stream whose :func:`footprint_boxes` box
@@ -406,6 +443,38 @@ def blend_streaming(
     tile, so skipping changes no transmittance, saturation, count or depth
     maximum.
 
+    **Lattices.**  A subtile blends as :data:`LANES` lanes: lane
+    ``8 (y mod 8) + (x mod 8)`` is that pixel of its aligned cell, and a
+    lane with no pixel starts at transmittance 0, so it never contributes.
+    The lattices hold each lane's transmittance, colour, saturation
+    position and depth maximum; columns read theirs back at the end.
+
+    **Steps.**  Whole blocks of up to :data:`STREAM_GROUP_COLUMNS` columns
+    form a group, which evaluates rows ``[start, start + R)``
+    (``R`` = :data:`STREAM_CHUNK_ROWS`) of all 64 lanes of every live
+    subtile (stream left, a lane above :data:`TRANSMITTANCE_EPSILON`) as
+    one ``(rows, subtiles, lanes)`` step.  Parameters are gathered per
+    (row, subtile), and the exponent's squares built on 8-wide x and y
+    vectors and spread over the lanes (:func:`_lanes`).  Transmittance is
+    a cumulative product down the step and the depth maximum a running
+    maximum (:func:`_accumulate_rows`).  Each block's colour is one
+    batched ``(subtiles, 64, k) @ (subtiles, k, 3)`` matmul, each
+    (row, subtile)'s weight one sum over its lanes along the contiguous
+    last axis, and each block's weight additions are made in block order
+    once the group is done.
+
+    **Bits.**  Per lane this is :func:`blend_reference`'s arithmetic, and
+    the transmittance chain, contribution gates, saturation positions and
+    integer counts are bit-identical under any stepping: non-contributing
+    factors are exactly 1.0, and as transmittance never increases, the
+    early-termination gate reads the same on the ungated product.  The
+    summation order of colours and weights depends on a block's own
+    subtiles only: step starts are multiples of ``R`` whatever the group,
+    a block's matmul takes ``k = R`` rows clipped to its own live
+    subtiles' longest remaining stream, and lane sums and weight additions
+    are per block.  So a block blends bit for bit alike whichever blocks
+    share its steps and whichever process renders it.
+
     With ``model_indices``, contributions that arrive out of depth order
     are counted per tile, and per-Gaussian blended and out-of-order weights
     are added in place into ``weights`` / ``violation_weights`` at
@@ -414,24 +483,11 @@ def blend_streaming(
     untracked).  Without it neither is tracked (a depth-sorted stream has
     no out-of-order contributions) and ``violations`` is zero.
 
-    Transmittance comes from one cumulative product per chunk, seeded with
-    the incoming transmittance, and the depth maximum from one running
-    maximum (both :func:`_accumulate_rows`).  The transmittance chain, the
-    contribution gates, the saturation positions and every integer count
-    are bit-identical under any chunking of the stream: non-contributing
-    factors are exactly 1.0, and because transmittance never increases,
-    the early-termination gate reads the same on the ungated product.
-    Only the accumulation order of colours and per-Gaussian weights
-    depends on the subtiles and the chunking, which depend on a block's
-    own tiles only.
-
-    Each block's chunk loop is timed with one clock read per block
-    (``block_seconds``), which is what a process-parallel frame balances
-    its runs by.
+    ``block_seconds`` splits each step's wall time among its blocks in
+    proportion to the elements each evaluated (a group's set-up and weight
+    additions likewise, by the group's elements); a process-parallel
+    frame balances its runs by it.
     """
-    num_columns = int(column_offsets[-1])
-    px = pixel_x.astype(np.float64) + 0.5
-    py = pixel_y.astype(np.float64) + 0.5
     subtiles = subtile_streams(
         pixel_x, pixel_y, column_offsets, projected, stream_rows, stream_offsets
     )
@@ -440,15 +496,26 @@ def blend_streaming(
     stream_lens = np.diff(culled_offsets)
     num_subtiles = len(stream_lens)
     col_subtile = np.repeat(np.arange(num_subtiles), np.diff(subtile_offsets))
-    transmittance = np.ones(num_columns, dtype=np.float64)
-    color = np.zeros((num_columns, 3), dtype=np.float64)
-    saturation = stream_lens[col_subtile].astype(np.int64)
+    col_slot = col_subtile * LANES + (
+        pixel_y % SUBTILE_SIZE * SUBTILE_SIZE + pixel_x % SUBTILE_SIZE
+    )
+    # Pixel-centre x and y of each subtile cell's 8 columns and 8 rows.
+    corner = subtile_offsets[:-1]
+    cell = np.arange(SUBTILE_SIZE)
+    lane_x = (pixel_x[corner] // SUBTILE_SIZE * SUBTILE_SIZE)[:, None] + cell + 0.5
+    lane_y = (pixel_y[corner] // SUBTILE_SIZE * SUBTILE_SIZE)[:, None] + cell + 0.5
+
+    # The lattices, one row of lanes per subtile.
+    transmittance = np.zeros((num_subtiles, LANES), dtype=np.float64)
+    transmittance.reshape(-1)[col_slot] = 1.0
+    color = np.zeros((num_subtiles, LANES, 3), dtype=np.float64)
+    saturation = np.repeat(stream_lens, LANES).reshape(num_subtiles, LANES)
     fragments = np.zeros(num_subtiles, dtype=np.int64)
     violations = np.zeros(num_subtiles, dtype=np.int64)
     track = model_indices is not None
 
     # One row per Gaussian parameter (mean x, mean y, conic a, b, c,
-    # opacity), so a chunk gathers all six in one take, padded with one
+    # opacity), so a step gathers all six in one take, padded with one
     # sentinel column whose zero opacity, conic and mean make it an exact
     # no-op (alpha 0, factor exactly 1.0).
     sentinel = len(projected)
@@ -458,190 +525,192 @@ def blend_streaming(
     params[5, :sentinel] = projected.opacities
     colors = np.vstack([projected.colors, np.zeros((1, 3))])
     if track:
-        max_depth = np.full(num_columns, -np.inf, dtype=np.float64)
+        max_depth = np.full((num_subtiles, LANES), -np.inf, dtype=np.float64)
         depths = np.append(projected.depths.astype(np.float64), 0.0)
         # Pad rows attribute exactly 0.0 to model id 0, a no-op.
         keys = np.append(np.asarray(model_indices, dtype=np.int64), 0)
 
-    # A block of tiles is the block of their subtiles.
-    tile_offsets = subtiles.tile_offsets
-    block_subtiles = tile_offsets[block_offsets]
+    # A block of tiles is the block of their subtiles; a group is a run of
+    # whole blocks.
+    block_subtiles = subtiles.tile_offsets[block_offsets]
+    group_offsets = _greedy_offsets(
+        np.diff(column_offsets[block_offsets]), STREAM_GROUP_COLUMNS
+    )
+    block_seconds = np.zeros(len(block_offsets) - 1)
     clock = time.perf_counter
-    block_starts = np.empty(len(block_subtiles))
-    for block, (lo, hi) in enumerate(zip(block_subtiles[:-1], block_subtiles[1:])):
-        block_starts[block] = clock()
-        lens = stream_lens[lo:hi]
-        max_len = int(lens.max()) if hi > lo else 0
-        if max_len == 0:
+    for b0, b1 in zip(group_offsets[:-1], group_offsets[1:]):
+        tick = clock()
+        s0, s1 = block_subtiles[b0], block_subtiles[b1]
+        lens = stream_lens[s0:s1]
+        live = np.flatnonzero(lens)
+        if len(live) == 0:
             continue
-        # Column j of the block's stream matrix holds subtile lo + j's
-        # culled stream, sentinel-padded past its end.  Chunks are
-        # row-major (chunk rows x active columns), so the front-to-back
-        # scans can walk them one contiguous row at a time.
-        first = culled_offsets[lo]
-        block_subtile = np.repeat(np.arange(hi - lo), lens)
-        position = np.arange(culled_offsets[hi] - first) - (
-            culled_offsets[lo:hi] - first
+        # Column j of the group's stream matrix holds subtile s0 + j's
+        # culled stream, sentinel-padded past its end.
+        first = culled_offsets[s0]
+        position = np.arange(culled_offsets[s1] - first) - (
+            culled_offsets[s0:s1] - first
         ).repeat(lens)
-        matrix = np.full((max_len, hi - lo), sentinel, dtype=np.int64)
-        matrix[position, block_subtile] = subtiles.rows[first : culled_offsets[hi]]
-
-        c0, c1 = subtile_offsets[lo], subtile_offsets[hi]
-        subtile_of = col_subtile[c0:c1] - lo
-        # (model ids, weight sums) per chunk and present subtile, scattered
-        # into the attribution arrays once per block.
-        blended: List[Tuple[np.ndarray, np.ndarray]] = []
-        out_of_order: List[Tuple[np.ndarray, np.ndarray]] = []
-        col_px, col_py = px[c0:c1], py[c0:c1]
-        col_t, col_color = transmittance[c0:c1], color[c0:c1]
-        col_saturation = saturation[c0:c1]
-        if track:
-            col_depth = max_depth[c0:c1]
+        matrix = np.full((int(lens.max()), s1 - s0), sentinel, dtype=np.int64)
+        matrix[position, np.repeat(np.arange(s1 - s0), lens)] = subtiles.rows[
+            first : culled_offsets[s1]
+        ]
+        block_cuts = block_subtiles[b0 : b1 + 1] - s0
+        # (model ids, weight sums) per block and step, made once per group.
+        blended: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(b1 - b0)]
+        out_of_order: List[List[Tuple[np.ndarray, np.ndarray]]] = [
+            [] for _ in range(b1 - b0)
+        ]
+        elements = np.zeros(b1 - b0)
         start = 0
-        while start < max_len:
-            active = np.flatnonzero(
-                (col_t > TRANSMITTANCE_EPSILON) & (lens[subtile_of] > start)
-            )
-            if len(active) == 0:
-                break
-            # Columns are subtile-major, so each present subtile's active
-            # columns are one contiguous run: segment reductions (reduceat)
-            # recover per-subtile sums.
-            per_subtile = np.bincount(subtile_of[active], minlength=hi - lo)
-            present = np.flatnonzero(per_subtile)
-            runs = per_subtile[present]
-            boundaries = np.cumsum(runs) - runs
-            # Chunks grow as columns saturate (amortising the per-chunk call
-            # overhead over the long-stream tail) and the last chunk shrinks
-            # to the longest remaining stream so finished subtiles do not
-            # pay for sentinel rows.
-            rows_k = max(STREAM_CHUNK_ROWS, STREAM_CHUNK_ELEMENTS // len(active))
-            rows_k = int(min(rows_k, lens[present].max() - start))
-            stop = start + rows_k
+        while len(live):
+            ids = s0 + live
+            remaining = lens[live] - start
+            rows_k = int(min(STREAM_CHUNK_ROWS, remaining.max()))
+            shape = (rows_k, len(live), LANES)
 
-            # Every column of a subtile shares the subtile's stream, so
-            # Gaussian parameters vary per (chunk row, subtile) only: gather
-            # them per present subtile, then repeat each over its run.
-            chunk = matrix[start:stop].take(present, axis=1)
+            # Parameters per (row, subtile); squares on 8-wide x and y.
+            rows = matrix[start : start + rows_k].take(live, axis=1)
             mean_x, mean_y, conic_a, conic_b, conic_c, opacity = params.take(
-                chunk, axis=1
-            ).repeat(runs, axis=2)
-
-            transmittance_in = col_t[active]
-            dx = col_px[active] - mean_x
-            dy = col_py[active] - mean_y
-            power = conic_a
-            power *= dx * dx
-            power += conic_c * (dy * dy)
+                rows, axis=1
+            )[..., None]
+            dx = lane_x[ids] - mean_x.repeat(SUBTILE_SIZE, axis=2)
+            dy = lane_y[ids] - mean_y.repeat(SUBTILE_SIZE, axis=2)
+            power = _lanes(conic_a.repeat(SUBTILE_SIZE, axis=2) * (dx * dx), False)
+            power += _lanes(conic_c.repeat(SUBTILE_SIZE, axis=2) * (dy * dy), True)
             power *= -0.5
-            dx *= dy
-            dx *= conic_b
-            power -= dx
+            cross = _lanes(dx, False)
+            cross *= _lanes(dy, True)
+            cross *= conic_b.repeat(LANES, axis=2)
+            power -= cross
 
             # Alpha is kept (times 1.0) only where the exponent is not
             # positive and alpha exceeds the epsilon, else zeroed (times 0.0).
             keep = power <= 0.0
             np.minimum(power, 0.0, out=power)
             a = np.exp(power, out=power)
-            a *= opacity
+            a *= opacity.repeat(LANES, axis=2)
             np.minimum(a, ALPHA_MAX, out=a)
             keep &= a > ALPHA_EPSILON
             a *= keep
 
+            transmittance_in = transmittance[ids]
             factors = 1.0 - a
             factors[0] *= transmittance_in
-            running = np.empty((rows_k + 1, len(active)), dtype=np.float64)
+            running = np.empty((rows_k + 1,) + shape[1:], dtype=np.float64)
             running[0] = transmittance_in
-            _accumulate_rows(np.multiply, factors, running[1:])
-            contributes = (a > 0.0) & (running[:-1] > TRANSMITTANCE_EPSILON)
+            _accumulate_rows(
+                np.multiply,
+                factors.reshape(rows_k, -1),
+                running[1:].reshape(rows_k, -1),
+            )
+            # Alpha is positive exactly where it was kept.
+            contributes = keep
+            contributes &= running[:-1] > TRANSMITTANCE_EPSILON
             # Zero the weights past saturation; a product of non-negative
             # finite factors is kept exactly by 1.0 and zeroed by 0.0.
-            weight = a * running[:-1]
+            weight = a
+            weight *= running[:-1]
             weight *= contributes
-
-            # Colour as one small matmul per present subtile: the colour
-            # block varies per (chunk row, subtile) only, so the per-column
-            # weighted sum is (columns x rows) @ (rows x 3).
-            ends = boundaries + runs
-            for i in range(len(present)):
-                cs, ce = boundaries[i], ends[i]
-                col_color[active[cs:ce]] += weight[:, cs:ce].T @ colors[chunk[:, i]]
-
-            counts = np.count_nonzero(contributes, axis=0)
-            fragments[lo + present] += np.add.reduceat(counts, boundaries)
+            fragments[ids] += _lane_counts(contributes)
 
             if track:
-                chunk_depths = depths.take(chunk).repeat(runs, axis=1)
-                prior_max = np.empty((rows_k + 1, len(active)), dtype=np.float64)
-                prior_max[0] = col_depth[active]
-                prior_max[1:] = np.where(contributes, chunk_depths, -np.inf)
-                _accumulate_rows(np.maximum, prior_max, prior_max)
+                # Contributing depths, NaN elsewhere: a contributing weight
+                # is positive, so ``weight / weight`` is 1.0 there and NaN
+                # (0 / 0) elsewhere, and ``fmax`` passes NaN over.
+                depth = depths.take(rows)[..., None]
+                prior_max = np.empty((rows_k + 1,) + shape[1:], dtype=np.float64)
+                prior_max[0] = max_depth[ids]
+                with np.errstate(invalid="ignore"):
+                    np.divide(weight, weight, out=prior_max[1:])
+                prior_max[1:] *= depth.repeat(LANES, axis=2)
+                flat = prior_max.reshape(rows_k + 1, -1)
+                _accumulate_rows(np.fmax, flat, flat)
                 violated = contributes & (
-                    prior_max[:-1] > chunk_depths + DEPTH_VIOLATION_EPSILON
+                    prior_max[:-1]
+                    > (depth + DEPTH_VIOLATION_EPSILON).repeat(LANES, axis=2)
                 )
-                col_depth[active] = prior_max[-1]
+                max_depth[ids] = prior_max[-1]
+                row_keys = keys.take(rows)
+                sums = weight.sum(axis=2)
+                late = violated.any()
+                if late:
+                    violations[ids] += _lane_counts(violated)
+                    late_sums = (weight * violated).sum(axis=2)
 
-                chunk_keys = keys.take(chunk).ravel()
-                blended.append(
-                    (chunk_keys, np.add.reduceat(weight, boundaries, axis=1).ravel())
+            # Each block's colour and weight sums over its own rows.
+            rgb = colors.take(rows.T, axis=0)
+            cuts = np.searchsorted(live, block_cuts)
+            for block in np.flatnonzero(np.diff(cuts)):
+                lo, hi = cuts[block], cuts[block + 1]
+                k = int(min(rows_k, remaining[lo:hi].max()))
+                color[ids[lo:hi]] += np.matmul(
+                    weight[:k, lo:hi].transpose(1, 2, 0), rgb[lo:hi, :k]
                 )
-                if violated.any():
-                    violations[lo + present] += np.add.reduceat(
-                        np.count_nonzero(violated, axis=0), boundaries
-                    )
-                    out_of_order.append(
-                        (
-                            chunk_keys,
-                            np.add.reduceat(
-                                np.where(violated, weight, 0.0), boundaries, axis=1
-                            ).ravel(),
+                if track:
+                    block_keys = row_keys[:k, lo:hi].ravel()
+                    blended[block].append((block_keys, sums[:k, lo:hi].ravel()))
+                    if late:
+                        out_of_order[block].append(
+                            (block_keys, late_sums[:k, lo:hi].ravel())
                         )
-                    )
 
             # The running product is non-increasing (factors lie in [0, 1]),
-            # so a column saturated in this chunk iff its final value is at
-            # or below the epsilon; only those columns pay for the scan.
-            saturated = running[-1] <= TRANSMITTANCE_EPSILON
-            if saturated.any():
-                hit = np.flatnonzero(saturated)
-                first_row = np.argmax(running[1:, hit] <= TRANSMITTANCE_EPSILON, axis=0)
-                col_saturation[active[hit]] = start + first_row
+            # so a lane saturated in this step iff it started above the
+            # epsilon and ended at or below it; only those lanes pay for the
+            # scan.  Every other lane ends on its last contributing row
+            # (later factors are exactly 1.0), so it keeps the last product,
+            # or its incoming value when it was already saturated or empty.
+            lanes_in = transmittance_in > TRANSMITTANCE_EPSILON
+            final = np.where(lanes_in, running[-1], transmittance_in)
+            hit = np.flatnonzero(lanes_in & (running[-1] <= TRANSMITTANCE_EPSILON))
+            if len(hit):
+                scan = running[1:].reshape(rows_k, -1)[:, hit]
+                first_row = np.argmax(scan <= TRANSMITTANCE_EPSILON, axis=0)
+                saturation.reshape(-1)[
+                    ids[hit // LANES] * LANES + hit % LANES
+                ] = start + first_row
+                final.reshape(-1)[hit] = scan[first_row, np.arange(len(hit))]
+            transmittance[ids] = final
 
-            # Transmittance after the column's last contributing row (by
-            # monotonicity the minimum the reference recurrence reaches);
-            # columns without a contribution keep their incoming value.
-            last_row = rows_k - 1 - np.argmax(contributes[::-1], axis=0)
-            col_t[active] = np.where(
-                counts > 0,
-                running[last_row + 1, np.arange(len(active))],
-                transmittance_in,
-            )
-            start = stop
+            start += rows_k
+            live = live[
+                (remaining > rows_k) & (final > TRANSMITTANCE_EPSILON).any(axis=1)
+            ]
+            # The step's time, shared by the elements each block evaluated.
+            share = np.diff(cuts) * float(rows_k)
+            elements += share
+            tock = clock()
+            block_seconds[b0:b1] += (tock - tick) * share / share.sum()
+            tick = tock
 
         for target, parts in ((weights, blended), (violation_weights, out_of_order)):
-            if parts:
-                ids, sums = zip(*parts)
-                add_weights(target, np.concatenate(ids), np.concatenate(sums))
+            in_order = [part for block in parts for part in block]
+            if in_order:
+                id_parts, sum_parts = zip(*in_order)
+                add_weights(target, np.concatenate(id_parts), np.concatenate(sum_parts))
+        block_seconds[b0:b1] += (clock() - tick) * elements / elements.sum()
 
-    block_starts[-1] = clock()
-
-    # Back from subtiles to tiles: a saturation position in a culled stream
-    # names an entry of the tile's stream, and counts sum over subtiles.
+    # Columns read their lanes back.  Then from subtiles to tiles: a
+    # saturation position in a culled stream names an entry of the tile's
+    # stream, and counts sum over subtiles.
+    column_saturation = saturation.reshape(-1)[col_slot]
     tile_lens = np.diff(stream_offsets).astype(np.int64)
     tile_saturation = np.repeat(tile_lens, np.diff(column_offsets))
-    hit = np.flatnonzero(saturation < stream_lens[col_subtile])
+    hit = np.flatnonzero(column_saturation < stream_lens[col_subtile])
     tile_saturation[hit] = subtiles.positions[
-        culled_offsets[col_subtile[hit]] + saturation[hit]
+        culled_offsets[col_subtile[hit]] + column_saturation[hit]
     ]
+    tile_offsets = subtiles.tile_offsets
     fragment_sums = np.concatenate(([0], np.cumsum(fragments)))[tile_offsets]
     violation_sums = np.concatenate(([0], np.cumsum(violations)))[tile_offsets]
     return StreamingBlend(
-        color=color,
-        transmittance=transmittance,
+        color=color.reshape(-1, 3)[col_slot],
+        transmittance=transmittance.reshape(-1)[col_slot],
         saturation=tile_saturation,
         fragments=np.diff(fragment_sums),
         violations=np.diff(violation_sums),
         pairs_offered=int(tile_lens @ np.diff(column_offsets)),
         pairs_kept=int(stream_lens @ np.diff(subtile_offsets)),
-        block_seconds=np.diff(block_starts),
+        block_seconds=block_seconds,
     )

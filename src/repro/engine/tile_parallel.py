@@ -16,14 +16,18 @@ bit for bit, whatever ``N`` is and wherever the runs are cut.
 
 The runs are cut by cost, not by count (:func:`cost_cut`).  Every frame,
 one-process frames included, measures each block's cost: its blend time
-(``StreamingBlend.block_seconds``) plus its run's other time spread over
-the run's blocks (:meth:`StreamingRenderer._render_run`); workers return
-theirs in their telemetry.  The renderer's next parallel frame cuts where
-those costs split evenly, with the calling process also charged its last
-dispatch time.  A renderer with no costs for the frame's blocks gets
-equally many blocks per run, and a pose rendered lately keeps the cut of
-its first visit, because the runs key the run preparations in the
-callers' and the workers' frame caches (:class:`_CutMemory`).
+plus its run's other time spread over the run's blocks
+(:meth:`StreamingRenderer._render_run`); workers return theirs in their
+telemetry.  The blend walks neighbouring blocks in shared steps, so a
+block's blend time is its share of each step's wall time, in proportion
+to the (Gaussian, lane) elements it evaluated there
+(``StreamingBlend.block_seconds``); which blocks share a step moves the
+shares, never what a block blends.  The renderer's next parallel frame
+cuts where those costs split evenly, with the calling process also
+charged its last dispatch time.  A renderer with no costs for the frame's
+blocks gets equally many blocks per run, and a pose rendered lately keeps
+the cut of its first visit, because the runs key the run preparations in
+the callers' and the workers' frame caches (:class:`_CutMemory`).
 ``telemetry["tile_cut"]`` gives the blocks per run and
 ``telemetry["tile_cut_source"]`` where the cut came from.
 
@@ -69,11 +73,13 @@ from __future__ import annotations
 import atexit
 import collections
 import copy
+import io
 import itertools
 import multiprocessing
 import os
 import pickle
 import signal
+import struct
 import threading
 import time
 import weakref
@@ -99,6 +105,10 @@ PARENT_CHECK_S = 1.0
 #: frames that save a few milliseconds, and bounds the process count on
 #: many-CPU hosts.
 AUTO_PIXELS_PER_PROCESS = 1024
+
+#: The ``time.monotonic()`` stamp a worker appends to each reply: when its
+#: pickle was done.  Every process on a host reads the same clock.
+_STAMP = struct.Struct("<d")
 
 
 def available_cpus() -> int:
@@ -196,6 +206,7 @@ def _serve(conn, parent_pid: int) -> None:
             for token in request[1]:
                 renderers.pop(token, None)
             continue
+        read_at = time.monotonic()
         if kind == "held":
             reply: object = sorted(renderers)
         else:
@@ -204,10 +215,18 @@ def _serve(conn, parent_pid: int) -> None:
                 if payload is not None:
                     renderers[token] = pickle.loads(payload)
                 reply = _render_run(renderers[token], camera, tile_bounds, blocks)
-                reply["telemetry"]["shipped"] = payload is not None
+                reply["telemetry"].update(
+                    shipped=payload is not None,
+                    read_at=read_at,
+                    rendered_at=time.monotonic(),
+                )
             except Exception as error:  # reported; the caller renders the run
                 reply = {"error": f"{type(error).__name__}: {error}"}
-        conn.send_bytes(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+        # The reply, then when its pickle was done (see ``_TileWorker.receive``).
+        buffer = io.BytesIO()
+        pickle.dump(reply, buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        buffer.write(_STAMP.pack(time.monotonic()))
+        conn.send_bytes(buffer.getbuffer())
 
 
 # ----------------------------------------------------------------------
@@ -241,10 +260,14 @@ class _TileWorker:
         self.conn.send_bytes(data)
         return len(data)
 
-    def receive(self) -> Tuple[object, int]:
-        """The next reply and its pickled size in bytes."""
-        data = self.conn.recv_bytes()
-        return pickle.loads(data), len(data)
+    def receive(self) -> Tuple[object, int, float]:
+        """The next reply, its size in bytes and when the worker had pickled it.
+
+        The worker appends a ``time.monotonic()`` stamp to every reply.
+        """
+        data = memoryview(self.conn.recv_bytes())
+        (pickled_at,) = _STAMP.unpack(data[-_STAMP.size :])
+        return pickle.loads(data[: -_STAMP.size]), len(data), pickled_at
 
     def close(self) -> None:
         """End the worker for good."""
@@ -548,9 +571,20 @@ def render_tiles_process(
     ``dispatch``: the wall time not spent rendering in this process) and
     returns the telemetry of the execution: ``tile_cut`` (blocks per run)
     and ``tile_cut_source`` (where the cut came from), ``waited_s`` (the
-    part of ``dispatch`` spent waiting for replies) and what travelled.
-    Whatever the workers cannot render, this process renders, and the
-    telemetry records why.
+    part of ``dispatch`` spent waiting for replies), ``wait_split_s`` and
+    what travelled.  Whatever the workers cannot render, this process
+    renders, and the telemetry records why.
+
+    ``wait_split_s`` splits each wait for a reply, from when this process
+    was ready for it to when the reply was loaded, by ``time.monotonic()``
+    stamps that every process on a host shares: ``start_lag`` (the request
+    sent to the worker reading it), ``extra_run`` (the worker's run, from
+    reading its request to finishing it, less the time this process spent
+    since sending it) and ``reply`` (the worker finishing its run to the
+    reply loaded here: pickling, the pipe and unpickling).  The three sum
+    to the wait; a worker that finished first has a negative
+    ``extra_run``.  Each worker's telemetry keeps its stamps (``read_at``,
+    ``rendered_at``, ``pickled_at``).
 
     The runs are contiguous runs of whole blocks (there are at least as
     many blocks as runs), cut where the renderer's last frame's measured
@@ -574,6 +608,7 @@ def render_tiles_process(
     failures: List[str] = []
     replies: List[Optional[dict]] = [None] * (workers - 1)
     shipped_bytes, ship_s, waited_s = 0, 0.0, 0.0
+    wait_split = {"start_lag": 0.0, "extra_run": 0.0, "reply": 0.0}
     with _LOCK:
         cut, cut_source = memory.cut((camera.pose_key(), workers), len(blocks) - 1, workers)
         runs = [blocks[lo : hi + 1] for lo, hi in zip(cut[:-1], cut[1:])]
@@ -611,9 +646,10 @@ def render_tiles_process(
                     "frame", token, payload if ships else None,
                     camera, tile_bounds, runs[index + 1],
                 )
-                outstanding[index] = (worker, 0)
+                outstanding[index] = (worker, 0, 0.0)
                 try:
-                    outstanding[index] = (worker, worker.send(request))
+                    request_bytes = worker.send(request)
+                    outstanding[index] = (worker, request_bytes, time.monotonic())
                 except _WORKER_FAILURES as error:
                     del outstanding[index]
                     failures.append(f"tile worker failed: {type(error).__name__}: {error}")
@@ -625,26 +661,41 @@ def render_tiles_process(
                     camera, tile_bounds, runs[0], image, alpha_img, stats, stages, pairs
                 )
             ]
+            ready = time.monotonic()
             for index in list(outstanding):
-                worker, request_bytes = outstanding[index]
+                worker, request_bytes, sent_at = outstanding[index]
                 receiving = clock()
                 try:
-                    reply, reply_bytes = worker.receive()
+                    reply, reply_bytes, pickled_at = worker.receive()
                 except _WORKER_FAILURES as error:
                     reply, reply_bytes = {"error": f"{type(error).__name__}: {error}"}, 0
                     _discard(worker)
                 waited_s += clock() - receiving
+                received = time.monotonic()
                 del outstanding[index]
                 if "error" in reply:
                     failures.append(f"tile worker failed: {reply['error']}")
                     worker.held.discard(token)
+                    ready = received
                     continue
-                reply["telemetry"].update(
-                    request_bytes=request_bytes, reply_bytes=reply_bytes
+                told = reply["telemetry"]
+                told.update(
+                    request_bytes=request_bytes,
+                    reply_bytes=reply_bytes,
+                    pickled_at=pickled_at,
                 )
+                # This wait, ``received - ready``, in three parts: the worker
+                # read its request late, ran longer than this process has
+                # since, and its reply took time to pickle, travel and load.
+                wait_split["start_lag"] += told["read_at"] - sent_at
+                wait_split["extra_run"] += (told["rendered_at"] - told["read_at"]) - (
+                    ready - sent_at
+                )
+                wait_split["reply"] += received - told["rendered_at"]
+                ready = received
                 replies[index] = reply
         finally:
-            for worker, _ in outstanding.values():
+            for worker, _, _ in outstanding.values():
                 _discard(worker)
 
     # Absorb the runs in run order, which keeps the sort lists in tile
@@ -682,6 +733,7 @@ def render_tiles_process(
         "tile_cut": np.diff(cut).tolist(),
         "tile_cut_source": cut_source,
         "waited_s": waited_s,
+        "wait_split_s": wait_split,
         "shipped_bytes": shipped_bytes,
         "ship_s": ship_s,
         "workers": worker_telemetry,

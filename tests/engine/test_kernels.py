@@ -16,6 +16,7 @@ from repro.engine import kernels
 from repro.engine.kernels import (
     STREAM_BLOCK_COLUMNS,
     STREAM_CHUNK_ROWS,
+    STREAM_GROUP_COLUMNS,
     blend_reference,
     blend_streaming,
     column_blocks,
@@ -321,11 +322,11 @@ def test_reference_blend_without_model_indices_tracks_nothing():
     assert not weights.any() and not violation_weights.any()
 
 
-#: Shapes of the scan checks: wide ones that :func:`kernels._accumulate_rows`
-#: walks row by row and tall ones it hands to ``accumulate``, with
-#: power-of-two and other widths.
+#: Shapes of the scan checks: the blend's steps, 1 to
+#: ``STREAM_CHUNK_ROWS + 1`` rows (the depth scan carries one more) of
+#: whole 64-lane lattices, with power-of-two and other lattice counts.
 SCAN_SHAPES = [
-    (1, 1), (1, 512), (33, 512), (65, 256), (129, 128), (327, 50), (1024, 16)
+    (1, 64), (2, 64), (33, 64), (32, 192), (33, 512), (17, 1344), (32, 2048)
 ]
 
 #: Values that test a scan's IEEE arithmetic: exact zeros and ones,
@@ -345,7 +346,9 @@ def scan_values(shape, seed, special_rate=0.05):
 
 
 @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=lambda s: "x".join(map(str, s)))
-@pytest.mark.parametrize("ufunc", [np.multiply, np.maximum], ids=lambda u: u.__name__)
+@pytest.mark.parametrize(
+    "ufunc", [np.multiply, np.maximum, np.fmax], ids=lambda u: u.__name__
+)
 def test_accumulate_rows_matches_accumulate_byte_for_byte(ufunc, shape):
     """The blend's scan is ``ufunc.accumulate(axis=0)``, into ``out`` or in place."""
     values = scan_values(shape, seed=shape[0] * 4099 + shape[1])
@@ -363,7 +366,9 @@ def test_accumulate_rows_matches_accumulate_byte_for_byte(ufunc, shape):
 @pytest.mark.parametrize(
     "shape", [(33, 101), (40, 50), (17, 333)], ids=lambda s: "x".join(map(str, s))
 )
-@pytest.mark.parametrize("ufunc", [np.multiply, np.maximum], ids=lambda u: u.__name__)
+@pytest.mark.parametrize(
+    "ufunc", [np.multiply, np.maximum, np.fmax], ids=lambda u: u.__name__
+)
 def test_accumulate_rows_on_odd_widths_differs_at_most_in_nan_signs(ufunc, shape):
     """Walked rows whose width no SIMD step divides keep every value.
 
@@ -385,8 +390,8 @@ def test_accumulate_rows_on_odd_widths_differs_at_most_in_nan_signs(ufunc, shape
 def wide_saturating_frame(seed=21):
     """Projected Gaussians and a 64x32 frame of 16x16 tiles that all stream them.
 
-    Large, nearly opaque Gaussians reach every 8x8 subtile, so each
-    512-column block starts with all its columns active, and pixels
+    Large, nearly opaque Gaussians reach every 8x8 subtile, so every
+    subtile of the frame's one step group starts live, and pixels
     saturate.  The stream is shuffled, so contributions also arrive out
     of depth order.
     """
@@ -433,9 +438,14 @@ def test_blend_streaming_scans_are_bit_identical_to_axis0_accumulate(
     )
     accumulated, accumulated_weights = blend()
 
-    # Whole blocks were walked row by row, and columns saturated.
-    assert (np.multiply, (STREAM_CHUNK_ROWS, STREAM_BLOCK_COLUMNS)) in scans
-    assert any(ufunc is np.maximum for ufunc, _ in scans) == tracked
+    # The frame's four blocks share one group, whose 32 whole subtiles'
+    # lattices were walked row by row in full-height steps, and columns
+    # saturated.
+    lanes = len(xs)
+    assert lanes == STREAM_GROUP_COLUMNS == 4 * STREAM_BLOCK_COLUMNS
+    assert (np.multiply, (STREAM_CHUNK_ROWS, lanes)) in scans
+    assert ((np.fmax, (STREAM_CHUNK_ROWS + 1, lanes)) in scans) == tracked
+    assert any(ufunc is np.fmax for ufunc, _ in scans) == tracked
     assert (walked.saturation < len(order)).any()
     assert walked.fragments.sum() > 0
     assert walked.violations.any() == tracked

@@ -14,4 +14,5 @@ def test_streaming_benchmark_smoke():
     entry = result.as_dict()
     assert entry["seconds"]["vectorized"] > 0
     assert "vectorized_parallel" in entry["seconds"]
+    assert entry["parallel_speedup"] > 0 and entry["parallel_speedup_iqr"] >= 0
     assert "speedup" in result.format() or "speedup" in entry

@@ -285,6 +285,21 @@ class TestTransport:
         assert list(worker["stages_s"]) == STAGES
         assert worker["cpu_s"] > 0.0 and worker["peak_rss_mb"] > 0.0
 
+    def test_the_wait_splits_into_start_lag_extra_run_and_reply(self):
+        renderer = make_renderer()
+        for distance in (6.0, 6.5):
+            frame = renderer.render(
+                make_camera(width=64, height=48, distance=distance), tile_workers=2
+            )
+        telemetry = frame.telemetry
+        split = telemetry["wait_split_s"]
+        assert list(split) == ["start_lag", "extra_run", "reply"]
+        # The parts sum to the wait; the two clocks read between them.
+        assert sum(split.values()) == pytest.approx(telemetry["waited_s"], abs=5e-4)
+        (worker,) = telemetry["workers"]
+        assert worker["read_at"] <= worker["rendered_at"] <= worker["pickled_at"]
+        assert split["reply"] >= worker["pickled_at"] - worker["rendered_at"] > 0.0
+
     def test_shipped_renderer_leaves_its_frame_cache_behind(self):
         warm, cold = make_renderer(), make_renderer()
         for step in range(warm.frame_cache.capacity):
